@@ -45,6 +45,7 @@ struct OpExecContext {
 class Operator {
  public:
   enum class Kind : int8_t {
+    // Event matching E() (algebra/pattern_op.h).
     kPattern,
     kFilter,
     kProjection,
@@ -52,8 +53,7 @@ class Operator {
     kContextInit,
     kContextTerm,
     kAggregate,
-    // Automaton-based replacement for kPattern (compile/); selected by
-    // EngineOptions::pattern_engine, never emitted by the translator.
+    // SEQ, executed by its compiled automaton (compile/).
     kCompiledPattern,
   };
 

@@ -1,228 +1,32 @@
 #include "algebra/pattern_op.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
-#include "durability/serde.h"
 
 namespace caesar {
 
 PatternOp::PatternOp(std::shared_ptr<const PatternOpConfig> config)
     : Operator(Kind::kPattern), config_(std::move(config)) {
-  const auto& positions = config_->positions;
-  CAESAR_CHECK(!positions.empty());
-  for (int i = 0; i < static_cast<int>(positions.size()); ++i) {
-    if (positions[i].negated) {
-      negated_positions_.push_back(i);
-    } else {
-      positive_positions_.push_back(i);
-    }
-  }
-  CAESAR_CHECK(!positive_positions_.empty())
-      << "pattern needs at least one positive position";
-  // Trailing negation is unsupported (no bounded emission point).
-  CAESAR_CHECK(!positions.back().negated)
-      << "trailing NOT is not supported: " << config_->description;
-  if (positions.size() > 1) {
-    CAESAR_CHECK_GT(config_->within, 0)
-        << "multi-position pattern needs WITHIN: " << config_->description;
-  }
-  neg_buffers_.resize(negated_positions_.size());
-  if (config_->pass_through) {
-    CAESAR_CHECK_EQ(positions.size(), 1u);
-    CAESAR_CHECK(!positions[0].negated);
-  }
+  CAESAR_CHECK_EQ(config_->positions.size(), 1u)
+      << "event matching takes one position: " << config_->description;
+  CAESAR_CHECK(!config_->positions[0].negated);
 }
 
 void PatternOp::Process(const EventBatch& input, EventBatch* output,
                         OpExecContext* ctx) {
-  if (config_->pass_through) {
-    // Event matching E(): forward events of the type, applying any pushed
-    // predicates.
-    ctx->CountWork(input.size());
-    const auto& position = config_->positions[0];
-    for (const EventPtr& event : input) {
-      if (event->type_id() != position.type_id) continue;
-      bool pass = true;
-      for (const auto& predicate : position.predicates) {
-        ctx->CountWork(1);
-        if (!predicate->EvalBool(&event)) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) output->push_back(event);
-    }
-    return;
-  }
-  if (!input.empty()) {
-    // Expire once per batch; extensions re-check the WITHIN bound per event,
-    // so late expiry never admits a stale match.
-    Expire(input.front()->time());
-  }
+  // Forward events of the type, applying any pushed predicates.
+  ctx->CountWork(input.size());
+  const auto& position = config_->positions[0];
   for (const EventPtr& event : input) {
-    ProcessEvent(event, output, ctx);
-  }
-}
-
-void PatternOp::ProcessEvent(const EventPtr& event, EventBatch* output,
-                             OpExecContext* ctx) {
-  ctx->CountWork(1);
-  const auto& positions = config_->positions;
-
-  // 1. Feed negation buffers.
-  for (size_t n = 0; n < negated_positions_.size(); ++n) {
-    if (positions[negated_positions_[n]].type_id == event->type_id()) {
-      neg_buffers_[n].push_back(event);
-    }
-  }
-
-  // 2. Try to start a fresh partial at the first positive position.
-  std::vector<Partial> created;
-  {
-    int first = positive_positions_[0];
-    if (positions[first].type_id == event->type_id()) {
-      Partial fresh;
-      fresh.bound.resize(positions.size());
-      if (PredicatesPass(fresh, first, event, ctx)) {
-        fresh.bound[first] = event;
-        fresh.next_positive = 1;
-        fresh.first_time = event->time();
-        fresh.last_time = event->time();
-        created.push_back(std::move(fresh));
-      }
-    }
-  }
-
-  // 3. Try to extend existing partials (snapshot size: an event extends a
-  // given partial chain at most once).
-  size_t existing = partials_.size();
-  for (size_t i = 0; i < existing; ++i) {
-    Partial& partial = partials_[i];
-    ctx->CountWork(1);
-    int slot = positive_positions_[partial.next_positive];
-    if (positions[slot].type_id != event->type_id()) continue;
-    if (event->time() <= partial.last_time) continue;  // strict ordering
-    if (event->time() - partial.first_time > config_->within) continue;
-    if (!PredicatesPass(partial, slot, event, ctx)) continue;
-    Partial extended = partial;
-    extended.bound[slot] = event;
-    ++extended.next_positive;
-    extended.last_time = event->time();
-    created.push_back(std::move(extended));
-  }
-
-  // 4. Completed partials emit (after negation checks); the rest are kept.
-  for (Partial& partial : created) {
-    if (partial.next_positive ==
-        static_cast<int>(positive_positions_.size())) {
-      if (NegationsPass(&partial, ctx)) {
-        EmitMatch(partial, output);
-      }
-    } else {
-      partials_.push_back(std::move(partial));
-    }
-  }
-}
-
-bool PatternOp::PredicatesPass(const Partial& partial, int position,
-                               const EventPtr& candidate, OpExecContext* ctx) {
-  const auto& predicates = config_->positions[position].predicates;
-  if (predicates.empty()) return true;
-  // Bind the candidate temporarily on a scratch copy of the slot array.
-  // (The partial's vector is const here; copy pointers cheaply.)
-  std::vector<EventPtr> bound = partial.bound;
-  if (bound.empty()) bound.resize(config_->positions.size());
-  bound[position] = candidate;
-  for (const auto& predicate : predicates) {
-    ctx->CountWork(1);
-    if (!predicate->EvalBool(bound.data())) return false;
-  }
-  return true;
-}
-
-bool PatternOp::NegationsPass(Partial* partial, OpExecContext* ctx) {
-  const auto& positions = config_->positions;
-  for (size_t n = 0; n < negated_positions_.size(); ++n) {
-    int neg_pos = negated_positions_[n];
-    // Surrounding positive components.
-    Timestamp lo, hi;
-    bool lo_closed = false;
-    int prev_positive = -1;
-    for (int p = neg_pos - 1; p >= 0; --p) {
-      if (!positions[p].negated) {
-        prev_positive = p;
-        break;
-      }
-    }
-    int next_positive = -1;
-    for (int p = neg_pos + 1; p < static_cast<int>(positions.size()); ++p) {
-      if (!positions[p].negated) {
-        next_positive = p;
-        break;
-      }
-    }
-    CAESAR_CHECK_GE(next_positive, 0);  // no trailing NOT
-    Timestamp next_time = partial->bound[next_positive]->time();
-    if (prev_positive >= 0) {
-      lo = partial->bound[prev_positive]->time();  // open
-    } else {
-      lo = next_time - config_->within;  // leading NOT: closed look-back
-      lo_closed = true;
-    }
-    hi = next_time;  // open
-
-    for (const EventPtr& candidate : neg_buffers_[n]) {
+    if (event->type_id() != position.type_id) continue;
+    bool pass = true;
+    for (const auto& predicate : position.predicates) {
       ctx->CountWork(1);
-      Timestamp t = candidate->time();
-      if (t >= hi) break;  // buffers are time-ordered
-      if (lo_closed ? t < lo : t <= lo) continue;
-      const auto& predicates = positions[neg_pos].predicates;
-      bool matches = true;
-      partial->bound[neg_pos] = candidate;
-      for (const auto& predicate : predicates) {
-        ctx->CountWork(1);
-        if (!predicate->EvalBool(partial->bound.data())) {
-          matches = false;
-          break;
-        }
+      if (!predicate->EvalBool(&event)) {
+        pass = false;
+        break;
       }
-      partial->bound[neg_pos] = nullptr;
-      if (matches) return false;  // a negated event blocks the match
     }
-  }
-  return true;
-}
-
-void PatternOp::EmitMatch(const Partial& partial, EventBatch* output) {
-  std::vector<Value> values;
-  Timestamp start = partial.bound[positive_positions_[0]]->start_time();
-  Timestamp end = partial.bound[positive_positions_.back()]->end_time();
-  for (int slot : positive_positions_) {
-    const EventPtr& component = partial.bound[slot];
-    values.insert(values.end(), component->values().begin(),
-                  component->values().end());
-  }
-  output->push_back(
-      MakeComplexEvent(config_->output_type, start, end, std::move(values)));
-}
-
-void PatternOp::Expire(Timestamp now) { ExpireBefore(now - config_->within); }
-
-void PatternOp::Reset() {
-  partials_.clear();
-  for (auto& buffer : neg_buffers_) buffer.clear();
-}
-
-void PatternOp::ExpireBefore(Timestamp t) {
-  // Partials are kept in creation order, which is not first_time order
-  // (an extension inherits an older first_time), so expiry scans them all.
-  std::erase_if(partials_,
-                [t](const Partial& partial) { return partial.first_time < t; });
-  for (auto& buffer : neg_buffers_) {
-    while (!buffer.empty() && buffer.front()->time() < t) {
-      buffer.pop_front();
-    }
+    if (pass) output->push_back(event);
   }
 }
 
@@ -230,86 +34,8 @@ std::unique_ptr<Operator> PatternOp::Clone() const {
   return std::make_unique<PatternOp>(config_);
 }
 
-size_t PatternOp::negation_buffer_size() const {
-  size_t total = 0;
-  for (const auto& buffer : neg_buffers_) total += buffer.size();
-  return total;
-}
-
 std::string PatternOp::DebugString() const {
   return "Pattern: " + config_->description;
-}
-
-void PatternOp::SaveState(StateWriter* w) const {
-  w->U32(static_cast<uint32_t>(partials_.size()));
-  for (const Partial& partial : partials_) {
-    w->U32(static_cast<uint32_t>(partial.bound.size()));
-    for (const EventPtr& event : partial.bound) {
-      w->Bool(event != nullptr);
-      if (event != nullptr) WriteEvent(w, *event);
-    }
-    w->U32(static_cast<uint32_t>(partial.next_positive));
-    w->I64(partial.first_time);
-    w->I64(partial.last_time);
-  }
-  w->U32(static_cast<uint32_t>(neg_buffers_.size()));
-  for (const auto& buffer : neg_buffers_) {
-    w->U32(static_cast<uint32_t>(buffer.size()));
-    for (const EventPtr& event : buffer) WriteEvent(w, *event);
-  }
-}
-
-Status PatternOp::LoadState(StateReader* r) {
-  partials_.clear();
-  uint32_t n_partials = r->U32();
-  for (uint32_t i = 0; r->ok() && i < n_partials; ++i) {
-    Partial partial;
-    uint32_t n_slots = r->U32();
-    if (!r->ok() || n_slots != config_->positions.size()) {
-      return Status::DataLoss("pattern partial does not match the plan");
-    }
-    partial.bound.resize(n_slots);
-    for (uint32_t s = 0; r->ok() && s < n_slots; ++s) {
-      if (!r->Bool()) continue;
-      partial.bound[s] = ReadEvent(r);
-      if (partial.bound[s] == nullptr) {
-        return Status::DataLoss("malformed pattern partial event");
-      }
-    }
-    partial.next_positive = static_cast<int>(r->U32());
-    partial.first_time = r->I64();
-    partial.last_time = r->I64();
-    partials_.push_back(std::move(partial));
-  }
-  uint32_t n_buffers = r->U32();
-  if (!r->ok() || n_buffers != neg_buffers_.size()) {
-    return Status::DataLoss("negation buffers do not match the plan");
-  }
-  for (auto& buffer : neg_buffers_) {
-    buffer.clear();
-    uint32_t n = r->U32();
-    for (uint32_t i = 0; r->ok() && i < n; ++i) {
-      EventPtr event = ReadEvent(r);
-      if (event == nullptr) {
-        return Status::DataLoss("malformed negation buffer event");
-      }
-      buffer.push_back(std::move(event));
-    }
-  }
-  return r->ok() ? Status::Ok()
-                 : Status::DataLoss("truncated pattern matcher state");
-}
-
-double PatternOp::UnitCost() const {
-  // Sequence matching scales with the number of positions; single-event
-  // matching is a type probe.
-  return config_->pass_through
-             ? 1.0
-             : 2.0 * static_cast<double>(config_->positions.size());
-}
-
-double PatternOp::Selectivity() const {
-  return config_->pass_through ? 1.0 : 0.2;
 }
 
 }  // namespace caesar

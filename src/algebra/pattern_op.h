@@ -1,7 +1,7 @@
 // The pattern operator (Section 4.1): event matching E, sequence
 // SEQ(E1, ..., En), and sequence with negation SEQ(S1, NOT E, S2).
 //
-// Semantics implemented (matching the paper's definitions):
+// Semantics of a pattern configuration (matching the paper's definitions):
 //  - SEQ requires strictly increasing occurrence times of its positive
 //    components and emits one composite event per qualifying combination
 //    (skip-till-any-match: events between components are permitted).
@@ -17,17 +17,21 @@
 // horizon for partial matches and negation buffers); unbounded pattern state
 // is never kept. WHERE conjuncts may be pushed into the matcher as
 // per-position predicates (an optimizer rewrite); conjuncts referencing a
-// negated variable always live here because they define the negation
+// negated variable always live there because they define the negation
 // condition itself.
 //
 // Composite output events concatenate the attribute values of all positive
 // components; the plan builder registers the composite schema with
 // attributes named "<var>.<attr>".
+//
+// Two operators execute a configuration. PatternOp below is event matching
+// E(): a stateless type check plus pushed predicates that forwards matching
+// events as-is. Every SEQ compiles to an automaton executed by
+// CompiledPatternOp (compile/compiled_pattern_op.h).
 
 #ifndef CAESAR_ALGEBRA_PATTERN_OP_H_
 #define CAESAR_ALGEBRA_PATTERN_OP_H_
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -50,16 +54,15 @@ struct PatternOpConfig {
   };
 
   std::vector<Position> positions;
-  // Composite output type (== the input type when pass_through).
+  // Composite output type (== the input type for event matching).
   TypeId output_type = kInvalidTypeId;
   // Maximum span of a match; also state retention horizon. Must be > 0 for
   // multi-position patterns.
   Timestamp within = 0;
-  // Single positive position, no negation: forward matching events as-is.
-  bool pass_through = false;
   std::string description;
 };
 
+// Event matching E(): one positive position, no state.
 class PatternOp : public Operator {
  public:
   explicit PatternOp(std::shared_ptr<const PatternOpConfig> config);
@@ -67,59 +70,12 @@ class PatternOp : public Operator {
   void Process(const EventBatch& input, EventBatch* output,
                OpExecContext* ctx) override;
   std::unique_ptr<Operator> Clone() const override;
-  void Reset() override;
-  void ExpireBefore(Timestamp t) override;
   std::string DebugString() const override;
-  void SaveState(StateWriter* w) const override;
-  Status LoadState(StateReader* r) override;
-
-  double UnitCost() const override;
-  double Selectivity() const override;
 
   const PatternOpConfig& config() const { return *config_; }
-  // Shared handle for the pattern compiler (compile/compiler.h), which
-  // co-owns the config through the automaton it builds.
-  std::shared_ptr<const PatternOpConfig> shared_config() const {
-    return config_;
-  }
-
-  // Introspection for tests and the garbage collector.
-  size_t num_partials() const { return partials_.size(); }
-  size_t negation_buffer_size() const;
 
  private:
-  // A partially assembled match. `bound` has one slot per position; only
-  // positive positions are filled (negated slots are bound transiently
-  // during the completion check).
-  struct Partial {
-    std::vector<EventPtr> bound;
-    int next_positive = 0;       // index into positive_positions_
-    Timestamp first_time = 0;    // time of the first bound component
-    Timestamp last_time = -1;    // time of the latest bound component
-  };
-
-  void ProcessEvent(const EventPtr& event, EventBatch* output,
-                    OpExecContext* ctx);
-
-  // Returns true if `candidate` extends `partial` at positive slot
-  // `position` (predicates pass). Does not mutate `partial`.
-  bool PredicatesPass(const Partial& partial, int position,
-                      const EventPtr& candidate, OpExecContext* ctx);
-
-  // Completion-time negation check; true if no negated event blocks the
-  // match.
-  bool NegationsPass(Partial* partial, OpExecContext* ctx);
-
-  void EmitMatch(const Partial& partial, EventBatch* output);
-
-  void Expire(Timestamp now);
-
   std::shared_ptr<const PatternOpConfig> config_;
-  std::vector<int> positive_positions_;  // position indices, in order
-  std::vector<int> negated_positions_;
-  std::deque<Partial> partials_;  // ordered by first_time (append order)
-  // One buffer per entry of negated_positions_.
-  std::vector<std::deque<EventPtr>> neg_buffers_;
 };
 
 }  // namespace caesar

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "algebra/pattern_op.h"
+#include "compile/compiled_pattern_op.h"
 #include "plan/translator.h"
 #include "query/model.h"
 
@@ -432,10 +433,16 @@ Result<std::string> DumpModelFacts(const CaesarModel& model,
   for (const auto* queries : {&plan.deriving, &plan.processing}) {
     for (const CompiledQuery& query : *queries) {
       for (const auto& op : query.chain.ops) {
-        if (op->kind() != Operator::Kind::kPattern) continue;
-        const auto* pattern = static_cast<const PatternOp*>(op.get());
+        const PatternOpConfig* config = nullptr;
+        if (op->kind() == Operator::Kind::kPattern) {
+          config = &static_cast<const PatternOp&>(*op).config();
+        } else if (op->kind() == Operator::Kind::kCompiledPattern) {
+          config = &static_cast<const CompiledPatternOp&>(*op).config();
+        } else {
+          continue;
+        }
         os << "query " << query.name << "\n";
-        DumpConfigFacts(pattern->config(), *plan.registry, os);
+        DumpConfigFacts(*config, *plan.registry, os);
       }
     }
   }

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "analysis/absint.h"
-#include "compile/compiler.h"
 #include "event/schema.h"
 #include "expr/analysis.h"
 #include "expr/compiled.h"
@@ -437,20 +436,6 @@ class Analyzer {
           }
         }
       }
-    }
-
-    // P305: the automaton compiler caps pattern width; wider SEQs run
-    // interpreted regardless of EngineOptions::pattern_engine.
-    if (pattern.kind == PatternSpec::Kind::kSeq &&
-        static_cast<int>(pattern.items.size()) > kMaxCompiledPositions) {
-      Emit(DiagCode::kP305CompiledFallback,
-           "query '" + label + "': SEQ of " +
-               std::to_string(pattern.items.size()) +
-               " positions exceeds the automaton compiler's limit of " +
-               std::to_string(kMaxCompiledPositions) +
-               "; the compiled pattern engine falls back to interpreted "
-               "matching here",
-           query.pattern_loc, label);
     }
 
     // W202: SEQ positions carry strictly increasing timestamps, so a match

@@ -47,7 +47,6 @@ const char* DiagCodeName(DiagCode code) {
     case DiagCode::kP302TrailingNegation: return "P302";
     case DiagCode::kP303MultiNegatedPredicate: return "P303";
     case DiagCode::kP304PlanTranslation: return "P304";
-    case DiagCode::kP305CompiledFallback: return "P305";
     case DiagCode::kI401OutOfOrder: return "I401";
     case DiagCode::kI402LateBeyondSlack: return "I402";
     case DiagCode::kI403UnknownType: return "I403";
@@ -100,8 +99,6 @@ const char* DiagCodeTitle(DiagCode code) {
     case DiagCode::kP303MultiNegatedPredicate:
       return "predicate spans negated variables";
     case DiagCode::kP304PlanTranslation: return "plan translation failed";
-    case DiagCode::kP305CompiledFallback:
-      return "pattern falls back to interpreted matching";
     case DiagCode::kI401OutOfOrder: return "out of order";
     case DiagCode::kI402LateBeyondSlack: return "late beyond slack";
     case DiagCode::kI403UnknownType: return "unknown type id";
@@ -149,7 +146,6 @@ DiagSeverity DiagCodeDefaultSeverity(DiagCode code) {
       return DiagSeverity::kWarning;
     // Notes: purely informational (why an optimization does not apply).
     case DiagCode::kW203UngroupableWindow:
-    case DiagCode::kP305CompiledFallback:
       return DiagSeverity::kNote;
     default:
       return DiagSeverity::kError;

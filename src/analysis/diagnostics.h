@@ -62,7 +62,6 @@ enum class DiagCode : int16_t {
   kP302TrailingNegation,       // SEQ(..., NOT X) has no planner support
   kP303MultiNegatedPredicate,  // predicate spans several negated variables
   kP304PlanTranslation,        // TranslateModel failed for another reason
-  kP305CompiledFallback,       // pattern too wide for the automaton compiler
 
   // I4xx — ingest and IO (shared vocabulary with QuarantineReason and the
   // tolerant CSV reader).

@@ -1,10 +1,7 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
-
-#include "common/logging.h"
 
 namespace caesar {
 
@@ -20,53 +17,6 @@ std::string RunningStats::ToString() const {
   std::ostringstream os;
   os << "count=" << count() << " mean=" << mean() << " min=" << min()
      << " max=" << max();
-  return os.str();
-}
-
-Histogram::Histogram(double lo, double hi, int num_buckets)
-    : lo_(lo), hi_(hi) {
-  // Validate before the width division: a zero bucket count must hit the
-  // CHECK, not a divide-by-zero.
-  CAESAR_CHECK_GT(num_buckets, 0);
-  CAESAR_CHECK_LT(lo, hi);
-  width_ = (hi - lo) / num_buckets;
-  buckets_.resize(num_buckets);
-}
-
-void Histogram::Add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-  } else if (x >= hi_) {
-    ++overflow_;
-  } else {
-    int i = static_cast<int>((x - lo_) / width_);
-    i = std::min(i, num_buckets() - 1);
-    ++buckets_[i];
-  }
-}
-
-double Histogram::Quantile(double q) const {
-  if (total_ == 0) return 0.0;
-  int64_t target = static_cast<int64_t>(std::ceil(q * total_));
-  target = std::max<int64_t>(target, 1);
-  int64_t seen = underflow_;
-  if (seen >= target) return lo_;
-  for (int i = 0; i < num_buckets(); ++i) {
-    seen += buckets_[i];
-    if (seen >= target) return lo_ + (i + 0.5) * width_;
-  }
-  return hi_;
-}
-
-std::string Histogram::ToString() const {
-  std::ostringstream os;
-  os << "Histogram[" << lo_ << ", " << hi_ << ") total=" << total_
-     << " under=" << underflow_ << " over=" << overflow_ << "\n";
-  for (int i = 0; i < num_buckets(); ++i) {
-    os << "  [" << lo_ + i * width_ << ", " << lo_ + (i + 1) * width_
-       << "): " << buckets_[i] << "\n";
-  }
   return os.str();
 }
 

@@ -1,5 +1,5 @@
-// Streaming statistics utilities: running moments, fixed-bucket histograms,
-// and the latency tracker the experiments report from.
+// Streaming statistics utilities: running moments and the latency tracker
+// the experiments report from.
 
 #ifndef CAESAR_COMMON_STATS_H_
 #define CAESAR_COMMON_STATS_H_
@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <vector>
 
 namespace caesar {
 
@@ -37,35 +36,6 @@ class RunningStats {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-// Histogram over [lo, hi) with `num_buckets` equal-width buckets plus
-// underflow/overflow buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, int num_buckets);
-
-  void Add(double x);
-
-  int64_t bucket_count(int i) const { return buckets_[i]; }
-  int num_buckets() const { return static_cast<int>(buckets_.size()); }
-  int64_t underflow() const { return underflow_; }
-  int64_t overflow() const { return overflow_; }
-  int64_t total() const { return total_; }
-
-  // Approximate quantile (q in [0, 1]) from bucket midpoints.
-  double Quantile(double q) const;
-
-  std::string ToString() const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_ = 0.0;
-  std::vector<int64_t> buckets_;
-  int64_t underflow_ = 0;
-  int64_t overflow_ = 0;
-  int64_t total_ = 0;
 };
 
 // Tracks end-to-end latencies (seconds) of derived complex events; the

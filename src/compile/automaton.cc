@@ -49,16 +49,7 @@ std::string CompiledAutomaton::DumpText(const TypeRegistry& registry) const {
   os << "  positions: " << cfg.positions.size() << " (" << positive
      << " positive, " << cfg.positions.size() - positive << " negated)"
      << "  within: " << cfg.within << "\n";
-  os << "  mode: " << (cfg.pass_through ? "pass-through" : "sequence") << "\n";
-  if (cfg.pass_through) {
-    os << "  match " << TypeName(registry, cfg.positions[0].type_id)
-       << " -> emit\n";
-    for (size_t p = 0; p < cfg.positions[0].predicates.size(); ++p) {
-      os << "    guard #" << p << ": ("
-         << cfg.positions[0].predicates[p]->ToString() << ")\n";
-    }
-    return os.str();
-  }
+  os << "  mode: sequence\n";
   for (size_t s = 0; s < transitions.size(); ++s) {
     const AutomatonTransition& t = transitions[s];
     os << "  state " << s << " --" << TypeName(registry, t.type_id)

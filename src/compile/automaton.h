@@ -5,16 +5,15 @@
 // Each state except the last carries one transition — the event type it
 // awaits plus the predicate closures gating the advance — and negated
 // positions become completion-time NegationWatch checks with their
-// surrounding positive slots resolved at compile time (the interpreted
-// matcher re-derives them per match).
+// surrounding positive slots resolved at compile time, not per match.
 //
 // Transition predicates are *cost-ordered*: the compiler ranks each closure
 // by estimated evaluation cost over estimated rejection power
 // (optimizer/cost_model.h) so cheap, selective guards run first and
 // short-circuit state creation — lazy evaluation in the sense of Kolchinsky
 // & Schuster's CEP join-ordering work. Reordering conjuncts of one position
-// is semantics-preserving (they are pure), so the compiled operator still
-// matches the interpreted one byte for byte.
+// is semantics-preserving (they are pure), so the order never changes the
+// derived stream.
 //
 // The automaton itself is immutable and shared by all per-partition operator
 // clones; runtime state (runs, negation buffers) lives in
@@ -57,7 +56,7 @@ struct AutomatonTransition {
   std::vector<AutomatonPredicate> predicates;  // cost-ordered
   // Guards the abstract interpreter proved implied by the guards already
   // evaluated on any run reaching this state (config order). Never
-  // evaluated at runtime; kept for the dump and state_stats accounting.
+  // evaluated at runtime; kept for the dump.
   std::vector<AutomatonPredicate> pruned;
 };
 
@@ -79,8 +78,7 @@ struct NegationWatch {
 // per-partition operator clones like the config itself.
 struct CompiledAutomaton {
   std::shared_ptr<const PatternOpConfig> config;
-  // One transition per positive position, in sequence order. Empty iff the
-  // pattern is a pass-through event match.
+  // One transition per positive position, in sequence order (never empty).
   std::vector<AutomatonTransition> transitions;
   std::vector<NegationWatch> negations;
   // Type dispatch: for each awaited event type, the non-initial states

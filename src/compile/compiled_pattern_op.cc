@@ -20,43 +20,18 @@ CompiledPatternOp::CompiledPatternOp(
   runs_.resize(automaton_->num_states());
   state_min_first_.assign(automaton_->num_states(), kNoRuns);
   neg_buffers_.resize(automaton_->negations.size());
-  state_stats_.resize(
-      std::max<size_t>(1, automaton_->transitions.size()));
 }
 
 void CompiledPatternOp::Process(const EventBatch& input, EventBatch* output,
                                 OpExecContext* ctx) {
   const PatternOpConfig& cfg = *automaton_->config;
   // A dead transition makes the accepting state unreachable: the pattern
-  // can never emit, so no run is worth creating or advancing. Emitting
-  // nothing is exactly what the interpreted matcher would do — its partial
-  // matches would all stall on the impassable position.
+  // can never emit, so no run is worth creating or advancing — every run
+  // would stall on the impassable position.
   if (automaton_->dead_transition >= 0) return;
-  if (cfg.pass_through) {
-    ctx->CountWork(input.size());
-    const auto& position = cfg.positions[0];
-    for (const EventPtr& event : input) {
-      if (event->type_id() != position.type_id) continue;
-      ++state_stats_[0].input_events;
-      bool pass = true;
-      for (const auto& predicate : position.predicates) {
-        ctx->CountWork(1);
-        if (!predicate->EvalBool(&event)) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) {
-        ++state_stats_[0].output_events;
-        output->push_back(event);
-      }
-    }
-    return;
-  }
   if (!input.empty()) {
-    // Expire once per batch (same cadence as the interpreted matcher);
-    // advancement re-checks WITHIN per event, so late expiry never admits
-    // a stale match.
+    // Expire once per batch; advancement re-checks WITHIN per event, so
+    // late expiry never admits a stale match.
     ExpireBefore(input.front()->time() - cfg.within);
   }
   for (const EventPtr& event : input) {
@@ -77,20 +52,18 @@ void CompiledPatternOp::ProcessEvent(const EventPtr& event,
     }
   }
 
-  // 2. Collect advancements in the interpreted matcher's order: a fresh
-  // run first, then existing runs ascending by seq. Nothing is stored or
-  // emitted until the scan is over (the interpreted step-4 barrier), so an
-  // event never extends a run it just created.
+  // 2. Collect advancements in creation order: a fresh run first, then
+  // existing runs ascending by seq. Nothing is stored or emitted until the
+  // scan is over (the created-list barrier), so an event never extends a
+  // run it just created.
   std::vector<std::pair<int, Run>> created;  // (destination state, run)
   if (transitions[0].type_id == event->type_id()) {
-    ++state_stats_[0].input_events;
     Run fresh;
     fresh.bound.resize(automaton_->config->positions.size());
     fresh.bound[transitions[0].slot] = event;
     if (PredicatesPass(fresh.bound, transitions[0], ctx)) {
       fresh.first_time = event->time();
       fresh.last_time = event->time();
-      ++state_stats_[0].output_events;
       created.emplace_back(1, std::move(fresh));
     }
   }
@@ -98,15 +71,15 @@ void CompiledPatternOp::ProcessEvent(const EventPtr& event,
   if (const std::vector<int>* states =
           automaton_->StatesAwaiting(event->type_id())) {
     // Seq-ordered merge across the (few) states awaiting this type; each
-    // deque is already seq-ascending.
+    // state's runs are already seq-ascending.
     std::vector<size_t> cursor(states->size(), 0);
     while (true) {
       int pick = -1;
       uint64_t best_seq = 0;
       for (size_t j = 0; j < states->size(); ++j) {
-        const std::deque<Run>& dq = runs_[(*states)[j]];
-        if (cursor[j] >= dq.size()) continue;
-        const uint64_t seq = dq[cursor[j]].seq;
+        const std::vector<Run>& bucket = runs_[(*states)[j]];
+        if (cursor[j] >= bucket.size()) continue;
+        const uint64_t seq = bucket[cursor[j]].seq;
         if (pick < 0 || seq < best_seq) {
           pick = static_cast<int>(j);
           best_seq = seq;
@@ -116,7 +89,6 @@ void CompiledPatternOp::ProcessEvent(const EventPtr& event,
       const int state = (*states)[pick];
       const Run& run = runs_[state][cursor[pick]++];
       ctx->CountWork(1);
-      ++state_stats_[state].input_events;
       if (event->time() <= run.last_time) continue;  // strict ordering
       if (event->time() - run.first_time > automaton_->config->within) {
         continue;
@@ -125,13 +97,12 @@ void CompiledPatternOp::ProcessEvent(const EventPtr& event,
       extended.bound[transitions[state].slot] = event;
       if (!PredicatesPass(extended.bound, transitions[state], ctx)) continue;
       extended.last_time = event->time();
-      ++state_stats_[state].output_events;
       created.emplace_back(state + 1, std::move(extended));
     }
   }
 
   // 3. Emit completions, store the rest (creation order = future seq
-  // order, matching the interpreted deque append).
+  // order).
   for (auto& [destination, run] : created) {
     if (destination == accepting) {
       if (NegationsPass(&run, ctx)) EmitMatch(run, output);
@@ -207,7 +178,7 @@ void CompiledPatternOp::StoreRun(int state, Run run) {
 }
 
 void CompiledPatternOp::Reset() {
-  for (auto& dq : runs_) dq.clear();
+  for (auto& bucket : runs_) bucket.clear();
   std::fill(state_min_first_.begin(), state_min_first_.end(), kNoRuns);
   for (auto& buffer : neg_buffers_) buffer.clear();
   seq_counter_ = 0;
@@ -236,16 +207,9 @@ std::unique_ptr<Operator> CompiledPatternOp::Clone() const {
   return std::make_unique<CompiledPatternOp>(automaton_);
 }
 
-std::optional<double> CompiledPatternOp::ObservedStateSelectivity(
-    int state) const {
-  CAESAR_CHECK_GE(state, 0);
-  CAESAR_CHECK_LT(state, static_cast<int>(state_stats_.size()));
-  return state_stats_[state].ObservedSelectivity();
-}
-
 size_t CompiledPatternOp::num_runs() const {
   size_t total = 0;
-  for (const auto& dq : runs_) total += dq.size();
+  for (const auto& bucket : runs_) total += bucket.size();
   return total;
 }
 
@@ -263,13 +227,12 @@ void CompiledPatternOp::SaveState(StateWriter* w) const {
   // Everything the determinism contract depends on is saved verbatim —
   // in particular run seq values and the global counter, so a recovered
   // engine merges probe order exactly like the uninterrupted one.
-  // state_min_first_ is derived and recomputed on load; state_stats_ are
-  // observability, folded into RunStats at batch end, and start fresh.
+  // state_min_first_ is derived and recomputed on load.
   w->U64(seq_counter_);
   w->U32(static_cast<uint32_t>(runs_.size()));
-  for (const auto& dq : runs_) {
-    w->U32(static_cast<uint32_t>(dq.size()));
-    for (const Run& run : dq) {
+  for (const auto& bucket : runs_) {
+    w->U32(static_cast<uint32_t>(bucket.size()));
+    for (const Run& run : bucket) {
       w->U32(static_cast<uint32_t>(run.bound.size()));
       for (const EventPtr& event : run.bound) {
         w->Bool(event != nullptr);
@@ -338,13 +301,9 @@ Status CompiledPatternOp::LoadState(StateReader* r) {
 }
 
 double CompiledPatternOp::UnitCost() const {
-  const PatternOpConfig& cfg = *automaton_->config;
-  return cfg.pass_through ? 1.0
-                          : 2.0 * static_cast<double>(cfg.positions.size());
+  return 2.0 * static_cast<double>(automaton_->config->positions.size());
 }
 
-double CompiledPatternOp::Selectivity() const {
-  return automaton_->config->pass_through ? 1.0 : 0.2;
-}
+double CompiledPatternOp::Selectivity() const { return 0.2; }
 
 }  // namespace caesar

@@ -1,6 +1,6 @@
-// The automaton-backed pattern operator (EngineOptions::pattern_engine =
-// compiled). Semantically identical to algebra/pattern_op.h — the engine
-// swaps one for the other behind the Operator interface — but incremental:
+// The automaton-backed SEQ operator: the one implementation of the
+// sequence semantics defined in algebra/pattern_op.h. The translator emits
+// it for every SEQ pattern (plan/translator.h). It is incremental:
 //
 //  - Runs are bucketed per automaton state and only probed when an event of
 //    the state's awaited type arrives (type dispatch), instead of scanning
@@ -11,30 +11,25 @@
 //    runs are skipped entirely (timer wheel degenerate case: one timer per
 //    state suffices because WITHIN is a single per-pattern constant).
 //
-// Determinism contract: the derived event stream is byte-identical to the
-// interpreted operator's. The interpreted matcher scans its partials deque
-// in append order; this operator tags every run with a monotonically
-// increasing sequence number and probes candidate states in a seq-ordered
-// merge, then appends new runs in creation order (fresh first, extensions
-// in scan order) exactly like the interpreted step 4. Work-unit counts
-// (ops_executed) legitimately differ — fewer probes is the point.
-//
-// Per-state statistics reuse OperatorStats so the calibration skip rule
-// applies unchanged: a state that never saw a candidate has no observable
-// selectivity (nullopt), it is not a measured always-fails transition.
+// Determinism contract: matches of one event are emitted as if every live
+// run were scanned in creation order. Every run is tagged with a
+// monotonically increasing sequence number, candidate states are probed in
+// a seq-ordered merge, and the runs an event creates are stored (and
+// completed matches emitted) only after the probe, fresh run first, then
+// extensions in probe order. The derived stream is therefore a pure
+// function of the input, independent of how runs are bucketed, and an
+// event never extends a run it just created.
 
 #ifndef CAESAR_COMPILE_COMPILED_PATTERN_OP_H_
 #define CAESAR_COMPILE_COMPILED_PATTERN_OP_H_
 
 #include <deque>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "algebra/operator.h"
 #include "compile/automaton.h"
-#include "runtime/statistics.h"
 
 namespace caesar {
 
@@ -52,24 +47,12 @@ class CompiledPatternOp : public Operator {
   void SaveState(StateWriter* w) const override;
   Status LoadState(StateReader* r) override;
 
-  // Static estimates match the interpreted operator's: the engine selects
-  // the pattern engine after planning, so the two must cost identically or
-  // plan shapes would diverge between engines.
+  // Sequence matching scales with the number of positions.
   double UnitCost() const override;
   double Selectivity() const override;
 
   const CompiledAutomaton& automaton() const { return *automaton_; }
   const PatternOpConfig& config() const { return *automaton_->config; }
-
-  // Per-transition observations: input_events = candidate runs probed (for
-  // state 0: type-matching events), output_events = advancements. Index =
-  // source state.
-  const std::vector<OperatorStats>& state_stats() const {
-    return state_stats_;
-  }
-  // Observed advance ratio of `state`; nullopt while the state has never
-  // probed a candidate (calibration skip rule — see statistics.h).
-  std::optional<double> ObservedStateSelectivity(int state) const;
 
   // Introspection for tests and the garbage collector.
   size_t num_runs() const;
@@ -96,14 +79,15 @@ class CompiledPatternOp : public Operator {
 
   std::shared_ptr<const CompiledAutomaton> automaton_;
   // runs_[s] = runs in state s, ascending seq; slots 0 and k are unused
-  // (fresh runs are created from the event, accepted runs emit).
-  std::vector<std::deque<Run>> runs_;
+  // (fresh runs are created from the event, accepted runs emit). Runs are
+  // only appended, scanned by index and erased in bulk, so a vector serves
+  // (an empty deque would allocate a block per state per partition).
+  std::vector<std::vector<Run>> runs_;
   // Min first_time per state (expiry skip); max() when the state is empty.
   std::vector<Timestamp> state_min_first_;
   uint64_t seq_counter_ = 0;
   // One time-ordered buffer per NegationWatch.
   std::vector<std::deque<EventPtr>> neg_buffers_;
-  std::vector<OperatorStats> state_stats_;
 };
 
 }  // namespace caesar

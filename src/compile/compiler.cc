@@ -6,32 +6,28 @@
 
 #include "analysis/absint.h"
 #include "common/logging.h"
+#include "compile/compiled_pattern_op.h"
 #include "optimizer/cost_model.h"
 #include "plan/translator.h"
 #include "query/model.h"
 
 namespace caesar {
 
-bool CompileSupported(const PatternOpConfig& config) {
-  return static_cast<int>(config.positions.size()) <= kMaxCompiledPositions;
-}
-
 std::shared_ptr<const CompiledAutomaton> CompilePattern(
-    std::shared_ptr<const PatternOpConfig> config,
-    const PatternCompileOptions& options) {
-  CAESAR_CHECK(CompileSupported(*config))
-      << "pattern exceeds kMaxCompiledPositions: " << config->description;
+    std::shared_ptr<const PatternOpConfig> config, bool absint) {
   auto automaton = std::make_shared<CompiledAutomaton>();
   automaton->config = config;
   const auto& positions = config->positions;
-
-  if (config->pass_through) return automaton;
+  if (positions.size() > 1) {
+    CAESAR_CHECK_GT(config->within, 0)
+        << "multi-position pattern needs WITHIN: " << config->description;
+  }
 
   // Interval facts over the positions (config order). Each guard's verdict
   // is taken against the facts accumulated before it, so pruning is sound
   // by induction: the kept guards imply every pruned one (absint.h).
   PatternAbsintResult facts;
-  if (options.absint) {
+  if (absint) {
     std::vector<AbsPosition> abs_positions;
     for (const auto& position : positions) {
       AbsPosition abs;
@@ -79,7 +75,7 @@ std::shared_ptr<const CompiledAutomaton> CompilePattern(
       predicate.config_index = static_cast<int>(p);
       predicate.est_cost = EstimatePredicateCost(*predicate.expr);
       predicate.est_selectivity = EstimatePredicateSelectivity(*predicate.expr);
-      if (options.absint) {
+      if (absint) {
         const AbsGuardInfo& info = facts.guards[i][p];
         if (info.verdict == AbsVerdict::kTrue) {
           // Implied by guards already evaluated on any run reaching this
@@ -105,7 +101,7 @@ std::shared_ptr<const CompiledAutomaton> CompilePattern(
                        if (a.rank() != b.rank()) return a.rank() < b.rank();
                        return a.config_index < b.config_index;
                      });
-    if (options.absint && facts.dead_position == i) {
+    if (absint && facts.dead_position == i) {
       automaton->dead_transition =
           static_cast<int>(automaton->transitions.size());
     }
@@ -127,26 +123,45 @@ std::shared_ptr<const CompiledAutomaton> CompilePattern(
   return automaton;
 }
 
-Result<std::string> DumpModelAutomatons(
-    const CaesarModel& model, const PlanOptions& plan_options,
-    const PatternCompileOptions& compile_options) {
+namespace {
+
+// Event matching has no automaton: one type check and its pushed guards.
+std::string DumpEventMatch(const PatternOpConfig& config,
+                           const TypeRegistry& registry) {
+  const PatternOpConfig::Position& position = config.positions[0];
+  std::ostringstream os;
+  os << "automaton " << config.description << "\n";
+  os << "  positions: 1 (1 positive, 0 negated)  within: " << config.within
+     << "\n";
+  os << "  mode: pass-through\n";
+  os << "  match " << registry.type(position.type_id).name << " -> emit\n";
+  for (size_t p = 0; p < position.predicates.size(); ++p) {
+    os << "    guard #" << p << ": (" << position.predicates[p]->ToString()
+       << ")\n";
+  }
+  return os.str();
+}
+
+}  // namespace
+
+Result<std::string> DumpModelAutomatons(const CaesarModel& model,
+                                        const PlanOptions& plan_options) {
   CAESAR_ASSIGN_OR_RETURN(ExecutablePlan plan,
                           TranslateModel(model, plan_options));
   std::ostringstream os;
   for (const auto* queries : {&plan.deriving, &plan.processing}) {
     for (const CompiledQuery& query : *queries) {
       for (const auto& op : query.chain.ops) {
-        if (op->kind() != Operator::Kind::kPattern) continue;
-        const auto* pattern = static_cast<const PatternOp*>(op.get());
-        os << "query " << query.name << "\n";
-        if (!CompileSupported(pattern->config())) {
-          os << "  fallback: interpreted ("
-             << pattern->config().positions.size() << " positions > "
-             << kMaxCompiledPositions << ")\n";
-          continue;
+        if (op->kind() == Operator::Kind::kPattern) {
+          os << "query " << query.name << "\n"
+             << DumpEventMatch(static_cast<const PatternOp&>(*op).config(),
+                               *plan.registry);
+        } else if (op->kind() == Operator::Kind::kCompiledPattern) {
+          os << "query " << query.name << "\n"
+             << static_cast<const CompiledPatternOp&>(*op)
+                    .automaton()
+                    .DumpText(*plan.registry);
         }
-        os << CompilePattern(pattern->shared_config(), compile_options)
-                  ->DumpText(*plan.registry);
       }
     }
   }

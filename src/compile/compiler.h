@@ -1,11 +1,11 @@
 // The pattern-to-automaton compiler: PatternOpConfig -> CompiledAutomaton.
 //
-// Compilation resolves everything the interpreted matcher re-derives per
+// Compilation resolves everything a matcher would otherwise re-derive per
 // event or per match — positive/negated position split, negation intervals,
 // per-type state dispatch — and orders each transition's predicate closures
-// by the cost model's estimates (see automaton.h). Patterns beyond
-// kMaxCompiledPositions fall back to the interpreted operator (the analyzer
-// notes this as P305).
+// by the cost model's estimates (see automaton.h). Every SEQ pattern
+// compiles, whatever its width; the translator calls CompilePattern for
+// each one (plan/translator.h).
 
 #ifndef CAESAR_COMPILE_COMPILER_H_
 #define CAESAR_COMPILE_COMPILER_H_
@@ -21,38 +21,24 @@ namespace caesar {
 class CaesarModel;
 struct PlanOptions;
 
-// Ceiling on compilable pattern width. Patterns this long do not occur in
-// practice (the generator tops out at 4 positions); the bound keeps the
-// per-run slot arrays small and gives the P305 fallback note a trigger.
-inline constexpr int kMaxCompiledPositions = 16;
-
-// True when `config` can be compiled (position count within the limit).
-bool CompileSupported(const PatternOpConfig& config);
-
-// Knobs consulted while compiling one pattern.
-struct PatternCompileOptions {
-  // Run the abstract interpreter (analysis/absint.h) over the position
-  // guards: prune guards proven implied by earlier ones, mark transitions
-  // proven impassable, and refine guard selectivities from the derived
-  // satisfiable-fraction bounds. Off must be byte-identical to a compiler
-  // without the pass (EngineOptions::absint threads through here).
-  bool absint = true;
-};
-
-// Compiles `config`; aborts if !CompileSupported(config). The automaton
-// shares ownership of the config.
+// Compiles the SEQ pattern `config`. With `absint` the abstract
+// interpreter (analysis/absint.h) runs over the position guards: it prunes
+// guards proven implied by earlier ones, marks transitions proven
+// impassable, and refines guard selectivities from the derived
+// satisfiable-fraction bounds. Off must be byte-identical to a compiler
+// without the pass (PlanOptions::absint threads through here). The
+// automaton shares ownership of the config.
 std::shared_ptr<const CompiledAutomaton> CompilePattern(
-    std::shared_ptr<const PatternOpConfig> config,
-    const PatternCompileOptions& options = {});
+    std::shared_ptr<const PatternOpConfig> config, bool absint = true);
 
-// Translates `model` and renders the automaton of every pattern operator in
-// plan order (deriving queries, then processing), one DumpText block per
-// operator prefixed by "query <name>". Unsupported patterns render a
-// one-line fallback note instead. Backs `caesar_lint --dump-automaton` and
-// the tests/compile_corpus/ goldens.
-Result<std::string> DumpModelAutomatons(
-    const CaesarModel& model, const PlanOptions& plan_options,
-    const PatternCompileOptions& compile_options = {});
+// Translates `model` and renders every pattern operator in plan order
+// (deriving queries, then processing), one block per operator prefixed by
+// "query <name>": the automaton's DumpText for a SEQ, a one-state
+// pass-through block for event matching. plan_options.absint selects the
+// compiler pass. Backs `caesar_lint --dump-automaton` and the
+// tests/compile_corpus/ goldens.
+Result<std::string> DumpModelAutomatons(const CaesarModel& model,
+                                        const PlanOptions& plan_options);
 
 }  // namespace caesar
 

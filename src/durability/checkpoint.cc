@@ -20,7 +20,11 @@ namespace caesar {
 namespace {
 
 constexpr uint64_t kCheckpointMagic = 0x31504B4353454143ULL;  // "CAESCKP1"
-constexpr uint32_t kCheckpointVersion = 1;
+// Version 2: SEQ operator state is always automaton runs
+// (CompiledPatternOp::SaveState). Version-1 files may hold partial matches
+// in another layout that the payload CRC cannot tell apart, so their header
+// is rejected and recovery falls back exactly as for a corrupt checkpoint.
+constexpr uint32_t kCheckpointVersion = 2;
 
 Status Errno(const std::string& what) {
   return Status::Internal(what + ": " + std::strerror(errno));

@@ -12,6 +12,7 @@
 
 #include "analysis/analyzer.h"
 #include "optimizer/optimizer.h"
+#include "optimizer/window_grouping.h"
 #include "plan/translator.h"
 #include "runtime/engine.h"
 
@@ -91,9 +92,9 @@ std::vector<std::pair<int64_t, int64_t>> CompressRanges(
   return out;
 }
 
-// Byte-exact rendering for the interpreted-vs-compiled identity check
-// (stronger than the per-tick multiset canon used against the oracle: the
-// two engines must agree on emission *order* too).
+// Byte-exact rendering for the byte-identity checks (stronger than the
+// per-tick multiset canon used against the oracle: emission *order* must
+// agree too).
 std::string RenderDerived(const EventBatch& events,
                           const TypeRegistry& registry) {
   std::ostringstream os;
@@ -103,9 +104,9 @@ std::string RenderDerived(const EventBatch& events,
   return os.str();
 }
 
-std::string DescribeByteDiff(const std::string& interpreted,
-                             const std::string& compiled) {
-  std::istringstream a(interpreted), b(compiled);
+std::string DescribeByteDiff(const std::string& expected,
+                             const std::string& actual) {
+  std::istringstream a(expected), b(actual);
   std::string line_a, line_b;
   int line = 0;
   while (true) {
@@ -115,13 +116,39 @@ std::string DescribeByteDiff(const std::string& interpreted,
     if (!has_a && !has_b) break;
     if (has_a != has_b || line_a != line_b) {
       std::ostringstream os;
-      os << "compiled output is not byte-identical to interpreted at line "
-         << line << ":\n  interpreted: " << (has_a ? line_a : "<end>")
-         << "\n  compiled:    " << (has_b ? line_b : "<end>");
+      os << "output is not byte-identical at line " << line
+         << ":\n  expected: " << (has_a ? line_a : "<end>")
+         << "\n  actual:   " << (has_b ? line_b : "<end>");
       return os.str();
     }
   }
-  return "compiled output is not byte-identical to interpreted";
+  return "output is not byte-identical";
+}
+
+// The four plan shapes of EngineLeg::plan_shape, with the absint pass on or
+// off. Shape 2 is the optimizer's plan without window grouping, which is
+// exactly the push-down translation; shape 3 adds window grouping.
+Result<std::vector<ExecutablePlan>> BuildPlans(const CaesarModel& model,
+                                               const CaesarModel& grouped,
+                                               Timestamp default_within,
+                                               bool absint) {
+  PlanOptions plain;
+  plain.push_down_context_windows = false;
+  plain.push_predicates_into_pattern = false;
+  PlanOptions pushed;
+  for (PlanOptions* options : {&plain, &pushed}) {
+    options->default_within = default_within;
+    options->absint = absint;
+  }
+  std::vector<ExecutablePlan> plans;
+  for (const auto& [shape_model, options] :
+       {std::pair{&model, &plain}, std::pair{&model, &pushed},
+        std::pair{&model, &pushed}, std::pair{&grouped, &pushed}}) {
+    CAESAR_ASSIGN_OR_RETURN(ExecutablePlan plan,
+                            TranslateModel(*shape_model, *options));
+    plans.push_back(std::move(plan));
+  }
+  return plans;
 }
 
 Status ApplyBug(const std::string& bug, OracleOptions* oracle) {
@@ -145,21 +172,16 @@ std::string EngineLeg::Name() const {
   os << kShapeNames[plan_shape] << "/t" << threads << "/"
      << (reorder ? "reorder" : "strict") << "/"
      << (operator_metrics ? "m1" : "m0");
-  // Interpreted names are unchanged from before the pattern compiler
-  // existed: the checked-in corpus repro files pin legs by name.
-  if (compiled) os << "/cmp";
   return os.str();
 }
 
 std::vector<EngineLeg> FullMatrix() {
   std::vector<EngineLeg> legs;
-  for (bool compiled : {false, true}) {
-    for (int shape = 0; shape < 4; ++shape) {
-      for (int threads : {1, 2, 4, 8}) {
-        for (bool reorder : {false, true}) {
-          for (bool metrics : {false, true}) {
-            legs.push_back({shape, threads, reorder, metrics, compiled});
-          }
+  for (int shape = 0; shape < 4; ++shape) {
+    for (int threads : {1, 2, 4, 8}) {
+      for (bool reorder : {false, true}) {
+        for (bool metrics : {false, true}) {
+          legs.push_back({shape, threads, reorder, metrics});
         }
       }
     }
@@ -169,19 +191,9 @@ std::vector<EngineLeg> FullMatrix() {
 
 std::vector<EngineLeg> QuickMatrix() {
   return {
-      {0, 1, false, false},
-      {1, 2, false, false},
-      {2, 4, true, false},
-      {3, 8, true, true},
-      {1, 4, true, false},
-      {3, 1, false, true},
-      {2, 2, false, false},
-      {0, 8, true, false},
-      // Compiled legs (after their interpreted twins, see FullMatrix).
-      {0, 1, false, false, true},
-      {3, 8, true, true, true},
-      {2, 4, false, false, true},
-      {1, 2, true, false, true},
+      {0, 1, false, false}, {1, 2, false, false}, {2, 4, true, false},
+      {3, 8, true, true},   {1, 4, true, false},  {3, 1, false, true},
+      {2, 2, false, false}, {0, 8, true, false},
   };
 }
 
@@ -207,36 +219,21 @@ Result<DivergenceReport> CompareCase(const CaesarModel& model,
   const TickCanon expected_canon =
       CanonicalByTick(expected, *model.registry());
 
-  PlanOptions plain;
-  plain.push_down_context_windows = false;
-  plain.push_predicates_into_pattern = false;
-  plain.default_within = options.oracle.default_within;
-  PlanOptions pushed;
-  pushed.default_within = options.oracle.default_within;
-  OptimizerOptions opt;
-  opt.share_overlapping = false;
-  opt.default_within = options.oracle.default_within;
-  OptimizerOptions shared;
-  shared.default_within = options.oracle.default_within;
-
-  std::vector<ExecutablePlan> plans;
-  CAESAR_ASSIGN_OR_RETURN(ExecutablePlan p0, TranslateModel(model, plain));
-  plans.push_back(std::move(p0));
-  CAESAR_ASSIGN_OR_RETURN(ExecutablePlan p1, TranslateModel(model, pushed));
-  plans.push_back(std::move(p1));
-  CAESAR_ASSIGN_OR_RETURN(ExecutablePlan p2, OptimizeModel(model, opt));
-  plans.push_back(std::move(p2));
-  CAESAR_ASSIGN_OR_RETURN(ExecutablePlan p3, OptimizeModel(model, shared));
-  plans.push_back(std::move(p3));
+  CAESAR_ASSIGN_OR_RETURN(CaesarModel grouped, ApplyWindowGrouping(model));
+  CAESAR_ASSIGN_OR_RETURN(
+      std::vector<ExecutablePlan> plans,
+      BuildPlans(model, grouped, options.oracle.default_within, true));
+  CAESAR_ASSIGN_OR_RETURN(
+      std::vector<ExecutablePlan> noabsint_plans,
+      BuildPlans(model, grouped, options.oracle.default_within, false));
 
   DivergenceReport report;
   const std::vector<EngineLeg> legs =
       options.full_matrix ? FullMatrix() : QuickMatrix();
-  // Byte renderings of interpreted legs, keyed by twin (compiled) name.
-  std::map<std::string, std::string> interpreted_bytes;
 
-  auto run_leg = [&](const EngineLeg& leg, EventBatch* derived,
-                     bool absint = true) -> Result<bool> {
+  auto run_leg = [&](const EngineLeg& leg, const ExecutablePlan& plan,
+                     const std::string& name,
+                     EventBatch* derived) -> Result<bool> {
     EngineOptions eo;
     eo.num_threads = leg.threads;
     eo.gc_interval = options.oracle.gc_interval;
@@ -246,16 +243,12 @@ Result<DivergenceReport> CompareCase(const CaesarModel& model,
     eo.ingest_policy =
         leg.reorder ? IngestPolicy::kReorder : IngestPolicy::kStrict;
     eo.reorder_slack = leg.reorder ? reorder_slack : 0;
-    eo.pattern_engine =
-        leg.compiled ? PatternEngine::kCompiled : PatternEngine::kInterpreted;
-    eo.absint = absint;
-    CAESAR_ASSIGN_OR_RETURN(
-        std::unique_ptr<Engine> engine,
-        Engine::Create(plans[leg.plan_shape].Clone(), eo));
+    CAESAR_ASSIGN_OR_RETURN(std::unique_ptr<Engine> engine,
+                            Engine::Create(plan.Clone(), eo));
     auto run = engine->Run(leg.reorder ? disordered : clean, derived);
     if (!run.ok()) {
       report.diverged = true;
-      report.leg = leg.Name();
+      report.leg = name;
       report.detail = "engine Run failed: " + run.status().ToString();
       return false;
     }
@@ -264,12 +257,9 @@ Result<DivergenceReport> CompareCase(const CaesarModel& model,
 
   for (const EngineLeg& leg : legs) {
     if (!options.only_leg.empty() && leg.Name() != options.only_leg) continue;
-    if (!options.engines.empty()) {
-      if (options.engines == "interpreted" && leg.compiled) continue;
-      if (options.engines == "compiled" && !leg.compiled) continue;
-    }
     EventBatch derived;
-    CAESAR_ASSIGN_OR_RETURN(bool ok, run_leg(leg, &derived));
+    CAESAR_ASSIGN_OR_RETURN(
+        bool ok, run_leg(leg, plans[leg.plan_shape], leg.Name(), &derived));
     if (!ok) return report;
     const TickCanon actual_canon = CanonicalByTick(derived, *model.registry());
     if (actual_canon != expected_canon) {
@@ -278,50 +268,22 @@ Result<DivergenceReport> CompareCase(const CaesarModel& model,
       report.detail = DescribeDiff(expected_canon, actual_canon);
       return report;
     }
-    if (!leg.compiled) {
-      EngineLeg twin = leg;
-      twin.compiled = true;
-      interpreted_bytes[twin.Name()] = RenderDerived(derived, *model.registry());
-      continue;
-    }
-    // Third side of the 3-way: the compiled leg's derived stream must be
-    // byte-identical to its interpreted twin's, emission order included.
-    // In the full matrix the twin already ran (interpreted legs first);
-    // otherwise run it on demand.
-    auto cached = interpreted_bytes.find(leg.Name());
-    if (cached == interpreted_bytes.end()) {
-      EngineLeg twin = leg;
-      twin.compiled = false;
-      EventBatch twin_derived;
-      CAESAR_ASSIGN_OR_RETURN(bool twin_ok, run_leg(twin, &twin_derived));
-      if (!twin_ok) return report;
-      cached = interpreted_bytes
-                   .emplace(leg.Name(),
-                            RenderDerived(twin_derived, *model.registry()))
-                   .first;
-    }
-    const std::string compiled_bytes =
-        RenderDerived(derived, *model.registry());
-    if (compiled_bytes != cached->second) {
-      report.diverged = true;
-      report.leg = leg.Name();
-      report.detail = DescribeByteDiff(cached->second, compiled_bytes);
-      return report;
-    }
-    // Fourth side: the absint pass (pruning + re-ranking) must be a pure
-    // optimization — the same compiled leg with absint disabled has to
-    // produce the identical byte stream.
+    // The absint pass (pruning + re-ranking) must be a pure optimization:
+    // the same leg on automata compiled without it has to produce the
+    // identical byte stream, emission order included.
+    const std::string noabsint_leg = leg.Name() + "/noabsint";
     EventBatch noabsint_derived;
     CAESAR_ASSIGN_OR_RETURN(
-        bool noabsint_ok,
-        run_leg(leg, &noabsint_derived, /*absint=*/false));
+        bool noabsint_ok, run_leg(leg, noabsint_plans[leg.plan_shape],
+                                  noabsint_leg, &noabsint_derived));
     if (!noabsint_ok) return report;
+    const std::string bytes = RenderDerived(derived, *model.registry());
     const std::string noabsint_bytes =
         RenderDerived(noabsint_derived, *model.registry());
-    if (noabsint_bytes != compiled_bytes) {
+    if (noabsint_bytes != bytes) {
       report.diverged = true;
-      report.leg = leg.Name() + "/noabsint";
-      report.detail = DescribeByteDiff(compiled_bytes, noabsint_bytes);
+      report.leg = noabsint_leg;
+      report.detail = DescribeByteDiff(bytes, noabsint_bytes);
       return report;
     }
   }
@@ -376,163 +338,157 @@ Result<DivergenceReport> CompareCrashRecovery(
                                      "checkpoint_write", "checkpoint_publish"};
   const std::string point = kPoints[seed % 4];
 
-  for (const bool compiled : {false, true}) {
-    if (options.engines == "interpreted" && compiled) continue;
-    if (options.engines == "compiled" && !compiled) continue;
-    const std::string leg = compiled ? "recovery/cmp" : "recovery/interp";
+  const std::string leg = "recovery";
 
-    EngineOptions base;
-    base.gc_interval = options.oracle.gc_interval;
-    base.gc_horizon = options.oracle.gc_horizon;
-    base.pattern_engine =
-        compiled ? PatternEngine::kCompiled : PatternEngine::kInterpreted;
+  EngineOptions base;
+  base.gc_interval = options.oracle.gc_interval;
+  base.gc_horizon = options.oracle.gc_horizon;
 
-    // Uninterrupted reference, durability off.
-    std::vector<std::string> expected;
-    Engine reference(plan.Clone(), base);
-    for (const EventBatch& batch : batches) {
-      EventBatch derived;
-      auto run = reference.Run(batch, &derived);
-      if (!run.ok()) {
-        report.diverged = true;
-        report.leg = leg;
-        report.detail = "reference Run failed: " + run.status().ToString();
-        return report;
-      }
-      expected.push_back(RenderDerived(derived, *model.registry()));
+  // Uninterrupted reference, durability off.
+  std::vector<std::string> expected;
+  Engine reference(plan.Clone(), base);
+  for (const EventBatch& batch : batches) {
+    EventBatch derived;
+    auto run = reference.Run(batch, &derived);
+    if (!run.ok()) {
+      report.diverged = true;
+      report.leg = leg;
+      report.detail = "reference Run failed: " + run.status().ToString();
+      return report;
     }
+    expected.push_back(RenderDerived(derived, *model.registry()));
+  }
 
-    const std::filesystem::path scratch =
-        std::filesystem::temp_directory_path() /
-        ("caesar_diff_recovery_" + std::to_string(::getpid()) + "_" +
-         std::to_string(seed) + (compiled ? "_cmp" : "_interp"));
-    std::filesystem::remove_all(scratch);
-    auto durable = [&](const std::string& suffix) {
-      EngineOptions eo = base;
-      eo.durability.mode = DurabilityMode::kWalCheckpoint;
-      eo.durability.dir = (scratch / suffix).string();
-      eo.durability.fsync = FsyncPolicy::kNone;
-      eo.durability.checkpoint_interval_ticks = 8;
-      return eo;
+  const std::filesystem::path scratch =
+      std::filesystem::temp_directory_path() /
+      ("caesar_diff_recovery_" + std::to_string(::getpid()) + "_" +
+       std::to_string(seed));
+  std::filesystem::remove_all(scratch);
+  auto durable = [&](const std::string& suffix) {
+    EngineOptions eo = base;
+    eo.durability.mode = DurabilityMode::kWalCheckpoint;
+    eo.durability.dir = (scratch / suffix).string();
+    eo.durability.fsync = FsyncPolicy::kNone;
+    eo.durability.checkpoint_interval_ticks = 8;
+    return eo;
+  };
+
+  // Probe pass: count how often the crash point is reachable (and check
+  // that logging alone does not perturb the output).
+  int64_t occurrences = 0;
+  {
+    EngineOptions eo = durable("probe");
+    eo.durability.crash_hook = [&occurrences, &point](std::string_view p) {
+      if (p == point) ++occurrences;
+      return false;
     };
-
-    // Probe pass: count how often the crash point is reachable (and check
-    // that logging alone does not perturb the output).
-    int64_t occurrences = 0;
-    {
-      EngineOptions eo = durable("probe");
-      eo.durability.crash_hook = [&occurrences, &point](std::string_view p) {
-        if (p == point) ++occurrences;
-        return false;
-      };
-      Engine probe(plan.Clone(), eo);
-      for (size_t b = 0; b < batches.size(); ++b) {
-        EventBatch derived;
-        auto run = probe.Run(batches[b], &derived);
-        if (!run.ok()) {
-          report.diverged = true;
-          report.leg = leg;
-          report.detail = "durable Run failed: " + run.status().ToString();
-          return report;
-        }
-        const std::string bytes = RenderDerived(derived, *model.registry());
-        if (bytes != expected[b]) {
-          report.diverged = true;
-          report.leg = leg;
-          report.detail = "WAL-on output differs from durability-off, batch " +
-                          std::to_string(b) + ": " +
-                          DescribeByteDiff(expected[b], bytes);
-          return report;
-        }
-      }
-    }
-    if (occurrences == 0) {
-      // Stream too short for this crash point (e.g. no checkpoint cadence
-      // hit); nothing to kill.
-      std::filesystem::remove_all(scratch);
-      continue;
-    }
-
-    // Crash pass: kill at a seed-chosen occurrence.
-    const int64_t nth = static_cast<int64_t>((seed / 4) % occurrences);
-    bool crashed = false;
-    {
-      EngineOptions eo = durable("crash");
-      int64_t seen = 0;
-      eo.durability.crash_hook = [&seen, &point, nth](std::string_view p) {
-        return p == point && seen++ == nth;
-      };
-      Engine victim(plan.Clone(), eo);
-      for (const EventBatch& batch : batches) {
-        if (!victim.Run(batch, nullptr).ok()) {
-          crashed = true;
-          break;
-        }
-      }
-    }
-    if (!crashed) {
-      report.diverged = true;
-      report.leg = leg;
-      report.detail = "crash hook at " + point + " occurrence " +
-                      std::to_string(nth) + " never fired";
-      return report;
-    }
-
-    // Recovery pass: rebuild, re-submit the non-durable suffix, compare.
-    auto recovered = Engine::Recover(plan.Clone(), durable("crash"));
-    if (!recovered.ok()) {
-      report.diverged = true;
-      report.leg = leg;
-      report.detail = "Engine::Recover failed: " +
-                      recovered.status().ToString();
-      return report;
-    }
-    Engine& engine = *recovered.value();
-    const uint64_t resume = engine.durable_batch_seq();
-    if (resume > batches.size()) {
-      report.diverged = true;
-      report.leg = leg;
-      report.detail = "durable_batch_seq " + std::to_string(resume) +
-                      " beyond the " + std::to_string(batches.size()) +
-                      " submitted batches";
-      return report;
-    }
-    for (size_t b = resume; b < batches.size(); ++b) {
+    Engine probe(plan.Clone(), eo);
+    for (size_t b = 0; b < batches.size(); ++b) {
       EventBatch derived;
-      auto run = engine.Run(batches[b], &derived);
+      auto run = probe.Run(batches[b], &derived);
       if (!run.ok()) {
         report.diverged = true;
         report.leg = leg;
-        report.detail = "post-recovery Run failed on batch " +
-                        std::to_string(b) + ": " + run.status().ToString();
+        report.detail = "durable Run failed: " + run.status().ToString();
         return report;
       }
       const std::string bytes = RenderDerived(derived, *model.registry());
       if (bytes != expected[b]) {
         report.diverged = true;
         report.leg = leg;
-        report.detail = "recovered output differs on batch " +
-                        std::to_string(b) + " (crash at " + point +
-                        " occurrence " + std::to_string(nth) + "): " +
+        report.detail = "WAL-on output differs from durability-off, batch " +
+                        std::to_string(b) + ": " +
                         DescribeByteDiff(expected[b], bytes);
         return report;
       }
     }
-    const IngestMetrics& want = reference.ingest_metrics();
-    const IngestMetrics& got = engine.ingest_metrics();
-    if (want.admitted != got.admitted || want.reordered != got.reordered ||
-        want.dropped_late != got.dropped_late ||
-        want.quarantined != got.quarantined ||
-        want.max_observed_lateness != got.max_observed_lateness ||
-        reference.quarantine().total() != engine.quarantine().total()) {
+  }
+  if (occurrences == 0) {
+    // Stream too short for this crash point (e.g. no checkpoint cadence
+    // hit); nothing to kill.
+    std::filesystem::remove_all(scratch);
+    return report;
+  }
+
+  // Crash pass: kill at a seed-chosen occurrence.
+  const int64_t nth = static_cast<int64_t>((seed / 4) % occurrences);
+  bool crashed = false;
+  {
+    EngineOptions eo = durable("crash");
+    int64_t seen = 0;
+    eo.durability.crash_hook = [&seen, &point, nth](std::string_view p) {
+      return p == point && seen++ == nth;
+    };
+    Engine victim(plan.Clone(), eo);
+    for (const EventBatch& batch : batches) {
+      if (!victim.Run(batch, nullptr).ok()) {
+        crashed = true;
+        break;
+      }
+    }
+  }
+  if (!crashed) {
+    report.diverged = true;
+    report.leg = leg;
+    report.detail = "crash hook at " + point + " occurrence " +
+                    std::to_string(nth) + " never fired";
+    return report;
+  }
+
+  // Recovery pass: rebuild, re-submit the non-durable suffix, compare.
+  auto recovered = Engine::Recover(plan.Clone(), durable("crash"));
+  if (!recovered.ok()) {
+    report.diverged = true;
+    report.leg = leg;
+    report.detail = "Engine::Recover failed: " +
+                    recovered.status().ToString();
+    return report;
+  }
+  Engine& engine = *recovered.value();
+  const uint64_t resume = engine.durable_batch_seq();
+  if (resume > batches.size()) {
+    report.diverged = true;
+    report.leg = leg;
+    report.detail = "durable_batch_seq " + std::to_string(resume) +
+                    " beyond the " + std::to_string(batches.size()) +
+                    " submitted batches";
+    return report;
+  }
+  for (size_t b = resume; b < batches.size(); ++b) {
+    EventBatch derived;
+    auto run = engine.Run(batches[b], &derived);
+    if (!run.ok()) {
       report.diverged = true;
       report.leg = leg;
-      report.detail = "recovered degradation counters differ (crash at " +
-                      point + " occurrence " + std::to_string(nth) + ")";
+      report.detail = "post-recovery Run failed on batch " +
+                      std::to_string(b) + ": " + run.status().ToString();
       return report;
     }
-    std::filesystem::remove_all(scratch);
+    const std::string bytes = RenderDerived(derived, *model.registry());
+    if (bytes != expected[b]) {
+      report.diverged = true;
+      report.leg = leg;
+      report.detail = "recovered output differs on batch " +
+                      std::to_string(b) + " (crash at " + point +
+                      " occurrence " + std::to_string(nth) + "): " +
+                      DescribeByteDiff(expected[b], bytes);
+      return report;
+    }
   }
+  const IngestMetrics& want = reference.ingest_metrics();
+  const IngestMetrics& got = engine.ingest_metrics();
+  if (want.admitted != got.admitted || want.reordered != got.reordered ||
+      want.dropped_late != got.dropped_late ||
+      want.quarantined != got.quarantined ||
+      want.max_observed_lateness != got.max_observed_lateness ||
+      reference.quarantine().total() != engine.quarantine().total()) {
+    report.diverged = true;
+    report.leg = leg;
+    report.detail = "recovered degradation counters differ (crash at " +
+                    point + " occurrence " + std::to_string(nth) + ")";
+    return report;
+  }
+  std::filesystem::remove_all(scratch);
   return report;
 }
 
@@ -724,14 +680,13 @@ Result<MaterializedCase> Materialize(const ReproSpec& spec,
   return out;
 }
 
-Result<DivergenceReport> ReplayRepro(const ReproSpec& spec, bool full_matrix,
-                                     const std::string& engines) {
+Result<DivergenceReport> ReplayRepro(const ReproSpec& spec,
+                                     bool full_matrix) {
   TypeRegistry registry;
   CAESAR_ASSIGN_OR_RETURN(MaterializedCase m, Materialize(spec, &registry));
   DifferentialOptions options;
   options.full_matrix = full_matrix;
   options.only_leg = spec.leg;
-  options.engines = engines;
   CAESAR_RETURN_IF_ERROR(ApplyBug(spec.bug, &options.oracle));
   return CompareCase(m.model, m.clean, m.disordered, m.reorder_slack,
                      options);
@@ -977,7 +932,7 @@ Result<FuzzResult> RunFuzz(const FuzzOptions& options) {
     }
     CAESAR_ASSIGN_OR_RETURN(
         DivergenceReport report,
-        ReplayRepro(spec, options.full_matrix, options.engines));
+        ReplayRepro(spec, options.full_matrix));
     result.iterations_run = i + 1;
     if (report.diverged) {
       result.diverged = true;
@@ -995,11 +950,9 @@ Result<FuzzResult> RunFuzz(const FuzzOptions& options) {
       TypeRegistry recovery_registry;
       CAESAR_ASSIGN_OR_RETURN(MaterializedCase c,
                               Materialize(spec, &recovery_registry));
-      DifferentialOptions diff;
-      diff.engines = options.engines;
       CAESAR_ASSIGN_OR_RETURN(
           DivergenceReport recovery,
-          CompareCrashRecovery(c.model, c.clean, spec.seed, diff));
+          CompareCrashRecovery(c.model, c.clean, spec.seed));
       if (recovery.diverged) {
         result.diverged = true;
         result.report = recovery;

@@ -4,7 +4,8 @@
 // without and with window grouping) × worker threads (1/2/4/8) × ingest
 // policy (strict on the clean stream, reorder on the disordered one) ×
 // metrics granularity (off / operator) — and compares the derived streams
-// tick by tick.
+// tick by tick. Every leg is re-run on plans compiled with the absint pass
+// off (PlanOptions::absint) and must reproduce its own byte stream.
 //
 // Canonicalization: within one tick the engine's output order is a plan
 // property (per-query plans emit in chain order, grouped plans in grouped
@@ -47,21 +48,14 @@ struct EngineLeg {
   int threads = 1;
   bool reorder = false;          // strict/clean vs reorder/disordered
   bool operator_metrics = false;
-  // Run with EngineOptions::pattern_engine = compiled. Compiled legs are
-  // additionally held byte-identical (not just tick-multiset equal) to
-  // their interpreted twin — the 3-way check: oracle vs interpreted vs
-  // compiled.
-  bool compiled = false;
 
-  std::string Name() const;  // e.g. "shared/t4/reorder/m1", "/cmp" suffix
-                             // for compiled legs
+  std::string Name() const;  // e.g. "shared/t4/reorder/m1"
 };
 
-// All 128 legs: 4 plan shapes x {1,2,4,8} threads x {strict, reorder} x
-// {metrics off, operator metrics} x {interpreted, compiled}. Interpreted
-// legs come first so compiled legs always find their twin's output cached.
+// All 64 legs: 4 plan shapes x {1,2,4,8} threads x {strict, reorder} x
+// {metrics off, operator metrics}.
 std::vector<EngineLeg> FullMatrix();
-// 12 representative legs covering every value of every dimension at least
+// 8 representative legs covering every value of every dimension at least
 // once (for the in-tree quick tests).
 std::vector<EngineLeg> QuickMatrix();
 
@@ -80,10 +74,6 @@ struct DifferentialOptions {
   OracleOptions oracle;
   bool full_matrix = true;    // FullMatrix vs QuickMatrix
   std::string only_leg;       // non-empty: compare just this leg
-  // "" = all legs; "interpreted" / "compiled" restricts to that pattern
-  // engine (compiled legs still run their interpreted twin on demand for
-  // the byte-identity check).
-  std::string engines;
 };
 
 // Compares the oracle's derived stream (over `clean`) against every engine
@@ -103,8 +93,7 @@ Result<DivergenceReport> CompareCase(const CaesarModel& model,
 // rebuilds it with Engine::Recover, re-submits the batches after
 // durable_batch_seq(), and requires the remaining derived stream to be
 // byte-identical to an uninterrupted durability-off run — plus equal ingest
-// degradation counters — for both pattern engines (options.engines filters
-// as usual). Divergences report as leg "recovery/interp" / "recovery/cmp".
+// degradation counters. Divergences report as leg "recovery".
 // Scratch WAL/checkpoint directories live under the system temp dir and are
 // removed on success.
 Result<DivergenceReport> CompareCrashRecovery(
@@ -149,10 +138,8 @@ Result<MaterializedCase> Materialize(const ReproSpec& spec,
                                      TypeRegistry* registry);
 
 // Regenerates the case and compares (honoring spec.leg and spec.bug).
-// `engines` filters legs like DifferentialOptions::engines.
 Result<DivergenceReport> ReplayRepro(const ReproSpec& spec,
-                                     bool full_matrix = true,
-                                     const std::string& engines = "");
+                                     bool full_matrix = true);
 
 // Greedy shrink: drop queries to a fixpoint, then remove event ranges in
 // halving chunk sizes, keeping every candidate that still diverges.
@@ -167,7 +154,6 @@ struct FuzzOptions {
   double budget_seconds = 0;  // stop after this much wall time (0 = off)
   bool full_matrix = true;
   std::string bug;            // oracle fault injection for sensitivity runs
-  std::string engines;        // leg filter, see DifferentialOptions
   GeneratorOptions generator;
 
   // Lint leg (analysis/analyzer.h): every generated model must analyze

@@ -13,6 +13,8 @@
 #include "algebra/context_ops.h"
 #include "algebra/pattern_op.h"
 #include "common/logging.h"
+#include "compile/compiled_pattern_op.h"
+#include "compile/compiler.h"
 #include "expr/analysis.h"
 #include "expr/compiled.h"
 
@@ -289,7 +291,7 @@ class QueryTranslator {
   }
 
  private:
-  // Event matching E(): pass-through pattern op; predicates stay in the
+  // Event matching E(): stateless pattern op; predicates stay in the
   // filter above.
   Status BuildEventMatch(const Query& query, const ResolvedPattern& resolved,
                          const std::string& label,
@@ -302,15 +304,15 @@ class QueryTranslator {
     position.type_id = resolved.item_types[0];
     config->positions.push_back(std::move(position));
     config->output_type = resolved.item_types[0];
-    config->pass_through = true;
     config->description = registry_->type(resolved.item_types[0]).name;
     *source_op = std::make_unique<PatternOp>(std::move(config));
     post_bindings->Add(resolved.bindings.var(0));
     return Status::Ok();
   }
 
-  // SEQ pattern: builds the matcher (with negation/pushed predicates), the
-  // composite output type, and the residual WHERE.
+  // SEQ pattern: builds the pattern configuration (with negation/pushed
+  // predicates) and compiles it to the automaton that executes it, plus the
+  // composite output type and the residual WHERE.
   Status BuildSeq(const Query& query, const ResolvedPattern& resolved,
                   const std::string& label,
                   std::unique_ptr<Operator>* source_op,
@@ -393,7 +395,8 @@ class QueryTranslator {
       CAESAR_ASSIGN_OR_RETURN(
           *post_where, RewriteForComposite(residual, resolved, item_negated));
     }
-    *source_op = std::make_unique<PatternOp>(std::move(config));
+    *source_op = std::make_unique<CompiledPatternOp>(
+        CompilePattern(std::move(config), options_.absint));
     return Status::Ok();
   }
 

@@ -5,6 +5,10 @@
 // becomes a chain of algebra operators, and chains are ordered by their
 // produce/consume type dependencies into a combined plan.
 //
+// Every SEQ pattern is compiled here, once per plan, into the automaton
+// that executes it (compile/compiler.h); event matching stays a stateless
+// PatternOp.
+//
 // The optimizer's plan-shape decisions (Section 5) are realized as
 // PlanOptions: the non-optimized shape follows Fig. 6(a) — pattern, filter,
 // context window, projection — while push_down_context_windows produces
@@ -46,6 +50,14 @@ struct PlanOptions {
 
   // Default WITHIN bound (ticks) for SEQ patterns that do not specify one.
   Timestamp default_within = 300;
+
+  // Abstract-interpretation pass while compiling SEQ automata
+  // (analysis/absint.h): prunes guards proven implied, short-circuits
+  // automata proven dead, and refines guard-ordering selectivities from
+  // interval facts. On by default; off compiles exactly as a build without
+  // the pass (byte-identical automata and output) — the reference switch of
+  // the differential harness's /noabsint legs and `caesar_lint --no-absint`.
+  bool absint = true;
 };
 
 // Translates a normalized model into an executable plan. Registers derived

@@ -4,12 +4,9 @@
 #include <sstream>
 
 #include "algebra/context_ops.h"
-#include "algebra/pattern_op.h"
 #include "analysis/analyzer.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
-#include "compile/compiled_pattern_op.h"
-#include "compile/compiler.h"
 #include "durability/manager.h"
 #include "durability/serde.h"
 #include "plan/translator.h"
@@ -22,63 +19,7 @@ uint64_t HashCombine(uint64_t seed, uint64_t value) {
   return seed ^ (value + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
 }
 
-// Swaps interpreted pattern operators for compiled ones in place (1:1, so
-// every (query, op) row index — statistics, histograms, lint — is
-// unchanged). Runs on the template plan before any partition clones it,
-// so clones inherit the selected operator.
-void RewritePatternOps(OpChain* chain, PatternEngine mode,
-                       const PatternCompileOptions& compile_options) {
-  for (auto& op : chain->ops) {
-    if (op->kind() != Operator::Kind::kPattern) continue;
-    const auto* pattern = static_cast<const PatternOp*>(op.get());
-    if (!CompileSupported(pattern->config())) continue;  // P305 fallback
-    if (mode == PatternEngine::kAuto && pattern->config().pass_through) {
-      continue;  // stateless event match: nothing for the automaton to win
-    }
-    op = std::make_unique<CompiledPatternOp>(
-        CompilePattern(pattern->shared_config(), compile_options));
-  }
-}
-
-void RewritePatternEngine(ExecutablePlan* plan, PatternEngine mode,
-                          const PatternCompileOptions& compile_options) {
-  if (mode == PatternEngine::kInterpreted) return;
-  for (auto* queries : {&plan->deriving, &plan->processing}) {
-    for (CompiledQuery& query : *queries) {
-      RewritePatternOps(&query.chain, mode, compile_options);
-      for (OpChain& guard : query.guards) {
-        RewritePatternOps(&guard, mode, compile_options);
-      }
-    }
-  }
-}
-
 }  // namespace
-
-const char* PatternEngineName(PatternEngine engine) {
-  switch (engine) {
-    case PatternEngine::kInterpreted:
-      return "interpreted";
-    case PatternEngine::kCompiled:
-      return "compiled";
-    case PatternEngine::kAuto:
-      return "auto";
-  }
-  return "?";
-}
-
-bool ParsePatternEngine(const std::string& name, PatternEngine* out) {
-  if (name == "interpreted") {
-    *out = PatternEngine::kInterpreted;
-  } else if (name == "compiled") {
-    *out = PatternEngine::kCompiled;
-  } else if (name == "auto") {
-    *out = PatternEngine::kAuto;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 std::string RunStats::ToString() const {
   std::ostringstream os;
@@ -309,8 +250,6 @@ Engine::Engine(ExecutablePlan plan, EngineOptions options)
       options_(std::move(options)),
       quarantine_(options_.quarantine_capacity) {
   CAESAR_CHECK_OK(options_.Validate());
-  RewritePatternEngine(&plan_, options_.pattern_engine,
-                       PatternCompileOptions{options_.absint});
   if (options_.ingest_policy == IngestPolicy::kReorder) {
     reorder_ = std::make_unique<ReorderBuffer>(options_.reorder_slack);
   }

@@ -62,21 +62,6 @@ enum class AnalysisMode : int8_t {
   kStrict,   // error-severity diagnostics reject Create with a Status
 };
 
-// Which implementation executes PATTERN operators (see compile/). The
-// engine rewrites the plan's chains at construction; both implementations
-// derive byte-identical event streams (the differential harness holds them
-// to that), so the choice is purely a performance knob.
-enum class PatternEngine : int8_t {
-  kInterpreted = 0,  // algebra/pattern_op.h: scan every partial per event
-  kCompiled,         // compile/: automaton runs, type-dispatched states
-  kAuto,  // compile multi-position patterns; single-event matches stay
-          // interpreted (pass-through has no state to dispatch)
-};
-
-const char* PatternEngineName(PatternEngine engine);
-// Parses "interpreted" / "compiled" / "auto"; false on anything else.
-bool ParsePatternEngine(const std::string& name, PatternEngine* out);
-
 // Engine configuration.
 struct EngineOptions {
   // Worker threads for per-partition transactions. 1 = serial on the
@@ -167,20 +152,6 @@ struct EngineOptions {
 
   // Static model analysis during the model-based Create (see AnalysisMode).
   AnalysisMode analysis = AnalysisMode::kOff;
-
-  // Pattern-matcher implementation (see PatternEngine). Patterns the
-  // compiler does not support (width beyond kMaxCompiledPositions) keep
-  // the interpreted operator under kCompiled/kAuto; the analyzer notes the
-  // fallback as P305.
-  PatternEngine pattern_engine = PatternEngine::kInterpreted;
-
-  // Abstract-interpretation pass over the patterns the compiler handles
-  // (analysis/absint.h): prunes guards proven implied, short-circuits
-  // automata proven dead, and refines guard-ordering selectivities from
-  // interval facts. On by default; off compiles exactly as a build without
-  // the pass (byte-identical automata and output). No effect under
-  // kInterpreted.
-  bool absint = true;
 
   // Durability (durability/durability.h): off by default; kWal logs every
   // admitted tick to a write-ahead log so a crashed engine can be rebuilt

@@ -54,14 +54,7 @@ Status ParseSessionConfig(const JsonValue* opts,
     return Status::InvalidArgument("\"options\" must be an object");
   }
   for (const auto& [key, value] : opts->entries()) {
-    if (key == "pattern_engine") {
-      if (!value.is_string() ||
-          !ParsePatternEngine(value.string_value(), &out->pattern_engine)) {
-        return Status::InvalidArgument(
-            "pattern_engine must be \"interpreted\", \"compiled\", or "
-            "\"auto\"");
-      }
-    } else if (key == "ingest") {
+    if (key == "ingest") {
       if (!value.is_string() ||
           !ParseIngestPolicyName(value.string_value(), &out->ingest_policy)) {
         return Status::InvalidArgument(
@@ -435,8 +428,6 @@ JsonValue CaesarServer::HandleRegister(const JsonValue& request) {
   response.Set("tenant", JsonValue::String(name));
   response.Set("workers",
                JsonValue::Int(pool_ != nullptr ? pool_->num_workers() : 1));
-  response.Set("pattern_engine", JsonValue::String(PatternEngineName(
-                                     config.pattern_engine)));
   sessions_.emplace(name, std::move(session).value());
   return response;
 }

@@ -26,7 +26,6 @@ Result<std::unique_ptr<TenantSession>> TenantSession::Create(
   engine_options.tenant = name;
   engine_options.shared_executor = config.shared_executor;
   engine_options.num_threads = 1;  // serial unless the pool overrides
-  engine_options.pattern_engine = config.pattern_engine;
   engine_options.ingest_policy = config.ingest_policy;
   engine_options.reorder_slack = config.reorder_slack;
   engine_options.metrics = config.metrics;

@@ -66,7 +66,6 @@ struct SessionConfig {
   // Worker pool the tenant's engine dispatches to; null = serial engine.
   std::shared_ptr<ShardedExecutor> shared_executor;
 
-  PatternEngine pattern_engine = PatternEngine::kInterpreted;
   IngestPolicy ingest_policy = IngestPolicy::kStrict;
   Timestamp reorder_slack = 0;
   MetricsGranularity metrics = MetricsGranularity::kEngine;

@@ -10,6 +10,8 @@
 #include "algebra/basic_ops.h"
 #include "algebra/context_ops.h"
 #include "algebra/pattern_op.h"
+#include "compile/compiled_pattern_op.h"
+#include "compile/compiler.h"
 #include "expr/compiled.h"
 #include "expr/parser.h"
 #include "runtime/context_vector.h"
@@ -180,7 +182,6 @@ TEST_F(AlgebraTest, EventMatchFiltersByType) {
   auto config = std::make_shared<PatternOpConfig>();
   config->positions.push_back({type_, false, {}});
   config->output_type = type_;
-  config->pass_through = true;
   PatternOp pattern(config);
   EventBatch in = {MakeR(1, 1, 1.0, 0), MakeEvent(other, 0, {Value(int64_t{1})})};
   EventBatch out;
@@ -194,7 +195,7 @@ TEST_F(AlgebraTest, EventMatchFiltersByType) {
 class SeqTest : public AlgebraTest {
  protected:
   // SEQ(R a, R b) WHERE a.vid = b.vid (pushed) WITHIN 60.
-  std::unique_ptr<PatternOp> MakeSeqSameVid() {
+  std::unique_ptr<CompiledPatternOp> MakeSeqSameVid() {
     BindingSet bindings;
     bindings.Add({"a", type_, &registry_.type(type_).schema});
     bindings.Add({"b", type_, &registry_.type(type_).schema});
@@ -211,7 +212,7 @@ class SeqTest : public AlgebraTest {
     }
     config->output_type = registry_.RegisterOrGet("$seq_same_vid", attrs);
     config->description = "SEQ(R a, R b)";
-    return std::make_unique<PatternOp>(config);
+    return std::make_unique<CompiledPatternOp>(CompilePattern(config));
   }
 };
 
@@ -253,11 +254,11 @@ TEST_F(SeqTest, WithinBoundExpiresPartials) {
   auto seq = MakeSeqSameVid();
   EventBatch out;
   seq->Process({MakeR(1, 1, 1.0, 0)}, &out, &ctx_);
-  EXPECT_EQ(seq->num_partials(), 1u);
+  EXPECT_EQ(seq->num_runs(), 1u);
   seq->Process({MakeR(1, 1, 2.0, 100)}, &out, &ctx_);  // beyond WITHIN=60
   EXPECT_TRUE(out.empty());
   // The stale partial was expired; the new event started a fresh one.
-  EXPECT_EQ(seq->num_partials(), 1u);
+  EXPECT_EQ(seq->num_runs(), 1u);
 }
 
 TEST_F(SeqTest, ResetDiscardsState) {
@@ -265,7 +266,7 @@ TEST_F(SeqTest, ResetDiscardsState) {
   EventBatch out;
   seq->Process({MakeR(1, 1, 1.0, 0)}, &out, &ctx_);
   seq->Reset();
-  EXPECT_EQ(seq->num_partials(), 0u);
+  EXPECT_EQ(seq->num_runs(), 0u);
   seq->Process({MakeR(1, 1, 2.0, 10)}, &out, &ctx_);
   EXPECT_TRUE(out.empty());  // no partial to complete
 }
@@ -274,7 +275,7 @@ class NegationTest : public AlgebraTest {
  protected:
   // SEQ(NOT R p1, R p2) WHERE p1.sec + 30 = p2.sec AND p1.vid = p2.vid
   // WITHIN 60 — the NewTravelingCar query of Fig. 3.
-  std::unique_ptr<PatternOp> MakeNewCarSeq() {
+  std::unique_ptr<CompiledPatternOp> MakeNewCarSeq() {
     BindingSet bindings;
     bindings.Add({"p1", type_, &registry_.type(type_).schema});
     bindings.Add({"p2", type_, &registry_.type(type_).schema});
@@ -291,7 +292,7 @@ class NegationTest : public AlgebraTest {
     }
     config->output_type = registry_.RegisterOrGet("$seq_newcar", attrs);
     config->description = "SEQ(NOT R p1, R p2)";
-    return std::make_unique<PatternOp>(config);
+    return std::make_unique<CompiledPatternOp>(CompilePattern(config));
   }
 };
 
@@ -349,7 +350,7 @@ TEST_F(AlgebraTest, MiddleNegationChecksInterval) {
                    {"b.speed", ValueType::kDouble},
                    {"b.sec", ValueType::kInt}});
   config->description = "SEQ(R a, NOT R n, R b)";
-  PatternOp seq(config);
+  CompiledPatternOp seq(CompilePattern(config));
 
   EventBatch out;
   seq.Process({MakeR(1, 1, 1.0, 0)}, &out, &ctx_);

@@ -2,10 +2,9 @@
 // socket, driven through the wire protocol, held byte-identical to
 // in-process Engine::Run.
 //
-// The differential matrix covers {interpreted, compiled} pattern engines
-// x {1, 2, 4} worker threads: for each cell the socket-fed tenant's
-// derived stream AND its deterministic JSON statistics export must equal
-// the in-process batch run byte for byte. The multi-tenant test
+// The differential suite covers {1, 2, 4} worker threads: for each, the
+// socket-fed tenant's derived stream AND its deterministic JSON statistics
+// export must equal the in-process batch run byte for byte. The multi-tenant test
 // interleaves two tenants — one fed fault-injected garbage — and holds
 // each to its solo-run bytes, quarantine counters included. The
 // backpressure test fills a tiny admission buffer, expects coded I420
@@ -15,7 +14,6 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "caesard_harness.h"
@@ -40,7 +38,7 @@ using testing::IsOk;
 using testing::Req;
 
 // The activity-monitoring example model: hysteresis contexts plus a SEQ
-// escalation pattern, so the compiled pattern engine has real work.
+// escalation pattern, so the pattern automaton has real work.
 constexpr char kModel[] = R"(
 TYPE ActivityReport(subject int, hr int, intensity int, sec int);
 TYPE HrEscalation(subject int, from_hr int, to_hr int);
@@ -106,8 +104,7 @@ struct Reference {
   std::unique_ptr<TypeRegistry> registry = std::make_unique<TypeRegistry>();
   std::unique_ptr<Engine> engine;
 
-  static Reference Build(const std::string& tenant, PatternEngine pattern,
-                         int threads,
+  static Reference Build(const std::string& tenant, int threads,
                          IngestPolicy policy = IngestPolicy::kStrict) {
     Reference ref;
     auto model = ParseModel(kModel, ref.registry.get());
@@ -115,7 +112,6 @@ struct Reference {
     EngineOptions options;
     options.tenant = tenant;
     options.num_threads = threads;
-    options.pattern_engine = pattern;
     options.ingest_policy = policy;
     options.metrics = MetricsGranularity::kEngine;
     options.gather_statistics = true;
@@ -186,42 +182,39 @@ std::string SocketStats(Client& client, const std::string& tenant) {
                                                 : std::string();
 }
 
-JsonValue RegisterReq(const std::string& tenant, const char* pattern_engine,
+JsonValue RegisterReq(const std::string& tenant,
                       const char* ingest = nullptr) {
   JsonValue request = Req("register", tenant);
   request.Set("model", JsonValue::String(kModel));
-  JsonValue options = JsonValue::Object();
-  options.Set("pattern_engine", JsonValue::String(pattern_engine));
-  if (ingest != nullptr) options.Set("ingest", JsonValue::String(ingest));
-  request.Set("options", std::move(options));
+  if (ingest != nullptr) {
+    JsonValue options = JsonValue::Object();
+    options.Set("ingest", JsonValue::String(ingest));
+    request.Set("options", std::move(options));
+  }
   return request;
 }
 
 // ---------------------------------------------------------------------------
-// Differential matrix: engines x threads, socket vs batch, byte identical
+// Differential suite: worker threads, socket vs batch, byte identical
 // ---------------------------------------------------------------------------
 
-class CaesardDifferential
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+class CaesardDifferential : public ::testing::TestWithParam<int> {};
 
 TEST_P(CaesardDifferential, SocketMatchesBatchByteForByte) {
-  const char* engine_name = std::get<0>(GetParam());
-  const int workers = std::get<1>(GetParam());
-  PatternEngine pattern = PatternEngine::kInterpreted;
-  ASSERT_TRUE(ParsePatternEngine(engine_name, &pattern));
+  const int workers = GetParam();
 
   Daemon daemon({"--deterministic", "--workers=" + std::to_string(workers)});
   ASSERT_TRUE(daemon.valid());
   Client client(daemon.port());
   ASSERT_TRUE(client.connected());
 
-  auto registered = client.Call(RegisterReq("t1", engine_name));
+  auto registered = client.Call(RegisterReq("t1"));
   ASSERT_TRUE(registered.ok() && IsOk(registered.value()))
       << (registered.ok() ? registered.value().Dump()
                           : registered.status().ToString());
 
   // The reference: one batch Run over the identical stream.
-  Reference ref = Reference::Build("t1", pattern, workers);
+  Reference ref = Reference::Build("t1", workers);
   ASSERT_NE(ref.engine, nullptr);
   const EventBatch stream = MakeStream(*ref.registry, 6, 120);
   EventBatch expected_derived;
@@ -243,14 +236,10 @@ TEST_P(CaesardDifferential, SocketMatchesBatchByteForByte) {
   EXPECT_TRUE(teardown.ok() && IsOk(teardown.value()));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    EnginesAndThreads, CaesardDifferential,
-    ::testing::Combine(::testing::Values("interpreted", "compiled"),
-                       ::testing::Values(1, 2, 4)),
-    [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_w" +
-             std::to_string(std::get<1>(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(Workers, CaesardDifferential,
+                         ::testing::Values(1, 2, 4), [](const auto& info) {
+                           return "w" + std::to_string(info.param);
+                         });
 
 // ---------------------------------------------------------------------------
 // Multi-tenant isolation under interleaved (and partly corrupt) ingest
@@ -260,23 +249,21 @@ TEST(CaesardMultiTenant, InterleavedTenantsMatchSoloRunsBitForBit) {
   Daemon daemon({"--deterministic", "--workers=2"});
   ASSERT_TRUE(daemon.valid());
 
-  // Tenant A: clean stream, strict policy, interpreted engine.
+  // Tenant A: clean stream, strict policy.
   // Tenant B: the same stream with fault-injected garbage (unknown types
   // and negative times), drop policy so the engine quarantines instead of
-  // rejecting, compiled engine. Separate connections, interleaved chunks.
+  // rejecting. Separate connections, interleaved chunks.
   Client client_a(daemon.port());
   Client client_b(daemon.port());
   ASSERT_TRUE(client_a.connected() && client_b.connected());
 
-  auto reg_a = client_a.Call(RegisterReq("alpha", "interpreted"));
+  auto reg_a = client_a.Call(RegisterReq("alpha"));
   ASSERT_TRUE(reg_a.ok() && IsOk(reg_a.value()));
-  auto reg_b = client_b.Call(RegisterReq("beta", "compiled", "drop"));
+  auto reg_b = client_b.Call(RegisterReq("beta", "drop"));
   ASSERT_TRUE(reg_b.ok() && IsOk(reg_b.value()));
 
-  Reference ref_a =
-      Reference::Build("alpha", PatternEngine::kInterpreted, 2);
-  Reference ref_b = Reference::Build("beta", PatternEngine::kCompiled, 2,
-                                     IngestPolicy::kDrop);
+  Reference ref_a = Reference::Build("alpha", 2);
+  Reference ref_b = Reference::Build("beta", 2, IngestPolicy::kDrop);
   ASSERT_NE(ref_a.engine, nullptr);
   ASSERT_NE(ref_b.engine, nullptr);
 
@@ -375,13 +362,12 @@ TEST(CaesardBackpressure, BoundedBufferRejectsWithI420AndResumes) {
   JsonValue request = Req("register", "t1");
   request.Set("model", JsonValue::String(kModel));
   JsonValue options = JsonValue::Object();
-  options.Set("pattern_engine", JsonValue::String("interpreted"));
   options.Set("max_pending_events", JsonValue::Int(8));
   request.Set("options", std::move(options));
   auto registered = client.Call(request);
   ASSERT_TRUE(registered.ok() && IsOk(registered.value()));
 
-  Reference ref = Reference::Build("t1", PatternEngine::kInterpreted, 1);
+  Reference ref = Reference::Build("t1", 1);
   ASSERT_NE(ref.engine, nullptr);
   // Two ticks x 6 subjects. Each tick's 6 events stay buffered as the
   // open tick until a flush — exactly the squeeze the bound needs.
@@ -475,9 +461,8 @@ TEST(CaesardProtocol, LifecycleAndCodedErrors) {
             0u);
 
   // Lifecycle codes: duplicate register, unknown tenant, unknown option.
-  ASSERT_TRUE(IsOk(client.Call(RegisterReq("t1", "interpreted")).value()));
-  EXPECT_EQ(ErrorCode(client.Call(RegisterReq("t1", "interpreted")).value()),
-            "I422");
+  ASSERT_TRUE(IsOk(client.Call(RegisterReq("t1")).value()));
+  EXPECT_EQ(ErrorCode(client.Call(RegisterReq("t1")).value()), "I422");
   EXPECT_EQ(ErrorCode(client.Call(Req("poll", "ghost")).value()), "I421");
   JsonValue bad_option = Req("register", "t2");
   bad_option.Set("model", JsonValue::String(kModel));
@@ -488,7 +473,7 @@ TEST(CaesardProtocol, LifecycleAndCodedErrors) {
 
   // Teardown frees the name for re-registration.
   EXPECT_TRUE(IsOk(client.Call(Req("teardown", "t1")).value()));
-  EXPECT_TRUE(IsOk(client.Call(RegisterReq("t1", "interpreted")).value()));
+  EXPECT_TRUE(IsOk(client.Call(RegisterReq("t1")).value()));
 
   // Wire shutdown: daemon exits 0 on its own.
   EXPECT_TRUE(IsOk(client.Call(Req("shutdown")).value()));
@@ -502,10 +487,10 @@ TEST(CaesardProtocol, NewlineJsonFramingIsEquivalent) {
   ASSERT_TRUE(client.connected());
 
   auto registered =
-      client.Call(RegisterReq("t1", "interpreted"), /*binary=*/false);
+      client.Call(RegisterReq("t1"), /*binary=*/false);
   ASSERT_TRUE(registered.ok() && IsOk(registered.value()));
 
-  Reference ref = Reference::Build("t1", PatternEngine::kInterpreted, 1);
+  Reference ref = Reference::Build("t1", 1);
   ASSERT_NE(ref.engine, nullptr);
   const EventBatch stream = MakeStream(*ref.registry, 3, 40);
   EventBatch expected;

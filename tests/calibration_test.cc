@@ -8,11 +8,8 @@
 #include <memory>
 
 #include "algebra/aggregate_op.h"
-#include "algebra/pattern_op.h"
 #include "common/logging.h"
 #include "common/rng.h"
-#include "compile/compiled_pattern_op.h"
-#include "compile/compiler.h"
 #include "optimizer/calibration.h"
 #include "plan/translator.h"
 #include "query/parser.h"
@@ -144,7 +141,8 @@ TEST_F(CalibrationTest, OperatorsThatNeverRanKeepStaticEstimates) {
   int dormant_rows = 0;
   bool saw_live = false;
   for (const QueryOperatorStats& row : report.operators) {
-    if (row.query == "alert" && row.kind != Operator::Kind::kContextWindow) {
+    if ((row.query == "alert" || row.query == "rising") &&
+        row.kind != Operator::Kind::kContextWindow) {
       ++dormant_rows;
       EXPECT_EQ(row.stats.input_events, 0);
       EXPECT_FALSE(row.stats.has_data());
@@ -164,62 +162,22 @@ TEST_F(CalibrationTest, OperatorsThatNeverRanKeepStaticEstimates) {
   EXPECT_TRUE(std::isfinite(calibrated));
 }
 
-TEST_F(CalibrationTest, NeverProbedCompiledStatesReportNoSelectivity) {
-  // The skip rule from OperatorsThatNeverRanKeepStaticEstimates, applied
-  // per automaton state: a transition that never probed a candidate run
-  // has no observable selectivity (nullopt), it is not a measured
-  // always-fails transition.
-  TypeId never = registry_.RegisterOrGet("Never", {{"x", ValueType::kInt}});
-  TypeId out = registry_.RegisterOrGet(
-      "$match_pair", {{"r.seg", ValueType::kInt},
-                      {"r.value", ValueType::kInt},
-                      {"r.sec", ValueType::kInt},
-                      {"n.x", ValueType::kInt}});
-  auto config = std::make_shared<PatternOpConfig>();
-  config->positions.resize(2);
-  config->positions[0].type_id = reading_;
-  config->positions[1].type_id = never;
-  config->output_type = out;
-  config->within = 10;
-  config->description = "SEQ(Reading r, Never n)";
-  CompiledPatternOp op(CompilePattern(config));
-
-  ContextBitVector contexts(2, 0);
-  uint64_t ops = 0;
-  OpExecContext ctx;
-  ctx.contexts = &contexts;
-  ctx.registry = &registry_;
-  ctx.ops_counter = &ops;
-
-  // Only Reading events: state 0 advances on every one, but no Never event
-  // ever arrives, so state 1 never probes a candidate.
-  EventBatch input = {Reading(1, 1, 0), Reading(1, 2, 1), Reading(1, 3, 2)};
-  EventBatch output;
-  op.Process(input, &output, &ctx);
-  EXPECT_TRUE(output.empty());
-  EXPECT_EQ(op.num_runs(), 3u);
-
-  ASSERT_EQ(op.state_stats().size(), 2u);
-  EXPECT_TRUE(op.state_stats()[0].has_data());
-  ASSERT_TRUE(op.ObservedStateSelectivity(0).has_value());
-  EXPECT_DOUBLE_EQ(*op.ObservedStateSelectivity(0), 1.0);
-  EXPECT_EQ(op.state_stats()[1].input_events, 0u);
-  EXPECT_FALSE(op.state_stats()[1].has_data());
-  EXPECT_FALSE(op.ObservedStateSelectivity(1).has_value());
-}
-
 TEST_F(CalibrationTest, DormantQueriesStayUnobservedUnderCompiledEngine) {
-  // The engine-level dormant-query property must survive the pattern-engine
-  // swap: rewritten chains reuse the same statistics rows, and a suspended
-  // compiled chain reports no observations just like an interpreted one.
-  auto model = ParseModel(kMiniModel, &registry_);
+  // The engine-level dormant-query property holds for compiled SEQ chains
+  // too: a suspended chain's automaton reports no observations.
+  const std::string seq_model = std::string(kMiniModel) + R"(
+QUERY rising
+DERIVE Rise(b.seg AS seg, b.value AS value)
+PATTERN SEQ(Reading a, Reading b) WITHIN 5 WHERE b.value > a.value
+CONTEXT high;
+)";
+  auto model = ParseModel(seq_model, &registry_);
   CAESAR_CHECK_OK(model.status());
   auto plan = TranslateModel(model.value(), PlanOptions());
   CAESAR_CHECK_OK(plan.status());
 
   EngineOptions options;
   options.gather_statistics = true;
-  options.pattern_engine = PatternEngine::kCompiled;
   Engine engine(std::move(plan).value(), options);
   EventBatch input;
   for (Timestamp t = 0; t < 50; ++t) input.push_back(Reading(1, t % 10, t));
@@ -229,7 +187,8 @@ TEST_F(CalibrationTest, DormantQueriesStayUnobservedUnderCompiledEngine) {
 
   int dormant_rows = 0;
   for (const QueryOperatorStats& row : report.operators) {
-    if (row.query == "alert" && row.kind != Operator::Kind::kContextWindow) {
+    if ((row.query == "alert" || row.query == "rising") &&
+        row.kind != Operator::Kind::kContextWindow) {
       ++dormant_rows;
       EXPECT_FALSE(row.stats.has_data());
       EXPECT_FALSE(row.stats.ObservedSelectivity().has_value());

@@ -87,29 +87,6 @@ TEST(RunningStatsTest, MergeCombines) {
   EXPECT_EQ(a.count(), 3);
 }
 
-TEST(HistogramTest, BucketsAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(-1.0);
-  h.Add(0.0);
-  h.Add(5.5);
-  h.Add(9.999);
-  h.Add(10.0);
-  h.Add(100.0);
-  EXPECT_EQ(h.total(), 6);
-  EXPECT_EQ(h.underflow(), 1);
-  EXPECT_EQ(h.overflow(), 2);
-  EXPECT_EQ(h.bucket_count(0), 1);
-  EXPECT_EQ(h.bucket_count(5), 1);
-  EXPECT_EQ(h.bucket_count(9), 1);
-}
-
-TEST(HistogramTest, QuantileApproximation) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.Add(i + 0.5);
-  EXPECT_NEAR(h.Quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.Quantile(0.99), 99.0, 1.5);
-}
-
 TEST(LatencyTrackerTest, ReportsMax) {
   LatencyTracker tracker;
   tracker.Record(0.5);

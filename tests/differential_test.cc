@@ -62,18 +62,16 @@ TEST(QuickFuzzTest, FreshSeedsAreClean) {
       << FormatRepro(result.value().repro);
 }
 
-// Absint on/off differential: every compiled leg in CompareCase re-runs
-// with EngineOptions::absint = false and byte-compares the derived
-// streams (divergence leg "<name>/noabsint"), so 50 generated models
-// through the compiled-engine legs prove the pruning/re-ranking pass
-// never changes observable output. Seeds 501..550, disjoint from the
-// other sweeps.
+// Absint on/off differential: every leg in CompareCase re-runs on plans
+// compiled with PlanOptions::absint = false and byte-compares the derived
+// streams (divergence leg "<name>/noabsint"), so 50 generated models prove
+// the pruning/re-ranking pass never changes observable output. Seeds
+// 501..550, disjoint from the other sweeps.
 TEST(QuickFuzzTest, FiftySeedsAbsintOnOffByteIdentical) {
   FuzzOptions options;
   options.seed = 501;
   options.iters = 50;
   options.full_matrix = false;
-  options.engines = "compiled";
   auto result = RunFuzz(options);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result.value().iterations_run, 50);
@@ -85,8 +83,8 @@ TEST(QuickFuzzTest, FiftySeedsAbsintOnOffByteIdentical) {
 
 // Crash-recovery legs over generated cases: seeds rotate the crash point
 // through the whole durability protocol (seed % 4 picks append / commit /
-// checkpoint write / checkpoint publish), and each iteration checks both
-// pattern engines for byte-identical remaining output after recovery.
+// checkpoint write / checkpoint publish), and each iteration checks for
+// byte-identical remaining output after recovery.
 TEST(QuickFuzzTest, CrashRecoveryLegsAreClean) {
   FuzzOptions options;
   options.seed = 401;

@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 
 #include "common/logging.h"
 #include "common/rng.h"
 #include "optimizer/optimizer.h"
+#include "oracle/oracle.h"
 #include "plan/translator.h"
 #include "query/parser.h"
 #include "runtime/engine.h"
@@ -351,6 +353,59 @@ TEST_F(EngineTest, MultiThreadedMatchesSerial) {
   a.Run(input, &out_a).value();
   b.Run(input, &out_b).value();
   EXPECT_EQ(Canonical(out_a), Canonical(out_b));
+}
+
+TEST_F(EngineTest, WideSeqWithInteriorNegationMatchesOracle) {
+  // SEQ of 20 positions (19 positive, NOT Gap between a8 and a9): any width
+  // compiles to an automaton and runs like every other SEQ.
+  std::ostringstream text;
+  for (int p = 0; p < 19; ++p) text << "TYPE P" << p << "(k int, v int);\n";
+  text << "TYPE Gap(k int, v int);\n"
+       << "CONTEXTS c DEFAULT c;\nPARTITION BY k;\n"
+       << "QUERY wide\nDERIVE Wide(a0.v AS first, a18.v AS last)\n"
+       << "PATTERN SEQ(";
+  for (int p = 0; p < 19; ++p) {
+    if (p > 0) text << ", ";
+    if (p == 9) text << "NOT Gap g, ";
+    text << "P" << p << " a" << p;
+  }
+  text << ") WITHIN 45\nWHERE g.v = a0.v\nCONTEXT c;\n";
+  CaesarModel model = Parse(text.str());
+  ASSERT_EQ(model.query(0).pattern->items.size(), 20u);
+
+  // Per partition and round: two candidate starts (v = round, round + 10),
+  // then P1..P18 two ticks apart. Round 1 places a Gap blocking the second
+  // start in the (a8, a9) interval; round 2's Gap matches neither start.
+  EventBatch input;
+  for (int64_t round = 0; round < 4; ++round) {
+    const Timestamp base = 10 + 100 * round;
+    for (int64_t k = 1; k <= 2; ++k) {
+      auto add = [&](const std::string& type, Timestamp t, int64_t v) {
+        input.push_back(MakeEvent(registry_.Lookup(type), t,
+                                  {Value(k), Value(v)}));
+      };
+      add("P0", base - 1, round);
+      add("P0", base, round + 10);
+      for (int p = 1; p < 19; ++p) add("P" + std::to_string(p), base + 2 * p, p);
+      if (round == 1) add("Gap", base + 17, round + 10);
+      if (round == 2) add("Gap", base + 17, 99);
+    }
+  }
+  std::stable_sort(input.begin(), input.end(),
+                   [](const EventPtr& a, const EventPtr& b) {
+                     return a->time() < b->time();
+                   });
+
+  auto expected = RunReferenceModel(model, input);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  EXPECT_EQ(expected.value().size(), 2u * (4 * 2 - 1));
+
+  auto plan = TranslateModel(model, PlanOptions());
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  Engine engine(std::move(plan).value(), EngineOptions());
+  EventBatch outputs;
+  ASSERT_TRUE(engine.Run(input, &outputs).ok());
+  EXPECT_EQ(Canonical(outputs), Canonical(expected.value()));
 }
 
 TEST_F(EngineTest, GcHorizonClampsToZeroOnShortStreams) {

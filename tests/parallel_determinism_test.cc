@@ -16,6 +16,8 @@
 
 #include "common/logging.h"
 #include "optimizer/optimizer.h"
+#include "oracle/differential.h"
+#include "oracle/oracle.h"
 #include "plan/translator.h"
 #include "runtime/engine.h"
 #include "runtime/observability.h"
@@ -52,7 +54,6 @@ std::string StripExecutorLines(const std::string& report) {
 RunResult RunWith(const ExecutablePlan& plan, const EventBatch& stream,
                   const TypeRegistry& registry, int num_threads,
                   bool gather_statistics,
-                  PatternEngine engine_kind = PatternEngine::kInterpreted,
                   // Follow the process default (CAESAR_SCHEDULER) so the CI
                   // stealing leg drives the whole suite through the
                   // stealing scheduler; tests pin a mode explicitly where
@@ -61,7 +62,6 @@ RunResult RunWith(const ExecutablePlan& plan, const EventBatch& stream,
   EngineOptions options;
   options.num_threads = num_threads;
   options.gather_statistics = gather_statistics;
-  options.pattern_engine = engine_kind;
   options.scheduler = scheduler;
   if (gather_statistics) options.metrics = MetricsGranularity::kOperator;
   Engine engine(plan.Clone(), options);
@@ -98,22 +98,20 @@ void ExpectEqualCounters(const RunStats& serial, const RunStats& parallel,
   EXPECT_EQ(serial.partitions, parallel.partitions) << num_threads;
 }
 
-void ExpectParallelMatchesSerial(
-    const ExecutablePlan& plan, const EventBatch& stream,
-    const TypeRegistry& registry,
-    PatternEngine engine_kind = PatternEngine::kInterpreted) {
+void ExpectParallelMatchesSerial(const ExecutablePlan& plan,
+                                 const EventBatch& stream,
+                                 const TypeRegistry& registry) {
   ASSERT_FALSE(stream.empty());
   for (bool gather : {false, true}) {
-    RunResult serial = RunWith(plan, stream, registry, 1, gather, engine_kind);
+    RunResult serial = RunWith(plan, stream, registry, 1, gather);
     // A meaningful check needs actual derived traffic.
     EXPECT_GT(serial.stats.derived_events, 0);
     EXPECT_GT(serial.stats.partitions, 1);
     for (int num_threads : {2, 4, 8}) {
       SCOPED_TRACE("threads=" + std::to_string(num_threads) +
-                   " gather=" + std::to_string(gather) + " engine=" +
-                   PatternEngineName(engine_kind));
+                   " gather=" + std::to_string(gather));
       RunResult parallel =
-          RunWith(plan, stream, registry, num_threads, gather, engine_kind);
+          RunWith(plan, stream, registry, num_threads, gather);
       EXPECT_EQ(serial.derived, parallel.derived);
       ExpectEqualCounters(serial.stats, parallel.stats, num_threads);
       EXPECT_EQ(serial.statistics, parallel.statistics);
@@ -127,26 +125,26 @@ void ExpectParallelMatchesSerial(
   }
 }
 
-// The cross-engine contract on top of the parallel one: the compiled
-// pattern engine must derive the exact byte sequence of the interpreted
-// engine, serial and parallel alike (same events, same order).
-void ExpectCompiledMatchesInterpreted(const ExecutablePlan& plan,
-                                      const EventBatch& stream,
-                                      const TypeRegistry& registry) {
-  RunResult interpreted = RunWith(plan, stream, registry, 1, false);
-  EXPECT_GT(interpreted.stats.derived_events, 0);
+// The automaton matcher against the independent reference: at every
+// thread count the derived stream equals the oracle's (per-tick multiset;
+// oracle/differential.h), on top of the byte-identity to serial above.
+void ExpectCompiledMatchesOracle(const CaesarModel& model,
+                                 const ExecutablePlan& plan,
+                                 const EventBatch& stream,
+                                 const TypeRegistry& registry) {
+  auto expected = RunReferenceModel(model, stream);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  EXPECT_GT(expected.value().size(), 0u);
+  const TickCanon want = CanonicalByTick(expected.value(), registry);
   for (int num_threads : {1, 2, 4, 8}) {
-    SCOPED_TRACE("compiled threads=" + std::to_string(num_threads));
-    RunResult compiled = RunWith(plan, stream, registry, num_threads, false,
-                                 PatternEngine::kCompiled);
-    EXPECT_EQ(interpreted.derived, compiled.derived);
-    EXPECT_EQ(interpreted.stats.derived_events, compiled.stats.derived_events);
-    EXPECT_EQ(interpreted.stats.derived_by_type, compiled.stats.derived_by_type);
+    SCOPED_TRACE("threads=" + std::to_string(num_threads));
+    EngineOptions options;
+    options.num_threads = num_threads;
+    Engine engine(plan.Clone(), options);
+    EventBatch outputs;
+    ASSERT_TRUE(engine.Run(stream, &outputs).ok());
+    EXPECT_TRUE(CanonicalByTick(outputs, registry) == want);
   }
-  // kAuto compiles what it can and must also stay byte-identical.
-  RunResult automatic =
-      RunWith(plan, stream, registry, 4, false, PatternEngine::kAuto);
-  EXPECT_EQ(interpreted.derived, automatic.derived);
 }
 
 ExecutablePlan Optimize(const CaesarModel& model) {
@@ -230,10 +228,13 @@ TEST(ParallelDeterminismTest, SyntheticWorkloadCompiledEngine) {
   EventBatch stream = GenerateSyntheticStream(config, &registry);
   auto model = MakeSyntheticModel(config, &registry);
   CAESAR_CHECK_OK(model.status());
-  ExecutablePlan plan = Optimize(model.value());
-  ExpectParallelMatchesSerial(plan, stream, registry,
-                              PatternEngine::kCompiled);
-  ExpectCompiledMatchesInterpreted(plan, stream, registry);
+  // With per-window query copies, window grouping evaluates identical
+  // copies once where windows overlap (Listing 1's duplicate elimination)
+  // while the oracle runs every copy, so the ungrouped translation is the
+  // plan held to the oracle here.
+  auto plan = TranslateModel(model.value(), PlanOptions());
+  CAESAR_CHECK_OK(plan.status());
+  ExpectCompiledMatchesOracle(model.value(), plan.value(), stream, registry);
 }
 
 TEST(ParallelDeterminismTest, LinearRoadWorkloadCompiledEngine) {
@@ -248,10 +249,8 @@ TEST(ParallelDeterminismTest, LinearRoadWorkloadCompiledEngine) {
   EventBatch stream = GenerateLinearRoadStream(config, &registry);
   auto model = MakeLinearRoadModel(model_config, &registry);
   CAESAR_CHECK_OK(model.status());
-  ExecutablePlan plan = Optimize(model.value());
-  ExpectParallelMatchesSerial(plan, stream, registry,
-                              PatternEngine::kCompiled);
-  ExpectCompiledMatchesInterpreted(plan, stream, registry);
+  ExpectCompiledMatchesOracle(model.value(), Optimize(model.value()), stream,
+                              registry);
 }
 
 TEST(ParallelDeterminismTest, PamapWorkloadCompiledEngine) {
@@ -265,10 +264,8 @@ TEST(ParallelDeterminismTest, PamapWorkloadCompiledEngine) {
   EventBatch stream = GeneratePamapStream(config, &registry);
   auto model = MakePamapModel(PamapModelConfig(), &registry);
   CAESAR_CHECK_OK(model.status());
-  ExecutablePlan plan = Optimize(model.value());
-  ExpectParallelMatchesSerial(plan, stream, registry,
-                              PatternEngine::kCompiled);
-  ExpectCompiledMatchesInterpreted(plan, stream, registry);
+  ExpectCompiledMatchesOracle(model.value(), Optimize(model.value()), stream,
+                              registry);
 }
 
 TEST(ParallelDeterminismTest, SkewedWorkloadBothSchedulers) {
@@ -303,8 +300,7 @@ TEST(ParallelDeterminismTest, SkewedWorkloadBothSchedulers) {
                      std::to_string(gather) + " scheduler=" +
                      SchedulerModeName(mode));
         RunResult parallel =
-            RunWith(plan, stream, registry, num_threads, gather,
-                    PatternEngine::kInterpreted, mode);
+            RunWith(plan, stream, registry, num_threads, gather, mode);
         EXPECT_EQ(serial.derived, parallel.derived);
         ExpectEqualCounters(serial.stats, parallel.stats, num_threads);
         EXPECT_EQ(serial.statistics, parallel.statistics);

@@ -22,6 +22,8 @@
 #include "expr/compiled.h"
 #include "expr/parser.h"
 #include "algebra/pattern_op.h"
+#include "compile/compiled_pattern_op.h"
+#include "compile/compiler.h"
 #include "optimizer/optimizer.h"
 #include "oracle/generator.h"
 #include "plan/translator.h"
@@ -108,7 +110,7 @@ TEST_P(SeqOracleTest, PositivePairMatchesBruteForce) {
                        {"b.value", ValueType::kInt},
                        {"b.sec", ValueType::kInt}});
   config->description = "oracle";
-  PatternOp seq(config);
+  CompiledPatternOp seq(CompilePattern(config));
 
   EventBatch stream = RandomStream(&rng, 60);
   EventBatch matched;
@@ -159,7 +161,7 @@ TEST_P(SeqOracleTest, MiddleNegationMatchesBruteForce) {
                       {"b.value", ValueType::kInt},
                       {"b.sec", ValueType::kInt}});
   config->description = "oracle-neg";
-  PatternOp seq(config);
+  CompiledPatternOp seq(CompilePattern(config));
 
   EventBatch stream = RandomStream(&rng, 50);
   EventBatch matched;

@@ -20,10 +20,9 @@
 //   caesar_lint --dump-automaton FILE...
 //     Prints the compiled pattern automaton (compile/compiler.h) for every
 //     pattern query in each model, in the deterministic text form the
-//     compile_corpus goldens pin. Patterns past the compiler's position
-//     limit print a "fallback: interpreted" line instead. With
-//     --no-absint the abstract-interpretation pass is skipped, matching a
-//     compiler without it byte for byte.
+//     compile_corpus goldens pin. With --no-absint the
+//     abstract-interpretation pass is skipped, matching a compiler without
+//     it byte for byte.
 //   caesar_lint --dump-facts FILE...
 //     Prints the abstract interpreter's per-state interval facts
 //     (analysis/absint.h) for every pattern query in each model —
@@ -321,12 +320,11 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "%s\n", model.status().message().c_str());
         return 2;
       }
+      caesar::PlanOptions plan_options;
+      plan_options.absint = absint;
       auto dumped =
-          dump_facts
-              ? caesar::DumpModelFacts(model.value(), caesar::PlanOptions{})
-              : caesar::DumpModelAutomatons(
-                    model.value(), caesar::PlanOptions{},
-                    caesar::PatternCompileOptions{absint});
+          dump_facts ? caesar::DumpModelFacts(model.value(), plan_options)
+                     : caesar::DumpModelAutomatons(model.value(), plan_options);
       if (!dumped.ok()) {
         std::fprintf(stderr, "%s: %s\n", path.c_str(),
                      dumped.status().ToString().c_str());

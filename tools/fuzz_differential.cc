@@ -28,7 +28,7 @@ int Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--seed N] [--iters M] [--budget-seconds S]\n"
-      "          [--matrix full|quick] [--engines all|interpreted|compiled]\n"
+      "          [--matrix full|quick]\n"
       "          [--inject-bug NAME] [--inject-model-bug NAME] [--no-lint]\n"
       "          [--crash-recovery]\n"
       "          [--write-repro DIR] [--force-negation]\n"
@@ -53,7 +53,6 @@ int main(int argc, char** argv) {
   std::string model_bug;
   std::string replay_path;
   std::string write_repro_dir = ".";
-  std::string engines;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -77,15 +76,6 @@ int main(int argc, char** argv) {
         full_matrix = true;
       } else if (m == "quick") {
         full_matrix = false;
-      } else {
-        return Usage(argv[0]);
-      }
-    } else if (arg == "--engines") {
-      const std::string e = next();
-      if (e == "all") {
-        engines.clear();
-      } else if (e == "interpreted" || e == "compiled") {
-        engines = e;
       } else {
         return Usage(argv[0]);
       }
@@ -161,7 +151,7 @@ int main(int argc, char** argv) {
       }
       return 0;
     }
-    auto report = caesar::ReplayRepro(spec.value(), full_matrix, engines);
+    auto report = caesar::ReplayRepro(spec.value(), full_matrix);
     if (!report.ok()) {
       std::fprintf(stderr, "replay failed: %s\n",
                    report.status().ToString().c_str());
@@ -191,7 +181,6 @@ int main(int argc, char** argv) {
   options.budget_seconds = budget_seconds;
   options.full_matrix = full_matrix;
   options.bug = bug;
-  options.engines = engines;
   options.generator = generator;
   options.lint = lint;
   options.model_mutation = model_bug;

@@ -2,11 +2,11 @@
 """Regenerates BENCH_baseline.json, the checked-in benchmark baseline.
 
 Stdlib only. Runs the baseline benches from an existing build tree, captures
-their --metrics-out envelopes (and the pattern-compile ablation rows), and
-writes the wrapper document check_metrics_schema.py validates:
+their --metrics-out envelopes (and the scheduler skew rows), and writes the
+wrapper document check_metrics_schema.py validates:
 
   {"baseline_version": 1, "generated": "YYYY-MM-DD",
-   "benches": {name: {"envelope": {...}, "ablation": [...]}}}
+   "benches": {name: {"envelope": {...}, "skew": {...}}}}
 
 Usage: update_bench_baseline.py [--build-dir DIR] [--out FILE]
 Exit status: 0 on success; a failing bench run aborts with its exit code.
@@ -44,7 +44,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         # Reduced workloads keep the checked-in file reviewable; the trends
-        # (scaling curve, compiled-vs-interpreted gap) survive the shrink.
+        # (scaling curve, durability overhead) survive the shrink.
         metrics = tmp / "parallel.json"
         benches["bench_parallel_scaling"] = {
             "envelope": run_bench(
@@ -66,18 +66,6 @@ def main():
              f"--skew-out={skew}"],
             skew,
         )
-        metrics = tmp / "compile.json"
-        ablation = tmp / "ablation.json"
-        benches["bench_pattern_compile"] = {
-            "envelope": run_bench(
-                bench_dir / "bench_pattern_compile",
-                ["--metrics=operator", f"--metrics-out={metrics}",
-                 f"--ablation-out={ablation}"],
-                metrics,
-            ),
-        }
-        with open(ablation, "r", encoding="utf-8") as handle:
-            benches["bench_pattern_compile"]["ablation"] = json.load(handle)
         metrics = tmp / "durability.json"
         benches["bench_durability"] = {
             "envelope": run_bench(
