@@ -31,7 +31,7 @@ std::string RunStats::ToString() const {
      << suspended_chains + executed_chains << " txns=" << transactions;
   if (parallel_ticks > 0) {
     os << " pool_ticks=" << parallel_ticks << " pool_tasks=" << parallel_tasks
-       << " imbalance=" << shard_imbalance << " stolen=" << tasks_stolen
+       << " imbalance=" << shard_imbalance
        << " barrier_wait=" << barrier_wait_seconds << "s";
   }
   if (events_reordered > 0 || events_quarantined > 0 ||
@@ -264,8 +264,7 @@ Engine::Engine(ExecutablePlan plan, EngineOptions options)
   if (options_.shared_executor != nullptr) {
     executor_ = options_.shared_executor;
   } else if (options_.num_threads > 1) {
-    executor_ = std::make_shared<ShardedExecutor>(options_.num_threads,
-                                                  options_.scheduler);
+    executor_ = std::make_shared<ShardedExecutor>(options_.num_threads);
   }
   // Metric shards are keyed by executing worker id, so the shard count
   // follows the pool actually in use (a shared pool may be wider than
@@ -607,9 +606,8 @@ Result<RunStats> Engine::Run(const EventBatch& raw_input,
                              /*worker=*/0);
         }
       } else {
-        // Every tick goes through the pool. Exactly one worker executes a
-        // partition's transaction per tick (pinned: always its list owner;
-        // stealing: whoever claims it), so partition state is
+        // Every tick goes through the pool. A partition's transaction is
+        // always executed by its owning worker, so partition state is
         // single-writer without locks, and metrics record into the
         // executing worker's shard to keep that single-writer rule.
         executor_->ExecuteTick(work.size(), shard_scratch_.data(),
@@ -753,7 +751,6 @@ Result<RunStats> Engine::Run(const EventBatch& raw_input,
         static_cast<int64_t>(exec.tasks - exec_before.tasks);
     stats.shard_imbalance =
         static_cast<int64_t>(exec.imbalance - exec_before.imbalance);
-    stats.tasks_stolen = static_cast<int64_t>(exec.steals - exec_before.steals);
     stats.barrier_wait_seconds =
         exec.barrier_wait.sum() - exec_before.barrier_wait.sum();
   }
@@ -799,9 +796,9 @@ void Engine::ProcessTransaction(PartitionState* partition, Timestamp t,
 
   // Registry instruments: each transaction records into the shard of the
   // worker that *executed* it (serial mode records into shard 0), so
-  // counter slots are uncontended and histogram shards stay single-writer
-  // even when stealing moves a partition between workers. Merged totals
-  // are commutative sums, so they don't depend on who executed what.
+  // counter slots are uncontended and histogram shards stay single-writer.
+  // Merged totals are commutative sums, so they don't depend on which
+  // worker executed what.
   if (registry_ != nullptr) {
     ctr_transactions_->Add(worker, 1);
     ctr_input_events_->Add(worker, static_cast<int64_t>(events.size()));

@@ -70,21 +70,10 @@ struct EngineOptions {
   // byte-identical event sequences (see runtime/executor.h).
   int num_threads = 1;
 
-  // Task scheduler of the worker pool (see SchedulerMode): kPinned
-  // statically assigns partitions to workers by key % num_threads;
-  // kStealing lets idle workers claim whole-partition tasks from loaded
-  // workers, which keeps skewed partition-key distributions from
-  // saturating one worker. Derived output and deterministic metric
-  // exports are byte-identical between the modes. Defaults to kPinned,
-  // overridable process-wide via the CAESAR_SCHEDULER environment
-  // variable (the CI stealing leg runs the whole suite that way).
-  // Ignored when num_threads == 1.
-  SchedulerMode scheduler = DefaultSchedulerMode();
-
   // Externally owned worker pool shared between engines (the caesard
   // server runs one Engine per tenant over one pool). When set it
-  // overrides num_threads/scheduler: this engine dispatches its ticks to
-  // the shared pool instead of creating its own. The pool must outlive
+  // overrides num_threads: this engine dispatches its ticks to the shared
+  // pool instead of creating its own. The pool must outlive
   // the engine, and callers must never run two engines that share a pool
   // concurrently — ExecuteTick is single-scheduler (the server's drain
   // loop serializes tenants). Derived output stays byte-identical to an
@@ -201,11 +190,12 @@ struct RunStats {
   // partition transactions dispatched through the pool, summed per-tick
   // executed-load imbalance (max - min *events* any worker processed —
   // event-weighted so a hot partition registers even when task counts are
-  // even), tasks executed by a non-owner worker (stealing mode only), and
-  // scheduler time blocked on the per-tick barrier.
+  // even), and scheduler time blocked on the per-tick barrier.
   int64_t parallel_ticks = 0;
   int64_t parallel_tasks = 0;
   int64_t shard_imbalance = 0;
+  // Always 0: the pool pins every partition to one worker, so no task is
+  // ever executed by a non-owner. Kept because perfbench/ reads it.
   int64_t tasks_stolen = 0;
   double barrier_wait_seconds = 0.0;
 
@@ -364,7 +354,7 @@ class Engine {
   // Executes one stream transaction (one partition, one time stamp).
   // `worker` is the metrics shard to record into — the id of the executing
   // worker (0 in serial mode), which keeps the non-atomic histogram shards
-  // single-writer under any scheduler mode.
+  // single-writer.
   void ProcessTransaction(PartitionState* partition, Timestamp t,
                           const EventBatch& events, EventBatch* derived,
                           int worker);
@@ -454,12 +444,10 @@ class Engine {
   ShardedHistogram* hist_transaction_derived_ = nullptr;
   // Per-operator distributions at MetricsGranularity::kOperator, sharded
   // per worker: op_histograms_[shard] holds one entry per (query, op) row
-  // in plan order, written only by the worker whose id the shard index is
-  // (single-writer even under work stealing, because the executing worker
-  // — not the partition's owner — picks the shard). Keeps the hot-path
-  // footprint per worker cache-resident instead of per partition, and the
-  // index-wise merge in CollectStatistics is commutative, so the totals
-  // depend on neither the thread count nor who executed what.
+  // in plan order, written only by the worker whose id the shard index is.
+  // Keeps the hot-path footprint per worker cache-resident instead of per
+  // partition, and the index-wise merge in CollectStatistics is
+  // commutative, so the totals do not depend on the thread count.
   struct OperatorHistograms {
     Pow2Histogram input_batch;
     Pow2Histogram output_batch;

@@ -1,51 +1,14 @@
 #include "runtime/executor.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
 
 namespace caesar {
 
-const char* SchedulerModeName(SchedulerMode mode) {
-  switch (mode) {
-    case SchedulerMode::kPinned:
-      return "pinned";
-    case SchedulerMode::kStealing:
-      return "stealing";
-  }
-  return "?";
-}
-
-bool ParseSchedulerMode(const std::string& name, SchedulerMode* out) {
-  if (name == "pinned") {
-    *out = SchedulerMode::kPinned;
-    return true;
-  }
-  if (name == "stealing") {
-    *out = SchedulerMode::kStealing;
-    return true;
-  }
-  return false;
-}
-
-SchedulerMode DefaultSchedulerMode() {
-  static const SchedulerMode mode = []() {
-    const char* env = std::getenv("CAESAR_SCHEDULER");
-    SchedulerMode parsed = SchedulerMode::kPinned;
-    if (env != nullptr && env[0] != '\0' &&
-        !ParseSchedulerMode(env, &parsed)) {
-      CAESAR_LOG_WARNING << "ignoring unknown CAESAR_SCHEDULER value '" << env
-                         << "' (want pinned|stealing)";
-    }
-    return parsed;
-  }();
-  return mode;
-}
-
-ShardedExecutor::ShardedExecutor(int num_workers, SchedulerMode mode)
-    : num_workers_(num_workers), mode_(mode), queues_(num_workers) {
+ShardedExecutor::ShardedExecutor(int num_workers)
+    : num_workers_(num_workers), queues_(num_workers) {
   CAESAR_CHECK_GE(num_workers, 1);
   workers_.reserve(num_workers);
   for (int w = 0; w < num_workers; ++w) {
@@ -72,28 +35,15 @@ void ShardedExecutor::ExecuteTick(size_t count, const uint64_t* shards,
   for (WorkerQueue& queue : queues_) {
     queue.tasks.clear();
     queue.executed = 0;
-    queue.stolen = 0;
   }
   const uint64_t workers = static_cast<uint64_t>(num_workers_);
   for (size_t i = 0; i < count; ++i) {
     queues_[shards[i] % workers].tasks.push_back(static_cast<uint32_t>(i));
   }
-  if (mode_ == SchedulerMode::kStealing) {
-    if (count > claimed_capacity_) {
-      size_t capacity = std::max(count, claimed_capacity_ * 2);
-      claimed_ = std::make_unique<std::atomic<uint8_t>[]>(capacity);
-      claimed_capacity_ = capacity;
-    }
-    // Relaxed stores: the epoch mutex below publishes them to the workers.
-    for (size_t i = 0; i < count; ++i) {
-      claimed_[i].store(0, std::memory_order_relaxed);
-    }
-  }
 
   Stopwatch wait;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    task_count_ = count;
     task_fn_ = &task;
     task_weights_ = weights;
     pending_ = num_workers_;
@@ -112,11 +62,9 @@ void ShardedExecutor::ExecuteTick(size_t count, const uint64_t* shards,
   // exports stay structurally identical across thread counts.
   uint64_t min_load = queues_[0].executed;
   uint64_t max_load = queues_[0].executed;
-  uint64_t stolen = 0;
   for (const WorkerQueue& queue : queues_) {
     min_load = std::min(min_load, queue.executed);
     max_load = std::max(max_load, queue.executed);
-    stolen += queue.stolen;
   }
 
   ++metrics_.ticks;
@@ -124,7 +72,6 @@ void ShardedExecutor::ExecuteTick(size_t count, const uint64_t* shards,
   metrics_.tasks_per_tick.Add(count);
   metrics_.imbalance += max_load - min_load;
   metrics_.imbalance_per_tick.Add(max_load - min_load);
-  metrics_.steals += stolen;
   metrics_.barrier_wait.Add(wait.ElapsedSeconds());
 }
 
@@ -142,61 +89,18 @@ void ShardedExecutor::WorkerLoop(int worker_id) {
       fn = task_fn_;
       weights = task_weights_;
     }
-    // Run this worker's part of the tick. The scheduler blocks until the
-    // barrier below, so the queues, `fn` and the weights stay valid
-    // throughout.
+    // Run this worker's list. The scheduler blocks until the barrier
+    // below, so the queues, `fn` and the weights stay valid throughout.
     WorkerQueue& own = queues_[worker_id];
-    if (mode_ == SchedulerMode::kPinned) {
-      uint64_t load = 0;
-      for (uint32_t i : own.tasks) {
-        (*fn)(i, worker_id);
-        load += weights == nullptr ? 1 : weights[i];
-      }
-      own.executed = load;
-    } else {
-      RunStealingTick(worker_id, *fn, weights);
+    uint64_t load = 0;
+    for (uint32_t i : own.tasks) {
+      (*fn)(i, worker_id);
+      load += weights == nullptr ? 1 : weights[i];
     }
+    own.executed = load;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (--pending_ == 0) done_cv_.notify_one();
-    }
-  }
-}
-
-void ShardedExecutor::RunStealingTick(int self, const TickTask& task,
-                                      const uint64_t* weights) {
-  WorkerQueue& own = queues_[self];
-  // Claim decides the unique executor of a task; the relaxed pre-check
-  // skips the RMW for tasks visibly taken already. No data travels through
-  // the flag itself — partition state is handed between ticks via the
-  // epoch mutex, and within a tick each task runs exactly once.
-  auto try_claim = [this](uint32_t i) {
-    return claimed_[i].load(std::memory_order_relaxed) == 0 &&
-           claimed_[i].exchange(1, std::memory_order_acq_rel) == 0;
-  };
-  auto weight = [weights](uint32_t i) {
-    return weights == nullptr ? uint64_t{1} : weights[i];
-  };
-  // Own list first, front to back (oldest assignment first)...
-  for (uint32_t i : own.tasks) {
-    if (try_claim(i)) {
-      task(i, self);
-      own.executed += weight(i);
-    }
-  }
-  // ...then steal from victims' tails, walking away from the end the owner
-  // is draining towards, so owner and thieves meet in the middle instead
-  // of fighting over the same task.
-  for (int hop = 1; hop < num_workers_; ++hop) {
-    int victim = (self + hop) % num_workers_;
-    const std::vector<uint32_t>& tasks = queues_[victim].tasks;
-    for (size_t k = tasks.size(); k-- > 0;) {
-      uint32_t i = tasks[k];
-      if (try_claim(i)) {
-        task(i, self);
-        own.executed += weight(i);
-        ++own.stolen;
-      }
     }
   }
 }

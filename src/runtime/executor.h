@@ -11,38 +11,28 @@
 //    once, before waking anyone. Workers walk their own list instead of
 //    rescanning the whole shards array, so a tick costs O(count) total
 //    rather than O(count x workers).
-//  - *Partition-exclusive execution*: a task is one whole partition's
-//    transaction, and exactly one worker executes it per tick. Under
-//    SchedulerMode::kPinned that worker is always the list owner, so a
-//    partition sees the same thread on every tick. Under kStealing an idle
-//    worker may claim tasks from a loaded victim's list tail (claim flags
-//    make execution exactly-once), so the thread varies — but within a
-//    tick the partition is still touched by exactly one worker, and the
-//    epoch mutex orders tick N's writes before tick N+1's reads. Either
-//    way, per-partition state needs no locking.
+//  - *Pinned, partition-exclusive execution*: a task is one whole
+//    partition's transaction, and its list owner executes it. A partition
+//    therefore sees the same worker thread on every tick, and per-partition
+//    state needs no locking.
 //  - *Barrier per tick*: ExecuteTick blocks the scheduler until every
 //    worker has finished the tick. Workers never see two ticks at once,
-//    and the scheduler's pre-tick writes (task lists, claim flags,
-//    partition creation) happen-before all worker reads via the epoch
-//    mutex.
+//    and the scheduler's pre-tick writes (task lists, partition creation)
+//    happen-before all worker reads via the epoch mutex.
 //
 // Workers are created once (constructor) and live until destruction —
 // per-tick thread spawn/join cost is gone. Determinism of the *merge* is
 // the engine's job: it lays tasks out in partition-key order and
 // concatenates their output batches in that same order, so thread
-// interleaving never reaches the derived stream regardless of which worker
-// executed what.
+// interleaving never reaches the derived stream.
 
 #ifndef CAESAR_RUNTIME_EXECUTOR_H_
 #define CAESAR_RUNTIME_EXECUTOR_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -51,29 +41,6 @@
 #include "runtime/observability.h"
 
 namespace caesar {
-
-// How the pool maps tasks to workers.
-enum class SchedulerMode : int8_t {
-  // Static `key % num_workers` pinning: a partition is executed by the
-  // same worker on every tick. No claim-flag traffic, but a skewed
-  // partition-key distribution leaves the hot worker saturated while the
-  // rest idle at the barrier.
-  kPinned = 0,
-  // Work stealing: workers drain their own list first (front to back),
-  // then claim tasks from the tails of loaded victims' lists. Skew-
-  // resilient; derived output and deterministic exports stay byte-
-  // identical because the merge order and the metric totals never depend
-  // on which worker executed a task.
-  kStealing,
-};
-
-const char* SchedulerModeName(SchedulerMode mode);
-// Parses "pinned" / "stealing"; false on anything else.
-bool ParseSchedulerMode(const std::string& name, SchedulerMode* out);
-// The EngineOptions default: kPinned, unless the CAESAR_SCHEDULER
-// environment variable names a mode (the CI stealing leg runs the whole
-// suite with CAESAR_SCHEDULER=stealing). Read once per process.
-SchedulerMode DefaultSchedulerMode();
 
 // Cumulative pool counters, readable between ticks (never during one).
 struct ExecutorMetrics {
@@ -84,21 +51,16 @@ struct ExecutorMetrics {
   // Distribution of tasks per tick (count == ticks); deterministic, unlike
   // barrier_wait.
   Pow2Histogram tasks_per_tick;
-  // Executed-load imbalance: sum over ticks of (max - min) load *executed*
-  // by any worker, in the caller's weight units (the engine passes each
+  // Load imbalance: sum over ticks of (max - min) load executed by any
+  // worker, in the caller's weight units (the engine passes each
   // transaction's event count; without weights every task counts 1). 0 =
-  // perfectly even. Under kPinned this equals the assignment imbalance of
-  // the partition-key distribution (deterministic — the skew-bench gate
-  // signal); under kStealing it shows the balance stealing actually
-  // achieved.
+  // perfectly even. Deterministic for a given worker count: it is the
+  // imbalance of the partition-key distribution over the workers.
   uint64_t imbalance = 0;
   // The same per-tick (max - min) as a distribution (count == ticks), so
   // skew is readable independently of the run length — the cumulative
   // counter conflates "long balanced run" with "short pathological run".
   Pow2Histogram imbalance_per_tick;
-  // Tasks executed by a worker other than their list owner (always 0 under
-  // kPinned). Timing-dependent, like barrier_wait.
-  uint64_t steals = 0;
   // Scheduler time blocked on the per-tick barrier (count = ticks, max =
   // slowest tick). Includes the workers' useful work; the interesting
   // signal is its distribution relative to per-tick cost.
@@ -109,14 +71,13 @@ struct ExecutorMetrics {
 class ShardedExecutor {
  public:
   // Runs task `index`; `worker` is the id (0..num_workers-1) of the worker
-  // executing it — under kStealing not necessarily the list owner. Callers
-  // recording into per-worker metric shards must key them by `worker` so
-  // every shard stays single-writer within a tick.
+  // executing it, i.e. the owner `shards[index] % num_workers`. Callers
+  // recording into per-worker metric shards key them by `worker`, so every
+  // shard stays single-writer within a tick.
   using TickTask = std::function<void(size_t index, int worker)>;
 
   // Spawns `num_workers` (>= 1) threads immediately.
-  explicit ShardedExecutor(int num_workers,
-                           SchedulerMode mode = SchedulerMode::kPinned);
+  explicit ShardedExecutor(int num_workers);
 
   // Wakes and joins all workers. Must not race with ExecuteTick.
   ~ShardedExecutor();
@@ -125,12 +86,10 @@ class ShardedExecutor {
   ShardedExecutor& operator=(const ShardedExecutor&) = delete;
 
   int num_workers() const { return num_workers_; }
-  SchedulerMode mode() const { return mode_; }
 
-  // Runs tasks 0..count-1; task i is assigned to worker `shards[i] %
-  // num_workers()` (shards may be null iff count == 0) and executed by that
-  // worker (kPinned) or by any worker (kStealing), exactly once either
-  // way. Blocks until every worker has finished the tick. Call from one
+  // Runs tasks 0..count-1; task i is executed exactly once, by worker
+  // `shards[i] % num_workers()` (shards may be null iff count == 0).
+  // Blocks until every worker has finished the tick. Call from one
   // scheduler thread only; the task callable must be safe to invoke
   // concurrently for different i.
   //
@@ -158,15 +117,11 @@ class ShardedExecutor {
   struct alignas(64) WorkerQueue {
     std::vector<uint32_t> tasks;  // task indices, in scheduler order
     uint64_t executed = 0;        // load this worker ran this tick (weighted)
-    uint64_t stolen = 0;          // tasks taken from other workers' lists
   };
 
   void WorkerLoop(int worker_id);
-  void RunStealingTick(int self, const TickTask& task,
-                       const uint64_t* weights);
 
   const int num_workers_;
-  const SchedulerMode mode_;
 
   std::mutex mu_;
   std::condition_variable work_cv_;  // workers: "a new epoch is posted"
@@ -179,7 +134,6 @@ class ShardedExecutor {
   // Workers copy the pointers while holding mu_ in their epoch wait and
   // use the copies for the rest of the tick (the scheduler blocks at the
   // barrier, so the pointees outlive every copy).
-  size_t task_count_ CAESAR_GUARDED_BY(mu_) = 0;
   const TickTask* task_fn_ CAESAR_GUARDED_BY(mu_) = nullptr;
   // Null = every task weighs 1.
   const uint64_t* task_weights_ CAESAR_GUARDED_BY(mu_) = nullptr;
@@ -191,11 +145,6 @@ class ShardedExecutor {
   // scheduler reads after the barrier) is outside what the static
   // analysis can model, and taking mu_ per task would serialize the pool.
   std::vector<WorkerQueue> queues_;
-  // kStealing only: one claim flag per task, reset by the scheduler before
-  // the epoch is published. exchange(1) decides the unique executor of a
-  // task. Grown geometrically, never shrunk.
-  std::unique_ptr<std::atomic<uint8_t>[]> claimed_;
-  size_t claimed_capacity_ = 0;
 
   ExecutorMetrics metrics_;
   std::vector<std::thread> workers_;

@@ -666,7 +666,6 @@ std::string StatisticsToJson(const StatisticsReport& report,
     json.Field("ticks", static_cast<int64_t>(report.executor.ticks));
     json.Field("tasks", static_cast<int64_t>(report.executor.tasks));
     json.Field("imbalance", static_cast<int64_t>(report.executor.imbalance));
-    json.Field("steals", static_cast<int64_t>(report.executor.steals));
     WriteRunningStatsJson(&json, "barrier_wait", report.executor.barrier_wait);
     WriteHistogramJson(&json, "tasks_per_tick", report.executor.tasks_per_tick);
     WriteHistogramJson(&json, "imbalance_per_tick",
@@ -849,9 +848,6 @@ std::string StatisticsToPrometheus(const StatisticsReport& report,
     os << "# TYPE caesar_executor_imbalance_total counter\n";
     os << bare("caesar_executor_imbalance_total") << " "
        << report.executor.imbalance << "\n";
-    os << "# TYPE caesar_executor_steals_total counter\n";
-    os << bare("caesar_executor_steals_total") << " "
-       << report.executor.steals << "\n";
     WritePromHistogram(os, "caesar_executor_imbalance_per_tick", tenant_label,
                        report.executor.imbalance_per_tick);
     os << "# TYPE caesar_executor_barrier_wait_seconds_sum counter\n";

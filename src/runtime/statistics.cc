@@ -34,7 +34,7 @@ std::string StatisticsReport::ToString() const {
        << " imbalance=" << executor.imbalance
        << " imbalance_per_tick[mean=" << executor.imbalance_per_tick.mean()
        << " max=" << executor.imbalance_per_tick.max()
-       << "] steals=" << executor.steals << " barrier_wait["
+       << "] barrier_wait["
        << executor.barrier_wait.ToString() << "]\n";
   }
   if (ingest.reordered > 0 || ingest.quarantined > 0 ||

@@ -5,9 +5,8 @@
 //
 //   {"cmd":"ping"}
 //   {"cmd":"register","tenant":"t1","model":"TYPE ...; QUERY ...;",
-//    "options":{"threads":2,"scheduler":"stealing","ingest":"reorder",
-//    "reorder_slack":3,"metrics":"operator","gather_statistics":true,
-//    "optimize":true}}
+//    "options":{"ingest":"reorder","reorder_slack":3,
+//    "metrics":"operator","gather_statistics":true}}
 //   {"cmd":"ingest","tenant":"t1","events":[["Tick",3,[1,7,0]], ...]}
 //   {"cmd":"flush","tenant":"t1"}        drain everything incl. the open tick
 //   {"cmd":"poll","tenant":"t1"}         collect outputs without draining

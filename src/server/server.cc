@@ -142,8 +142,7 @@ Status CaesarServer::Start() {
   CAESAR_RETURN_IF_ERROR(options_.Validate());
 
   if (options_.executor_workers > 1) {
-    pool_ = std::make_shared<ShardedExecutor>(options_.executor_workers,
-                                              options_.scheduler);
+    pool_ = std::make_shared<ShardedExecutor>(options_.executor_workers);
   }
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);

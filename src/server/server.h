@@ -52,9 +52,6 @@ struct ServerOptions {
   // Width of the shared worker pool all tenant engines dispatch to.
   // 0 or 1 = serial engines, no pool.
   int executor_workers = 0;
-  // Scheduler of the shared pool (pinned/stealing); pool mode is
-  // server-wide because the pool is.
-  SchedulerMode scheduler = DefaultSchedulerMode();
 
   // Admission bounds. max_pending_events is the per-tenant default and
   // also the hard cap on what a register request may ask for.

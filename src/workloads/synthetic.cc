@@ -62,19 +62,11 @@ TypeId RegisterSyntheticTypes(TypeRegistry* registry) {
 
 EventBatch GenerateSyntheticStream(const SyntheticConfig& config,
                                    TypeRegistry* registry) {
-  CAESAR_CHECK(config.hot_partition_share >= 0.0 &&
-               config.hot_partition_share < 1.0);
   TypeId tick = RegisterSyntheticTypes(registry);
   Rng rng(config.seed);
   EventBatch events;
   events.reserve(config.duration * config.num_partitions *
                  config.events_per_tick);
-  auto emit = [&](Timestamp t, int seg) {
-    events.push_back(MakeEvent(
-        tick, t,
-        {Value(int64_t{seg}), Value(t),
-         Value(rng.Uniform(0, config.load_cardinality - 1)), Value(t)}));
-  };
   for (Timestamp t = 0; t < config.duration; ++t) {
     double fraction =
         config.ramp_start_fraction +
@@ -82,28 +74,12 @@ EventBatch GenerateSyntheticStream(const SyntheticConfig& config,
             (static_cast<double>(t) / std::max<Timestamp>(1, config.duration));
     int per_tick = std::max(
         1, static_cast<int>(config.events_per_tick * fraction + 0.5));
-    if (config.hot_partition_share <= 0.0) {
-      // Uniform: the original emission order, byte-for-byte (the skew knob
-      // must not perturb existing seeded streams).
-      for (int seg = 0; seg < config.num_partitions; ++seg) {
-        for (int e = 0; e < per_tick; ++e) emit(t, seg);
-      }
-    } else {
-      // Skewed: same per-tick event total, redistributed so partition 0
-      // carries `hot_partition_share` of it and the rest round-robins over
-      // the remaining partitions (each still gets >= 1 event per tick so
-      // every partition has a transaction — the skew is in work per task,
-      // which is what a partition-level scheduler can balance).
-      int total = per_tick * config.num_partitions;
-      int cold_partitions = config.num_partitions - 1;
-      int hot = cold_partitions == 0
-                    ? total
-                    : std::max(1, static_cast<int>(
-                                      total * config.hot_partition_share + 0.5));
-      hot = std::min(hot, total - cold_partitions);
-      for (int e = 0; e < hot; ++e) emit(t, 0);
-      for (int e = 0; e < total - hot; ++e) {
-        emit(t, 1 + e % cold_partitions);
+    for (int seg = 0; seg < config.num_partitions; ++seg) {
+      for (int e = 0; e < per_tick; ++e) {
+        events.push_back(MakeEvent(
+            tick, t,
+            {Value(int64_t{seg}), Value(t),
+             Value(rng.Uniform(0, config.load_cardinality - 1)), Value(t)}));
       }
     }
   }

@@ -44,15 +44,6 @@ struct SyntheticConfig {
   int load_cardinality = 8;  // distinct `load` values (join selectivity)
   uint64_t seed = 1;
 
-  // Partition skew (the deliberately skewed scheduler workload): fraction
-  // [0, 1) of each tick's total events funneled to partition 0 (the hot
-  // segment); the remainder spreads round-robin over the other partitions.
-  // 0 = uniform — byte-identical streams to before this knob existed. With
-  // e.g. 0.9 and 32 partitions, partition 0's transaction carries ~29x the
-  // events (and far more SEQ pairing work) of any other, so a pinned
-  // executor saturates one worker while the rest idle.
-  double hot_partition_share = 0.0;
-
   // Context windows: explicit [start, end) intervals in ticks. Windows may
   // overlap. Use the helpers below to lay them out.
   struct Window {

@@ -2,10 +2,7 @@
 // Linear Road, PAMAP) the sharded executor must produce a byte-identical
 // derived-event sequence — same events, same order — and equal semantic
 // RunStats counters for num_threads in {2, 4, 8} vs the serial engine,
-// with and without statistics gathering, under both scheduler modes
-// (pinned and work-stealing; the skewed-workload test drives the stealing
-// path explicitly, and CI additionally re-runs the whole suite with
-// CAESAR_SCHEDULER=stealing under TSan). Runs under TSan in CI.
+// with and without statistics gathering. Runs under TSan in CI.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -53,16 +50,10 @@ std::string StripExecutorLines(const std::string& report) {
 
 RunResult RunWith(const ExecutablePlan& plan, const EventBatch& stream,
                   const TypeRegistry& registry, int num_threads,
-                  bool gather_statistics,
-                  // Follow the process default (CAESAR_SCHEDULER) so the CI
-                  // stealing leg drives the whole suite through the
-                  // stealing scheduler; tests pin a mode explicitly where
-                  // the mode is the point.
-                  SchedulerMode scheduler = DefaultSchedulerMode()) {
+                  bool gather_statistics) {
   EngineOptions options;
   options.num_threads = num_threads;
   options.gather_statistics = gather_statistics;
-  options.scheduler = scheduler;
   if (gather_statistics) options.metrics = MetricsGranularity::kOperator;
   Engine engine(plan.Clone(), options);
   EventBatch outputs;
@@ -266,57 +257,6 @@ TEST(ParallelDeterminismTest, PamapWorkloadCompiledEngine) {
   CAESAR_CHECK_OK(model.status());
   ExpectCompiledMatchesOracle(model.value(), Optimize(model.value()), stream,
                               registry);
-}
-
-TEST(ParallelDeterminismTest, SkewedWorkloadBothSchedulers) {
-  // The hot-partition stress: most of every tick's events (and far more
-  // SEQ pairing work) land on partition 0, so static pinning is maximally
-  // imbalanced and work stealing actually engages. Neither scheduler may
-  // change a single byte: derived sequence, semantic counters, operator
-  // statistics and the deterministic JSON export must all equal the serial
-  // run at every thread count, pinned and stealing alike.
-  SyntheticConfig config;
-  config.duration = 80;
-  config.num_partitions = 8;
-  config.events_per_tick = 4;
-  config.hot_partition_share = 0.9;  // capped at (total-7)/total ≈ 0.78
-  config.query_within = 4;
-  config.windows = {{1, 81}};  // active for the whole run
-  config.assignment = SyntheticConfig::QueryAssignment::kAllWindows;
-  config.queries_per_window = 2;
-  TypeRegistry registry;
-  EventBatch stream = GenerateSyntheticStream(config, &registry);
-  auto model = MakeSyntheticModel(config, &registry);
-  CAESAR_CHECK_OK(model.status());
-  ExecutablePlan plan = Optimize(model.value());
-
-  for (bool gather : {false, true}) {
-    RunResult serial = RunWith(plan, stream, registry, 1, gather);
-    EXPECT_GT(serial.stats.derived_events, 0);
-    for (int num_threads : {2, 4, 8}) {
-      for (SchedulerMode mode :
-           {SchedulerMode::kPinned, SchedulerMode::kStealing}) {
-        SCOPED_TRACE("threads=" + std::to_string(num_threads) + " gather=" +
-                     std::to_string(gather) + " scheduler=" +
-                     SchedulerModeName(mode));
-        RunResult parallel =
-            RunWith(plan, stream, registry, num_threads, gather, mode);
-        EXPECT_EQ(serial.derived, parallel.derived);
-        ExpectEqualCounters(serial.stats, parallel.stats, num_threads);
-        EXPECT_EQ(serial.statistics, parallel.statistics);
-        EXPECT_EQ(serial.json, parallel.json);
-        EXPECT_GT(parallel.stats.parallel_ticks, 0);
-        EXPECT_EQ(parallel.stats.parallel_tasks,
-                  parallel.stats.transactions);
-        if (mode == SchedulerMode::kPinned) {
-          // The skew materialized: pinned executed load is the assigned
-          // load, so the hot partition shows up as imbalance.
-          EXPECT_GT(parallel.stats.shard_imbalance, 0);
-          EXPECT_EQ(parallel.stats.tasks_stolen, 0);
-        }
-      }
-    }
-  }
 }
 
 TEST(ParallelDeterminismTest, SplitRunsMatchSingleRun) {

@@ -3,8 +3,7 @@
 // the concurrency model and src/server/protocol.h for the protocol).
 //
 //   caesard [--host=ADDR] [--port=N] [--deterministic]
-//           [--workers=N] [--scheduler=pinned|stealing]
-//           [--max-tenants=N] [--max-pending=N]
+//           [--workers=N] [--max-tenants=N] [--max-pending=N]
 //           [--drain-interval-ms=N] [--max-frame-bytes=N]
 //           [--port-file=PATH]
 //
@@ -20,7 +19,6 @@
 #include <cstring>
 #include <string>
 
-#include "runtime/executor.h"
 #include "server/server.h"
 
 namespace caesar {
@@ -34,8 +32,7 @@ int Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--host=ADDR] [--port=N] [--deterministic]\n"
-      "          [--workers=N] [--scheduler=pinned|stealing]\n"
-      "          [--max-tenants=N] [--max-pending=N]\n"
+      "          [--workers=N] [--max-tenants=N] [--max-pending=N]\n"
       "          [--drain-interval-ms=N] [--max-frame-bytes=N]\n"
       "          [--port-file=PATH]\n",
       argv0);
@@ -75,10 +72,6 @@ int Main(int argc, char** argv) {
     } else if ((value = FlagValue(arg, "--workers")) != nullptr) {
       if (!ParseIntFlag(value, 0, 256, &n)) return Usage(argv[0]);
       options.executor_workers = static_cast<int>(n);
-    } else if ((value = FlagValue(arg, "--scheduler")) != nullptr) {
-      if (!ParseSchedulerMode(value, &options.scheduler)) {
-        return Usage(argv[0]);
-      }
     } else if ((value = FlagValue(arg, "--max-tenants")) != nullptr) {
       if (!ParseIntFlag(value, 1, 1 << 20, &n)) return Usage(argv[0]);
       options.max_tenants = static_cast<size_t>(n);
@@ -108,11 +101,10 @@ int Main(int argc, char** argv) {
   }
 
   std::fprintf(stderr,
-               "caesard: listening on %s:%d (%s mode, %d workers, %s)\n",
+               "caesard: listening on %s:%d (%s mode, %d workers)\n",
                options.host.c_str(), server.port(),
                options.deterministic ? "deterministic" : "throughput",
-               options.executor_workers > 1 ? options.executor_workers : 1,
-               SchedulerModeName(options.scheduler));
+               options.executor_workers > 1 ? options.executor_workers : 1);
 
   if (!port_file.empty()) {
     // Written after listen(2) succeeded: a reader that sees the line can

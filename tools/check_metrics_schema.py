@@ -9,14 +9,7 @@ and internal consistency of the power-of-2 histogram blocks.
 Files carrying a top-level "baseline_version" key (BENCH_baseline.json,
 written by tools/update_bench_baseline.py) are validated as a baseline
 wrapper instead: every contained envelope is checked as above, plus the
-scheduler skew comparison and the durability on/off runs it must carry.
-
-Files carrying a top-level "skew_schema_version" key (--skew-out from
-bench_parallel_scaling --workload=skewed) are validated as the scheduler
-A/B: identical derived counts across all rows, pinned rows proving the
-workload skew via event-weighted imbalance, the stealing scheduler
-actually stealing, and (only on multi-core recording machines) stealing
-beating pinned wall-clock at the widest thread count.
+durability on/off runs it must carry.
 
 Usage: check_metrics_schema.py FILE [FILE ...]
 Exit status: 0 when every file validates, 1 otherwise.
@@ -85,10 +78,10 @@ def check_durability(block, where):
 
 def check_executor(block, where):
     expect(isinstance(block, dict), f"{where}: executor must be an object")
-    for key in ("workers", "ticks", "tasks", "imbalance", "steals",
-                "barrier_wait", "tasks_per_tick", "imbalance_per_tick"):
+    for key in ("workers", "ticks", "tasks", "imbalance", "barrier_wait",
+                "tasks_per_tick", "imbalance_per_tick"):
         expect(key in block, f"{where}: executor missing '{key}'")
-    for key in ("workers", "ticks", "tasks", "imbalance", "steals"):
+    for key in ("workers", "ticks", "tasks", "imbalance"):
         expect(isinstance(block[key], int) and block[key] >= 0,
                f"{where}: executor.{key} must be a non-negative integer")
     check_histogram(block["tasks_per_tick"],
@@ -105,60 +98,6 @@ def check_executor(block, where):
            f"{where}: executor.imbalance_per_tick sums to "
            f"{block['imbalance_per_tick']['sum']}, "
            f"counter says {block['imbalance']}")
-
-
-def check_skew(doc):
-    """Validates a --skew-out file from bench_parallel_scaling --workload=skewed.
-
-    Gates (hardware-independent unless noted):
-      - every row derives the identical event count (determinism);
-      - pinned rows at >1 thread show per-event imbalance > 0.3 — the
-        workload's skew actually materialized;
-      - the widest stealing row stole at least one task;
-      - stealing beats pinned wall-clock at the widest thread count, but
-        only when the recording machine had >= 2 hardware threads (on one
-        core both modes serialize the same work).
-    """
-    for key in ("benchmark", "skew_schema_version", "hardware_threads",
-                "hot_share", "rows"):
-        expect(key in doc, f"skew file missing '{key}'")
-    expect(doc["skew_schema_version"] == 1,
-           f"unknown skew_schema_version {doc['skew_schema_version']}")
-    rows = doc["rows"]
-    expect(isinstance(rows, list) and rows, "'rows' must be a non-empty list")
-    for i, row in enumerate(rows):
-        for key in ("mode", "threads", "wall_s", "events_per_s", "events",
-                    "derived", "ticks", "tasks", "imbalance", "steals"):
-            expect(key in row, f"rows[{i}] missing '{key}'")
-        expect(row["mode"] in ("serial", "pinned", "stealing"),
-               f"rows[{i}]: unknown mode {row['mode']!r}")
-    derived = {row["derived"] for row in rows}
-    expect(len(derived) == 1,
-           f"derived counts differ across rows: {sorted(derived)} "
-           "(scheduler or thread count changed the output)")
-    pinned = [r for r in rows if r["mode"] == "pinned"]
-    stealing = [r for r in rows if r["mode"] == "stealing"]
-    expect(pinned and stealing, "need both pinned and stealing rows")
-    for row in pinned:
-        expect(row["steals"] == 0,
-               f"pinned row at {row['threads']} threads reports steals")
-        share = row["imbalance"] / max(1, row["events"])
-        expect(share > 0.3,
-               f"pinned row at {row['threads']} threads shows per-event "
-               f"imbalance {share:.2f} <= 0.3 — the workload is not skewed")
-    widest = max(stealing, key=lambda r: r["threads"])
-    expect(widest["steals"] > 0,
-           f"stealing row at {widest['threads']} threads stole nothing")
-    if doc["hardware_threads"] >= 2:
-        pinned_widest = max(pinned, key=lambda r: r["threads"])
-        expect(pinned_widest["wall_s"] > 0 and widest["wall_s"] > 0,
-               "skew rows carry no wall-clock time")
-        speedup = pinned_widest["wall_s"] / widest["wall_s"]
-        expect(speedup > 1.0,
-               f"stealing-vs-pinned speedup {speedup:.2f} at "
-               f"{widest['threads']} threads is not > 1.0 on a "
-               f"{doc['hardware_threads']}-thread machine")
-    return len(rows)
 
 
 def check_report(report, where):
@@ -262,12 +201,6 @@ def check_baseline(doc):
         for i, run in enumerate(envelope["runs"]):
             check_report(run["report"], f"benches[{name}] runs[{i}]")
         runs += len(envelope["runs"])
-        if "skew" in entry:
-            check_skew(entry["skew"])
-    expect("bench_parallel_scaling" in doc["benches"]
-           and "skew" in doc["benches"]["bench_parallel_scaling"],
-           "baseline must carry the bench_parallel_scaling skew comparison "
-           "(pinned vs stealing)")
     expect("bench_durability" in doc["benches"],
            "baseline must carry bench_durability (WAL overhead vs off)")
     durability_runs = doc["benches"]["bench_durability"]["envelope"]["runs"]
@@ -284,8 +217,6 @@ def check_file(path):
     expect(isinstance(doc, dict), "top level must be an object")
     if "baseline_version" in doc:
         return check_baseline(doc)
-    if "skew_schema_version" in doc:
-        return check_skew(doc)
     for key in ("benchmark", "schema_version", "runs"):
         expect(key in doc, f"top level missing '{key}'")
     expect(

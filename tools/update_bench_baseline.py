@@ -2,11 +2,11 @@
 """Regenerates BENCH_baseline.json, the checked-in benchmark baseline.
 
 Stdlib only. Runs the baseline benches from an existing build tree, captures
-their --metrics-out envelopes (and the scheduler skew rows), and writes the
-wrapper document check_metrics_schema.py validates:
+their --metrics-out envelopes, and writes the wrapper document
+check_metrics_schema.py validates:
 
   {"baseline_version": 1, "generated": "YYYY-MM-DD",
-   "benches": {name: {"envelope": {...}, "skew": {...}}}}
+   "benches": {name: {"envelope": {...}}}}
 
 Usage: update_bench_baseline.py [--build-dir DIR] [--out FILE]
 Exit status: 0 on success; a failing bench run aborts with its exit code.
@@ -54,18 +54,6 @@ def main():
                 metrics,
             ),
         }
-        # The scheduler A/B on the hot-partition workload: pinned vs
-        # stealing at every thread count (check_metrics_schema.py gates on
-        # derived equality, the pinned rows' imbalance and the stealing
-        # rows' steal counts; the wall-clock gate applies only when the
-        # recording machine is multi-core).
-        skew = tmp / "parallel_skew.json"
-        benches["bench_parallel_scaling"]["skew"] = run_bench(
-            bench_dir / "bench_parallel_scaling",
-            ["--workload=skewed", "--duration=200", "--repetitions=2",
-             f"--skew-out={skew}"],
-            skew,
-        )
         metrics = tmp / "durability.json"
         benches["bench_durability"] = {
             "envelope": run_bench(
