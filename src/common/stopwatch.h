@@ -21,6 +21,15 @@ class Stopwatch {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
+  // Elapsed time since the last start, then restarts: one clock read
+  // splits back-to-back intervals.
+  double Lap() {
+    const Clock::time_point now = Clock::now();
+    const double seconds = std::chrono::duration<double>(now - start_).count();
+    start_ = now;
+    return seconds;
+  }
+
   int64_t ElapsedMicros() const {
     return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
                                                                  start_)

@@ -165,14 +165,14 @@ struct Engine::PartitionState {
   std::unique_ptr<ContextBitVector> contexts;
   std::vector<QueryState> deriving;
   std::vector<QueryState> processing;
+  // Cumulative counters, never reset (Run takes deltas).
   uint64_t ops_counter = 0;
-  int64_t suspended_chains = 0;
-  int64_t executed_chains = 0;
-  // Cumulative counterparts, never reset (for CollectStatistics).
   int64_t total_suspended = 0;
   int64_t total_executed = 0;
-  int64_t transactions = 0;
-  EventBatch pool;  // scratch, reused across transactions
+  // The batch that last claimed a run slot for this partition, and the
+  // slot (scheduler thread only).
+  uint64_t batch_seq = 0;
+  size_t run_slot = 0;
 };
 
 Status EngineOptions::Validate() const {
@@ -297,6 +297,7 @@ Engine::Engine(ExecutablePlan plan, EngineOptions options)
   if (options_.tracing) {
     trace_ = std::make_unique<TraceRecorder>();
   }
+  transaction_scratch_.resize(static_cast<size_t>(metric_shards));
 }
 
 Engine::~Engine() {
@@ -310,6 +311,13 @@ Engine::~Engine() {
 
 int Engine::num_partitions() const {
   return static_cast<int>(partitions_.size());
+}
+
+std::vector<uint64_t> Engine::partition_keys() const {
+  std::vector<uint64_t> keys;
+  keys.reserve(partitions_.size());
+  for (const auto& [key, partition] : partitions_) keys.push_back(key);
+  return keys;
 }
 
 const ContextBitVector* Engine::partition_contexts(uint64_t key) const {
@@ -380,7 +388,7 @@ uint64_t Engine::PartitionKeyOf(const Event& event) {
   if (type_id >= static_cast<TypeId>(partition_attr_cache_.size()) ||
       partition_attr_cache_[type_id].empty()) {
     // Type registered after construction: lazy fallback, scheduler thread
-    // only (distribution precedes worker dispatch within a tick).
+    // only (distribution precedes the batch's dispatch).
     if (type_id >= static_cast<TypeId>(partition_attr_cache_.size())) {
       partition_attr_cache_.resize(type_id + 1);
     }
@@ -536,184 +544,53 @@ Result<RunStats> Engine::Run(const EventBatch& raw_input,
   }
   const EventBatch& input = *effective;
 
-  RunningStats latency;
-  uint64_t ops_before = 0;
-  for (const auto& [key, partition] : partitions_) {
-    ops_before += partition->ops_counter;
+  // Write-ahead: every tick of the batch hits the log before any state
+  // mutates. A failed append (disk error, injected crash) aborts the Run
+  // with this batch uncommitted and the engine as it was — recovery
+  // discards the unsealed records.
+  PlanBatch(input);
+  if (durability_ != nullptr && !replaying_) {
+    CAESAR_TRACE_SPAN("wal_append");
+    for (const BatchTick& tick : batch_ticks_) {
+      CAESAR_RETURN_IF_ERROR(durability_->AppendTick(
+          tick.time, input.data() + tick.first_event, tick.num_events));
+    }
   }
+  if (!gc_points_.empty()) {
+    last_gc_ = batch_ticks_[gc_points_.back().tick].time;
+  }
+  {
+    CAESAR_TRACE_SPAN("distribute");
+    DistributeBatch(input);
+  }
+
+  // One dispatch runs the whole batch: each partition's owner executes all
+  // of its transactions in tick order. A partition's state is single-writer
+  // without locks, and metrics record into the executing worker's shard to
+  // keep that rule.
   const ExecutorMetrics exec_before =
       executor_ != nullptr ? executor_->metrics() : ExecutorMetrics{};
-
-  size_t i = 0;
-  const double tick_wall = options_.seconds_per_tick / options_.accel;
-  while (i < input.size()) {
-    Timestamp t = input[i]->time();
-    size_t j = i;
-    while (j < input.size() && input[j]->time() == t) ++j;
-
-    // Write-ahead: the tick's admitted events hit the log before any state
-    // mutates. A failed append (disk error, injected crash) aborts the Run
-    // with this batch uncommitted — recovery discards its unsealed records.
-    if (durability_ != nullptr && !replaying_) {
-      CAESAR_RETURN_IF_ERROR(
-          durability_->AppendTick(t, input.data() + i, j - i));
+  if (!task_runs_.empty()) {
+    CAESAR_TRACE_SPAN("dispatch");
+    Stopwatch dispatch_watch;
+    if (executor_ == nullptr) {
+      for (uint32_t run : task_runs_) ProcessPartitionRun(run, 0);
+    } else {
+      executor_->Execute(task_runs_.size(), task_shards_.data(),
+                         task_weights_.data(), [&](size_t i, int worker) {
+                           TraceScope worker_trace(trace_.get());
+                           ProcessPartitionRun(task_runs_[i], worker);
+                         });
     }
-
-    // Distribute this time stamp's events to partitions (the event
-    // distributor + event queues of Fig. 8). std::map gives deterministic
-    // partition order.
-    std::map<uint64_t, EventBatch> by_partition;
-    for (size_t k = i; k < j; ++k) {
-      by_partition[PartitionKeyOf(*input[k])].push_back(input[k]);
+    stats.cpu_seconds = dispatch_watch.ElapsedSeconds();
+    if (tick_telemetry && executor_ != nullptr) {
+      tick_metrics_.barrier_wait_seconds.Add(stats.cpu_seconds);
     }
-
-    // Execute one transaction per partition; measure processing cost.
-    // Partitions are created here, on the scheduler thread, so workers only
-    // ever touch existing partition state.
-    Stopwatch watch;
-    std::vector<std::pair<PartitionState*, const EventBatch*>> work;
-    work.reserve(by_partition.size());
-    shard_scratch_.clear();
-    weight_scratch_.clear();
-    for (auto& [key, events] : by_partition) {
-      work.emplace_back(GetOrCreatePartition(key), &events);
-      shard_scratch_.push_back(key);
-      // Task weight = the transaction's event count, so the pool's
-      // imbalance metrics see work skew, not just task-count skew (one
-      // partition is one task — a hot partition would be invisible
-      // otherwise).
-      weight_scratch_.push_back(static_cast<uint64_t>(events.size()));
-    }
-    // Pre-dispatch telemetry baselines: context-vector versions (their
-    // per-tick delta = context switches) and cumulative chain counts.
-    int64_t executed_before = 0;
-    int64_t suspended_before = 0;
-    if (tick_telemetry) {
-      context_version_scratch_.clear();
-      for (auto& [partition, events] : work) {
-        context_version_scratch_.push_back(partition->contexts->version());
-        executed_before += partition->total_executed;
-        suspended_before += partition->total_suspended;
-      }
-    }
-    std::vector<EventBatch> derived(work.size());
-    {
-      CAESAR_TRACE_SPAN("tick");
-      if (executor_ == nullptr) {
-        for (size_t w = 0; w < work.size(); ++w) {
-          CAESAR_TRACE_SPAN("transaction");
-          ProcessTransaction(work[w].first, t, *work[w].second, &derived[w],
-                             /*worker=*/0);
-        }
-      } else {
-        // Every tick goes through the pool. A partition's transaction is
-        // always executed by its owning worker, so partition state is
-        // single-writer without locks, and metrics record into the
-        // executing worker's shard to keep that single-writer rule.
-        executor_->ExecuteTick(work.size(), shard_scratch_.data(),
-                               weight_scratch_.data(),
-                               [&](size_t w, int worker) {
-                                 TraceScope worker_trace(trace_.get());
-                                 CAESAR_TRACE_SPAN("transaction");
-                                 ProcessTransaction(work[w].first, t,
-                                                    *work[w].second,
-                                                    &derived[w], worker);
-                               });
-      }
-    }
-    double dt = watch.ElapsedSeconds();
-    stats.cpu_seconds += dt;
-
-    // Virtual clock: queueing latency under the modeled arrival schedule.
-    double arrival = static_cast<double>(t) * tick_wall;
-    vclock_completion_ = std::max(vclock_completion_, arrival) + dt;
-    double lat = (vclock_completion_ - arrival) * options_.accel;
-    latency.Add(lat);
-
-    // Collect derived events (deterministic partition order).
-    EventBatch tick_derived;
-    int64_t tick_derived_count = 0;
-    for (EventBatch& batch : derived) {
-      for (EventPtr& event : batch) {
-        ++stats.derived_events;
-        ++tick_derived_count;
-        ++stats.derived_by_type[plan_.registry->type(event->type_id()).name];
-        if (options_.collect_outputs && outputs != nullptr) {
-          outputs->push_back(event);
-        }
-        if (observer_) tick_derived.push_back(std::move(event));
-      }
-    }
-    if (observer_) observer_(t, tick_derived);
-
-    // Per-tick telemetry: the deterministic histograms, the wall-clock
-    // stats, and one timeline point. The barrier ordered every worker
-    // write before this read.
-    if (tick_telemetry) {
-      ++tick_metrics_.ticks;
-      tick_metrics_.events_per_tick.Add(static_cast<uint64_t>(j - i));
-      tick_metrics_.partitions_per_tick.Add(
-          static_cast<uint64_t>(work.size()));
-      tick_metrics_.derived_per_tick.Add(
-          static_cast<uint64_t>(tick_derived_count));
-      int64_t context_switches = 0;
-      int64_t executed_after = 0;
-      int64_t suspended_after = 0;
-      for (size_t w = 0; w < work.size(); ++w) {
-        context_switches +=
-            static_cast<int64_t>(work[w].first->contexts->version() -
-                                 context_version_scratch_[w]);
-        executed_after += work[w].first->total_executed;
-        suspended_after += work[w].first->total_suspended;
-      }
-      tick_metrics_.context_switches_per_tick.Add(
-          static_cast<uint64_t>(context_switches));
-      tick_metrics_.scheduler_seconds.Add(dt);
-      // In parallel mode the scheduler spends the tick blocked on the
-      // pool's barrier, so dt is the per-tick barrier wait.
-      if (executor_ != nullptr) tick_metrics_.barrier_wait_seconds.Add(dt);
-      TimelinePoint point;
-      point.time = t;
-      point.input_events = static_cast<int64_t>(j - i);
-      point.derived_events = tick_derived_count;
-      point.partitions = static_cast<int64_t>(work.size());
-      point.executed_chains = executed_after - executed_before;
-      point.suspended_chains = suspended_after - suspended_before;
-      point.context_switches = context_switches;
-      timeline_->Push(point);
-    }
-
-    // Periodic garbage collection of stale operator state.
-    if (t - last_gc_ >= options_.gc_interval) {
-      last_gc_ = t;
-      // Clamp: early in the stream (t < gc_horizon) the naive t - horizon
-      // underflows below the epoch; nothing can be older than time 0, so 0
-      // is the correct cut-off.
-      Timestamp horizon =
-          t >= options_.gc_horizon ? t - options_.gc_horizon : 0;
-      CAESAR_TRACE_SPAN("gc");
-      Stopwatch gc_watch;
-      for (auto& [key, partition] : partitions_) {
-        for (auto* states : {&partition->deriving, &partition->processing}) {
-          for (QueryState& query : *states) {
-            for (auto& op : query.chain.ops) op->ExpireBefore(horizon);
-            for (auto& guard : query.guards) {
-              for (auto& op : guard.chain.ops) op->ExpireBefore(horizon);
-            }
-          }
-        }
-      }
-      if (tick_telemetry) {
-        ++tick_metrics_.gc_runs;
-        tick_metrics_.gc_horizon_min =
-            std::min(tick_metrics_.gc_horizon_min, horizon);
-        tick_metrics_.gc_pause_seconds.Add(gc_watch.ElapsedSeconds());
-      }
-    }
-
-    last_processed_tick_ = t;
+  }
+  MergeBatch(outputs, &stats);
+  if (!batch_ticks_.empty()) {
+    last_processed_tick_ = batch_ticks_.back().time;
     any_tick_processed_ = true;
-    i = j;
   }
 
   // Group commit: one commit record seals the whole batch (fsync per the
@@ -729,24 +606,11 @@ Result<RunStats> Engine::Run(const EventBatch& raw_input,
     }
   }
 
-  stats.max_latency = latency.max();
-  stats.mean_latency = latency.mean();
-  uint64_t ops_after = 0;
-  for (const auto& [key, partition] : partitions_) {
-    ops_after += partition->ops_counter;
-    stats.suspended_chains += partition->suspended_chains;
-    stats.executed_chains += partition->executed_chains;
-    stats.transactions += partition->transactions;
-    partition->suspended_chains = 0;
-    partition->executed_chains = 0;
-    partition->transactions = 0;
-  }
-  stats.ops_executed = ops_after - ops_before;
   stats.partitions = static_cast<int64_t>(partitions_.size());
   if (executor_ != nullptr) {
     const ExecutorMetrics& exec = executor_->metrics();
     stats.parallel_ticks =
-        static_cast<int64_t>(exec.ticks - exec_before.ticks);
+        static_cast<int64_t>(exec.dispatches - exec_before.dispatches);
     stats.parallel_tasks =
         static_cast<int64_t>(exec.tasks - exec_before.tasks);
     stats.shard_imbalance =
@@ -770,26 +634,306 @@ Result<RunStats> Engine::Run(const EventBatch& raw_input,
   return stats;
 }
 
+void Engine::PlanBatch(const EventBatch& input) {
+  batch_ticks_.clear();
+  gc_points_.clear();
+  Timestamp last_gc = last_gc_;
+  for (size_t i = 0; i < input.size();) {
+    BatchTick tick;
+    tick.time = input[i]->time();
+    tick.first_event = i;
+    while (i < input.size() && input[i]->time() == tick.time) ++i;
+    tick.num_events = i - tick.first_event;
+    batch_ticks_.push_back(tick);
+    // Periodic garbage collection of stale operator state, after the tick.
+    if (tick.time - last_gc >= options_.gc_interval) {
+      last_gc = tick.time;
+      // Clamp: early in the stream (t < gc_horizon) the naive t - horizon
+      // underflows below the epoch; nothing can be older than time 0, so 0
+      // is the correct cut-off.
+      GcPoint gc;
+      gc.tick = batch_ticks_.size() - 1;
+      gc.horizon = tick.time >= options_.gc_horizon
+                       ? tick.time - options_.gc_horizon
+                       : 0;
+      gc_points_.push_back(gc);
+    }
+  }
+}
+
+Engine::PartitionRun& Engine::ClaimRun(PartitionState* partition,
+                                       size_t first_tick) {
+  if (partition->batch_seq == batch_seq_) return runs_[partition->run_slot];
+  partition->batch_seq = batch_seq_;
+  partition->run_slot = num_runs_;
+  if (num_runs_ == runs_.size()) runs_.emplace_back();
+  PartitionRun& run = runs_[num_runs_++];
+  run.partition = partition;
+  // A partition created at batch tick m did not exist at the batch's
+  // earlier GC points, so it skips them.
+  run.first_gc = 0;
+  while (run.first_gc < gc_points_.size() &&
+         gc_points_[run.first_gc].tick < first_tick) {
+    ++run.first_gc;
+  }
+  run.ops_before = partition->ops_counter;
+  run.executed_before = partition->total_executed;
+  run.suspended_before = partition->total_suspended;
+  return run;
+}
+
+void Engine::DistributeBatch(const EventBatch& input) {
+  // The event distributor + event queues of Fig. 8, once per batch: every
+  // event is appended to its partition's run, opening a transaction at the
+  // partition's first event of each tick.
+  ++batch_seq_;
+  num_runs_ = 0;
+  for (size_t k = 0; k < batch_ticks_.size(); ++k) {
+    BatchTick& tick = batch_ticks_[k];
+    for (size_t e = tick.first_event; e < tick.first_event + tick.num_events;
+         ++e) {
+      const size_t known = partitions_.size();
+      PartitionState* partition =
+          GetOrCreatePartition(PartitionKeyOf(*input[e]));
+      PartitionRun& run =
+          ClaimRun(partition, partitions_.size() > known ? k : 0);
+      if (run.transactions.empty() || run.transactions.back().tick != k) {
+        Transaction txn;
+        txn.tick = static_cast<uint32_t>(k);
+        run.transactions.push_back(txn);
+        ++tick.num_transactions;
+      }
+      run.events.push_back(input[e]);
+      ++run.transactions.back().num_events;
+    }
+  }
+  // Partitions idle in this batch still take its GC points.
+  if (!gc_points_.empty()) {
+    for (auto& [key, partition] : partitions_) ClaimRun(partition.get(), 0);
+  }
+  gc_seconds_.assign(num_runs_ * gc_points_.size(), 0.0);
+
+  // Task order: partition key ascending. Task i is pinned to worker
+  // `key % N`; its weight (the run's event count) feeds the pool's
+  // imbalance metrics, which would miss a hot partition on task counts.
+  task_runs_.resize(num_runs_);
+  for (size_t r = 0; r < num_runs_; ++r) {
+    task_runs_[r] = static_cast<uint32_t>(r);
+  }
+  std::sort(task_runs_.begin(), task_runs_.end(), [&](uint32_t a, uint32_t b) {
+    return runs_[a].partition->key < runs_[b].partition->key;
+  });
+  task_shards_.clear();
+  task_weights_.clear();
+  for (uint32_t r : task_runs_) {
+    task_shards_.push_back(runs_[r].partition->key);
+    task_weights_.push_back(static_cast<uint64_t>(runs_[r].events.size()));
+  }
+
+  // Merge order: a counting sort of the transactions by tick over runs
+  // taken in key order yields (tick, partition key) — tick-major order.
+  size_t total = 0;
+  for (BatchTick& tick : batch_ticks_) {
+    tick.first_merged = total;
+    total += tick.num_transactions;
+  }
+  merge_order_.resize(total);
+  merge_cursor_.resize(batch_ticks_.size());
+  for (size_t k = 0; k < batch_ticks_.size(); ++k) {
+    merge_cursor_[k] = batch_ticks_[k].first_merged;
+  }
+  for (uint32_t r : task_runs_) {
+    const std::vector<Transaction>& transactions = runs_[r].transactions;
+    for (size_t x = 0; x < transactions.size(); ++x) {
+      merge_order_[merge_cursor_[transactions[x].tick]++] = {
+          r, static_cast<uint32_t>(x)};
+    }
+  }
+}
+
+void Engine::MergeBatch(EventBatch* outputs, RunStats* stats) {
+  // Tick by tick, on the scheduler thread: derived events in (tick,
+  // partition key) order, the virtual clock, the observer, and the per-tick
+  // telemetry. The dispatch barrier ordered every worker write before this.
+  CAESAR_TRACE_SPAN("merge");
+  const bool tick_telemetry = options_.metrics >= MetricsGranularity::kEngine;
+  const bool collect = options_.collect_outputs && outputs != nullptr;
+  const double tick_wall = options_.seconds_per_tick / options_.accel;
+  RunningStats latency;
+  size_t next_gc = 0;
+  for (size_t k = 0; k < batch_ticks_.size(); ++k) {
+    const BatchTick& tick = batch_ticks_[k];
+    double cost = 0.0;
+    int64_t tick_derived = 0;
+    int64_t context_switches = 0;
+    int64_t executed = 0;
+    int64_t suspended = 0;
+    observer_scratch_.clear();
+    for (size_t m = tick.first_merged;
+         m < tick.first_merged + tick.num_transactions; ++m) {
+      PartitionRun& run = runs_[merge_order_[m].run];
+      const Transaction& txn = run.transactions[merge_order_[m].index];
+      cost += txn.cost_seconds;
+      tick_derived += static_cast<int64_t>(txn.num_derived);
+      context_switches += txn.context_switches;
+      executed += txn.executed_chains;
+      suspended += txn.suspended_chains;
+      for (size_t d = txn.first_derived;
+           d < txn.first_derived + txn.num_derived; ++d) {
+        EventPtr& event = run.derived[d];
+        const auto type = static_cast<size_t>(event->type_id());
+        if (type >= derived_type_counts_.size()) {
+          derived_type_counts_.resize(type + 1, 0);
+        }
+        ++derived_type_counts_[type];
+        if (observer_) {
+          if (collect) outputs->push_back(event);
+          observer_scratch_.push_back(std::move(event));
+        } else if (collect) {
+          outputs->push_back(std::move(event));
+        }
+      }
+    }
+    stats->derived_events += tick_derived;
+
+    // Virtual clock: queueing latency under the modeled arrival schedule,
+    // the tick's cost being its transactions' summed wall time.
+    const double arrival = static_cast<double>(tick.time) * tick_wall;
+    vclock_completion_ = std::max(vclock_completion_, arrival) + cost;
+    latency.Add((vclock_completion_ - arrival) * options_.accel);
+
+    if (observer_) observer_(tick.time, observer_scratch_);
+
+    // Per-tick telemetry: the deterministic histograms, the wall-clock
+    // stats, one timeline point, and the GC points that followed the tick.
+    if (!tick_telemetry) continue;
+    ++tick_metrics_.ticks;
+    tick_metrics_.events_per_tick.Add(tick.num_events);
+    tick_metrics_.partitions_per_tick.Add(tick.num_transactions);
+    tick_metrics_.derived_per_tick.Add(static_cast<uint64_t>(tick_derived));
+    tick_metrics_.context_switches_per_tick.Add(
+        static_cast<uint64_t>(context_switches));
+    tick_metrics_.scheduler_seconds.Add(cost);
+    TimelinePoint point;
+    point.time = tick.time;
+    point.input_events = static_cast<int64_t>(tick.num_events);
+    point.derived_events = tick_derived;
+    point.partitions = static_cast<int64_t>(tick.num_transactions);
+    point.executed_chains = executed;
+    point.suspended_chains = suspended;
+    point.context_switches = context_switches;
+    timeline_->Push(point);
+    for (; next_gc < gc_points_.size() && gc_points_[next_gc].tick == k;
+         ++next_gc) {
+      double pause = 0.0;
+      for (size_t r = 0; r < num_runs_; ++r) {
+        pause += gc_seconds_[r * gc_points_.size() + next_gc];
+      }
+      ++tick_metrics_.gc_runs;
+      tick_metrics_.gc_horizon_min =
+          std::min(tick_metrics_.gc_horizon_min, gc_points_[next_gc].horizon);
+      tick_metrics_.gc_pause_seconds.Add(pause);
+    }
+  }
+  observer_scratch_.clear();
+  stats->max_latency = latency.max();
+  stats->mean_latency = latency.mean();
+
+  // Per-Run counters from the partitions this batch touched, then release
+  // the batch's event references (the buffers keep their capacity).
+  for (size_t r = 0; r < num_runs_; ++r) {
+    PartitionRun& run = runs_[r];
+    const PartitionState& partition = *run.partition;
+    stats->ops_executed += partition.ops_counter - run.ops_before;
+    stats->executed_chains += partition.total_executed - run.executed_before;
+    stats->suspended_chains +=
+        partition.total_suspended - run.suspended_before;
+    stats->transactions += static_cast<int64_t>(run.transactions.size());
+    run.events.clear();
+    run.derived.clear();
+    run.transactions.clear();
+  }
+  for (size_t type = 0; type < derived_type_counts_.size(); ++type) {
+    if (derived_type_counts_[type] == 0) continue;
+    stats->derived_by_type[plan_.registry->type(static_cast<TypeId>(type))
+                               .name] += derived_type_counts_[type];
+    derived_type_counts_[type] = 0;
+  }
+}
+
+void Engine::ProcessPartitionRun(size_t r, int worker) {
+  PartitionRun* run = &runs_[r];
+  PartitionState* partition = run->partition;
+  const bool telemetry = timeline_ != nullptr;
+  double* gc_seconds = gc_seconds_.data() + r * gc_points_.size();
+  size_t gc = run->first_gc;
+  // One clock read per transaction (and per GC point) splits the run into
+  // per-transaction costs for the virtual clock.
+  Stopwatch watch;
+  auto collect_through = [&](size_t tick) {
+    for (; gc < gc_points_.size() && gc_points_[gc].tick < tick; ++gc) {
+      CollectGarbage(partition, gc_points_[gc].horizon);
+      gc_seconds[gc] = watch.Lap();
+    }
+  };
+  const EventPtr* events = run->events.data();
+  for (Transaction& txn : run->transactions) {
+    // GC points of earlier ticks come first: each followed its tick.
+    collect_through(txn.tick);
+    const uint64_t version = partition->contexts->version();
+    const int64_t executed = partition->total_executed;
+    const int64_t suspended = partition->total_suspended;
+    const size_t derived_before = run->derived.size();
+    {
+      CAESAR_TRACE_SPAN("transaction");
+      ProcessTransaction(partition, batch_ticks_[txn.tick].time, events,
+                         txn.num_events, &run->derived, worker);
+    }
+    events += txn.num_events;
+    txn.first_derived = static_cast<uint32_t>(derived_before);
+    txn.num_derived =
+        static_cast<uint32_t>(run->derived.size() - derived_before);
+    txn.cost_seconds = watch.Lap();
+    if (telemetry) {
+      txn.context_switches =
+          static_cast<uint32_t>(partition->contexts->version() - version);
+      txn.executed_chains =
+          static_cast<uint32_t>(partition->total_executed - executed);
+      txn.suspended_chains =
+          static_cast<uint32_t>(partition->total_suspended - suspended);
+    }
+  }
+  collect_through(batch_ticks_.size());
+}
+
+void Engine::CollectGarbage(PartitionState* partition, Timestamp horizon) {
+  CAESAR_TRACE_SPAN("gc");
+  for (auto* states : {&partition->deriving, &partition->processing}) {
+    for (QueryState& query : *states) {
+      for (auto& op : query.chain.ops) op->ExpireBefore(horizon);
+      for (auto& guard : query.guards) {
+        for (auto& op : guard.chain.ops) op->ExpireBefore(horizon);
+      }
+    }
+  }
+}
+
 void Engine::ProcessTransaction(PartitionState* partition, Timestamp t,
-                                const EventBatch& events,
+                                const EventPtr* events, size_t count,
                                 EventBatch* derived, int worker) {
-  ++partition->transactions;
-  EventBatch& pool = partition->pool;
-  pool.clear();
-  pool.insert(pool.end(), events.begin(), events.end());
+  EventBatch& pool = transaction_scratch_[worker].pool;
+  pool.assign(events, events + count);
+  const size_t derived_before = derived->size();
 
   // Phase A: context derivation. Phase B: context processing. Queries see
   // the pool slice that exists when their turn comes (topological order
   // guarantees producers run first).
   for (auto* states : {&partition->deriving, &partition->processing}) {
     for (QueryState& query : *states) {
-      EventBatch out;
-      RunQuery(partition, &query, pool, t, &out, worker);
+      const EventBatch& out = RunQuery(partition, &query, pool, t, worker);
       if (query.spec->output_type != kInvalidTypeId) {
-        for (EventPtr& event : out) {
-          pool.push_back(event);
-          derived->push_back(std::move(event));
-        }
+        pool.insert(pool.end(), out.begin(), out.end());
+        derived->insert(derived->end(), out.begin(), out.end());
       }
     }
   }
@@ -800,17 +944,19 @@ void Engine::ProcessTransaction(PartitionState* partition, Timestamp t,
   // Merged totals are commutative sums, so they don't depend on which
   // worker executed what.
   if (registry_ != nullptr) {
+    const size_t num_derived = derived->size() - derived_before;
     ctr_transactions_->Add(worker, 1);
-    ctr_input_events_->Add(worker, static_cast<int64_t>(events.size()));
-    ctr_derived_events_->Add(worker, static_cast<int64_t>(derived->size()));
-    hist_transaction_events_->Add(worker, events.size());
-    hist_transaction_derived_->Add(worker, derived->size());
+    ctr_input_events_->Add(worker, static_cast<int64_t>(count));
+    ctr_derived_events_->Add(worker, static_cast<int64_t>(num_derived));
+    hist_transaction_events_->Add(worker, count);
+    hist_transaction_derived_->Add(worker, num_derived);
   }
 }
 
-void Engine::RunQuery(PartitionState* partition, QueryState* query,
-                      const EventBatch& pool, Timestamp t, EventBatch* out,
-                      int worker) {
+const EventBatch& Engine::RunQuery(PartitionState* partition,
+                                   QueryState* query, const EventBatch& pool,
+                                   Timestamp t, int worker) {
+  TransactionScratch& scratch = transaction_scratch_[worker];
   OpExecContext ctx;
   ctx.registry = plan_.registry;
   ctx.now = t;
@@ -819,7 +965,6 @@ void Engine::RunQuery(PartitionState* partition, QueryState* query,
   // Context-independent baseline: private guards re-derive the contexts.
   if (query->private_contexts != nullptr) {
     ctx.contexts = query->private_contexts.get();
-    EventBatch scratch_in, scratch_out;
     for (QueryState::GuardInstance& guard : query->guards) {
       // Guards mirror the shared deriving queries, including their window
       // transition bookkeeping against the private vector.
@@ -827,10 +972,10 @@ void Engine::RunQuery(PartitionState* partition, QueryState* query,
                              *query->private_contexts, &guard.transition);
       const EventBatch* current = &pool;
       for (auto& op : guard.chain.ops) {
-        scratch_out.clear();
-        op->Process(*current, &scratch_out, &ctx);
-        std::swap(scratch_in, scratch_out);
-        current = &scratch_in;
+        scratch.guard_out.clear();
+        op->Process(*current, &scratch.guard_out, &ctx);
+        std::swap(scratch.guard_in, scratch.guard_out);
+        current = &scratch.guard_in;
         if (current->empty()) break;
       }
     }
@@ -841,7 +986,7 @@ void Engine::RunQuery(PartitionState* partition, QueryState* query,
   // Window-transition bookkeeping runs after the guards so the private
   // vector (context-independent mode) is already up to date for this time
   // stamp, mirroring the shared derivation-before-processing order.
-  HandleWindowTransitions(partition, query, t);
+  HandleWindowTransitions(partition, query);
 
   // Main chain; an empty intermediate batch skips the rest of the chain —
   // with the context window pushed down this is the suspension of the whole
@@ -855,7 +1000,8 @@ void Engine::RunQuery(PartitionState* partition, QueryState* query,
       op_histograms_.empty()
           ? nullptr
           : op_histograms_[worker].data() + query->stats_row_base;
-  EventBatch ping, pong;
+  EventBatch& ping = scratch.ping;
+  EventBatch& pong = scratch.pong;
   const EventBatch* current = &pool;
   bool suspended_at_bottom = false;
   for (size_t o = 0; o < query->chain.ops.size(); ++o) {
@@ -885,17 +1031,14 @@ void Engine::RunQuery(PartitionState* partition, QueryState* query,
     }
   }
   if (suspended_at_bottom) {
-    ++partition->suspended_chains;
     ++partition->total_suspended;
   } else {
-    ++partition->executed_chains;
     ++partition->total_executed;
   }
-  if (current == &ping) {
-    *out = std::move(ping);
-  } else {
-    *out = *current;  // pool passed through an empty chain (not expected)
-  }
+  // The pool passed through an empty chain (not expected): copy it, so the
+  // caller never appends the pool to itself.
+  if (current != &ping) ping = *current;
+  return ping;
 }
 
 StatisticsReport Engine::CollectStatistics() const {
@@ -990,8 +1133,7 @@ StatisticsReport Engine::CollectStatistics() const {
 }
 
 void Engine::HandleWindowTransitions(PartitionState* partition,
-                                     QueryState* query, Timestamp t) {
-  (void)t;
+                                     QueryState* query) {
   const ContextBitVector& contexts = query->private_contexts != nullptr
                                          ? *query->private_contexts
                                          : *partition->contexts;

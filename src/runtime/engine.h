@@ -18,9 +18,18 @@
 // windows of one original window they are retained, expiring one grouped
 // window behind (Section 6.2).
 //
-// Latency model: processing cost is measured in wall time per time stamp;
-// arrival times derive from application time at a configurable acceleration
-// factor, and a virtual clock turns measured cost into queueing latency:
+// Batch execution is partition-major: Run logs the whole admitted batch
+// ahead, distributes it once into per-partition, time-ordered event runs,
+// and lets each partition execute all of its transactions of the batch in
+// tick order — in one worker-pool dispatch when parallel. Partitions share
+// no state, so this equals tick-by-tick execution; the derived batches are
+// merged by (time stamp, partition key) afterwards, which is exactly the
+// tick-major order.
+//
+// Latency model: the processing cost of a time stamp is the summed measured
+// wall time of its stream transactions; arrival times derive from
+// application time at a configurable acceleration factor, and a virtual
+// clock turns measured cost into queueing latency:
 //   completion(t) = max(arrival(t), completion(prev)) + cost(t)
 //   latency(t)   = (completion(t) - arrival(t)) * accel     [sim seconds]
 // This keeps the experiments deterministic w.r.t. load shape while using
@@ -72,13 +81,13 @@ struct EngineOptions {
 
   // Externally owned worker pool shared between engines (the caesard
   // server runs one Engine per tenant over one pool). When set it
-  // overrides num_threads: this engine dispatches its ticks to the shared
-  // pool instead of creating its own. The pool must outlive
-  // the engine, and callers must never run two engines that share a pool
-  // concurrently — ExecuteTick is single-scheduler (the server's drain
-  // loop serializes tenants). Derived output stays byte-identical to an
-  // owned pool of the same width: determinism rests on the ordered merge,
-  // not on who owns the workers.
+  // overrides num_threads: this engine dispatches each Run batch to the
+  // shared pool instead of creating its own. The pool must outlive the
+  // engine, and callers must never run two engines that share a pool
+  // concurrently — ShardedExecutor::Execute is single-scheduler (the
+  // server's drain loop serializes tenants). Derived output stays
+  // byte-identical to an owned pool of the same width: determinism rests
+  // on the ordered merge, not on who owns the workers.
   std::shared_ptr<ShardedExecutor> shared_executor;
 
   // Stable tenant label stamped into RunStats and StatisticsReport (and
@@ -174,7 +183,8 @@ struct RunStats {
   double max_latency = 0.0;
   double mean_latency = 0.0;
 
-  // Total measured processing wall time.
+  // Wall time of the Run's partition dispatch: every stream transaction
+  // and GC point of the batch (0 for an empty batch).
   double cpu_seconds = 0.0;
   // Operator work units (see OpExecContext).
   uint64_t ops_executed = 0;
@@ -186,11 +196,16 @@ struct RunStats {
   int64_t transactions = 0;
   int64_t partitions = 0;
 
-  // Worker-pool metrics for this Run (all zero in serial mode): ticks and
-  // partition transactions dispatched through the pool, summed per-tick
-  // executed-load imbalance (max - min *events* any worker processed —
-  // event-weighted so a hot partition registers even when task counts are
-  // even), and scheduler time blocked on the per-tick barrier.
+  // Worker-pool metrics for this Run (all zero in serial mode). The names
+  // predate partition-major execution: `parallel_ticks` counts pool
+  // dispatches (1 for a Run with input, 0 for an empty one) and
+  // `parallel_tasks` the partition runs dispatched (every partition with
+  // events in the batch, plus every other partition when the batch holds a
+  // GC point). `shard_imbalance` is the dispatch's executed-load imbalance
+  // (max - min *events* any worker processed — event-weighted so a hot
+  // partition registers even when task counts are even), and
+  // `barrier_wait_seconds` the wall time the scheduler blocked on the
+  // dispatch barrier.
   int64_t parallel_ticks = 0;
   int64_t parallel_tasks = 0;
   int64_t shard_imbalance = 0;
@@ -284,8 +299,9 @@ class Engine {
     observer_ = std::move(observer);
   }
 
-  // Number of partitions instantiated so far.
+  // Number of partitions instantiated so far, and their keys (ascending).
   int num_partitions() const;
+  std::vector<uint64_t> partition_keys() const;
 
   // Context state of a partition (for tests); null if the partition does
   // not exist.
@@ -351,22 +367,52 @@ class Engine {
   // Fills partition_attr_cache_[type_id] from the registry schema.
   void ResolvePartitionAttrs(TypeId type_id);
 
-  // Executes one stream transaction (one partition, one time stamp).
-  // `worker` is the metrics shard to record into — the id of the executing
-  // worker (0 in serial mode), which keeps the non-atomic histogram shards
-  // single-writer.
-  void ProcessTransaction(PartitionState* partition, Timestamp t,
-                          const EventBatch& events, EventBatch* derived,
-                          int worker);
+  // --- Partition-major batch execution (see Run) ---
+  struct PartitionRun;
 
-  // Runs one query chain (with guards in CI mode) over the pool slice.
-  void RunQuery(PartitionState* partition, QueryState* query,
-                const EventBatch& pool, Timestamp t, EventBatch* out,
-                int worker);
+  // Slices the admitted batch into ticks (batch_ticks_) and plans the GC
+  // points that follow them (gc_points_) from last_gc_, which it leaves
+  // alone.
+  void PlanBatch(const EventBatch& input);
+
+  // Distributes the batch into per-partition runs, creating partitions on
+  // the scheduler thread; fills the task order and the merge order.
+  void DistributeBatch(const EventBatch& input);
+
+  // The run slot of `partition` in this batch, claimed on first use.
+  // `first_tick` is the batch tick a new partition first appears at.
+  PartitionRun& ClaimRun(PartitionState* partition, size_t first_tick);
+
+  // Executes one partition's share of the batch: its transactions and the
+  // GC points it takes, in tick order. `worker` is the executing worker
+  // (0 in serial mode).
+  void ProcessPartitionRun(size_t run, int worker);
+
+  // After the dispatch: merges the derived events into `outputs`, advances
+  // the virtual clock, calls the observer and records the per-tick
+  // telemetry, tick by tick; then fills the per-Run counters of `stats`.
+  void MergeBatch(EventBatch* outputs, RunStats* stats);
+
+  // Drops operator state older than `horizon` in every chain of
+  // `partition`.
+  void CollectGarbage(PartitionState* partition, Timestamp horizon);
+
+  // Executes one stream transaction (one partition, one time stamp) over
+  // `count` events at `events`, appending its derived events to `derived`.
+  // `worker` is the metrics and scratch shard to use — the id of the
+  // executing worker (0 in serial mode), which keeps the non-atomic
+  // histogram shards and the transaction scratch single-writer.
+  void ProcessTransaction(PartitionState* partition, Timestamp t,
+                          const EventPtr* events, size_t count,
+                          EventBatch* derived, int worker);
+
+  // Runs one query chain (with guards in CI mode) over the pool; returns
+  // the chain's output, held in the worker's scratch until its next query.
+  const EventBatch& RunQuery(PartitionState* partition, QueryState* query,
+                             const EventBatch& pool, Timestamp t, int worker);
 
   // Window-transition bookkeeping before a query executes.
-  void HandleWindowTransitions(PartitionState* partition, QueryState* query,
-                               Timestamp t);
+  void HandleWindowTransitions(PartitionState* partition, QueryState* query);
 
   // --- Durability serialization (scheduler thread only) ---
   // The per-batch commit snapshot: ingest-layer scalars, the quarantine
@@ -394,19 +440,97 @@ class Engine {
   // Resolved eagerly for every type known at construction so event
   // distribution never mutates it; types registered later resolve lazily,
   // which stays safe because distribution runs only on the scheduler
-  // thread, before workers are woken for the tick.
+  // thread, before workers are woken for the batch.
   std::vector<std::vector<int>> partition_attr_cache_;
 
   std::map<uint64_t, std::unique_ptr<PartitionState>> partitions_;
 
   // Persistent sharded worker pool: created in the constructor when
-  // num_threads > 1 and reused across ticks and Run calls, or borrowed
-  // from EngineOptions::shared_executor (one pool, many tenant engines).
+  // num_threads > 1 and reused across Run calls, or borrowed from
+  // EngineOptions::shared_executor (one pool, many tenant engines).
   std::shared_ptr<ShardedExecutor> executor_;
-  // Scratch: the current tick's partition keys and task weights (event
-  // counts), in work order. Members so the hot path reuses their capacity.
-  std::vector<uint64_t> shard_scratch_;
-  std::vector<uint64_t> weight_scratch_;
+
+  // --- Batch scratch. Members so the hot path reuses their capacity
+  // across Run calls; the scheduler writes them before the dispatch and
+  // reads them after its barrier, workers touch only their own runs. ---
+  // One time stamp of the admitted batch.
+  struct BatchTick {
+    Timestamp time = 0;
+    size_t first_event = 0;  // into the admitted batch
+    size_t num_events = 0;
+    size_t num_transactions = 0;  // partitions with events at this tick
+    size_t first_merged = 0;      // into merge_order_
+  };
+  // A GC point: after batch tick `tick`, state older than `horizon` goes.
+  struct GcPoint {
+    size_t tick = 0;
+    Timestamp horizon = 0;
+  };
+  // One stream transaction of a partition run: its events are the run's
+  // next `num_events`. The scheduler fills the tick and event count; the
+  // executing worker fills the rest. 32-bit fields keep a run's records
+  // compact (a batch never holds 2^32 events of one partition).
+  struct Transaction {
+    uint32_t tick = 0;  // into batch_ticks_
+    uint32_t num_events = 0;
+    uint32_t first_derived = 0;  // into PartitionRun::derived
+    uint32_t num_derived = 0;
+    double cost_seconds = 0.0;  // wall time, for the virtual clock
+    // Per-tick telemetry inputs (metrics >= kEngine only).
+    uint32_t context_switches = 0;
+    uint32_t executed_chains = 0;
+    uint32_t suspended_chains = 0;
+  };
+  // One partition's share of the batch, executed start to finish by the
+  // partition's owning worker.
+  struct PartitionRun {
+    PartitionState* partition = nullptr;
+    // GC points before this index precede the partition's creation.
+    size_t first_gc = 0;
+    EventBatch events;   // the partition's events, time-ordered
+    EventBatch derived;  // its derived events, in transaction order
+    std::vector<Transaction> transactions;  // one per tick with events
+    // Partition counters when the run was claimed (RunStats deltas).
+    uint64_t ops_before = 0;
+    int64_t executed_before = 0;
+    int64_t suspended_before = 0;
+  };
+  // Where a transaction lives: runs_[run].transactions[index].
+  struct TransactionRef {
+    uint32_t run = 0;
+    uint32_t index = 0;
+  };
+  std::vector<BatchTick> batch_ticks_;
+  std::vector<GcPoint> gc_points_;
+  std::vector<PartitionRun> runs_;  // the first num_runs_ are in use
+  size_t num_runs_ = 0;
+  // GC wall time of run r at GC point g: gc_seconds_[r * gc_points + g].
+  std::vector<double> gc_seconds_;
+  uint64_t batch_seq_ = 0;  // tags partitions claimed by the current batch
+  // Task order (partition key ascending) with its shard keys and weights
+  // (event counts) for the pool.
+  std::vector<uint32_t> task_runs_;
+  std::vector<uint64_t> task_shards_;
+  std::vector<uint64_t> task_weights_;
+  // Every transaction in (tick, partition key) order: the derived order,
+  // with a fill cursor per tick.
+  std::vector<TransactionRef> merge_order_;
+  std::vector<size_t> merge_cursor_;
+  // Derived events per TypeId of the current Run (zeroed after use).
+  std::vector<int64_t> derived_type_counts_;
+  EventBatch observer_scratch_;
+
+  // Per-worker transaction scratch (index = executing worker, 0 in serial
+  // mode): the event pool and the operator ping-pong batches. A worker
+  // runs one transaction at a time, so each entry is single-writer.
+  struct alignas(64) TransactionScratch {
+    EventBatch pool;
+    EventBatch ping;
+    EventBatch pong;
+    EventBatch guard_in;
+    EventBatch guard_out;
+  };
+  std::vector<TransactionScratch> transaction_scratch_;
 
   // Ingest state (scheduler thread only). The reorder buffer exists iff
   // the policy is kReorder; the drop high-water mark backs kDrop. Both
@@ -428,7 +552,7 @@ class Engine {
   bool replaying_ = false;  // WAL replay re-enters Run; nothing re-logged
   bool recovered_ = false;
   std::vector<std::string> recovery_diagnostics_;
-  // Last tick handed to the scheduler loop (checkpoint cadence + header).
+  // Last tick of the last processed batch (checkpoint cadence + header).
   Timestamp last_processed_tick_ = 0;
   bool any_tick_processed_ = false;
 
@@ -457,8 +581,6 @@ class Engine {
   TickMetrics tick_metrics_;
   std::unique_ptr<Timeline> timeline_;
   std::unique_ptr<TraceRecorder> trace_;
-  // Scratch: per-tick context-vector versions before dispatch.
-  std::vector<uint64_t> context_version_scratch_;
 };
 
 }  // namespace caesar

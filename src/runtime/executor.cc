@@ -25,12 +25,12 @@ ShardedExecutor::~ShardedExecutor() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ShardedExecutor::ExecuteTick(size_t count, const uint64_t* shards,
-                                  const uint64_t* weights,
-                                  const TickTask& task) {
-  // Lay the tick out into per-worker task lists once, on the scheduler
+void ShardedExecutor::Execute(size_t count, const uint64_t* shards,
+                              const uint64_t* weights, const Task& task) {
+  // Lay the dispatch out into per-worker task lists once, on the scheduler
   // thread (workers are idle between epochs). The list buffers are members
-  // and keep their capacity, so the hot path allocates nothing per tick.
+  // and keep their capacity, so the hot path allocates nothing per
+  // dispatch.
   CAESAR_CHECK_LE(count, size_t{UINT32_MAX});
   for (WorkerQueue& queue : queues_) {
     queue.tasks.clear();
@@ -67,22 +67,22 @@ void ShardedExecutor::ExecuteTick(size_t count, const uint64_t* shards,
     max_load = std::max(max_load, queue.executed);
   }
 
-  ++metrics_.ticks;
+  ++metrics_.dispatches;
   metrics_.tasks += count;
-  metrics_.tasks_per_tick.Add(count);
+  metrics_.tasks_per_dispatch.Add(count);
   metrics_.imbalance += max_load - min_load;
-  metrics_.imbalance_per_tick.Add(max_load - min_load);
+  metrics_.imbalance_per_dispatch.Add(max_load - min_load);
   metrics_.barrier_wait.Add(wait.ElapsedSeconds());
 }
 
 void ShardedExecutor::WorkerLoop(int worker_id) {
   uint64_t seen_epoch = 0;
   while (true) {
-    const TickTask* fn;
+    const Task* fn;
     const uint64_t* weights;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      // Explicit wait loop — see the barrier wait in ExecuteTick.
+      // Explicit wait loop — see the barrier wait in Execute.
       while (!shutdown_ && epoch_ == seen_epoch) work_cv_.wait(lock);
       if (shutdown_) return;
       seen_epoch = epoch_;

@@ -663,13 +663,15 @@ std::string StatisticsToJson(const StatisticsReport& report,
     json.Key("executor");
     json.BeginObject();
     json.Field("workers", report.executor_workers);
-    json.Field("ticks", static_cast<int64_t>(report.executor.ticks));
+    json.Field("dispatches",
+               static_cast<int64_t>(report.executor.dispatches));
     json.Field("tasks", static_cast<int64_t>(report.executor.tasks));
     json.Field("imbalance", static_cast<int64_t>(report.executor.imbalance));
     WriteRunningStatsJson(&json, "barrier_wait", report.executor.barrier_wait);
-    WriteHistogramJson(&json, "tasks_per_tick", report.executor.tasks_per_tick);
-    WriteHistogramJson(&json, "imbalance_per_tick",
-                       report.executor.imbalance_per_tick);
+    WriteHistogramJson(&json, "tasks_per_dispatch",
+                       report.executor.tasks_per_dispatch);
+    WriteHistogramJson(&json, "imbalance_per_dispatch",
+                       report.executor.imbalance_per_dispatch);
     json.EndObject();
   }
 
@@ -839,17 +841,17 @@ std::string StatisticsToPrometheus(const StatisticsReport& report,
     os << "# TYPE caesar_executor_workers gauge\n";
     os << bare("caesar_executor_workers") << " " << report.executor_workers
        << "\n";
-    os << "# TYPE caesar_executor_ticks_total counter\n";
-    os << bare("caesar_executor_ticks_total") << " " << report.executor.ticks
-       << "\n";
+    os << "# TYPE caesar_executor_dispatches_total counter\n";
+    os << bare("caesar_executor_dispatches_total") << " "
+       << report.executor.dispatches << "\n";
     os << "# TYPE caesar_executor_tasks_total counter\n";
     os << bare("caesar_executor_tasks_total") << " " << report.executor.tasks
        << "\n";
     os << "# TYPE caesar_executor_imbalance_total counter\n";
     os << bare("caesar_executor_imbalance_total") << " "
        << report.executor.imbalance << "\n";
-    WritePromHistogram(os, "caesar_executor_imbalance_per_tick", tenant_label,
-                       report.executor.imbalance_per_tick);
+    WritePromHistogram(os, "caesar_executor_imbalance_per_dispatch",
+                       tenant_label, report.executor.imbalance_per_dispatch);
     os << "# TYPE caesar_executor_barrier_wait_seconds_sum counter\n";
     os << bare("caesar_executor_barrier_wait_seconds_sum") << " "
        << FmtDouble(report.executor.barrier_wait.sum()) << "\n";

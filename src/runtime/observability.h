@@ -11,7 +11,7 @@
 //    fixed-bucket power-of-2 histograms, carried inside OperatorStats
 //    (runtime/statistics.h) so they aggregate across partitions exactly
 //    like the existing counters;
-//  - per-tick: scheduler time, ingest admission, GC pauses, barrier wait
+//  - per-tick: transaction cost, ingest admission, GC time, barrier wait
 //    (wall clock) plus events/partitions/derived/context switches per tick
 //    (deterministic counts) — see TickMetrics;
 //  - per-engine: quarantine/reorder rates (derived from IngestMetrics at
@@ -133,8 +133,8 @@ class Pow2Histogram {
 
 // Lock-free per-worker sharded counter: each worker increments its own
 // cache-line-padded relaxed atomic; readers sum the slots. Totals are exact
-// whenever no increment is in flight (the engine reads between ticks, after
-// the barrier).
+// whenever no increment is in flight (the engine reads between dispatches,
+// after the barrier).
 class ShardedCounter {
  public:
   explicit ShardedCounter(int num_shards);
@@ -203,7 +203,7 @@ struct HistogramSnapshot {
 
 // Registry of named sharded counters and histograms. Registration happens
 // at setup time (engine construction) and returns stable pointers for the
-// hot path; Snapshot* may be called whenever no worker is inside a tick.
+// hot path; Snapshot* may be called whenever no dispatch is in flight.
 class MetricsRegistry {
  public:
   explicit MetricsRegistry(int num_shards);
@@ -248,8 +248,9 @@ struct TickMetrics {
   Pow2Histogram derived_per_tick;
   Pow2Histogram context_switches_per_tick;
 
-  // Wall clock (nondeterministic): scheduler time per tick, ingest
-  // admission time per Run, GC pause per GC run, barrier wait per tick
+  // Wall clock (nondeterministic): summed transaction cost per tick (the
+  // virtual clock's charge), ingest admission time per Run, summed GC time
+  // of every partition per GC point, barrier wait per pool dispatch
   // (parallel mode only).
   RunningStats scheduler_seconds;
   RunningStats ingest_seconds;

@@ -30,10 +30,10 @@ std::string StatisticsReport::ToString() const {
   }
   if (executor_workers > 0) {
     os << "executor: workers=" << executor_workers
-       << " ticks=" << executor.ticks << " tasks=" << executor.tasks
-       << " imbalance=" << executor.imbalance
-       << " imbalance_per_tick[mean=" << executor.imbalance_per_tick.mean()
-       << " max=" << executor.imbalance_per_tick.max()
+       << " dispatches=" << executor.dispatches << " tasks=" << executor.tasks
+       << " imbalance=" << executor.imbalance << " imbalance_per_dispatch[mean="
+       << executor.imbalance_per_dispatch.mean()
+       << " max=" << executor.imbalance_per_dispatch.max()
        << "] barrier_wait["
        << executor.barrier_wait.ToString() << "]\n";
   }

@@ -7,11 +7,11 @@
 //   * one accept thread, one handler thread per connection;
 //   * ONE global session lock — every request handler and the background
 //     drain loop serialize on it. This is what the shared ShardedExecutor
-//     contract requires (two engines must never ExecuteTick at once), and
+//     contract requires (two engines must never Execute at once), and
 //     it makes multi-tenant interleavings linearizable: each tenant's
 //     engine sees exactly the per-tenant event order the sockets carried.
-//     Parallelism lives *inside* a tick (the pool's workers), not across
-//     tenants.
+//     Parallelism lives *inside* an engine's Run (the pool's workers),
+//     not across tenants.
 //   * deterministic mode: no background drain; complete ticks run
 //     synchronously inside the ingest request and derived events ride the
 //     ingest/flush responses, so a socket-fed tenant is byte-comparable to

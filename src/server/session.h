@@ -13,7 +13,7 @@
 //
 // Sessions are not thread-safe; the server serializes access (one global
 // session lock), which also honors the shared-executor contract that two
-// engines never ExecuteTick concurrently.
+// engines never dispatch to the pool concurrently.
 
 #ifndef CAESAR_SERVER_SESSION_H_
 #define CAESAR_SERVER_SESSION_H_

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -794,6 +795,73 @@ TEST(EngineDurabilityTest, FreshEngineInUsedDirectoryKeepsSequencing) {
   for (const Diagnostic& diag : scan.value().diagnostics) {
     EXPECT_NE(diag.code, DiagCode::kI413StaleWalRecord)
         << FormatDiagnostic(diag);
+  }
+}
+
+// Every partition's context vector, by partition key, as checkpoint bytes.
+std::map<uint64_t, std::string> ContextSnapshot(const Engine& engine) {
+  std::map<uint64_t, std::string> snapshot;
+  for (uint64_t key : engine.partition_keys()) {
+    StateWriter w;
+    engine.partition_contexts(key)->Save(&w);
+    snapshot[key] = w.Take();
+  }
+  return snapshot;
+}
+
+TEST(EngineDurabilityTest, FailedAppendLeavesTheEngineUntouched) {
+  // The write-ahead contract: a Run logs every tick of its batch before any
+  // state mutates. A crash at any append of a 10-tick batch — here the
+  // batch in which a new partition first appears — leaves the partition
+  // set and every context vector as they were before the call, and
+  // recovery still resumes byte-identically.
+  auto w = MakeWorkload();
+  // Partition seg=2 first appears at tick 35, inside the fourth batch.
+  EventBatch stream;
+  for (const EventPtr& event : w->stream) {
+    if (event->time() < 35 && event->value(0).AsInt() == 2) continue;
+    stream.push_back(event);
+  }
+  std::vector<EventBatch> batches = SplitByTicks(stream, 10);
+  ASSERT_GT(batches.size(), 4u);
+  Engine reference(w->plan.Clone(), EngineOptions());
+  BatchRun uninterrupted = RunBatches(&reference, batches, 0, w->registry);
+
+  for (int k : {0, 5, 9}) {
+    SCOPED_TRACE("append " + std::to_string(k) + " of the batch");
+    CrashPointInjector injector("wal_append", 3 * 10 + k);
+    EngineOptions options;
+    options.durability.mode = DurabilityMode::kWal;
+    options.durability.dir = ScratchDir("write_ahead");
+    options.durability.fsync = FsyncPolicy::kNone;
+    options.durability.crash_hook = injector.Hook();
+    {
+      Engine victim(w->plan.Clone(), options);
+      for (size_t b = 0; b < 3; ++b) {
+        ASSERT_TRUE(victim.Run(batches[b], nullptr).ok()) << b;
+      }
+      const int partitions = victim.num_partitions();
+      const std::map<uint64_t, std::string> contexts = ContextSnapshot(victim);
+      EXPECT_EQ(partitions, 2);
+      auto failed = victim.Run(batches[3], nullptr);
+      ASSERT_FALSE(failed.ok());
+      EXPECT_EQ(failed.status().code(), StatusCode::kDataLoss);
+      EXPECT_TRUE(injector.fired());
+      EXPECT_EQ(victim.num_partitions(), partitions);
+      EXPECT_EQ(ContextSnapshot(victim), contexts);
+    }
+    options.durability.crash_hook = nullptr;
+    auto recovered = Engine::Recover(w->plan.Clone(), options);
+    ASSERT_TRUE(recovered.ok()) << recovered.status();
+    ASSERT_EQ(recovered.value()->durable_batch_seq(), 3u);
+    BatchRun resumed =
+        RunBatches(recovered.value().get(), batches, 3, w->registry);
+    ASSERT_EQ(resumed.outputs.size(), batches.size() - 3);
+    for (size_t b = 3; b < batches.size(); ++b) {
+      EXPECT_EQ(resumed.outputs[b - 3], uninterrupted.outputs[b])
+          << "batch " << b << " diverged after recovery";
+    }
+    ExpectSameDegradation(uninterrupted, resumed);
   }
 }
 

@@ -1,8 +1,8 @@
 // Unit tests for the persistent sharded worker pool: shard assignment
 // stability, exactly-once owner execution (also under skew), barrier
-// correctness (including empty ticks), metric accounting, reuse across
-// ticks and Run calls, clean shutdown, and identical metric structure
-// across worker counts.
+// correctness (including empty dispatches), metric accounting, reuse
+// across dispatches and Run calls, clean shutdown, and identical metric
+// structure across worker counts.
 
 #include "runtime/executor.h"
 
@@ -29,15 +29,15 @@ TEST(ShardedExecutorTest, ExecutesEveryTaskExactlyOnce) {
   for (size_t i = 0; i < kTasks; ++i) shards[i] = i * 1315423911ULL;
   std::vector<std::atomic<int>> hits(kTasks);
   for (auto& hit : hits) hit = 0;
-  for (int tick = 0; tick < 10; ++tick) {
-    executor.ExecuteTick(kTasks, shards.data(), [&](size_t i, int worker) {
+  for (int dispatch = 0; dispatch < 10; ++dispatch) {
+    executor.Execute(kTasks, shards.data(), [&](size_t i, int worker) {
       // The executing worker is the shard's static owner.
       EXPECT_EQ(worker, static_cast<int>(shards[i] % 4));
       ++hits[i];
     });
   }
   for (size_t i = 0; i < kTasks; ++i) EXPECT_EQ(hits[i].load(), 10) << i;
-  EXPECT_EQ(executor.metrics().ticks, 10u);
+  EXPECT_EQ(executor.metrics().dispatches, 10u);
   EXPECT_EQ(executor.metrics().tasks, 10u * kTasks);
 }
 
@@ -48,12 +48,12 @@ TEST(ShardedExecutorTest, ShardAssignmentIsStableAcrossTicks) {
   // Multiplier coprime to the worker count, so all residues mod 3 occur.
   for (size_t i = 0; i < kTasks; ++i) shards[i] = 0x9e3779b1ULL * (i + 1);
 
-  // Record which thread handled each shard key on every tick; the same key
+  // Record which thread handled each shard key on every dispatch; the same key
   // must always land on the same worker thread.
   std::map<uint64_t, std::thread::id> owner;
   std::mutex mu;
-  for (int tick = 0; tick < 20; ++tick) {
-    executor.ExecuteTick(kTasks, shards.data(), [&](size_t i, int) {
+  for (int dispatch = 0; dispatch < 20; ++dispatch) {
+    executor.Execute(kTasks, shards.data(), [&](size_t i, int) {
       std::lock_guard<std::mutex> lock(mu);
       auto [it, inserted] =
           owner.emplace(shards[i], std::this_thread::get_id());
@@ -72,16 +72,16 @@ TEST(ShardedExecutorTest, ShardAssignmentIsStableAcrossTicks) {
 
 TEST(ShardedExecutorTest, EmptyTickStillReachesTheBarrier) {
   ShardedExecutor executor(4);
-  for (int tick = 0; tick < 100; ++tick) {
-    executor.ExecuteTick(0, nullptr, [](size_t, int) { FAIL(); });
+  for (int dispatch = 0; dispatch < 100; ++dispatch) {
+    executor.Execute(0, nullptr, [](size_t, int) { FAIL(); });
   }
-  EXPECT_EQ(executor.metrics().ticks, 100u);
+  EXPECT_EQ(executor.metrics().dispatches, 100u);
   EXPECT_EQ(executor.metrics().tasks, 0u);
   EXPECT_EQ(executor.metrics().imbalance, 0u);
-  // The pool must still be usable after empty ticks.
+  // The pool must still be usable after empty dispatches.
   std::atomic<int> ran{0};
   uint64_t shard = 7;
-  executor.ExecuteTick(1, &shard, [&](size_t, int) { ++ran; });
+  executor.Execute(1, &shard, [&](size_t, int) { ++ran; });
   EXPECT_EQ(ran.load(), 1);
 }
 
@@ -89,18 +89,18 @@ TEST(ShardedExecutorTest, ImbalanceCountsSkewedShards) {
   ShardedExecutor executor(2);
   // All four tasks on the same shard: one worker gets 4, the other 0.
   std::vector<uint64_t> skewed(4, 2);
-  executor.ExecuteTick(skewed.size(), skewed.data(), [](size_t, int) {});
+  executor.Execute(skewed.size(), skewed.data(), [](size_t, int) {});
   EXPECT_EQ(executor.metrics().imbalance, 4u);
   // Perfectly alternating shards: no imbalance added.
   std::vector<uint64_t> even = {0, 1, 2, 3};
-  executor.ExecuteTick(even.size(), even.data(), [](size_t, int) {});
+  executor.Execute(even.size(), even.data(), [](size_t, int) {});
   EXPECT_EQ(executor.metrics().imbalance, 4u);
   EXPECT_EQ(executor.metrics().barrier_wait.count(), 2);
-  // The per-tick histogram records every tick: one with imbalance 4, one
-  // with 0.
-  EXPECT_EQ(executor.metrics().imbalance_per_tick.count(), 2);
-  EXPECT_EQ(executor.metrics().imbalance_per_tick.sum(), 4u);
-  EXPECT_EQ(executor.metrics().imbalance_per_tick.max(), 4u);
+  // The per-dispatch histogram records every dispatch: one with imbalance
+  // 4, one with 0.
+  EXPECT_EQ(executor.metrics().imbalance_per_dispatch.count(), 2);
+  EXPECT_EQ(executor.metrics().imbalance_per_dispatch.sum(), 4u);
+  EXPECT_EQ(executor.metrics().imbalance_per_dispatch.max(), 4u);
 }
 
 TEST(ShardedExecutorTest, WeightedImbalanceSeesWorkSkew) {
@@ -110,9 +110,9 @@ TEST(ShardedExecutorTest, WeightedImbalanceSeesWorkSkew) {
   // passes per-transaction event counts), so the hot task registers.
   std::vector<uint64_t> shards = {0, 1};
   std::vector<uint64_t> weights = {9, 1};
-  executor.ExecuteTick(2, shards.data(), weights.data(), [](size_t, int) {});
+  executor.Execute(2, shards.data(), weights.data(), [](size_t, int) {});
   EXPECT_EQ(executor.metrics().imbalance, 8u);
-  EXPECT_EQ(executor.metrics().imbalance_per_tick.max(), 8u);
+  EXPECT_EQ(executor.metrics().imbalance_per_dispatch.max(), 8u);
   EXPECT_EQ(executor.metrics().tasks, 2u);
 }
 
@@ -120,14 +120,14 @@ TEST(ShardedExecutorTest, SingleWorkerRunsEverything) {
   ShardedExecutor executor(1);
   std::vector<uint64_t> shards = {0, 1, 2, 3, 4, 5, 6, 7};
   std::atomic<int> ran{0};
-  executor.ExecuteTick(shards.size(), shards.data(),
+  executor.Execute(shards.size(), shards.data(),
                        [&](size_t, int) { ++ran; });
   EXPECT_EQ(ran.load(), 8);
   // Metric structure is identical across worker counts: the load tally is
   // taken even with one worker (max == min, so imbalance stays zero, but
-  // the histogram still records the tick).
+  // the histogram still records the dispatch).
   EXPECT_EQ(executor.metrics().imbalance, 0u);
-  EXPECT_EQ(executor.metrics().imbalance_per_tick.count(), 1);
+  EXPECT_EQ(executor.metrics().imbalance_per_dispatch.count(), 1);
 }
 
 TEST(ShardedExecutorTest, CleanShutdownWithoutAnyTick) {
@@ -140,17 +140,17 @@ TEST(ShardedExecutorTest, ManyTicksReuseTheSameWorkers) {
   ShardedExecutor executor(2);
   std::vector<uint64_t> shards = {0, 1};
   std::atomic<uint64_t> total{0};
-  for (int tick = 0; tick < 2000; ++tick) {
-    executor.ExecuteTick(2, shards.data(), [&](size_t, int) { ++total; });
+  for (int dispatch = 0; dispatch < 2000; ++dispatch) {
+    executor.Execute(2, shards.data(), [&](size_t, int) { ++total; });
   }
   EXPECT_EQ(total.load(), 4000u);
-  EXPECT_EQ(executor.metrics().ticks, 2000u);
+  EXPECT_EQ(executor.metrics().dispatches, 2000u);
 }
 
 TEST(ShardedExecutorTest, ExecutesEveryTaskExactlyOnceUnderSkew) {
   // Forced skew: >90% of the tasks share one hot shard. Its owner runs all
-  // of them, exactly once per tick, at every worker count; the imbalance
-  // metric then equals the assignment skew, tick for tick.
+  // of them, exactly once per dispatch, at every worker count; the
+  // imbalance metric then equals the assignment skew, dispatch for dispatch.
   constexpr size_t kTasks = 64;
   constexpr int kTicks = 200;
   std::vector<uint64_t> shards(kTasks);
@@ -166,8 +166,8 @@ TEST(ShardedExecutorTest, ExecutesEveryTaskExactlyOnceUnderSkew) {
                           *std::min_element(load.begin(), load.end());
     std::vector<std::atomic<int>> hits(kTasks);
     for (auto& hit : hits) hit = 0;
-    for (int tick = 0; tick < kTicks; ++tick) {
-      executor.ExecuteTick(kTasks, shards.data(), [&](size_t i, int worker) {
+    for (int dispatch = 0; dispatch < kTicks; ++dispatch) {
+      executor.Execute(kTasks, shards.data(), [&](size_t i, int worker) {
         EXPECT_EQ(worker, static_cast<int>(shards[i] % workers));
         ++hits[i];
       });
@@ -175,10 +175,10 @@ TEST(ShardedExecutorTest, ExecutesEveryTaskExactlyOnceUnderSkew) {
     for (size_t i = 0; i < kTasks; ++i) {
       EXPECT_EQ(hits[i].load(), kTicks) << "task " << i;
     }
-    EXPECT_EQ(executor.metrics().ticks, static_cast<uint64_t>(kTicks));
+    EXPECT_EQ(executor.metrics().dispatches, static_cast<uint64_t>(kTicks));
     EXPECT_EQ(executor.metrics().tasks,
               static_cast<uint64_t>(kTicks) * kTasks);
-    EXPECT_EQ(executor.metrics().imbalance_per_tick.count(), kTicks);
+    EXPECT_EQ(executor.metrics().imbalance_per_dispatch.count(), kTicks);
     EXPECT_EQ(executor.metrics().imbalance, skew * kTicks);
   }
 }
@@ -253,9 +253,12 @@ TEST_F(ExecutorEngineTest, WorkersCreatedOncePerEngineAndReusedAcrossRuns) {
   EXPECT_EQ(engine.executor()->num_workers(), 4);
   const ShardedExecutor* pool = engine.executor();
 
+  // One dispatch per Run, one task per partition: each of the six
+  // partitions runs its 50 transactions inside its task.
   RunStats first = engine.Run(Stream(0, 50)).value();
-  EXPECT_EQ(first.parallel_ticks, 50);
-  EXPECT_EQ(first.parallel_tasks, first.transactions);
+  EXPECT_EQ(first.parallel_ticks, 1);
+  EXPECT_EQ(first.parallel_tasks, 6);
+  EXPECT_EQ(first.transactions, 300);
   // Six partitions cannot spread evenly over four workers, and the engine
   // weighs each task by its event count, so the imbalance shows up.
   EXPECT_GT(first.shard_imbalance, 0);
@@ -264,10 +267,12 @@ TEST_F(ExecutorEngineTest, WorkersCreatedOncePerEngineAndReusedAcrossRuns) {
   // metrics keep growing.
   RunStats second = engine.Run(Stream(50, 100)).value();
   EXPECT_EQ(engine.executor(), pool);
-  EXPECT_EQ(second.parallel_ticks, 50);
-  EXPECT_EQ(pool->metrics().ticks, 100u);
-  EXPECT_EQ(pool->metrics().tasks,
-            static_cast<uint64_t>(first.transactions + second.transactions));
+  EXPECT_EQ(second.parallel_ticks, 1);
+  EXPECT_EQ(pool->metrics().dispatches, 2u);
+  EXPECT_EQ(pool->metrics().tasks, 12u);
+  // An empty Run dispatches nothing.
+  EXPECT_EQ(engine.Run({}).value().parallel_ticks, 0);
+  EXPECT_EQ(pool->metrics().dispatches, 2u);
 }
 
 TEST_F(ExecutorEngineTest, StatisticsReportCarriesExecutorSnapshot) {
@@ -278,10 +283,11 @@ TEST_F(ExecutorEngineTest, StatisticsReportCarriesExecutorSnapshot) {
   engine.Run(Stream(0, 20)).value();
   StatisticsReport report = engine.CollectStatistics();
   EXPECT_EQ(report.executor_workers, 3);
-  EXPECT_EQ(report.executor.ticks, 20u);
-  EXPECT_EQ(report.executor.imbalance_per_tick.count(), 20);
+  EXPECT_EQ(report.executor.dispatches, 1u);
+  EXPECT_EQ(report.executor.imbalance_per_dispatch.count(), 1);
   EXPECT_NE(report.ToString().find("executor: workers=3"), std::string::npos);
-  EXPECT_NE(report.ToString().find("imbalance_per_tick["), std::string::npos);
+  EXPECT_NE(report.ToString().find("imbalance_per_dispatch["),
+            std::string::npos);
 }
 
 TEST_F(ExecutorEngineTest, EngineDestructionJoinsWorkers) {

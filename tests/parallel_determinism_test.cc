@@ -2,14 +2,18 @@
 // Linear Road, PAMAP) the sharded executor must produce a byte-identical
 // derived-event sequence — same events, same order — and equal semantic
 // RunStats counters for num_threads in {2, 4, 8} vs the serial engine,
-// with and without statistics gathering. Runs under TSan in CI.
+// with and without statistics gathering. Multi-tick batches (GC points
+// inside a batch, partitions first seen mid-batch, a tick observer) must
+// also equal one-tick-per-Run execution. Runs under TSan in CI.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <filesystem>
+#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/logging.h"
 #include "optimizer/optimizer.h"
@@ -109,9 +113,10 @@ void ExpectParallelMatchesSerial(const ExecutablePlan& plan,
       // The deterministic JSON export must be byte-identical, full stop —
       // histogram buckets, counter totals and timeline included.
       EXPECT_EQ(serial.json, parallel.json);
-      // The pool really ran: every tick was dispatched through it.
-      EXPECT_GT(parallel.stats.parallel_ticks, 0);
-      EXPECT_EQ(parallel.stats.parallel_tasks, parallel.stats.transactions);
+      // The pool really ran: the whole stream is one Run, so one dispatch
+      // with one task per partition.
+      EXPECT_EQ(parallel.stats.parallel_ticks, 1);
+      EXPECT_EQ(parallel.stats.parallel_tasks, parallel.stats.partitions);
     }
   }
 }
@@ -135,6 +140,143 @@ void ExpectCompiledMatchesOracle(const CaesarModel& model,
     EventBatch outputs;
     ASSERT_TRUE(engine.Run(stream, &outputs).ok());
     EXPECT_TRUE(CanonicalByTick(outputs, registry) == want);
+  }
+}
+
+// Splits a stream into Runs of `ticks_per_run` time stamps each.
+std::vector<EventBatch> SplitByTicks(const EventBatch& stream,
+                                     int ticks_per_run) {
+  std::vector<EventBatch> batches;
+  int distinct = 0;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    if (i == 0 || stream[i]->time() != stream[i - 1]->time()) {
+      if (distinct++ % ticks_per_run == 0) batches.emplace_back();
+    }
+    batches.back().push_back(stream[i]);
+  }
+  return batches;
+}
+
+// Drops the events of every partition whose last partition attribute is
+// odd before `start`, so those partitions first appear at that tick.
+EventBatch DelayOddPartitions(const ExecutablePlan& plan,
+                              const EventBatch& stream,
+                              const TypeRegistry& registry, Timestamp start) {
+  EventBatch delayed;
+  for (const EventPtr& event : stream) {
+    const int index = registry.type(event->type_id())
+                          .schema.IndexOf(plan.partition_by.back());
+    if (event->time() < start && index >= 0 &&
+        event->value(index).AsInt() % 2 != 0) {
+      continue;
+    }
+    delayed.push_back(event);
+  }
+  return delayed;
+}
+
+// The partition attribute values of `event`, as the engine hashes them.
+std::vector<uint64_t> PartitionOf(const ExecutablePlan& plan,
+                                  const Event& event,
+                                  const TypeRegistry& registry) {
+  std::vector<uint64_t> key;
+  for (const std::string& attr : plan.partition_by) {
+    const int index = registry.type(event.type_id()).schema.IndexOf(attr);
+    if (index >= 0) key.push_back(event.value(index).Hash());
+  }
+  return key;
+}
+
+constexpr Timestamp kGcInterval = 7;
+
+// What a stream run in multi-tick batches produced: the derived stream,
+// what the tick observer saw, and the deterministic JSON export.
+struct BatchedRun {
+  std::string derived;
+  std::string observed;
+  std::string json;
+};
+
+// Streams `stream` through one engine in Runs of `ticks_per_run` time
+// stamps, at operator metrics with a small GC interval so GC points fall
+// inside a batch. Checks the pool invariants of every Run: one dispatch,
+// one task per partition with events in the batch — every partition when
+// the batch holds a GC point.
+BatchedRun RunInBatches(const ExecutablePlan& plan, const EventBatch& stream,
+                        const TypeRegistry& registry, int num_threads,
+                        int ticks_per_run) {
+  EngineOptions options;
+  options.num_threads = num_threads;
+  options.gather_statistics = true;
+  options.metrics = MetricsGranularity::kOperator;
+  options.gc_interval = kGcInterval;
+  options.gc_horizon = 30;
+  Engine engine(plan.Clone(), options);
+  std::ostringstream observed;
+  engine.SetTickObserver([&](Timestamp t, const EventBatch& derived) {
+    observed << t << ":";
+    for (const EventPtr& event : derived) {
+      observed << " " << event->ToString(registry);
+    }
+    observed << "\n";
+  });
+  EventBatch outputs;
+  Timestamp last_gc = 0;
+  int64_t dispatches = 0;
+  for (const EventBatch& batch : SplitByTicks(stream, ticks_per_run)) {
+    std::set<std::vector<uint64_t>> touched;
+    bool gc_point = false;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      touched.insert(PartitionOf(plan, *batch[i], registry));
+      const Timestamp t = batch[i]->time();
+      if ((i == 0 || t != batch[i - 1]->time()) && t - last_gc >= kGcInterval) {
+        gc_point = true;
+        last_gc = t;
+      }
+    }
+    RunStats stats = engine.Run(batch, &outputs).value();
+    dispatches += stats.parallel_ticks;
+    if (num_threads > 1) {
+      EXPECT_EQ(stats.parallel_ticks, 1);
+      EXPECT_EQ(stats.parallel_tasks,
+                gc_point ? stats.partitions
+                         : static_cast<int64_t>(touched.size()));
+    }
+  }
+  EXPECT_EQ(dispatches, num_threads > 1
+                            ? static_cast<int64_t>(
+                                  SplitByTicks(stream, ticks_per_run).size())
+                            : 0);
+  BatchedRun result;
+  std::ostringstream derived;
+  for (const EventPtr& event : outputs) {
+    derived << event->time() << " " << event->ToString(registry) << "\n";
+  }
+  result.derived = derived.str();
+  result.observed = observed.str();
+  ExportOptions export_options;
+  export_options.deterministic = true;
+  result.json = StatisticsToJson(engine.CollectStatistics(), export_options);
+  return result;
+}
+
+// 10-tick Runs at 1/2/4/8 threads against one tick per Run, serially.
+// Half of the partitions first appear at tick 25, inside a batch and
+// after a GC point of that batch.
+void ExpectBatchesMatchTicks(const ExecutablePlan& plan,
+                             const EventBatch& stream,
+                             const TypeRegistry& registry) {
+  const EventBatch delayed = DelayOddPartitions(plan, stream, registry, 25);
+  const BatchedRun ticks = RunInBatches(plan, delayed, registry, 1, 1);
+  EXPECT_FALSE(ticks.derived.empty());
+  EXPECT_EQ(ticks.json.find("\"gc_runs\":0,"), std::string::npos);
+  for (int num_threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(num_threads));
+    const BatchedRun batched =
+        RunInBatches(plan, delayed, registry, num_threads, 10);
+    EXPECT_EQ(ticks.derived, batched.derived);
+    EXPECT_EQ(ticks.observed, batched.observed);
+    EXPECT_EQ(ticks.json, batched.json);
   }
 }
 
@@ -257,6 +399,35 @@ TEST(ParallelDeterminismTest, PamapWorkloadCompiledEngine) {
   CAESAR_CHECK_OK(model.status());
   ExpectCompiledMatchesOracle(model.value(), Optimize(model.value()), stream,
                               registry);
+}
+
+TEST(ParallelDeterminismTest, LinearRoadMultiTickBatches) {
+  LinearRoadConfig config;
+  config.num_xways = 2;
+  config.num_segments = 6;
+  config.duration = 300;
+  config.seed = 7;
+  LinearRoadModelConfig model_config;
+  model_config.processing_replicas = 2;
+  TypeRegistry registry;
+  EventBatch stream = GenerateLinearRoadStream(config, &registry);
+  auto model = MakeLinearRoadModel(model_config, &registry);
+  CAESAR_CHECK_OK(model.status());
+  ExpectBatchesMatchTicks(Optimize(model.value()), stream, registry);
+}
+
+TEST(ParallelDeterminismTest, PamapMultiTickBatches) {
+  PamapConfig config;
+  config.num_subjects = 6;
+  config.duration = 600;
+  config.exercise_phases_per_subject = 2.0;
+  config.exercise_duration = 150;
+  config.seed = 3;
+  TypeRegistry registry;
+  EventBatch stream = GeneratePamapStream(config, &registry);
+  auto model = MakePamapModel(PamapModelConfig(), &registry);
+  CAESAR_CHECK_OK(model.status());
+  ExpectBatchesMatchTicks(Optimize(model.value()), stream, registry);
 }
 
 TEST(ParallelDeterminismTest, SplitRunsMatchSingleRun) {

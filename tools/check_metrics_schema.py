@@ -9,7 +9,12 @@ and internal consistency of the power-of-2 histogram blocks.
 Files carrying a top-level "baseline_version" key (BENCH_baseline.json,
 written by tools/update_bench_baseline.py) are validated as a baseline
 wrapper instead: every contained envelope is checked as above, plus the
-durability on/off runs it must carry.
+durability on/off runs and the parallel scaling rows it must carry.
+
+Files carrying a top-level "scaling_schema_version" key (--scaling-out from
+bench_parallel_scaling) are validated as scaling rows: identical derived
+counts across thread counts, and, when the recording machine had >= 4
+hardware threads, a >= 1.5x Run wall-clock speedup at 4 threads.
 
 Usage: check_metrics_schema.py FILE [FILE ...]
 Exit status: 0 when every file validates, 1 otherwise.
@@ -78,25 +83,29 @@ def check_durability(block, where):
 
 def check_executor(block, where):
     expect(isinstance(block, dict), f"{where}: executor must be an object")
-    for key in ("workers", "ticks", "tasks", "imbalance", "barrier_wait",
-                "tasks_per_tick", "imbalance_per_tick"):
+    for key in ("workers", "dispatches", "tasks", "imbalance", "barrier_wait",
+                "tasks_per_dispatch", "imbalance_per_dispatch"):
         expect(key in block, f"{where}: executor missing '{key}'")
-    for key in ("workers", "ticks", "tasks", "imbalance"):
+    for key in ("workers", "dispatches", "tasks", "imbalance"):
         expect(isinstance(block[key], int) and block[key] >= 0,
                f"{where}: executor.{key} must be a non-negative integer")
-    check_histogram(block["tasks_per_tick"],
-                    f"{where}: executor.tasks_per_tick")
-    check_histogram(block["imbalance_per_tick"],
-                    f"{where}: executor.imbalance_per_tick")
-    # The per-tick imbalance histogram records every tick (including
-    # balanced ones) so skew is readable independently of run length.
-    expect(block["imbalance_per_tick"]["count"] == block["ticks"],
-           f"{where}: executor.imbalance_per_tick counted "
-           f"{block['imbalance_per_tick']['count']} ticks, "
-           f"header says {block['ticks']}")
-    expect(block["imbalance_per_tick"]["sum"] == block["imbalance"],
-           f"{where}: executor.imbalance_per_tick sums to "
-           f"{block['imbalance_per_tick']['sum']}, "
+    check_histogram(block["tasks_per_dispatch"],
+                    f"{where}: executor.tasks_per_dispatch")
+    check_histogram(block["imbalance_per_dispatch"],
+                    f"{where}: executor.imbalance_per_dispatch")
+    # The per-dispatch histograms record every dispatch (including balanced
+    # ones) so skew is readable independently of run length.
+    for key in ("tasks_per_dispatch", "imbalance_per_dispatch"):
+        expect(block[key]["count"] == block["dispatches"],
+               f"{where}: executor.{key} counted {block[key]['count']} "
+               f"dispatches, header says {block['dispatches']}")
+    expect(block["tasks_per_dispatch"]["sum"] == block["tasks"],
+           f"{where}: executor.tasks_per_dispatch sums to "
+           f"{block['tasks_per_dispatch']['sum']}, "
+           f"counter says {block['tasks']}")
+    expect(block["imbalance_per_dispatch"]["sum"] == block["imbalance"],
+           f"{where}: executor.imbalance_per_dispatch sums to "
+           f"{block['imbalance_per_dispatch']['sum']}, "
            f"counter says {block['imbalance']}")
 
 
@@ -184,6 +193,39 @@ def check_report(report, where):
                        f"{where}: timeline.points[{j}] missing '{key}'")
 
 
+def check_scaling(doc):
+    """Validates a --scaling-out file from bench_parallel_scaling."""
+    for key in ("benchmark", "scaling_schema_version", "hardware_threads",
+                "roads", "segments", "duration", "rows"):
+        expect(key in doc, f"scaling file missing '{key}'")
+    expect(doc["scaling_schema_version"] == 1,
+           f"unknown scaling_schema_version {doc['scaling_schema_version']}")
+    rows = doc["rows"]
+    expect(isinstance(rows, list) and rows, "'rows' must be a non-empty list")
+    for i, row in enumerate(rows):
+        for key in ("threads", "run_s", "dispatch_s", "events", "derived",
+                    "events_per_s", "speedup", "dispatches", "tasks",
+                    "imbalance"):
+            expect(key in row, f"scaling rows[{i}] missing '{key}'")
+        expect(row["run_s"] > 0, f"scaling rows[{i}] has no wall time")
+    expect(rows[0]["threads"] == 1, "scaling rows must start at 1 thread")
+    derived = {row["derived"] for row in rows}
+    expect(len(derived) == 1,
+           f"derived counts differ across thread counts: {sorted(derived)}")
+    # One dispatch per Run: the measured Run is a single pool dispatch.
+    for row in rows[1:]:
+        expect(row["dispatches"] == 1,
+               f"{row['threads']} threads: {row['dispatches']} dispatches "
+               "for one Run")
+    four = [row for row in rows if row["threads"] == 4]
+    if doc["hardware_threads"] >= 4:
+        expect(four, "scaling rows lack the 4-thread row")
+        expect(four[0]["speedup"] >= 1.5,
+               f"speedup {four[0]['speedup']:.2f} at 4 threads is below "
+               f"1.5 on a {doc['hardware_threads']}-thread machine")
+    return len(rows)
+
+
 def check_baseline(doc):
     for key in ("baseline_version", "generated", "benches"):
         expect(key in doc, f"baseline missing '{key}'")
@@ -201,6 +243,11 @@ def check_baseline(doc):
         for i, run in enumerate(envelope["runs"]):
             check_report(run["report"], f"benches[{name}] runs[{i}]")
         runs += len(envelope["runs"])
+        if "scaling" in entry:
+            check_scaling(entry["scaling"])
+    expect("bench_parallel_scaling" in doc["benches"]
+           and "scaling" in doc["benches"]["bench_parallel_scaling"],
+           "baseline must carry the bench_parallel_scaling scaling rows")
     expect("bench_durability" in doc["benches"],
            "baseline must carry bench_durability (WAL overhead vs off)")
     durability_runs = doc["benches"]["bench_durability"]["envelope"]["runs"]
@@ -217,6 +264,8 @@ def check_file(path):
     expect(isinstance(doc, dict), "top level must be an object")
     if "baseline_version" in doc:
         return check_baseline(doc)
+    if "scaling_schema_version" in doc:
+        return check_scaling(doc)
     for key in ("benchmark", "schema_version", "runs"):
         expect(key in doc, f"top level missing '{key}'")
     expect(

@@ -2,11 +2,11 @@
 """Regenerates BENCH_baseline.json, the checked-in benchmark baseline.
 
 Stdlib only. Runs the baseline benches from an existing build tree, captures
-their --metrics-out envelopes, and writes the wrapper document
-check_metrics_schema.py validates:
+their --metrics-out envelopes (and the parallel scaling rows), and writes the
+wrapper document check_metrics_schema.py validates:
 
   {"baseline_version": 1, "generated": "YYYY-MM-DD",
-   "benches": {name: {"envelope": {...}}}}
+   "benches": {name: {"envelope": {...}, "scaling": {...}}}}
 
 Usage: update_bench_baseline.py [--build-dir DIR] [--out FILE]
 Exit status: 0 on success; a failing bench run aborts with its exit code.
@@ -54,6 +54,17 @@ def main():
                 metrics,
             ),
         }
+        # Thread scaling on Linear Road, 6 roads x 12 segments (144
+        # partitions) over 10,800 ticks at 1/2/4 threads, with the recording
+        # machine's hardware thread count.
+        scaling = tmp / "scaling.json"
+        benches["bench_parallel_scaling"]["scaling"] = run_bench(
+            bench_dir / "bench_parallel_scaling",
+            ["--roads=6", "--segments=12", "--duration=10800",
+             "--max_threads=4", "--repetitions=3",
+             f"--scaling-out={scaling}"],
+            scaling,
+        )
         metrics = tmp / "durability.json"
         benches["bench_durability"] = {
             "envelope": run_bench(
