@@ -4,27 +4,49 @@ namespace caesar {
 
 namespace {
 
-struct Crc32Table {
-  uint32_t entries[256];
-  Crc32Table() {
+// Slicing-by-8 tables: entries[0] is the classic bytewise table;
+// entries[k][b] is the CRC of byte b followed by k zero bytes, so eight
+// lookups advance the CRC over eight input bytes at once.
+struct Crc32Tables {
+  uint32_t entries[8][256];
+  Crc32Tables() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t crc = i;
       for (int bit = 0; bit < 8; ++bit) {
         crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0u);
       }
-      entries[i] = crc;
+      entries[0][i] = crc;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        const uint32_t prev = entries[k - 1][i];
+        entries[k][i] = (prev >> 8) ^ entries[0][prev & 0xFF];
+      }
     }
   }
 };
 
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
-  static const Crc32Table table;
+  static const Crc32Tables tables;
+  const auto& t = tables.entries;
   const auto* bytes = static_cast<const unsigned char*>(data);
   uint32_t crc = ~seed;
-  for (size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ table.entries[(crc ^ bytes[i]) & 0xFF];
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const uint32_t lo = LoadLe32(bytes) ^ crc;
+    const uint32_t hi = LoadLe32(bytes + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++bytes, --size) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *bytes) & 0xFF];
   }
   return ~crc;
 }

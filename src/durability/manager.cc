@@ -71,26 +71,41 @@ Result<std::unique_ptr<DurabilityManager>> DurabilityManager::OpenAfterRecovery(
   return manager;
 }
 
+Status DurabilityManager::CheckNotFailed() const {
+  if (failure_.ok()) return Status::Ok();
+  return Status::FailedPrecondition(
+      "durability: an earlier WAL write failed (" + failure_.ToString() +
+      "); later batches cannot be made durable — reopen the directory with "
+      "Engine::Recover");
+}
+
+Status DurabilityManager::Latch(Status status) {
+  if (!status.ok() && failure_.ok()) failure_ = status;
+  return status;
+}
+
 Status DurabilityManager::AppendTick(Timestamp t, const EventPtr* events,
                                      size_t n) {
+  CAESAR_RETURN_IF_ERROR(CheckNotFailed());
   if (!cadence_anchored_) {
     // First tick ever logged anchors the checkpoint cadence so the first
     // checkpoint lands one interval into the stream, wherever it starts.
     last_checkpoint_tick_ = t;
     cadence_anchored_ = true;
   }
-  return writer_->Append(EncodeTickRecord(pending_batch_seq(), t, events, n),
-                         "wal_append");
+  return Latch(writer_->Append(
+      EncodeTickRecord(pending_batch_seq(), t, events, n), "wal_append"));
 }
 
 Status DurabilityManager::CommitBatch(std::string_view snapshot) {
-  CAESAR_RETURN_IF_ERROR(writer_->Append(
-      EncodeCommitRecord(pending_batch_seq(), snapshot), "wal_commit"));
+  CAESAR_RETURN_IF_ERROR(CheckNotFailed());
+  CAESAR_RETURN_IF_ERROR(Latch(writer_->Append(
+      EncodeCommitRecord(pending_batch_seq(), snapshot), "wal_commit")));
   if (options_.fsync == FsyncPolicy::kBatch) {
-    CAESAR_RETURN_IF_ERROR(writer_->Sync());
+    CAESAR_RETURN_IF_ERROR(Latch(writer_->Sync()));
   }
   ++last_committed_seq_;
-  return writer_->MaybeRotate();
+  return Latch(writer_->MaybeRotate());
 }
 
 bool DurabilityManager::ShouldCheckpoint(Timestamp t) const {
@@ -101,20 +116,22 @@ bool DurabilityManager::ShouldCheckpoint(Timestamp t) const {
 
 Status DurabilityManager::WriteCheckpoint(Timestamp t,
                                           std::string engine_state) {
+  CAESAR_RETURN_IF_ERROR(CheckNotFailed());
   // Rotate first so the checkpoint can truthfully say "batches beyond me
   // start at wal_seq": the fresh segment holds nothing committed yet.
   uint64_t new_seg = writer_->segment_seq() + 1;
-  CAESAR_RETURN_IF_ERROR(writer_->Rotate(new_seg));
+  CAESAR_RETURN_IF_ERROR(Latch(writer_->Rotate(new_seg)));
   CheckpointInfo info;
   info.batch_seq = last_committed_seq_;
   info.wal_seq = new_seg;
   info.last_tick = t;
   info.payload = std::move(engine_state);
-  CAESAR_RETURN_IF_ERROR(WriteCheckpointFile(options_.dir, info,
-                                             options_.crash_hook,
-                                             &counters_.fsyncs));
+  CAESAR_RETURN_IF_ERROR(Latch(WriteCheckpointFile(
+      options_.dir, info, options_.crash_hook, &counters_.fsyncs)));
   ++counters_.checkpoints_written;
   last_checkpoint_tick_ = t;
+  // Retention only deletes superseded artifacts; failing it leaves the
+  // log intact, so it does not latch.
   return RetireOldArtifacts(options_.dir, 2);
 }
 

@@ -50,6 +50,13 @@ class DurabilityManager {
       const DurabilityOptions& options, const RecoveryScan& scan,
       Timestamp last_checkpoint_tick, int64_t replayed_events);
 
+  // The first write, sync or rotate failure latches: the log may now end
+  // in a torn or unsealed record, and anything appended after it would be
+  // unreachable by recovery. Every later AppendTick, CommitBatch and
+  // WriteCheckpoint therefore returns FailedPrecondition, and
+  // durable_batch_seq() stays where the failure left it; reopen the
+  // directory with Engine::Recover to continue.
+
   // WAL-append of one tick's admitted events (write-ahead: called before
   // the tick is processed). Fails under kAlways fsync errors or an armed
   // crash hook.
@@ -80,12 +87,18 @@ class DurabilityManager {
  private:
   DurabilityManager(DurabilityOptions options) : options_(std::move(options)) {}
 
+  // FailedPrecondition once a failure has latched, Ok before.
+  Status CheckNotFailed() const;
+  // Latches `status` if it is the first failure; returns it unchanged.
+  Status Latch(Status status);
+
   DurabilityOptions options_;
   std::unique_ptr<WalWriter> writer_;
   DurabilityCounters counters_;
   uint64_t last_committed_seq_ = 0;
   Timestamp last_checkpoint_tick_ = 0;
   bool cadence_anchored_ = false;
+  Status failure_;  // the latched first failure (Ok = none)
 };
 
 }  // namespace caesar

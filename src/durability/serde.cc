@@ -41,6 +41,25 @@ void WriteEvent(StateWriter* w, const Event& event) {
   for (const Value& value : event.values()) WriteValue(w, value);
 }
 
+size_t EncodedEventSize(const Event& event) {
+  size_t bytes = 8 + 8 + 8 + 4;  // type, start, end, value count
+  for (const Value& value : event.values()) {
+    bytes += 1;  // type tag
+    switch (value.type()) {
+      case ValueType::kNull:
+        break;
+      case ValueType::kInt:
+      case ValueType::kDouble:
+        bytes += 8;
+        break;
+      case ValueType::kString:
+        bytes += 4 + value.AsString().size();
+        break;
+    }
+  }
+  return bytes;
+}
+
 EventPtr ReadEvent(StateReader* r) {
   TypeId type_id = static_cast<TypeId>(r->I64());
   Timestamp start = r->I64();

@@ -27,11 +27,17 @@ class StateWriter {
  public:
   void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
   void Bool(bool v) { U8(v ? 1 : 0); }
+  // One fixed-width little-endian block per field; the shifts fold into
+  // a single store on little-endian hosts.
   void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) U8(static_cast<uint8_t>(v >> (8 * i)));
+    char le[4];
+    for (int i = 0; i < 4; ++i) le[i] = static_cast<char>(v >> (8 * i));
+    out_.append(le, sizeof(le));
   }
   void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) U8(static_cast<uint8_t>(v >> (8 * i)));
+    char le[8];
+    for (int i = 0; i < 8; ++i) le[i] = static_cast<char>(v >> (8 * i));
+    out_.append(le, sizeof(le));
   }
   void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
   // Bit-pattern encoding: doubles (incrementally maintained aggregate sums,
@@ -46,6 +52,9 @@ class StateWriter {
     U32(static_cast<uint32_t>(s.size()));
     out_.append(s.data(), s.size());
   }
+
+  // Capacity hint for a payload of known size.
+  void Reserve(size_t bytes) { out_.reserve(bytes); }
 
   size_t size() const { return out_.size(); }
   const std::string& data() const { return out_; }
@@ -134,6 +143,8 @@ class StateReader {
 void WriteValue(StateWriter* w, const Value& value);
 Value ReadValue(StateReader* r);
 void WriteEvent(StateWriter* w, const Event& event);
+// Bytes WriteEvent appends for `event`.
+size_t EncodedEventSize(const Event& event);
 EventPtr ReadEvent(StateReader* r);
 
 }  // namespace caesar

@@ -42,12 +42,13 @@ Status WriteAll(int fd, const void* data, size_t n, const std::string& what) {
 }
 
 std::string FrameRecord(std::string_view payload) {
-  StateWriter header;
-  header.U32(static_cast<uint32_t>(payload.size()));
-  header.U32(Crc32(payload));
-  std::string framed = header.Take();
-  framed.append(payload.data(), payload.size());
-  return framed;
+  StateWriter framed;
+  framed.Reserve(kRecordHeaderBytes + payload.size());
+  framed.U32(static_cast<uint32_t>(payload.size()));
+  framed.U32(Crc32(payload));
+  std::string out = framed.Take();
+  out.append(payload.data(), payload.size());
+  return out;
 }
 
 // Parses "wal-NNNNNNNNNN.log" into NNNNNNNNNN; 0 when the name does not
@@ -102,7 +103,10 @@ std::string WalSegmentFileName(uint64_t seq) {
 
 std::string EncodeTickRecord(uint64_t batch_seq, Timestamp tick,
                              const EventPtr* events, size_t n) {
+  size_t bytes = 1 + 8 + 8 + 4;
+  for (size_t i = 0; i < n; ++i) bytes += EncodedEventSize(*events[i]);
   StateWriter w;
+  w.Reserve(bytes);
   w.U8(kWalRecordTick);
   w.U64(batch_seq);
   w.I64(tick);

@@ -564,10 +564,10 @@ Result<RunStats> Engine::Run(const EventBatch& raw_input,
     DistributeBatch(input);
   }
 
-  // One dispatch runs the whole batch: each partition's owner executes all
-  // of its transactions in tick order. A partition's state is single-writer
-  // without locks, and metrics record into the executing worker's shard to
-  // keep that rule.
+  // One dispatch runs the whole batch: whichever participant claims a
+  // partition's run executes all of its transactions in tick order. A
+  // partition's state is single-writer without locks, and metrics record
+  // into the executing worker's shard to keep that rule.
   const ExecutorMetrics exec_before =
       executor_ != nullptr ? executor_->metrics() : ExecutorMetrics{};
   if (!task_runs_.empty()) {
@@ -576,8 +576,8 @@ Result<RunStats> Engine::Run(const EventBatch& raw_input,
     if (executor_ == nullptr) {
       for (uint32_t run : task_runs_) ProcessPartitionRun(run, 0);
     } else {
-      executor_->Execute(task_runs_.size(), task_shards_.data(),
-                         task_weights_.data(), [&](size_t i, int worker) {
+      executor_->Execute(task_runs_.size(), task_weights_.data(),
+                         [&](size_t i, int worker) {
                            TraceScope worker_trace(trace_.get());
                            ProcessPartitionRun(task_runs_[i], worker);
                          });
@@ -713,9 +713,10 @@ void Engine::DistributeBatch(const EventBatch& input) {
   }
   gc_seconds_.assign(num_runs_ * gc_points_.size(), 0.0);
 
-  // Task order: partition key ascending. Task i is pinned to worker
-  // `key % N`; its weight (the run's event count) feeds the pool's
-  // imbalance metrics, which would miss a hot partition on task counts.
+  // Task order: partition key ascending. Task i's weight is its run's
+  // event count: the pool claims the heaviest runs first (ties in key
+  // order), and its imbalance metrics would miss a hot partition on task
+  // counts.
   task_runs_.resize(num_runs_);
   for (size_t r = 0; r < num_runs_; ++r) {
     task_runs_[r] = static_cast<uint32_t>(r);
@@ -723,10 +724,8 @@ void Engine::DistributeBatch(const EventBatch& input) {
   std::sort(task_runs_.begin(), task_runs_.end(), [&](uint32_t a, uint32_t b) {
     return runs_[a].partition->key < runs_[b].partition->key;
   });
-  task_shards_.clear();
   task_weights_.clear();
   for (uint32_t r : task_runs_) {
-    task_shards_.push_back(runs_[r].partition->key);
     task_weights_.push_back(static_cast<uint64_t>(runs_[r].events.size()));
   }
 

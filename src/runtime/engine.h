@@ -73,9 +73,10 @@ enum class AnalysisMode : int8_t {
 
 // Engine configuration.
 struct EngineOptions {
-  // Worker threads for per-partition transactions. 1 = serial on the
-  // scheduler thread; > 1 creates a persistent ShardedExecutor whose
-  // workers live for the lifetime of the Engine. Both modes derive
+  // Threads running per-partition transactions. 1 = serial on the
+  // scheduler thread; > 1 creates a persistent ShardedExecutor of that
+  // many participants (the scheduler thread plus num_threads - 1 workers
+  // living for the lifetime of the Engine). Both modes derive
   // byte-identical event sequences (see runtime/executor.h).
   int num_threads = 1;
 
@@ -202,15 +203,17 @@ struct RunStats {
   // `parallel_tasks` the partition runs dispatched (every partition with
   // events in the batch, plus every other partition when the batch holds a
   // GC point). `shard_imbalance` is the dispatch's executed-load imbalance
-  // (max - min *events* any worker processed — event-weighted so a hot
-  // partition registers even when task counts are even), and
-  // `barrier_wait_seconds` the wall time the scheduler blocked on the
-  // dispatch barrier.
+  // (max - min *events* any participant processed — event-weighted so a
+  // hot partition registers even when task counts are even; it depends on
+  // which participant claimed which run), and `barrier_wait_seconds` the
+  // dispatch's wall time on the scheduler thread, which runs its own
+  // claimed runs and then waits for the other participants.
   int64_t parallel_ticks = 0;
   int64_t parallel_tasks = 0;
   int64_t shard_imbalance = 0;
-  // Always 0: the pool pins every partition to one worker, so no task is
-  // ever executed by a non-owner. Kept because perfbench/ reads it.
+  // Always 0: the pool has no owners to steal from — participants claim
+  // whole partition runs from one cursor. Kept because perfbench/ reads
+  // it.
   int64_t tasks_stolen = 0;
   double barrier_wait_seconds = 0.0;
 
@@ -445,7 +448,7 @@ class Engine {
 
   std::map<uint64_t, std::unique_ptr<PartitionState>> partitions_;
 
-  // Persistent sharded worker pool: created in the constructor when
+  // Persistent worker pool: created in the constructor when
   // num_threads > 1 and reused across Run calls, or borrowed from
   // EngineOptions::shared_executor (one pool, many tenant engines).
   std::shared_ptr<ShardedExecutor> executor_;
@@ -482,7 +485,7 @@ class Engine {
     uint32_t suspended_chains = 0;
   };
   // One partition's share of the batch, executed start to finish by the
-  // partition's owning worker.
+  // pool participant that claims it.
   struct PartitionRun {
     PartitionState* partition = nullptr;
     // GC points before this index precede the partition's creation.
@@ -507,10 +510,9 @@ class Engine {
   // GC wall time of run r at GC point g: gc_seconds_[r * gc_points + g].
   std::vector<double> gc_seconds_;
   uint64_t batch_seq_ = 0;  // tags partitions claimed by the current batch
-  // Task order (partition key ascending) with its shard keys and weights
-  // (event counts) for the pool.
+  // Task order (partition key ascending) with its weights (event counts)
+  // for the pool.
   std::vector<uint32_t> task_runs_;
-  std::vector<uint64_t> task_shards_;
   std::vector<uint64_t> task_weights_;
   // Every transaction in (tick, partition key) order: the derived order,
   // with a fill cursor per tick.

@@ -8,10 +8,11 @@
 namespace caesar {
 
 ShardedExecutor::ShardedExecutor(int num_workers)
-    : num_workers_(num_workers), queues_(num_workers) {
+    : num_workers_(num_workers), loads_(num_workers) {
   CAESAR_CHECK_GE(num_workers, 1);
-  workers_.reserve(num_workers);
-  for (int w = 0; w < num_workers; ++w) {
+  // Participant 0 is whichever thread calls Execute.
+  workers_.reserve(num_workers - 1);
+  for (int w = 1; w < num_workers; ++w) {
     workers_.emplace_back([this, w]() { WorkerLoop(w); });
   }
 }
@@ -25,46 +26,59 @@ ShardedExecutor::~ShardedExecutor() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ShardedExecutor::Execute(size_t count, const uint64_t* shards,
-                              const uint64_t* weights, const Task& task) {
-  // Lay the dispatch out into per-worker task lists once, on the scheduler
-  // thread (workers are idle between epochs). The list buffers are members
-  // and keep their capacity, so the hot path allocates nothing per
+void ShardedExecutor::Execute(size_t count, const uint64_t* weights,
+                              const Task& task) {
+  // Claim order, built once on the scheduler thread (workers are idle
+  // between epochs): heaviest first, ties in index order. The buffer is a
+  // member and keeps its capacity, so the hot path allocates nothing per
   // dispatch.
   CAESAR_CHECK_LE(count, size_t{UINT32_MAX});
-  for (WorkerQueue& queue : queues_) {
-    queue.tasks.clear();
-    queue.executed = 0;
+  order_.resize(count);
+  for (size_t i = 0; i < count; ++i) order_[i] = static_cast<uint32_t>(i);
+  if (weights != nullptr) {
+    std::sort(order_.begin(), order_.end(), [weights](uint32_t a, uint32_t b) {
+      return weights[a] != weights[b] ? weights[a] > weights[b] : a < b;
+    });
   }
-  const uint64_t workers = static_cast<uint64_t>(num_workers_);
-  for (size_t i = 0; i < count; ++i) {
-    queues_[shards[i] % workers].tasks.push_back(static_cast<uint32_t>(i));
-  }
+  for (ParticipantLoad& load : loads_) load.executed = 0;
+  cursor_.store(0, std::memory_order_relaxed);
 
+  // A single task (or none) is the caller's alone: waking workers would
+  // only add latency.
+  const bool wake = !workers_.empty() && count > 1;
   Stopwatch wait;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    task_fn_ = &task;
-    task_weights_ = weights;
-    pending_ = num_workers_;
-    ++epoch_;
+  if (wake) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      task_fn_ = &task;
+      task_weights_ = weights;
+      open_ = true;
+      ++epoch_;
+    }
     work_cv_.notify_all();
+  }
+  ClaimTasks(0, task, weights);
+  if (wake) {
+    std::unique_lock<std::mutex> lock(mu_);
+    // The cursor is drained: close the dispatch so late wakers sit it out,
+    // then wait for the workers that joined to finish their last claims.
+    open_ = false;
     // Explicit wait loop (not the predicate overload): the thread-safety
     // analysis cannot see that a predicate lambda runs with mu_ held.
-    while (pending_ != 0) done_cv_.wait(lock);
+    while (active_ != 0) done_cv_.wait(lock);
     task_fn_ = nullptr;
     task_weights_ = nullptr;
   }
 
-  // Executed-load tally from the per-worker counters the barrier just
+  // Executed-load tally from the per-participant counters the barrier just
   // ordered before us. Computed for every worker count — a 1-worker pool
   // records the same metric structure (imbalance 0) as a wide one, so
   // exports stay structurally identical across thread counts.
-  uint64_t min_load = queues_[0].executed;
-  uint64_t max_load = queues_[0].executed;
-  for (const WorkerQueue& queue : queues_) {
-    min_load = std::min(min_load, queue.executed);
-    max_load = std::max(max_load, queue.executed);
+  uint64_t min_load = loads_[0].executed;
+  uint64_t max_load = loads_[0].executed;
+  for (const ParticipantLoad& load : loads_) {
+    min_load = std::min(min_load, load.executed);
+    max_load = std::max(max_load, load.executed);
   }
 
   ++metrics_.dispatches;
@@ -75,6 +89,21 @@ void ShardedExecutor::Execute(size_t count, const uint64_t* shards,
   metrics_.barrier_wait.Add(wait.ElapsedSeconds());
 }
 
+void ShardedExecutor::ClaimTasks(int worker, const Task& task,
+                                 const uint64_t* weights) {
+  // Every claim is one relaxed fetch_add: the order, the task and the
+  // weights were published under mu_ before any participant got here.
+  const size_t count = order_.size();
+  uint64_t load = 0;
+  for (size_t next = cursor_.fetch_add(1, std::memory_order_relaxed);
+       next < count; next = cursor_.fetch_add(1, std::memory_order_relaxed)) {
+    const uint32_t i = order_[next];
+    task(i, worker);
+    load += weights == nullptr ? 1 : weights[i];
+  }
+  loads_[worker].executed = load;
+}
+
 void ShardedExecutor::WorkerLoop(int worker_id) {
   uint64_t seen_epoch = 0;
   while (true) {
@@ -82,25 +111,23 @@ void ShardedExecutor::WorkerLoop(int worker_id) {
     const uint64_t* weights;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      // Explicit wait loop — see the barrier wait in Execute.
-      while (!shutdown_ && epoch_ == seen_epoch) work_cv_.wait(lock);
+      // Explicit wait loop — see the barrier wait in Execute. A closed
+      // dispatch is skipped: its tasks are all claimed.
+      while (!shutdown_ && (epoch_ == seen_epoch || !open_)) {
+        work_cv_.wait(lock);
+      }
       if (shutdown_) return;
       seen_epoch = epoch_;
+      ++active_;
       fn = task_fn_;
       weights = task_weights_;
     }
-    // Run this worker's list. The scheduler blocks until the barrier
-    // below, so the queues, `fn` and the weights stay valid throughout.
-    WorkerQueue& own = queues_[worker_id];
-    uint64_t load = 0;
-    for (uint32_t i : own.tasks) {
-      (*fn)(i, worker_id);
-      load += weights == nullptr ? 1 : weights[i];
-    }
-    own.executed = load;
+    // The scheduler blocks at the barrier until active_ drops to zero, so
+    // the order, `fn` and the weights stay valid throughout.
+    ClaimTasks(worker_id, *fn, weights);
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (--pending_ == 0) done_cv_.notify_one();
+      if (--active_ == 0) done_cv_.notify_one();
     }
   }
 }

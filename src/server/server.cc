@@ -211,12 +211,14 @@ void CaesarServer::Stop() {
   }
   RequestStop();
 
+  // shutdown() wakes the blocked accept(); the accept thread reads
+  // listen_fd_, so it is closed and reset only after the join.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
 
   std::vector<std::thread> conns;
   {

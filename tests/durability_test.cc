@@ -4,7 +4,9 @@
 // rebuilt by Engine::Recover must produce byte-identical remaining output
 // and equal degradation counters vs an uninterrupted twin, including
 // crashes landing mid-checkpoint and mid-WAL-append. Checkpoints of an
-// older format version are rejected like corrupt ones.
+// older format version are rejected like corrupt ones. A failed WAL write
+// latches until Engine::Recover, and the CRC and the tick-record bytes are
+// pinned against a bitwise reference and a golden.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -23,6 +25,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "durability/checkpoint.h"
+#include "durability/crc32.h"
 #include "durability/durability.h"
 #include "durability/manager.h"
 #include "durability/serde.h"
@@ -139,6 +142,87 @@ TEST(WalTest, RoundTripsBatches) {
   EXPECT_TRUE(result.diagnostics.empty());
   EXPECT_EQ(counters.wal_records, 4);
   EXPECT_GT(counters.wal_bytes, 0);
+}
+
+// ---- CRC-32 and record encoding --------------------------------------
+
+// The textbook bit-at-a-time CRC-32 (reflected 0xEDB88320), the reference
+// the table-driven Crc32 must agree with everywhere.
+uint32_t BitwiseCrc32(const unsigned char* data, size_t size, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  EXPECT_EQ(Crc32(std::string_view("123456789")), 0xCBF43926u);
+  EXPECT_EQ(Crc32(std::string_view("")), 0u);
+  EXPECT_EQ(
+      Crc32(std::string_view("The quick brown fox jumps over the lazy dog")),
+      0x414FA339u);
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0..64 at offsets 0..7 cover every head/tail split around the
+  // eight-byte blocks; the seed chains like the reference.
+  std::vector<unsigned char> buffer(8 + 64);
+  Rng rng(5);
+  for (unsigned char& byte : buffer) {
+    byte = static_cast<unsigned char>(rng.Uniform(0, 255));
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 64; ++length) {
+      const unsigned char* data = buffer.data() + offset;
+      SCOPED_TRACE("offset=" + std::to_string(offset) +
+                   " length=" + std::to_string(length));
+      EXPECT_EQ(Crc32(data, length), BitwiseCrc32(data, length, 0));
+      EXPECT_EQ(Crc32(data, length, 0x12345678u),
+                BitwiseCrc32(data, length, 0x12345678u));
+      const size_t half = length / 2;
+      EXPECT_EQ(Crc32(data + half, length - half, Crc32(data, half)),
+                Crc32(data, length));
+    }
+  }
+}
+
+TEST(WalTest, TickRecordEncodingIsPinned) {
+  // The on-disk bytes of a tick record, pinned: a batch of one primitive
+  // event (int, double, string and null values) and one complex event.
+  EventBatch batch = {
+      MakeEvent(3, 42,
+                {Value(int64_t{-7}), Value(2.5), Value(std::string("ab")),
+                 Value()}),
+      MakeComplexEvent(1, 40, 42, {Value(int64_t{1})}),
+  };
+  const std::string record =
+      EncodeTickRecord(/*batch_seq=*/7, /*tick=*/42, batch.data(),
+                       batch.size());
+  static constexpr char kGoldenHex[] =
+      "01"                // record kind: tick
+      "0700000000000000"  // batch_seq
+      "2a00000000000000"  // tick
+      "02000000"          // event count
+      "0300000000000000" "2a00000000000000" "2a00000000000000" "04000000"
+      "01" "f9ffffffffffffff"
+      "02" "0000000000000440"
+      "03" "02000000" "6162"
+      "00"
+      "0100000000000000" "2800000000000000" "2a00000000000000" "01000000"
+      "01" "0100000000000000";
+  std::string hex;
+  for (unsigned char byte : record) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    hex += kDigits[byte >> 4];
+    hex += kDigits[byte & 0xF];
+  }
+  EXPECT_EQ(hex, kGoldenHex);
+  EXPECT_EQ(record.size(), 112u);
+  EXPECT_EQ(Crc32(record), 0x3b2ccfbau);
 }
 
 TEST(WalTest, TornTailTruncatedWithI410) {
@@ -862,6 +946,66 @@ TEST(EngineDurabilityTest, FailedAppendLeavesTheEngineUntouched) {
           << "batch " << b << " diverged after recovery";
     }
     ExpectSameDegradation(uninterrupted, resumed);
+  }
+}
+
+TEST(EngineDurabilityTest, FailedWriteStopsLaterCommitsUntilRecover) {
+  // After a failed append or commit the log ends in a torn or unsealed
+  // record, so nothing appended after it could be recovered. The failure
+  // latches: retrying the failed Run, or running later batches, returns
+  // FailedPrecondition naming Engine::Recover, and the live
+  // durable_batch_seq stays what recovery will report.
+  auto w = MakeWorkload();
+  std::vector<EventBatch> batches = SplitByTicks(w->stream, 10);
+  ASSERT_GT(batches.size(), 6u);
+  Engine reference(w->plan.Clone(), EngineOptions());
+  BatchRun uninterrupted = RunBatches(&reference, batches, 0, w->registry);
+
+  // The 2nd append of batch 4, or batch 4's commit.
+  for (const auto& [point, nth] :
+       {std::pair<std::string, int64_t>("wal_append", 4 * 10 + 1),
+        std::pair<std::string, int64_t>("wal_commit", 4)}) {
+    SCOPED_TRACE(point);
+    CrashPointInjector injector(point, nth);
+    EngineOptions options;
+    options.durability.mode = DurabilityMode::kWal;
+    options.durability.dir = ScratchDir("latch");
+    options.durability.fsync = FsyncPolicy::kNone;
+    options.durability.crash_hook = injector.Hook();
+    uint64_t live_durable = 0;
+    {
+      Engine victim(w->plan.Clone(), options);
+      for (size_t b = 0; b < 4; ++b) {
+        ASSERT_TRUE(victim.Run(batches[b], nullptr).ok()) << b;
+      }
+      live_durable = victim.durable_batch_seq();
+      EXPECT_EQ(live_durable, 4u);
+      auto failed = victim.Run(batches[4], nullptr);
+      ASSERT_FALSE(failed.ok());
+      EXPECT_EQ(failed.status().code(), StatusCode::kDataLoss);
+      ASSERT_TRUE(injector.fired());
+      // The retry, and every batch after it, is refused.
+      for (size_t b = 4; b < batches.size(); ++b) {
+        auto retried = victim.Run(batches[b], nullptr);
+        ASSERT_FALSE(retried.ok()) << b;
+        EXPECT_EQ(retried.status().code(), StatusCode::kFailedPrecondition);
+        EXPECT_NE(retried.status().message().find("Engine::Recover"),
+                  std::string::npos)
+            << retried.status();
+      }
+      EXPECT_EQ(victim.durable_batch_seq(), live_durable);
+    }
+    options.durability.crash_hook = nullptr;
+    auto recovered = Engine::Recover(w->plan.Clone(), options);
+    ASSERT_TRUE(recovered.ok()) << recovered.status();
+    EXPECT_EQ(recovered.value()->durable_batch_seq(), live_durable);
+    BatchRun resumed = RunBatches(recovered.value().get(), batches,
+                                  live_durable, w->registry);
+    ASSERT_EQ(resumed.outputs.size(), batches.size() - live_durable);
+    for (size_t b = live_durable; b < batches.size(); ++b) {
+      EXPECT_EQ(resumed.outputs[b - live_durable], uninterrupted.outputs[b])
+          << "batch " << b << " diverged after recovery";
+    }
   }
 }
 

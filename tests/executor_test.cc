@@ -1,8 +1,9 @@
-// Unit tests for the persistent sharded worker pool: shard assignment
-// stability, exactly-once owner execution (also under skew), barrier
-// correctness (including empty dispatches), metric accounting, reuse
-// across dispatches and Run calls, clean shutdown, and identical metric
-// structure across worker counts.
+// Unit tests for the persistent claiming worker pool: exactly-once
+// execution (also under random skew at several widths), the calling thread
+// as participant 0, heaviest-first claim order, barrier correctness
+// (including empty dispatches), metric accounting, reuse across dispatches
+// and Run calls, clean shutdown, and identical metric structure across
+// worker counts.
 
 #include "runtime/executor.h"
 
@@ -11,6 +12,9 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <mutex>
+#include <numeric>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -25,14 +29,12 @@ namespace {
 TEST(ShardedExecutorTest, ExecutesEveryTaskExactlyOnce) {
   ShardedExecutor executor(4);
   constexpr size_t kTasks = 64;
-  std::vector<uint64_t> shards(kTasks);
-  for (size_t i = 0; i < kTasks; ++i) shards[i] = i * 1315423911ULL;
   std::vector<std::atomic<int>> hits(kTasks);
   for (auto& hit : hits) hit = 0;
   for (int dispatch = 0; dispatch < 10; ++dispatch) {
-    executor.Execute(kTasks, shards.data(), [&](size_t i, int worker) {
-      // The executing worker is the shard's static owner.
-      EXPECT_EQ(worker, static_cast<int>(shards[i] % 4));
+    executor.Execute(kTasks, [&](size_t i, int worker) {
+      EXPECT_GE(worker, 0);
+      EXPECT_LT(worker, 4);
       ++hits[i];
     });
   }
@@ -41,59 +43,80 @@ TEST(ShardedExecutorTest, ExecutesEveryTaskExactlyOnce) {
   EXPECT_EQ(executor.metrics().tasks, 10u * kTasks);
 }
 
-TEST(ShardedExecutorTest, ShardAssignmentIsStableAcrossTicks) {
+TEST(ShardedExecutorTest, CallingThreadRunsTasksAsWorkerZero) {
   ShardedExecutor executor(3);
+  const std::thread::id caller = std::this_thread::get_id();
   constexpr size_t kTasks = 24;
-  std::vector<uint64_t> shards(kTasks);
-  // Multiplier coprime to the worker count, so all residues mod 3 occur.
-  for (size_t i = 0; i < kTasks; ++i) shards[i] = 0x9e3779b1ULL * (i + 1);
 
-  // Record which thread handled each shard key on every dispatch; the same key
-  // must always land on the same worker thread.
-  std::map<uint64_t, std::thread::id> owner;
+  // Worker ids name participants, not partitions: id 0 is always the
+  // thread that called Execute, and every other id is one persistent pool
+  // thread, the same in every dispatch.
+  std::map<int, std::thread::id> thread_of;
   std::mutex mu;
   for (int dispatch = 0; dispatch < 20; ++dispatch) {
-    executor.Execute(kTasks, shards.data(), [&](size_t i, int) {
+    executor.Execute(kTasks, [&](size_t, int worker) {
       std::lock_guard<std::mutex> lock(mu);
+      EXPECT_EQ(worker == 0, std::this_thread::get_id() == caller);
       auto [it, inserted] =
-          owner.emplace(shards[i], std::this_thread::get_id());
-      if (!inserted) {
-        EXPECT_EQ(it->second, std::this_thread::get_id())
-            << "shard " << shards[i] << " migrated between workers";
-      }
+          thread_of.emplace(worker, std::this_thread::get_id());
+      if (!inserted) EXPECT_EQ(it->second, std::this_thread::get_id());
     });
   }
-  // Keys congruent mod num_workers share a worker; distinct residues use
-  // distinct workers (3 residues present among the keys).
   std::map<std::thread::id, int> distinct;
-  for (const auto& [key, id] : owner) ++distinct[id];
-  EXPECT_EQ(distinct.size(), 3u);
+  for (const auto& [worker, id] : thread_of) ++distinct[id];
+  EXPECT_EQ(distinct.size(), thread_of.size());
+
+  // A dispatch with one task never wakes the pool: the caller runs it.
+  for (int dispatch = 0; dispatch < 20; ++dispatch) {
+    executor.Execute(1, [&](size_t i, int worker) {
+      EXPECT_EQ(i, 0u);
+      EXPECT_EQ(worker, 0);
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+    });
+  }
+}
+
+TEST(ShardedExecutorTest, OneParticipantRunsHeaviestFirst) {
+  // With one participant the claim order is the execution order: weight
+  // descending, ties in index order.
+  ShardedExecutor executor(1);
+  const std::vector<uint64_t> weights = {3, 9, 1, 9, 0, 3, 7};
+  std::vector<size_t> ran;
+  executor.Execute(weights.size(), weights.data(), [&](size_t i, int worker) {
+    EXPECT_EQ(worker, 0);
+    ran.push_back(i);
+  });
+  EXPECT_EQ(ran, (std::vector<size_t>{1, 3, 6, 0, 5, 2, 4}));
+
+  // Without weights every task weighs 1: index order.
+  ran.clear();
+  executor.Execute(4, [&](size_t i, int) { ran.push_back(i); });
+  EXPECT_EQ(ran, (std::vector<size_t>{0, 1, 2, 3}));
 }
 
 TEST(ShardedExecutorTest, EmptyTickStillReachesTheBarrier) {
   ShardedExecutor executor(4);
   for (int dispatch = 0; dispatch < 100; ++dispatch) {
-    executor.Execute(0, nullptr, [](size_t, int) { FAIL(); });
+    executor.Execute(0, [](size_t, int) { FAIL(); });
   }
   EXPECT_EQ(executor.metrics().dispatches, 100u);
   EXPECT_EQ(executor.metrics().tasks, 0u);
   EXPECT_EQ(executor.metrics().imbalance, 0u);
   // The pool must still be usable after empty dispatches.
   std::atomic<int> ran{0};
-  uint64_t shard = 7;
-  executor.Execute(1, &shard, [&](size_t, int) { ++ran; });
-  EXPECT_EQ(ran.load(), 1);
+  executor.Execute(2, [&](size_t, int) { ++ran; });
+  EXPECT_EQ(ran.load(), 2);
 }
 
 TEST(ShardedExecutorTest, ImbalanceCountsSkewedShards) {
   ShardedExecutor executor(2);
-  // All four tasks on the same shard: one worker gets 4, the other 0.
-  std::vector<uint64_t> skewed(4, 2);
-  executor.Execute(skewed.size(), skewed.data(), [](size_t, int) {});
+  // One task of weight 4: exactly one participant runs it and the other
+  // runs nothing, whoever claims it.
+  const uint64_t heavy = 4;
+  executor.Execute(1, &heavy, [](size_t, int) {});
   EXPECT_EQ(executor.metrics().imbalance, 4u);
-  // Perfectly alternating shards: no imbalance added.
-  std::vector<uint64_t> even = {0, 1, 2, 3};
-  executor.Execute(even.size(), even.data(), [](size_t, int) {});
+  // An empty dispatch adds no imbalance.
+  executor.Execute(0, [](size_t, int) {});
   EXPECT_EQ(executor.metrics().imbalance, 4u);
   EXPECT_EQ(executor.metrics().barrier_wait.count(), 2);
   // The per-dispatch histogram records every dispatch: one with imbalance
@@ -105,23 +128,23 @@ TEST(ShardedExecutorTest, ImbalanceCountsSkewedShards) {
 
 TEST(ShardedExecutorTest, WeightedImbalanceSeesWorkSkew) {
   ShardedExecutor executor(2);
-  // One task per worker — task counts are perfectly even — but task 0
-  // carries weight 9 vs 1. The load tally is weight-based (the engine
-  // passes per-transaction event counts), so the hot task registers.
-  std::vector<uint64_t> shards = {0, 1};
+  // Two tasks — task counts could split evenly — but task 0 carries weight
+  // 9 vs 1. The load tally is weight-based (the engine passes per-run
+  // event counts), so the hot task registers: 8 when the tasks split, 10
+  // when one participant claims both.
   std::vector<uint64_t> weights = {9, 1};
-  executor.Execute(2, shards.data(), weights.data(), [](size_t, int) {});
-  EXPECT_EQ(executor.metrics().imbalance, 8u);
-  EXPECT_EQ(executor.metrics().imbalance_per_dispatch.max(), 8u);
+  executor.Execute(2, weights.data(), [](size_t, int) {});
+  EXPECT_GE(executor.metrics().imbalance, 8u);
+  EXPECT_LE(executor.metrics().imbalance, 10u);
+  EXPECT_EQ(executor.metrics().imbalance_per_dispatch.max(),
+            executor.metrics().imbalance);
   EXPECT_EQ(executor.metrics().tasks, 2u);
 }
 
 TEST(ShardedExecutorTest, SingleWorkerRunsEverything) {
   ShardedExecutor executor(1);
-  std::vector<uint64_t> shards = {0, 1, 2, 3, 4, 5, 6, 7};
   std::atomic<int> ran{0};
-  executor.Execute(shards.size(), shards.data(),
-                       [&](size_t, int) { ++ran; });
+  executor.Execute(8, [&](size_t, int) { ++ran; });
   EXPECT_EQ(ran.load(), 8);
   // Metric structure is identical across worker counts: the load tally is
   // taken even with one worker (max == min, so imbalance stays zero, but
@@ -138,48 +161,58 @@ TEST(ShardedExecutorTest, CleanShutdownWithoutAnyTick) {
 
 TEST(ShardedExecutorTest, ManyTicksReuseTheSameWorkers) {
   ShardedExecutor executor(2);
-  std::vector<uint64_t> shards = {0, 1};
   std::atomic<uint64_t> total{0};
   for (int dispatch = 0; dispatch < 2000; ++dispatch) {
-    executor.Execute(2, shards.data(), [&](size_t, int) { ++total; });
+    executor.Execute(2, [&](size_t, int) { ++total; });
   }
   EXPECT_EQ(total.load(), 4000u);
   EXPECT_EQ(executor.metrics().dispatches, 2000u);
 }
 
 TEST(ShardedExecutorTest, ExecutesEveryTaskExactlyOnceUnderSkew) {
-  // Forced skew: >90% of the tasks share one hot shard. Its owner runs all
-  // of them, exactly once per dispatch, at every worker count; the
-  // imbalance metric then equals the assignment skew, dispatch for dispatch.
-  constexpr size_t kTasks = 64;
-  constexpr int kTicks = 200;
-  std::vector<uint64_t> shards(kTasks);
-  for (size_t i = 0; i < kTasks; ++i) {
-    shards[i] = i < 60 ? 0 : i * 1315423911ULL;  // 60/64 tasks on shard 0
-  }
+  // Random dispatch sizes and random, heavily skewed weights (one task in
+  // eight is 100x heavier). Every task runs exactly once per dispatch at
+  // every width, and the deterministic counters stay exact; the load
+  // metrics are timing-dependent and only bounded.
+  constexpr int kDispatches = 200;
   for (int workers : {1, 2, 4, 8}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     ShardedExecutor executor(workers);
-    std::vector<uint64_t> load(workers, 0);
-    for (uint64_t shard : shards) ++load[shard % workers];
-    const uint64_t skew = *std::max_element(load.begin(), load.end()) -
-                          *std::min_element(load.begin(), load.end());
-    std::vector<std::atomic<int>> hits(kTasks);
-    for (auto& hit : hits) hit = 0;
-    for (int dispatch = 0; dispatch < kTicks; ++dispatch) {
-      executor.Execute(kTasks, shards.data(), [&](size_t i, int worker) {
-        EXPECT_EQ(worker, static_cast<int>(shards[i] % workers));
+    std::mt19937_64 rng(17 + workers);
+    uint64_t expected_tasks = 0;
+    uint64_t total_weight = 0;
+    std::vector<uint64_t> weights;
+    std::vector<std::atomic<int>> hits(64);
+    for (int dispatch = 0; dispatch < kDispatches; ++dispatch) {
+      const size_t count = rng() % 65;
+      weights.resize(count);
+      for (uint64_t& w : weights) {
+        w = rng() % 8 == 0 ? 100 + rng() % 900 : rng() % 10;
+      }
+      for (auto& hit : hits) hit = 0;
+      executor.Execute(count, weights.data(), [&](size_t i, int worker) {
+        EXPECT_GE(worker, 0);
+        EXPECT_LT(worker, workers);
         ++hits[i];
       });
+      for (size_t i = 0; i < hits.size(); ++i) {
+        ASSERT_EQ(hits[i].load(), i < count ? 1 : 0)
+            << "dispatch " << dispatch << " task " << i;
+      }
+      expected_tasks += count;
+      total_weight += std::accumulate(weights.begin(), weights.end(),
+                                      uint64_t{0});
     }
-    for (size_t i = 0; i < kTasks; ++i) {
-      EXPECT_EQ(hits[i].load(), kTicks) << "task " << i;
-    }
-    EXPECT_EQ(executor.metrics().dispatches, static_cast<uint64_t>(kTicks));
-    EXPECT_EQ(executor.metrics().tasks,
-              static_cast<uint64_t>(kTicks) * kTasks);
-    EXPECT_EQ(executor.metrics().imbalance_per_dispatch.count(), kTicks);
-    EXPECT_EQ(executor.metrics().imbalance, skew * kTicks);
+    const ExecutorMetrics& m = executor.metrics();
+    EXPECT_EQ(m.dispatches, static_cast<uint64_t>(kDispatches));
+    EXPECT_EQ(m.tasks, expected_tasks);
+    EXPECT_EQ(m.tasks_per_dispatch.count(), kDispatches);
+    EXPECT_EQ(m.tasks_per_dispatch.sum(), expected_tasks);
+    EXPECT_EQ(m.imbalance_per_dispatch.count(), kDispatches);
+    EXPECT_EQ(m.imbalance_per_dispatch.sum(), m.imbalance);
+    EXPECT_EQ(m.barrier_wait.count(), kDispatches);
+    EXPECT_LE(m.imbalance, total_weight);
+    if (workers == 1) EXPECT_EQ(m.imbalance, 0u);
   }
 }
 
@@ -259,8 +292,9 @@ TEST_F(ExecutorEngineTest, WorkersCreatedOncePerEngineAndReusedAcrossRuns) {
   EXPECT_EQ(first.parallel_ticks, 1);
   EXPECT_EQ(first.parallel_tasks, 6);
   EXPECT_EQ(first.transactions, 300);
-  // Six partitions cannot spread evenly over four workers, and the engine
-  // weighs each task by its event count, so the imbalance shows up.
+  // Six equal partition runs cannot spread evenly over four participants,
+  // and the engine weighs each task by its event count, so the imbalance
+  // shows up whoever claims which run.
   EXPECT_GT(first.shard_imbalance, 0);
 
   // Second Run reuses the same pool object and its workers; cumulative

@@ -4,12 +4,15 @@
 // RunStats counters for num_threads in {2, 4, 8} vs the serial engine,
 // with and without statistics gathering. Multi-tick batches (GC points
 // inside a batch, partitions first seen mid-batch, a tick observer) must
-// also equal one-tick-per-Run execution. Runs under TSan in CI.
+// also equal one-tick-per-Run execution, including a skewed stream whose
+// hot partition the pool claims first, out of key order. Runs under TSan
+// in CI.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <filesystem>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -428,6 +431,71 @@ TEST(ParallelDeterminismTest, PamapMultiTickBatches) {
   auto model = MakePamapModel(PamapModelConfig(), &registry);
   CAESAR_CHECK_OK(model.status());
   ExpectBatchesMatchTicks(Optimize(model.value()), stream, registry);
+}
+
+TEST(ParallelDeterminismTest, SkewedPartitionClaimedFirst) {
+  // The pool claims partition runs heaviest first, so a hot partition runs
+  // out of key order. Give the partition with the largest key every one of
+  // its events and keep only one tick in ten of the others: its run is
+  // the heaviest of every batch and is claimed first, yet the merge must
+  // still emit (tick, partition key) order at every width and batch split.
+  LinearRoadConfig config;
+  config.num_xways = 1;
+  config.num_segments = 6;
+  config.duration = 600;
+  config.cars_per_segment = 8;
+  config.seed = 11;
+  TypeRegistry registry;
+  EventBatch stream = GenerateLinearRoadStream(config, &registry);
+  auto model = MakeLinearRoadModel(LinearRoadModelConfig(), &registry);
+  CAESAR_CHECK_OK(model.status());
+  ExecutablePlan plan = Optimize(model.value());
+
+  // The engine key of every partition, from a throwaway engine fed one of
+  // its events.
+  std::map<std::vector<uint64_t>, uint64_t> key_of;
+  for (const EventPtr& event : stream) {
+    std::vector<uint64_t> partition = PartitionOf(plan, *event, registry);
+    if (key_of.count(partition) != 0) continue;
+    Engine probe(plan.Clone(), EngineOptions());
+    ASSERT_TRUE(probe.Run({event}, nullptr).ok());
+    ASSERT_EQ(probe.partition_keys().size(), 1u);
+    key_of[partition] = probe.partition_keys()[0];
+  }
+  ASSERT_GE(key_of.size(), 4u);
+  std::vector<uint64_t> hot;
+  uint64_t hot_key = 0;
+  for (const auto& [partition, key] : key_of) {
+    if (hot.empty() || key > hot_key) {
+      hot = partition;
+      hot_key = key;
+    }
+  }
+
+  EventBatch skewed;
+  size_t hot_events = 0;
+  for (const EventPtr& event : stream) {
+    const bool is_hot = PartitionOf(plan, *event, registry) == hot;
+    if (!is_hot && event->time() % 10 != 0) continue;
+    hot_events += is_hot ? 1 : 0;
+    skewed.push_back(event);
+  }
+  ASSERT_GE(hot_events * 10, skewed.size() * 3)
+      << hot_events << " of " << skewed.size() << " events";
+
+  const BatchedRun reference = RunInBatches(plan, skewed, registry, 1, 1);
+  EXPECT_FALSE(reference.derived.empty());
+  for (int ticks_per_run : {1, 3, 10, static_cast<int>(config.duration)}) {
+    for (int num_threads : {1, 2, 4, 8}) {
+      SCOPED_TRACE("ticks_per_run=" + std::to_string(ticks_per_run) +
+                   " threads=" + std::to_string(num_threads));
+      const BatchedRun run =
+          RunInBatches(plan, skewed, registry, num_threads, ticks_per_run);
+      EXPECT_EQ(reference.derived, run.derived);
+      EXPECT_EQ(reference.observed, run.observed);
+      EXPECT_EQ(reference.json, run.json);
+    }
+  }
 }
 
 TEST(ParallelDeterminismTest, SplitRunsMatchSingleRun) {
