@@ -7,8 +7,9 @@
 // returns OK is durable — its admitted events are in the WAL under a sealed
 // commit record (group commit, fsynced per FsyncPolicy), and recovery
 // restores the engine to the state after the last committed Run. A Run that
-// failed or never returned is not durable; the client re-submits its input
-// after Engine::Recover. Replay is deterministic, so the recovered engine's
+// failed or never returned may or may not be durable (its commit record is
+// written while its batch is processed); the client re-submits its input
+// from durable_batch_seq() after Engine::Recover. Replay is deterministic, so the recovered engine's
 // downstream output is byte-identical to an uninterrupted run.
 
 #ifndef CAESAR_DURABILITY_DURABILITY_H_
@@ -52,7 +53,9 @@ bool ParseFsyncPolicy(const std::string& name, FsyncPolicy* out);
 // Returning true makes the durability layer leave deliberately partial
 // on-disk state (a half-written record, an unpublished tmp checkpoint) and
 // fail the operation with DataLoss — an in-process SIGKILL equivalent the
-// crash-recovery harness can aim at any byte of the protocol.
+// crash-recovery harness can aim at any byte of the protocol. Inside
+// Engine::Run the WAL points fire on the engine's log thread and the
+// checkpoint points on the thread calling Run, never both at once.
 using CrashHook = std::function<bool(std::string_view point)>;
 
 struct DurabilityOptions {
@@ -81,9 +84,10 @@ struct DurabilityOptions {
 };
 
 // The six durability counters threaded through RunStats, StatisticsReport,
-// and the JSON/Prometheus exporters. All are maintained on the scheduler
-// thread only, so deterministic exports stay byte-identical across worker
-// counts.
+// and the JSON/Prometheus exporters. They are maintained by whichever
+// thread holds the manager — the scheduler thread or its WAL log thread,
+// never both at once — and never by pool workers, so deterministic exports
+// stay byte-identical across worker counts.
 struct DurabilityCounters {
   int64_t wal_records = 0;
   int64_t wal_bytes = 0;

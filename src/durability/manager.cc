@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/logging.h"
+
 namespace caesar {
 
 Result<RecoveryScan> ScanForRecovery(const DurabilityOptions& options) {
@@ -93,8 +95,8 @@ Status DurabilityManager::AppendTick(Timestamp t, const EventPtr* events,
     last_checkpoint_tick_ = t;
     cadence_anchored_ = true;
   }
-  return Latch(writer_->Append(
-      EncodeTickRecord(pending_batch_seq(), t, events, n), "wal_append"));
+  EncodeTickRecord(pending_batch_seq(), t, events, n, &encode_buffer_);
+  return Latch(writer_->Append(encode_buffer_, "wal_append"));
 }
 
 Status DurabilityManager::CommitBatch(std::string_view snapshot) {
@@ -133,6 +135,82 @@ Status DurabilityManager::WriteCheckpoint(Timestamp t,
   // Retention only deletes superseded artifacts; failing it leaves the
   // log intact, so it does not latch.
   return RetireOldArtifacts(options_.dir, 2);
+}
+
+WalLogThread::WalLogThread(DurabilityManager* manager)
+    : manager_(manager), thread_([this] { Loop(); }) {}
+
+WalLogThread::~WalLogThread() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    shutdown_ = true;
+  }
+  cv_.notify_one();
+  thread_.join();
+}
+
+void WalLogThread::PostAppend(const std::vector<WalTick>& ticks) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    CAESAR_CHECK(!busy_) << "WalLogThread: a job is already in flight";
+    ticks_.assign(ticks.begin(), ticks.end());
+    job_ = Job::kAppend;
+    busy_ = true;
+  }
+  cv_.notify_one();
+}
+
+void WalLogThread::PostCommit(std::string snapshot) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    CAESAR_CHECK(!busy_) << "WalLogThread: a job is already in flight";
+    snapshot_ = std::move(snapshot);
+    job_ = Job::kCommit;
+    busy_ = true;
+  }
+  cv_.notify_one();
+}
+
+Status WalLogThread::Wait() {
+  std::unique_lock<std::mutex> lock(mu_);
+  // Explicit wait loops here and in Loop: the thread-safety analysis
+  // cannot see that a predicate lambda runs with mu_ held.
+  while (busy_) cv_.wait(lock);
+  return result_;
+}
+
+void WalLogThread::Loop() {
+  // The thread's own copies of the slot, swapped out under mu_; both keep
+  // their capacity from job to job.
+  std::vector<WalTick> ticks;
+  std::string snapshot;
+  while (true) {
+    Job job = Job::kNone;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      while (job_ == Job::kNone && !shutdown_) cv_.wait(lock);
+      if (job_ == Job::kNone) return;  // shut down with nothing posted
+      job = job_;
+      job_ = Job::kNone;
+      ticks.swap(ticks_);
+      snapshot.swap(snapshot_);
+    }
+    Status status;
+    if (job == Job::kAppend) {
+      for (const WalTick& tick : ticks) {
+        status = manager_->AppendTick(tick.time, tick.events, tick.num_events);
+        if (!status.ok()) break;
+      }
+    } else {
+      status = manager_->CommitBatch(snapshot);
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      result_ = std::move(status);
+      busy_ = false;
+    }
+    cv_.notify_one();
+  }
 }
 
 }  // namespace caesar

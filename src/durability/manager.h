@@ -1,19 +1,25 @@
 // DurabilityManager: the engine-facing facade over the WAL and checkpoint
 // machinery. The engine serializes its own state (it owns the internals);
 // the manager owns sequencing, framing, group commit, rotation, retention,
-// and the recovery scan. Everything here runs on the scheduler thread.
+// and the recovery scan. A manager is used by one thread at a time: the
+// engine's scheduler thread, or the WalLogThread it hands the WAL writes
+// to while it works (see WalLogThread).
 
 #ifndef CAESAR_DURABILITY_MANAGER_H_
 #define CAESAR_DURABILITY_MANAGER_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "analysis/diagnostics.h"
 #include "common/status.h"
+#include "common/thread_annotations.h"
 #include "durability/checkpoint.h"
 #include "durability/durability.h"
 #include "durability/wal.h"
@@ -99,6 +105,60 @@ class DurabilityManager {
   Timestamp last_checkpoint_tick_ = 0;
   bool cadence_anchored_ = false;
   Status failure_;  // the latched first failure (Ok = none)
+  std::string encode_buffer_;  // tick record payloads, reused
+};
+
+// One tick of a Run batch as the log thread appends it. The events stay
+// owned by the engine's admitted batch, which outlives the append.
+struct WalTick {
+  Timestamp time = 0;
+  const EventPtr* events = nullptr;
+  size_t num_events = 0;
+};
+
+// One persistent thread doing a DurabilityManager's WAL writes while the
+// engine works: the engine posts a job, does its own work, then Waits for
+// the job's status. One job is in flight at a time, and between a Post and
+// its Wait only the log thread touches the manager; the slot's mutex
+// orders every manager access across the hand-off, so the manager itself
+// needs no lock. The crash hook (DurabilityOptions::crash_hook) fires on
+// this thread for the points the jobs pass.
+class WalLogThread {
+ public:
+  // Starts the thread. `manager` must outlive this object.
+  explicit WalLogThread(DurabilityManager* manager);
+  // Finishes a posted job, then joins the thread.
+  ~WalLogThread();
+
+  WalLogThread(const WalLogThread&) = delete;
+  WalLogThread& operator=(const WalLogThread&) = delete;
+
+  // Starts AppendTick for every tick in order, stopping at the first
+  // failure. The slot keeps its own copy of the spans.
+  void PostAppend(const std::vector<WalTick>& ticks);
+  // Starts CommitBatch(snapshot): the commit record, the fsync under
+  // FsyncPolicy::kBatch, and the size rotation.
+  void PostCommit(std::string snapshot);
+  // Blocks until the posted job has finished and returns its status.
+  Status Wait();
+
+ private:
+  enum class Job : int8_t { kNone = 0, kAppend, kCommit };
+
+  void Loop();
+
+  DurabilityManager* const manager_;
+
+  std::mutex mu_;
+  std::condition_variable cv_;  // one waiter at a time: the other side
+  Job job_ CAESAR_GUARDED_BY(mu_) = Job::kNone;  // posted, not yet taken
+  bool busy_ CAESAR_GUARDED_BY(mu_) = false;     // posted or running
+  bool shutdown_ CAESAR_GUARDED_BY(mu_) = false;
+  std::vector<WalTick> ticks_ CAESAR_GUARDED_BY(mu_);
+  std::string snapshot_ CAESAR_GUARDED_BY(mu_);
+  Status result_ CAESAR_GUARDED_BY(mu_);
+
+  std::thread thread_;  // last: starts after every member it uses
 };
 
 }  // namespace caesar

@@ -25,6 +25,13 @@ namespace caesar {
 
 class StateWriter {
  public:
+  StateWriter() = default;
+  // Writes into `buffer`, cleared first: a caller encoding one record after
+  // another hands the same buffer back and reuses its capacity.
+  explicit StateWriter(std::string buffer) : out_(std::move(buffer)) {
+    out_.clear();
+  }
+
   void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
   void Bool(bool v) { U8(v ? 1 : 0); }
   // One fixed-width little-endian block per field; the shifts fold into

@@ -41,14 +41,14 @@ Status WriteAll(int fd, const void* data, size_t n, const std::string& what) {
   return Status::Ok();
 }
 
-std::string FrameRecord(std::string_view payload) {
-  StateWriter framed;
+// Frames `payload` into `*out` (its capacity reused).
+void FrameRecord(std::string_view payload, std::string* out) {
+  StateWriter framed(std::move(*out));
   framed.Reserve(kRecordHeaderBytes + payload.size());
   framed.U32(static_cast<uint32_t>(payload.size()));
   framed.U32(Crc32(payload));
-  std::string out = framed.Take();
-  out.append(payload.data(), payload.size());
-  return out;
+  *out = framed.Take();
+  out->append(payload.data(), payload.size());
 }
 
 // Parses "wal-NNNNNNNNNN.log" into NNNNNNNNNN; 0 when the name does not
@@ -103,16 +103,23 @@ std::string WalSegmentFileName(uint64_t seq) {
 
 std::string EncodeTickRecord(uint64_t batch_seq, Timestamp tick,
                              const EventPtr* events, size_t n) {
+  std::string out;
+  EncodeTickRecord(batch_seq, tick, events, n, &out);
+  return out;
+}
+
+void EncodeTickRecord(uint64_t batch_seq, Timestamp tick,
+                      const EventPtr* events, size_t n, std::string* out) {
   size_t bytes = 1 + 8 + 8 + 4;
   for (size_t i = 0; i < n; ++i) bytes += EncodedEventSize(*events[i]);
-  StateWriter w;
+  StateWriter w(std::move(*out));
   w.Reserve(bytes);
   w.U8(kWalRecordTick);
   w.U64(batch_seq);
   w.I64(tick);
   w.U32(static_cast<uint32_t>(n));
   for (size_t i = 0; i < n; ++i) WriteEvent(&w, *events[i]);
-  return w.Take();
+  *out = w.Take();
 }
 
 std::string EncodeCommitRecord(uint64_t batch_seq, std::string_view snapshot) {
@@ -173,7 +180,8 @@ Status WalWriter::CloseSegment() {
 Status WalWriter::Append(std::string_view payload,
                          std::string_view crash_point) {
   if (fd_ < 0) return Status::FailedPrecondition("wal: writer closed");
-  std::string framed = FrameRecord(payload);
+  FrameRecord(payload, &framed_);
+  const std::string& framed = framed_;
   if (options_.crash_hook && options_.crash_hook(crash_point)) {
     // Simulated kill mid-append: a torn prefix of the record reaches the
     // disk (header plus half the payload), then the "process" dies. The

@@ -43,6 +43,9 @@ inline constexpr uint8_t kWalRecordCommit = 2;
 // Record payload encoders (framing and checksums are WalWriter's job).
 std::string EncodeTickRecord(uint64_t batch_seq, Timestamp tick,
                              const EventPtr* events, size_t n);
+// The same bytes, encoded into `*out` (cleared first, capacity reused).
+void EncodeTickRecord(uint64_t batch_seq, Timestamp tick,
+                      const EventPtr* events, size_t n, std::string* out);
 std::string EncodeCommitRecord(uint64_t batch_seq, std::string_view snapshot);
 
 // "wal-0000000001.log" — also the Diagnostic::source recovery reports use.
@@ -50,7 +53,7 @@ std::string WalSegmentFileName(uint64_t seq);
 
 // Appends framed records to segment files, rotating at size thresholds and
 // checkpoint boundaries. Counters are bumped on the caller's
-// DurabilityCounters (scheduler thread only).
+// DurabilityCounters (by the one thread using the writer at a time).
 class WalWriter {
  public:
   // Opens (creates) segment `segment_seq` in options.dir for appending.
@@ -89,6 +92,7 @@ class WalWriter {
 
   DurabilityOptions options_;
   DurabilityCounters* counters_;
+  std::string framed_;  // the framed record, reused across appends
   int fd_ = -1;
   uint64_t seq_ = 0;
   uint64_t segment_offset_ = 0;

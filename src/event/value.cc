@@ -1,5 +1,6 @@
 #include "event/value.h"
 
+#include <cmath>
 #include <functional>
 #include <sstream>
 
@@ -56,13 +57,27 @@ int Value::Compare(const Value& other) const {
 }
 
 size_t Value::Hash() const {
+  constexpr int64_t kExactInt = int64_t{1} << 53;
   switch (type()) {
     case ValueType::kNull:
       return 0x9e3779b97f4a7c15ULL;
     case ValueType::kInt:
-      return std::hash<int64_t>{}(AsInt());
-    case ValueType::kDouble:
-      return std::hash<double>{}(AsDouble());
+      if (AsInt() >= -kExactInt && AsInt() <= kExactInt) {
+        return std::hash<int64_t>{}(AsInt());
+      }
+      [[fallthrough]];
+    case ValueType::kDouble: {
+      // Equal numerics must hash equal, and Equals compares an int with a
+      // double through ToDouble(). Ints within +-2^53 convert exactly, so
+      // they keep the plain integer hash above; every other numeric hashes
+      // its double, as the int64 it equals when that double is integral
+      // and in int64 range (-0.0 included).
+      const double d = ToDouble();
+      if (d >= -0x1p63 && d < 0x1p63 && d == std::trunc(d)) {
+        return std::hash<int64_t>{}(static_cast<int64_t>(d));
+      }
+      return std::hash<double>{}(d);
+    }
     case ValueType::kString:
       return std::hash<std::string>{}(AsString());
   }

@@ -64,7 +64,8 @@ class Value {
   // (both numeric or both string); callers type-check first.
   int Compare(const Value& other) const;
 
-  // Hash suitable for grouping keys.
+  // Hash suitable for grouping and partition keys; agrees with Equals, so
+  // Value(int64_t{1}) and Value(1.0) hash alike.
   size_t Hash() const;
 
   std::string ToString() const;

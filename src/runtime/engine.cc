@@ -43,7 +43,8 @@ std::string RunStats::ToString() const {
   }
   if (wal_records > 0 || checkpoints_written > 0) {
     os << " wal_records=" << wal_records << " wal_bytes=" << wal_bytes
-       << " fsyncs=" << fsyncs << " checkpoints=" << checkpoints_written;
+       << " fsyncs=" << fsyncs << " checkpoints=" << checkpoints_written
+       << " wal_wait=" << wal_wait_seconds << "s";
   }
   for (const auto& [type, count] : derived_by_type) {
     os << "\n  " << type << ": " << count;
@@ -544,25 +545,55 @@ Result<RunStats> Engine::Run(const EventBatch& raw_input,
   }
   const EventBatch& input = *effective;
 
-  // Write-ahead: every tick of the batch hits the log before any state
-  // mutates. A failed append (disk error, injected crash) aborts the Run
-  // with this batch uncommitted and the engine as it was — recovery
-  // discards the unsealed records.
+  // Write-ahead: every tick of the batch hits the log before any partition,
+  // context or operator state mutates. The log thread appends while this
+  // thread distributes, which only creates partitions and fills the batch
+  // scratch; a failed append (disk error, injected crash) drops what the
+  // distribution created and aborts the Run with this batch uncommitted
+  // and the engine as it was — recovery discards the unsealed records.
   PlanBatch(input);
-  if (durability_ != nullptr && !replaying_) {
-    CAESAR_TRACE_SPAN("wal_append");
-    for (const BatchTick& tick : batch_ticks_) {
-      CAESAR_RETURN_IF_ERROR(durability_->AppendTick(
-          tick.time, input.data() + tick.first_event, tick.num_events));
+  const bool logging = durability_ != nullptr && !replaying_;
+  auto wait_for_log = [&]() {
+    CAESAR_TRACE_SPAN("wal_wait");
+    Stopwatch wait_watch;
+    Status status = log_thread_->Wait();
+    stats.wal_wait_seconds += wait_watch.ElapsedSeconds();
+    return status;
+  };
+  if (logging) {
+    if (log_thread_ == nullptr) {
+      log_thread_ = std::make_unique<WalLogThread>(durability_.get());
     }
-  }
-  if (!gc_points_.empty()) {
-    last_gc_ = batch_ticks_[gc_points_.back().tick].time;
+    wal_ticks_.clear();
+    for (const BatchTick& tick : batch_ticks_) {
+      wal_ticks_.push_back(
+          {tick.time, input.data() + tick.first_event, tick.num_events});
+    }
+    log_thread_->PostAppend(wal_ticks_);
   }
   {
     CAESAR_TRACE_SPAN("distribute");
     DistributeBatch(input);
   }
+  if (logging) {
+    Status appended = wait_for_log();
+    if (!appended.ok()) {
+      DiscardBatch();
+      return appended;
+    }
+  }
+  if (!gc_points_.empty()) {
+    last_gc_ = batch_ticks_[gc_points_.back().tick].time;
+  }
+  if (!batch_ticks_.empty()) {
+    last_processed_tick_ = batch_ticks_.back().time;
+    any_tick_processed_ = true;
+  }
+  // Group commit: one commit record seals the whole batch (fsync per the
+  // policy). Everything it snapshots is final here except the virtual
+  // clock, wall-clock telemetry that keeps its batch-start value; the log
+  // thread writes it while the batch is processed.
+  if (logging) log_thread_->PostCommit(SerializeIngestSnapshot());
 
   // One dispatch runs the whole batch: whichever participant claims a
   // partition's run executes all of its transactions in tick order. A
@@ -588,16 +619,14 @@ Result<RunStats> Engine::Run(const EventBatch& raw_input,
     }
   }
   MergeBatch(outputs, &stats);
-  if (!batch_ticks_.empty()) {
-    last_processed_tick_ = batch_ticks_.back().time;
-    any_tick_processed_ = true;
-  }
 
-  // Group commit: one commit record seals the whole batch (fsync per the
-  // policy), then the checkpoint cadence gets its chance at the boundary.
-  if (durability_ != nullptr && !replaying_) {
-    CAESAR_RETURN_IF_ERROR(
-        durability_->CommitBatch(SerializeIngestSnapshot()));
+  // The Run returns OK only once its commit is durable; then the
+  // checkpoint cadence gets its chance at the boundary.
+  if (logging) {
+    CAESAR_RETURN_IF_ERROR(wait_for_log());
+    if (tick_telemetry) {
+      tick_metrics_.wal_wait_seconds.Add(stats.wal_wait_seconds);
+    }
     if (any_tick_processed_ &&
         durability_->ShouldCheckpoint(last_processed_tick_)) {
       CAESAR_RETURN_IF_ERROR(
@@ -688,6 +717,7 @@ void Engine::DistributeBatch(const EventBatch& input) {
   // partition's first event of each tick.
   ++batch_seq_;
   num_runs_ = 0;
+  created_partitions_.clear();
   for (size_t k = 0; k < batch_ticks_.size(); ++k) {
     BatchTick& tick = batch_ticks_[k];
     for (size_t e = tick.first_event; e < tick.first_event + tick.num_events;
@@ -695,8 +725,9 @@ void Engine::DistributeBatch(const EventBatch& input) {
       const size_t known = partitions_.size();
       PartitionState* partition =
           GetOrCreatePartition(PartitionKeyOf(*input[e]));
-      PartitionRun& run =
-          ClaimRun(partition, partitions_.size() > known ? k : 0);
+      const bool created = partitions_.size() > known;
+      if (created) created_partitions_.push_back(partition->key);
+      PartitionRun& run = ClaimRun(partition, created ? k : 0);
       if (run.transactions.empty() || run.transactions.back().tick != k) {
         Transaction txn;
         txn.tick = static_cast<uint32_t>(k);
@@ -748,6 +779,16 @@ void Engine::DistributeBatch(const EventBatch& input) {
           r, static_cast<uint32_t>(x)};
     }
   }
+}
+
+void Engine::DiscardBatch() {
+  for (size_t r = 0; r < num_runs_; ++r) {
+    runs_[r].events.clear();
+    runs_[r].transactions.clear();
+  }
+  num_runs_ = 0;
+  for (uint64_t key : created_partitions_) partitions_.erase(key);
+  created_partitions_.clear();
 }
 
 void Engine::MergeBatch(EventBatch* outputs, RunStats* stats) {

@@ -24,7 +24,9 @@
 // tick order — in one worker-pool dispatch when parallel. Partitions share
 // no state, so this equals tick-by-tick execution; the derived batches are
 // merged by (time stamp, partition key) afterwards, which is exactly the
-// tick-major order.
+// tick-major order. With durability on, a log thread writes the batch's
+// WAL records while the scheduler distributes, and its commit record while
+// the batch is processed (see Run).
 //
 // Latency model: the processing cost of a time stamp is the summed measured
 // wall time of its stream transactions; arrival times derive from
@@ -60,7 +62,9 @@ namespace caesar {
 class CaesarModel;
 struct PlanOptions;
 class DurabilityManager;
+class WalLogThread;
 struct RecoveryScan;
+struct WalTick;
 
 // What the model-based Engine::Create overload does with static-analysis
 // results (analysis/analyzer.h). Ignored by the plan-based overload, which
@@ -158,7 +162,8 @@ struct EngineOptions {
   // state checkpoints that bound replay time and let the log be truncated.
   // The durability contract: a Run call that returned OK is durable — a
   // recovered engine resumes exactly after it; a Run that failed or was
-  // interrupted is not, and its input must be re-submitted.
+  // interrupted may not be, and the client re-submits its input from
+  // durable_batch_seq().
   DurabilityOptions durability;
 
   // Checks option invariants (num_threads >= 1, reorder_slack >= 0, accel
@@ -235,6 +240,10 @@ struct RunStats {
   int64_t wal_bytes = 0;
   int64_t fsyncs = 0;
   int64_t checkpoints_written = 0;
+  // Wall time the Run blocked on the log thread: the wait for the tick
+  // records before the dispatch plus the wait for the commit after the
+  // merge (0 when durability is off).
+  double wal_wait_seconds = 0.0;
 
   std::string ToString() const;
 };
@@ -294,6 +303,19 @@ class Engine {
   // appended to `outputs` if non-null (in deterministic order). May be
   // called repeatedly; state — including the reorder high-water mark —
   // carries over.
+  //
+  // With durability on, the WAL I/O runs on a per-engine log thread,
+  // started by the first logged Run and joined by the destructor:
+  //  1. ingest, then plan the batch's ticks and GC points;
+  //  2. the log thread appends the tick records while this thread
+  //     distributes the batch;
+  //  3. this thread waits for the append — on failure it drops the
+  //     partitions the distribution created and returns, leaving the
+  //     engine as it was;
+  //  4. this thread serializes the commit snapshot; the log thread writes
+  //     the commit record, fsyncs and rotates while the batch is
+  //     dispatched and merged;
+  //  5. Run waits for the commit, writes a due checkpoint, and returns.
   Result<RunStats> Run(const EventBatch& input,
                        EventBatch* outputs = nullptr);
 
@@ -382,6 +404,10 @@ class Engine {
   // the scheduler thread; fills the task order and the merge order.
   void DistributeBatch(const EventBatch& input);
 
+  // Undoes DistributeBatch when the batch's WAL append failed: drops the
+  // partitions it created and clears its runs.
+  void DiscardBatch();
+
   // The run slot of `partition` in this batch, claimed on first use.
   // `first_tick` is the batch tick a new partition first appears at.
   PartitionRun& ClaimRun(PartitionState* partition, size_t first_tick);
@@ -420,7 +446,8 @@ class Engine {
   // --- Durability serialization (scheduler thread only) ---
   // The per-batch commit snapshot: ingest-layer scalars, the quarantine
   // sink, and the virtual clock — everything replay cannot re-derive from
-  // the admitted events alone.
+  // the admitted events alone. Run takes it after distribution, before the
+  // dispatch, so the virtual clock in it holds its batch-start value.
   std::string SerializeIngestSnapshot() const;
   Status RestoreIngestSnapshot(std::string_view snapshot);
   // The full checkpoint payload: the commit snapshot plus every
@@ -510,6 +537,8 @@ class Engine {
   // GC wall time of run r at GC point g: gc_seconds_[r * gc_points + g].
   std::vector<double> gc_seconds_;
   uint64_t batch_seq_ = 0;  // tags partitions claimed by the current batch
+  // Keys of the partitions the current batch's distribution created.
+  std::vector<uint64_t> created_partitions_;
   // Task order (partition key ascending) with its weights (event counts)
   // for the pool.
   std::vector<uint32_t> task_runs_;
@@ -551,6 +580,11 @@ class Engine {
   // the first Run (so I/O failures surface as a Status, not an abort) or
   // installed by Recover; null when the mode is kOff.
   std::unique_ptr<DurabilityManager> durability_;
+  // The log thread doing durability_'s WAL writes inside Run; started by
+  // the first logged Run, so it exists only when durability is on.
+  // Declared after durability_ so it is joined before the manager goes.
+  std::unique_ptr<WalLogThread> log_thread_;
+  std::vector<WalTick> wal_ticks_;  // the batch's tick spans
   bool replaying_ = false;  // WAL replay re-enters Run; nothing re-logged
   bool recovered_ = false;
   std::vector<std::string> recovery_diagnostics_;

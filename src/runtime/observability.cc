@@ -158,6 +158,7 @@ void TickMetrics::Merge(const TickMetrics& other) {
   ingest_seconds.Merge(other.ingest_seconds);
   gc_pause_seconds.Merge(other.gc_pause_seconds);
   barrier_wait_seconds.Merge(other.barrier_wait_seconds);
+  wal_wait_seconds.Merge(other.wal_wait_seconds);
 }
 
 Timeline::Timeline(size_t capacity) : capacity_(capacity) {
@@ -573,6 +574,8 @@ std::string StatisticsToJson(const StatisticsReport& report,
                             report.ticks.gc_pause_seconds);
       WriteRunningStatsJson(&json, "barrier_wait_seconds",
                             report.ticks.barrier_wait_seconds);
+      WriteRunningStatsJson(&json, "wal_wait_seconds",
+                            report.ticks.wal_wait_seconds);
     }
     json.EndObject();
 
@@ -779,6 +782,9 @@ std::string StatisticsToPrometheus(const StatisticsReport& report,
       os << "# TYPE caesar_gc_pause_seconds_sum counter\n";
       os << bare("caesar_gc_pause_seconds_sum") << " "
          << FmtDouble(report.ticks.gc_pause_seconds.sum()) << "\n";
+      os << "# TYPE caesar_wal_wait_seconds_sum counter\n";
+      os << bare("caesar_wal_wait_seconds_sum") << " "
+         << FmtDouble(report.ticks.wal_wait_seconds.sum()) << "\n";
     }
     for (const CounterSnapshot& counter : report.counters) {
       os << "# HELP caesar_" << counter.name << "_total "

@@ -251,11 +251,13 @@ struct TickMetrics {
   // Wall clock (nondeterministic): summed transaction cost per tick (the
   // virtual clock's charge), ingest admission time per Run, summed GC time
   // of every partition per GC point, barrier wait per pool dispatch
-  // (parallel mode only).
+  // (parallel mode only), and the time each logged Run blocked on the WAL
+  // log thread (durability on only; RunStats::wal_wait_seconds).
   RunningStats scheduler_seconds;
   RunningStats ingest_seconds;
   RunningStats gc_pause_seconds;
   RunningStats barrier_wait_seconds;
+  RunningStats wal_wait_seconds;
 
   void Merge(const TickMetrics& other);
 };

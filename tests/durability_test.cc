@@ -6,7 +6,9 @@
 // crashes landing mid-checkpoint and mid-WAL-append. Checkpoints of an
 // older format version are rejected like corrupt ones. A failed WAL write
 // latches until Engine::Recover, and the CRC and the tick-record bytes are
-// pinned against a bitwise reference and a golden.
+// pinned against a bitwise reference and a golden. The WAL writes run on
+// the engine's log thread, so the write-ahead and latch cases run at 1 and
+// 4 threads, and the logged ticks must not depend on the pool width.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -19,6 +21,8 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -893,12 +897,15 @@ std::map<uint64_t, std::string> ContextSnapshot(const Engine& engine) {
   return snapshot;
 }
 
-TEST(EngineDurabilityTest, FailedAppendLeavesTheEngineUntouched) {
+void FailedAppendCase(int num_threads) {
   // The write-ahead contract: a Run logs every tick of its batch before any
   // state mutates. A crash at any append of a 10-tick batch — here the
   // batch in which a new partition first appears — leaves the partition
   // set and every context vector as they were before the call, and
-  // recovery still resumes byte-identically.
+  // recovery still resumes byte-identically. The log thread appends while
+  // the batch is distributed, so the partition the distribution created
+  // must be dropped again.
+  SCOPED_TRACE("num_threads=" + std::to_string(num_threads));
   auto w = MakeWorkload();
   // Partition seg=2 first appears at tick 35, inside the fourth batch.
   EventBatch stream;
@@ -915,6 +922,7 @@ TEST(EngineDurabilityTest, FailedAppendLeavesTheEngineUntouched) {
     SCOPED_TRACE("append " + std::to_string(k) + " of the batch");
     CrashPointInjector injector("wal_append", 3 * 10 + k);
     EngineOptions options;
+    options.num_threads = num_threads;
     options.durability.mode = DurabilityMode::kWal;
     options.durability.dir = ScratchDir("write_ahead");
     options.durability.fsync = FsyncPolicy::kNone;
@@ -949,12 +957,21 @@ TEST(EngineDurabilityTest, FailedAppendLeavesTheEngineUntouched) {
   }
 }
 
-TEST(EngineDurabilityTest, FailedWriteStopsLaterCommitsUntilRecover) {
+TEST(EngineDurabilityTest, FailedAppendLeavesTheEngineUntouched) {
+  FailedAppendCase(1);
+}
+
+TEST(EngineDurabilityTest, FailedAppendLeavesTheEngineUntouchedAtFourThreads) {
+  FailedAppendCase(4);
+}
+
+void FailedWriteCase(int num_threads) {
   // After a failed append or commit the log ends in a torn or unsealed
   // record, so nothing appended after it could be recovered. The failure
   // latches: retrying the failed Run, or running later batches, returns
   // FailedPrecondition naming Engine::Recover, and the live
   // durable_batch_seq stays what recovery will report.
+  SCOPED_TRACE("num_threads=" + std::to_string(num_threads));
   auto w = MakeWorkload();
   std::vector<EventBatch> batches = SplitByTicks(w->stream, 10);
   ASSERT_GT(batches.size(), 6u);
@@ -968,6 +985,7 @@ TEST(EngineDurabilityTest, FailedWriteStopsLaterCommitsUntilRecover) {
     SCOPED_TRACE(point);
     CrashPointInjector injector(point, nth);
     EngineOptions options;
+    options.num_threads = num_threads;
     options.durability.mode = DurabilityMode::kWal;
     options.durability.dir = ScratchDir("latch");
     options.durability.fsync = FsyncPolicy::kNone;
@@ -1006,6 +1024,199 @@ TEST(EngineDurabilityTest, FailedWriteStopsLaterCommitsUntilRecover) {
       EXPECT_EQ(resumed.outputs[b - live_durable], uninterrupted.outputs[b])
           << "batch " << b << " diverged after recovery";
     }
+  }
+}
+
+TEST(EngineDurabilityTest, FailedWriteStopsLaterCommitsUntilRecover) {
+  FailedWriteCase(1);
+}
+
+TEST(EngineDurabilityTest,
+     FailedWriteStopsLaterCommitsUntilRecoverAtFourThreads) {
+  FailedWriteCase(4);
+}
+
+TEST(EngineDurabilityTest, CommitCrashOnTheLogThreadMidDispatch) {
+  // The commit record is written by the log thread while the batch is
+  // dispatched and merged. A crash there must still fail the Run with
+  // DataLoss, latch, keep durable_batch_seq where it was, and recover to
+  // the same bytes at every thread count.
+  auto w = MakeWorkload();
+  std::vector<EventBatch> batches = SplitByTicks(w->stream, 10);
+  ASSERT_GT(batches.size(), 6u);
+  Engine reference(w->plan.Clone(), EngineOptions());
+  BatchRun uninterrupted = RunBatches(&reference, batches, 0, w->registry);
+
+  std::vector<std::string> recovered_outputs;
+  for (int num_threads : {1, 4}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(num_threads));
+    CrashPointInjector injector("wal_commit", 5);
+    const std::thread::id caller = std::this_thread::get_id();
+    bool fired_on_caller = false;
+    CrashHook inner = injector.Hook();
+    EngineOptions options;
+    options.num_threads = num_threads;
+    options.durability.mode = DurabilityMode::kWalCheckpoint;
+    options.durability.dir = ScratchDir("commit_crash");
+    options.durability.fsync = FsyncPolicy::kBatch;
+    options.durability.checkpoint_interval_ticks = 16;
+    options.durability.crash_hook = [&](std::string_view point) {
+      const bool fire = inner(point);
+      if (fire && std::this_thread::get_id() == caller) fired_on_caller = true;
+      return fire;
+    };
+    {
+      Engine victim(w->plan.Clone(), options);
+      for (size_t b = 0; b < 5; ++b) {
+        ASSERT_TRUE(victim.Run(batches[b], nullptr).ok()) << b;
+      }
+      ASSERT_EQ(victim.durable_batch_seq(), 5u);
+      auto failed = victim.Run(batches[5], nullptr);
+      ASSERT_FALSE(failed.ok());
+      EXPECT_EQ(failed.status().code(), StatusCode::kDataLoss);
+      ASSERT_TRUE(injector.fired());
+      EXPECT_FALSE(fired_on_caller) << "the commit ran on the Run caller";
+      EXPECT_EQ(victim.durable_batch_seq(), 5u);
+      auto latched = victim.Run(batches[6], nullptr);
+      ASSERT_FALSE(latched.ok());
+      EXPECT_EQ(latched.status().code(), StatusCode::kFailedPrecondition);
+      EXPECT_EQ(victim.durable_batch_seq(), 5u);
+    }
+    options.durability.crash_hook = nullptr;
+    auto recovered = Engine::Recover(w->plan.Clone(), options);
+    ASSERT_TRUE(recovered.ok()) << recovered.status();
+    ASSERT_EQ(recovered.value()->durable_batch_seq(), 5u);
+    BatchRun resumed =
+        RunBatches(recovered.value().get(), batches, 5, w->registry);
+    ASSERT_EQ(resumed.outputs.size(), batches.size() - 5);
+    std::string all;
+    for (size_t b = 5; b < batches.size(); ++b) {
+      EXPECT_EQ(resumed.outputs[b - 5], uninterrupted.outputs[b])
+          << "batch " << b << " diverged after recovery";
+      all += resumed.outputs[b - 5];
+    }
+    ExpectSameDegradation(uninterrupted, resumed);
+    recovered_outputs.push_back(all);
+  }
+  ASSERT_EQ(recovered_outputs.size(), 2u);
+  EXPECT_EQ(recovered_outputs[0], recovered_outputs[1]);
+}
+
+TEST(EngineDurabilityTest, LoggedTicksMatchTheAdmittedBatchesAtAnyWidth) {
+  // The log thread appends the tick spans the scheduler planned; what the
+  // WAL holds must not depend on the pool width, and must be exactly the
+  // admitted batches, tick by tick.
+  auto w = MakeWorkload();
+  std::vector<EventBatch> batches = SplitByTicks(w->stream, 10);
+  std::vector<std::vector<WalBatch>> logged;
+  for (int num_threads : {1, 4}) {
+    EngineOptions options;
+    options.num_threads = num_threads;
+    options.durability.mode = DurabilityMode::kWal;
+    options.durability.dir = ScratchDir("logged_ticks");
+    options.durability.fsync = FsyncPolicy::kNone;
+    {
+      Engine engine(w->plan.Clone(), options);
+      for (const EventBatch& batch : batches) {
+        ASSERT_TRUE(engine.Run(batch, nullptr).ok());
+      }
+    }
+    auto scan = ScanWal(options.durability.dir, 0, 0);
+    ASSERT_TRUE(scan.ok()) << scan.status();
+    logged.push_back(std::move(scan.value().batches));
+  }
+  auto render = [&](const WalBatch& batch) {
+    std::string out;
+    for (const auto& [tick, events] : batch.ticks) {
+      out += "tick " + std::to_string(tick) + "\n";
+      for (const EventPtr& event : events) {
+        EXPECT_EQ(event->time(), tick);
+        out += event->ToString(w->registry) + "\n";
+      }
+    }
+    return out;
+  };
+  ASSERT_EQ(logged[0].size(), batches.size());
+  ASSERT_EQ(logged[1].size(), batches.size());
+  for (size_t b = 0; b < batches.size(); ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    EXPECT_EQ(logged[0][b].batch_seq, b + 1);
+    EXPECT_EQ(logged[1][b].batch_seq, b + 1);
+    EXPECT_EQ(render(logged[0][b]), render(logged[1][b]));
+    std::string admitted;
+    Timestamp last = -1;
+    for (const EventPtr& event : batches[b]) {
+      if (event->time() != last) {
+        admitted += "tick " + std::to_string(event->time()) + "\n";
+        last = event->time();
+      }
+      admitted += event->ToString(w->registry) + "\n";
+    }
+    EXPECT_EQ(render(logged[0][b]), admitted);
+  }
+}
+
+TEST(EngineDurabilityTest, EngineDestroyedRightAfterALoggedRunJoinsItsLog) {
+  // The log thread starts with the first logged Run and is joined by the
+  // destructor; tearing engines down straight after a Run must neither
+  // race (TSan) nor lose the committed batch.
+  auto w = MakeWorkload();
+  std::vector<EventBatch> batches = SplitByTicks(w->stream, 10);
+  for (int round = 0; round < 8; ++round) {
+    EngineOptions options;
+    options.num_threads = round % 2 == 0 ? 1 : 4;
+    options.durability.mode = DurabilityMode::kWal;
+    options.durability.dir = ScratchDir("teardown");
+    options.durability.fsync = FsyncPolicy::kNone;
+    {
+      Engine engine(w->plan.Clone(), options);
+      ASSERT_TRUE(engine.Run(batches[0], nullptr).ok());
+    }
+    auto scan = ScanWal(options.durability.dir, 0, 0);
+    ASSERT_TRUE(scan.ok()) << scan.status();
+    ASSERT_EQ(scan.value().batches.size(), 1u);
+    EXPECT_EQ(scan.value().batches[0].batch_seq, 1u);
+  }
+  // An engine that never logs starts no thread and writes nothing.
+  std::string dir = ScratchDir("never_logged");
+  {
+    EngineOptions options;
+    options.durability.mode = DurabilityMode::kWal;
+    options.durability.dir = dir;
+    Engine engine(w->plan.Clone(), options);
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+}
+
+TEST(EngineDurabilityTest, WalWaitIsTimedPerLoggedRun) {
+  // RunStats::wal_wait_seconds and the kEngine wal_wait_seconds stats time
+  // how long Run blocked on the log thread: one sample per logged Run, and
+  // nothing with durability off.
+  auto w = MakeWorkload();
+  std::vector<EventBatch> batches = SplitByTicks(w->stream, 40);
+  for (DurabilityMode mode : {DurabilityMode::kOff, DurabilityMode::kWal}) {
+    SCOPED_TRACE(DurabilityModeName(mode));
+    EngineOptions options;
+    options.metrics = MetricsGranularity::kEngine;
+    options.durability.mode = mode;
+    options.durability.dir = ScratchDir("wal_wait");
+    Engine engine(w->plan.Clone(), options);
+    double summed = 0.0;
+    for (const EventBatch& batch : batches) {
+      auto stats = engine.Run(batch, nullptr);
+      ASSERT_TRUE(stats.ok()) << stats.status();
+      EXPECT_GE(stats.value().wal_wait_seconds, 0.0);
+      if (mode == DurabilityMode::kOff) {
+        EXPECT_EQ(stats.value().wal_wait_seconds, 0.0);
+      }
+      summed += stats.value().wal_wait_seconds;
+    }
+    const RunningStats& wal_wait =
+        engine.CollectStatistics().ticks.wal_wait_seconds;
+    EXPECT_EQ(wal_wait.count(), mode == DurabilityMode::kOff
+                                    ? 0
+                                    : static_cast<int64_t>(batches.size()));
+    EXPECT_DOUBLE_EQ(wal_wait.sum(), summed);
   }
 }
 

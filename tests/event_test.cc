@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <utility>
+
 #include "event/event.h"
 #include "event/schema.h"
 #include "event/value.h"
@@ -24,6 +28,26 @@ TEST(ValueTest, NumericCoercionInEquality) {
   EXPECT_NE(Value(int64_t{3}), Value("3"));
   EXPECT_EQ(Value(), Value());
   EXPECT_NE(Value(), Value(int64_t{0}));
+}
+
+TEST(ValueTest, HashAgreesWithEquals) {
+  const int64_t big = (int64_t{1} << 53) + 1;  // rounds to 2^53 as a double
+  const std::pair<Value, Value> equal_pairs[] = {
+      {Value(int64_t{1}), Value(1.0)},
+      {Value(0.0), Value(-0.0)},
+      {Value(int64_t{0}), Value(-0.0)},
+      {Value(int64_t{-7}), Value(-7.0)},
+      {Value(big), Value(static_cast<double>(big))},
+  };
+  for (const auto& [a, b] : equal_pairs) {
+    SCOPED_TRACE(a.ToString() + " vs " + b.ToString());
+    ASSERT_EQ(a, b);
+    EXPECT_EQ(a.Hash(), b.Hash());
+  }
+  // Ints in the exactly-representable range keep the plain integer hash.
+  EXPECT_EQ(Value(int64_t{42}).Hash(), std::hash<int64_t>{}(42));
+  EXPECT_EQ(Value(int64_t{1} << 53).Hash(),
+            std::hash<int64_t>{}(int64_t{1} << 53));
 }
 
 TEST(ValueTest, Compare) {

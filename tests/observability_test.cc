@@ -404,15 +404,21 @@ TEST(ExportDeterminismTest, FullExportCarriesTimingAndExecutorSections) {
   StatisticsReport report = RunFixture(4);
   std::string json = StatisticsToJson(report);
   EXPECT_NE(json.find("scheduler_seconds"), std::string::npos);
+  EXPECT_NE(json.find("wal_wait_seconds"), std::string::npos);
   EXPECT_NE(json.find("\"executor\""), std::string::npos);
   EXPECT_NE(json.find("per_shard"), std::string::npos);
+  EXPECT_NE(StatisticsToPrometheus(report).find("caesar_wal_wait_seconds_sum"),
+            std::string::npos);
 
   ExportOptions det;
   det.deterministic = true;
   std::string deterministic = StatisticsToJson(report, det);
   EXPECT_EQ(deterministic.find("scheduler_seconds"), std::string::npos);
+  EXPECT_EQ(deterministic.find("wal_wait_seconds"), std::string::npos);
   EXPECT_EQ(deterministic.find("\"executor\""), std::string::npos);
   EXPECT_EQ(deterministic.find("per_shard"), std::string::npos);
+  EXPECT_EQ(StatisticsToPrometheus(report, det).find("wal_wait"),
+            std::string::npos);
 }
 
 TEST(TenantLabelTest, EmptyTenantLeavesExportsUntouched) {

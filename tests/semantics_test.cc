@@ -1,7 +1,8 @@
 // Edge-case semantics of context-aware execution: window-boundary scoping
 // of complex events, overlapping contexts, same-time-stamp derivation
 // chains, default-context reactivation, and partitioning of events lacking
-// the partition attributes.
+// the partition attributes or carrying them as int in one type and double
+// in another.
 
 #include <gtest/gtest.h>
 
@@ -219,6 +220,44 @@ CONTEXT busy;
     }
   }
   EXPECT_TRUE(found);
+}
+
+// Partition keys follow Value equality across numeric types: an int and a
+// double attribute holding the same number put their events in one
+// partition, so a SEQ across the two types matches. The expected output is
+// spelled out by hand (the oracle computes keys with the same hash).
+TEST_F(SemanticsTest, IntAndDoublePartitionValuesShareAPartition) {
+  CaesarModel model = Parse(R"(
+TYPE A(x int);
+TYPE B(x double);
+CONTEXTS c0 DEFAULT c0;
+PARTITION BY x;
+QUERY pair
+DERIVE Pair(a.x AS ax, b.x AS bx)
+PATTERN SEQ(A a, B b) WITHIN 10
+CONTEXT c0;
+)");
+  const TypeId a = registry_.Lookup("A");
+  const TypeId b = registry_.Lookup("B");
+  const EventBatch input = {
+      MakeEvent(a, 1, {Value(int64_t{1})}),
+      MakeEvent(b, 2, {Value(2.0)}),  // another partition: no match
+      MakeEvent(b, 3, {Value(1.0)}),
+  };
+  auto plan = TranslateModel(model, PlanOptions());
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  Engine engine(std::move(plan).value(), EngineOptions());
+  EventBatch outputs;
+  ASSERT_TRUE(engine.Run(input, &outputs).ok());
+  EXPECT_EQ(engine.num_partitions(), 2);
+  ASSERT_EQ(outputs.size(), 1u);
+  EXPECT_EQ(registry_.type(outputs[0]->type_id()).name, "Pair");
+  EXPECT_EQ(outputs[0]->start_time(), 1);
+  EXPECT_EQ(outputs[0]->end_time(), 3);
+  EXPECT_EQ(outputs[0]->value(0).type(), ValueType::kInt);
+  EXPECT_EQ(outputs[0]->value(0).AsInt(), 1);
+  EXPECT_EQ(outputs[0]->value(1).type(), ValueType::kDouble);
+  EXPECT_EQ(outputs[0]->value(1).AsDouble(), 1.0);
 }
 
 }  // namespace

@@ -109,6 +109,15 @@ def check_executor(block, where):
            f"counter says {block['imbalance']}")
 
 
+def check_running_stats(stats, where):
+    expect(isinstance(stats, dict), f"{where}: running stats must be an object")
+    for key in ("count", "sum", "mean", "min", "max"):
+        expect(key in stats, f"{where}: running stats missing '{key}'")
+    expect(isinstance(stats["count"], int) and stats["count"] >= 0,
+           f"{where}: count must be a non-negative integer")
+    expect(stats["sum"] >= 0, f"{where}: a wall time cannot sum below 0")
+
+
 def check_report(report, where):
     expect(isinstance(report, dict), f"{where}: report must be an object")
     for key in ("schema_version", "granularity", "deterministic", "ingest",
@@ -167,6 +176,18 @@ def check_report(report, where):
                      "derived_per_tick", "context_switches_per_tick"):
             if name in ticks:
                 check_histogram(ticks[name], f"{where}: ticks.{name}")
+        # Time Runs blocked on the WAL log thread: wall clock, so never in
+        # a deterministic export, and only accrued with durability on.
+        if "wal_wait_seconds" in ticks:
+            wal_wait = ticks["wal_wait_seconds"]
+            check_running_stats(wal_wait, f"{where}: ticks.wal_wait_seconds")
+            expect(report["deterministic"] == "false",
+                   f"{where}: deterministic export carries wall-clock "
+                   "ticks.wal_wait_seconds")
+            expect(wal_wait["count"] == 0 or "durability" in report,
+                   f"{where}: ticks.wal_wait_seconds counted "
+                   f"{wal_wait['count']} logged Runs without a durability "
+                   "block")
     if "histograms" in report:
         expect(isinstance(report["histograms"], list),
                f"{where}: histograms must be a list")

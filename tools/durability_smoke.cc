@@ -3,19 +3,21 @@
 //
 // Modes:
 //   durability_smoke --mode=run --dir=DIR [--seed=N] [--duration=T]
-//       [--ticks-per-batch=K] [--tick-sleep-ms=M]
+//       [--ticks-per-batch=K] [--tick-sleep-ms=M] [--threads=N]
 //     Runs the pinned synthetic workload in tick-aligned batches with
 //     durability=wal+checkpoint into DIR. --tick-sleep-ms stalls every
 //     scheduler tick so an external `kill -9` lands mid-batch, mid-WAL.
 //     Exits 0 when the whole stream was processed.
 //   durability_smoke --mode=recover --dir=DIR [--seed=N] [--duration=T]
-//       [--ticks-per-batch=K]
+//       [--ticks-per-batch=K] [--threads=N]
 //     Recovers from DIR with the same (deterministic) workload, re-submits
 //     every batch after durable_batch_seq(), and compares the remaining
 //     derived stream byte-for-byte against an uninterrupted durability-off
 //     run. Exits 0 on equality, 1 on divergence, 2 on usage/setup errors.
 //
-// The workload knobs must match between the killed run and the recovery.
+// --threads (default 1) sets the durable engine's EngineOptions::num_threads;
+// the uninterrupted reference always runs serially. The workload knobs must
+// match between the killed run and the recovery; the thread count need not.
 
 #include <unistd.h>
 
@@ -40,7 +42,7 @@ int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --mode=run|recover --dir=DIR [--seed=N]\n"
                "          [--duration=T] [--ticks-per-batch=K]\n"
-               "          [--tick-sleep-ms=M]\n",
+               "          [--tick-sleep-ms=M] [--threads=N]\n",
                argv0);
   return 2;
 }
@@ -106,8 +108,9 @@ std::string Render(const EventBatch& outputs, const TypeRegistry& registry) {
   return os.str();
 }
 
-EngineOptions DurableOptions(const std::string& dir) {
+EngineOptions DurableOptions(const std::string& dir, int threads) {
   EngineOptions options;
+  options.num_threads = threads;
   options.durability.mode = DurabilityMode::kWalCheckpoint;
   options.durability.dir = dir;
   options.durability.fsync = FsyncPolicy::kBatch;
@@ -116,8 +119,8 @@ EngineOptions DurableOptions(const std::string& dir) {
 }
 
 int RunMode(const Workload& w, const std::string& dir,
-            int64_t tick_sleep_ms) {
-  Engine engine(w.plan.Clone(), DurableOptions(dir));
+            int64_t tick_sleep_ms, int threads) {
+  Engine engine(w.plan.Clone(), DurableOptions(dir, threads));
   if (tick_sleep_ms > 0) {
     engine.SetTickObserver([tick_sleep_ms](Timestamp, const EventBatch&) {
       std::this_thread::sleep_for(std::chrono::milliseconds(tick_sleep_ms));
@@ -138,7 +141,7 @@ int RunMode(const Workload& w, const std::string& dir,
   return 0;
 }
 
-int RecoverMode(const Workload& w, const std::string& dir) {
+int RecoverMode(const Workload& w, const std::string& dir, int threads) {
   // Uninterrupted reference, durability off.
   std::vector<std::string> expected;
   {
@@ -151,7 +154,8 @@ int RecoverMode(const Workload& w, const std::string& dir) {
     }
   }
 
-  auto recovered = Engine::Recover(w.plan.Clone(), DurableOptions(dir));
+  auto recovered =
+      Engine::Recover(w.plan.Clone(), DurableOptions(dir, threads));
   if (!recovered.ok()) {
     std::fprintf(stderr, "Engine::Recover failed: %s\n",
                  recovered.status().ToString().c_str());
@@ -201,6 +205,7 @@ int Main(int argc, char** argv) {
   Timestamp duration = 600;
   int ticks_per_batch = 25;
   int64_t tick_sleep_ms = 0;
+  int threads = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&arg]() { return arg.substr(arg.find('=') + 1); };
@@ -216,16 +221,18 @@ int Main(int argc, char** argv) {
       ticks_per_batch = std::atoi(value().c_str());
     } else if (arg.rfind("--tick-sleep-ms=", 0) == 0) {
       tick_sleep_ms = std::atoll(value().c_str());
+    } else if (arg.rfind("--threads=", 0) == 0) {
+      threads = std::atoi(value().c_str());
     } else {
       return Usage(argv[0]);
     }
   }
-  if (dir.empty() || (mode != "run" && mode != "recover")) {
+  if (dir.empty() || (mode != "run" && mode != "recover") || threads < 1) {
     return Usage(argv[0]);
   }
   auto workload = MakeWorkload(seed, duration, ticks_per_batch);
-  return mode == "run" ? RunMode(*workload, dir, tick_sleep_ms)
-                       : RecoverMode(*workload, dir);
+  return mode == "run" ? RunMode(*workload, dir, tick_sleep_ms, threads)
+                       : RecoverMode(*workload, dir, threads);
 }
 
 }  // namespace
