@@ -21,10 +21,12 @@ namespace {
 
 constexpr uint64_t kCheckpointMagic = 0x31504B4353454143ULL;  // "CAESCKP1"
 // Version 2: SEQ operator state is always automaton runs
-// (CompiledPatternOp::SaveState). Version-1 files may hold partial matches
-// in another layout that the payload CRC cannot tell apart, so their header
-// is rejected and recovery falls back exactly as for a corrupt checkpoint.
-constexpr uint32_t kCheckpointVersion = 2;
+// (CompiledPatternOp::SaveState). Version 3: the operator statistics
+// counters are stored once per payload instead of per partition and query.
+// Older files hold a layout that the payload CRC cannot tell apart, so
+// their header is rejected and recovery falls back exactly as for a
+// corrupt checkpoint.
+constexpr uint32_t kCheckpointVersion = 3;
 
 Status Errno(const std::string& what) {
   return Status::Internal(what + ": " + std::strerror(errno));

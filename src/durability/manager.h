@@ -90,11 +90,12 @@ class DurabilityManager {
   const DurabilityCounters& counters() const { return counters_; }
   const DurabilityOptions& options() const { return options_; }
 
+  // FailedPrecondition once a failure has latched, Ok before.
+  Status CheckNotFailed() const;
+
  private:
   DurabilityManager(DurabilityOptions options) : options_(std::move(options)) {}
 
-  // FailedPrecondition once a failure has latched, Ok before.
-  Status CheckNotFailed() const;
   // Latches `status` if it is the first failure; returns it unchanged.
   Status Latch(Status status);
 

@@ -135,24 +135,11 @@ struct Engine::QueryState {
     TransitionState transition;
   };
 
-  // Slim per-partition operator counters (one cache line for a whole
-  // chain). The per-invocation histograms live in the engine's per-worker
-  // shards (op_histograms_), not here: with hundreds of partitions the
-  // 1.6 KiB of buckets per operator would blow the cache on every
-  // transaction.
-  struct OpCounters {
-    uint64_t invocations = 0;
-    uint64_t input_events = 0;
-    uint64_t output_events = 0;
-    uint64_t work_units = 0;
-  };
-
   const CompiledQuery* spec = nullptr;  // shape reference (not executed)
   Gate gate;                            // precomputed from the spec
   OpChain chain;                        // private operator instances
-  std::vector<OpCounters> op_stats;     // per chain op (when gathering)
   // First row of this query's ops in the plan-order (query, op) row space
-  // shared by op_histograms_ and CollectStatistics.
+  // of TransactionScratch::operators and CollectStatistics.
   size_t stats_row_base = 0;
   std::vector<GuardInstance> guards;
   // Query-private context vector (context-independent baseline only).
@@ -272,33 +259,23 @@ Engine::Engine(ExecutablePlan plan, EngineOptions options)
   // num_threads); serial mode records into shard 0.
   const int metric_shards =
       executor_ != nullptr ? executor_->num_workers() : 1;
+  transaction_scratch_.resize(static_cast<size_t>(metric_shards));
   if (options_.metrics >= MetricsGranularity::kEngine) {
-    // One shard per worker; serial mode records into shard 0.
-    registry_ = std::make_unique<MetricsRegistry>(metric_shards);
-    ctr_transactions_ = registry_->AddCounter(
-        "transactions", "Stream transactions (partition x time stamp)");
-    ctr_input_events_ = registry_->AddCounter(
-        "transaction_input_events", "Events entering stream transactions");
-    ctr_derived_events_ = registry_->AddCounter(
-        "transaction_derived_events", "Events derived by stream transactions");
-    hist_transaction_events_ = registry_->AddHistogram(
-        "transaction_events", "Input events per stream transaction");
-    hist_transaction_derived_ = registry_->AddHistogram(
-        "transaction_derived", "Derived events per stream transaction");
     timeline_ = std::make_unique<Timeline>(options_.timeline_capacity);
   }
-  if (options_.metrics >= MetricsGranularity::kOperator) {
+  if (options_.gather_statistics ||
+      options_.metrics >= MetricsGranularity::kOperator) {
     size_t rows = 0;
     for (const auto* queries : {&plan_.deriving, &plan_.processing}) {
       for (const CompiledQuery& query : *queries) rows += query.chain.ops.size();
     }
-    op_histograms_.assign(static_cast<size_t>(metric_shards),
-                          std::vector<OperatorHistograms>(rows));
+    for (TransactionScratch& shard : transaction_scratch_) {
+      shard.operators.resize(rows);
+    }
   }
   if (options_.tracing) {
     trace_ = std::make_unique<TraceRecorder>();
   }
-  transaction_scratch_.resize(static_cast<size_t>(metric_shards));
 }
 
 Engine::~Engine() {
@@ -345,13 +322,6 @@ Engine::PartitionState* Engine::GetOrCreatePartition(uint64_t key) {
       state.chain = spec.chain.Clone();
       state.stats_row_base = stats_row;
       stats_row += state.chain.ops.size();
-      // At kOperator granularity the per-worker histogram shards subsume
-      // the counters (invocations = count, events/work = sums), so the
-      // per-partition counter rows exist only on the counters-only path.
-      if (options_.gather_statistics &&
-          options_.metrics < MetricsGranularity::kOperator) {
-        state.op_stats.resize(state.chain.ops.size());
-      }
       for (const OpChain& guard : spec.guards) {
         QueryState::GuardInstance instance;
         instance.chain = guard.Clone();
@@ -462,6 +432,16 @@ Status Engine::IngestBatch(const EventBatch& input, EventBatch* admitted,
           "; use IngestPolicy::kReorder with a lateness slack to "
           "re-sequence bounded disorder");
     }
+    // Equal time is admitted: a caller may continue a tick it already ran.
+    if (any_tick_processed_ && !input.empty() &&
+        input.front()->time() < last_processed_tick_) {
+      return Status::FailedPrecondition(
+          "strict ingest: batch starts at time " +
+          std::to_string(input.front()->time()) +
+          ", before the last processed tick " +
+          std::to_string(last_processed_tick_) +
+          "; use IngestPolicy::kReorder or kDrop to admit late events");
+    }
     ingest_metrics_.admitted += static_cast<int64_t>(input.size());
     return Status::Ok();
   }
@@ -525,6 +505,11 @@ Result<RunStats> Engine::Run(const EventBatch& raw_input,
       durability_ == nullptr && !replaying_) {
     CAESAR_ASSIGN_OR_RETURN(durability_,
                             DurabilityManager::Open(options_.durability));
+  }
+  // A latched WAL failure refuses every later Run, whatever its input, so
+  // the caller is pointed at Engine::Recover before any ingest check.
+  if (durability_ != nullptr && !replaying_) {
+    CAESAR_RETURN_IF_ERROR(durability_->CheckNotFailed());
   }
   const DurabilityCounters durability_before =
       durability_ != nullptr ? durability_->counters() : DurabilityCounters{};
@@ -961,7 +946,8 @@ void Engine::CollectGarbage(PartitionState* partition, Timestamp horizon) {
 void Engine::ProcessTransaction(PartitionState* partition, Timestamp t,
                                 const EventPtr* events, size_t count,
                                 EventBatch* derived, int worker) {
-  EventBatch& pool = transaction_scratch_[worker].pool;
+  TransactionScratch& shard = transaction_scratch_[worker];
+  EventBatch& pool = shard.pool;
   pool.assign(events, events + count);
   const size_t derived_before = derived->size();
 
@@ -978,18 +964,11 @@ void Engine::ProcessTransaction(PartitionState* partition, Timestamp t,
     }
   }
 
-  // Registry instruments: each transaction records into the shard of the
-  // worker that *executed* it (serial mode records into shard 0), so
-  // counter slots are uncontended and histogram shards stay single-writer.
-  // Merged totals are commutative sums, so they don't depend on which
-  // worker executed what.
-  if (registry_ != nullptr) {
-    const size_t num_derived = derived->size() - derived_before;
-    ctr_transactions_->Add(worker, 1);
-    ctr_input_events_->Add(worker, static_cast<int64_t>(count));
-    ctr_derived_events_->Add(worker, static_cast<int64_t>(num_derived));
-    hist_transaction_events_->Add(worker, count);
-    hist_transaction_derived_->Add(worker, num_derived);
+  // Each transaction records into the shard of the worker that *executed*
+  // it (serial mode records into shard 0).
+  if (options_.metrics >= MetricsGranularity::kEngine) {
+    shard.transaction_events.Add(count);
+    shard.transaction_derived.Add(derived->size() - derived_before);
   }
 }
 
@@ -1031,15 +1010,15 @@ const EventBatch& Engine::RunQuery(PartitionState* partition,
   // Main chain; an empty intermediate batch skips the rest of the chain —
   // with the context window pushed down this is the suspension of the whole
   // query during foreign contexts.
-  // Per-invocation distributions go into the executing worker's shard rows
+  // Operator statistics go into the executing worker's shard rows
   // (hoisted pointer: one base computation per chain, not per op). Work
   // units are the deterministic execution-time measure of the cost model —
-  // wall clock is tick-level telemetry. The slim counter rows are the
-  // counters-only (gather_statistics without kOperator) path.
-  OperatorHistograms* hist_rows =
-      op_histograms_.empty()
+  // wall clock is tick-level telemetry.
+  OperatorStats* stats_rows =
+      scratch.operators.empty()
           ? nullptr
-          : op_histograms_[worker].data() + query->stats_row_base;
+          : scratch.operators.data() + query->stats_row_base;
+  const bool op_histograms = options_.metrics >= MetricsGranularity::kOperator;
   EventBatch& ping = scratch.ping;
   EventBatch& pong = scratch.pong;
   const EventBatch* current = &pool;
@@ -1048,17 +1027,18 @@ const EventBatch& Engine::RunQuery(PartitionState* partition,
     pong.clear();
     uint64_t work_before = partition->ops_counter;
     query->chain.ops[o]->Process(*current, &pong, &ctx);
-    if (hist_rows != nullptr) {
-      OperatorHistograms& hist = hist_rows[o];
-      hist.input_batch.Add(current->size());
-      hist.output_batch.Add(pong.size());
-      hist.work_per_invocation.Add(partition->ops_counter - work_before);
-    } else if (!query->op_stats.empty()) {
-      QueryState::OpCounters& op_stats = query->op_stats[o];
-      ++op_stats.invocations;
-      op_stats.input_events += current->size();
-      op_stats.output_events += pong.size();
-      op_stats.work_units += partition->ops_counter - work_before;
+    if (stats_rows != nullptr) {
+      OperatorStats& stats = stats_rows[o];
+      const uint64_t work = partition->ops_counter - work_before;
+      ++stats.invocations;
+      stats.input_events += current->size();
+      stats.output_events += pong.size();
+      stats.work_units += work;
+      if (op_histograms) {
+        stats.input_batch.Add(current->size());
+        stats.output_batch.Add(pong.size());
+        stats.work_per_invocation.Add(work);
+      }
     }
     std::swap(ping, pong);
     current = &ping;
@@ -1099,70 +1079,81 @@ StatisticsReport Engine::CollectStatistics() const {
     report.ticks = tick_metrics_;
     report.timeline = timeline_->Snapshot();
     report.timeline_dropped = timeline_->dropped();
-    report.counters = registry_->SnapshotCounters();
-    report.histograms = registry_->SnapshotHistograms();
+    // The transaction counters are the count and sums of the transaction
+    // histograms; per_shard keeps each executing worker's value. Name
+    // order, like every export before.
+    auto add_counter = [&](const char* name, const char* help,
+                           int64_t (*value)(const TransactionScratch&)) {
+      CounterSnapshot& counter = report.counters.emplace_back();
+      counter.name = name;
+      counter.help = help;
+      for (const TransactionScratch& shard : transaction_scratch_) {
+        counter.per_shard.push_back(value(shard));
+        counter.total += counter.per_shard.back();
+      }
+    };
+    add_counter("transaction_derived_events",
+                "Events derived by stream transactions",
+                [](const TransactionScratch& shard) {
+                  return static_cast<int64_t>(shard.transaction_derived.sum());
+                });
+    add_counter("transaction_input_events",
+                "Events entering stream transactions",
+                [](const TransactionScratch& shard) {
+                  return static_cast<int64_t>(shard.transaction_events.sum());
+                });
+    add_counter("transactions", "Stream transactions (partition x time stamp)",
+                [](const TransactionScratch& shard) {
+                  return shard.transaction_events.count();
+                });
+    auto add_histogram = [&](const char* name, const char* help,
+                             Pow2Histogram TransactionScratch::*member) {
+      HistogramSnapshot& histogram = report.histograms.emplace_back();
+      histogram.name = name;
+      histogram.help = help;
+      for (const TransactionScratch& shard : transaction_scratch_) {
+        histogram.merged.Merge(shard.*member);
+      }
+    };
+    add_histogram("transaction_derived",
+                  "Derived events per stream transaction",
+                  &TransactionScratch::transaction_derived);
+    add_histogram("transaction_events", "Input events per stream transaction",
+                  &TransactionScratch::transaction_events);
   }
   for (int r = 0; r < kNumQuarantineReasons; ++r) {
     report.quarantine_by_reason[r] =
         quarantine_.count(static_cast<QuarantineReason>(r));
   }
   report.quarantine_by_partition = quarantine_.by_partition();
-  // Aggregate by (phase position, op index) across partitions; the plan's
-  // query order is identical in every partition. Rows exist whenever the
-  // per-operator path is active (counters-only or histogram granularity).
-  const bool per_op_rows = options_.gather_statistics ||
-                           options_.metrics >= MetricsGranularity::kOperator;
   int64_t suspended = 0;
   int64_t executed = 0;
-  bool first_partition = true;
   for (const auto& [key, partition] : partitions_) {
     suspended += partition->total_suspended;
     executed += partition->total_executed;
-    if (!per_op_rows) continue;
+  }
+  // One row per (query, op) in plan order, described from the first
+  // partition (the plan's query order is identical in every partition) and
+  // summed over the worker shards. The merge is commutative addition, so
+  // the totals do not depend on the shard count or on which worker ran
+  // which partition.
+  if (!transaction_scratch_.front().operators.empty() && !partitions_.empty()) {
+    const PartitionState& first = *partitions_.begin()->second;
     size_t row = 0;
-    for (const auto* states : {&partition->deriving, &partition->processing}) {
+    for (const auto* states : {&first.deriving, &first.processing}) {
       for (const QueryState& query : *states) {
-        for (size_t o = 0; o < query.chain.ops.size(); ++o) {
-          if (first_partition) {
-            QueryOperatorStats entry;
-            entry.query = query.spec->name;
-            entry.op_index = static_cast<int>(o);
-            entry.kind = query.chain.ops[o]->kind();
-            entry.description = query.chain.ops[o]->DebugString();
-            report.operators.push_back(std::move(entry));
+        for (size_t o = 0; o < query.chain.ops.size(); ++o, ++row) {
+          QueryOperatorStats entry;
+          entry.query = query.spec->name;
+          entry.op_index = static_cast<int>(o);
+          entry.kind = query.chain.ops[o]->kind();
+          entry.description = query.chain.ops[o]->DebugString();
+          for (const TransactionScratch& shard : transaction_scratch_) {
+            entry.stats.Merge(shard.operators[row]);
           }
-          if (!query.op_stats.empty()) {
-            OperatorStats& stats = report.operators[row].stats;
-            stats.invocations += query.op_stats[o].invocations;
-            stats.input_events += query.op_stats[o].input_events;
-            stats.output_events += query.op_stats[o].output_events;
-            stats.work_units += query.op_stats[o].work_units;
-          }
-          ++row;
+          report.operators.push_back(std::move(entry));
         }
       }
-    }
-    first_partition = false;
-  }
-  // Fold the per-worker histogram shards into the rows. Index-wise merge is
-  // commutative addition, so the totals do not depend on the shard count or
-  // the partition-to-worker assignment. The histograms subsume the counters
-  // at this granularity: every invocation added once to each distribution,
-  // so count/sums are exactly the invocation/event/work totals.
-  for (const std::vector<OperatorHistograms>& shard : op_histograms_) {
-    for (size_t r = 0; r < shard.size() && r < report.operators.size(); ++r) {
-      OperatorStats& stats = report.operators[r].stats;
-      stats.input_batch.Merge(shard[r].input_batch);
-      stats.output_batch.Merge(shard[r].output_batch);
-      stats.work_per_invocation.Merge(shard[r].work_per_invocation);
-    }
-  }
-  if (!op_histograms_.empty()) {
-    for (QueryOperatorStats& row : report.operators) {
-      row.stats.invocations = static_cast<uint64_t>(row.stats.input_batch.count());
-      row.stats.input_events = row.stats.input_batch.sum();
-      row.stats.output_events = row.stats.output_batch.sum();
-      row.stats.work_units = row.stats.work_per_invocation.sum();
     }
   }
   if (suspended + executed > 0) {
@@ -1277,8 +1268,9 @@ std::string Engine::SerializeState() const {
   // Partition iteration is over a std::map (key ascending) and every nested
   // container either preserves insertion order or is explicitly ordered by
   // its saver, so identical engine state yields identical checkpoint bytes.
-  // Wall-clock telemetry (tick metrics, timeline, registry, histogram
-  // shards) is deliberately not persisted: it restarts after recovery.
+  // Telemetry (tick metrics, timeline, transaction and operator histograms)
+  // is deliberately not persisted: it restarts after recovery. The operator
+  // counters are the statistics gatherer's state, so they are.
   StateWriter w;
   w.U8(kCheckpointVersion);
   w.Str(SerializeIngestSnapshot());
@@ -1303,15 +1295,21 @@ std::string Engine::SerializeState() const {
           query.private_contexts->Save(&w);
         }
         SaveChainOps(&w, query.chain);
-        w.Bool(!query.op_stats.empty());
-        for (const QueryState::OpCounters& op_stats : query.op_stats) {
-          w.U64(op_stats.invocations);
-          w.U64(op_stats.input_events);
-          w.U64(op_stats.output_events);
-          w.U64(op_stats.work_units);
-        }
       }
     }
+  }
+  // The operator counters, once per payload and summed over the shards.
+  const size_t stats_rows = transaction_scratch_.front().operators.size();
+  w.Bool(stats_rows > 0);
+  for (size_t row = 0; row < stats_rows; ++row) {
+    OperatorStats sum;
+    for (const TransactionScratch& shard : transaction_scratch_) {
+      sum.Merge(shard.operators[row]);
+    }
+    w.U64(sum.invocations);
+    w.U64(sum.input_events);
+    w.U64(sum.output_events);
+    w.U64(sum.work_units);
   }
   return w.Take();
 }
@@ -1363,19 +1361,22 @@ Status Engine::RestoreState(std::string_view payload) {
         }
         CAESAR_RETURN_IF_ERROR(
             LoadChainOps(&r, &query.chain, "checkpoint operator"));
-        bool has_op_stats = r.Bool();
-        if (r.ok() && has_op_stats != !query.op_stats.empty()) {
-          return Status::DataLoss(
-              "checkpoint statistics mode does not match the engine's");
-        }
-        for (QueryState::OpCounters& op_stats : query.op_stats) {
-          op_stats.invocations = r.U64();
-          op_stats.input_events = r.U64();
-          op_stats.output_events = r.U64();
-          op_stats.work_units = r.U64();
-        }
       }
     }
+  }
+  // A recovering engine is fresh, so the summed counters load into shard 0.
+  std::vector<OperatorStats>& stats_rows =
+      transaction_scratch_.front().operators;
+  bool has_op_stats = r.Bool();
+  if (r.ok() && has_op_stats != !stats_rows.empty()) {
+    return Status::DataLoss(
+        "checkpoint statistics mode does not match the engine's");
+  }
+  for (OperatorStats& stats : stats_rows) {
+    stats.invocations = r.U64();
+    stats.input_events = r.U64();
+    stats.output_events = r.U64();
+    stats.work_units = r.U64();
   }
   return r.CheckFullyConsumed("checkpoint payload");
 }

@@ -122,9 +122,10 @@ struct EngineOptions {
   bool gather_statistics = false;
 
   // Telemetry granularity (runtime/observability.h): kEngine records tick
-  // metrics, the activity timeline, and the sharded registry counters;
-  // kOperator additionally records per-operator histograms (implies the
-  // per-operator statistics path). kOff costs nothing on the hot path.
+  // metrics, the activity timeline, and the per-transaction counters and
+  // histograms; kOperator additionally records per-operator histograms
+  // (implies the per-operator statistics). kOff costs nothing on the hot
+  // path.
   MetricsGranularity metrics = MetricsGranularity::kOff;
 
   // Record trace spans (scheduler ticks, ingest, GC, per-partition
@@ -332,8 +333,11 @@ class Engine {
   // not exist.
   const ContextBitVector* partition_contexts(uint64_t key) const;
 
-  // Snapshot of gathered per-operator statistics, aggregated across
-  // partitions (requires EngineOptions::gather_statistics).
+  // Snapshot of the engine's statistics: ingest, quarantine, durability and
+  // executor state always; tick metrics, timeline and transaction
+  // counters/histograms at metrics >= kEngine; per-operator rows, aggregated
+  // across partitions and workers, when gather_statistics or metrics >=
+  // kOperator. Call between Runs.
   StatisticsReport CollectStatistics() const;
 
   // The persistent worker pool; null when num_threads == 1. Exposed for
@@ -348,9 +352,6 @@ class Engine {
   // The trace recorder; null unless EngineOptions::tracing. Snapshot or
   // WriteJson between Run calls.
   const TraceRecorder* trace() const { return trace_.get(); }
-
-  // The metrics registry; null unless EngineOptions::metrics >= kEngine.
-  const MetricsRegistry* metrics_registry() const { return registry_.get(); }
 
   // True on an engine built by Recover.
   bool recovered() const { return recovered_; }
@@ -551,15 +552,25 @@ class Engine {
   std::vector<int64_t> derived_type_counts_;
   EventBatch observer_scratch_;
 
-  // Per-worker transaction scratch (index = executing worker, 0 in serial
-  // mode): the event pool and the operator ping-pong batches. A worker
-  // runs one transaction at a time, so each entry is single-writer.
+  // Per-worker shard (index = executing worker, 0 in serial mode): the
+  // transaction scratch batches and every statistic a transaction records.
+  // A worker runs one transaction at a time, so each entry is single-writer;
+  // CollectStatistics merges the shards between Runs, and the merge is
+  // commutative addition, so totals do not depend on the thread count.
   struct alignas(64) TransactionScratch {
     EventBatch pool;
     EventBatch ping;
     EventBatch pong;
     EventBatch guard_in;
     EventBatch guard_out;
+    // Input and derived events per transaction (metrics >= kEngine); the
+    // exported transaction counters are their count and sums.
+    Pow2Histogram transaction_events;
+    Pow2Histogram transaction_derived;
+    // One row per (query, op) in plan order (QueryState::stats_row_base)
+    // when gather_statistics or metrics >= kOperator; the histograms are
+    // filled at kOperator only.
+    std::vector<OperatorStats> operators;
   };
   std::vector<TransactionScratch> transaction_scratch_;
 
@@ -593,27 +604,6 @@ class Engine {
   bool any_tick_processed_ = false;
 
   // Observability (all null/empty when metrics == kOff and !tracing).
-  // Registry instruments are registered once in the constructor; the raw
-  // pointers below are the hot-path handles (stable for the engine's
-  // lifetime). Shard index = the worker that executed the transaction.
-  std::unique_ptr<MetricsRegistry> registry_;
-  ShardedCounter* ctr_transactions_ = nullptr;
-  ShardedCounter* ctr_input_events_ = nullptr;
-  ShardedCounter* ctr_derived_events_ = nullptr;
-  ShardedHistogram* hist_transaction_events_ = nullptr;
-  ShardedHistogram* hist_transaction_derived_ = nullptr;
-  // Per-operator distributions at MetricsGranularity::kOperator, sharded
-  // per worker: op_histograms_[shard] holds one entry per (query, op) row
-  // in plan order, written only by the worker whose id the shard index is.
-  // Keeps the hot-path footprint per worker cache-resident instead of per
-  // partition, and the index-wise merge in CollectStatistics is
-  // commutative, so the totals do not depend on the thread count.
-  struct OperatorHistograms {
-    Pow2Histogram input_batch;
-    Pow2Histogram output_batch;
-    Pow2Histogram work_per_invocation;
-  };
-  std::vector<std::vector<OperatorHistograms>> op_histograms_;
   TickMetrics tick_metrics_;
   std::unique_ptr<Timeline> timeline_;
   std::unique_ptr<TraceRecorder> trace_;

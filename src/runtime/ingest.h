@@ -7,6 +7,8 @@
 //
 //  - kStrict  — the paper's contract: any disorder or malformed event makes
 //    Run return a descriptive error Status before any state is mutated.
+//    Disorder includes a batch that starts before the last tick an earlier
+//    Run processed; a batch may start at that tick, continuing it.
 //  - kDrop    — events older than the newest admitted time stamp are
 //    deterministically dropped and quarantined (reason kOutOfOrder).
 //  - kReorder — a bounded, watermark-driven reorder buffer re-sequences

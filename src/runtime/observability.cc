@@ -1,5 +1,6 @@
 #include "runtime/observability.h"
 
+#include <atomic>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -68,80 +69,6 @@ std::string Pow2Histogram::ToString() const {
     }
   }
   return os.str();
-}
-
-ShardedCounter::ShardedCounter(int num_shards)
-    : num_shards_(num_shards), slots_(new Slot[num_shards]) {
-  CAESAR_CHECK_GE(num_shards, 1);
-}
-
-int64_t ShardedCounter::Total() const {
-  int64_t total = 0;
-  for (int i = 0; i < num_shards_; ++i) {
-    total += slots_[i].value.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-ShardedHistogram::ShardedHistogram(int num_shards)
-    : num_shards_(num_shards), shards_(new Shard[num_shards]) {
-  CAESAR_CHECK_GE(num_shards, 1);
-}
-
-Pow2Histogram ShardedHistogram::Merged() const {
-  Pow2Histogram merged;
-  for (int i = 0; i < num_shards_; ++i) merged.Merge(shards_[i].histogram);
-  return merged;
-}
-
-MetricsRegistry::MetricsRegistry(int num_shards) : num_shards_(num_shards) {
-  CAESAR_CHECK_GE(num_shards, 1);
-}
-
-ShardedCounter* MetricsRegistry::AddCounter(const std::string& name,
-                                            const std::string& help) {
-  auto& entry = counters_[name];
-  if (entry.instrument == nullptr) {
-    entry.help = help;
-    entry.instrument = std::make_unique<ShardedCounter>(num_shards_);
-  }
-  return entry.instrument.get();
-}
-
-ShardedHistogram* MetricsRegistry::AddHistogram(const std::string& name,
-                                                const std::string& help) {
-  auto& entry = histograms_[name];
-  if (entry.instrument == nullptr) {
-    entry.help = help;
-    entry.instrument = std::make_unique<ShardedHistogram>(num_shards_);
-  }
-  return entry.instrument.get();
-}
-
-std::vector<CounterSnapshot> MetricsRegistry::SnapshotCounters() const {
-  std::vector<CounterSnapshot> snapshots;
-  snapshots.reserve(counters_.size());
-  for (const auto& [name, entry] : counters_) {
-    CounterSnapshot snapshot;
-    snapshot.name = name;
-    snapshot.help = entry.help;
-    snapshot.per_shard.reserve(num_shards_);
-    for (int i = 0; i < num_shards_; ++i) {
-      snapshot.per_shard.push_back(entry.instrument->shard_value(i));
-      snapshot.total += snapshot.per_shard.back();
-    }
-    snapshots.push_back(std::move(snapshot));
-  }
-  return snapshots;
-}
-
-std::vector<HistogramSnapshot> MetricsRegistry::SnapshotHistograms() const {
-  std::vector<HistogramSnapshot> snapshots;
-  snapshots.reserve(histograms_.size());
-  for (const auto& [name, entry] : histograms_) {
-    snapshots.push_back({name, entry.help, entry.instrument->Merged()});
-  }
-  return snapshots;
 }
 
 void TickMetrics::Merge(const TickMetrics& other) {

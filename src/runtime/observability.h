@@ -1,6 +1,6 @@
-// Engine observability: the metrics registry, the power-of-2 histograms,
-// the per-tick telemetry, the trace-span facility, and the snapshot
-// exporters (JSON + Prometheus text exposition).
+// Engine observability: the power-of-2 histograms, the per-tick telemetry,
+// the trace-span facility, and the snapshot exporters (JSON + Prometheus
+// text exposition).
 //
 // The paper's Fig. 8 closes a loop between a statistics gatherer and the
 // optimizer; plan adaptation (and any production deployment) lives or dies
@@ -26,21 +26,18 @@
 // byte-identical output across thread counts (covered by the parallel
 // determinism suite).
 //
-// Threading: ShardedCounter is lock-free (one relaxed, cache-line-padded
-// atomic slot per worker); ShardedHistogram relies on the engine's sharded
-// ownership instead (each worker writes only its own shard; the per-tick
-// barrier orders snapshots after all writes). Everything else is written
-// from the scheduler thread only.
+// Threading: the per-transaction and per-operator statistics live in the
+// engine's per-worker shards (Engine::TransactionScratch): each worker
+// writes only its own shard, and the pool dispatch that ends every Run
+// orders the snapshot after all writes, so no atomics are needed.
+// Everything else is written from the scheduler thread only.
 
 #ifndef CAESAR_RUNTIME_OBSERVABILITY_H_
 #define CAESAR_RUNTIME_OBSERVABILITY_H_
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -56,7 +53,7 @@ struct StatisticsReport;
 // How much runtime telemetry the engine records.
 enum class MetricsGranularity : int8_t {
   kOff = 0,   // no telemetry beyond the plain RunStats counters
-  kEngine,    // tick metrics, timeline, registry counters/histograms
+  kEngine,    // tick metrics, timeline, transaction counters/histograms
   kOperator,  // kEngine plus per-operator histograms in OperatorStats
 };
 
@@ -131,60 +128,7 @@ class Pow2Histogram {
   int64_t buckets_[kNumBuckets] = {};
 };
 
-// Lock-free per-worker sharded counter: each worker increments its own
-// cache-line-padded relaxed atomic; readers sum the slots. Totals are exact
-// whenever no increment is in flight (the engine reads between dispatches,
-// after the barrier).
-class ShardedCounter {
- public:
-  explicit ShardedCounter(int num_shards);
-
-  ShardedCounter(const ShardedCounter&) = delete;
-  ShardedCounter& operator=(const ShardedCounter&) = delete;
-
-  void Add(int shard, int64_t delta) {
-    slots_[shard].value.fetch_add(delta, std::memory_order_relaxed);
-  }
-
-  int num_shards() const { return num_shards_; }
-  int64_t shard_value(int shard) const {
-    return slots_[shard].value.load(std::memory_order_relaxed);
-  }
-  int64_t Total() const;
-
- private:
-  struct alignas(64) Slot {
-    std::atomic<int64_t> value{0};
-  };
-  const int num_shards_;
-  std::unique_ptr<Slot[]> slots_;
-};
-
-// Per-worker sharded power-of-2 histogram. Not atomic: shard i must only
-// ever be written by worker i (the engine's sharded ownership), and merged
-// snapshots must be taken after a tick barrier. The merged content is
-// deterministic whenever the recorded values are.
-class ShardedHistogram {
- public:
-  explicit ShardedHistogram(int num_shards);
-
-  ShardedHistogram(const ShardedHistogram&) = delete;
-  ShardedHistogram& operator=(const ShardedHistogram&) = delete;
-
-  void Add(int shard, uint64_t value) { shards_[shard].histogram.Add(value); }
-
-  int num_shards() const { return num_shards_; }
-  Pow2Histogram Merged() const;
-
- private:
-  struct alignas(64) Shard {
-    Pow2Histogram histogram;
-  };
-  const int num_shards_;
-  std::unique_ptr<Shard[]> shards_;
-};
-
-// Snapshot of one registry counter: the total plus the per-shard (per
+// Snapshot of one engine counter: the total plus the per-shard (per
 // worker) breakdown. The total is deterministic; the breakdown depends on
 // the worker count and is excluded from deterministic exports.
 struct CounterSnapshot {
@@ -194,41 +138,11 @@ struct CounterSnapshot {
   std::vector<int64_t> per_shard;
 };
 
-// Snapshot of one registry histogram, merged across shards.
+// Snapshot of one engine histogram, merged across shards.
 struct HistogramSnapshot {
   std::string name;
   std::string help;
   Pow2Histogram merged;
-};
-
-// Registry of named sharded counters and histograms. Registration happens
-// at setup time (engine construction) and returns stable pointers for the
-// hot path; Snapshot* may be called whenever no dispatch is in flight.
-class MetricsRegistry {
- public:
-  explicit MetricsRegistry(int num_shards);
-
-  // Registers (or returns the existing) instrument. Not thread-safe: call
-  // before workers start recording.
-  ShardedCounter* AddCounter(const std::string& name, const std::string& help);
-  ShardedHistogram* AddHistogram(const std::string& name,
-                                 const std::string& help);
-
-  int num_shards() const { return num_shards_; }
-
-  // Snapshots in name order (deterministic iteration).
-  std::vector<CounterSnapshot> SnapshotCounters() const;
-  std::vector<HistogramSnapshot> SnapshotHistograms() const;
-
- private:
-  template <typename T>
-  struct Named {
-    std::string help;
-    std::unique_ptr<T> instrument;
-  };
-  const int num_shards_;
-  std::map<std::string, Named<ShardedCounter>> counters_;
-  std::map<std::string, Named<ShardedHistogram>> histograms_;
 };
 
 // Scheduler-side per-tick telemetry. Histograms and counters are

@@ -88,7 +88,7 @@ struct StatisticsReport {
   std::string tenant;
 
   // Granularity the engine recorded at; tick metrics, timeline, and
-  // registry snapshots below are meaningful only when != kOff.
+  // transaction counters/histograms below are meaningful only when != kOff.
   MetricsGranularity granularity = MetricsGranularity::kOff;
 
   std::vector<QueryOperatorStats> operators;
@@ -139,7 +139,9 @@ struct StatisticsReport {
   std::vector<TimelinePoint> timeline;
   int64_t timeline_dropped = 0;
 
-  // Registry snapshots (per-worker sharded counters/histograms), name-sorted.
+  // Per-transaction counters and histograms (MetricsGranularity >= kEngine),
+  // name-sorted: the counters are the count and sums of the histograms,
+  // with the per-worker breakdown of each counter in per_shard.
   std::vector<CounterSnapshot> counters;
   std::vector<HistogramSnapshot> histograms;
 

@@ -654,14 +654,12 @@ TEST(EngineDurabilityTest, OffModeTouchesNothingAndMatchesOnMode) {
   EXPECT_NE(on_prom.find("caesar_wal_records_total"), std::string::npos);
 }
 
-TEST(EngineDurabilityTest, CheckpointRestoresOperatorStatistics) {
-  // Per-operator counters (gather_statistics) are part of the checkpoint:
-  // after a crash the recovered report matches the uninterrupted one row
-  // for row.
+// Per-operator counters are part of the checkpoint: after a crash the
+// recovered report matches the uninterrupted one row for row.
+void CheckpointRestoresOperatorStatisticsCase(const EngineOptions& base,
+                                              const std::string& dir_name) {
   auto w = MakeWorkload();
   std::vector<EventBatch> batches = SplitByTicks(w->stream, 20);
-  EngineOptions base;
-  base.gather_statistics = true;
 
   Engine reference(w->plan.Clone(), base);
   RunBatches(&reference, batches, 0, w->registry);
@@ -675,7 +673,7 @@ TEST(EngineDurabilityTest, CheckpointRestoresOperatorStatistics) {
                 std::to_string(row.stats.work_units) + "\n";
   }
 
-  std::string dir = ScratchDir("op_stats");
+  std::string dir = ScratchDir(dir_name);
   CrashPointInjector injector("wal_append", 40);
   EngineOptions crash = base;
   crash.durability.mode = DurabilityMode::kWalCheckpoint;
@@ -708,6 +706,21 @@ TEST(EngineDurabilityTest, CheckpointRestoresOperatorStatistics) {
               std::to_string(row.stats.work_units) + "\n";
   }
   EXPECT_EQ(actual, expected);
+}
+
+TEST(EngineDurabilityTest, CheckpointRestoresOperatorStatistics) {
+  EngineOptions base;
+  base.gather_statistics = true;
+  CheckpointRestoresOperatorStatisticsCase(base, "op_stats");
+}
+
+TEST(EngineDurabilityTest,
+     CheckpointRestoresOperatorStatisticsAtOperatorGranularity) {
+  // kOperator records the same counters beside its histograms; the
+  // counters survive recovery, the histograms restart with the telemetry.
+  EngineOptions base;
+  base.metrics = MetricsGranularity::kOperator;
+  CheckpointRestoresOperatorStatisticsCase(base, "op_stats_operator");
 }
 
 TEST(EngineDurabilityTest, RecoveryReportsDiagnosticsForRottenArtifacts) {
@@ -799,12 +812,13 @@ bool SetCheckpointVersion(const std::string& path, uint32_t version) {
   return static_cast<bool>(file);
 }
 
-TEST(EngineDurabilityTest, VersionOneCheckpointFallsBackLikeCorruption) {
-  // A version-1 checkpoint may hold pattern state in a layout the current
-  // operators would misread, and its payload CRC still validates. Its
-  // header must be rejected like rot: the scan falls back to the older
-  // checkpoint, replays the WAL suffix, and the engine resumes
-  // byte-identical to an uninterrupted run.
+// A checkpoint of an older format version may hold state in a layout the
+// current engine would misread, and its payload CRC still validates. Its
+// header must be rejected like rot: the scan falls back to the older
+// checkpoint, replays the WAL suffix, and the engine resumes byte-identical
+// to an uninterrupted run. Version 1 differs in the pattern state, version
+// 2 in where the operator statistics counters are stored.
+void OldCheckpointVersionFallsBackCase(uint32_t version) {
   auto w = MakeWorkload();
   std::vector<EventBatch> batches = SplitByTicks(w->stream, 20);
   ASSERT_GE(batches.size(), 5u);
@@ -813,7 +827,7 @@ TEST(EngineDurabilityTest, VersionOneCheckpointFallsBackLikeCorruption) {
   Engine reference(w->plan.Clone(), EngineOptions{});
   BatchRun uninterrupted = RunBatches(&reference, batches, 0, w->registry);
 
-  std::string dir = ScratchDir("version_one");
+  std::string dir = ScratchDir("version_" + std::to_string(version));
   EngineOptions options;
   options.durability.mode = DurabilityMode::kWalCheckpoint;
   options.durability.dir = dir;
@@ -828,7 +842,8 @@ TEST(EngineDurabilityTest, VersionOneCheckpointFallsBackLikeCorruption) {
   ASSERT_TRUE(before.ok() && before.value().found);
   const uint64_t newest = before.value().latest.batch_seq;
   ASSERT_TRUE(SetCheckpointVersion(
-      (std::filesystem::path(dir) / CheckpointFileName(newest)).string(), 1));
+      (std::filesystem::path(dir) / CheckpointFileName(newest)).string(),
+      version));
 
   auto scan = FindLatestCheckpoint(dir);
   ASSERT_TRUE(scan.ok()) << scan.status();
@@ -852,6 +867,14 @@ TEST(EngineDurabilityTest, VersionOneCheckpointFallsBackLikeCorruption) {
         << "batch " << b << " diverged after recovery";
   }
   ExpectSameDegradation(uninterrupted, resumed);
+}
+
+TEST(EngineDurabilityTest, VersionOneCheckpointFallsBackLikeCorruption) {
+  OldCheckpointVersionFallsBackCase(1);
+}
+
+TEST(EngineDurabilityTest, VersionTwoCheckpointFallsBackLikeCorruption) {
+  OldCheckpointVersionFallsBackCase(2);
 }
 
 TEST(EngineDurabilityTest, FreshEngineInUsedDirectoryKeepsSequencing) {

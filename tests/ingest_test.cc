@@ -257,6 +257,36 @@ TEST_F(IngestEngineTest, StrictPolicyReturnsStatusOnDisorder) {
   EXPECT_EQ(engine.ingest_metrics().admitted, 1);
 }
 
+TEST_F(IngestEngineTest,
+       StrictPolicyRejectsABatchOlderThanTheLastProcessedTick) {
+  Engine engine(Plan(), EngineOptions());
+  EventBatch outputs;
+  engine.Run({Reading(1, 1, 10), Reading(1, 2, 20)}, &outputs).value();
+  EXPECT_EQ(Echoed(outputs), "10:1 20:2 ");
+
+  // Each batch is ordered on its own, but the second starts before a tick
+  // the engine already processed.
+  EventBatch late_out;
+  auto run = engine.Run({Reading(1, 3, 5)}, &late_out);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(run.status().message().find("time 5"), std::string::npos)
+      << run.status();
+  EXPECT_NE(run.status().message().find("last processed tick 20"),
+            std::string::npos)
+      << run.status();
+  EXPECT_TRUE(late_out.empty());
+  EXPECT_EQ(engine.ingest_metrics().admitted, 2);
+  EXPECT_EQ(engine.quarantine().total(), 0);
+
+  // Equal time continues the last tick; later times run as usual.
+  EventBatch more_out;
+  engine.Run({Reading(1, 4, 20)}, &more_out).value();
+  engine.Run({Reading(1, 5, 21)}, &more_out).value();
+  EXPECT_EQ(Echoed(more_out), "20:4 21:5 ");
+  EXPECT_EQ(engine.ingest_metrics().admitted, 4);
+}
+
 TEST_F(IngestEngineTest, StrictPolicyReturnsStatusOnMalformedEvent) {
   Engine engine(Plan(), EngineOptions());
   EventBatch batch = {Reading(1, 10, 0),

@@ -1,10 +1,9 @@
 // Unit tests of the observability layer (runtime/observability.h): the
-// power-of-2 histogram, the sharded counter/histogram, the metrics
-// registry, the timeline ring buffer, the trace recorder, and the two
-// snapshot exporters. The exporter format is pinned by golden files under
-// tests/golden/ (regenerate with CAESAR_REGEN_GOLDEN=1), and the
-// deterministic export form is asserted byte-identical for 1/2/4/8 worker
-// threads.
+// power-of-2 histogram, the timeline ring buffer, the trace recorder, the
+// engine's transaction counters, and the two snapshot exporters. The
+// exporter format is pinned by golden files under tests/golden/
+// (regenerate with CAESAR_REGEN_GOLDEN=1), and the deterministic export
+// form is asserted byte-identical for 1/2/4/8 worker threads.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 #include <limits>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/logging.h"
@@ -112,72 +110,6 @@ TEST(Pow2HistogramTest, ToStringIsSparse) {
   EXPECT_NE(s.find("[2,4)=1"), std::string::npos) << s;
   // Empty buckets stay out of the rendering.
   EXPECT_EQ(s.find("[4,8)"), std::string::npos) << s;
-}
-
-// ---------------------------------------------------------------------------
-// ShardedCounter / ShardedHistogram / MetricsRegistry
-// ---------------------------------------------------------------------------
-
-TEST(ShardedCounterTest, TotalsAcrossShards) {
-  ShardedCounter counter(4);
-  counter.Add(0, 5);
-  counter.Add(3, 7);
-  counter.Add(0, 1);
-  EXPECT_EQ(counter.num_shards(), 4);
-  EXPECT_EQ(counter.shard_value(0), 6);
-  EXPECT_EQ(counter.shard_value(1), 0);
-  EXPECT_EQ(counter.shard_value(3), 7);
-  EXPECT_EQ(counter.Total(), 13);
-}
-
-TEST(ShardedCounterTest, ConcurrentIncrementsAreExact) {
-  constexpr int kShards = 8;
-  constexpr int64_t kPerThread = 20000;
-  ShardedCounter counter(kShards);
-  std::vector<std::thread> threads;
-  for (int shard = 0; shard < kShards; ++shard) {
-    threads.emplace_back([&counter, shard] {
-      for (int64_t i = 0; i < kPerThread; ++i) counter.Add(shard, 1);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(counter.Total(), kShards * kPerThread);
-}
-
-TEST(ShardedHistogramTest, MergedAcrossShards) {
-  ShardedHistogram hist(3);
-  hist.Add(0, 1);
-  hist.Add(1, 1);
-  hist.Add(2, 9);
-  Pow2Histogram merged = hist.Merged();
-  EXPECT_EQ(merged.count(), 3);
-  EXPECT_EQ(merged.bucket(1), 2);
-  EXPECT_EQ(merged.bucket(4), 1);
-  EXPECT_EQ(merged.max(), 9u);
-}
-
-TEST(MetricsRegistryTest, SnapshotsInNameOrder) {
-  MetricsRegistry registry(2);
-  ShardedCounter* b = registry.AddCounter("b_counter", "second");
-  ShardedCounter* a = registry.AddCounter("a_counter", "first");
-  // Re-registering a name returns the same instrument.
-  EXPECT_EQ(registry.AddCounter("a_counter", "first"), a);
-  a->Add(0, 1);
-  b->Add(1, 2);
-  registry.AddHistogram("latency", "help")->Add(0, 4);
-
-  std::vector<CounterSnapshot> counters = registry.SnapshotCounters();
-  ASSERT_EQ(counters.size(), 2u);
-  EXPECT_EQ(counters[0].name, "a_counter");
-  EXPECT_EQ(counters[0].total, 1);
-  EXPECT_EQ(counters[0].per_shard, (std::vector<int64_t>{1, 0}));
-  EXPECT_EQ(counters[1].name, "b_counter");
-  EXPECT_EQ(counters[1].total, 2);
-
-  std::vector<HistogramSnapshot> histograms = registry.SnapshotHistograms();
-  ASSERT_EQ(histograms.size(), 1u);
-  EXPECT_EQ(histograms[0].name, "latency");
-  EXPECT_EQ(histograms[0].merged.count(), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -306,7 +238,9 @@ WHERE t.celsius > 95
 CONTEXT overheated;
 )";
 
-StatisticsReport RunFixture(int num_threads, const std::string& tenant = "") {
+StatisticsReport RunFixture(
+    int num_threads, const std::string& tenant = "",
+    MetricsGranularity granularity = MetricsGranularity::kOperator) {
   TypeRegistry registry;
   TypeId temperature =
       registry.RegisterOrGet("Temperature", {{"sensor", ValueType::kInt},
@@ -320,7 +254,7 @@ StatisticsReport RunFixture(int num_threads, const std::string& tenant = "") {
   EngineOptions options;
   options.num_threads = num_threads;
   options.gather_statistics = true;
-  options.metrics = MetricsGranularity::kOperator;
+  options.metrics = granularity;
   options.tenant = tenant;
   Engine engine(std::move(plan).value(), options);
 
@@ -382,18 +316,41 @@ TEST(ExportGoldenTest, DeterministicPrometheusMatchesGoldenFile) {
               StatisticsToPrometheus(RunFixture(/*num_threads=*/1), options));
 }
 
-TEST(ExportDeterminismTest, JsonAndPrometheusByteIdenticalAcrossThreads) {
+// The caesard tenant configuration: kEngine with gather_statistics, whose
+// operator rows carry counters but no histograms.
+TEST(ExportGoldenTest, EngineGranularityJsonMatchesGoldenFile) {
   ExportOptions options;
   options.deterministic = true;
-  StatisticsReport serial = RunFixture(1);
-  const std::string json = StatisticsToJson(serial, options);
-  const std::string prom = StatisticsToPrometheus(serial, options);
-  EXPECT_NE(json.find("\"schema_version\""), std::string::npos);
-  for (int num_threads : {2, 4, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(num_threads));
-    StatisticsReport parallel = RunFixture(num_threads);
-    EXPECT_EQ(json, StatisticsToJson(parallel, options));
-    EXPECT_EQ(prom, StatisticsToPrometheus(parallel, options));
+  CheckGolden("observability_metrics_engine.json",
+              StatisticsToJson(RunFixture(1, "", MetricsGranularity::kEngine),
+                               options));
+}
+
+TEST(ExportGoldenTest, EngineGranularityPrometheusMatchesGoldenFile) {
+  ExportOptions options;
+  options.deterministic = true;
+  CheckGolden(
+      "observability_metrics_engine.prom",
+      StatisticsToPrometheus(RunFixture(1, "", MetricsGranularity::kEngine),
+                             options));
+}
+
+TEST(ExportDeterminismTest, JsonAndPrometheusByteIdenticalAcrossThreads) {
+  for (MetricsGranularity granularity :
+       {MetricsGranularity::kOperator, MetricsGranularity::kEngine}) {
+    SCOPED_TRACE(MetricsGranularityName(granularity));
+    ExportOptions options;
+    options.deterministic = true;
+    StatisticsReport serial = RunFixture(1, "", granularity);
+    const std::string json = StatisticsToJson(serial, options);
+    const std::string prom = StatisticsToPrometheus(serial, options);
+    EXPECT_NE(json.find("\"schema_version\""), std::string::npos);
+    for (int num_threads : {2, 4, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(num_threads));
+      StatisticsReport parallel = RunFixture(num_threads, "", granularity);
+      EXPECT_EQ(json, StatisticsToJson(parallel, options));
+      EXPECT_EQ(prom, StatisticsToPrometheus(parallel, options));
+    }
   }
 }
 
@@ -419,6 +376,32 @@ TEST(ExportDeterminismTest, FullExportCarriesTimingAndExecutorSections) {
   EXPECT_EQ(deterministic.find("per_shard"), std::string::npos);
   EXPECT_EQ(StatisticsToPrometheus(report, det).find("wal_wait"),
             std::string::npos);
+}
+
+TEST(TransactionCountersTest, CountersAreTheHistogramTotalsPerWorker) {
+  // The three counters are the count and sums of the two histograms, in
+  // name order, with one per_shard entry per executing worker.
+  StatisticsReport report = RunFixture(4);
+  ASSERT_EQ(report.counters.size(), 3u);
+  ASSERT_EQ(report.histograms.size(), 2u);
+  EXPECT_EQ(report.counters[0].name, "transaction_derived_events");
+  EXPECT_EQ(report.counters[1].name, "transaction_input_events");
+  EXPECT_EQ(report.counters[2].name, "transactions");
+  EXPECT_EQ(report.histograms[0].name, "transaction_derived");
+  EXPECT_EQ(report.histograms[1].name, "transaction_events");
+  const Pow2Histogram& derived = report.histograms[0].merged;
+  const Pow2Histogram& events = report.histograms[1].merged;
+  EXPECT_EQ(report.counters[0].total, static_cast<int64_t>(derived.sum()));
+  EXPECT_EQ(report.counters[1].total, static_cast<int64_t>(events.sum()));
+  EXPECT_EQ(report.counters[2].total, events.count());
+  EXPECT_EQ(events.sum(), 20u);  // every reading is one transaction input
+  for (const CounterSnapshot& counter : report.counters) {
+    SCOPED_TRACE(counter.name);
+    EXPECT_EQ(counter.per_shard.size(), 4u);
+    int64_t sum = 0;
+    for (int64_t value : counter.per_shard) sum += value;
+    EXPECT_EQ(sum, counter.total);
+  }
 }
 
 TEST(TenantLabelTest, EmptyTenantLeavesExportsUntouched) {

@@ -4,7 +4,8 @@
 Stdlib only (runs in CI without installing anything). Checks the sink
 envelope {benchmark, schema_version, runs[]} and, for every run, the
 StatisticsReport JSON produced by StatisticsToJson: required keys, types,
-and internal consistency of the power-of-2 histogram blocks.
+internal consistency of the power-of-2 histogram blocks, and the
+transaction counters against their histograms and per-worker breakdown.
 
 Files carrying a top-level "baseline_version" key (BENCH_baseline.json,
 written by tools/update_bench_baseline.py) are validated as a baseline
@@ -118,6 +119,29 @@ def check_running_stats(stats, where):
     expect(stats["sum"] >= 0, f"{where}: a wall time cannot sum below 0")
 
 
+def check_transaction_counters(report, where):
+    """The transaction counters are the count and sums of the two
+    transaction histograms."""
+    totals = {entry["name"]: entry["total"] for entry in report["counters"]}
+    histograms = {entry["name"]: entry["histogram"]
+                  for entry in report.get("histograms", [])}
+    for name in ("transaction_events", "transaction_derived"):
+        expect(name in histograms,
+               f"{where}: counters without the {name} histogram")
+    events = histograms["transaction_events"]
+    derived = histograms["transaction_derived"]
+    for counter, expected, what in (
+            ("transactions", events["count"], "transaction_events count"),
+            ("transaction_input_events", events["sum"],
+             "transaction_events sum"),
+            ("transaction_derived_events", derived["sum"],
+             "transaction_derived sum")):
+        expect(counter in totals, f"{where}: counters missing '{counter}'")
+        expect(totals[counter] == expected,
+               f"{where}: counter {counter} is {totals[counter]}, "
+               f"the {what} is {expected}")
+
+
 def check_report(report, where):
     expect(isinstance(report, dict), f"{where}: report must be an object")
     for key in ("schema_version", "granularity", "deterministic", "ingest",
@@ -202,6 +226,17 @@ def check_report(report, where):
         for entry in report["counters"]:
             expect("name" in entry and "total" in entry,
                    f"{where}: counter entries carry name and total")
+            # Non-deterministic exports break each counter down per
+            # executing worker; the breakdown adds up to the total.
+            if report["deterministic"] == "false":
+                expect("per_shard" in entry,
+                       f"{where}: counters[{entry['name']}] lacks per_shard")
+                expect(sum(entry["per_shard"]) == entry["total"],
+                       f"{where}: counters[{entry['name']}] per_shard sums "
+                       f"to {sum(entry['per_shard'])}, total is "
+                       f"{entry['total']}")
+        if report["counters"]:
+            check_transaction_counters(report, where)
     if "timeline" in report:
         timeline = report["timeline"]
         expect(isinstance(timeline, dict), f"{where}: timeline is an object")
