@@ -8,7 +8,7 @@
 //
 // Record payloads start with a one-byte type tag:
 //   kWalRecordTick   [u64 batch_seq][i64 tick][u32 n][n x event]
-//       The admitted (post-ReorderBuffer) events of one scheduler tick,
+//       The admitted events of one scheduler tick, in time order,
 //       written before the tick is processed (write-*ahead*).
 //   kWalRecordCommit [u64 batch_seq][engine-defined snapshot bytes]
 //       Seals one Run batch (group commit). Only ticks covered by a commit

@@ -238,9 +238,6 @@ Engine::Engine(ExecutablePlan plan, EngineOptions options)
       options_(std::move(options)),
       quarantine_(options_.quarantine_capacity) {
   CAESAR_CHECK_OK(options_.Validate());
-  if (options_.ingest_policy == IngestPolicy::kReorder) {
-    reorder_ = std::make_unique<ReorderBuffer>(options_.reorder_slack);
-  }
   // Resolve partition attribute indices for every type known now, so the
   // cache is read-only on the hot path (see header comment).
   if (!plan_.partition_by.empty()) {
@@ -447,13 +444,12 @@ Status Engine::IngestBatch(const EventBatch& input, EventBatch* admitted,
   }
 
   admitted->reserve(input.size());
+  const QuarantineReason late_reason =
+      options_.ingest_policy == IngestPolicy::kDrop
+          ? QuarantineReason::kOutOfOrder
+          : QuarantineReason::kLateBeyondSlack;
+  AdmissionWatermark mark = Watermark();
   Timestamp run_max_lateness = 0;
-  auto note_lateness = [&](Timestamp high_water, Timestamp t) {
-    Timestamp lateness = high_water - t;
-    run_max_lateness = std::max(run_max_lateness, lateness);
-    ingest_metrics_.max_observed_lateness =
-        std::max(ingest_metrics_.max_observed_lateness, lateness);
-  };
   for (const EventPtr& event : input) {
     QuarantineReason reason;
     if (ClassifyMalformed(*event, &reason)) {
@@ -461,35 +457,72 @@ Status Engine::IngestBatch(const EventBatch& input, EventBatch* admitted,
       continue;
     }
     Timestamp t = event->time();
-    if (options_.ingest_policy == IngestPolicy::kDrop) {
-      if (drop_any_admitted_ && t < drop_max_admitted_) {
-        note_lateness(drop_max_admitted_, t);
-        QuarantineEvent(event, QuarantineReason::kOutOfOrder);
-        continue;
-      }
-      drop_any_admitted_ = true;
-      drop_max_admitted_ = t;
-      admitted->push_back(event);
-    } else {  // kReorder
-      bool late = reorder_->any_seen() && t < reorder_->max_seen();
-      if (late) note_lateness(reorder_->max_seen(), t);
-      if (!reorder_->Push(event, admitted)) {
-        QuarantineEvent(event, QuarantineReason::kLateBeyondSlack);
-        continue;
-      }
-      if (late) ++ingest_metrics_.reordered;
+    const bool late = mark.late(t);
+    if (late) {
+      Timestamp lateness = mark.high_water() - t;
+      run_max_lateness = std::max(run_max_lateness, lateness);
+      ingest_metrics_.max_observed_lateness =
+          std::max(ingest_metrics_.max_observed_lateness, lateness);
     }
+    if (!mark.Admit(t)) {
+      QuarantineEvent(event, late_reason);
+      continue;
+    }
+    if (late) ++ingest_metrics_.reordered;  // only kReorder admits late
+    admitted->push_back(event);
   }
-  if (reorder_ != nullptr) {
-    // Run processes its batch to completion: end of batch is end of stream
-    // for everything still buffered. The high-water mark persists, so a
-    // later Run cannot sneak events underneath what was already emitted.
-    reorder_->Flush(admitted);
+  // Run processes its batch to completion: the admitted events run in
+  // (time, arrival) order.
+  auto by_time = [](const EventPtr& a, const EventPtr& b) {
+    return a->time() < b->time();
+  };
+  if (!std::is_sorted(admitted->begin(), admitted->end(), by_time)) {
+    std::stable_sort(admitted->begin(), admitted->end(), by_time);
   }
   ingest_metrics_.admitted += static_cast<int64_t>(admitted->size());
   stats->max_observed_lateness = run_max_lateness;
   *effective = admitted;
   return Status::Ok();
+}
+
+AdmissionWatermark Engine::Watermark() const {
+  return AdmissionWatermark(
+      any_tick_processed_, last_processed_tick_,
+      options_.ingest_policy == IngestPolicy::kReorder ? options_.reorder_slack
+                                                       : 0);
+}
+
+size_t Engine::RunnablePrefix(const EventBatch& pending) const {
+  // Malformed and inadmissible events hold nothing back.
+  const size_t n = pending.size();
+  AdmissionWatermark mark = Watermark();
+  std::vector<char> admissible(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    QuarantineReason reason;
+    admissible[i] = !ClassifyMalformed(*pending[i], &reason) &&
+                    mark.Admit(pending[i]->time());
+  }
+  // bound[k]: the earliest admissible time in pending[k, n), capped by the
+  // watermark every later arrival is at or after.
+  std::vector<Timestamp> bound(n + 1);
+  bound[n] = mark.watermark();
+  for (size_t i = n; i-- > 0;) {
+    bound[i] = admissible[i] ? std::min(bound[i + 1], pending[i]->time())
+                             : bound[i + 1];
+  }
+  // The largest k whose latest admissible event precedes bound[k].
+  bool any = false;
+  Timestamp latest = 0;
+  size_t runnable = 0;
+  for (size_t k = 0; k <= n; ++k) {
+    if (k > 0 && admissible[k - 1]) {
+      latest = any ? std::max(latest, pending[k - 1]->time())
+                   : pending[k - 1]->time();
+      any = true;
+    }
+    if (!any || latest < bound[k]) runnable = k;
+  }
+  return runnable;
 }
 
 Result<RunStats> Engine::Run(const EventBatch& raw_input,
@@ -1176,7 +1209,7 @@ void Engine::HandleWindowTransitions(PartitionState* partition,
 
 namespace {
 
-constexpr uint8_t kSnapshotVersion = 1;    // per-batch commit snapshot
+constexpr uint8_t kSnapshotVersion = 2;    // per-batch commit snapshot
 constexpr uint8_t kCheckpointVersion = 1;  // full checkpoint payload
 
 void SaveTransition(StateWriter* w, const TransitionState& t) {
@@ -1224,10 +1257,6 @@ std::string Engine::SerializeIngestSnapshot() const {
   w.I64(ingest_metrics_.dropped_late);
   w.I64(ingest_metrics_.quarantined);
   w.I64(ingest_metrics_.max_observed_lateness);
-  w.Bool(drop_any_admitted_);
-  w.I64(drop_max_admitted_);
-  w.Bool(reorder_ != nullptr);
-  if (reorder_ != nullptr) reorder_->Save(&w);
   quarantine_.Save(&w);
   w.F64(vclock_completion_);
   w.I64(last_gc_);
@@ -1248,14 +1277,6 @@ Status Engine::RestoreIngestSnapshot(std::string_view snapshot) {
   ingest_metrics_.dropped_late = r.I64();
   ingest_metrics_.quarantined = r.I64();
   ingest_metrics_.max_observed_lateness = r.I64();
-  drop_any_admitted_ = r.Bool();
-  drop_max_admitted_ = r.I64();
-  bool has_reorder = r.Bool();
-  if (r.ok() && has_reorder != (reorder_ != nullptr)) {
-    return Status::DataLoss(
-        "commit snapshot ingest policy does not match the engine's");
-  }
-  if (reorder_ != nullptr) CAESAR_RETURN_IF_ERROR(reorder_->Load(&r));
   CAESAR_RETURN_IF_ERROR(quarantine_.Load(&r));
   vclock_completion_ = r.F64();
   last_gc_ = r.I64();
@@ -1391,10 +1412,10 @@ Status Engine::FinishRecovery(RecoveryScan scan) {
     CAESAR_RETURN_IF_ERROR(RestoreState(scan.checkpoint.payload));
   }
   // Replay the committed WAL suffix through the normal scheduler path.
-  // Events re-enter in released (time) order, so every ingest policy admits
+  // Events re-enter in admitted (time) order, so every ingest policy admits
   // them unchanged; GC, window transitions, and the deterministic telemetry
   // replicate exactly. The commit snapshot then restores what replay cannot
-  // re-derive (quarantine contents, the virtual clock, lateness marks).
+  // re-derive (quarantine contents, the virtual clock, ingest counters).
   int64_t replayed = 0;
   replaying_ = true;
   for (const WalBatch& batch : scan.batches) {

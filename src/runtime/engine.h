@@ -302,8 +302,9 @@ class Engine {
   // kDrop/kReorder the batch is repaired (see runtime/ingest.h) and the
   // degradation is reported in the returned RunStats. Derived events are
   // appended to `outputs` if non-null (in deterministic order). May be
-  // called repeatedly; state — including the reorder high-water mark —
-  // carries over.
+  // called repeatedly; state carries over, and the last processed tick is
+  // the floor of every later Run's admission: nothing is admitted before
+  // it (kStrict rejects a batch that starts before it instead).
   //
   // With durability on, the WAL I/O runs on a per-engine log thread,
   // started by the first logged Run and joined by the destructor:
@@ -319,6 +320,16 @@ class Engine {
   //  5. Run waits for the commit, writes a due checkpoint, and returns.
   Result<RunStats> Run(const EventBatch& input,
                        EventBatch* outputs = nullptr);
+
+  // How many leading events of `pending` — a buffer of arrivals not yet
+  // run — a Run may take now such that later Runs over the rest, plus
+  // whatever arrives after it, equal one Run over everything. That is the
+  // largest k whose latest admissible event (judged by the ingest policy's
+  // admission rule from the current state) is earlier than every
+  // admissible event in pending[k, n) and than the watermark, which every
+  // later arrival is at or after. Malformed and inadmissible events never
+  // hold anything back. caesard drains a tenant's buffer through this.
+  size_t RunnablePrefix(const EventBatch& pending) const;
 
   // Optional per-timestamp observer (set before Run).
   void SetTickObserver(TickObserver observer) {
@@ -384,6 +395,11 @@ class Engine {
   Status IngestBatch(const EventBatch& input, EventBatch* admitted,
                      const EventBatch** effective, RunStats* stats);
 
+  // The admission rule (runtime/ingest.h) as it stands between Runs: the
+  // floor is the last processed tick; the slack is reorder_slack under
+  // kReorder and 0 otherwise.
+  AdmissionWatermark Watermark() const;
+
   // Classifies a malformed event, or returns false if it is well-formed.
   bool ClassifyMalformed(const Event& event, QuarantineReason* reason) const;
 
@@ -445,9 +461,10 @@ class Engine {
   void HandleWindowTransitions(PartitionState* partition, QueryState* query);
 
   // --- Durability serialization (scheduler thread only) ---
-  // The per-batch commit snapshot: ingest-layer scalars, the quarantine
-  // sink, and the virtual clock — everything replay cannot re-derive from
-  // the admitted events alone. Run takes it after distribution, before the
+  // The per-batch commit snapshot: the ingest counters, the quarantine
+  // sink, the virtual clock and the last processed tick (the admission
+  // floor) — what replay cannot re-derive from the admitted events of a
+  // checkpoint's suffix alone. Run takes it after distribution, before the
   // dispatch, so the virtual clock in it holds its batch-start value.
   std::string SerializeIngestSnapshot() const;
   Status RestoreIngestSnapshot(std::string_view snapshot);
@@ -574,12 +591,8 @@ class Engine {
   };
   std::vector<TransactionScratch> transaction_scratch_;
 
-  // Ingest state (scheduler thread only). The reorder buffer exists iff
-  // the policy is kReorder; the drop high-water mark backs kDrop. Both
-  // persist across Run calls.
-  std::unique_ptr<ReorderBuffer> reorder_;
-  bool drop_any_admitted_ = false;
-  Timestamp drop_max_admitted_ = 0;
+  // Ingest state (scheduler thread only). The admission rule keeps none:
+  // it starts every Run from last_processed_tick_ (see Watermark()).
   QuarantineSink quarantine_;
   IngestMetrics ingest_metrics_;
 
@@ -599,7 +612,8 @@ class Engine {
   bool replaying_ = false;  // WAL replay re-enters Run; nothing re-logged
   bool recovered_ = false;
   std::vector<std::string> recovery_diagnostics_;
-  // Last tick of the last processed batch (checkpoint cadence + header).
+  // Last tick of the last processed batch: the admission floor and
+  // high-water mark of the next Run, the checkpoint cadence and header.
   Timestamp last_processed_tick_ = 0;
   bool any_tick_processed_ = false;
 

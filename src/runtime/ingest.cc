@@ -1,7 +1,5 @@
 #include "runtime/ingest.h"
 
-#include <algorithm>
-
 #include "durability/serde.h"
 
 namespace caesar {
@@ -103,56 +101,6 @@ Status QuarantineSink::Load(StateReader* r) {
   }
   return r->ok() ? Status::Ok()
                  : Status::DataLoss("truncated quarantine state");
-}
-
-bool ReorderBuffer::Push(EventPtr event, EventBatch* released) {
-  Timestamp t = event->time();
-  // kNoWatermark before the first admission: nothing is late yet.
-  if (t < watermark()) return false;
-  if (any_released_ && t < last_released_) return false;
-  if (!any_seen_ || t > max_seen_) {
-    any_seen_ = true;
-    max_seen_ = t;
-  }
-  heap_.push_back({t, next_seq_++, std::move(event)});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-  while (!heap_.empty() && heap_.front().time <= watermark()) {
-    PopInto(released);
-  }
-  return true;
-}
-
-void ReorderBuffer::Flush(EventBatch* released) {
-  while (!heap_.empty()) PopInto(released);
-}
-
-void ReorderBuffer::Save(StateWriter* w) const {
-  // The engine checkpoints between Run calls, after Flush: only the
-  // watermark scalars carry state then.
-  w->Bool(any_seen_);
-  w->I64(max_seen_);
-  w->I64(last_released_);
-  w->Bool(any_released_);
-  w->U64(next_seq_);
-}
-
-Status ReorderBuffer::Load(StateReader* r) {
-  any_seen_ = r->Bool();
-  max_seen_ = r->I64();
-  last_released_ = r->I64();
-  any_released_ = r->Bool();
-  next_seq_ = r->U64();
-  return r->ok() ? Status::Ok()
-                 : Status::DataLoss("truncated reorder buffer state");
-}
-
-void ReorderBuffer::PopInto(EventBatch* released) {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Pending& top = heap_.back();
-  last_released_ = top.time;
-  any_released_ = true;
-  released->push_back(std::move(top.event));
-  heap_.pop_back();
 }
 
 }  // namespace caesar

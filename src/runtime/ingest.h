@@ -11,21 +11,29 @@
 //    Run processed; a batch may start at that tick, continuing it.
 //  - kDrop    — events older than the newest admitted time stamp are
 //    deterministically dropped and quarantined (reason kOutOfOrder).
-//  - kReorder — a bounded, watermark-driven reorder buffer re-sequences
-//    events late by at most `reorder_slack` ticks; events later than that
-//    are dropped and quarantined (reason kLateBeyondSlack).
+//  - kReorder — events late by at most `reorder_slack` ticks are admitted
+//    and re-sequenced; events later than that are dropped and quarantined
+//    (reason kLateBeyondSlack).
 //
-// Watermark semantics (kReorder): after admitting an event at time t the
-// buffer's high-water mark is max_seen = max over admitted times, and the
-// watermark is max_seen - slack. Buffered events with time() <= watermark
-// can never be preceded by a future admissible event (every future event
-// has time() >= its own watermark >= the current one), so they are released
-// in (time, arrival) order. The released stream is therefore non-decreasing
-// in time, and an input whose lateness never exceeds the slack is restored
-// to its exact pre-disorder sequence (equal-time events keep arrival
-// order). Run drains the buffer at end of batch; the high-water mark and
-// the last released time persist across Run calls, so an event older than
-// anything already emitted is late no matter when it arrives.
+// Watermark semantics (kDrop and kReorder share one admission rule; see
+// AdmissionWatermark): the high-water mark is the newest admitted time
+// stamp, starting from the last tick an earlier Run processed, and the
+// watermark is high-water - slack (slack = reorder_slack under kReorder,
+// 0 under kDrop). An event at time t is admitted iff t >= watermark and,
+// once any tick has run, t >= the last processed tick: nothing is ever
+// admitted underneath what was already processed. Run processes its batch
+// to completion, so kReorder stable-sorts the admitted events by time
+// (equal-time events keep arrival order); an input whose lateness never
+// exceeds the slack is restored to its exact pre-disorder sequence.
+// Between Runs the floor and the high-water mark both equal the engine's
+// last processed tick, so the rule keeps no state of its own and a
+// recovered engine rejects the same late events.
+//
+// The watermark also bounds what may still arrive: every future admissible
+// event is at or after the current watermark. caesard runs a pending
+// buffer's prefix only when nothing admissible can still sort before its
+// newest event (Engine::RunnablePrefix), which makes a socket-fed tenant's
+// Runs concatenate to exactly one Run over the same arrivals.
 //
 // Malformed events (unknown type id, negative occurrence time, inverted
 // occurrence interval) never reach the scheduler under kDrop/kReorder;
@@ -37,7 +45,6 @@
 #define CAESAR_RUNTIME_INGEST_H_
 
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <vector>
 
@@ -130,73 +137,49 @@ class QuarantineSink {
   std::map<uint64_t, int64_t> by_partition_;
 };
 
-// Bounded, watermark-driven reorder buffer (see file comment for the
-// semantics). Single-threaded: the engine calls it from the scheduler
-// thread only, before any worker dispatch.
-class ReorderBuffer {
+// The admission rule of kDrop and kReorder (see the file comment), walked
+// over one batch. A value type, built per batch from the engine's state:
+// Engine::RunnablePrefix judges a pending buffer with one and leaves the
+// engine untouched.
+class AdmissionWatermark {
  public:
-  // `slack` is the maximum admissible lateness in ticks (>= 0).
-  explicit ReorderBuffer(Timestamp slack) : slack_(slack) {}
+  // Starts from the engine's floor: `last_tick` when `any_tick` (a tick has
+  // been processed), no floor otherwise. `slack` is the admissible
+  // lateness in ticks (>= 0).
+  AdmissionWatermark(bool any_tick, Timestamp last_tick, Timestamp slack)
+      : has_floor_(any_tick),
+        floor_(last_tick),
+        any_(any_tick),
+        high_water_(last_tick),
+        slack_(slack) {}
 
-  // Admits `event` unless it is late beyond the slack or older than an
-  // already released event (returns false; nothing is released). On
-  // admission, appends every event that became releasable to `released`
-  // in (time, arrival) order.
-  bool Push(EventPtr event, EventBatch* released);
+  // True when `t` arrives behind the high-water mark, whatever its fate.
+  bool late(Timestamp t) const { return any_ && t < high_water_; }
+  Timestamp high_water() const { return high_water_; }
 
-  // Releases everything still buffered, in order (end of batch/stream).
-  void Flush(EventBatch* released);
+  // Every future admissible event is at or after this; meaningful once a
+  // tick was processed or an event admitted.
+  Timestamp watermark() const { return high_water_ - slack_; }
 
-  // Highest admitted time stamp; meaningful once any_seen().
-  Timestamp max_seen() const { return max_seen_; }
-  bool any_seen() const { return any_seen_; }
-
-  // watermark() before any admission: no cut-off exists yet, so nothing is
-  // late. The sentinel compares below every valid time stamp (including 0)
-  // instead of the garbage `0 - slack_` the naive formula would yield.
-  static constexpr Timestamp kNoWatermark =
-      std::numeric_limits<Timestamp>::min();
-
-  // Admission cut-off: events with time() < watermark are late beyond the
-  // slack; kNoWatermark until the first admission.
-  Timestamp watermark() const {
-    return any_seen_ ? max_seen_ - slack_ : kNoWatermark;
+  // Judges an event at `t`; on admission raises the high-water mark. The
+  // very first event is never late, wherever the stream starts.
+  bool Admit(Timestamp t) {
+    if (any_ && (t < watermark() || (has_floor_ && t < floor_))) {
+      return false;
+    }
+    if (!any_ || t > high_water_) {
+      any_ = true;
+      high_water_ = t;
+    }
+    return true;
   }
-  Timestamp slack() const { return slack_; }
-
-  size_t buffered() const { return heap_.size(); }
-
-  // Checkpoint serialization (durability/serde.h). Only meaningful between
-  // Run calls, when the heap is drained; the watermark scalars are what
-  // must survive so a recovered engine rejects the same late events.
-  void Save(StateWriter* w) const;
-  Status Load(StateReader* r);
 
  private:
-  struct Pending {
-    Timestamp time = 0;
-    uint64_t seq = 0;  // arrival order, for a stable release among ties
-    EventPtr event;
-  };
-  // Min-heap on (time, seq).
-  struct Later {
-    bool operator()(const Pending& a, const Pending& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
-  void PopInto(EventBatch* released);
-
-  const Timestamp slack_;
-  bool any_seen_ = false;
-  Timestamp max_seen_ = 0;
-  // Highest released time: after a Flush it can exceed the watermark, and
-  // admission must also respect it (nothing may be emitted out of order).
-  Timestamp last_released_ = 0;
-  bool any_released_ = false;
-  uint64_t next_seq_ = 0;
-  std::vector<Pending> heap_;
+  bool has_floor_;
+  Timestamp floor_;
+  bool any_;
+  Timestamp high_water_;
+  Timestamp slack_;
 };
 
 // Cumulative ingest/degradation counters over an engine's lifetime.

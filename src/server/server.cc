@@ -473,7 +473,7 @@ JsonValue CaesarServer::HandleIngest(const JsonValue& request) {
   JsonValue response = OkResponse();
   response.Set("accepted", JsonValue::Int(static_cast<int64_t>(accepted)));
   if (options_.deterministic) {
-    // Deterministic mode: run complete ticks now, ship their derivations
+    // Deterministic mode: run the runnable prefix now, ship its derivations
     // on this very response.
     status = session->Drain(/*flush=*/false);
     if (!status.ok()) return ErrorResponse("I423", status.message());

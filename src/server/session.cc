@@ -57,25 +57,8 @@ Status TenantSession::Ingest(EventBatch events) {
 
 Status TenantSession::Drain(bool flush) {
   if (pending_.empty()) return Status::Ok();
-  size_t runnable = pending_.size();
-  if (!flush) {
-    // Hold back the open tick: everything from the first event carrying
-    // the maximum buffered time onward. A later ingest may still extend
-    // that newest tick, and feeding the engine a partial tick would break
-    // the tick-aligned-split determinism contract. Scanning for the max
-    // (rather than trusting the back) keeps the rule correct for
-    // disordered input too — a late or corrupt low-time straggler behind
-    // the newest tick must not make the drain split it.
-    Timestamp max_time = pending_[0]->time();
-    size_t first_max = 0;
-    for (size_t i = 1; i < pending_.size(); ++i) {
-      if (pending_[i]->time() > max_time) {
-        max_time = pending_[i]->time();
-        first_max = i;
-      }
-    }
-    runnable = first_max;
-  }
+  const size_t runnable =
+      flush ? pending_.size() : engine_->RunnablePrefix(pending_);
   if (runnable == 0) return Status::Ok();
 
   EventBatch batch(pending_.begin(),

@@ -2,13 +2,14 @@
 // pool), its model's TypeRegistry, and the two buffers that adapt socket
 // push to the engine's batch Run —
 //
-//   pending_  events accepted off the wire but not yet run. Drain feeds
-//             the engine whole ticks only: the trailing run of equal-time
-//             events (the still-open newest tick) is held back until more
-//             time arrives or the tenant flushes. Tick-aligned splits are
-//             exactly the boundary the durability tests already prove
-//             byte-identical to one batch Run, which is what makes the
-//             server's deterministic mode hold.
+//   pending_  events accepted off the wire but not yet run. Drain runs
+//             the prefix the engine's watermark says is complete
+//             (Engine::RunnablePrefix): nothing admissible that is still
+//             pending or may still arrive can sort before its newest
+//             event, so the tenant's Runs concatenate to exactly one Run
+//             over the same arrivals — under every ingest policy. A
+//             reorder tenant's derivations therefore arrive up to
+//             reorder_slack ticks later than a strict tenant's.
 //   outputs_  derived events not yet shipped to the client (poll/flush).
 //
 // Sessions are not thread-safe; the server serializes access (one global
@@ -108,8 +109,9 @@ class TenantSession {
   // maps it to I420) when the batch would overflow the bound.
   Status Ingest(EventBatch events) CAESAR_REQUIRES(serial_role);
 
-  // Runs the engine over buffered complete ticks (see file comment). With
-  // `flush` the open tick is forced through too, leaving pending_ empty.
+  // Runs the engine over the runnable prefix of pending_ (see file
+  // comment). With `flush` everything is forced through, leaving pending_
+  // empty.
   // A failed Run (e.g. strict-policy rejection of disordered input)
   // discards the rejected events — exactly what a library caller does
   // with a batch Run rejects — and returns the engine's Status.

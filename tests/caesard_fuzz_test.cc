@@ -10,14 +10,29 @@
 //
 // Deterministic: one fixed seed, pure mt19937 derivation, no wall-clock
 // dependence in the generated payloads.
+//
+// The drain-split leg runs in process: random streams — disordered, with
+// malformed and beyond-slack rows — fed to a TenantSession in random
+// chunks (ingest + drain each, flush at the end) must equal one batch Run
+// byte for byte, derived stream and deterministic statistics export, for
+// every ingest policy at 1 and 4 threads. A table test pins what
+// Engine::RunnablePrefix, the drain's cut, holds back.
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "caesard_harness.h"
 #include "gtest/gtest.h"
+#include "oracle/generator.h"
+#include "query/parser.h"
+#include "runtime/engine.h"
+#include "runtime/observability.h"
+#include "server/session.h"
 #include "server/wire.h"
 
 namespace caesar {
@@ -146,6 +161,229 @@ TEST(CaesardProtocolFuzz, HostileFramesNeverKillTheDaemon) {
   EXPECT_TRUE(daemon.Alive());
   ASSERT_TRUE(IsOk(client.Call(Req("shutdown")).value()));
   EXPECT_TRUE(daemon.ShutdownCleanly());
+}
+
+// ---------------------------------------------------------------------------
+// Drain-split leg: a TenantSession fed in random chunks equals one Run
+// ---------------------------------------------------------------------------
+
+// Hysteresis contexts plus a SEQ pattern, so partial matches and context
+// state carry across ticks (and so across drains).
+constexpr char kDrainModel[] = R"(
+TYPE Reading(seg int, value int);
+TYPE Rise(seg int, from_value int, to_value int);
+
+CONTEXTS calm, busy DEFAULT calm;
+PARTITION BY seg;
+
+QUERY heat
+INITIATE CONTEXT busy
+PATTERN Reading r
+WHERE r.value >= 7
+CONTEXT calm;
+
+QUERY cool
+TERMINATE CONTEXT busy
+PATTERN Reading r
+WHERE r.value <= 2
+CONTEXT busy;
+
+QUERY rise
+DERIVE Rise(a.seg AS seg, a.value AS from_value, b.value AS to_value)
+PATTERN SEQ(Reading a, Reading b) WITHIN 6
+WHERE a.seg = b.seg AND b.value > a.value
+CONTEXT busy;
+)";
+
+std::string RenderEvents(const EventBatch& events,
+                         const TypeRegistry& registry) {
+  std::ostringstream os;
+  for (const EventPtr& event : events) {
+    os << event->time() << " " << event->ToString(registry) << "\n";
+  }
+  return os.str();
+}
+
+// Ordered stream: random tick gaps, 0-4 readings per tick over 4 segments.
+EventBatch RandomStream(std::mt19937& rng, TypeId reading) {
+  std::uniform_int_distribution<int> ticks(10, 60);
+  std::uniform_int_distribution<int> gap(1, 3);
+  std::uniform_int_distribution<int> per_tick(0, 4);
+  std::uniform_int_distribution<int64_t> seg(0, 3);
+  std::uniform_int_distribution<int64_t> value(0, 10);
+  EventBatch stream;
+  Timestamp t = std::uniform_int_distribution<Timestamp>(0, 5)(rng);
+  for (int i = ticks(rng); i > 0; --i, t += gap(rng)) {
+    for (int n = per_tick(rng); n > 0; --n) {
+      stream.push_back(
+          MakeEvent(reading, t, {Value(seg(rng)), Value(value(rng))}));
+    }
+  }
+  return stream;
+}
+
+struct DrainLegResult {
+  std::string derived;
+  std::string stats;
+};
+
+EngineOptions TenantEngineOptions(const SessionConfig& config, int threads) {
+  EngineOptions options;
+  options.tenant = "fuzz";
+  options.num_threads = threads;
+  options.ingest_policy = config.ingest_policy;
+  options.reorder_slack = config.reorder_slack;
+  options.metrics = config.metrics;
+  options.gather_statistics = config.gather_statistics;
+  options.analysis = AnalysisMode::kStrict;
+  return options;
+}
+
+TEST(CaesardDrainSplitFuzz, RandomChunksMatchOneRun) {
+  std::mt19937 rng(0xD2A1Bu);
+  constexpr int kTrialsPerLeg = 100;
+  std::uniform_int_distribution<size_t> chunk_size(1, 40);
+  std::uniform_int_distribution<Timestamp> slack_dist(0, 4);
+  for (IngestPolicy policy : {IngestPolicy::kStrict, IngestPolicy::kDrop,
+                              IngestPolicy::kReorder}) {
+    for (int threads : {1, 4}) {
+      auto pool = threads > 1 ? std::make_shared<ShardedExecutor>(threads)
+                              : nullptr;
+      size_t leg_derived = 0;
+      for (int trial = 0; trial < kTrialsPerLeg; ++trial) {
+        SessionConfig config;
+        config.shared_executor = pool;
+        config.ingest_policy = policy;
+        config.reorder_slack =
+            policy == IngestPolicy::kReorder ? slack_dist(rng) : 0;
+        auto created = TenantSession::Create("fuzz", kDrainModel, config);
+        ASSERT_TRUE(created.ok()) << created.status();
+        TenantSession& session = *created.value();
+        const TypeRegistry& registry = session.registry();
+        const TypeId reading = registry.Lookup("Reading");
+
+        // Strict only ever sees ordered input; the degrading policies get
+        // disorder up to 3 ticks plus malformed and beyond-slack rows.
+        const uint64_t seed = rng();
+        EventBatch stream = RandomStream(rng, reading);
+        if (policy != IngestPolicy::kStrict) {
+          stream = InjectJunk(DisorderStream(stream, seed, /*max_delay=*/3),
+                              seed, registry, reading, config.reorder_slack,
+                              /*malformed_rate=*/0.05, /*late_rate=*/0.05);
+        }
+        SCOPED_TRACE(std::string(IngestPolicyName(policy)) + " threads=" +
+                     std::to_string(threads) + " slack=" +
+                     std::to_string(config.reorder_slack) + " seed=" +
+                     std::to_string(seed) + " events=" +
+                     std::to_string(stream.size()));
+
+        // The reference: one Run over the whole stream, on an engine
+        // configured exactly like the tenant's (same model, same type ids).
+        TypeRegistry ref_registry;
+        auto model = ParseModel(kDrainModel, &ref_registry);
+        ASSERT_TRUE(model.ok()) << model.status();
+        auto ref = Engine::Create(model.value(), config.plan,
+                                  TenantEngineOptions(config, threads));
+        ASSERT_TRUE(ref.ok()) << ref.status();
+        EventBatch ref_derived;
+        ASSERT_TRUE(ref.value()->Run(stream, &ref_derived).ok());
+        ExportOptions deterministic;
+        deterministic.deterministic = true;
+        const DrainLegResult expected{
+            RenderEvents(ref_derived, ref_registry),
+            StatisticsToJson(ref.value()->CollectStatistics(),
+                             deterministic)};
+
+        SessionSerialGuard guard(TenantSession::serial_role);
+        EventBatch derived;
+        for (size_t at = 0; at < stream.size();) {
+          const size_t end = std::min(stream.size(), at + chunk_size(rng));
+          ASSERT_TRUE(session
+                          .Ingest(EventBatch(stream.begin() + at,
+                                             stream.begin() + end))
+                          .ok());
+          ASSERT_TRUE(session.Drain(/*flush=*/false).ok());
+          for (EventPtr& event : session.TakeOutputs()) {
+            derived.push_back(std::move(event));
+          }
+          at = end;
+        }
+        ASSERT_TRUE(session.Drain(/*flush=*/true).ok());
+        for (EventPtr& event : session.TakeOutputs()) {
+          derived.push_back(std::move(event));
+        }
+        leg_derived += derived.size();
+        EXPECT_EQ(RenderEvents(derived, registry), expected.derived);
+        EXPECT_EQ(session.ExportStats(/*prometheus=*/false,
+                                      /*deterministic=*/true),
+                  expected.stats);
+        if (::testing::Test::HasFailure()) return;
+      }
+      EXPECT_GT(leg_derived, 0u) << "the workload derives nothing";
+    }
+  }
+}
+
+// What the drain's cut holds back, case by case.
+TEST(CaesardDrainSplitFuzz, RunnablePrefixTable) {
+  // A pending entry equal to kJunk is a malformed event (unknown type) at
+  // that time; every other entry is a well-formed reading.
+  constexpr Timestamp kJunk = 100;
+  struct Case {
+    const char* name;
+    IngestPolicy policy;
+    Timestamp slack;
+    std::vector<Timestamp> earlier_run;  // run before the pending buffer
+    std::vector<Timestamp> pending;
+    size_t runnable;
+  };
+  const Case cases[] = {
+      {"strict: ordered, cut before the first max", IngestPolicy::kStrict, 0,
+       {}, {1, 2, 2, 3, 3}, 3},
+      {"strict: one open tick holds everything", IngestPolicy::kStrict, 0,
+       {}, {4, 4}, 0},
+      {"drop: a straggler is not held", IngestPolicy::kDrop, 0, {},
+       {5, 3, 6}, 2},
+      {"drop: below the last processed tick is not held", IngestPolicy::kDrop,
+       0, {5}, {3, 7, 8}, 2},
+      {"reorder: an in-slack straggler may still sort first",
+       IngestPolicy::kReorder, 2, {}, {5, 3, 6}, 0},
+      {"reorder: [7,8,6,10] with slack 2 cuts at 0", IngestPolicy::kReorder,
+       2, {}, {7, 8, 6, 10}, 0},
+      {"reorder: run what the watermark passed", IngestPolicy::kReorder, 2,
+       {}, {1, 2, 3, 4, 5}, 2},
+      {"drop: a malformed event at a high time holds nothing back",
+       IngestPolicy::kDrop, 0, {}, {1, 2, kJunk, 3}, 3},
+      {"reorder: a malformed event at a high time holds nothing back",
+       IngestPolicy::kReorder, 2, {}, {1, 2, kJunk, 3, 6}, 4},
+      {"nothing pending", IngestPolicy::kReorder, 2, {}, {}, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    TypeRegistry registry;
+    auto model = ParseModel(kDrainModel, &registry);
+    ASSERT_TRUE(model.ok()) << model.status();
+    EngineOptions options;
+    options.ingest_policy = c.policy;
+    options.reorder_slack = c.slack;
+    auto engine = Engine::Create(model.value(), PlanOptions{}, options);
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    const TypeId reading = registry.Lookup("Reading");
+    auto make = [&](const std::vector<Timestamp>& times) {
+      EventBatch batch;
+      for (Timestamp t : times) {
+        batch.push_back(t == kJunk ? MakeEvent(/*type_id=*/999, t, {})
+                                   : MakeEvent(reading, t,
+                                               {Value(int64_t{0}),
+                                                Value(int64_t{5})}));
+      }
+      return batch;
+    };
+    if (!c.earlier_run.empty()) {
+      ASSERT_TRUE(engine.value()->Run(make(c.earlier_run)).ok());
+    }
+    EXPECT_EQ(engine.value()->RunnablePrefix(make(c.pending)), c.runnable);
+  }
 }
 
 }  // namespace

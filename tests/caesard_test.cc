@@ -4,7 +4,10 @@
 //
 // The differential suite covers {1, 2, 4} worker threads: for each, the
 // socket-fed tenant's derived stream AND its deterministic JSON statistics
-// export must equal the in-process batch run byte for byte. The multi-tenant test
+// export must equal the in-process batch run byte for byte; a reorder
+// tenant fed a disordered stream is held to the same bar at 1 and 4
+// workers, and an in-process TenantSession case pins the drain cut that
+// keeps in-slack stragglers across drains. The multi-tenant test
 // interleaves two tenants — one fed fault-injected garbage — and holds
 // each to its solo-run bytes, quarantine counters included. The
 // backpressure test fills a tiny admission buffer, expects coded I420
@@ -24,8 +27,10 @@
 #include "plan/translator.h"
 #include "query/parser.h"
 #include "runtime/engine.h"
+#include "oracle/generator.h"
 #include "runtime/observability.h"
 #include "server/protocol.h"
+#include "server/session.h"
 #include "server/wire.h"
 
 namespace caesar {
@@ -105,7 +110,8 @@ struct Reference {
   std::unique_ptr<Engine> engine;
 
   static Reference Build(const std::string& tenant, int threads,
-                         IngestPolicy policy = IngestPolicy::kStrict) {
+                         IngestPolicy policy = IngestPolicy::kStrict,
+                         Timestamp reorder_slack = 0) {
     Reference ref;
     auto model = ParseModel(kModel, ref.registry.get());
     EXPECT_TRUE(model.ok()) << model.status();
@@ -113,6 +119,7 @@ struct Reference {
     options.tenant = tenant;
     options.num_threads = threads;
     options.ingest_policy = policy;
+    options.reorder_slack = reorder_slack;
     options.metrics = MetricsGranularity::kEngine;
     options.gather_statistics = true;
     options.analysis = AnalysisMode::kStrict;
@@ -182,13 +189,16 @@ std::string SocketStats(Client& client, const std::string& tenant) {
                                                 : std::string();
 }
 
-JsonValue RegisterReq(const std::string& tenant,
-                      const char* ingest = nullptr) {
+JsonValue RegisterReq(const std::string& tenant, const char* ingest = nullptr,
+                      Timestamp reorder_slack = 0) {
   JsonValue request = Req("register", tenant);
   request.Set("model", JsonValue::String(kModel));
   if (ingest != nullptr) {
     JsonValue options = JsonValue::Object();
     options.Set("ingest", JsonValue::String(ingest));
+    if (reorder_slack > 0) {
+      options.Set("reorder_slack", JsonValue::Int(reorder_slack));
+    }
     request.Set("options", std::move(options));
   }
   return request;
@@ -240,6 +250,87 @@ INSTANTIATE_TEST_SUITE_P(Workers, CaesardDifferential,
                          ::testing::Values(1, 2, 4), [](const auto& info) {
                            return "w" + std::to_string(info.param);
                          });
+
+// A reorder tenant fed a disordered stream in chunks that split ticks:
+// every drain runs only what the engine's watermark says is complete, so
+// the socket side still equals one batch Run byte for byte.
+class CaesardReorderDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(CaesardReorderDifferential, DisorderedSocketMatchesBatchByteForByte) {
+  const int workers = GetParam();
+  constexpr Timestamp kSlack = 3;
+
+  Daemon daemon({"--deterministic", "--workers=" + std::to_string(workers)});
+  ASSERT_TRUE(daemon.valid());
+  Client client(daemon.port());
+  ASSERT_TRUE(client.connected());
+  auto registered = client.Call(RegisterReq("r1", "reorder", kSlack));
+  ASSERT_TRUE(registered.ok() && IsOk(registered.value()))
+      << (registered.ok() ? registered.value().Dump()
+                          : registered.status().ToString());
+
+  Reference ref =
+      Reference::Build("r1", workers, IngestPolicy::kReorder, kSlack);
+  ASSERT_NE(ref.engine, nullptr);
+  const EventBatch stream =
+      DisorderStream(MakeStream(*ref.registry, 6, 120), /*seed=*/19, kSlack);
+  EventBatch expected_derived;
+  auto stats = ref.engine->Run(stream, &expected_derived);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  ASSERT_GT(expected_derived.size(), 0u) << "workload derives nothing";
+  ASSERT_GT(stats.value().events_reordered, 0) << "stream is not disordered";
+
+  const std::string socket_rendered =
+      StreamOverSocket(client, "r1", stream, 37, *ref.registry);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  EXPECT_EQ(socket_rendered, Render(expected_derived, *ref.registry));
+  EXPECT_EQ(SocketStats(client, "r1"), ref.StatsJson());
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, CaesardReorderDifferential,
+                         ::testing::Values(1, 4), [](const auto& info) {
+                           return "w" + std::to_string(info.param);
+                         });
+
+// A straggler within the slack that arrives after its successors were
+// drained must still run in time order: the drain may not have run them.
+TEST(TenantSessionDrain, ReorderKeepsInSlackStragglersAcrossDrains) {
+  constexpr char kEchoModel[] = R"(
+TYPE Reading(seg int, value int);
+TYPE Echo(seg int, value int);
+CONTEXTS only DEFAULT only;
+PARTITION BY seg;
+
+QUERY echo
+DERIVE Echo(r.seg AS seg, r.value AS value)
+PATTERN Reading r
+CONTEXT only;
+)";
+  SessionConfig config;
+  config.ingest_policy = IngestPolicy::kReorder;
+  config.reorder_slack = 2;
+  auto created = TenantSession::Create("echo", kEchoModel, config);
+  ASSERT_TRUE(created.ok()) << created.status();
+  TenantSession& session = *created.value();
+  const TypeId reading = session.registry().Lookup("Reading");
+  auto at = [&](Timestamp t) {
+    return MakeEvent(reading, t, {Value(int64_t{1}), Value(int64_t{t})});
+  };
+
+  SessionSerialGuard guard(TenantSession::serial_role);
+  ASSERT_TRUE(session.Ingest({at(5), at(6)}).ok());
+  ASSERT_TRUE(session.Drain(/*flush=*/false).ok());
+  ASSERT_TRUE(session.Ingest({at(4)}).ok());
+  ASSERT_TRUE(session.Drain(/*flush=*/false).ok());
+  ASSERT_TRUE(session.Drain(/*flush=*/true).ok());
+  std::string times;
+  for (const EventPtr& event : session.TakeOutputs()) {
+    times += std::to_string(event->time()) + " ";
+  }
+  EXPECT_EQ(times, "4 5 6 ");
+  EXPECT_EQ(session.engine().quarantine().total(), 0);
+  EXPECT_EQ(session.pending_events(), 0u);
+}
 
 // ---------------------------------------------------------------------------
 // Multi-tenant isolation under interleaved (and partly corrupt) ingest

@@ -4,11 +4,13 @@
 // rebuilt by Engine::Recover must produce byte-identical remaining output
 // and equal degradation counters vs an uninterrupted twin, including
 // crashes landing mid-checkpoint and mid-WAL-append. Checkpoints of an
-// older format version are rejected like corrupt ones. A failed WAL write
-// latches until Engine::Recover, and the CRC and the tick-record bytes are
-// pinned against a bitwise reference and a golden. The WAL writes run on
-// the engine's log thread, so the write-ahead and latch cases run at 1 and
-// 4 threads, and the logged ticks must not depend on the pool width.
+// older format version are rejected like corrupt ones, and a commit
+// snapshot of an older version fails recovery with DataLoss. A failed WAL
+// write latches until Engine::Recover, and the CRC and the tick-record
+// bytes are pinned against a bitwise reference and a golden. The WAL
+// writes run on the engine's log thread, so the write-ahead and latch
+// cases run at 1 and 4 threads, and the logged ticks must not depend on
+// the pool width.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -875,6 +877,51 @@ TEST(EngineDurabilityTest, VersionOneCheckpointFallsBackLikeCorruption) {
 
 TEST(EngineDurabilityTest, VersionTwoCheckpointFallsBackLikeCorruption) {
   OldCheckpointVersionFallsBackCase(2);
+}
+
+// A WAL written by an older build carries a version-1 commit snapshot,
+// whose layout also held the ingest layer's own high-water marks. Recovery
+// refuses it with a DataLoss naming the version — the older build must
+// recover its own artifacts — instead of misreading or aborting.
+TEST(EngineDurabilityTest, VersionOneCommitSnapshotIsDataLoss) {
+  auto w = MakeWorkload();
+  std::vector<EventBatch> batches = SplitByTicks(w->stream, 1);
+  ASSERT_FALSE(batches.empty());
+  const EventBatch& tick = batches[0];
+  const Timestamp time = tick.front()->time();
+
+  // The version-1 layout of a strict engine after that one tick.
+  StateWriter v1;
+  v1.U8(1);
+  v1.I64(static_cast<int64_t>(tick.size()));  // admitted
+  for (int i = 0; i < 4; ++i) v1.I64(0);      // reordered .. lateness
+  v1.Bool(false);                             // drop high-water mark
+  v1.I64(0);
+  v1.Bool(false);                             // no reorder buffer
+  QuarantineSink(/*capacity=*/0).Save(&v1);
+  v1.F64(0.0);  // virtual clock
+  v1.I64(0);    // last GC
+  v1.Bool(true);
+  v1.I64(time);  // last processed tick
+
+  std::string dir = ScratchDir("snapshot_v1");
+  {
+    DurabilityCounters counters;
+    auto writer = WalWriter::Open(WalOptions(dir), /*segment_seq=*/1,
+                                  &counters);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    AppendBatch(writer.value().get(), /*batch_seq=*/1, time, tick, v1.Take());
+  }
+
+  EngineOptions options;
+  options.durability = WalOptions(dir);
+  auto recovered = Engine::Recover(w->plan.Clone(), options);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(recovered.status().message().find(
+                "unsupported commit snapshot version 1"),
+            std::string::npos)
+      << recovered.status();
 }
 
 TEST(EngineDurabilityTest, FreshEngineInUsedDirectoryKeepsSequencing) {

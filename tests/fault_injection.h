@@ -39,7 +39,7 @@ class FaultInjector {
   // Events of one tick stay contiguous and in original order; an event can
   // only be overtaken by an earlier-delayed later tick, so its lateness
   // (high-water time at arrival minus its own time) never exceeds
-  // max_delay. A reorder buffer with slack >= max_delay therefore restores
+  // max_delay. A kReorder ingest with slack >= max_delay therefore restores
   // the exact original sequence.
   EventBatch DelayTicks(const EventBatch& stream, Timestamp max_delay) {
     std::map<Timestamp, Timestamp> delay;

@@ -1,10 +1,10 @@
-// Unit tests of the graceful-degradation ingest layer: the watermark-driven
-// ReorderBuffer, the bounded QuarantineSink, EngineOptions validation, and
-// the engine-level drop/reorder/strict policies on a mini model.
+// Unit tests of the graceful-degradation ingest layer: the bounded
+// QuarantineSink, EngineOptions validation, and the engine-level
+// drop/reorder/strict policies and their shared admission watermark on a
+// mini model.
 
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,107 +19,6 @@ namespace {
 
 EventPtr At(Timestamp t, int64_t tag = 0) {
   return MakeEvent(/*type_id=*/0, t, {Value(tag)});
-}
-
-std::vector<Timestamp> Times(const EventBatch& batch) {
-  std::vector<Timestamp> times;
-  for (const EventPtr& event : batch) times.push_back(event->time());
-  return times;
-}
-
-std::vector<int64_t> Tags(const EventBatch& batch) {
-  std::vector<int64_t> tags;
-  for (const EventPtr& event : batch) tags.push_back(event->value(0).AsInt());
-  return tags;
-}
-
-TEST(ReorderBufferTest, ReleasesInTimeOrderWithinSlack) {
-  ReorderBuffer buffer(/*slack=*/2);
-  EventBatch released;
-  EXPECT_TRUE(buffer.Push(At(5), &released));
-  EXPECT_TRUE(buffer.Push(At(3), &released));  // late by 2 == slack: admitted
-  EXPECT_TRUE(buffer.Push(At(4), &released));
-  EXPECT_TRUE(buffer.Push(At(8), &released));  // watermark -> 6: 3,4,5 out
-  EXPECT_EQ(Times(released), (std::vector<Timestamp>{3, 4, 5}));
-  buffer.Flush(&released);
-  EXPECT_EQ(Times(released), (std::vector<Timestamp>{3, 4, 5, 8}));
-  EXPECT_EQ(buffer.buffered(), 0u);
-}
-
-TEST(ReorderBufferTest, SlackBoundaryIsInclusive) {
-  ReorderBuffer buffer(/*slack=*/3);
-  EventBatch released;
-  EXPECT_TRUE(buffer.Push(At(10), &released));
-  EXPECT_TRUE(buffer.Push(At(7), &released));   // lateness 3 == slack
-  // 7 sits exactly at the watermark: it is released immediately (any later
-  // admissible arrival at time 7 sorts after it by arrival order).
-  EXPECT_EQ(Times(released), (std::vector<Timestamp>{7}));
-  EXPECT_FALSE(buffer.Push(At(6), &released));  // lateness 4 > slack
-  EXPECT_EQ(buffer.buffered(), 1u);             // the reject buffered nothing
-  EXPECT_EQ(buffer.max_seen(), 10);
-  EXPECT_EQ(buffer.watermark(), 7);
-}
-
-TEST(ReorderBufferTest, WatermarkIsSentinelBeforeFirstAdmission) {
-  // Regression: before any admission the watermark used to read
-  // `max_seen_ - slack` off the zero-initialized max, i.e. a real-looking
-  // timestamp of -slack (or 0 with no slack). A stream legitimately
-  // starting at a negative or very small timestamp would have its first
-  // events misjudged as late. The sentinel says "no watermark yet".
-  ReorderBuffer buffer(/*slack=*/3);
-  EXPECT_EQ(buffer.watermark(), ReorderBuffer::kNoWatermark);
-  EXPECT_EQ(ReorderBuffer::kNoWatermark,
-            std::numeric_limits<Timestamp>::min());
-
-  // The very first event is never late, wherever the stream starts.
-  EventBatch released;
-  EXPECT_TRUE(buffer.Push(At(-100), &released));
-  EXPECT_EQ(buffer.watermark(), -103);
-  EXPECT_TRUE(buffer.Push(At(-102), &released));   // within slack
-  EXPECT_FALSE(buffer.Push(At(-104), &released));  // beyond slack
-  buffer.Flush(&released);
-  EXPECT_EQ(Times(released), (std::vector<Timestamp>{-102, -100}));
-}
-
-TEST(ReorderBufferTest, EqualTimesKeepArrivalOrder) {
-  ReorderBuffer buffer(/*slack=*/5);
-  EventBatch released;
-  EXPECT_TRUE(buffer.Push(At(4, 1), &released));
-  EXPECT_TRUE(buffer.Push(At(2, 2), &released));
-  EXPECT_TRUE(buffer.Push(At(2, 3), &released));
-  EXPECT_TRUE(buffer.Push(At(4, 4), &released));
-  buffer.Flush(&released);
-  EXPECT_EQ(Times(released), (std::vector<Timestamp>{2, 2, 4, 4}));
-  EXPECT_EQ(Tags(released), (std::vector<int64_t>{2, 3, 1, 4}));
-}
-
-TEST(ReorderBufferTest, NothingAdmittedBelowReleasedAfterFlush) {
-  ReorderBuffer buffer(/*slack=*/10);
-  EventBatch released;
-  EXPECT_TRUE(buffer.Push(At(5), &released));
-  buffer.Flush(&released);  // 5 is emitted; the stream may not go back
-  ASSERT_EQ(Times(released), (std::vector<Timestamp>{5}));
-  // Within the slack window but older than what was already emitted.
-  EXPECT_FALSE(buffer.Push(At(4), &released));
-  EXPECT_TRUE(buffer.Push(At(5), &released));  // equal time stays admissible
-  EXPECT_TRUE(buffer.Push(At(6), &released));
-  buffer.Flush(&released);
-  EXPECT_EQ(Times(released), (std::vector<Timestamp>{5, 5, 6}));
-}
-
-TEST(ReorderBufferTest, EmissionIsMonotoneUnderHeavyDisorder) {
-  ReorderBuffer buffer(/*slack=*/4);
-  EventBatch released;
-  int64_t admitted = 0;
-  // A deterministic zig-zag with every lateness from 0 to 6.
-  for (Timestamp t : {0, 4, 1, 7, 3, 9, 5, 12, 8, 6, 15, 11}) {
-    if (buffer.Push(At(t), &released)) ++admitted;
-  }
-  buffer.Flush(&released);
-  EXPECT_EQ(static_cast<int64_t>(released.size()), admitted);
-  for (size_t i = 1; i < released.size(); ++i) {
-    EXPECT_LE(released[i - 1]->time(), released[i]->time()) << i;
-  }
 }
 
 TEST(QuarantineSinkTest, CountersStayExactPastCapacity) {
@@ -353,6 +252,132 @@ TEST_F(IngestEngineTest, ReorderPolicyResequencesWithinSlack) {
   RunStats more = engine.Run({Reading(1, 7, 5)}, &more_out).value();
   EXPECT_EQ(more.events_dropped_late, 1);
   EXPECT_TRUE(more_out.empty());
+}
+
+TEST_F(IngestEngineTest, ReorderRunsWithinSlackInTimeOrder) {
+  EngineOptions options;
+  options.ingest_policy = IngestPolicy::kReorder;
+  options.reorder_slack = 2;
+  Engine engine(Plan(), options);
+  EventBatch outputs;
+  // 3 is late by 2 == slack; 4 by 1. Both run before 5.
+  RunStats stats = engine
+                       .Run({Reading(1, 1, 5), Reading(1, 2, 3),
+                             Reading(1, 3, 4), Reading(1, 4, 8)},
+                            &outputs)
+                       .value();
+  EXPECT_EQ(Echoed(outputs), "3:2 4:3 5:1 8:4 ");
+  EXPECT_EQ(stats.events_reordered, 2);
+  EXPECT_EQ(stats.events_quarantined, 0);
+}
+
+TEST_F(IngestEngineTest, ReorderSlackBoundaryIsInclusive) {
+  EngineOptions options;
+  options.ingest_policy = IngestPolicy::kReorder;
+  options.reorder_slack = 3;
+  Engine engine(Plan(), options);
+  EventBatch outputs;
+  // 7 is late by exactly the slack (admitted), 6 by one tick more.
+  RunStats stats = engine
+                       .Run({Reading(1, 1, 10), Reading(1, 2, 7),
+                             Reading(1, 3, 6)},
+                            &outputs)
+                       .value();
+  EXPECT_EQ(Echoed(outputs), "7:2 10:1 ");
+  EXPECT_EQ(stats.events_reordered, 1);
+  EXPECT_EQ(stats.events_dropped_late, 1);
+  EXPECT_EQ(stats.max_observed_lateness, 4);
+  ASSERT_EQ(engine.quarantine().entries().size(), 1u);
+  EXPECT_EQ(engine.quarantine().entries()[0].reason,
+            QuarantineReason::kLateBeyondSlack);
+  EXPECT_EQ(engine.quarantine().entries()[0].event->time(), 6);
+}
+
+TEST_F(IngestEngineTest, FirstEventIsNeverLate) {
+  // Before anything was admitted or processed there is no watermark: the
+  // first event is admitted wherever the stream starts — far from 0, or at
+  // 0, below where `0 - slack` would put a cut-off.
+  for (Timestamp start : {Timestamp{0}, Timestamp{1000000}}) {
+    for (IngestPolicy policy : {IngestPolicy::kDrop, IngestPolicy::kReorder}) {
+      SCOPED_TRACE(std::string(IngestPolicyName(policy)) + " from " +
+                   std::to_string(start));
+      EngineOptions options;
+      options.ingest_policy = policy;
+      options.reorder_slack = 3;
+      Engine engine(Plan(), options);
+      EventBatch outputs;
+      engine.Run({Reading(1, 1, start)}, &outputs).value();
+      EXPECT_EQ(Echoed(outputs), std::to_string(start) + ":1 ");
+      EXPECT_EQ(engine.quarantine().total(), 0);
+    }
+  }
+  EngineOptions options;
+  options.ingest_policy = IngestPolicy::kReorder;
+  options.reorder_slack = 3;
+  Engine engine(Plan(), options);
+  EventBatch outputs;
+  engine
+      .Run({Reading(1, 1, 1000), Reading(1, 2, 998), Reading(1, 3, 996)},
+           &outputs)
+      .value();
+  EXPECT_EQ(Echoed(outputs), "998:2 1000:1 ");  // 996 is beyond the slack
+  EXPECT_EQ(engine.quarantine().total(), 1);
+}
+
+TEST_F(IngestEngineTest, ReorderEqualTimesKeepArrivalOrder) {
+  EngineOptions options;
+  options.ingest_policy = IngestPolicy::kReorder;
+  options.reorder_slack = 5;
+  Engine engine(Plan(), options);
+  EventBatch outputs;
+  engine
+      .Run({Reading(1, 1, 4), Reading(1, 2, 2), Reading(1, 3, 2),
+            Reading(1, 4, 4)},
+           &outputs)
+      .value();
+  EXPECT_EQ(Echoed(outputs), "2:2 2:3 4:1 4:4 ");
+}
+
+TEST_F(IngestEngineTest, NothingAdmittedBelowAnEarlierRunsMax) {
+  EngineOptions options;
+  options.ingest_policy = IngestPolicy::kReorder;
+  options.reorder_slack = 10;
+  Engine engine(Plan(), options);
+  EventBatch outputs;
+  engine.Run({Reading(1, 1, 5)}, &outputs).value();
+  ASSERT_EQ(Echoed(outputs), "5:1 ");
+  // 4 is within the slack but older than tick 5, which already ran; equal
+  // time continues that tick.
+  EventBatch more_out;
+  RunStats more = engine
+                      .Run({Reading(1, 2, 4), Reading(1, 3, 5),
+                            Reading(1, 4, 6)},
+                           &more_out)
+                      .value();
+  EXPECT_EQ(Echoed(more_out), "5:3 6:4 ");
+  EXPECT_EQ(more.events_dropped_late, 1);
+  EXPECT_EQ(engine.quarantine().count(QuarantineReason::kLateBeyondSlack),
+            1);
+}
+
+TEST_F(IngestEngineTest, ReorderEmissionIsMonotoneUnderHeavyDisorder) {
+  EngineOptions options;
+  options.ingest_policy = IngestPolicy::kReorder;
+  options.reorder_slack = 4;
+  Engine engine(Plan(), options);
+  // A deterministic zig-zag with every lateness from 0 to 6.
+  EventBatch input;
+  for (Timestamp t : {0, 4, 1, 7, 3, 9, 5, 12, 8, 6, 15, 11}) {
+    input.push_back(Reading(1, t, t));
+  }
+  EventBatch outputs;
+  RunStats stats = engine.Run(input, &outputs).value();
+  EXPECT_EQ(stats.events_quarantined, 1);  // 6, late by 6
+  EXPECT_EQ(static_cast<int64_t>(outputs.size()),
+            engine.ingest_metrics().admitted);
+  for (size_t i = 1; i < outputs.size(); ++i) {
+    EXPECT_LE(outputs[i - 1]->time(), outputs[i]->time()) << i;
+  }
 }
 
 TEST_F(IngestEngineTest, MalformedEventsAreQuarantinedWithReasons) {
