@@ -90,7 +90,7 @@ struct EngineOptions {
   // shared pool instead of creating its own. The pool must outlive the
   // engine, and callers must never run two engines that share a pool
   // concurrently — ShardedExecutor::Execute is single-scheduler (the
-  // server's drain loop serializes tenants). Derived output stays
+  // server's session lock serializes tenants). Derived output stays
   // byte-identical to an owned pool of the same width: determinism rests
   // on the ordered merge, not on who owns the workers.
   std::shared_ptr<ShardedExecutor> shared_executor;

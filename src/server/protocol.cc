@@ -7,7 +7,7 @@ namespace caesar {
 namespace {
 
 // Wire name for events whose type id the registry cannot resolve
-// (quarantined garbage re-exported from a derived-event poll).
+// (quarantined garbage re-exported in a reply's derived rows).
 constexpr const char* kUnknownTypeName = "__unknown__";
 
 }  // namespace
@@ -22,8 +22,6 @@ const char* ServerCmdName(ServerCmd cmd) {
       return "ingest";
     case ServerCmd::kFlush:
       return "flush";
-    case ServerCmd::kPoll:
-      return "poll";
     case ServerCmd::kStats:
       return "stats";
     case ServerCmd::kTeardown:
@@ -38,9 +36,9 @@ const char* ServerCmdName(ServerCmd cmd) {
 
 bool ParseServerCmd(std::string_view name, ServerCmd* out) {
   static constexpr ServerCmd kAll[] = {
-      ServerCmd::kPing,  ServerCmd::kRegister, ServerCmd::kIngest,
-      ServerCmd::kFlush, ServerCmd::kPoll,     ServerCmd::kStats,
-      ServerCmd::kTeardown, ServerCmd::kList,  ServerCmd::kShutdown,
+      ServerCmd::kPing,     ServerCmd::kRegister, ServerCmd::kIngest,
+      ServerCmd::kFlush,    ServerCmd::kStats,    ServerCmd::kTeardown,
+      ServerCmd::kList,     ServerCmd::kShutdown,
   };
   for (ServerCmd cmd : kAll) {
     if (name == ServerCmdName(cmd)) {

@@ -3,18 +3,21 @@
 //
 // Requests are objects with a "cmd" field:
 //
-//   {"cmd":"ping"}
+//   {"cmd":"ping"}                       protocol version, workers, tenants
 //   {"cmd":"register","tenant":"t1","model":"TYPE ...; QUERY ...;",
 //    "options":{"ingest":"reorder","reorder_slack":3,
 //    "metrics":"operator","gather_statistics":true}}
 //   {"cmd":"ingest","tenant":"t1","events":[["Tick",3,[1,7,0]], ...]}
-//   {"cmd":"flush","tenant":"t1"}        drain everything incl. the open tick
-//   {"cmd":"poll","tenant":"t1"}         collect outputs without draining
+//                                        run what is now complete
+//   {"cmd":"flush","tenant":"t1"}        run everything incl. the open tick
 //   {"cmd":"stats","tenant":"t1","format":"json"|"prometheus",
 //    "deterministic":true}
 //   {"cmd":"teardown","tenant":"t1"}     flush, report, destroy
 //   {"cmd":"list"}
 //   {"cmd":"shutdown"}
+//
+// ingest, flush and teardown reply with the "derived" rows of the ticks
+// they ran; nothing derived is held back for a later request.
 //
 // Responses always carry "ok". Failures add "code" — a stable I4xx
 // diagnostic code (analysis/diagnostics.h; I420 backpressure, I421 unknown
@@ -47,15 +50,15 @@
 
 namespace caesar {
 
-// Protocol revision, echoed by ping.
-inline constexpr int kServerProtocolVersion = 1;
+// Protocol revision, echoed by ping. 2: poll is gone, every drain's rows
+// ride the reply of the request that ran it.
+inline constexpr int kServerProtocolVersion = 2;
 
 enum class ServerCmd : int8_t {
   kPing = 0,
   kRegister,
   kIngest,
   kFlush,
-  kPoll,
   kStats,
   kTeardown,
   kList,

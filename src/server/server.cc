@@ -7,8 +7,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <utility>
 
@@ -49,6 +47,7 @@ Status ParseSessionConfig(const JsonValue* opts,
                           const ServerOptions& server_options,
                           SessionConfig* out) {
   out->max_pending_events = server_options.max_pending_events;
+  EngineOptions& engine = out->engine;
   if (opts == nullptr) return Status::Ok();
   if (!opts->is_object()) {
     return Status::InvalidArgument("\"options\" must be an object");
@@ -56,7 +55,7 @@ Status ParseSessionConfig(const JsonValue* opts,
   for (const auto& [key, value] : opts->entries()) {
     if (key == "ingest") {
       if (!value.is_string() ||
-          !ParseIngestPolicyName(value.string_value(), &out->ingest_policy)) {
+          !ParseIngestPolicyName(value.string_value(), &engine.ingest_policy)) {
         return Status::InvalidArgument(
             "ingest must be \"strict\", \"drop\", or \"reorder\"");
       }
@@ -64,10 +63,10 @@ Status ParseSessionConfig(const JsonValue* opts,
       if (!value.is_int() || value.int_value() < 0) {
         return Status::InvalidArgument("reorder_slack must be an int >= 0");
       }
-      out->reorder_slack = value.int_value();
+      engine.reorder_slack = value.int_value();
     } else if (key == "metrics") {
       if (!value.is_string() ||
-          !ParseMetricsGranularity(value.string_value(), &out->metrics)) {
+          !ParseMetricsGranularity(value.string_value(), &engine.metrics)) {
         return Status::InvalidArgument(
             "metrics must be \"off\", \"engine\", or \"operator\"");
       }
@@ -75,7 +74,7 @@ Status ParseSessionConfig(const JsonValue* opts,
       if (!value.is_bool()) {
         return Status::InvalidArgument("gather_statistics must be a bool");
       }
-      out->gather_statistics = value.bool_value();
+      engine.gather_statistics = value.bool_value();
     } else if (key == "max_pending_events") {
       if (!value.is_int() || value.int_value() < 1 ||
           static_cast<size_t>(value.int_value()) >
@@ -122,9 +121,6 @@ Status ServerOptions::Validate() const {
   }
   if (max_pending_events < 1) {
     return Status::InvalidArgument("max_pending_events must be >= 1");
-  }
-  if (drain_interval_ms < 1) {
-    return Status::InvalidArgument("drain_interval_ms must be >= 1");
   }
   if (max_frame_bytes < 2 || max_frame_bytes > kMaxWirePayload) {
     return Status::InvalidArgument("max_frame_bytes must be in [2, " +
@@ -183,24 +179,7 @@ Status CaesarServer::Start() {
   }
 
   accept_thread_ = std::thread([this] { AcceptLoop(); });
-  if (!options_.deterministic) {
-    drain_thread_ = std::thread([this] { DrainLoop(); });
-  }
   return Status::Ok();
-}
-
-void CaesarServer::RequestStop() {
-  stop_.store(true);
-  stop_cv_.notify_all();
-  drain_cv_.notify_all();
-}
-
-void CaesarServer::Wait() {
-  {
-    std::unique_lock<std::mutex> lock(lifecycle_mutex_);
-    stop_cv_.wait(lock, [this] { return stop_.load(); });
-  }
-  Stop();
 }
 
 void CaesarServer::Stop() {
@@ -232,19 +211,12 @@ void CaesarServer::Stop() {
     if (t.joinable()) t.join();
   }
 
-  if (drain_thread_.joinable()) drain_thread_.join();
-
   // Sessions (and their engines) go before the pool they borrow.
   {
     std::lock_guard<std::mutex> lock(sessions_mutex_);
     sessions_.clear();
   }
   pool_.reset();
-}
-
-size_t CaesarServer::num_tenants() const {
-  std::lock_guard<std::mutex> lock(sessions_mutex_);
-  return sessions_.size();
 }
 
 void CaesarServer::AcceptLoop() {
@@ -278,26 +250,6 @@ void CaesarServer::MarkConnectionDone(size_t slot) {
   conn_fds_[slot] = -1;
 }
 
-void CaesarServer::DrainLoop() {
-  const auto interval = std::chrono::milliseconds(options_.drain_interval_ms);
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(drain_mutex_);
-      drain_cv_.wait_for(lock, interval, [this] { return stop_.load(); });
-    }
-    if (stop_.load()) return;
-    std::lock_guard<std::mutex> lock(sessions_mutex_);
-    SessionSerialGuard role(TenantSession::serial_role);
-    for (auto& [name, session] : sessions_) {
-      Status status = session->Drain(/*flush=*/false);
-      if (!status.ok()) {
-        std::fprintf(stderr, "caesard: drain tenant %s: %s\n", name.c_str(),
-                     status.ToString().c_str());
-      }
-    }
-  }
-}
-
 void CaesarServer::ServeConnection(int fd) {
   MessageReader reader(fd, options_.max_frame_bytes);
   std::string payload;
@@ -315,22 +267,23 @@ void CaesarServer::ServeConnection(int fd) {
       break;
     }
     if (eof) break;
-    const std::string response = DispatchPayload(payload).Dump();
+    bool shutdown = false;
+    const std::string response = Handle(payload, &shutdown).Dump();
     status = binary ? WriteBinaryFrame(fd, response)
                     : WriteJsonLine(fd, response);
+    // Only now: Stop() shuts this socket down too, so a stop requested
+    // before the write could cut the shutdown reply off.
+    if (shutdown) RequestStop();
     if (!status.ok() || stop_.load()) break;
   }
 }
 
-JsonValue CaesarServer::DispatchPayload(std::string_view payload) {
+JsonValue CaesarServer::Handle(std::string_view payload, bool* shutdown) {
   Result<JsonValue> parsed = ParseJson(payload);
   if (!parsed.ok()) {
     return ErrorResponse("I423", parsed.status().message());
   }
-  return Handle(parsed.value());
-}
-
-JsonValue CaesarServer::Handle(const JsonValue& request) {
+  const JsonValue& request = parsed.value();
   if (!request.is_object()) {
     return ErrorResponse("I423", "request must be a JSON object");
   }
@@ -355,8 +308,6 @@ JsonValue CaesarServer::Handle(const JsonValue& request) {
       return HandleIngest(request);
     case ServerCmd::kFlush:
       return HandleFlush(request);
-    case ServerCmd::kPoll:
-      return HandlePoll(request);
     case ServerCmd::kStats:
       return HandleStats(request);
     case ServerCmd::kTeardown:
@@ -364,7 +315,7 @@ JsonValue CaesarServer::Handle(const JsonValue& request) {
     case ServerCmd::kList:
       return HandleList();
     case ServerCmd::kShutdown: {
-      RequestStop();
+      *shutdown = true;
       JsonValue response = OkResponse();
       response.Set("stopping", JsonValue::Bool(true));
       return response;
@@ -413,7 +364,7 @@ JsonValue CaesarServer::HandleRegister(const JsonValue& request) {
   }
 
   SessionConfig config;
-  config.shared_executor = pool_;
+  config.engine.shared_executor = pool_;
   Status status =
       ParseSessionConfig(request.Find("options"), options_, &config);
   if (!status.ok()) return ErrorResponse("I423", status.message());
@@ -459,7 +410,7 @@ JsonValue CaesarServer::HandleIngest(const JsonValue& request) {
   Status status = session->Ingest(std::move(events));
   if (!status.ok()) {
     // Backpressure: whole batch refused, nothing admitted, client may
-    // retry after a flush/poll has drained the buffer.
+    // retry after a flush has drained the buffer.
     JsonValue response =
         ErrorResponse("I420", status.message());
     response.Set("pending",
@@ -470,17 +421,13 @@ JsonValue CaesarServer::HandleIngest(const JsonValue& request) {
     return response;
   }
 
+  // Run the runnable prefix now and ship its derivations on this reply.
+  EventBatch derived;
+  status = session->Drain(/*flush=*/false, &derived);
+  if (!status.ok()) return ErrorResponse("I423", status.message());
   JsonValue response = OkResponse();
   response.Set("accepted", JsonValue::Int(static_cast<int64_t>(accepted)));
-  if (options_.deterministic) {
-    // Deterministic mode: run the runnable prefix now, ship its derivations
-    // on this very response.
-    status = session->Drain(/*flush=*/false);
-    if (!status.ok()) return ErrorResponse("I423", status.message());
-    response.Set("derived",
-                 EncodeEventBatch(session->TakeOutputs(),
-                                  session->registry()));
-  }
+  response.Set("derived", EncodeEventBatch(derived, session->registry()));
   response.Set("pending", JsonValue::Int(static_cast<int64_t>(
                               session->pending_events())));
   return response;
@@ -491,24 +438,11 @@ JsonValue CaesarServer::HandleFlush(const JsonValue& request) {
   TenantSession* session = FindTenant(request, &error);
   if (session == nullptr) return error;
 
-  Status status = session->Drain(/*flush=*/true);
+  EventBatch derived;
+  Status status = session->Drain(/*flush=*/true, &derived);
   if (!status.ok()) return ErrorResponse("I423", status.message());
   JsonValue response = OkResponse();
-  response.Set("derived", EncodeEventBatch(session->TakeOutputs(),
-                                           session->registry()));
-  return response;
-}
-
-JsonValue CaesarServer::HandlePoll(const JsonValue& request) {
-  JsonValue error;
-  TenantSession* session = FindTenant(request, &error);
-  if (session == nullptr) return error;
-
-  JsonValue response = OkResponse();
-  response.Set("derived", EncodeEventBatch(session->TakeOutputs(),
-                                           session->registry()));
-  response.Set("pending", JsonValue::Int(static_cast<int64_t>(
-                              session->pending_events())));
+  response.Set("derived", EncodeEventBatch(derived, session->registry()));
   return response;
 }
 
@@ -553,15 +487,15 @@ JsonValue CaesarServer::HandleTeardown(const JsonValue& request) {
   std::unique_ptr<TenantSession> owned = std::move(sessions_[session->name()]);
   sessions_.erase(owned->name());
 
-  Status status = owned->Drain(/*flush=*/true);
+  EventBatch derived;
+  Status status = owned->Drain(/*flush=*/true, &derived);
   if (!status.ok()) {
     JsonValue response = ErrorResponse("I423", status.message());
     response.Set("removed", JsonValue::Bool(true));
     return response;
   }
   JsonValue response = OkResponse();
-  response.Set("derived",
-               EncodeEventBatch(owned->TakeOutputs(), owned->registry()));
+  response.Set("derived", EncodeEventBatch(derived, owned->registry()));
   return response;
 }
 
@@ -583,7 +517,6 @@ JsonValue CaesarServer::HandleList() {
 JsonValue CaesarServer::HandlePing() {
   JsonValue response = OkResponse();
   response.Set("protocol", JsonValue::Int(kServerProtocolVersion));
-  response.Set("deterministic", JsonValue::Bool(options_.deterministic));
   response.Set("workers",
                JsonValue::Int(pool_ != nullptr ? pool_->num_workers() : 1));
   response.Set("tenants",

@@ -13,7 +13,7 @@ SessionSerialRole TenantSession::serial_role;
 
 Result<std::unique_ptr<TenantSession>> TenantSession::Create(
     const std::string& name, std::string_view model_text,
-    SessionConfig config) {
+    const SessionConfig& config) {
   auto registry = std::make_unique<TypeRegistry>();
 
   ParseModelOptions parse_options;
@@ -22,14 +22,9 @@ Result<std::unique_ptr<TenantSession>> TenantSession::Create(
       ParseModel(model_text, registry.get(), parse_options);
   if (!model.ok()) return model.status();
 
-  EngineOptions engine_options;
+  EngineOptions engine_options = config.engine;
   engine_options.tenant = name;
-  engine_options.shared_executor = config.shared_executor;
   engine_options.num_threads = 1;  // serial unless the pool overrides
-  engine_options.ingest_policy = config.ingest_policy;
-  engine_options.reorder_slack = config.reorder_slack;
-  engine_options.metrics = config.metrics;
-  engine_options.gather_statistics = config.gather_statistics;
   // The strict analyzer is the admission gate: error-severity lint
   // diagnostics reject registration before any engine state exists.
   engine_options.analysis = AnalysisMode::kStrict;
@@ -39,23 +34,23 @@ Result<std::unique_ptr<TenantSession>> TenantSession::Create(
   if (!engine.ok()) return engine.status();
 
   return std::unique_ptr<TenantSession>(
-      new TenantSession(name, std::move(registry),
-                        std::move(engine).value(), std::move(config)));
+      new TenantSession(name, std::move(registry), std::move(engine).value(),
+                        config.max_pending_events));
 }
 
 Status TenantSession::Ingest(EventBatch events) {
-  if (pending_.size() + events.size() > config_.max_pending_events) {
+  if (pending_.size() + events.size() > max_pending_events_) {
     return Status::OutOfRange(
         "pending buffer full: " + std::to_string(pending_.size()) +
         " buffered + " + std::to_string(events.size()) + " offered > limit " +
-        std::to_string(config_.max_pending_events));
+        std::to_string(max_pending_events_));
   }
   total_accepted_ += static_cast<int64_t>(events.size());
   for (EventPtr& event : events) pending_.push_back(std::move(event));
   return Status::Ok();
 }
 
-Status TenantSession::Drain(bool flush) {
+Status TenantSession::Drain(bool flush, EventBatch* derived) {
   if (pending_.empty()) return Status::Ok();
   const size_t runnable =
       flush ? pending_.size() : engine_->RunnablePrefix(pending_);
@@ -65,15 +60,7 @@ Status TenantSession::Drain(bool flush) {
                    pending_.begin() + static_cast<ptrdiff_t>(runnable));
   pending_.erase(pending_.begin(),
                  pending_.begin() + static_cast<ptrdiff_t>(runnable));
-  Result<RunStats> stats = engine_->Run(batch, &outputs_);
-  if (!stats.ok()) return stats.status();
-  return Status::Ok();
-}
-
-EventBatch TenantSession::TakeOutputs() {
-  EventBatch out;
-  out.swap(outputs_);
-  return out;
+  return engine_->Run(batch, derived).status();
 }
 
 std::string TenantSession::ExportStats(bool prometheus,

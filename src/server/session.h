@@ -1,5 +1,5 @@
 // One tenant hosted by caesard: an Engine (over the server's shared worker
-// pool), its model's TypeRegistry, and the two buffers that adapt socket
+// pool), its model's TypeRegistry, and the one buffer that adapts socket
 // push to the engine's batch Run —
 //
 //   pending_  events accepted off the wire but not yet run. Drain runs
@@ -10,7 +10,9 @@
 //             over the same arrivals — under every ingest policy. A
 //             reorder tenant's derivations therefore arrive up to
 //             reorder_slack ticks later than a strict tenant's.
-//   outputs_  derived events not yet shipped to the client (poll/flush).
+//
+// Derived events are not buffered: Drain hands them to the request that
+// ran them, which ships them on its reply.
 //
 // Sessions are not thread-safe; the server serializes access (one global
 // session lock), which also honors the shared-executor contract that two
@@ -34,7 +36,7 @@ namespace caesar {
 
 // The serialization contract above, made checkable: a phantom capability
 // (the clang thread-safety "role" idiom — no runtime state, no blocking)
-// standing for "the right to touch a session's buffers". The server
+// standing for "the right to touch a session's buffer". The server
 // acquires it together with its global session lock; TenantSession's
 // buffer-touching methods require it, so a future code path that reaches
 // a session without the lock fails the -Wthread-safety CI build instead
@@ -62,15 +64,19 @@ class CAESAR_SCOPED_CAPABILITY SessionSerialGuard {
 };
 
 // Per-tenant knobs, decoded from the register request's "options" object
-// (server/protocol.h). Engine-level fields mirror EngineOptions.
+// (server/protocol.h).
 struct SessionConfig {
-  // Worker pool the tenant's engine dispatches to; null = serial engine.
-  std::shared_ptr<ShardedExecutor> shared_executor;
+  // The tenant's engine defaults: engine-level metrics and statistics on,
+  // so `stats` has something to report.
+  SessionConfig() {
+    engine.metrics = MetricsGranularity::kEngine;
+    engine.gather_statistics = true;
+  }
 
-  IngestPolicy ingest_policy = IngestPolicy::kStrict;
-  Timestamp reorder_slack = 0;
-  MetricsGranularity metrics = MetricsGranularity::kEngine;
-  bool gather_statistics = true;
+  // The tenant's engine, including the worker pool it dispatches to (null
+  // = serial engine). TenantSession::Create sets tenant, num_threads and
+  // analysis itself.
+  EngineOptions engine;
   PlanOptions plan;
 
   // Backpressure bound: an ingest that would push pending_ beyond this
@@ -86,11 +92,10 @@ class TenantSession {
  public:
   static Result<std::unique_ptr<TenantSession>> Create(
       const std::string& name, std::string_view model_text,
-      SessionConfig config);
+      const SessionConfig& config);
 
   const std::string& name() const { return name_; }
   const TypeRegistry& registry() const { return *registry_; }
-  const SessionConfig& config() const { return config_; }
 
   // Every tenant shares one role: the server's single session lock
   // serializes ALL sessions at once, so one capability is the honest
@@ -100,7 +105,7 @@ class TenantSession {
   size_t pending_events() const CAESAR_REQUIRES(serial_role) {
     return pending_.size();
   }
-  size_t max_pending_events() const { return config_.max_pending_events; }
+  size_t max_pending_events() const { return max_pending_events_; }
   int64_t total_accepted() const CAESAR_REQUIRES(serial_role) {
     return total_accepted_;
   }
@@ -110,15 +115,12 @@ class TenantSession {
   Status Ingest(EventBatch events) CAESAR_REQUIRES(serial_role);
 
   // Runs the engine over the runnable prefix of pending_ (see file
-  // comment). With `flush` everything is forced through, leaving pending_
-  // empty.
+  // comment) and appends its derived events to *derived. With `flush`
+  // everything is forced through, leaving pending_ empty.
   // A failed Run (e.g. strict-policy rejection of disordered input)
   // discards the rejected events — exactly what a library caller does
   // with a batch Run rejects — and returns the engine's Status.
-  Status Drain(bool flush) CAESAR_REQUIRES(serial_role);
-
-  // Hands over and clears the derived events accumulated by Drain.
-  EventBatch TakeOutputs() CAESAR_REQUIRES(serial_role);
+  Status Drain(bool flush, EventBatch* derived) CAESAR_REQUIRES(serial_role);
 
   // Statistics export for this tenant (the report carries the tenant
   // label). `prometheus` picks the text exposition format over JSON;
@@ -130,21 +132,20 @@ class TenantSession {
 
  private:
   TenantSession(std::string name, std::unique_ptr<TypeRegistry> registry,
-                std::unique_ptr<Engine> engine, SessionConfig config)
+                std::unique_ptr<Engine> engine, size_t max_pending_events)
       : name_(std::move(name)),
         registry_(std::move(registry)),
         engine_(std::move(engine)),
-        config_(std::move(config)) {}
+        max_pending_events_(max_pending_events) {}
 
   std::string name_;
   // The model and plan reference the registry by pointer; it must outlive
   // the engine, so the session owns it on the heap.
   std::unique_ptr<TypeRegistry> registry_;
   std::unique_ptr<Engine> engine_;
-  SessionConfig config_;
+  size_t max_pending_events_;
 
   EventBatch pending_ CAESAR_GUARDED_BY(serial_role);
-  EventBatch outputs_ CAESAR_GUARDED_BY(serial_role);
   int64_t total_accepted_ CAESAR_GUARDED_BY(serial_role) = 0;
 };
 

@@ -116,8 +116,7 @@ std::string Mutate(std::mt19937& rng) {
 }
 
 TEST(CaesardProtocolFuzz, HostileFramesNeverKillTheDaemon) {
-  Daemon daemon({"--deterministic", "--workers=2", "--max-frame-bytes=65536",
-                 "--max-tenants=4"});
+  Daemon daemon({"--workers=2", "--max-frame-bytes=65536", "--max-tenants=4"});
   ASSERT_TRUE(daemon.valid());
 
   std::mt19937 rng(0xC4E5A2u);
@@ -159,7 +158,7 @@ TEST(CaesardProtocolFuzz, HostileFramesNeverKillTheDaemon) {
   EXPECT_EQ(testing::ErrorCode(bad_cmd.value()), "I423");
 
   EXPECT_TRUE(daemon.Alive());
-  ASSERT_TRUE(IsOk(client.Call(Req("shutdown")).value()));
+  ASSERT_TRUE(IsOk(testing::CallOrFail(client, Req("shutdown"))));
   EXPECT_TRUE(daemon.ShutdownCleanly());
 }
 
@@ -227,18 +226,6 @@ struct DrainLegResult {
   std::string stats;
 };
 
-EngineOptions TenantEngineOptions(const SessionConfig& config, int threads) {
-  EngineOptions options;
-  options.tenant = "fuzz";
-  options.num_threads = threads;
-  options.ingest_policy = config.ingest_policy;
-  options.reorder_slack = config.reorder_slack;
-  options.metrics = config.metrics;
-  options.gather_statistics = config.gather_statistics;
-  options.analysis = AnalysisMode::kStrict;
-  return options;
-}
-
 TEST(CaesardDrainSplitFuzz, RandomChunksMatchOneRun) {
   std::mt19937 rng(0xD2A1Bu);
   constexpr int kTrialsPerLeg = 100;
@@ -252,9 +239,9 @@ TEST(CaesardDrainSplitFuzz, RandomChunksMatchOneRun) {
       size_t leg_derived = 0;
       for (int trial = 0; trial < kTrialsPerLeg; ++trial) {
         SessionConfig config;
-        config.shared_executor = pool;
-        config.ingest_policy = policy;
-        config.reorder_slack =
+        config.engine.shared_executor = pool;
+        config.engine.ingest_policy = policy;
+        config.engine.reorder_slack =
             policy == IngestPolicy::kReorder ? slack_dist(rng) : 0;
         auto created = TenantSession::Create("fuzz", kDrainModel, config);
         ASSERT_TRUE(created.ok()) << created.status();
@@ -268,22 +255,28 @@ TEST(CaesardDrainSplitFuzz, RandomChunksMatchOneRun) {
         EventBatch stream = RandomStream(rng, reading);
         if (policy != IngestPolicy::kStrict) {
           stream = InjectJunk(DisorderStream(stream, seed, /*max_delay=*/3),
-                              seed, registry, reading, config.reorder_slack,
+                              seed, registry, reading,
+                              config.engine.reorder_slack,
                               /*malformed_rate=*/0.05, /*late_rate=*/0.05);
         }
         SCOPED_TRACE(std::string(IngestPolicyName(policy)) + " threads=" +
                      std::to_string(threads) + " slack=" +
-                     std::to_string(config.reorder_slack) + " seed=" +
+                     std::to_string(config.engine.reorder_slack) + " seed=" +
                      std::to_string(seed) + " events=" +
                      std::to_string(stream.size()));
 
         // The reference: one Run over the whole stream, on an engine
-        // configured exactly like the tenant's (same model, same type ids).
+        // configured exactly like the tenant's (same model, same type ids,
+        // same engine options) but with its own threads instead of the pool.
         TypeRegistry ref_registry;
         auto model = ParseModel(kDrainModel, &ref_registry);
         ASSERT_TRUE(model.ok()) << model.status();
-        auto ref = Engine::Create(model.value(), config.plan,
-                                  TenantEngineOptions(config, threads));
+        EngineOptions ref_options = config.engine;
+        ref_options.tenant = "fuzz";
+        ref_options.shared_executor = nullptr;
+        ref_options.num_threads = threads;
+        ref_options.analysis = AnalysisMode::kStrict;
+        auto ref = Engine::Create(model.value(), config.plan, ref_options);
         ASSERT_TRUE(ref.ok()) << ref.status();
         EventBatch ref_derived;
         ASSERT_TRUE(ref.value()->Run(stream, &ref_derived).ok());
@@ -302,16 +295,10 @@ TEST(CaesardDrainSplitFuzz, RandomChunksMatchOneRun) {
                           .Ingest(EventBatch(stream.begin() + at,
                                              stream.begin() + end))
                           .ok());
-          ASSERT_TRUE(session.Drain(/*flush=*/false).ok());
-          for (EventPtr& event : session.TakeOutputs()) {
-            derived.push_back(std::move(event));
-          }
+          ASSERT_TRUE(session.Drain(/*flush=*/false, &derived).ok());
           at = end;
         }
-        ASSERT_TRUE(session.Drain(/*flush=*/true).ok());
-        for (EventPtr& event : session.TakeOutputs()) {
-          derived.push_back(std::move(event));
-        }
+        ASSERT_TRUE(session.Drain(/*flush=*/true, &derived).ok());
         leg_derived += derived.size();
         EXPECT_EQ(RenderEvents(derived, registry), expected.derived);
         EXPECT_EQ(session.ExportStats(/*prometheus=*/false,

@@ -22,6 +22,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -190,6 +191,18 @@ class Client {
   int fd_ = -1;
   std::unique_ptr<MessageReader> reader_;
 };
+
+// Sends `request` and returns the reply. A transport error fails the
+// current test with its Status and yields a null document (which is not
+// ok and has no fields), instead of aborting in Result::value().
+inline JsonValue CallOrFail(Client& client, const JsonValue& request) {
+  Result<JsonValue> reply = client.Call(request);
+  if (!reply.ok()) {
+    ADD_FAILURE() << request.Dump() << ": " << reply.status();
+    return JsonValue();
+  }
+  return std::move(reply).value();
+}
 
 // Convenience builders for the common requests.
 inline JsonValue Req(const char* cmd) {

@@ -12,11 +12,17 @@
 // each to its solo-run bytes, quarantine counters included. The
 // backpressure test fills a tiny admission buffer, expects coded I420
 // rejections on the wire, and proves clean resumption without silent
-// drops.
+// drops. The protocol tests pin the coded errors, the ingest reply that
+// carries the ticks it completed, and a wire shutdown whose reply
+// survives a Stop() that follows it at once.
+
+#include <sys/wait.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "caesard_harness.h"
@@ -30,12 +36,14 @@
 #include "oracle/generator.h"
 #include "runtime/observability.h"
 #include "server/protocol.h"
+#include "server/server.h"
 #include "server/session.h"
 #include "server/wire.h"
 
 namespace caesar {
 namespace {
 
+using testing::CallOrFail;
 using testing::Client;
 using testing::Daemon;
 using testing::ErrorCode;
@@ -115,13 +123,11 @@ struct Reference {
     Reference ref;
     auto model = ParseModel(kModel, ref.registry.get());
     EXPECT_TRUE(model.ok()) << model.status();
-    EngineOptions options;
+    EngineOptions options = SessionConfig().engine;
     options.tenant = tenant;
     options.num_threads = threads;
     options.ingest_policy = policy;
     options.reorder_slack = reorder_slack;
-    options.metrics = MetricsGranularity::kEngine;
-    options.gather_statistics = true;
     options.analysis = AnalysisMode::kStrict;
     auto engine = Engine::Create(model.value(), PlanOptions{}, options);
     EXPECT_TRUE(engine.ok()) << engine.status();
@@ -213,7 +219,7 @@ class CaesardDifferential : public ::testing::TestWithParam<int> {};
 TEST_P(CaesardDifferential, SocketMatchesBatchByteForByte) {
   const int workers = GetParam();
 
-  Daemon daemon({"--deterministic", "--workers=" + std::to_string(workers)});
+  Daemon daemon({"--workers=" + std::to_string(workers)});
   ASSERT_TRUE(daemon.valid());
   Client client(daemon.port());
   ASSERT_TRUE(client.connected());
@@ -260,7 +266,7 @@ TEST_P(CaesardReorderDifferential, DisorderedSocketMatchesBatchByteForByte) {
   const int workers = GetParam();
   constexpr Timestamp kSlack = 3;
 
-  Daemon daemon({"--deterministic", "--workers=" + std::to_string(workers)});
+  Daemon daemon({"--workers=" + std::to_string(workers)});
   ASSERT_TRUE(daemon.valid());
   Client client(daemon.port());
   ASSERT_TRUE(client.connected());
@@ -307,8 +313,8 @@ PATTERN Reading r
 CONTEXT only;
 )";
   SessionConfig config;
-  config.ingest_policy = IngestPolicy::kReorder;
-  config.reorder_slack = 2;
+  config.engine.ingest_policy = IngestPolicy::kReorder;
+  config.engine.reorder_slack = 2;
   auto created = TenantSession::Create("echo", kEchoModel, config);
   ASSERT_TRUE(created.ok()) << created.status();
   TenantSession& session = *created.value();
@@ -318,13 +324,14 @@ CONTEXT only;
   };
 
   SessionSerialGuard guard(TenantSession::serial_role);
+  EventBatch derived;
   ASSERT_TRUE(session.Ingest({at(5), at(6)}).ok());
-  ASSERT_TRUE(session.Drain(/*flush=*/false).ok());
+  ASSERT_TRUE(session.Drain(/*flush=*/false, &derived).ok());
   ASSERT_TRUE(session.Ingest({at(4)}).ok());
-  ASSERT_TRUE(session.Drain(/*flush=*/false).ok());
-  ASSERT_TRUE(session.Drain(/*flush=*/true).ok());
+  ASSERT_TRUE(session.Drain(/*flush=*/false, &derived).ok());
+  ASSERT_TRUE(session.Drain(/*flush=*/true, &derived).ok());
   std::string times;
-  for (const EventPtr& event : session.TakeOutputs()) {
+  for (const EventPtr& event : derived) {
     times += std::to_string(event->time()) + " ";
   }
   EXPECT_EQ(times, "4 5 6 ");
@@ -337,7 +344,7 @@ CONTEXT only;
 // ---------------------------------------------------------------------------
 
 TEST(CaesardMultiTenant, InterleavedTenantsMatchSoloRunsBitForBit) {
-  Daemon daemon({"--deterministic", "--workers=2"});
+  Daemon daemon({"--workers=2"});
   ASSERT_TRUE(daemon.valid());
 
   // Tenant A: clean stream, strict policy.
@@ -445,7 +452,7 @@ TEST(CaesardMultiTenant, InterleavedTenantsMatchSoloRunsBitForBit) {
 // ---------------------------------------------------------------------------
 
 TEST(CaesardBackpressure, BoundedBufferRejectsWithI420AndResumes) {
-  Daemon daemon({"--deterministic", "--workers=1"});
+  Daemon daemon({"--workers=1"});
   ASSERT_TRUE(daemon.valid());
   Client client(daemon.port());
   ASSERT_TRUE(client.connected());
@@ -474,9 +481,7 @@ TEST(CaesardBackpressure, BoundedBufferRejectsWithI420AndResumes) {
       rows.Append(EncodeEventRow(*event, *ref.registry));
     }
     req2.Set("events", std::move(rows));
-    auto response = client.Call(req2);
-    EXPECT_TRUE(response.ok()) << response.status();
-    return response.value();
+    return CallOrFail(client, req2);
   };
 
   // 6 in (buffered as the open tick), then 6 more: 12 > 8 — refused whole.
@@ -486,7 +491,7 @@ TEST(CaesardBackpressure, BoundedBufferRejectsWithI420AndResumes) {
 
   JsonValue rejected = ingest(tick2);
   ASSERT_FALSE(IsOk(rejected)) << rejected.Dump();
-  EXPECT_EQ(ErrorCode(rejected), "I420");
+  ASSERT_EQ(ErrorCode(rejected), "I420");
   EXPECT_EQ(rejected.Find("pending")->int_value(), 6);  // nothing admitted
   EXPECT_EQ(rejected.Find("limit")->int_value(), 8);
 
@@ -512,24 +517,25 @@ TEST(CaesardBackpressure, BoundedBufferRejectsWithI420AndResumes) {
 // ---------------------------------------------------------------------------
 
 TEST(CaesardProtocol, LifecycleAndCodedErrors) {
+  // The one daemon test that still passes --deterministic: it names no
+  // mode any more, but perfbench starts caesard with it, so it must boot.
   Daemon daemon({"--deterministic", "--workers=2"});
   ASSERT_TRUE(daemon.valid());
   Client client(daemon.port());
   ASSERT_TRUE(client.connected());
 
-  // Ping reports the mode.
-  auto ping = client.Call(Req("ping"));
-  ASSERT_TRUE(ping.ok() && IsOk(ping.value()));
-  EXPECT_TRUE(ping.value().Find("deterministic")->bool_value());
-  EXPECT_EQ(ping.value().Find("workers")->int_value(), 2);
+  const JsonValue ping = CallOrFail(client, Req("ping"));
+  ASSERT_TRUE(IsOk(ping)) << ping.Dump();
+  EXPECT_EQ(ping.Find("protocol")->int_value(), 2);
+  EXPECT_EQ(ping.Find("deterministic"), nullptr);
+  EXPECT_EQ(ping.Find("workers")->int_value(), 2);
 
   // Admission gate, leg 1: unparseable model.
   JsonValue bad = Req("register", "broken");
   bad.Set("model", JsonValue::String("TYPE Nope(a int;"));
-  auto r1 = client.Call(bad);
-  ASSERT_TRUE(r1.ok());
-  EXPECT_FALSE(IsOk(r1.value()));
-  EXPECT_EQ(ErrorCode(r1.value()), "I424");
+  const JsonValue r1 = CallOrFail(client, bad);
+  EXPECT_FALSE(IsOk(r1));
+  EXPECT_EQ(ErrorCode(r1), "I424");
 
   // Admission gate, leg 2: parses, but the strict analyzer rejects the
   // unknown attribute (E102) — caesar-lint as gatekeeper.
@@ -541,38 +547,133 @@ TEST(CaesardProtocol, LifecycleAndCodedErrors) {
                         "PARTITION BY x;\n"
                         "QUERY q DERIVE B(a.nope AS y) PATTERN A a "
                         "CONTEXT c0;\n"));
-  auto r2 = client.Call(lint);
-  ASSERT_TRUE(r2.ok());
-  EXPECT_FALSE(IsOk(r2.value()));
-  EXPECT_EQ(ErrorCode(r2.value()), "I424");
-  EXPECT_NE(r2.value().Find("error")->string_value().find("E102"),
-            std::string::npos)
-      << r2.value().Dump();
-  EXPECT_EQ(client.Call(Req("list")).value().Find("tenants")->items().size(),
-            0u);
+  const JsonValue r2 = CallOrFail(client, lint);
+  EXPECT_FALSE(IsOk(r2));
+  EXPECT_EQ(ErrorCode(r2), "I424");
+  ASSERT_NE(r2.Find("error"), nullptr) << r2.Dump();
+  EXPECT_NE(r2.Find("error")->string_value().find("E102"), std::string::npos)
+      << r2.Dump();
+  const JsonValue list = CallOrFail(client, Req("list"));
+  ASSERT_NE(list.Find("tenants"), nullptr) << list.Dump();
+  EXPECT_EQ(list.Find("tenants")->items().size(), 0u);
 
   // Lifecycle codes: duplicate register, unknown tenant, unknown option.
-  ASSERT_TRUE(IsOk(client.Call(RegisterReq("t1")).value()));
-  EXPECT_EQ(ErrorCode(client.Call(RegisterReq("t1")).value()), "I422");
-  EXPECT_EQ(ErrorCode(client.Call(Req("poll", "ghost")).value()), "I421");
+  ASSERT_TRUE(IsOk(CallOrFail(client, RegisterReq("t1"))));
+  EXPECT_EQ(ErrorCode(CallOrFail(client, RegisterReq("t1"))), "I422");
+  EXPECT_EQ(ErrorCode(CallOrFail(client, Req("flush", "ghost"))), "I421");
   JsonValue bad_option = Req("register", "t2");
   bad_option.Set("model", JsonValue::String(kModel));
   JsonValue opts = JsonValue::Object();
   opts.Set("no_such_knob", JsonValue::Bool(true));
   bad_option.Set("options", std::move(opts));
-  EXPECT_EQ(ErrorCode(client.Call(bad_option).value()), "I423");
+  EXPECT_EQ(ErrorCode(CallOrFail(client, bad_option)), "I423");
+
+  // poll is gone with the output buffer it read: an unknown cmd.
+  const JsonValue poll = CallOrFail(client, Req("poll", "t1"));
+  EXPECT_EQ(ErrorCode(poll), "I423");
+  ASSERT_NE(poll.Find("error"), nullptr) << poll.Dump();
+  EXPECT_NE(poll.Find("error")->string_value().find("unknown cmd"),
+            std::string::npos)
+      << poll.Dump();
 
   // Teardown frees the name for re-registration.
-  EXPECT_TRUE(IsOk(client.Call(Req("teardown", "t1")).value()));
-  EXPECT_TRUE(IsOk(client.Call(RegisterReq("t1")).value()));
+  EXPECT_TRUE(IsOk(CallOrFail(client, Req("teardown", "t1"))));
+  EXPECT_TRUE(IsOk(CallOrFail(client, RegisterReq("t1"))));
 
-  // Wire shutdown: daemon exits 0 on its own.
-  EXPECT_TRUE(IsOk(client.Call(Req("shutdown")).value()));
+  // Wire shutdown: the reply arrives whole, then the daemon exits 0.
+  EXPECT_TRUE(IsOk(CallOrFail(client, Req("shutdown"))));
   EXPECT_TRUE(daemon.ShutdownCleanly());
 }
 
+// With no flag at all, the ingest that completes a tick carries that
+// tick's derived rows on its own reply, and the flush the open tick's.
+TEST(CaesardProtocol, IngestReplyCarriesTheTicksItCompleted) {
+  Daemon daemon({});
+  ASSERT_TRUE(daemon.valid());
+  Client client(daemon.port());
+  ASSERT_TRUE(client.connected());
+
+  JsonValue reg = Req("register", "echo");
+  reg.Set("model", JsonValue::String(
+                       "TYPE A(x int); TYPE B(y int); CONTEXTS c0 DEFAULT c0; "
+                       "PARTITION BY x; QUERY q DERIVE B(a.x AS y) PATTERN A "
+                       "a WHERE a.x > 2 CONTEXT c0;"));
+  ASSERT_TRUE(IsOk(CallOrFail(client, reg)));
+
+  auto ingest = [&](const char* rows) {
+    JsonValue request = Req("ingest", "echo");
+    Result<JsonValue> events = ParseJson(rows);
+    EXPECT_TRUE(events.ok()) << events.status();
+    request.Set("events", events.ok() ? events.value() : JsonValue::Array());
+    return CallOrFail(client, request);
+  };
+  auto derived = [](const JsonValue& reply) {
+    const JsonValue* rows = reply.Find("derived");
+    return rows != nullptr ? rows->Dump() : std::string("no derived field");
+  };
+  // Tick 1 is open until a later tick arrives: nothing to run yet.
+  const JsonValue open = ingest(R"([["A",1,[1]],["A",1,[7]]])");
+  ASSERT_TRUE(IsOk(open)) << open.Dump();
+  EXPECT_EQ(derived(open), "[]");
+  EXPECT_EQ(open.Find("pending")->int_value(), 2);
+
+  const JsonValue completed = ingest(R"([["A",2,[9]]])");
+  ASSERT_TRUE(IsOk(completed)) << completed.Dump();
+  EXPECT_EQ(derived(completed), R"([["B",1,[7]]])");
+  EXPECT_EQ(completed.Find("pending")->int_value(), 1);
+
+  const JsonValue flushed = CallOrFail(client, Req("flush", "echo"));
+  ASSERT_TRUE(IsOk(flushed)) << flushed.Dump();
+  EXPECT_EQ(derived(flushed), R"([["B",2,[9]]])");
+}
+
+// Runs caesard with `args` to exit; returns its exit status (-1 if it did
+// not exit normally) and its combined stdout and stderr in *output.
+int RunCaesardToExit(const std::string& args, std::string* output) {
+  const std::string command =
+      std::string("'") + CAESAR_CAESARD_PATH + "' " + args + " 2>&1";
+  std::FILE* pipe = ::popen(command.c_str(), "r");
+  if (pipe == nullptr) return -1;
+  char buffer[256];
+  size_t n = 0;
+  while ((n = std::fread(buffer, 1, sizeof(buffer), pipe)) > 0) {
+    output->append(buffer, n);
+  }
+  const int status = ::pclose(pipe);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(CaesardProtocol, DrainIntervalFlagIsAUsageError) {
+  std::string output;
+  EXPECT_EQ(RunCaesardToExit("--drain-interval-ms=5", &output), 2);
+  EXPECT_NE(output.find("usage:"), std::string::npos) << output;
+}
+
+// The reply to a wire shutdown must arrive whole even when the owner tears
+// the server down the moment stop_requested() flips, as caesard's main
+// loop does, only faster.
+TEST(CaesardProtocol, ShutdownReplyOutlivesAnEagerStop) {
+  for (int i = 0; i < 200; ++i) {
+    CaesarServer server(ServerOptions{});
+    ASSERT_TRUE(server.Start().ok());
+    std::thread stopper([&server] {
+      while (!server.stop_requested()) std::this_thread::yield();
+      server.Stop();
+    });
+    Result<JsonValue> reply = Status::Internal("connect failed");
+    {
+      Client client(server.port());
+      if (client.connected()) reply = client.Call(Req("shutdown"));
+    }
+    server.RequestStop();  // frees the stopper if the request never landed
+    stopper.join();
+    ASSERT_TRUE(reply.ok()) << "handshake " << i << ": " << reply.status();
+    ASSERT_TRUE(IsOk(reply.value())) << "handshake " << i;
+  }
+}
+
 TEST(CaesardProtocol, NewlineJsonFramingIsEquivalent) {
-  Daemon daemon({"--deterministic", "--workers=1"});
+  Daemon daemon({"--workers=1"});
   ASSERT_TRUE(daemon.valid());
   Client client(daemon.port());
   ASSERT_TRUE(client.connected());

@@ -2,10 +2,12 @@
 // worker pool behind a loopback/TCP socket (see src/server/server.h for
 // the concurrency model and src/server/protocol.h for the protocol).
 //
-//   caesard [--host=ADDR] [--port=N] [--deterministic]
-//           [--workers=N] [--max-tenants=N] [--max-pending=N]
-//           [--drain-interval-ms=N] [--max-frame-bytes=N]
-//           [--port-file=PATH]
+//   caesard [--host=ADDR] [--port=N] [--workers=N] [--max-tenants=N]
+//           [--max-pending=N] [--max-frame-bytes=N] [--port-file=PATH]
+//
+// Every request runs what it made runnable and replies with the derived
+// rows (src/server/server.h). --deterministic is accepted and ignored, so
+// scripts that pass it (perfbench does) still start the daemon.
 //
 // --port=0 (the default) binds an ephemeral port; --port-file writes the
 // resolved port as a single line once the server is listening, which is
@@ -31,10 +33,8 @@ void OnSignal(int) { g_signal = 1; }
 int Usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s [--host=ADDR] [--port=N] [--deterministic]\n"
-      "          [--workers=N] [--max-tenants=N] [--max-pending=N]\n"
-      "          [--drain-interval-ms=N] [--max-frame-bytes=N]\n"
-      "          [--port-file=PATH]\n",
+      "usage: %s [--host=ADDR] [--port=N] [--workers=N] [--max-tenants=N]\n"
+      "          [--max-pending=N] [--max-frame-bytes=N] [--port-file=PATH]\n",
       argv0);
   return 2;
 }
@@ -68,7 +68,7 @@ int Main(int argc, char** argv) {
       if (!ParseIntFlag(value, 0, 65535, &n)) return Usage(argv[0]);
       options.port = static_cast<int>(n);
     } else if (std::strcmp(arg, "--deterministic") == 0) {
-      options.deterministic = true;
+      // Accepted and ignored (see the file comment).
     } else if ((value = FlagValue(arg, "--workers")) != nullptr) {
       if (!ParseIntFlag(value, 0, 256, &n)) return Usage(argv[0]);
       options.executor_workers = static_cast<int>(n);
@@ -78,9 +78,6 @@ int Main(int argc, char** argv) {
     } else if ((value = FlagValue(arg, "--max-pending")) != nullptr) {
       if (!ParseIntFlag(value, 1, 1L << 30, &n)) return Usage(argv[0]);
       options.max_pending_events = static_cast<size_t>(n);
-    } else if ((value = FlagValue(arg, "--drain-interval-ms")) != nullptr) {
-      if (!ParseIntFlag(value, 1, 60000, &n)) return Usage(argv[0]);
-      options.drain_interval_ms = static_cast<int>(n);
     } else if ((value = FlagValue(arg, "--max-frame-bytes")) != nullptr) {
       if (!ParseIntFlag(value, 2, static_cast<long>(kMaxWirePayload), &n)) {
         return Usage(argv[0]);
@@ -100,10 +97,8 @@ int Main(int argc, char** argv) {
     return 2;
   }
 
-  std::fprintf(stderr,
-               "caesard: listening on %s:%d (%s mode, %d workers)\n",
+  std::fprintf(stderr, "caesard: listening on %s:%d (%d workers)\n",
                options.host.c_str(), server.port(),
-               options.deterministic ? "deterministic" : "throughput",
                options.executor_workers > 1 ? options.executor_workers : 1);
 
   if (!port_file.empty()) {
