@@ -48,7 +48,6 @@ int Main(int argc, char** argv) {
     auto plan = TranslateModel(model.value(), options);
     CAESAR_CHECK_OK(plan.status());
     EngineOptions engine_options;
-    engine_options.collect_outputs = false;
     if (sink.enabled()) {
       engine_options.gather_statistics = true;
       engine_options.metrics = MetricsGranularity::kOperator;

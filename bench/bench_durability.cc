@@ -73,7 +73,6 @@ Sample Replay(const ExecutablePlan& plan,
       ("caesar_bench_durability_" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   EngineOptions options;
-  options.collect_outputs = false;
   options.durability.mode = mode;
   options.durability.dir = dir.string();
   options.durability.fsync = fsync;

@@ -27,7 +27,6 @@ Sample Replay(const ExecutablePlan& plan, const EventBatch& stream,
               IngestPolicy policy, Timestamp slack,
               StatisticsReport* report_out) {
   EngineOptions options;
-  options.collect_outputs = false;
   options.ingest_policy = policy;
   options.reorder_slack = slack;
   if (report_out != nullptr) {

@@ -134,7 +134,6 @@ int Main(int argc, char** argv) {
     EngineOptions options;
     options.accel = accel;
     options.num_threads = threads;
-    options.collect_outputs = false;
     options.metrics = granularity;
     if (sink.enabled()) {
       options.gather_statistics = true;

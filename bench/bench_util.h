@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.h"
 #include "runtime/observability.h"
 #include "runtime/statistics.h"
 
@@ -117,12 +118,12 @@ class MetricsSink {
                    path_.c_str());
       std::exit(1);
     }
-    out << "{\"benchmark\":\"" << EscapeJson(benchmark_)
-        << "\",\"schema_version\":1,\"runs\":[";
+    out << "{\"benchmark\":" << JsonQuote(benchmark_)
+        << ",\"schema_version\":1,\"runs\":[";
     for (size_t i = 0; i < runs_.size(); ++i) {
       if (i > 0) out << ",";
-      out << "{\"label\":\"" << EscapeJson(runs_[i].first)
-          << "\",\"report\":" << runs_[i].second << "}";
+      out << "{\"label\":" << JsonQuote(runs_[i].first)
+          << ",\"report\":" << runs_[i].second << "}";
     }
     out << "]}\n";
     out.close();
@@ -136,17 +137,6 @@ class MetricsSink {
   }
 
  private:
-  static std::string EscapeJson(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      if (static_cast<unsigned char>(c) < 0x20) continue;  // labels are flat
-      out += c;
-    }
-    return out;
-  }
-
   std::string benchmark_;
   std::string path_;
   std::vector<std::pair<std::string, std::string>> runs_;  // label, json

@@ -135,7 +135,6 @@ inline RunStats RunExperiment(const CaesarModel& model,
   EngineOptions options;
   options.accel = accel;
   options.num_threads = num_threads;
-  options.collect_outputs = false;
   return RunExperimentWithOptions(model, stream, mode, options, repetitions,
                                   warmup_fraction, report_out);
 }

@@ -6,8 +6,8 @@
 //   - human-readable text (StatisticsReport::ToString) to stdout,
 //   - JSON (StatisticsToJson) to metrics.json,
 //   - Prometheus text exposition (StatisticsToPrometheus) to metrics.prom.
-// The engine also writes a Chrome trace (chrome://tracing or Perfetto) to
-// trace.json because EngineOptions::tracing is set.
+// It also writes the Chrome trace (chrome://tracing or Perfetto) that
+// EngineOptions::tracing records to trace.json.
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
@@ -90,7 +90,6 @@ int main() {
   options.gather_statistics = true;
   options.metrics = MetricsGranularity::kOperator;
   options.tracing = true;
-  options.trace_path = "trace.json";  // written when the engine is destroyed
 
   EventBatch input;
   const double readings[] = {70, 80, 93, 97, 99, 85, 70, 65, 98, 72};
@@ -100,13 +99,16 @@ int main() {
         {Value(int64_t{1}), Value(readings[t]), Value(int64_t{t})}));
   }
 
-  StatisticsReport report;
-  {
-    Engine engine(std::move(plan).value(), options);
-    RunStats stats = engine.Run(input).value();
-    std::printf("run: %s\n\n", stats.ToString().c_str());
-    report = engine.CollectStatistics();
-  }  // ~Engine flushes trace.json here
+  Engine engine(std::move(plan).value(), options);
+  RunStats stats = engine.Run(input).value();
+  std::printf("run: %s\n\n", stats.ToString().c_str());
+  StatisticsReport report = engine.CollectStatistics();
+  Status trace_written = engine.trace()->WriteJson("trace.json");
+  if (!trace_written.ok()) {
+    std::fprintf(stderr, "trace error: %s\n",
+                 trace_written.ToString().c_str());
+    return 1;
+  }
 
   // 1. Human-readable report.
   std::printf("%s\n", report.ToString().c_str());

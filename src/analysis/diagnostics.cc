@@ -5,6 +5,8 @@
 #include <sstream>
 #include <tuple>
 
+#include "common/json.h"
+
 namespace caesar {
 
 const char* DiagSeverityName(DiagSeverity severity) {
@@ -211,42 +213,15 @@ void SortDiagnostics(std::vector<Diagnostic>* diags) {
 
 namespace {
 
-// JSON string escaping (control chars, quotes, backslashes).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* kHex = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xF];
-          out += kHex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void AppendDiagJson(std::ostringstream& os, const Diagnostic& diag) {
   os << "{\"code\":\"" << DiagCodeName(diag.code) << "\",\"severity\":\""
-     << DiagSeverityName(diag.severity) << "\",\"source\":\""
-     << JsonEscape(diag.source) << "\",\"line\":" << diag.loc.line
-     << ",\"col\":" << diag.loc.col << ",\"message\":\""
-     << JsonEscape(diag.message) << "\"";
-  if (!diag.query.empty()) {
-    os << ",\"query\":\"" << JsonEscape(diag.query) << "\"";
-  }
+     << DiagSeverityName(diag.severity)
+     << "\",\"source\":" << JsonQuote(diag.source)
+     << ",\"line\":" << diag.loc.line << ",\"col\":" << diag.loc.col
+     << ",\"message\":" << JsonQuote(diag.message);
+  if (!diag.query.empty()) os << ",\"query\":" << JsonQuote(diag.query);
   if (!diag.context.empty()) {
-    os << ",\"context\":\"" << JsonEscape(diag.context) << "\"";
+    os << ",\"context\":" << JsonQuote(diag.context);
   }
   os << "}";
 }
@@ -288,20 +263,20 @@ std::string DiagnosticsToSarif(const std::vector<Diagnostic>& diags) {
   for (size_t i = 0; i < rules.size(); ++i) {
     if (i > 0) os << ",";
     os << "{\"id\":\"" << DiagCodeName(rules[i])
-       << "\",\"shortDescription\":{\"text\":\""
-       << JsonEscape(DiagCodeTitle(rules[i])) << "\"}}";
+       << "\",\"shortDescription\":{\"text\":"
+       << JsonQuote(DiagCodeTitle(rules[i])) << "}}";
   }
   os << "]}},\"results\":[";
   for (size_t i = 0; i < diags.size(); ++i) {
     const Diagnostic& diag = diags[i];
     if (i > 0) os << ",";
     os << "{\"ruleId\":\"" << DiagCodeName(diag.code) << "\",\"level\":\""
-       << SarifLevel(diag.severity) << "\",\"message\":{\"text\":\""
-       << JsonEscape(diag.message) << "\"}";
+       << SarifLevel(diag.severity) << "\",\"message\":{\"text\":"
+       << JsonQuote(diag.message) << "}";
     if (!diag.source.empty()) {
       os << ",\"locations\":[{\"physicalLocation\":{\"artifactLocation\":"
-            "{\"uri\":\""
-         << JsonEscape(diag.source) << "\"}";
+            "{\"uri\":"
+         << JsonQuote(diag.source) << "}";
       if (diag.loc.valid()) {
         os << ",\"region\":{\"startLine\":" << diag.loc.line
            << ",\"startColumn\":" << diag.loc.col << "}";

@@ -37,11 +37,6 @@ class Rng {
     return std::poisson_distribution<int64_t>(mean)(engine_);
   }
 
-  // Normal draw.
-  double Normal(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
-  }
-
   std::mt19937_64& engine() { return engine_; }
 
  private:

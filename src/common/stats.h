@@ -1,5 +1,5 @@
-// Streaming statistics utilities: running moments and the latency tracker
-// the experiments report from.
+// Streaming statistics utilities: running moments the experiments report
+// from.
 
 #ifndef CAESAR_COMMON_STATS_H_
 #define CAESAR_COMMON_STATS_H_
@@ -36,20 +36,6 @@ class RunningStats {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-// Tracks end-to-end latencies (seconds) of derived complex events; the
-// paper's headline metric is the maximum.
-class LatencyTracker {
- public:
-  void Record(double latency_seconds) { stats_.Add(latency_seconds); }
-
-  double max_latency() const { return stats_.max(); }
-  double mean_latency() const { return stats_.mean(); }
-  int64_t count() const { return stats_.count(); }
-
- private:
-  RunningStats stats_;
 };
 
 }  // namespace caesar

@@ -14,9 +14,7 @@ class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}
 
-  void Restart() { start_ = Clock::now(); }
-
-  // Elapsed time since construction or the last Restart().
+  // Elapsed time since construction or the last Lap().
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
@@ -28,12 +26,6 @@ class Stopwatch {
     const double seconds = std::chrono::duration<double>(now - start_).count();
     start_ = now;
     return seconds;
-  }
-
-  int64_t ElapsedMicros() const {
-    return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                                 start_)
-        .count();
   }
 
  private:

@@ -69,8 +69,8 @@ struct DurabilityOptions {
   FsyncPolicy fsync = FsyncPolicy::kBatch;
 
   // Under kWalCheckpoint: checkpoint when at least this many ticks elapsed
-  // since the last one (checked at Run batch boundaries, where the reorder
-  // buffer is drained and per-Run counters are folded).
+  // since the last one (checked at Run batch boundaries, after the batch is
+  // merged and its per-Run counters are folded).
   int64_t checkpoint_interval_ticks = 256;
 
   // Segment rotation threshold; rotation also happens at every checkpoint

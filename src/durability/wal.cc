@@ -219,11 +219,6 @@ Status WalWriter::MaybeRotate() {
   return Rotate(seq_ + 1);
 }
 
-uint64_t MaxWalSegmentSeq(const std::string& dir) {
-  auto segments = ListSegments(dir);
-  return segments.empty() ? 0 : segments.back().first;
-}
-
 Result<WalScanResult> ScanWal(const std::string& dir,
                               uint64_t from_segment_seq,
                               uint64_t min_batch_seq) {

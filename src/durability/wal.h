@@ -125,10 +125,6 @@ Result<WalScanResult> ScanWal(const std::string& dir,
                               uint64_t from_segment_seq,
                               uint64_t min_batch_seq);
 
-// Highest wal segment sequence present in `dir` (0 when none or the
-// directory does not exist).
-uint64_t MaxWalSegmentSeq(const std::string& dir);
-
 }  // namespace caesar
 
 #endif  // CAESAR_DURABILITY_WAL_H_

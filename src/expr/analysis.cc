@@ -165,21 +165,4 @@ bool Implies(const PredicateSummary& p, const PredicateSummary& q) {
   return true;
 }
 
-BoundOrder CompareBoundOrder(const ExprPtr& a, const ExprPtr& b) {
-  std::vector<ExprPtr> a_conjuncts = SplitConjuncts(a);
-  std::vector<ExprPtr> b_conjuncts = SplitConjuncts(b);
-  if (a_conjuncts.size() != 1 || b_conjuncts.size() != 1) {
-    return BoundOrder::kUnknown;
-  }
-  std::optional<AttrConstraint> ca = ExtractConstraint(a_conjuncts[0]);
-  std::optional<AttrConstraint> cb = ExtractConstraint(b_conjuncts[0]);
-  if (!ca.has_value() || !cb.has_value()) return BoundOrder::kUnknown;
-  if (ca->variable != cb->variable || ca->attribute != cb->attribute) {
-    return BoundOrder::kUnknown;
-  }
-  if (ca->value < cb->value) return BoundOrder::kBefore;
-  if (ca->value > cb->value) return BoundOrder::kAfter;
-  return BoundOrder::kEqual;
-}
-
 }  // namespace caesar

@@ -1,18 +1,14 @@
 // Static predicate analysis.
 //
-// The optimizer needs two compile-time facts about context deriving
-// predicates (Section 3.3 / Definition 2 and the grouping algorithm of
-// Listing 1):
-//   1. subsumption/implication between predicates ("CAESAR employs
-//      established approaches for predicate subsumption"), and
-//   2. a partial order on context-window bounds: e.g. with a signal X that
-//      rises and later falls (Fig. 7), a window initiated by X>10 starts no
-//      later than one initiated by X>20, and one terminated by X<30 ends no
-//      later than one terminated by X<40.
+// Compile-time facts about context deriving predicates (Section 3.3 /
+// Definition 2 and the grouping algorithm of Listing 1): single-attribute
+// threshold constraints, from which optimizer/overlap_analysis.h reads
+// window bounds, and subsumption/implication between predicates ("CAESAR
+// employs established approaches for predicate subsumption").
 //
 // The analysis handles conjunctions of single-attribute threshold
 // comparisons (attr op numeric-constant); anything else degrades safely to
-// "unknown" and the optimizer then treats the windows as unordered.
+// "unknown".
 
 #ifndef CAESAR_EXPR_ANALYSIS_H_
 #define CAESAR_EXPR_ANALYSIS_H_
@@ -89,24 +85,6 @@ class PredicateSummary {
 // True if predicate `p` provably implies predicate `q` (every tuple
 // satisfying p satisfies q). Requires p exact; conservative otherwise.
 bool Implies(const PredicateSummary& p, const PredicateSummary& q);
-
-// Compile-time partial order between two window bounds.
-enum class BoundOrder : int8_t { kBefore, kEqual, kAfter, kUnknown };
-
-// Orders two bound predicates under the paper's monotone-signal reading of
-// Fig. 7: the bound thresholds 10 < 20 < 30 < 40 map monotonically to time,
-// so the predicate whose (single, same-attribute) threshold constant is
-// smaller fires first. Returns kUnknown when the predicates do not both
-// reduce to a single constraint on the same attribute.
-BoundOrder CompareBoundOrder(const ExprPtr& a, const ExprPtr& b);
-
-// Intent-revealing aliases for window start and end bounds.
-inline BoundOrder CompareActivationOrder(const ExprPtr& a, const ExprPtr& b) {
-  return CompareBoundOrder(a, b);
-}
-inline BoundOrder CompareTerminationOrder(const ExprPtr& a, const ExprPtr& b) {
-  return CompareBoundOrder(a, b);
-}
 
 }  // namespace caesar
 

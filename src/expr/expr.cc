@@ -48,10 +48,6 @@ bool IsComparison(BinaryOp op) {
   }
 }
 
-bool IsLogical(BinaryOp op) {
-  return op == BinaryOp::kAnd || op == BinaryOp::kOr;
-}
-
 bool IsArithmetic(BinaryOp op) {
   switch (op) {
     case BinaryOp::kAdd:

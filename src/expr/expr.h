@@ -41,8 +41,6 @@ const char* BinaryOpName(BinaryOp op);
 
 // True for =, !=, <, <=, >, >=.
 bool IsComparison(BinaryOp op);
-// True for AND, OR.
-bool IsLogical(BinaryOp op);
 // True for +, -, *, /.
 bool IsArithmetic(BinaryOp op);
 

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <queue>
 #include <sstream>
 
 #include "analysis/diagnostics.h"
@@ -322,39 +321,6 @@ Result<EventBatch> ReadEventsCsvFile(const std::string& path,
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return ReadEventsCsv(buffer.str(), registry, path);
-}
-
-EventBatch MergeByTime(std::vector<EventBatch> batches) {
-  // K-way merge, stable across batches.
-  struct Cursor {
-    const EventBatch* batch;
-    size_t index;
-    size_t order;  // batch order for stability
-  };
-  auto later = [](const Cursor& a, const Cursor& b) {
-    Timestamp ta = (*a.batch)[a.index]->time();
-    Timestamp tb = (*b.batch)[b.index]->time();
-    if (ta != tb) return ta > tb;
-    return a.order > b.order;
-  };
-  std::priority_queue<Cursor, std::vector<Cursor>, decltype(later)> heap(
-      later);
-  size_t total = 0;
-  for (size_t b = 0; b < batches.size(); ++b) {
-    if (!batches[b].empty()) heap.push({&batches[b], 0, b});
-    total += batches[b].size();
-  }
-  EventBatch merged;
-  merged.reserve(total);
-  while (!heap.empty()) {
-    Cursor cursor = heap.top();
-    heap.pop();
-    merged.push_back((*cursor.batch)[cursor.index]);
-    if (cursor.index + 1 < cursor.batch->size()) {
-      heap.push({cursor.batch, cursor.index + 1, cursor.order});
-    }
-  }
-  return merged;
 }
 
 }  // namespace caesar

@@ -8,8 +8,8 @@
 //   0,103,57,0,...
 //
 // One file holds events of one type; WriteEventsCsv/ReadEventsCsv round-trip
-// losslessly for int/double/string attributes. Multi-type streams are split
-// across files by the caller (one per type) and merged with MergeByTime.
+// losslessly for int/double/string attributes. A multi-type stream is split
+// across files by the caller (one per type).
 
 #ifndef CAESAR_IO_CSV_H_
 #define CAESAR_IO_CSV_H_
@@ -57,9 +57,6 @@ Status WriteEventsCsvFile(const std::string& path, const EventBatch& events,
 // Reads a CSV stream file.
 Result<EventBatch> ReadEventsCsvFile(const std::string& path,
                                      TypeRegistry* registry);
-
-// Merges time-ordered batches into one time-ordered stream (stable).
-EventBatch MergeByTime(std::vector<EventBatch> batches);
 
 }  // namespace caesar
 

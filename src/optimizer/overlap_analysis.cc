@@ -72,24 +72,6 @@ std::vector<WindowBounds> ExtractWindowBounds(const CaesarModel& model) {
   return result;
 }
 
-const char* WindowRelationName(WindowRelation relation) {
-  switch (relation) {
-    case WindowRelation::kUnknown:
-      return "unknown";
-    case WindowRelation::kDisjoint:
-      return "disjoint";
-    case WindowRelation::kOverlaps:
-      return "overlaps";
-    case WindowRelation::kContains:
-      return "contains";
-    case WindowRelation::kContainedIn:
-      return "contained-in";
-    case WindowRelation::kEqual:
-      return "equal";
-  }
-  return "?";
-}
-
 WindowRelation Relate(const WindowBounds& a, const WindowBounds& b) {
   if (a.bound_attr != b.bound_attr) return WindowRelation::kUnknown;
   if (a.start_key == b.start_key && a.end_key == b.end_key) {
@@ -104,32 +86,6 @@ WindowRelation Relate(const WindowBounds& a, const WindowBounds& b) {
     return WindowRelation::kContains;
   }
   return WindowRelation::kOverlaps;
-}
-
-bool GuaranteedOverlap(const CaesarModel& model, const WindowBounds& inner,
-                       const WindowBounds& outer) {
-  if (inner.bound_attr != outer.bound_attr) return false;
-  // The condition region of `outer` is [start_key, end_key] on the shared
-  // attribute; `inner`'s start lies within `outer` iff the initiating
-  // predicate of `inner` implies that region. Build both summaries and use
-  // predicate implication (the Section 3.3 subsumption check).
-  const Query& initiator = model.query(inner.initiator_query);
-  PredicateSummary start_summary = PredicateSummary::FromExpr(initiator.where);
-
-  // outer region: attr >= start AND attr <= end. Reconstruct from the keys
-  // (the extraction guarantees a single constraint per bound).
-  std::vector<ExprPtr> conjuncts =
-      SplitConjuncts(model.query(outer.initiator_query).where);
-  std::optional<AttrConstraint> start_constraint =
-      ExtractConstraint(conjuncts[0]);
-  if (!start_constraint.has_value()) return false;
-  ExprPtr attr_ref = MakeAttrRef(start_constraint->variable,
-                                 start_constraint->attribute);
-  ExprPtr region = MakeConjunction(
-      MakeBinary(BinaryOp::kGe, attr_ref, MakeConstant(outer.start_key)),
-      MakeBinary(BinaryOp::kLe, attr_ref, MakeConstant(outer.end_key)));
-  PredicateSummary region_summary = PredicateSummary::FromExpr(region);
-  return Implies(start_summary, region_summary);
 }
 
 }  // namespace caesar

@@ -11,9 +11,8 @@
 // giving each context an interval in bound space. Contexts whose bounds are
 // not analyzable are omitted (callers treat them as unrelated).
 //
-// This module is the "established approaches for predicate subsumption"
-// hook of Section 3.3; the window grouping transform (window_grouping.h)
-// builds on the same extraction.
+// The window grouping transform (window_grouping.h) builds on the same
+// extraction and clusters windows by Relate.
 
 #ifndef CAESAR_OPTIMIZER_OVERLAP_ANALYSIS_H_
 #define CAESAR_OPTIMIZER_OVERLAP_ANALYSIS_H_
@@ -50,16 +49,10 @@ enum class WindowRelation {
   kEqual,        // identical bounds
 };
 
-const char* WindowRelationName(WindowRelation relation);
-
+// Two windows are guaranteed to overlap iff the relation is neither
+// kUnknown nor kDisjoint; window grouping (window_grouping.h) clusters on
+// exactly that test.
 WindowRelation Relate(const WindowBounds& a, const WindowBounds& b);
-
-// Definition 2 stated directly on the deriving predicates: true if
-// `inner`'s activation provably implies that `outer` is active (the
-// initiating condition of `inner` implies the condition region of `outer`).
-// Uses PredicateSummary implication; conservative (false on doubt).
-bool GuaranteedOverlap(const CaesarModel& model, const WindowBounds& inner,
-                       const WindowBounds& outer);
 
 }  // namespace caesar
 

@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "common/logging.h"
-#include "expr/analysis.h"
 #include "optimizer/overlap_analysis.h"
 
 namespace caesar {
@@ -187,10 +186,10 @@ Result<CaesarModel> ApplyWindowGrouping(const CaesarModel& model) {
     };
     for (size_t i = 0; i < names.size(); ++i) {
       for (size_t j = i + 1; j < names.size(); ++j) {
-        const WindowBounds& a = groupable[names[i]];
-        const WindowBounds& b = groupable[names[j]];
-        if (a.bound_attr != b.bound_attr) continue;
-        if (a.start_key < b.end_key && b.start_key < a.end_key) {
+        const WindowRelation relation =
+            Relate(groupable[names[i]], groupable[names[j]]);
+        if (relation != WindowRelation::kUnknown &&
+            relation != WindowRelation::kDisjoint) {
           parent[find(static_cast<int>(i))] = find(static_cast<int>(j));
         }
       }

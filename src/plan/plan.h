@@ -77,10 +77,6 @@ struct ExecutablePlan {
 
   ExecutablePlan Clone() const;
   std::string DebugString() const;
-
-  int total_queries() const {
-    return static_cast<int>(deriving.size() + processing.size());
-  }
 };
 
 }  // namespace caesar

@@ -129,7 +129,6 @@ struct Query {
   bool IsContextDeriving() const {
     return action != ContextAction::kNone || derivation_helper;
   }
-  bool IsContextProcessing() const { return action == ContextAction::kNone; }
 
   std::string ToString() const;
 };

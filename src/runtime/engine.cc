@@ -15,6 +15,13 @@ namespace caesar {
 
 namespace {
 
+// Events the quarantine sink retains in full (its counters stay exact past
+// the bound).
+constexpr size_t kQuarantineCapacity = 1024;
+// Points (ticks) the activity timeline keeps; older points are dropped but
+// stay counted.
+constexpr size_t kTimelineCapacity = 512;
+
 uint64_t HashCombine(uint64_t seed, uint64_t value) {
   return seed ^ (value + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
 }
@@ -179,11 +186,6 @@ Status EngineOptions::Validate() const {
         "EngineOptions::accel must be positive, got " +
         std::to_string(accel));
   }
-  if (!(seconds_per_tick > 0.0)) {
-    return Status::InvalidArgument(
-        "EngineOptions::seconds_per_tick must be positive, got " +
-        std::to_string(seconds_per_tick));
-  }
   if (gc_interval < 1) {
     return Status::InvalidArgument(
         "EngineOptions::gc_interval must be >= 1, got " +
@@ -193,11 +195,6 @@ Status EngineOptions::Validate() const {
     return Status::InvalidArgument(
         "EngineOptions::gc_horizon must be >= 0, got " +
         std::to_string(gc_horizon));
-  }
-  if (timeline_capacity < 1) {
-    return Status::InvalidArgument(
-        "EngineOptions::timeline_capacity must be >= 1, got " +
-        std::to_string(timeline_capacity));
   }
   CAESAR_RETURN_IF_ERROR(durability.Validate());
   return Status::Ok();
@@ -214,13 +211,12 @@ Result<std::unique_ptr<Engine>> Engine::Create(const CaesarModel& model,
                                                EngineOptions options) {
   CAESAR_RETURN_IF_ERROR(options.Validate());
   std::vector<std::string> retained;
-  if (options.analysis != AnalysisMode::kOff) {
+  if (options.analysis == AnalysisMode::kStrict) {
     AnalyzerOptions analyzer_options;
     analyzer_options.source_name = "<model>";
     analyzer_options.include_notes = false;
     for (const Diagnostic& diag : AnalyzeModel(model, analyzer_options)) {
-      if (diag.severity == DiagSeverity::kError &&
-          options.analysis == AnalysisMode::kStrict) {
+      if (diag.severity == DiagSeverity::kError) {
         return Status::InvalidArgument(FormatDiagnostic(diag));
       }
       retained.push_back(FormatDiagnostic(diag));
@@ -236,7 +232,7 @@ Result<std::unique_ptr<Engine>> Engine::Create(const CaesarModel& model,
 Engine::Engine(ExecutablePlan plan, EngineOptions options)
     : plan_(std::move(plan)),
       options_(std::move(options)),
-      quarantine_(options_.quarantine_capacity) {
+      quarantine_(kQuarantineCapacity) {
   CAESAR_CHECK_OK(options_.Validate());
   // Resolve partition attribute indices for every type known now, so the
   // cache is read-only on the hot path (see header comment).
@@ -258,7 +254,7 @@ Engine::Engine(ExecutablePlan plan, EngineOptions options)
       executor_ != nullptr ? executor_->num_workers() : 1;
   transaction_scratch_.resize(static_cast<size_t>(metric_shards));
   if (options_.metrics >= MetricsGranularity::kEngine) {
-    timeline_ = std::make_unique<Timeline>(options_.timeline_capacity);
+    timeline_ = std::make_unique<Timeline>(kTimelineCapacity);
   }
   if (options_.gather_statistics ||
       options_.metrics >= MetricsGranularity::kOperator) {
@@ -275,14 +271,7 @@ Engine::Engine(ExecutablePlan plan, EngineOptions options)
   }
 }
 
-Engine::~Engine() {
-  if (trace_ != nullptr && !options_.trace_path.empty()) {
-    Status status = trace_->WriteJson(options_.trace_path);
-    if (!status.ok()) {
-      CAESAR_LOG_WARNING << "failed to write trace: " << status.ToString();
-    }
-  }
-}
+Engine::~Engine() = default;
 
 int Engine::num_partitions() const {
   return static_cast<int>(partitions_.size());
@@ -815,8 +804,8 @@ void Engine::MergeBatch(EventBatch* outputs, RunStats* stats) {
   // telemetry. The dispatch barrier ordered every worker write before this.
   CAESAR_TRACE_SPAN("merge");
   const bool tick_telemetry = options_.metrics >= MetricsGranularity::kEngine;
-  const bool collect = options_.collect_outputs && outputs != nullptr;
-  const double tick_wall = options_.seconds_per_tick / options_.accel;
+  const bool collect = outputs != nullptr;
+  const double tick_wall = 1.0 / options_.accel;  // one tick = 1 sim second
   RunningStats latency;
   size_t next_gc = 0;
   for (size_t k = 0; k < batch_ticks_.size(); ++k) {

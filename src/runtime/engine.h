@@ -71,8 +71,8 @@ struct WalTick;
 // has no model to analyze.
 enum class AnalysisMode : int8_t {
   kOff = 0,  // skip analysis
-  kWarn,     // run it; diagnostics surface via CollectStatistics()
-  kStrict,   // error-severity diagnostics reject Create with a Status
+  kStrict,   // error-severity diagnostics reject Create with a Status;
+             // warnings surface via CollectStatistics()
 };
 
 // Engine configuration.
@@ -102,20 +102,15 @@ struct EngineOptions {
   // scrapes can tell engines apart.
   std::string tenant;
 
-  // Acceleration of the latency model: how many simulated seconds arrive
-  // per wall second of processing budget. Higher = heavier load.
+  // Acceleration of the latency model: how many simulated seconds (one
+  // per application tick) arrive per wall second of processing budget.
+  // Higher = heavier load.
   double accel = 100.0;
-
-  // Simulated seconds per application tick (Linear Road: 1).
-  double seconds_per_tick = 1.0;
 
   // Garbage collection cadence and horizon (ticks): every `gc_interval`
   // ticks, operator state older than `gc_horizon` is dropped.
   Timestamp gc_interval = 120;
   Timestamp gc_horizon = 900;
-
-  // Collect derived events into the output batch passed to Run.
-  bool collect_outputs = true;
 
   // Record per-operator statistics (the Fig. 8 statistics gatherer); adds a
   // small per-operator bookkeeping cost. Snapshot via CollectStatistics().
@@ -130,16 +125,9 @@ struct EngineOptions {
 
   // Record trace spans (scheduler ticks, ingest, GC, per-partition
   // transactions) into a Chrome trace_event-format recorder, exposed via
-  // Engine::trace(). Independent of `metrics`.
+  // Engine::trace() (the caller writes it with TraceRecorder::WriteJson).
+  // Independent of `metrics`.
   bool tracing = false;
-
-  // When non-empty and tracing is on, the engine writes the trace JSON
-  // here on destruction.
-  std::string trace_path;
-
-  // Ring-buffer capacity of the activity timeline (points = ticks; older
-  // points are dropped but stay counted). Must be >= 1.
-  size_t timeline_capacity = 512;
 
   // How Run treats disorder and malformed events (see runtime/ingest.h):
   // kStrict rejects the batch with a Status, kDrop/kReorder degrade
@@ -149,10 +137,6 @@ struct EngineOptions {
   // Maximum admissible lateness in ticks under kReorder (>= 0). Events
   // later than this are dropped and quarantined.
   Timestamp reorder_slack = 0;
-
-  // How many quarantined events the dead-letter sink retains in full
-  // (counters stay exact past this bound).
-  size_t quarantine_capacity = 1024;
 
   // Static model analysis during the model-based Create (see AnalysisMode).
   AnalysisMode analysis = AnalysisMode::kOff;
@@ -168,8 +152,8 @@ struct EngineOptions {
   DurabilityOptions durability;
 
   // Checks option invariants (num_threads >= 1, reorder_slack >= 0, accel
-  // and seconds_per_tick positive, gc_interval >= 1, gc_horizon >= 0,
-  // timeline_capacity >= 1, durability options consistent).
+  // positive, gc_interval >= 1, gc_horizon >= 0, durability options
+  // consistent).
   // Returned (not aborted) so callers can surface configuration errors;
   // Engine::Create is the validating construction path.
   Status Validate() const;
@@ -264,9 +248,8 @@ class Engine {
   // Model-based construction: optionally lints the model first
   // (options.analysis), then translates and builds the engine. Under
   // kStrict, analysis errors reject creation with the first formatted
-  // diagnostic; under kWarn (and kStrict without errors) the formatted
-  // error/warning diagnostics are retained and surfaced through
-  // CollectStatistics().
+  // diagnostic; otherwise the formatted warnings are retained and surfaced
+  // through CollectStatistics().
   static Result<std::unique_ptr<Engine>> Create(
       const CaesarModel& model, const PlanOptions& plan_options,
       EngineOptions options);

@@ -64,7 +64,8 @@ enum class IngestPolicy : int8_t {
   kReorder,     // re-sequence within `reorder_slack`, drop the rest
 };
 
-// Human-readable policy name ("strict", "drop", "reorder").
+// Human-readable policy name ("strict", "drop", "reorder"); caesard's
+// register request spells the policy the same way.
 const char* IngestPolicyName(IngestPolicy policy);
 
 // Why an event was quarantined instead of processed.

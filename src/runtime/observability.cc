@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "runtime/statistics.h"
 
@@ -162,44 +163,6 @@ std::vector<TraceRecorder::Span> TraceRecorder::Snapshot() const {
   return spans_;
 }
 
-namespace {
-
-// RFC 8259 string escaping shared by the trace and statistics exporters.
-void AppendJsonString(std::ostream& os, const char* s) {
-  os << '"';
-  for (const char* p = s; *p != '\0'; ++p) {
-    unsigned char c = static_cast<unsigned char>(*p);
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      default:
-        if (c < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          os << buffer;
-        } else {
-          os << *p;
-        }
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
-
 std::string TraceRecorder::ToJson() const {
   std::vector<Span> spans = Snapshot();
   std::ostringstream os;
@@ -208,9 +171,8 @@ std::string TraceRecorder::ToJson() const {
   for (const Span& span : spans) {
     if (!first) os << ",";
     first = false;
-    os << "{\"name\":";
-    AppendJsonString(os, span.name);
-    os << ",\"cat\":\"caesar\",\"ph\":\"X\",\"ts\":" << span.start_us
+    os << "{\"name\":" << JsonQuote(span.name)
+       << ",\"cat\":\"caesar\",\"ph\":\"X\",\"ts\":" << span.start_us
        << ",\"dur\":" << span.duration_us << ",\"pid\":0,\"tid\":" << span.tid
        << "}";
   }
@@ -321,7 +283,7 @@ class JsonWriter {
     pending_comma_ = false;
   }
 
-  void AppendString(const char* s) { AppendJsonString(os_, s); }
+  void AppendString(const char* s) { os_ << JsonQuote(s); }
 
   std::ostringstream os_;
   bool pending_comma_ = false;

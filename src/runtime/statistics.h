@@ -101,10 +101,10 @@ struct StatisticsReport {
   int executor_workers = 0;
   ExecutorMetrics executor;
 
-  // Formatted static-analysis diagnostics from the model-based
-  // Engine::Create under AnalysisMode::kWarn/kStrict (errors and warnings;
-  // empty otherwise). Deliberately absent from the JSON/Prometheus exports,
-  // which carry runtime telemetry only.
+  // Formatted static-analysis warnings from the model-based Engine::Create
+  // under AnalysisMode::kStrict (empty otherwise; an error rejects Create).
+  // Deliberately absent from the JSON/Prometheus exports, which carry
+  // runtime telemetry only.
   std::vector<std::string> analysis_diagnostics;
 
   // Ingest/degradation snapshot (cumulative over the engine's lifetime):

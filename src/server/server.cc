@@ -28,16 +28,14 @@ bool ValidTenantName(const std::string& name) {
 }
 
 bool ParseIngestPolicyName(const std::string& name, IngestPolicy* out) {
-  if (name == "strict") {
-    *out = IngestPolicy::kStrict;
-  } else if (name == "drop") {
-    *out = IngestPolicy::kDrop;
-  } else if (name == "reorder") {
-    *out = IngestPolicy::kReorder;
-  } else {
-    return false;
+  for (IngestPolicy policy : {IngestPolicy::kStrict, IngestPolicy::kDrop,
+                              IngestPolicy::kReorder}) {
+    if (name == IngestPolicyName(policy)) {
+      *out = policy;
+      return true;
+    }
   }
-  return true;
+  return false;
 }
 
 // Decodes the register request's "options" object into a SessionConfig.

@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.h"
 #include "common/status.h"
 
 namespace caesar {
@@ -91,7 +92,6 @@ class JsonValue {
   bool is_bool() const { return kind_ == Kind::kBool; }
   bool is_int() const { return kind_ == Kind::kInt; }
   bool is_double() const { return kind_ == Kind::kDouble; }
-  bool is_number() const { return is_int() || is_double(); }
   bool is_string() const { return kind_ == Kind::kString; }
   bool is_array() const { return kind_ == Kind::kArray; }
   bool is_object() const { return kind_ == Kind::kObject; }
@@ -101,10 +101,6 @@ class JsonValue {
   bool bool_value() const { return bool_; }
   int64_t int_value() const { return int_; }
   double double_value() const { return double_; }
-  // Numeric value whatever the representation; requires is_number().
-  double number_value() const {
-    return is_int() ? static_cast<double>(int_) : double_;
-  }
   const std::string& string_value() const { return string_; }
   const std::vector<JsonValue>& items() const { return items_; }
   const std::vector<std::pair<std::string, JsonValue>>& entries() const {
@@ -142,9 +138,6 @@ class JsonValue {
 // whitespace allowed, trailing garbage rejected). Depth-capped; errors
 // carry a byte offset.
 Result<JsonValue> ParseJson(std::string_view text);
-
-// Escapes `s` as a JSON string literal including the surrounding quotes.
-std::string JsonQuote(std::string_view s);
 
 // ---------------------------------------------------------------------------
 // Framing

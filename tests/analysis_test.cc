@@ -234,7 +234,9 @@ TEST(EngineAnalysisTest, WarnModeSurfacesDiagnosticsInStatistics) {
   TypeRegistry registry;
   CaesarModel model = ContradictionModel(&registry);
   EngineOptions options;
-  options.analysis = AnalysisMode::kWarn;
+  // The model has a warning and no error: kStrict creates the engine and
+  // retains the warning.
+  options.analysis = AnalysisMode::kStrict;
   auto engine = Engine::Create(model, PlanOptions{}, options);
   ASSERT_TRUE(engine.ok()) << engine.status();
   StatisticsReport report = engine.value()->CollectStatistics();

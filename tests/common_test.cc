@@ -87,15 +87,6 @@ TEST(RunningStatsTest, MergeCombines) {
   EXPECT_EQ(a.count(), 3);
 }
 
-TEST(LatencyTrackerTest, ReportsMax) {
-  LatencyTracker tracker;
-  tracker.Record(0.5);
-  tracker.Record(2.5);
-  tracker.Record(1.0);
-  EXPECT_DOUBLE_EQ(tracker.max_latency(), 2.5);
-  EXPECT_EQ(tracker.count(), 3);
-}
-
 TEST(RngTest, DeterministicAcrossInstances) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) {

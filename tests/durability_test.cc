@@ -489,8 +489,9 @@ void CrashRecoveryCase(const Workload& w, uint64_t seed,
                " mode=" + DurabilityModeName(mode));
   Rng rng(seed * 7919 + 17);
 
-  // Seeded stream perturbation: some seeds exercise the reorder buffer and
-  // the quarantine across the crash, the rest run the strict path.
+  // Seeded stream perturbation: some seeds exercise reorder admission
+  // (disorder within reorder_slack) and the quarantine across the crash,
+  // the rest run the strict path.
   EngineOptions base;
   EventBatch stream = w.stream;
   if (seed % 3 == 0) {

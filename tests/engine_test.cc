@@ -16,6 +16,7 @@
 #include "plan/translator.h"
 #include "query/parser.h"
 #include "runtime/engine.h"
+#include "runtime/observability.h"
 #include "runtime/statistics.h"
 
 namespace caesar {
@@ -353,6 +354,41 @@ TEST_F(EngineTest, MultiThreadedMatchesSerial) {
   a.Run(input, &out_a).value();
   b.Run(input, &out_b).value();
   EXPECT_EQ(Canonical(out_a), Canonical(out_b));
+}
+
+// Run(input) without an output batch derives and counts exactly what
+// Run(input, &out) collects: only the collection is skipped.
+TEST_F(EngineTest, NullOutputsCountEverythingCollected) {
+  CaesarModel model = Parse(kMiniModel);
+  Rng rng(23);
+  EventBatch input;
+  for (Timestamp t = 0; t < 200; ++t) {
+    for (int64_t seg = 1; seg <= 4; ++seg) {
+      input.push_back(Reading(seg, rng.Uniform(0, 30), t));
+    }
+  }
+  EngineOptions options;
+  options.metrics = MetricsGranularity::kOperator;
+  Engine collecting(TranslateModel(model, PlanOptions()).value(), options);
+  Engine counting(TranslateModel(model, PlanOptions()).value(), options);
+  EventBatch out;
+  RunStats collected = collecting.Run(input, &out).value();
+  RunStats counted = counting.Run(input).value();
+
+  EXPECT_GT(collected.derived_events, 0);
+  EXPECT_EQ(static_cast<int64_t>(out.size()), collected.derived_events);
+  EXPECT_EQ(counted.input_events, collected.input_events);
+  EXPECT_EQ(counted.derived_events, collected.derived_events);
+  EXPECT_EQ(counted.derived_by_type, collected.derived_by_type);
+  EXPECT_EQ(counted.ops_executed, collected.ops_executed);
+  EXPECT_EQ(counted.executed_chains, collected.executed_chains);
+  EXPECT_EQ(counted.suspended_chains, collected.suspended_chains);
+  EXPECT_EQ(counted.transactions, collected.transactions);
+  EXPECT_EQ(counted.partitions, collected.partitions);
+  ExportOptions deterministic;
+  deterministic.deterministic = true;
+  EXPECT_EQ(StatisticsToJson(counting.CollectStatistics(), deterministic),
+            StatisticsToJson(collecting.CollectStatistics(), deterministic));
 }
 
 TEST_F(EngineTest, WideSeqWithInteriorNegationMatchesOracle) {

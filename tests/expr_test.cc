@@ -275,26 +275,5 @@ TEST(AnalysisTest, ImplicationConservativeOnInexact) {
   EXPECT_FALSE(Implies(p, q));
 }
 
-TEST(AnalysisTest, BoundOrderMatchesFigure7) {
-  // Fig. 7: initiate c1 if X>10, initiate c2 if X>20 -> c1 starts first.
-  auto c1_start = ParseExpr("X > 10").value();
-  auto c2_start = ParseExpr("X > 20").value();
-  EXPECT_EQ(CompareActivationOrder(c1_start, c2_start), BoundOrder::kBefore);
-  EXPECT_EQ(CompareActivationOrder(c2_start, c1_start), BoundOrder::kAfter);
-  // terminate c1 if X<30, terminate c2 if X<40 -> c1 ends first.
-  auto c1_end = ParseExpr("X < 30").value();
-  auto c2_end = ParseExpr("X < 40").value();
-  EXPECT_EQ(CompareTerminationOrder(c1_end, c2_end), BoundOrder::kBefore);
-  EXPECT_EQ(CompareActivationOrder(c1_start, c1_start), BoundOrder::kEqual);
-}
-
-TEST(AnalysisTest, BoundOrderUnknownCases) {
-  auto a = ParseExpr("X > 10").value();
-  auto b = ParseExpr("Y > 20").value();
-  EXPECT_EQ(CompareBoundOrder(a, b), BoundOrder::kUnknown);
-  auto c = ParseExpr("X > 10 AND X < 30").value();
-  EXPECT_EQ(CompareBoundOrder(a, c), BoundOrder::kUnknown);
-}
-
 }  // namespace
 }  // namespace caesar

@@ -61,11 +61,6 @@ TEST(EngineOptionsTest, ValidateNamesTheOffendingField) {
   EXPECT_NE(options.Validate().message().find("accel"), std::string::npos);
 
   options = EngineOptions();
-  options.seconds_per_tick = -2.0;
-  EXPECT_NE(options.Validate().message().find("seconds_per_tick"),
-            std::string::npos);
-
-  options = EngineOptions();
   options.gc_interval = 0;
   EXPECT_NE(options.Validate().message().find("gc_interval"),
             std::string::npos);

@@ -201,20 +201,6 @@ TEST_F(CsvTest, FileRoundTrip) {
   EXPECT_FALSE(ReadEventsCsvFile(path, &fresh).ok());  // gone
 }
 
-TEST_F(CsvTest, MergeByTimeIsStableAndOrdered) {
-  EventBatch a = {Order(1, 1, "a", 0), Order(2, 1, "a", 5),
-                  Order(3, 1, "a", 9)};
-  EventBatch b = {Order(4, 1, "b", 1), Order(5, 1, "b", 5)};
-  EventBatch c = {Order(6, 1, "c", 5)};
-  EventBatch merged = MergeByTime({a, b, c});
-  ASSERT_EQ(merged.size(), 6u);
-  EXPECT_TRUE(IsTimeOrdered(merged));
-  // Stability at time 5: batch order a, b, c.
-  EXPECT_EQ(merged[2]->value(0).AsInt(), 2);
-  EXPECT_EQ(merged[3]->value(0).AsInt(), 5);
-  EXPECT_EQ(merged[4]->value(0).AsInt(), 6);
-}
-
 TEST(DotTest, ModelExportContainsContextsAndTransitions) {
   TypeRegistry registry;
   registry.RegisterOrGet("E", {{"x", ValueType::kInt}});

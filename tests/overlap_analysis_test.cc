@@ -83,24 +83,5 @@ TEST_F(OverlapAnalysisTest, RelationsMatchDefinition2) {
   EXPECT_EQ(Relate(c1, other_attr), WindowRelation::kUnknown);
 }
 
-TEST_F(OverlapAnalysisTest, GuaranteedOverlapViaImplication) {
-  // Exact-crossing bounds (as the synthetic workload emits) are provable.
-  CaesarModel model = Parse(R"(
-CONTEXTS idle, inner, outer DEFAULT idle;
-QUERY si INITIATE CONTEXT inner PATTERN S s WHERE s.x = 15 CONTEXT idle;
-QUERY ei TERMINATE CONTEXT inner PATTERN S s WHERE s.x = 18 CONTEXT inner;
-QUERY so INITIATE CONTEXT outer PATTERN S s WHERE s.x = 10 CONTEXT idle;
-QUERY eo TERMINATE CONTEXT outer PATTERN S s WHERE s.x = 30 CONTEXT outer;
-)");
-  std::vector<WindowBounds> bounds = ExtractWindowBounds(model);
-  ASSERT_EQ(bounds.size(), 2u);
-  const WindowBounds& inner = bounds[0];
-  const WindowBounds& outer = bounds[1];
-  EXPECT_TRUE(GuaranteedOverlap(model, inner, outer));
-  EXPECT_FALSE(GuaranteedOverlap(model, outer, inner));
-  EXPECT_EQ(WindowRelationName(Relate(inner, outer)),
-            std::string("contained-in"));
-}
-
 }  // namespace
 }  // namespace caesar

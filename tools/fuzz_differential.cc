@@ -10,13 +10,20 @@
 //   fuzz_differential --replay FILE [--matrix full|quick]
 //     Replays a repro file and checks its `expect` line. Exit 0 when the
 //     outcome matches the expectation, 1 otherwise.
+//   fuzz_differential --shrink FILE [--matrix full|quick] [--write-repro DIR]
+//     Re-shrinks a diverging repro file with ShrinkRepro (for a spec whose
+//     in-process shrink was interrupted, or a hand-edited one) and writes
+//     DIR/<name>.min.repro. Exit 0 = written, 1 = the input does not
+//     diverge, 2 = usage or harness error.
 //   fuzz_differential --describe --seed N --iters M
 //     Prints the generator summary for each seed without running anything.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <utility>
 
 #include "oracle/differential.h"
 #include "oracle/generator.h"
@@ -32,9 +39,58 @@ int Usage(const char* argv0) {
       "          [--inject-bug NAME] [--inject-model-bug NAME] [--no-lint]\n"
       "          [--crash-recovery]\n"
       "          [--write-repro DIR] [--force-negation]\n"
-      "          [--replay FILE] [--describe]\n",
+      "          [--replay FILE] [--shrink FILE] [--describe]\n",
       argv0);
   return 2;
+}
+
+// Counts of the case `spec` denotes, as "Q queries, E events".
+std::string CaseShape(const caesar::ReproSpec& spec) {
+  caesar::TypeRegistry registry;
+  auto materialized = caesar::Materialize(spec, &registry);
+  if (!materialized.ok()) return materialized.status().ToString();
+  return std::to_string(materialized.value().num_queries) + " queries, " +
+         std::to_string(materialized.value().num_events) + " events";
+}
+
+int Shrink(const std::string& path, bool full_matrix,
+           const std::string& out_dir) {
+  auto spec = caesar::ReadRepro(path);
+  if (!spec.ok()) {
+    std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
+    return 2;
+  }
+  auto report = caesar::ReplayRepro(spec.value(), full_matrix);
+  if (!report.ok()) {
+    std::fprintf(stderr, "replay failed: %s\n",
+                 report.status().ToString().c_str());
+    return 2;
+  }
+  if (!report.value().diverged) {
+    std::printf("input does not diverge; nothing to shrink\n");
+    return 1;
+  }
+  auto shrunk = caesar::ShrinkRepro(spec.value(), full_matrix);
+  if (!shrunk.ok()) {
+    std::fprintf(stderr, "shrink failed: %s\n",
+                 shrunk.status().ToString().c_str());
+    return 2;
+  }
+  caesar::ReproSpec result = std::move(shrunk).value();
+  result.expect = "diverge";
+  const std::string out = out_dir + "/" +
+                          std::filesystem::path(path).stem().string() +
+                          ".min.repro";
+  caesar::Status written = caesar::WriteRepro(result, out);
+  if (!written.ok()) {
+    std::fprintf(stderr, "could not write repro: %s\n",
+                 written.ToString().c_str());
+    return 2;
+  }
+  std::printf("shrunk %s -> %s\nwritten to %s\n%s",
+              CaseShape(spec.value()).c_str(), CaseShape(result).c_str(),
+              out.c_str(), caesar::FormatRepro(result).c_str());
+  return 0;
 }
 
 }  // namespace
@@ -52,6 +108,7 @@ int main(int argc, char** argv) {
   std::string bug;
   std::string model_bug;
   std::string replay_path;
+  std::string shrink_path;
   std::string write_repro_dir = ".";
 
   for (int i = 1; i < argc; ++i) {
@@ -91,6 +148,8 @@ int main(int argc, char** argv) {
       write_repro_dir = next();
     } else if (arg == "--replay") {
       replay_path = next();
+    } else if (arg == "--shrink") {
+      shrink_path = next();
     } else if (arg == "--describe") {
       describe = true;
     } else if (arg == "--dump") {
@@ -118,6 +177,10 @@ int main(int argc, char** argv) {
       std::printf("%s\n", generated.value().summary.c_str());
     }
     return 0;
+  }
+
+  if (!shrink_path.empty()) {
+    return Shrink(shrink_path, full_matrix, write_repro_dir);
   }
 
   if (!replay_path.empty()) {
