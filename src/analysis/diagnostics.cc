@@ -49,7 +49,6 @@ const char* DiagCodeName(DiagCode code) {
     case DiagCode::kP302TrailingNegation: return "P302";
     case DiagCode::kP303MultiNegatedPredicate: return "P303";
     case DiagCode::kP304PlanTranslation: return "P304";
-    case DiagCode::kI401OutOfOrder: return "I401";
     case DiagCode::kI402LateBeyondSlack: return "I402";
     case DiagCode::kI403UnknownType: return "I403";
     case DiagCode::kI404NegativeTime: return "I404";
@@ -101,7 +100,6 @@ const char* DiagCodeTitle(DiagCode code) {
     case DiagCode::kP303MultiNegatedPredicate:
       return "predicate spans negated variables";
     case DiagCode::kP304PlanTranslation: return "plan translation failed";
-    case DiagCode::kI401OutOfOrder: return "out of order";
     case DiagCode::kI402LateBeyondSlack: return "late beyond slack";
     case DiagCode::kI403UnknownType: return "unknown type id";
     case DiagCode::kI404NegativeTime: return "negative time";

@@ -65,7 +65,6 @@ enum class DiagCode : int16_t {
 
   // I4xx — ingest and IO (shared vocabulary with QuarantineReason and the
   // tolerant CSV reader).
-  kI401OutOfOrder,
   kI402LateBeyondSlack,
   kI403UnknownType,
   kI404NegativeTime,

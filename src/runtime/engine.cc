@@ -181,6 +181,11 @@ Status EngineOptions::Validate() const {
         "EngineOptions::reorder_slack must be >= 0, got " +
         std::to_string(reorder_slack));
   }
+  if (ingest_policy == IngestPolicy::kStrict && reorder_slack > 0) {
+    return Status::InvalidArgument(
+        "EngineOptions::reorder_slack must be 0 under IngestPolicy::kStrict, "
+        "got " + std::to_string(reorder_slack));
+  }
   if (!(accel > 0.0)) {
     return Status::InvalidArgument(
         "EngineOptions::accel must be positive, got " +
@@ -242,17 +247,13 @@ Engine::Engine(ExecutablePlan plan, EngineOptions options)
       ResolvePartitionAttrs(id);
     }
   }
-  if (options_.shared_executor != nullptr) {
-    executor_ = options_.shared_executor;
-  } else if (options_.num_threads > 1) {
-    executor_ = std::make_shared<ShardedExecutor>(options_.num_threads);
-  }
+  executor_ = options_.shared_executor != nullptr
+                  ? options_.shared_executor
+                  : std::make_shared<ShardedExecutor>(options_.num_threads);
   // Metric shards are keyed by executing worker id, so the shard count
   // follows the pool actually in use (a shared pool may be wider than
-  // num_threads); serial mode records into shard 0.
-  const int metric_shards =
-      executor_ != nullptr ? executor_->num_workers() : 1;
-  transaction_scratch_.resize(static_cast<size_t>(metric_shards));
+  // num_threads).
+  transaction_scratch_.resize(static_cast<size_t>(executor_->num_workers()));
   if (options_.metrics >= MetricsGranularity::kEngine) {
     timeline_ = std::make_unique<Timeline>(kTimelineCapacity);
   }
@@ -384,8 +385,7 @@ void Engine::QuarantineEvent(EventPtr event, QuarantineReason reason) {
   uint64_t key = reason == QuarantineReason::kUnknownType
                      ? 0
                      : PartitionKeyOf(*event);
-  if (reason == QuarantineReason::kOutOfOrder ||
-      reason == QuarantineReason::kLateBeyondSlack) {
+  if (reason == QuarantineReason::kLateBeyondSlack) {
     ++ingest_metrics_.dropped_late;
   }
   ++ingest_metrics_.quarantined;
@@ -405,7 +405,7 @@ Status Engine::IngestBatch(const EventBatch& input, EventBatch* admitted,
             "strict ingest: malformed event at index " + std::to_string(i) +
             " (" + QuarantineReasonName(reason) + ", " +
             DiagCodeName(QuarantineDiagCode(reason)) +
-            "); use IngestPolicy::kDrop or kReorder to quarantine instead");
+            "); use IngestPolicy::kReorder to quarantine instead");
       }
     }
     ptrdiff_t unordered = FirstOutOfOrderIndex(input);
@@ -426,17 +426,14 @@ Status Engine::IngestBatch(const EventBatch& input, EventBatch* admitted,
           std::to_string(input.front()->time()) +
           ", before the last processed tick " +
           std::to_string(last_processed_tick_) +
-          "; use IngestPolicy::kReorder or kDrop to admit late events");
+          "; use IngestPolicy::kReorder to degrade instead (slack 0 drops "
+          "late events)");
     }
     ingest_metrics_.admitted += static_cast<int64_t>(input.size());
     return Status::Ok();
   }
 
   admitted->reserve(input.size());
-  const QuarantineReason late_reason =
-      options_.ingest_policy == IngestPolicy::kDrop
-          ? QuarantineReason::kOutOfOrder
-          : QuarantineReason::kLateBeyondSlack;
   AdmissionWatermark mark = Watermark();
   Timestamp run_max_lateness = 0;
   for (const EventPtr& event : input) {
@@ -454,10 +451,10 @@ Status Engine::IngestBatch(const EventBatch& input, EventBatch* admitted,
           std::max(ingest_metrics_.max_observed_lateness, lateness);
     }
     if (!mark.Admit(t)) {
-      QuarantineEvent(event, late_reason);
+      QuarantineEvent(event, QuarantineReason::kLateBeyondSlack);
       continue;
     }
-    if (late) ++ingest_metrics_.reordered;  // only kReorder admits late
+    if (late) ++ingest_metrics_.reordered;
     admitted->push_back(event);
   }
   // Run processes its batch to completion: the admitted events run in
@@ -475,10 +472,8 @@ Status Engine::IngestBatch(const EventBatch& input, EventBatch* admitted,
 }
 
 AdmissionWatermark Engine::Watermark() const {
-  return AdmissionWatermark(
-      any_tick_processed_, last_processed_tick_,
-      options_.ingest_policy == IngestPolicy::kReorder ? options_.reorder_slack
-                                                       : 0);
+  return AdmissionWatermark(any_tick_processed_, last_processed_tick_,
+                            options_.reorder_slack);
 }
 
 size_t Engine::RunnablePrefix(const EventBatch& pending) const {
@@ -606,22 +601,17 @@ Result<RunStats> Engine::Run(const EventBatch& raw_input,
   // partition's run executes all of its transactions in tick order. A
   // partition's state is single-writer without locks, and metrics record
   // into the executing worker's shard to keep that rule.
-  const ExecutorMetrics exec_before =
-      executor_ != nullptr ? executor_->metrics() : ExecutorMetrics{};
+  const ExecutorMetrics exec_before = executor_->metrics();
   if (!task_runs_.empty()) {
     CAESAR_TRACE_SPAN("dispatch");
     Stopwatch dispatch_watch;
-    if (executor_ == nullptr) {
-      for (uint32_t run : task_runs_) ProcessPartitionRun(run, 0);
-    } else {
-      executor_->Execute(task_runs_.size(), task_weights_.data(),
-                         [&](size_t i, int worker) {
-                           TraceScope worker_trace(trace_.get());
-                           ProcessPartitionRun(task_runs_[i], worker);
-                         });
-    }
+    executor_->Execute(task_runs_.size(), task_weights_.data(),
+                       [&](size_t i, int worker) {
+                         TraceScope worker_trace(trace_.get());
+                         ProcessPartitionRun(task_runs_[i], worker);
+                       });
     stats.cpu_seconds = dispatch_watch.ElapsedSeconds();
-    if (tick_telemetry && executor_ != nullptr) {
+    if (tick_telemetry) {
       tick_metrics_.barrier_wait_seconds.Add(stats.cpu_seconds);
     }
   }
@@ -643,17 +633,14 @@ Result<RunStats> Engine::Run(const EventBatch& raw_input,
   }
 
   stats.partitions = static_cast<int64_t>(partitions_.size());
-  if (executor_ != nullptr) {
-    const ExecutorMetrics& exec = executor_->metrics();
-    stats.parallel_ticks =
-        static_cast<int64_t>(exec.dispatches - exec_before.dispatches);
-    stats.parallel_tasks =
-        static_cast<int64_t>(exec.tasks - exec_before.tasks);
-    stats.shard_imbalance =
-        static_cast<int64_t>(exec.imbalance - exec_before.imbalance);
-    stats.barrier_wait_seconds =
-        exec.barrier_wait.sum() - exec_before.barrier_wait.sum();
-  }
+  const ExecutorMetrics& exec = executor_->metrics();
+  stats.parallel_ticks =
+      static_cast<int64_t>(exec.dispatches - exec_before.dispatches);
+  stats.parallel_tasks = static_cast<int64_t>(exec.tasks - exec_before.tasks);
+  stats.shard_imbalance =
+      static_cast<int64_t>(exec.imbalance - exec_before.imbalance);
+  stats.barrier_wait_seconds =
+      exec.barrier_wait.sum() - exec_before.barrier_wait.sum();
   stats.events_reordered = ingest_metrics_.reordered - ingest_before.reordered;
   stats.events_dropped_late =
       ingest_metrics_.dropped_late - ingest_before.dropped_late;
@@ -986,8 +973,7 @@ void Engine::ProcessTransaction(PartitionState* partition, Timestamp t,
     }
   }
 
-  // Each transaction records into the shard of the worker that *executed*
-  // it (serial mode records into shard 0).
+  // Each transaction records into the shard of the worker that *executed* it.
   if (options_.metrics >= MetricsGranularity::kEngine) {
     shard.transaction_events.Add(count);
     shard.transaction_derived.Add(derived->size() - derived_before);
@@ -1087,10 +1073,8 @@ StatisticsReport Engine::CollectStatistics() const {
   StatisticsReport report;
   report.tenant = options_.tenant;
   report.granularity = options_.metrics;
-  if (executor_ != nullptr) {
-    report.executor_workers = executor_->num_workers();
-    report.executor = executor_->metrics();
-  }
+  report.executor_workers = executor_->num_workers();
+  report.executor = executor_->metrics();
   report.ingest = ingest_metrics_;
   report.analysis_diagnostics = analysis_diagnostics_;
   report.durability_mode = options_.durability.mode;
@@ -1198,7 +1182,9 @@ void Engine::HandleWindowTransitions(PartitionState* partition,
 
 namespace {
 
-constexpr uint8_t kSnapshotVersion = 2;    // per-batch commit snapshot
+// Per-batch commit snapshot; 3: the quarantine reason set lost
+// out_of_order, which renumbered the reasons.
+constexpr uint8_t kSnapshotVersion = 3;
 constexpr uint8_t kCheckpointVersion = 1;  // full checkpoint payload
 
 void SaveTransition(StateWriter* w, const TransitionState& t) {

@@ -21,12 +21,12 @@
 // Batch execution is partition-major: Run logs the whole admitted batch
 // ahead, distributes it once into per-partition, time-ordered event runs,
 // and lets each partition execute all of its transactions of the batch in
-// tick order — in one worker-pool dispatch when parallel. Partitions share
-// no state, so this equals tick-by-tick execution; the derived batches are
-// merged by (time stamp, partition key) afterwards, which is exactly the
-// tick-major order. With durability on, a log thread writes the batch's
-// WAL records while the scheduler distributes, and its commit record while
-// the batch is processed (see Run).
+// tick order — in one worker-pool dispatch. Partitions share no state, so
+// this equals tick-by-tick execution; the derived batches are merged by
+// (time stamp, partition key) afterwards, which is exactly the tick-major
+// order. With durability on, a log thread writes the batch's WAL records
+// while the scheduler distributes, and its commit record while the batch is
+// processed (see Run).
 //
 // Latency model: the processing cost of a time stamp is the summed measured
 // wall time of its stream transactions; arrival times derive from
@@ -77,11 +77,12 @@ enum class AnalysisMode : int8_t {
 
 // Engine configuration.
 struct EngineOptions {
-  // Threads running per-partition transactions. 1 = serial on the
-  // scheduler thread; > 1 creates a persistent ShardedExecutor of that
-  // many participants (the scheduler thread plus num_threads - 1 workers
-  // living for the lifetime of the Engine). Both modes derive
-  // byte-identical event sequences (see runtime/executor.h).
+  // Threads running per-partition transactions: the engine owns a
+  // persistent ShardedExecutor of that many participants, the scheduler
+  // thread plus num_threads - 1 workers living for the lifetime of the
+  // Engine (1 spawns no thread: the scheduler thread runs every partition).
+  // Every width derives byte-identical event sequences (see
+  // runtime/executor.h).
   int num_threads = 1;
 
   // Externally owned worker pool shared between engines (the caesard
@@ -130,12 +131,13 @@ struct EngineOptions {
   bool tracing = false;
 
   // How Run treats disorder and malformed events (see runtime/ingest.h):
-  // kStrict rejects the batch with a Status, kDrop/kReorder degrade
-  // gracefully and quarantine what cannot be processed.
+  // kStrict rejects the batch with a Status, kReorder degrades gracefully
+  // and quarantines what cannot be processed.
   IngestPolicy ingest_policy = IngestPolicy::kStrict;
 
-  // Maximum admissible lateness in ticks under kReorder (>= 0). Events
-  // later than this are dropped and quarantined.
+  // Maximum admissible lateness in ticks under kReorder (>= 0; must be 0
+  // under kStrict). Events later than this are dropped and quarantined, so
+  // slack 0 drops every event older than the newest admitted time stamp.
   Timestamp reorder_slack = 0;
 
   // Static model analysis during the model-based Create (see AnalysisMode).
@@ -151,9 +153,9 @@ struct EngineOptions {
   // durable_batch_seq().
   DurabilityOptions durability;
 
-  // Checks option invariants (num_threads >= 1, reorder_slack >= 0, accel
-  // positive, gc_interval >= 1, gc_horizon >= 0, durability options
-  // consistent).
+  // Checks option invariants (num_threads >= 1, reorder_slack >= 0 and 0
+  // under kStrict, accel positive, gc_interval >= 1, gc_horizon >= 0,
+  // durability options consistent).
   // Returned (not aborted) so callers can surface configuration errors;
   // Engine::Create is the validating construction path.
   Status Validate() const;
@@ -187,17 +189,17 @@ struct RunStats {
   int64_t transactions = 0;
   int64_t partitions = 0;
 
-  // Worker-pool metrics for this Run (all zero in serial mode). The names
-  // predate partition-major execution: `parallel_ticks` counts pool
-  // dispatches (1 for a Run with input, 0 for an empty one) and
-  // `parallel_tasks` the partition runs dispatched (every partition with
-  // events in the batch, plus every other partition when the batch holds a
-  // GC point). `shard_imbalance` is the dispatch's executed-load imbalance
-  // (max - min *events* any participant processed — event-weighted so a
-  // hot partition registers even when task counts are even; it depends on
-  // which participant claimed which run), and `barrier_wait_seconds` the
-  // dispatch's wall time on the scheduler thread, which runs its own
-  // claimed runs and then waits for the other participants.
+  // Worker-pool metrics for this Run. The names predate partition-major
+  // execution: `parallel_ticks` counts pool dispatches (1 for a Run with
+  // input, 0 for an empty one) and `parallel_tasks` the partition runs
+  // dispatched (every partition with events in the batch, plus every other
+  // partition when the batch holds a GC point). `shard_imbalance` is the
+  // dispatch's executed-load imbalance (max - min *events* any participant
+  // processed — event-weighted so a hot partition registers even when task
+  // counts are even; it depends on which participant claimed which run),
+  // and `barrier_wait_seconds` the dispatch's wall time on the scheduler
+  // thread, which runs its own claimed runs and then waits for the other
+  // participants.
   int64_t parallel_ticks = 0;
   int64_t parallel_tasks = 0;
   int64_t shard_imbalance = 0;
@@ -282,7 +284,7 @@ class Engine {
   // The input passes through the configured ingest policy first: under
   // kStrict, disorder or a malformed event rejects the whole batch with a
   // descriptive error before any engine state is mutated; under
-  // kDrop/kReorder the batch is repaired (see runtime/ingest.h) and the
+  // kReorder the batch is repaired (see runtime/ingest.h) and the
   // degradation is reported in the returned RunStats. Derived events are
   // appended to `outputs` if non-null (in deterministic order). May be
   // called repeatedly; state carries over, and the last processed tick is
@@ -334,8 +336,9 @@ class Engine {
   // kOperator. Call between Runs.
   StatisticsReport CollectStatistics() const;
 
-  // The persistent worker pool; null when num_threads == 1. Exposed for
-  // tests and benchmarks (cumulative metrics, worker count).
+  // The worker pool every Run dispatches to (owned, or the shared one);
+  // never null. Exposed for tests and benchmarks (cumulative metrics,
+  // worker count).
   const ShardedExecutor* executor() const { return executor_.get(); }
 
   // The dead-letter sink (late and malformed events with reasons, tagged
@@ -413,8 +416,7 @@ class Engine {
   PartitionRun& ClaimRun(PartitionState* partition, size_t first_tick);
 
   // Executes one partition's share of the batch: its transactions and the
-  // GC points it takes, in tick order. `worker` is the executing worker
-  // (0 in serial mode).
+  // GC points it takes, in tick order. `worker` is the executing worker.
   void ProcessPartitionRun(size_t run, int worker);
 
   // After the dispatch: merges the derived events into `outputs`, advances
@@ -429,8 +431,8 @@ class Engine {
   // Executes one stream transaction (one partition, one time stamp) over
   // `count` events at `events`, appending its derived events to `derived`.
   // `worker` is the metrics and scratch shard to use — the id of the
-  // executing worker (0 in serial mode), which keeps the non-atomic
-  // histogram shards and the transaction scratch single-writer.
+  // executing worker, which keeps the non-atomic histogram shards and the
+  // transaction scratch single-writer.
   void ProcessTransaction(PartitionState* partition, Timestamp t,
                           const EventPtr* events, size_t count,
                           EventBatch* derived, int worker);
@@ -476,8 +478,8 @@ class Engine {
 
   std::map<uint64_t, std::unique_ptr<PartitionState>> partitions_;
 
-  // Persistent worker pool: created in the constructor when
-  // num_threads > 1 and reused across Run calls, or borrowed from
+  // Persistent worker pool: created in the constructor with num_threads
+  // participants and reused across Run calls, or borrowed from
   // EngineOptions::shared_executor (one pool, many tenant engines).
   std::shared_ptr<ShardedExecutor> executor_;
 
@@ -552,8 +554,8 @@ class Engine {
   std::vector<int64_t> derived_type_counts_;
   EventBatch observer_scratch_;
 
-  // Per-worker shard (index = executing worker, 0 in serial mode): the
-  // transaction scratch batches and every statistic a transaction records.
+  // Per-worker shard (index = executing worker): the transaction scratch
+  // batches and every statistic a transaction records.
   // A worker runs one transaction at a time, so each entry is single-writer;
   // CollectStatistics merges the shards between Runs, and the merge is
   // commutative addition, so totals do not depend on the thread count.

@@ -1,11 +1,12 @@
-// Persistent partition-run worker pool (the parallel half of the paper's
-// Fig. 8 runtime).
+// Persistent partition-run worker pool (the scheduler of the paper's Fig. 8
+// runtime).
 //
 // The engine executes each Run batch partition-major: every partition with
 // work in the batch becomes one task that runs all of that partition's
-// stream transactions (and its GC points) in tick order. In parallel mode
-// the engine hands the batch's tasks to this pool in one dispatch. Three
-// properties make the pool safe and deterministic:
+// stream transactions (and its GC points) in tick order. Every engine hands
+// the batch's tasks to a pool in one dispatch; a one-participant pool
+// spawns no thread and runs them all on the caller. Three properties make
+// the pool safe and deterministic:
 //
 //  - *Claiming, heaviest first*: Execute orders the dispatch's tasks by
 //    weight, heaviest first (ties in index order), publishes that order

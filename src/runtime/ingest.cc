@@ -8,8 +8,6 @@ const char* IngestPolicyName(IngestPolicy policy) {
   switch (policy) {
     case IngestPolicy::kStrict:
       return "strict";
-    case IngestPolicy::kDrop:
-      return "drop";
     case IngestPolicy::kReorder:
       return "reorder";
   }
@@ -18,8 +16,6 @@ const char* IngestPolicyName(IngestPolicy policy) {
 
 const char* QuarantineReasonName(QuarantineReason reason) {
   switch (reason) {
-    case QuarantineReason::kOutOfOrder:
-      return "out_of_order";
     case QuarantineReason::kLateBeyondSlack:
       return "late_beyond_slack";
     case QuarantineReason::kUnknownType:
@@ -34,8 +30,6 @@ const char* QuarantineReasonName(QuarantineReason reason) {
 
 DiagCode QuarantineDiagCode(QuarantineReason reason) {
   switch (reason) {
-    case QuarantineReason::kOutOfOrder:
-      return DiagCode::kI401OutOfOrder;
     case QuarantineReason::kLateBeyondSlack:
       return DiagCode::kI402LateBeyondSlack;
     case QuarantineReason::kUnknownType:
@@ -45,7 +39,7 @@ DiagCode QuarantineDiagCode(QuarantineReason reason) {
     case QuarantineReason::kInvertedInterval:
       return DiagCode::kI405InvertedInterval;
   }
-  return DiagCode::kI401OutOfOrder;
+  return DiagCode::kI402LateBeyondSlack;
 }
 
 void QuarantineSink::Add(EventPtr event, QuarantineReason reason,

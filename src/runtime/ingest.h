@@ -9,25 +9,23 @@
 //    Run return a descriptive error Status before any state is mutated.
 //    Disorder includes a batch that starts before the last tick an earlier
 //    Run processed; a batch may start at that tick, continuing it.
-//  - kDrop    — events older than the newest admitted time stamp are
-//    deterministically dropped and quarantined (reason kOutOfOrder).
 //  - kReorder — events late by at most `reorder_slack` ticks are admitted
 //    and re-sequenced; events later than that are dropped and quarantined
-//    (reason kLateBeyondSlack).
+//    (reason kLateBeyondSlack). Slack 0 admits no late event at all: it
+//    drops everything older than the newest admitted time stamp.
 //
-// Watermark semantics (kDrop and kReorder share one admission rule; see
-// AdmissionWatermark): the high-water mark is the newest admitted time
-// stamp, starting from the last tick an earlier Run processed, and the
-// watermark is high-water - slack (slack = reorder_slack under kReorder,
-// 0 under kDrop). An event at time t is admitted iff t >= watermark and,
-// once any tick has run, t >= the last processed tick: nothing is ever
-// admitted underneath what was already processed. Run processes its batch
-// to completion, so kReorder stable-sorts the admitted events by time
-// (equal-time events keep arrival order); an input whose lateness never
-// exceeds the slack is restored to its exact pre-disorder sequence.
-// Between Runs the floor and the high-water mark both equal the engine's
-// last processed tick, so the rule keeps no state of its own and a
-// recovered engine rejects the same late events.
+// Watermark semantics (see AdmissionWatermark): the high-water mark is the
+// newest admitted time stamp, starting from the last tick an earlier Run
+// processed, and the watermark is high-water - reorder_slack. An event at
+// time t is admitted iff t >= watermark and, once any tick has run, t >=
+// the last processed tick: nothing is ever admitted underneath what was
+// already processed. Run processes its batch to completion, so kReorder
+// stable-sorts the admitted events by time (equal-time events keep arrival
+// order); an input whose lateness never exceeds the slack is restored to
+// its exact pre-disorder sequence. Between Runs the floor and the
+// high-water mark both equal the engine's last processed tick, so the rule
+// keeps no state of its own and a recovered engine rejects the same late
+// events.
 //
 // The watermark also bounds what may still arrive: every future admissible
 // event is at or after the current watermark. caesard runs a pending
@@ -36,10 +34,10 @@
 // Runs concatenate to exactly one Run over the same arrivals.
 //
 // Malformed events (unknown type id, negative occurrence time, inverted
-// occurrence interval) never reach the scheduler under kDrop/kReorder;
-// they are diverted to a bounded per-partition *quarantine* (dead-letter)
-// sink together with their rejection reason. Counters are exact even when
-// the sink's event storage is full; see QuarantineSink.
+// occurrence interval) never reach the scheduler under kReorder; they are
+// diverted to a bounded per-partition *quarantine* (dead-letter) sink
+// together with their rejection reason. Counters are exact even when the
+// sink's event storage is full; see QuarantineSink.
 
 #ifndef CAESAR_RUNTIME_INGEST_H_
 #define CAESAR_RUNTIME_INGEST_H_
@@ -60,26 +58,24 @@ class StateReader;
 // How Engine::Run treats disorder and malformed events in its input.
 enum class IngestPolicy : int8_t {
   kStrict = 0,  // reject the batch with a Status (no state mutated)
-  kDrop,        // drop events older than the newest admitted time stamp
   kReorder,     // re-sequence within `reorder_slack`, drop the rest
 };
 
-// Human-readable policy name ("strict", "drop", "reorder"); caesard's
+// Human-readable policy name ("strict", "reorder"); caesard's
 // register request spells the policy the same way.
 const char* IngestPolicyName(IngestPolicy policy);
 
 // Why an event was quarantined instead of processed.
 enum class QuarantineReason : int8_t {
-  kOutOfOrder = 0,    // kDrop: older than the newest admitted time stamp
-  kLateBeyondSlack,   // kReorder: late by more than the slack
-  kUnknownType,       // type id not present in the registry
-  kNegativeTime,      // occurrence time before the epoch (time() < 0)
-  kInvertedInterval,  // complex event with end_time() < start_time()
+  kLateBeyondSlack = 0,  // kReorder: late by more than the slack
+  kUnknownType,          // type id not present in the registry
+  kNegativeTime,         // occurrence time before the epoch (time() < 0)
+  kInvertedInterval,     // complex event with end_time() < start_time()
 };
 
-inline constexpr int kNumQuarantineReasons = 5;
+inline constexpr int kNumQuarantineReasons = 4;
 
-// Human-readable reason name ("out_of_order", "late_beyond_slack", ...).
+// Human-readable reason name ("late_beyond_slack", "unknown_type", ...).
 // The names are part of the metrics-export schema; diagnostics instead
 // carry the stable I4xx code below, so the two vocabularies can evolve
 // independently of the golden files.
@@ -95,7 +91,7 @@ DiagCode QuarantineDiagCode(QuarantineReason reason);
 // e.g. for an unknown type).
 struct QuarantineEntry {
   EventPtr event;
-  QuarantineReason reason = QuarantineReason::kOutOfOrder;
+  QuarantineReason reason = QuarantineReason::kLateBeyondSlack;
   uint64_t partition_key = 0;
 };
 
@@ -138,7 +134,7 @@ class QuarantineSink {
   std::map<uint64_t, int64_t> by_partition_;
 };
 
-// The admission rule of kDrop and kReorder (see the file comment), walked
+// The admission rule of kReorder (see the file comment), walked
 // over one batch. A value type, built per batch from the engine's state:
 // Engine::RunnablePrefix judges a pending buffer with one and leaves the
 // engine untouched.
@@ -187,7 +183,7 @@ class AdmissionWatermark {
 struct IngestMetrics {
   int64_t admitted = 0;        // events handed to the scheduler
   int64_t reordered = 0;       // admitted out of arrival order (kReorder)
-  int64_t dropped_late = 0;    // quarantined as kOutOfOrder/kLateBeyondSlack
+  int64_t dropped_late = 0;    // quarantined as kLateBeyondSlack
   int64_t quarantined = 0;     // all quarantined events (late + malformed)
   Timestamp max_observed_lateness = 0;  // over all late arrivals, any fate
 };

@@ -551,7 +551,7 @@ std::string StatisticsToJson(const StatisticsReport& report,
   }
   json.EndArray();
 
-  if (!options.deterministic && report.executor_workers > 0) {
+  if (!options.deterministic) {
     json.Key("executor");
     json.BeginObject();
     json.Field("workers", report.executor_workers);
@@ -732,7 +732,7 @@ std::string StatisticsToPrometheus(const StatisticsReport& report,
     }
   }
 
-  if (!options.deterministic && report.executor_workers > 0) {
+  if (!options.deterministic) {
     os << "# TYPE caesar_executor_workers gauge\n";
     os << bare("caesar_executor_workers") << " " << report.executor_workers
        << "\n";

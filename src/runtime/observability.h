@@ -164,9 +164,9 @@ struct TickMetrics {
 
   // Wall clock (nondeterministic): summed transaction cost per tick (the
   // virtual clock's charge), ingest admission time per Run, summed GC time
-  // of every partition per GC point, barrier wait per pool dispatch
-  // (parallel mode only), and the time each logged Run blocked on the WAL
-  // log thread (durability on only; RunStats::wal_wait_seconds).
+  // of every partition per GC point, barrier wait per pool dispatch, and
+  // the time each logged Run blocked on the WAL log thread (durability on
+  // only; RunStats::wal_wait_seconds).
   RunningStats scheduler_seconds;
   RunningStats ingest_seconds;
   RunningStats gc_pause_seconds;

@@ -28,15 +28,12 @@ std::string StatisticsReport::ToString() const {
       os << "  " << diag << "\n";
     }
   }
-  if (executor_workers > 0) {
-    os << "executor: workers=" << executor_workers
-       << " dispatches=" << executor.dispatches << " tasks=" << executor.tasks
-       << " imbalance=" << executor.imbalance << " imbalance_per_dispatch[mean="
-       << executor.imbalance_per_dispatch.mean()
-       << " max=" << executor.imbalance_per_dispatch.max()
-       << "] barrier_wait["
-       << executor.barrier_wait.ToString() << "]\n";
-  }
+  os << "executor: workers=" << executor_workers
+     << " dispatches=" << executor.dispatches << " tasks=" << executor.tasks
+     << " imbalance=" << executor.imbalance << " imbalance_per_dispatch[mean="
+     << executor.imbalance_per_dispatch.mean()
+     << " max=" << executor.imbalance_per_dispatch.max() << "] barrier_wait["
+     << executor.barrier_wait.ToString() << "]\n";
   if (ingest.reordered > 0 || ingest.quarantined > 0 ||
       ingest.max_observed_lateness > 0) {
     os << "ingest: admitted=" << ingest.admitted

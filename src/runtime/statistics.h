@@ -96,8 +96,9 @@ struct StatisticsReport {
   // observed counterpart of CostModelParams::context_activity.
   double observed_context_activity = 1.0;
 
-  // Worker-pool snapshot (cumulative over the engine's lifetime);
-  // executor_workers == 0 means the engine runs serially.
+  // Worker-pool snapshot (cumulative over the engine's lifetime): the
+  // pool's participant count (>= 1; a shared pool may be wider than the
+  // engine's num_threads) and its counters.
   int executor_workers = 0;
   ExecutorMetrics executor;
 

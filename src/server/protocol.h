@@ -51,8 +51,10 @@
 namespace caesar {
 
 // Protocol revision, echoed by ping. 2: poll is gone, every drain's rows
-// ride the reply of the request that ran it.
-inline constexpr int kServerProtocolVersion = 2;
+// ride the reply of the request that ran it. 3: register's "ingest" is
+// "strict" or "reorder" (the old drop policy is "reorder" with the default
+// slack 0), and a slack under "strict" is rejected.
+inline constexpr int kServerProtocolVersion = 3;
 
 enum class ServerCmd : int8_t {
   kPing = 0,

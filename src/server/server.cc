@@ -28,8 +28,7 @@ bool ValidTenantName(const std::string& name) {
 }
 
 bool ParseIngestPolicyName(const std::string& name, IngestPolicy* out) {
-  for (IngestPolicy policy : {IngestPolicy::kStrict, IngestPolicy::kDrop,
-                              IngestPolicy::kReorder}) {
+  for (IngestPolicy policy : {IngestPolicy::kStrict, IngestPolicy::kReorder}) {
     if (name == IngestPolicyName(policy)) {
       *out = policy;
       return true;
@@ -55,7 +54,7 @@ Status ParseSessionConfig(const JsonValue* opts,
       if (!value.is_string() ||
           !ParseIngestPolicyName(value.string_value(), &engine.ingest_policy)) {
         return Status::InvalidArgument(
-            "ingest must be \"strict\", \"drop\", or \"reorder\"");
+            "ingest must be \"strict\" or \"reorder\"");
       }
     } else if (key == "reorder_slack") {
       if (!value.is_int() || value.int_value() < 0) {
@@ -101,7 +100,8 @@ Status ParseSessionConfig(const JsonValue* opts,
       return Status::InvalidArgument("unknown option \"" + key + "\"");
     }
   }
-  return Status::Ok();
+  // Combinations, e.g. a slack under the strict policy.
+  return engine.Validate();
 }
 
 }  // namespace
@@ -111,8 +111,8 @@ Status ServerOptions::Validate() const {
     return Status::InvalidArgument("port must be in [0, 65535]");
   }
   if (host.empty()) return Status::InvalidArgument("host must be non-empty");
-  if (executor_workers < 0) {
-    return Status::InvalidArgument("executor_workers must be >= 0");
+  if (executor_workers < 1) {
+    return Status::InvalidArgument("executor_workers must be >= 1");
   }
   if (max_tenants < 1) {
     return Status::InvalidArgument("max_tenants must be >= 1");
@@ -135,9 +135,7 @@ CaesarServer::~CaesarServer() { Stop(); }
 Status CaesarServer::Start() {
   CAESAR_RETURN_IF_ERROR(options_.Validate());
 
-  if (options_.executor_workers > 1) {
-    pool_ = std::make_shared<ShardedExecutor>(options_.executor_workers);
-  }
+  pool_ = std::make_shared<ShardedExecutor>(options_.executor_workers);
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
@@ -376,8 +374,7 @@ JsonValue CaesarServer::HandleRegister(const JsonValue& request) {
 
   JsonValue response = OkResponse();
   response.Set("tenant", JsonValue::String(name));
-  response.Set("workers",
-               JsonValue::Int(pool_ != nullptr ? pool_->num_workers() : 1));
+  response.Set("workers", JsonValue::Int(pool_->num_workers()));
   sessions_.emplace(name, std::move(session).value());
   return response;
 }
@@ -515,8 +512,7 @@ JsonValue CaesarServer::HandleList() {
 JsonValue CaesarServer::HandlePing() {
   JsonValue response = OkResponse();
   response.Set("protocol", JsonValue::Int(kServerProtocolVersion));
-  response.Set("workers",
-               JsonValue::Int(pool_ != nullptr ? pool_->num_workers() : 1));
+  response.Set("workers", JsonValue::Int(pool_->num_workers()));
   response.Set("tenants",
                JsonValue::Int(static_cast<int64_t>(sessions_.size())));
   return response;

@@ -45,9 +45,9 @@ struct ServerOptions {
   // TCP port; 0 binds an ephemeral port (read it back via port()).
   int port = 0;
 
-  // Width of the shared worker pool all tenant engines dispatch to.
-  // 0 or 1 = serial engines, no pool.
-  int executor_workers = 0;
+  // Participants of the shared worker pool all tenant engines dispatch to
+  // (>= 1; 1 spawns no thread and runs every tenant on its request thread).
+  int executor_workers = 1;
 
   // Admission bounds. max_pending_events is the per-tenant default and
   // also the hard cap on what a register request may ask for.

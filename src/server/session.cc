@@ -24,7 +24,7 @@ Result<std::unique_ptr<TenantSession>> TenantSession::Create(
 
   EngineOptions engine_options = config.engine;
   engine_options.tenant = name;
-  engine_options.num_threads = 1;  // serial unless the pool overrides
+  engine_options.num_threads = 1;  // when no shared pool is given
   // The strict analyzer is the admission gate: error-severity lint
   // diagnostics reject registration before any engine state exists.
   engine_options.analysis = AnalysisMode::kStrict;

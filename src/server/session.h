@@ -73,9 +73,9 @@ struct SessionConfig {
     engine.gather_statistics = true;
   }
 
-  // The tenant's engine, including the worker pool it dispatches to (null
-  // = serial engine). TenantSession::Create sets tenant, num_threads and
-  // analysis itself.
+  // The tenant's engine, including the worker pool it dispatches to (the
+  // server's shared pool; null = the engine owns a one-participant pool).
+  // TenantSession::Create sets tenant, num_threads and analysis itself.
   EngineOptions engine;
   PlanOptions plan;
 

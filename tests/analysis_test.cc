@@ -297,8 +297,6 @@ TEST(EngineAnalysisTest, CleanModelHasNoRetainedDiagnostics) {
 // ---- Ingest / IO code sharing (I4xx) ----------------------------------
 
 TEST(DiagnosticsTest, QuarantineReasonsMapOntoI4xxCodes) {
-  EXPECT_EQ(QuarantineDiagCode(QuarantineReason::kOutOfOrder),
-            DiagCode::kI401OutOfOrder);
   EXPECT_EQ(QuarantineDiagCode(QuarantineReason::kLateBeyondSlack),
             DiagCode::kI402LateBeyondSlack);
   EXPECT_EQ(QuarantineDiagCode(QuarantineReason::kUnknownType),

@@ -231,18 +231,24 @@ TEST(CaesardDrainSplitFuzz, RandomChunksMatchOneRun) {
   constexpr int kTrialsPerLeg = 100;
   std::uniform_int_distribution<size_t> chunk_size(1, 40);
   std::uniform_int_distribution<Timestamp> slack_dist(0, 4);
-  for (IngestPolicy policy : {IngestPolicy::kStrict, IngestPolicy::kDrop,
-                              IngestPolicy::kReorder}) {
+  // Strict, reorder with slack 0 (every late event dropped), and reorder
+  // with a random slack per trial.
+  struct Leg {
+    IngestPolicy policy;
+    bool random_slack;
+  };
+  for (const Leg& leg : {Leg{IngestPolicy::kStrict, false},
+                         Leg{IngestPolicy::kReorder, false},
+                         Leg{IngestPolicy::kReorder, true}}) {
+    const IngestPolicy policy = leg.policy;
     for (int threads : {1, 4}) {
-      auto pool = threads > 1 ? std::make_shared<ShardedExecutor>(threads)
-                              : nullptr;
+      auto pool = std::make_shared<ShardedExecutor>(threads);
       size_t leg_derived = 0;
       for (int trial = 0; trial < kTrialsPerLeg; ++trial) {
         SessionConfig config;
         config.engine.shared_executor = pool;
         config.engine.ingest_policy = policy;
-        config.engine.reorder_slack =
-            policy == IngestPolicy::kReorder ? slack_dist(rng) : 0;
+        config.engine.reorder_slack = leg.random_slack ? slack_dist(rng) : 0;
         auto created = TenantSession::Create("fuzz", kDrainModel, config);
         ASSERT_TRUE(created.ok()) << created.status();
         TenantSession& session = *created.value();
@@ -329,18 +335,19 @@ TEST(CaesardDrainSplitFuzz, RunnablePrefixTable) {
        {}, {1, 2, 2, 3, 3}, 3},
       {"strict: one open tick holds everything", IngestPolicy::kStrict, 0,
        {}, {4, 4}, 0},
-      {"drop: a straggler is not held", IngestPolicy::kDrop, 0, {},
-       {5, 3, 6}, 2},
-      {"drop: below the last processed tick is not held", IngestPolicy::kDrop,
-       0, {5}, {3, 7, 8}, 2},
+      {"reorder, slack 0: a straggler is not held", IngestPolicy::kReorder, 0,
+       {}, {5, 3, 6}, 2},
+      {"reorder, slack 0: below the last processed tick is not held",
+       IngestPolicy::kReorder, 0, {5}, {3, 7, 8}, 2},
       {"reorder: an in-slack straggler may still sort first",
        IngestPolicy::kReorder, 2, {}, {5, 3, 6}, 0},
       {"reorder: [7,8,6,10] with slack 2 cuts at 0", IngestPolicy::kReorder,
        2, {}, {7, 8, 6, 10}, 0},
       {"reorder: run what the watermark passed", IngestPolicy::kReorder, 2,
        {}, {1, 2, 3, 4, 5}, 2},
-      {"drop: a malformed event at a high time holds nothing back",
-       IngestPolicy::kDrop, 0, {}, {1, 2, kJunk, 3}, 3},
+      {"reorder, slack 0: a malformed event at a high time holds nothing "
+       "back",
+       IngestPolicy::kReorder, 0, {}, {1, 2, kJunk, 3}, 3},
       {"reorder: a malformed event at a high time holds nothing back",
        IngestPolicy::kReorder, 2, {}, {1, 2, kJunk, 3, 6}, 4},
       {"nothing pending", IngestPolicy::kReorder, 2, {}, {}, 0},

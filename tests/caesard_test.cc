@@ -349,19 +349,20 @@ TEST(CaesardMultiTenant, InterleavedTenantsMatchSoloRunsBitForBit) {
 
   // Tenant A: clean stream, strict policy.
   // Tenant B: the same stream with fault-injected garbage (unknown types
-  // and negative times), drop policy so the engine quarantines instead of
-  // rejecting. Separate connections, interleaved chunks.
+  // and negative times), reorder policy with slack 0 so the engine
+  // quarantines instead of rejecting. Separate connections, interleaved
+  // chunks.
   Client client_a(daemon.port());
   Client client_b(daemon.port());
   ASSERT_TRUE(client_a.connected() && client_b.connected());
 
   auto reg_a = client_a.Call(RegisterReq("alpha"));
   ASSERT_TRUE(reg_a.ok() && IsOk(reg_a.value()));
-  auto reg_b = client_b.Call(RegisterReq("beta", "drop"));
+  auto reg_b = client_b.Call(RegisterReq("beta", "reorder"));
   ASSERT_TRUE(reg_b.ok() && IsOk(reg_b.value()));
 
   Reference ref_a = Reference::Build("alpha", 2);
-  Reference ref_b = Reference::Build("beta", 2, IngestPolicy::kDrop);
+  Reference ref_b = Reference::Build("beta", 2, IngestPolicy::kReorder);
   ASSERT_NE(ref_a.engine, nullptr);
   ASSERT_NE(ref_b.engine, nullptr);
 
@@ -526,7 +527,7 @@ TEST(CaesardProtocol, LifecycleAndCodedErrors) {
 
   const JsonValue ping = CallOrFail(client, Req("ping"));
   ASSERT_TRUE(IsOk(ping)) << ping.Dump();
-  EXPECT_EQ(ping.Find("protocol")->int_value(), 2);
+  EXPECT_EQ(ping.Find("protocol")->int_value(), 3);
   EXPECT_EQ(ping.Find("deterministic"), nullptr);
   EXPECT_EQ(ping.Find("workers")->int_value(), 2);
 
@@ -567,6 +568,25 @@ TEST(CaesardProtocol, LifecycleAndCodedErrors) {
   opts.Set("no_such_knob", JsonValue::Bool(true));
   bad_option.Set("options", std::move(opts));
   EXPECT_EQ(ErrorCode(CallOrFail(client, bad_option)), "I423");
+
+  // Ingest policies: "drop" is retired (it was "reorder" with slack 0),
+  // and a slack under "strict" would be silently ignored, so both are bad
+  // requests that name what is wrong.
+  const JsonValue drop = CallOrFail(client, RegisterReq("t2", "drop"));
+  EXPECT_EQ(ErrorCode(drop), "I423");
+  ASSERT_NE(drop.Find("error"), nullptr) << drop.Dump();
+  const std::string drop_error = drop.Find("error")->string_value();
+  EXPECT_NE(drop_error.find("\"strict\""), std::string::npos) << drop_error;
+  EXPECT_NE(drop_error.find("\"reorder\""), std::string::npos) << drop_error;
+  EXPECT_EQ(drop_error.find("drop"), std::string::npos) << drop_error;
+  const JsonValue strict_slack =
+      CallOrFail(client, RegisterReq("t2", "strict", /*reorder_slack=*/3));
+  EXPECT_EQ(ErrorCode(strict_slack), "I423");
+  ASSERT_NE(strict_slack.Find("error"), nullptr) << strict_slack.Dump();
+  EXPECT_NE(strict_slack.Find("error")->string_value().find("reorder_slack"),
+            std::string::npos)
+      << strict_slack.Dump();
+  EXPECT_TRUE(IsOk(CallOrFail(client, RegisterReq("t2", "reorder", 3))));
 
   // poll is gone with the output buffer it read: an unknown cmd.
   const JsonValue poll = CallOrFail(client, Req("poll", "t1"));
@@ -646,6 +666,14 @@ int RunCaesardToExit(const std::string& args, std::string* output) {
 TEST(CaesardProtocol, DrainIntervalFlagIsAUsageError) {
   std::string output;
   EXPECT_EQ(RunCaesardToExit("--drain-interval-ms=5", &output), 2);
+  EXPECT_NE(output.find("usage:"), std::string::npos) << output;
+}
+
+// Every tenant runs on the shared pool, which has at least one
+// participant: the caller.
+TEST(CaesardProtocol, ZeroWorkersIsAUsageError) {
+  std::string output;
+  EXPECT_EQ(RunCaesardToExit("--workers=0", &output), 2);
   EXPECT_NE(output.find("usage:"), std::string::npos) << output;
 }
 

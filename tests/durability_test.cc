@@ -899,7 +899,11 @@ TEST(EngineDurabilityTest, VersionOneCommitSnapshotIsDataLoss) {
   v1.Bool(false);                             // drop high-water mark
   v1.I64(0);
   v1.Bool(false);                             // no reorder buffer
-  QuarantineSink(/*capacity=*/0).Save(&v1);
+  v1.I64(0);                                  // quarantine total
+  v1.U32(5);                                  // reason count
+  for (int i = 0; i < 5; ++i) v1.I64(0);      // per-reason counts
+  v1.U32(0);                                  // retained entries
+  v1.U32(0);                                  // partitions
   v1.F64(0.0);  // virtual clock
   v1.I64(0);    // last GC
   v1.Bool(true);
@@ -921,6 +925,52 @@ TEST(EngineDurabilityTest, VersionOneCommitSnapshotIsDataLoss) {
   EXPECT_EQ(recovered.status().code(), StatusCode::kDataLoss);
   EXPECT_NE(recovered.status().message().find(
                 "unsupported commit snapshot version 1"),
+            std::string::npos)
+      << recovered.status();
+}
+
+// Version 2 numbered the quarantine reasons from out_of_order, which is
+// gone: its reason bytes would land on the wrong reasons, so recovery
+// refuses it the same way.
+TEST(EngineDurabilityTest, VersionTwoCommitSnapshotIsDataLoss) {
+  auto w = MakeWorkload();
+  std::vector<EventBatch> batches = SplitByTicks(w->stream, 1);
+  ASSERT_FALSE(batches.empty());
+  const EventBatch& tick = batches[0];
+  const Timestamp time = tick.front()->time();
+
+  // The version-2 layout of a strict engine after that one tick: its
+  // quarantine still counted five reasons, out_of_order first.
+  StateWriter v2;
+  v2.U8(2);
+  v2.I64(static_cast<int64_t>(tick.size()));  // admitted
+  for (int i = 0; i < 4; ++i) v2.I64(0);      // reordered .. lateness
+  v2.I64(0);                                  // quarantine total
+  v2.U32(5);                                  // reason count
+  for (int i = 0; i < 5; ++i) v2.I64(0);      // per-reason counts
+  v2.U32(0);                                  // retained entries
+  v2.U32(0);                                  // partitions
+  v2.F64(0.0);  // virtual clock
+  v2.I64(0);    // last GC
+  v2.Bool(true);
+  v2.I64(time);  // last processed tick
+
+  std::string dir = ScratchDir("snapshot_v2");
+  {
+    DurabilityCounters counters;
+    auto writer = WalWriter::Open(WalOptions(dir), /*segment_seq=*/1,
+                                  &counters);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    AppendBatch(writer.value().get(), /*batch_seq=*/1, time, tick, v2.Take());
+  }
+
+  EngineOptions options;
+  options.durability = WalOptions(dir);
+  auto recovered = Engine::Recover(w->plan.Clone(), options);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(recovered.status().message().find(
+                "unsupported commit snapshot version 2"),
             std::string::npos)
       << recovered.status();
 }

@@ -2,8 +2,8 @@
 // execution (also under random skew at several widths), the calling thread
 // as participant 0, heaviest-first claim order, barrier correctness
 // (including empty dispatches), metric accounting, reuse across dispatches
-// and Run calls, clean shutdown, and identical metric structure across
-// worker counts.
+// and Run calls, clean shutdown, identical metric structure across worker
+// counts, and a 1-thread engine on a one-participant pool.
 
 #include "runtime/executor.h"
 
@@ -11,6 +11,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <map>
 #include <mutex>
 #include <numeric>
@@ -22,6 +25,8 @@
 #include "plan/translator.h"
 #include "query/parser.h"
 #include "runtime/engine.h"
+#include "runtime/observability.h"
+#include "server/wire.h"
 
 namespace caesar {
 namespace {
@@ -270,12 +275,45 @@ class ExecutorEngineTest : public ::testing::Test {
   TypeId reading_;
 };
 
-TEST_F(ExecutorEngineTest, SerialEngineHasNoPool) {
-  Engine engine(Plan(), EngineOptions());
-  EXPECT_EQ(engine.executor(), nullptr);
-  RunStats stats = engine.Run(Stream(0, 10)).value();
-  EXPECT_EQ(stats.parallel_ticks, 0);
-  EXPECT_EQ(stats.barrier_wait_seconds, 0.0);
+TEST_F(ExecutorEngineTest, SerialEngineRunsOnOneParticipantPool) {
+  EngineOptions options;
+  options.metrics = MetricsGranularity::kEngine;
+  Engine engine(Plan(), options);
+  ASSERT_NE(engine.executor(), nullptr);
+  EXPECT_EQ(engine.executor()->num_workers(), 1);
+
+  // One dispatch per non-empty Run, one task per partition; an empty Run
+  // dispatches nothing.
+  RunStats first = engine.Run(Stream(0, 10)).value();
+  EXPECT_EQ(first.parallel_ticks, 1);
+  EXPECT_EQ(first.parallel_tasks, 6);
+  EXPECT_EQ(first.shard_imbalance, 0);  // one participant ran everything
+  EXPECT_EQ(engine.Run({}).value().parallel_ticks, 0);
+  EXPECT_EQ(engine.Run(Stream(10, 20)).value().parallel_ticks, 1);
+  EXPECT_EQ(engine.executor()->metrics().dispatches, 2u);
+
+  // The non-deterministic export carries the pool, and the metrics-schema
+  // checker accepts it.
+  const std::string json = StatisticsToJson(engine.CollectStatistics());
+  Result<JsonValue> parsed = ParseJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  const JsonValue* executor = parsed.value().Find("executor");
+  ASSERT_NE(executor, nullptr) << json;
+  EXPECT_EQ(executor->Find("workers")->int_value(), 1);
+  EXPECT_EQ(executor->Find("dispatches")->int_value(), 2);
+
+  const std::string path =
+      ::testing::TempDir() + "executor_test_serial_metrics.json";
+  {
+    std::ofstream out(path);
+    out << "{\"benchmark\":\"executor_test\",\"schema_version\":1,"
+        << "\"runs\":[{\"label\":\"serial\",\"report\":" << json << "}]}";
+  }
+  const std::string command = std::string("python3 '") + CAESAR_TEST_SRCDIR +
+                              "/../tools/check_metrics_schema.py' '" + path +
+                              "'";
+  EXPECT_EQ(std::system(command.c_str()), 0) << command;
+  std::remove(path.c_str());
 }
 
 TEST_F(ExecutorEngineTest, WorkersCreatedOncePerEngineAndReusedAcrossRuns) {

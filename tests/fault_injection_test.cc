@@ -3,9 +3,9 @@
 // stream perturbed by bounded per-tick delay, replayed under
 // IngestPolicy::kReorder with reorder_slack >= the injected delay, derives
 // a byte-identical output sequence to the pristine stream under kStrict —
-// at 1, 2, 4 and 8 worker threads. Drop and quarantine behavior is
-// deterministic: counters match a replicated reference computation and are
-// identical across thread counts.
+// at 1, 2, 4 and 8 worker threads. Drop (slack 0) and quarantine behavior
+// is deterministic: counters match a replicated reference computation and
+// are identical across thread counts.
 
 #include "fault_injection.h"
 
@@ -109,8 +109,9 @@ void ExpectReorderRestoresStrictOutput(const ExecutablePlan& plan,
   }
 }
 
-// Drop policy under arbitrary local shuffles: survival is the running-max
-// rule, replicated here event by event; every thread count agrees.
+// Dropping (kReorder with slack 0) under arbitrary local shuffles: survival
+// is the running-max rule, replicated here event by event; every thread
+// count agrees.
 void ExpectDropPolicyIsDeterministic(const ExecutablePlan& plan,
                                      const EventBatch& pristine,
                                      const TypeRegistry& registry) {
@@ -141,14 +142,14 @@ void ExpectDropPolicyIsDeterministic(const ExecutablePlan& plan,
     SCOPED_TRACE("threads=" + std::to_string(num_threads));
     EngineOptions options;
     options.num_threads = num_threads;
-    options.ingest_policy = IngestPolicy::kDrop;
+    options.ingest_policy = IngestPolicy::kReorder;  // slack 0: drop late
     std::unique_ptr<Engine> engine;
     RunResult result = RunWith(plan, shuffled, registry, options, &engine);
 
     EXPECT_EQ(result.stats.events_dropped_late, expected_drops);
     EXPECT_EQ(result.stats.events_quarantined, expected_drops);
     EXPECT_EQ(result.stats.max_observed_lateness, expected_max_lateness);
-    EXPECT_EQ(engine->quarantine().count(QuarantineReason::kOutOfOrder),
+    EXPECT_EQ(engine->quarantine().count(QuarantineReason::kLateBeyondSlack),
               expected_drops);
     if (num_threads == 1) {
       reference = result;
@@ -197,7 +198,7 @@ void ExpectQuarantineCountsAreDeterministic(const ExecutablePlan& plan,
     SCOPED_TRACE("threads=" + std::to_string(num_threads));
     EngineOptions options;
     options.num_threads = num_threads;
-    options.ingest_policy = IngestPolicy::kDrop;
+    options.ingest_policy = IngestPolicy::kReorder;
     std::unique_ptr<Engine> engine;
     RunResult result = RunWith(plan, corrupted, registry, options, &engine);
 

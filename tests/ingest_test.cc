@@ -1,7 +1,7 @@
 // Unit tests of the graceful-degradation ingest layer: the bounded
-// QuarantineSink, EngineOptions validation, and the engine-level
-// drop/reorder/strict policies and their shared admission watermark on a
-// mini model.
+// QuarantineSink, EngineOptions validation, and the engine-level strict
+// and reorder policies (slack 0 drops every late event) and their
+// admission watermark on a mini model.
 
 #include <gtest/gtest.h>
 
@@ -24,11 +24,12 @@ EventPtr At(Timestamp t, int64_t tag = 0) {
 TEST(QuarantineSinkTest, CountersStayExactPastCapacity) {
   QuarantineSink sink(/*capacity=*/2);
   for (int i = 0; i < 5; ++i) {
-    sink.Add(At(i), QuarantineReason::kOutOfOrder, /*partition_key=*/i % 2);
+    sink.Add(At(i), QuarantineReason::kLateBeyondSlack,
+             /*partition_key=*/i % 2);
   }
   sink.Add(At(99), QuarantineReason::kUnknownType, /*partition_key=*/0);
   EXPECT_EQ(sink.total(), 6);
-  EXPECT_EQ(sink.count(QuarantineReason::kOutOfOrder), 5);
+  EXPECT_EQ(sink.count(QuarantineReason::kLateBeyondSlack), 5);
   EXPECT_EQ(sink.count(QuarantineReason::kUnknownType), 1);
   EXPECT_EQ(sink.count(QuarantineReason::kNegativeTime), 0);
   ASSERT_EQ(sink.entries().size(), 2u);  // only the head is retained
@@ -55,6 +56,18 @@ TEST(EngineOptionsTest, ValidateNamesTheOffendingField) {
   EXPECT_FALSE(bad_slack.ok());
   EXPECT_NE(bad_slack.message().find("reorder_slack"), std::string::npos)
       << bad_slack;
+
+  // A slack means nothing under kStrict, which rejects late input.
+  options = EngineOptions();
+  options.reorder_slack = 2;
+  Status strict_slack = options.Validate();
+  EXPECT_EQ(strict_slack.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(strict_slack.message().find("reorder_slack"), std::string::npos)
+      << strict_slack;
+  EXPECT_NE(strict_slack.message().find("kStrict"), std::string::npos)
+      << strict_slack;
+  options.ingest_policy = IngestPolicy::kReorder;
+  EXPECT_TRUE(options.Validate().ok());
 
   options = EngineOptions();
   options.accel = 0.0;
@@ -195,9 +208,10 @@ TEST_F(IngestEngineTest, StrictPolicyReturnsStatusOnMalformedEvent) {
       << run.status();
 }
 
+// kReorder with slack 0 drops what arrives late.
 TEST_F(IngestEngineTest, DropPolicyKeepsRunningMaxAndQuarantinesTheRest) {
   EngineOptions options;
-  options.ingest_policy = IngestPolicy::kDrop;
+  options.ingest_policy = IngestPolicy::kReorder;
   Engine engine(Plan(), options);
   EventBatch outputs;
   // t = 3 is older than the admitted high-water mark 5 -> dropped; the
@@ -212,7 +226,8 @@ TEST_F(IngestEngineTest, DropPolicyKeepsRunningMaxAndQuarantinesTheRest) {
   EXPECT_EQ(stats.events_quarantined, 1);
   EXPECT_EQ(stats.events_reordered, 0);
   EXPECT_EQ(stats.max_observed_lateness, 2);  // 5 - 3
-  EXPECT_EQ(engine.quarantine().count(QuarantineReason::kOutOfOrder), 1);
+  EXPECT_EQ(engine.quarantine().count(QuarantineReason::kLateBeyondSlack),
+            1);
   ASSERT_EQ(engine.quarantine().entries().size(), 1u);
   EXPECT_EQ(engine.quarantine().entries()[0].event->value(1).AsInt(), 3);
 
@@ -293,12 +308,12 @@ TEST_F(IngestEngineTest, FirstEventIsNeverLate) {
   // first event is admitted wherever the stream starts — far from 0, or at
   // 0, below where `0 - slack` would put a cut-off.
   for (Timestamp start : {Timestamp{0}, Timestamp{1000000}}) {
-    for (IngestPolicy policy : {IngestPolicy::kDrop, IngestPolicy::kReorder}) {
-      SCOPED_TRACE(std::string(IngestPolicyName(policy)) + " from " +
+    for (Timestamp slack : {Timestamp{0}, Timestamp{3}}) {
+      SCOPED_TRACE("slack " + std::to_string(slack) + " from " +
                    std::to_string(start));
       EngineOptions options;
-      options.ingest_policy = policy;
-      options.reorder_slack = 3;
+      options.ingest_policy = IngestPolicy::kReorder;
+      options.reorder_slack = slack;
       Engine engine(Plan(), options);
       EventBatch outputs;
       engine.Run({Reading(1, 1, start)}, &outputs).value();
@@ -377,7 +392,7 @@ TEST_F(IngestEngineTest, ReorderEmissionIsMonotoneUnderHeavyDisorder) {
 
 TEST_F(IngestEngineTest, MalformedEventsAreQuarantinedWithReasons) {
   EngineOptions options;
-  options.ingest_policy = IngestPolicy::kDrop;
+  options.ingest_policy = IngestPolicy::kReorder;
   Engine engine(Plan(), options);
   EventBatch outputs;
   EventBatch input = {
@@ -411,7 +426,7 @@ TEST_F(IngestEngineTest, MalformedEventsAreQuarantinedWithReasons) {
 
 TEST_F(IngestEngineTest, RunStatsToStringMentionsDegradation) {
   EngineOptions options;
-  options.ingest_policy = IngestPolicy::kDrop;
+  options.ingest_policy = IngestPolicy::kReorder;
   Engine engine(Plan(), options);
   RunStats stats =
       engine.Run({Reading(1, 1, 5), Reading(1, 2, 3)}).value();
@@ -422,10 +437,7 @@ TEST_F(IngestEngineTest, RunStatsToStringMentionsDegradation) {
 
 TEST(IngestNamesTest, PolicyAndReasonNamesAreStable) {
   EXPECT_STREQ(IngestPolicyName(IngestPolicy::kStrict), "strict");
-  EXPECT_STREQ(IngestPolicyName(IngestPolicy::kDrop), "drop");
   EXPECT_STREQ(IngestPolicyName(IngestPolicy::kReorder), "reorder");
-  EXPECT_STREQ(QuarantineReasonName(QuarantineReason::kOutOfOrder),
-               "out_of_order");
   EXPECT_STREQ(QuarantineReasonName(QuarantineReason::kLateBeyondSlack),
                "late_beyond_slack");
   EXPECT_STREQ(QuarantineReasonName(QuarantineReason::kUnknownType),

@@ -1,5 +1,5 @@
-// Tests for the IO module: CSV event stream round-tripping, the k-way
-// time-ordered merge, and DOT export of models and plans.
+// Tests for the IO module: CSV event stream round-tripping, the tolerant
+// reader's error paths, and DOT export of models and plans.
 
 #include <gtest/gtest.h>
 

@@ -239,17 +239,14 @@ BatchedRun RunInBatches(const ExecutablePlan& plan, const EventBatch& stream,
     }
     RunStats stats = engine.Run(batch, &outputs).value();
     dispatches += stats.parallel_ticks;
-    if (num_threads > 1) {
-      EXPECT_EQ(stats.parallel_ticks, 1);
-      EXPECT_EQ(stats.parallel_tasks,
-                gc_point ? stats.partitions
-                         : static_cast<int64_t>(touched.size()));
-    }
+    // Every width, 1 included, runs the Run as one pool dispatch.
+    EXPECT_EQ(stats.parallel_ticks, 1);
+    EXPECT_EQ(stats.parallel_tasks,
+              gc_point ? stats.partitions
+                       : static_cast<int64_t>(touched.size()));
   }
-  EXPECT_EQ(dispatches, num_threads > 1
-                            ? static_cast<int64_t>(
-                                  SplitByTicks(stream, ticks_per_run).size())
-                            : 0);
+  EXPECT_EQ(dispatches, static_cast<int64_t>(
+                            SplitByTicks(stream, ticks_per_run).size()));
   BatchedRun result;
   std::ostringstream derived;
   for (const EventPtr& event : outputs) {

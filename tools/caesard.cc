@@ -70,7 +70,7 @@ int Main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--deterministic") == 0) {
       // Accepted and ignored (see the file comment).
     } else if ((value = FlagValue(arg, "--workers")) != nullptr) {
-      if (!ParseIntFlag(value, 0, 256, &n)) return Usage(argv[0]);
+      if (!ParseIntFlag(value, 1, 256, &n)) return Usage(argv[0]);
       options.executor_workers = static_cast<int>(n);
     } else if ((value = FlagValue(arg, "--max-tenants")) != nullptr) {
       if (!ParseIntFlag(value, 1, 1 << 20, &n)) return Usage(argv[0]);
@@ -98,8 +98,7 @@ int Main(int argc, char** argv) {
   }
 
   std::fprintf(stderr, "caesard: listening on %s:%d (%d workers)\n",
-               options.host.c_str(), server.port(),
-               options.executor_workers > 1 ? options.executor_workers : 1);
+               options.host.c_str(), server.port(), options.executor_workers);
 
   if (!port_file.empty()) {
     // Written after listen(2) succeeded: a reader that sees the line can

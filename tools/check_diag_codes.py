@@ -16,7 +16,9 @@ Checks:
   * every analyzer-emitted code appears in at least one
     tests/lint_corpus/*.expected golden. Codes the analyzer cannot emit
     on a source file (runtime/ingest/server codes, and shapes the parser
-    rejects before analysis) are listed in EXEMPT with a reason.
+    rejects before analysis) are listed in EXEMPT with a reason;
+  * every EXEMPT entry names a code in the enum (a deleted code's
+    exemption fails too).
 
 Run from the repository root (CI runs it in the lint-smoke job):
     python3 tools/check_diag_codes.py
@@ -36,7 +38,6 @@ EXEMPT = {
     "P301": "needs > context-bitvector-width contexts; corpus keeps "
             "fixtures human-readable (covered by analysis_test)",
     "P304": "catch-all for translator failures with no stable message",
-    "I401": "runtime ingest quarantine code (fault-injection suite)",
     "I402": "runtime ingest quarantine code (fault-injection suite)",
     "I403": "runtime ingest quarantine code (fault-injection suite)",
     "I404": "runtime ingest quarantine code (fault-injection suite)",
@@ -125,6 +126,9 @@ def main():
             if f"[{code}]" in text:
                 pinned.add(code)
 
+    for code in sorted(set(EXEMPT) - seen):
+        errors.append(f"code {code} is EXEMPT but not in the DiagCode enum "
+                      f"— remove the exemption")
     for code in codes:
         if code in pinned and code in EXEMPT:
             errors.append(f"code {code} is EXEMPT but has a lint_corpus "
