@@ -3,9 +3,8 @@
 // one group commit) with durability off, WAL-only under each fsync policy,
 // and WAL+checkpoint, and reports throughput plus the durability counters.
 // Expectations: fsync=none costs only the serialization and buffered
-// writes (single-digit percent), fsync=batch adds one sync per Run,
-// fsync=always pays one sync per tick record and dominates, and the
-// checkpoint cadence adds state serialization on top of fsync=batch.
+// writes (single-digit percent), fsync=batch adds one sync per Run, and
+// the checkpoint cadence adds state serialization on top of fsync=batch.
 
 #include <unistd.h>
 
@@ -133,7 +132,6 @@ int Main(int argc, char** argv) {
       {"off", DurabilityMode::kOff, FsyncPolicy::kNone},
       {"wal/fsync=none", DurabilityMode::kWal, FsyncPolicy::kNone},
       {"wal/fsync=batch", DurabilityMode::kWal, FsyncPolicy::kBatch},
-      {"wal/fsync=always", DurabilityMode::kWal, FsyncPolicy::kAlways},
       {"wal+ckpt/fsync=batch", DurabilityMode::kWalCheckpoint,
        FsyncPolicy::kBatch},
   };

@@ -81,9 +81,8 @@ int main() {
                                              {"sec", ValueType::kInt}});
   TypeId logout = registry.RegisterOrGet(
       "Logout", {{"account", ValueType::kInt}, {"sec", ValueType::kInt}});
-  TypeId quiet_marker =
-      registry.RegisterOrGet("Quiet", {{"account", ValueType::kInt},
-                                       {"sec", ValueType::kInt}});
+  registry.RegisterOrGet("Quiet", {{"account", ValueType::kInt},
+                                   {"sec", ValueType::kInt}});
 
   Result<CaesarModel> model = ParseModel(kModel, &registry);
   if (!model.ok()) {

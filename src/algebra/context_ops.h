@@ -80,9 +80,6 @@ class ContextWindowOp : public Operator {
   const std::vector<int>& context_ids() const { return context_ids_; }
   const std::vector<int>& anchors() const { return anchors_; }
 
-  // Bit mask over context ids (for the router's AnyActive probe).
-  uint64_t context_mask() const { return mask_; }
-
  private:
   std::vector<int> context_ids_;
   std::vector<int> anchors_;  // parallel to context_ids_

@@ -14,44 +14,6 @@ const char* DurabilityModeName(DurabilityMode mode) {
   return "?";
 }
 
-bool ParseDurabilityMode(const std::string& name, DurabilityMode* out) {
-  if (name == "off") {
-    *out = DurabilityMode::kOff;
-  } else if (name == "wal") {
-    *out = DurabilityMode::kWal;
-  } else if (name == "wal+checkpoint") {
-    *out = DurabilityMode::kWalCheckpoint;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* FsyncPolicyName(FsyncPolicy policy) {
-  switch (policy) {
-    case FsyncPolicy::kNone:
-      return "none";
-    case FsyncPolicy::kBatch:
-      return "batch";
-    case FsyncPolicy::kAlways:
-      return "always";
-  }
-  return "?";
-}
-
-bool ParseFsyncPolicy(const std::string& name, FsyncPolicy* out) {
-  if (name == "none") {
-    *out = FsyncPolicy::kNone;
-  } else if (name == "batch") {
-    *out = FsyncPolicy::kBatch;
-  } else if (name == "always") {
-    *out = FsyncPolicy::kAlways;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 Status DurabilityOptions::Validate() const {
   if (mode == DurabilityMode::kOff) return Status::Ok();
   if (dir.empty()) {

@@ -7,10 +7,13 @@
 // returns OK is durable — its admitted events are in the WAL under a sealed
 // commit record (group commit, fsynced per FsyncPolicy), and recovery
 // restores the engine to the state after the last committed Run. A Run that
-// failed or never returned may or may not be durable (its commit record is
-// written while its batch is processed); the client re-submits its input
-// from durable_batch_seq() after Engine::Recover. Replay is deterministic, so the recovered engine's
-// downstream output is byte-identical to an uninterrupted run.
+// failed or never returned may or may not be durable (its records are
+// written while its batch is processed), and a failed one may leave its
+// batch in memory; the first WAL failure latches, so the engine refuses
+// every later Run and the client re-submits its input from
+// durable_batch_seq() after Engine::Recover. Replay is deterministic, so
+// the recovered engine's downstream output is byte-identical to an
+// uninterrupted run.
 
 #ifndef CAESAR_DURABILITY_DURABILITY_H_
 #define CAESAR_DURABILITY_DURABILITY_H_
@@ -33,20 +36,15 @@ enum class DurabilityMode : int8_t {
 };
 
 const char* DurabilityModeName(DurabilityMode mode);
-// Parses "off" / "wal" / "wal+checkpoint"; false on anything else.
-bool ParseDurabilityMode(const std::string& name, DurabilityMode* out);
 
 // When the WAL is flushed to stable storage. Group commit is the default:
-// one fsync per Run batch bounds the loss window to one uncommitted batch
-// without paying a sync per record.
+// one fsync per Run batch bounds the loss window to one uncommitted batch.
+// A per-record sync would add no durability: recovery replays only the
+// ticks a commit record seals, and the commit's fsync covers them all.
 enum class FsyncPolicy : int8_t {
   kNone = 0,  // rely on the page cache (process-crash durable only)
   kBatch,     // fsync once per committed Run batch
-  kAlways,    // fsync after every record
 };
-
-const char* FsyncPolicyName(FsyncPolicy policy);
-bool ParseFsyncPolicy(const std::string& name, FsyncPolicy* out);
 
 // Test-only crash injection: invoked at named points of the write path
 // ("wal_append", "wal_commit", "checkpoint_write", "checkpoint_publish").
@@ -54,8 +52,11 @@ bool ParseFsyncPolicy(const std::string& name, FsyncPolicy* out);
 // on-disk state (a half-written record, an unpublished tmp checkpoint) and
 // fail the operation with DataLoss — an in-process SIGKILL equivalent the
 // crash-recovery harness can aim at any byte of the protocol. Inside
-// Engine::Run the WAL points fire on the engine's log thread and the
-// checkpoint points on the thread calling Run, never both at once.
+// Engine::Run the WAL points fire on the engine's log thread while the
+// calling thread distributes, dispatches and merges the batch (so a hook
+// sharing state with a tick observer must synchronize), and the
+// checkpoint points on the thread calling Run after the log thread is
+// done; never both at once.
 using CrashHook = std::function<bool(std::string_view point)>;
 
 struct DurabilityOptions {

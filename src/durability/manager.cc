@@ -149,23 +149,14 @@ WalLogThread::~WalLogThread() {
   thread_.join();
 }
 
-void WalLogThread::PostAppend(const std::vector<WalTick>& ticks) {
+void WalLogThread::Post(const std::vector<WalTick>& ticks,
+                        std::string snapshot) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     CAESAR_CHECK(!busy_) << "WalLogThread: a job is already in flight";
     ticks_.assign(ticks.begin(), ticks.end());
-    job_ = Job::kAppend;
-    busy_ = true;
-  }
-  cv_.notify_one();
-}
-
-void WalLogThread::PostCommit(std::string snapshot) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    CAESAR_CHECK(!busy_) << "WalLogThread: a job is already in flight";
     snapshot_ = std::move(snapshot);
-    job_ = Job::kCommit;
+    posted_ = true;
     busy_ = true;
   }
   cv_.notify_one();
@@ -185,25 +176,20 @@ void WalLogThread::Loop() {
   std::vector<WalTick> ticks;
   std::string snapshot;
   while (true) {
-    Job job = Job::kNone;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      while (job_ == Job::kNone && !shutdown_) cv_.wait(lock);
-      if (job_ == Job::kNone) return;  // shut down with nothing posted
-      job = job_;
-      job_ = Job::kNone;
+      while (!posted_ && !shutdown_) cv_.wait(lock);
+      if (!posted_) return;  // shut down with nothing posted
+      posted_ = false;
       ticks.swap(ticks_);
       snapshot.swap(snapshot_);
     }
     Status status;
-    if (job == Job::kAppend) {
-      for (const WalTick& tick : ticks) {
-        status = manager_->AppendTick(tick.time, tick.events, tick.num_events);
-        if (!status.ok()) break;
-      }
-    } else {
-      status = manager_->CommitBatch(snapshot);
+    for (const WalTick& tick : ticks) {
+      status = manager_->AppendTick(tick.time, tick.events, tick.num_events);
+      if (!status.ok()) break;
     }
+    if (status.ok()) status = manager_->CommitBatch(snapshot);
     {
       std::lock_guard<std::mutex> lock(mu_);
       result_ = std::move(status);

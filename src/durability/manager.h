@@ -63,9 +63,8 @@ class DurabilityManager {
   // durable_batch_seq() stays where the failure left it; reopen the
   // directory with Engine::Recover to continue.
 
-  // WAL-append of one tick's admitted events (write-ahead: called before
-  // the tick is processed). Fails under kAlways fsync errors or an armed
-  // crash hook.
+  // WAL-append of one tick's admitted events. Fails on a write error or
+  // an armed crash hook.
   Status AppendTick(Timestamp t, const EventPtr* events, size_t n);
 
   // Seals the current Run batch with the engine's ingest snapshot and
@@ -118,12 +117,13 @@ struct WalTick {
 };
 
 // One persistent thread doing a DurabilityManager's WAL writes while the
-// engine works: the engine posts a job, does its own work, then Waits for
-// the job's status. One job is in flight at a time, and between a Post and
-// its Wait only the log thread touches the manager; the slot's mutex
-// orders every manager access across the hand-off, so the manager itself
-// needs no lock. The crash hook (DurabilityOptions::crash_hook) fires on
-// this thread for the points the jobs pass.
+// engine works: the engine posts a logged Run's one job, processes the
+// batch, then Waits for the job's status. One job is in flight at a time,
+// and between a Post and its Wait only the log thread touches the manager;
+// the slot's mutex orders every manager access across the hand-off, so the
+// manager itself needs no lock. The crash hook
+// (DurabilityOptions::crash_hook) fires on this thread for the WAL points
+// the job passes.
 class WalLogThread {
  public:
   // Starts the thread. `manager` must outlive this object.
@@ -134,26 +134,23 @@ class WalLogThread {
   WalLogThread(const WalLogThread&) = delete;
   WalLogThread& operator=(const WalLogThread&) = delete;
 
-  // Starts AppendTick for every tick in order, stopping at the first
-  // failure. The slot keeps its own copy of the spans.
-  void PostAppend(const std::vector<WalTick>& ticks);
-  // Starts CommitBatch(snapshot): the commit record, the fsync under
-  // FsyncPolicy::kBatch, and the size rotation.
-  void PostCommit(std::string snapshot);
+  // Starts one batch's WAL writes: AppendTick for every tick in order,
+  // stopping at the first failure, then CommitBatch(snapshot) — the commit
+  // record, the fsync under FsyncPolicy::kBatch, and the size rotation.
+  // The slot keeps its own copy of the spans.
+  void Post(const std::vector<WalTick>& ticks, std::string snapshot);
   // Blocks until the posted job has finished and returns its status.
   Status Wait();
 
  private:
-  enum class Job : int8_t { kNone = 0, kAppend, kCommit };
-
   void Loop();
 
   DurabilityManager* const manager_;
 
   std::mutex mu_;
   std::condition_variable cv_;  // one waiter at a time: the other side
-  Job job_ CAESAR_GUARDED_BY(mu_) = Job::kNone;  // posted, not yet taken
-  bool busy_ CAESAR_GUARDED_BY(mu_) = false;     // posted or running
+  bool posted_ CAESAR_GUARDED_BY(mu_) = false;  // posted, not yet taken
+  bool busy_ CAESAR_GUARDED_BY(mu_) = false;    // posted or running
   bool shutdown_ CAESAR_GUARDED_BY(mu_) = false;
   std::vector<WalTick> ticks_ CAESAR_GUARDED_BY(mu_);
   std::string snapshot_ CAESAR_GUARDED_BY(mu_);

@@ -196,9 +196,6 @@ Status WalWriter::Append(std::string_view payload,
   segment_offset_ += framed.size();
   ++counters_->wal_records;
   counters_->wal_bytes += static_cast<int64_t>(framed.size());
-  if (options_.fsync == FsyncPolicy::kAlways) {
-    CAESAR_RETURN_IF_ERROR(Sync());
-  }
   return Status::Ok();
 }
 

@@ -8,17 +8,20 @@
 //
 // Record payloads start with a one-byte type tag:
 //   kWalRecordTick   [u64 batch_seq][i64 tick][u32 n][n x event]
-//       The admitted events of one scheduler tick, in time order,
-//       written before the tick is processed (write-*ahead*).
+//       The admitted events of one scheduler tick, in time order. They
+//       are written while the batch is processed and count only once a
+//       commit record seals them (write-*ahead* per batch).
 //   kWalRecordCommit [u64 batch_seq][engine-defined snapshot bytes]
 //       Seals one Run batch (group commit). Only ticks covered by a commit
 //       record are replayed on recovery; an unsealed suffix belongs to a Run
 //       that never returned OK and is discarded.
 //
-// A batch may span segment rotations. Recovery scans segments in sequence
-// order, truncates a torn or corrupt tail at the last valid record boundary
-// (I410 / I412), and skips records at or below the recovery horizon (I413,
-// e.g. a duplicated tail record).
+// A batch never spans a segment rotation: the writer rotates only after a
+// commit (size threshold) or at a checkpoint, so under FsyncPolicy::kBatch
+// the commit's one fsync makes every record of its batch durable.
+// Recovery scans segments in sequence order, truncates a torn or corrupt
+// tail at the last valid record boundary (I410 / I412), and skips records
+// at or below the recovery horizon (I413, e.g. a duplicated tail record).
 
 #ifndef CAESAR_DURABILITY_WAL_H_
 #define CAESAR_DURABILITY_WAL_H_
@@ -65,7 +68,7 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  // Writes one framed record; fsyncs under FsyncPolicy::kAlways. The crash
+  // Writes one framed record (no fsync: Sync seals a batch). The crash
   // hook is consulted with `crash_point` first — when it fires, a torn
   // prefix of the record is left on disk and DataLoss is returned.
   Status Append(std::string_view payload, std::string_view crash_point);

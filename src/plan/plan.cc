@@ -25,7 +25,6 @@ CompiledQuery CompiledQuery::Clone() const {
   clone.name = name;
   clone.deriving = deriving;
   clone.contexts = contexts;
-  clone.context_mask = context_mask;
   clone.anchors = anchors;
   clone.input_types = input_types;
   clone.output_type = output_type;

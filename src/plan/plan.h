@@ -42,7 +42,6 @@ struct CompiledQuery {
   // window-transition bookkeeping (history reset); the cost gating itself is
   // done by the ContextWindow operator inside `chain`.
   std::vector<int> contexts;
-  uint64_t context_mask = 0;
   // History anchors parallel to `contexts`: partial matches and complex
   // events of this query may span back to the anchor window's activation
   // time (identity when the query's windows are not grouped).

@@ -154,7 +154,6 @@ class QueryTranslator {
       int id = model_.ContextIndex(context);
       CAESAR_CHECK_GE(id, 0);
       compiled.contexts.push_back(id);
-      compiled.context_mask |= uint64_t{1} << id;
     }
     if (query.context_anchors.empty()) {
       compiled.anchors = compiled.contexts;  // identity

@@ -547,21 +547,21 @@ Result<RunStats> Engine::Run(const EventBatch& raw_input,
   }
   const EventBatch& input = *effective;
 
-  // Write-ahead: every tick of the batch hits the log before any partition,
-  // context or operator state mutates. The log thread appends while this
-  // thread distributes, which only creates partitions and fills the batch
-  // scratch; a failed append (disk error, injected crash) drops what the
-  // distribution created and aborts the Run with this batch uncommitted
-  // and the engine as it was — recovery discards the unsealed records.
+  // The plan fixes the admission floor and the GC clock, so every field of
+  // the commit snapshot is final before any partition state mutates (the
+  // virtual clock, wall-clock telemetry, keeps its batch-start value). One
+  // job hands the log thread the tick records and the commit that seals
+  // them (group commit, fsync per the policy); it writes them while this
+  // thread distributes, dispatches and merges.
   PlanBatch(input);
+  if (!gc_points_.empty()) {
+    last_gc_ = batch_ticks_[gc_points_.back().tick].time;
+  }
+  if (!batch_ticks_.empty()) {
+    last_processed_tick_ = batch_ticks_.back().time;
+    any_tick_processed_ = true;
+  }
   const bool logging = durability_ != nullptr && !replaying_;
-  auto wait_for_log = [&]() {
-    CAESAR_TRACE_SPAN("wal_wait");
-    Stopwatch wait_watch;
-    Status status = log_thread_->Wait();
-    stats.wal_wait_seconds += wait_watch.ElapsedSeconds();
-    return status;
-  };
   if (logging) {
     if (log_thread_ == nullptr) {
       log_thread_ = std::make_unique<WalLogThread>(durability_.get());
@@ -571,31 +571,12 @@ Result<RunStats> Engine::Run(const EventBatch& raw_input,
       wal_ticks_.push_back(
           {tick.time, input.data() + tick.first_event, tick.num_events});
     }
-    log_thread_->PostAppend(wal_ticks_);
+    log_thread_->Post(wal_ticks_, SerializeIngestSnapshot());
   }
   {
     CAESAR_TRACE_SPAN("distribute");
     DistributeBatch(input);
   }
-  if (logging) {
-    Status appended = wait_for_log();
-    if (!appended.ok()) {
-      DiscardBatch();
-      return appended;
-    }
-  }
-  if (!gc_points_.empty()) {
-    last_gc_ = batch_ticks_[gc_points_.back().tick].time;
-  }
-  if (!batch_ticks_.empty()) {
-    last_processed_tick_ = batch_ticks_.back().time;
-    any_tick_processed_ = true;
-  }
-  // Group commit: one commit record seals the whole batch (fsync per the
-  // policy). Everything it snapshots is final here except the virtual
-  // clock, wall-clock telemetry that keeps its batch-start value; the log
-  // thread writes it while the batch is processed.
-  if (logging) log_thread_->PostCommit(SerializeIngestSnapshot());
 
   // One dispatch runs the whole batch: whichever participant claims a
   // partition's run executes all of its transactions in tick order. A
@@ -604,23 +585,32 @@ Result<RunStats> Engine::Run(const EventBatch& raw_input,
   const ExecutorMetrics exec_before = executor_->metrics();
   if (!task_runs_.empty()) {
     CAESAR_TRACE_SPAN("dispatch");
-    Stopwatch dispatch_watch;
     executor_->Execute(task_runs_.size(), task_weights_.data(),
                        [&](size_t i, int worker) {
                          TraceScope worker_trace(trace_.get());
                          ProcessPartitionRun(task_runs_[i], worker);
                        });
-    stats.cpu_seconds = dispatch_watch.ElapsedSeconds();
+    stats.cpu_seconds = executor_->metrics().barrier_wait.sum() -
+                        exec_before.barrier_wait.sum();
     if (tick_telemetry) {
       tick_metrics_.barrier_wait_seconds.Add(stats.cpu_seconds);
     }
   }
   MergeBatch(outputs, &stats);
 
-  // The Run returns OK only once its commit is durable; then the
-  // checkpoint cadence gets its chance at the boundary.
+  // The Run returns OK only once its commit is durable. A failed append or
+  // commit leaves this batch in memory and unsealed in the log; the
+  // manager has latched, so every later Run is refused until Recover.
+  // Then the checkpoint cadence gets its chance at the boundary.
   if (logging) {
-    CAESAR_RETURN_IF_ERROR(wait_for_log());
+    Status logged;
+    {
+      CAESAR_TRACE_SPAN("wal_wait");
+      Stopwatch wait_watch;
+      logged = log_thread_->Wait();
+      stats.wal_wait_seconds = wait_watch.ElapsedSeconds();
+    }
+    CAESAR_RETURN_IF_ERROR(logged);
     if (tick_telemetry) {
       tick_metrics_.wal_wait_seconds.Add(stats.wal_wait_seconds);
     }
@@ -639,8 +629,7 @@ Result<RunStats> Engine::Run(const EventBatch& raw_input,
   stats.parallel_tasks = static_cast<int64_t>(exec.tasks - exec_before.tasks);
   stats.shard_imbalance =
       static_cast<int64_t>(exec.imbalance - exec_before.imbalance);
-  stats.barrier_wait_seconds =
-      exec.barrier_wait.sum() - exec_before.barrier_wait.sum();
+  stats.barrier_wait_seconds = stats.cpu_seconds;
   stats.events_reordered = ingest_metrics_.reordered - ingest_before.reordered;
   stats.events_dropped_late =
       ingest_metrics_.dropped_late - ingest_before.dropped_late;
@@ -711,7 +700,6 @@ void Engine::DistributeBatch(const EventBatch& input) {
   // partition's first event of each tick.
   ++batch_seq_;
   num_runs_ = 0;
-  created_partitions_.clear();
   for (size_t k = 0; k < batch_ticks_.size(); ++k) {
     BatchTick& tick = batch_ticks_[k];
     for (size_t e = tick.first_event; e < tick.first_event + tick.num_events;
@@ -719,9 +707,8 @@ void Engine::DistributeBatch(const EventBatch& input) {
       const size_t known = partitions_.size();
       PartitionState* partition =
           GetOrCreatePartition(PartitionKeyOf(*input[e]));
-      const bool created = partitions_.size() > known;
-      if (created) created_partitions_.push_back(partition->key);
-      PartitionRun& run = ClaimRun(partition, created ? k : 0);
+      PartitionRun& run =
+          ClaimRun(partition, partitions_.size() > known ? k : 0);
       if (run.transactions.empty() || run.transactions.back().tick != k) {
         Transaction txn;
         txn.tick = static_cast<uint32_t>(k);
@@ -773,16 +760,6 @@ void Engine::DistributeBatch(const EventBatch& input) {
           r, static_cast<uint32_t>(x)};
     }
   }
-}
-
-void Engine::DiscardBatch() {
-  for (size_t r = 0; r < num_runs_; ++r) {
-    runs_[r].events.clear();
-    runs_[r].transactions.clear();
-  }
-  num_runs_ = 0;
-  for (uint64_t key : created_partitions_) partitions_.erase(key);
-  created_partitions_.clear();
 }
 
 void Engine::MergeBatch(EventBatch* outputs, RunStats* stats) {

@@ -18,15 +18,15 @@
 // windows of one original window they are retained, expiring one grouped
 // window behind (Section 6.2).
 //
-// Batch execution is partition-major: Run logs the whole admitted batch
-// ahead, distributes it once into per-partition, time-ordered event runs,
+// Batch execution is partition-major: Run hands the whole admitted batch
+// to the log, distributes it once into per-partition, time-ordered event runs,
 // and lets each partition execute all of its transactions of the batch in
 // tick order — in one worker-pool dispatch. Partitions share no state, so
 // this equals tick-by-tick execution; the derived batches are merged by
 // (time stamp, partition key) afterwards, which is exactly the tick-major
 // order. With durability on, a log thread writes the batch's WAL records
-// while the scheduler distributes, and its commit record while the batch is
-// processed (see Run).
+// and the commit record that seals them while the scheduler distributes,
+// dispatches and merges the batch (see Run).
 //
 // Latency model: the processing cost of a time stamp is the summed measured
 // wall time of its stream transactions; arrival times derive from
@@ -177,7 +177,9 @@ struct RunStats {
   double mean_latency = 0.0;
 
   // Wall time of the Run's partition dispatch: every stream transaction
-  // and GC point of the batch (0 for an empty batch).
+  // and GC point of the batch (0 for an empty batch). The pool's clock
+  // (ExecutorMetrics::barrier_wait) times it; barrier_wait_seconds is the
+  // same sample.
   double cpu_seconds = 0.0;
   // Operator work units (see OpExecContext).
   uint64_t ops_executed = 0;
@@ -199,7 +201,7 @@ struct RunStats {
   // counts are even; it depends on which participant claimed which run),
   // and `barrier_wait_seconds` the dispatch's wall time on the scheduler
   // thread, which runs its own claimed runs and then waits for the other
-  // participants.
+  // participants (equal to cpu_seconds).
   int64_t parallel_ticks = 0;
   int64_t parallel_tasks = 0;
   int64_t shard_imbalance = 0;
@@ -227,9 +229,9 @@ struct RunStats {
   int64_t wal_bytes = 0;
   int64_t fsyncs = 0;
   int64_t checkpoints_written = 0;
-  // Wall time the Run blocked on the log thread: the wait for the tick
-  // records before the dispatch plus the wait for the commit after the
-  // merge (0 when durability is off).
+  // Wall time the Run blocked on the log thread: its one wait, after the
+  // merge, for the tick records and the commit that seals them (0 when
+  // durability is off).
   double wal_wait_seconds = 0.0;
 
   std::string ToString() const;
@@ -293,16 +295,16 @@ class Engine {
   //
   // With durability on, the WAL I/O runs on a per-engine log thread,
   // started by the first logged Run and joined by the destructor:
-  //  1. ingest, then plan the batch's ticks and GC points;
-  //  2. the log thread appends the tick records while this thread
-  //     distributes the batch;
-  //  3. this thread waits for the append — on failure it drops the
-  //     partitions the distribution created and returns, leaving the
-  //     engine as it was;
-  //  4. this thread serializes the commit snapshot; the log thread writes
-  //     the commit record, fsyncs and rotates while the batch is
-  //     dispatched and merged;
-  //  5. Run waits for the commit, writes a due checkpoint, and returns.
+  //  1. ingest, then plan the batch's ticks and GC points and advance the
+  //     admission floor and the GC clock;
+  //  2. serialize the commit snapshot and post one job: the log thread
+  //     appends the tick records, stops at the first failure, and
+  //     otherwise writes the commit record, fsyncs and rotates, while this
+  //     thread distributes, dispatches and merges the batch;
+  //  3. wait for the job once, write a due checkpoint, and return.
+  // A failed append or commit fails the Run and may leave its batch in
+  // memory (and its derived events in `outputs`); the WAL latches, so
+  // every later Run is refused until Engine::Recover.
   Result<RunStats> Run(const EventBatch& input,
                        EventBatch* outputs = nullptr);
 
@@ -400,16 +402,12 @@ class Engine {
 
   // Slices the admitted batch into ticks (batch_ticks_) and plans the GC
   // points that follow them (gc_points_) from last_gc_, which it leaves
-  // alone.
+  // alone (Run advances it).
   void PlanBatch(const EventBatch& input);
 
   // Distributes the batch into per-partition runs, creating partitions on
   // the scheduler thread; fills the task order and the merge order.
   void DistributeBatch(const EventBatch& input);
-
-  // Undoes DistributeBatch when the batch's WAL append failed: drops the
-  // partitions it created and clears its runs.
-  void DiscardBatch();
 
   // The run slot of `partition` in this batch, claimed on first use.
   // `first_tick` is the batch tick a new partition first appears at.
@@ -449,8 +447,9 @@ class Engine {
   // The per-batch commit snapshot: the ingest counters, the quarantine
   // sink, the virtual clock and the last processed tick (the admission
   // floor) — what replay cannot re-derive from the admitted events of a
-  // checkpoint's suffix alone. Run takes it after distribution, before the
-  // dispatch, so the virtual clock in it holds its batch-start value.
+  // checkpoint's suffix alone. Run takes it after planning the batch,
+  // before the distribution, so the virtual clock in it holds its
+  // batch-start value.
   std::string SerializeIngestSnapshot() const;
   Status RestoreIngestSnapshot(std::string_view snapshot);
   // The full checkpoint payload: the commit snapshot plus every
@@ -540,8 +539,6 @@ class Engine {
   // GC wall time of run r at GC point g: gc_seconds_[r * gc_points + g].
   std::vector<double> gc_seconds_;
   uint64_t batch_seq_ = 0;  // tags partitions claimed by the current batch
-  // Keys of the partitions the current batch's distribution created.
-  std::vector<uint64_t> created_partitions_;
   // Task order (partition key ascending) with its weights (event counts)
   // for the pool.
   std::vector<uint32_t> task_runs_;

@@ -28,6 +28,8 @@ ShardedExecutor::~ShardedExecutor() {
 
 void ShardedExecutor::Execute(size_t count, const uint64_t* weights,
                               const Task& task) {
+  // The dispatch's wall time on the scheduler thread, claim order included.
+  Stopwatch wait;
   // Claim order, built once on the scheduler thread (workers are idle
   // between epochs): heaviest first, ties in index order. The buffer is a
   // member and keeps its capacity, so the hot path allocates nothing per
@@ -46,7 +48,6 @@ void ShardedExecutor::Execute(size_t count, const uint64_t* weights,
   // A single task (or none) is the caller's alone: waking workers would
   // only add latency.
   const bool wake = !workers_.empty() && count > 1;
-  Stopwatch wait;
   if (wake) {
     {
       std::lock_guard<std::mutex> lock(mu_);

@@ -75,8 +75,9 @@ struct ExecutorMetrics {
   // pathological run".
   Pow2Histogram imbalance_per_dispatch;
   // Wall time of each dispatch on the scheduler thread (count =
-  // dispatches, max = slowest dispatch): its own claimed tasks plus the
-  // wait for the other participants to finish theirs.
+  // dispatches, max = slowest dispatch): the claim-order sort, its own
+  // claimed tasks, and the wait for the other participants to finish
+  // theirs.
   RunningStats barrier_wait;
 };
 

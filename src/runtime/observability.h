@@ -283,7 +283,7 @@ class TraceScope {
 
 // RAII span: measures from construction to destruction and reports into the
 // thread's current recorder. With no recorder installed the cost is one
-// thread-local load; compile out entirely with -DCAESAR_DISABLE_TRACING.
+// thread-local load.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name)
@@ -307,16 +307,10 @@ class TraceSpan {
 
 #define CAESAR_TRACE_CONCAT_INNER(a, b) a##b
 #define CAESAR_TRACE_CONCAT(a, b) CAESAR_TRACE_CONCAT_INNER(a, b)
-#ifdef CAESAR_DISABLE_TRACING
-#define CAESAR_TRACE_SPAN(name) \
-  do {                          \
-  } while (false)
-#else
 // Opens a span named `name` (a string literal) lasting until the end of the
 // enclosing scope.
 #define CAESAR_TRACE_SPAN(name) \
   ::caesar::TraceSpan CAESAR_TRACE_CONCAT(caesar_trace_span_, __LINE__)(name)
-#endif
 
 // ---------------------------------------------------------------------------
 // Snapshot exporters

@@ -64,7 +64,9 @@ TEST(ShardedExecutorTest, CallingThreadRunsTasksAsWorkerZero) {
       EXPECT_EQ(worker == 0, std::this_thread::get_id() == caller);
       auto [it, inserted] =
           thread_of.emplace(worker, std::this_thread::get_id());
-      if (!inserted) EXPECT_EQ(it->second, std::this_thread::get_id());
+      if (!inserted) {
+        EXPECT_EQ(it->second, std::this_thread::get_id());
+      }
     });
   }
   std::map<std::thread::id, int> distinct;
@@ -217,7 +219,9 @@ TEST(ShardedExecutorTest, ExecutesEveryTaskExactlyOnceUnderSkew) {
     EXPECT_EQ(m.imbalance_per_dispatch.sum(), m.imbalance);
     EXPECT_EQ(m.barrier_wait.count(), kDispatches);
     EXPECT_LE(m.imbalance, total_weight);
-    if (workers == 1) EXPECT_EQ(m.imbalance, 0u);
+    if (workers == 1) {
+      EXPECT_EQ(m.imbalance, 0u);
+    }
   }
 }
 

@@ -14,7 +14,8 @@ durability on/off runs and the parallel scaling rows it must carry.
 
 Files carrying a top-level "scaling_schema_version" key (--scaling-out from
 bench_parallel_scaling) are validated as scaling rows: identical derived
-counts across thread counts, and, when the recording machine had >= 4
+counts across thread counts, one pool dispatch per measured Run at every
+thread count (1 included), and, when the recording machine had >= 4
 hardware threads, a >= 1.5x Run wall-clock speedup at 4 threads.
 
 Usage: check_metrics_schema.py FILE [FILE ...]
@@ -269,7 +270,7 @@ def check_scaling(doc):
     expect(len(derived) == 1,
            f"derived counts differ across thread counts: {sorted(derived)}")
     # One dispatch per Run: the measured Run is a single pool dispatch.
-    for row in rows[1:]:
+    for row in rows:
         expect(row["dispatches"] == 1,
                f"{row['threads']} threads: {row['dispatches']} dispatches "
                "for one Run")
