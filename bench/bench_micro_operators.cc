@@ -1,6 +1,7 @@
 // Micro-benchmarks of the CAESAR algebra operators and runtime primitives
 // (google-benchmark): per-event costs of filter, projection, sequence
-// matching (with and without pushed predicates), sliding aggregation, the
+// matching (with and without pushed predicates, and a keyed leading
+// negation over a varying number of distinct keys), sliding aggregation, the
 // context bit vector, and expression evaluation. These numbers ground the
 // cost model's relative unit costs.
 
@@ -8,6 +9,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bench_util.h"
 
@@ -146,6 +148,41 @@ void BM_SeqPatternUnpushed(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * fx.batch_.size());
 }
 BENCHMARK(BM_SeqPatternUnpushed);
+
+// SEQ(NOT R a, R b) WITHIN 64 WHERE a.value = b.value over a stream whose
+// `value` takes range(0) distinct keys, fed one tick (one event) per
+// Process call as the engine does: every b probes the ~64 buffered
+// reports, of which about one in range(0) shares its key.
+void BM_SeqPatternLeadingNegation(benchmark::State& state) {
+  OperatorBench& fx = Fixture();
+  BindingSet bindings;
+  bindings.Add({"a", fx.type_, &fx.registry_.type(fx.type_).schema});
+  bindings.Add({"b", fx.type_, &fx.registry_.type(fx.type_).schema});
+  auto config = std::make_shared<PatternOpConfig>();
+  config->positions.push_back(
+      {fx.type_, true, {fx.Predicate("a.value = b.value", bindings)}});
+  config->positions.push_back({fx.type_, false, {}});
+  config->within = 64;
+  config->output_type = fx.type_;
+  config->description = "SEQ(NOT R a, R b)";
+  const auto automaton = CompilePattern(config);
+  Rng rng(11);
+  std::vector<EventBatch> ticks;
+  for (Timestamp t = 0; t < 4096; ++t) {
+    ticks.push_back({MakeEvent(fx.type_, t,
+                               {Value(int64_t{1}),
+                                Value(rng.Uniform(0, state.range(0) - 1)),
+                                Value(t)})});
+  }
+  for (auto _ : state) {
+    CompiledPatternOp seq(automaton);
+    EventBatch out;
+    for (const EventBatch& tick : ticks) seq.Process(tick, &out, &fx.ctx_);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() * ticks.size());
+}
+BENCHMARK(BM_SeqPatternLeadingNegation)->Arg(1)->Arg(16)->Arg(256);
 
 void BM_AggregateOp(benchmark::State& state) {
   OperatorBench& fx = Fixture();

@@ -35,7 +35,7 @@ class Flags {
       }
       size_t eq = arg.find('=');
       if (eq == std::string::npos) {
-        values_[arg.substr(2)] = "1";
+        values_[arg.substr(2)] = std::string(1, '1');
       } else {
         values_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
       }

@@ -36,6 +36,12 @@ std::string TypeName(const TypeRegistry& registry, TypeId id) {
   return registry.type(id).name;
 }
 
+void DumpKey(const EqualityKey& key, std::ostringstream& os) {
+  if (!key.valid()) return;
+  os << "    key: " << key.conjunct->ToString() << "  stored slot "
+     << key.stored_slot << ", probe slot " << key.probe_slot << "\n";
+}
+
 }  // namespace
 
 std::string CompiledAutomaton::DumpText(const TypeRegistry& registry) const {
@@ -67,6 +73,7 @@ std::string CompiledAutomaton::DumpText(const TypeRegistry& registry) const {
       os << "    pruned #" << predicate.config_index << ": ("
          << predicate.expr->ToString() << ")  [implied by earlier guards]\n";
     }
+    DumpKey(t.key, os);
     if (dead_transition == static_cast<int>(s)) {
       os << "    dead: no event can pass this transition (absint)\n";
     }
@@ -85,6 +92,7 @@ std::string CompiledAutomaton::DumpText(const TypeRegistry& registry) const {
     for (const auto& predicate : watch.predicates) {
       os << "    cond: (" << predicate->ToString() << ")\n";
     }
+    DumpKey(watch.key, os);
   }
   os << "  output: " << TypeName(registry, cfg.output_type)
      << "  (emit on state " << transitions.size() << ")\n";

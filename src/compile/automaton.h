@@ -15,6 +15,18 @@
 // is semantics-preserving (they are pure), so the order never changes the
 // derived stream.
 //
+// Equality keys split the join conjuncts off as a hash filter (Bucchi et
+// al.'s equality predicates; Kolchinsky & Schuster's SEQ-as-join). A key is
+// an evaluated conjunct `x.attr = y.attr` over two different slots: on a
+// transition, y is the slot it binds and x a slot bound earlier; on a
+// NegationWatch, x is the negated slot and y a positive one. The operator
+// tags what waits (a stored run, a buffered negated event) with the
+// Value::Hash of its x side, and a probe skips every candidate whose tag
+// differs from the hash of its y side. Hash agrees with Equals, so a
+// skipped candidate is one whose key conjunct is false; a tag match still
+// evaluates the conjunct, so collisions, null (never equal) and int/double
+// equality keep their semantics.
+//
 // The automaton itself is immutable and shared by all per-partition operator
 // clones; runtime state (runs, negation buffers) lives in
 // compile/compiled_pattern_op.h.
@@ -48,6 +60,20 @@ struct AutomatonPredicate {
   double rank() const;
 };
 
+// An equality conjunct `stored.attr = probe.attr` of a transition or watch
+// (see the header comment). The stored side is bound on what waits, the
+// probe side on what arrives.
+struct EqualityKey {
+  int stored_slot = -1;  // -1 = no key
+  int stored_attr = -1;
+  int probe_slot = -1;
+  int probe_attr = -1;
+  // The conjunct, for the dump; it stays in the evaluated predicate list.
+  std::shared_ptr<const CompiledExpr> conjunct;
+
+  bool valid() const { return stored_slot >= 0; }
+};
+
 // The transition out of state `index`: bind an event of `type_id` into
 // pattern slot `slot` when every predicate passes.
 struct AutomatonTransition {
@@ -58,6 +84,9 @@ struct AutomatonTransition {
   // evaluated on any run reaching this state (config order). Never
   // evaluated at runtime; kept for the dump.
   std::vector<AutomatonPredicate> pruned;
+  // The first evaluated guard (config order) of the form `x.attr =
+  // slot.attr`: runs waiting in this state carry the hash of x.attr.
+  EqualityKey key;
 };
 
 // A negated position, checked when a run completes. The surrounding
@@ -72,6 +101,9 @@ struct NegationWatch {
   // Negation condition, in config order (evaluated with the candidate
   // bound transiently at `slot`).
   std::vector<std::shared_ptr<const CompiledExpr>> predicates;
+  // The first condition (config order) of the form `slot.attr = y.attr`
+  // with y positive: buffered events carry the hash of slot.attr.
+  EqualityKey key;
 };
 
 // The compiled form of one PatternOpConfig. Immutable; shared across

@@ -10,7 +10,35 @@
 namespace caesar {
 
 namespace {
-constexpr Timestamp kNoRuns = std::numeric_limits<Timestamp>::max();
+constexpr Timestamp kNothing = std::numeric_limits<Timestamp>::max();
+
+// The tag of `event` on one side of `key`: 0 without a key, so untagged
+// candidates always pass the tag check.
+size_t KeyTag(const EqualityKey& key, const Event& event, int attr) {
+  return key.valid() ? event.value(attr).Hash() : 0;
+}
+
+// One awaiting state's cursor in the seq-ordered merge, and the event's
+// tag on that state's key.
+struct Probe {
+  size_t cursor = 0;
+  size_t tag = 0;
+};
+
+// ProcessEvent's scratch: the fresh run's binding (its predicates and
+// completion run there before any run is allocated) and the probe cursors.
+// An operator clone runs on one thread at a time and ProcessEvent never
+// nests, so one per thread serves every operator; binding entries are
+// reset to null after use, so the scratch owns no event between calls.
+struct Scratch {
+  std::vector<EventPtr> binding;
+  std::vector<Probe> probes;
+};
+
+Scratch& ThreadScratch() {
+  thread_local Scratch scratch;
+  return scratch;
+}
 }  // namespace
 
 CompiledPatternOp::CompiledPatternOp(
@@ -18,7 +46,6 @@ CompiledPatternOp::CompiledPatternOp(
     : Operator(Kind::kCompiledPattern), automaton_(std::move(automaton)) {
   CAESAR_CHECK(automaton_ != nullptr);
   runs_.resize(automaton_->num_states());
-  state_min_first_.assign(automaton_->num_states(), kNoRuns);
   neg_buffers_.resize(automaton_->negations.size());
 }
 
@@ -48,38 +75,59 @@ void CompiledPatternOp::ProcessEvent(const EventPtr& event,
   // 1. Feed negation buffers (time-ordered by construction).
   for (const NegationWatch& watch : automaton_->negations) {
     if (watch.type_id == event->type_id()) {
-      neg_buffers_[watch.neg_index].push_back(event);
+      neg_buffers_[watch.neg_index].push_back(
+          {event, KeyTag(watch.key, *event, watch.key.stored_attr)});
+      earliest_ = std::min(earliest_, event->time());
     }
   }
 
-  // 2. Collect advancements in creation order: a fresh run first, then
-  // existing runs ascending by seq. Nothing is stored or emitted until the
-  // scan is over (the created-list barrier), so an event never extends a
-  // run it just created.
+  // 2. Advance in creation order: a fresh run first, then existing runs
+  // ascending by seq. A completed match is emitted as soon as it is found
+  // (completion reads only the negation buffers, which the probe leaves
+  // alone). Partial runs are stored only after the scan (the created-list
+  // barrier), so an event never extends a run it just created.
+  Scratch& scratch = ThreadScratch();
   std::vector<std::pair<int, Run>> created;  // (destination state, run)
   if (transitions[0].type_id == event->type_id()) {
-    Run fresh;
-    fresh.bound.resize(automaton_->config->positions.size());
-    fresh.bound[transitions[0].slot] = event;
-    if (PredicatesPass(fresh.bound, transitions[0], ctx)) {
-      fresh.first_time = event->time();
-      fresh.last_time = event->time();
-      created.emplace_back(1, std::move(fresh));
+    const size_t slots = automaton_->config->positions.size();
+    std::vector<EventPtr>& binding = scratch.binding;
+    if (binding.size() < slots) binding.resize(slots);
+    const int slot = transitions[0].slot;
+    binding[slot] = event;
+    if (PredicatesPass(binding.data(), transitions[0], ctx)) {
+      if (accepting == 1) {
+        if (NegationsPass(binding.data(), ctx)) {
+          EmitMatch(binding.data(), output);
+        }
+      } else {
+        Run fresh;
+        fresh.bound.assign(binding.begin(), binding.begin() + slots);
+        fresh.first_time = event->time();
+        fresh.last_time = event->time();
+        created.emplace_back(1, std::move(fresh));
+      }
     }
+    binding[slot] = nullptr;
   }
 
   if (const std::vector<int>* states =
           automaton_->StatesAwaiting(event->type_id())) {
     // Seq-ordered merge across the (few) states awaiting this type; each
-    // state's runs are already seq-ascending.
-    std::vector<size_t> cursor(states->size(), 0);
+    // state's runs are already seq-ascending. The event's side of each
+    // state's key is hashed once.
+    std::vector<Probe>& probes = scratch.probes;
+    probes.assign(states->size(), Probe());
+    for (size_t j = 0; j < states->size(); ++j) {
+      const EqualityKey& key = transitions[(*states)[j]].key;
+      probes[j].tag = KeyTag(key, *event, key.probe_attr);
+    }
     while (true) {
       int pick = -1;
       uint64_t best_seq = 0;
       for (size_t j = 0; j < states->size(); ++j) {
         const std::vector<Run>& bucket = runs_[(*states)[j]];
-        if (cursor[j] >= bucket.size()) continue;
-        const uint64_t seq = bucket[cursor[j]].seq;
+        if (probes[j].cursor >= bucket.size()) continue;
+        const uint64_t seq = bucket[probes[j].cursor].seq;
         if (pick < 0 || seq < best_seq) {
           pick = static_cast<int>(j);
           best_seq = seq;
@@ -87,83 +135,96 @@ void CompiledPatternOp::ProcessEvent(const EventPtr& event,
       }
       if (pick < 0) break;
       const int state = (*states)[pick];
-      const Run& run = runs_[state][cursor[pick]++];
+      Run& run = runs_[state][probes[pick].cursor++];
+      if (run.key_tag != probes[pick].tag) continue;  // key conjunct false
       ctx->CountWork(1);
       if (event->time() <= run.last_time) continue;  // strict ordering
       if (event->time() - run.first_time > automaton_->config->within) {
         continue;
       }
-      Run extended = run;
-      extended.bound[transitions[state].slot] = event;
-      if (!PredicatesPass(extended.bound, transitions[state], ctx)) continue;
-      extended.last_time = event->time();
-      created.emplace_back(state + 1, std::move(extended));
+      // Bind into the run's own empty slot; copy only a run that passes
+      // and stays partial.
+      const int slot = transitions[state].slot;
+      run.bound[slot] = event;
+      if (PredicatesPass(run.bound.data(), transitions[state], ctx)) {
+        if (state + 1 == accepting) {
+          if (NegationsPass(run.bound.data(), ctx)) {
+            EmitMatch(run.bound.data(), output);
+          }
+        } else {
+          Run extended = run;
+          extended.last_time = event->time();
+          created.emplace_back(state + 1, std::move(extended));
+        }
+      }
+      run.bound[slot] = nullptr;
     }
   }
 
-  // 3. Emit completions, store the rest (creation order = future seq
-  // order).
+  // 3. Store the partial runs (creation order = future seq order).
   for (auto& [destination, run] : created) {
-    if (destination == accepting) {
-      if (NegationsPass(&run, ctx)) EmitMatch(run, output);
-    } else {
-      StoreRun(destination, std::move(run));
-    }
+    StoreRun(destination, std::move(run));
   }
 }
 
 bool CompiledPatternOp::PredicatesPass(
-    const std::vector<EventPtr>& bound_scratch,
-    const AutomatonTransition& transition, OpExecContext* ctx) const {
+    const EventPtr* bound, const AutomatonTransition& transition,
+    OpExecContext* ctx) const {
   for (const AutomatonPredicate& predicate : transition.predicates) {
     ctx->CountWork(1);
-    if (!predicate.expr->EvalBool(bound_scratch.data())) return false;
+    if (!predicate.expr->EvalBool(bound)) return false;
   }
   return true;
 }
 
-bool CompiledPatternOp::NegationsPass(Run* run, OpExecContext* ctx) {
+bool CompiledPatternOp::NegationsPass(EventPtr* bound, OpExecContext* ctx) {
   for (const NegationWatch& watch : automaton_->negations) {
     const Timestamp next_time =
-        run->bound[watch.next_positive_slot]->time();
+        bound[watch.next_positive_slot]->time();
     Timestamp lo;
     bool lo_closed = false;
     if (watch.prev_positive_slot >= 0) {
-      lo = run->bound[watch.prev_positive_slot]->time();  // open
+      lo = bound[watch.prev_positive_slot]->time();  // open
     } else {
       lo = next_time - automaton_->config->within;  // leading NOT: closed
       lo_closed = true;
     }
     const Timestamp hi = next_time;  // open
+    const EqualityKey& key = watch.key;
+    const size_t probe_tag =
+        key.valid() ? bound[key.probe_slot]->value(key.probe_attr).Hash()
+                    : 0;
 
-    for (const EventPtr& candidate : neg_buffers_[watch.neg_index]) {
+    for (const Buffered& candidate : neg_buffers_[watch.neg_index]) {
+      if (candidate.key_tag != probe_tag) continue;  // key conjunct false
       ctx->CountWork(1);
-      const Timestamp t = candidate->time();
+      const Timestamp t = candidate.event->time();
       if (t >= hi) break;  // buffers are time-ordered
       if (lo_closed ? t < lo : t <= lo) continue;
       bool matches = true;
-      run->bound[watch.slot] = candidate;
+      bound[watch.slot] = candidate.event;
       for (const auto& predicate : watch.predicates) {
         ctx->CountWork(1);
-        if (!predicate->EvalBool(run->bound.data())) {
+        if (!predicate->EvalBool(bound)) {
           matches = false;
           break;
         }
       }
-      run->bound[watch.slot] = nullptr;
+      bound[watch.slot] = nullptr;
       if (matches) return false;  // a negated event blocks the match
     }
   }
   return true;
 }
 
-void CompiledPatternOp::EmitMatch(const Run& run, EventBatch* output) const {
+void CompiledPatternOp::EmitMatch(const EventPtr* bound,
+                                  EventBatch* output) const {
   const auto& transitions = automaton_->transitions;
   std::vector<Value> values;
-  const Timestamp start = run.bound[transitions.front().slot]->start_time();
-  const Timestamp end = run.bound[transitions.back().slot]->end_time();
+  const Timestamp start = bound[transitions.front().slot]->start_time();
+  const Timestamp end = bound[transitions.back().slot]->end_time();
   for (const AutomatonTransition& transition : transitions) {
-    const EventPtr& component = run.bound[transition.slot];
+    const EventPtr& component = bound[transition.slot];
     values.insert(values.end(), component->values().begin(),
                   component->values().end());
   }
@@ -173,32 +234,48 @@ void CompiledPatternOp::EmitMatch(const Run& run, EventBatch* output) const {
 
 void CompiledPatternOp::StoreRun(int state, Run run) {
   run.seq = seq_counter_++;
-  state_min_first_[state] = std::min(state_min_first_[state], run.first_time);
+  run.key_tag = RunTag(state, run);
+  earliest_ = std::min(earliest_, run.first_time);
   runs_[state].push_back(std::move(run));
+}
+
+size_t CompiledPatternOp::RunTag(int state, const Run& run) const {
+  const EqualityKey& key = automaton_->transitions[state].key;
+  return key.valid() ? run.bound[key.stored_slot]->value(key.stored_attr).Hash()
+                     : 0;
 }
 
 void CompiledPatternOp::Reset() {
   for (auto& bucket : runs_) bucket.clear();
-  std::fill(state_min_first_.begin(), state_min_first_.end(), kNoRuns);
+  earliest_ = kNothing;
   for (auto& buffer : neg_buffers_) buffer.clear();
   seq_counter_ = 0;
 }
 
 void CompiledPatternOp::ExpireBefore(Timestamp t) {
-  for (size_t s = 0; s < runs_.size(); ++s) {
-    // Per-state timer: skip states whose oldest run is still live.
-    if (state_min_first_[s] >= t) continue;
-    std::erase_if(runs_[s],
-                  [t](const Run& run) { return run.first_time < t; });
-    Timestamp min_first = kNoRuns;
-    for (const Run& run : runs_[s]) {
-      min_first = std::min(min_first, run.first_time);
-    }
-    state_min_first_[s] = min_first;
+  // One timer: until the oldest stored time is due, nothing is touched.
+  if (earliest_ >= t) return;
+  for (auto& bucket : runs_) {
+    std::erase_if(bucket, [t](const Run& run) { return run.first_time < t; });
   }
   for (auto& buffer : neg_buffers_) {
-    while (!buffer.empty() && buffer.front()->time() < t) {
+    while (!buffer.empty() && buffer.front().event->time() < t) {
       buffer.pop_front();
+    }
+  }
+  RearmTimer();
+}
+
+void CompiledPatternOp::RearmTimer() {
+  earliest_ = kNothing;
+  for (const auto& bucket : runs_) {
+    for (const Run& run : bucket) {
+      earliest_ = std::min(earliest_, run.first_time);
+    }
+  }
+  for (const auto& buffer : neg_buffers_) {
+    if (!buffer.empty()) {
+      earliest_ = std::min(earliest_, buffer.front().event->time());
     }
   }
 }
@@ -227,7 +304,7 @@ void CompiledPatternOp::SaveState(StateWriter* w) const {
   // Everything the determinism contract depends on is saved verbatim —
   // in particular run seq values and the global counter, so a recovered
   // engine merges probe order exactly like the uninterrupted one.
-  // state_min_first_ is derived and recomputed on load.
+  // The expiry timer and the key tags are derived and recomputed on load.
   w->U64(seq_counter_);
   w->U32(static_cast<uint32_t>(runs_.size()));
   for (const auto& bucket : runs_) {
@@ -246,7 +323,7 @@ void CompiledPatternOp::SaveState(StateWriter* w) const {
   w->U32(static_cast<uint32_t>(neg_buffers_.size()));
   for (const auto& buffer : neg_buffers_) {
     w->U32(static_cast<uint32_t>(buffer.size()));
-    for (const EventPtr& event : buffer) WriteEvent(w, *event);
+    for (const Buffered& entry : buffer) WriteEvent(w, *entry.event);
   }
 }
 
@@ -258,7 +335,6 @@ Status CompiledPatternOp::LoadState(StateReader* r) {
   }
   for (size_t s = 0; s < runs_.size(); ++s) {
     runs_[s].clear();
-    state_min_first_[s] = kNoRuns;
     uint32_t n_runs = r->U32();
     for (uint32_t i = 0; r->ok() && i < n_runs; ++i) {
       Run run;
@@ -277,7 +353,15 @@ Status CompiledPatternOp::LoadState(StateReader* r) {
       run.first_time = r->I64();
       run.last_time = r->I64();
       run.seq = r->U64();
-      state_min_first_[s] = std::min(state_min_first_[s], run.first_time);
+      if (r->ok() && s + 1 < runs_.size()) {
+        const EqualityKey& key = automaton_->transitions[s].key;
+        if (key.valid() &&
+            (run.bound[key.stored_slot] == nullptr ||
+             run.bound[key.stored_slot]->num_values() <= key.stored_attr)) {
+          return Status::DataLoss("automaton run lacks its key slot");
+        }
+        run.key_tag = RunTag(static_cast<int>(s), run);
+      }
       runs_[s].push_back(std::move(run));
     }
   }
@@ -285,17 +369,21 @@ Status CompiledPatternOp::LoadState(StateReader* r) {
   if (!r->ok() || n_buffers != neg_buffers_.size()) {
     return Status::DataLoss("negation buffers do not match the plan");
   }
-  for (auto& buffer : neg_buffers_) {
+  for (const NegationWatch& watch : automaton_->negations) {
+    auto& buffer = neg_buffers_[watch.neg_index];
     buffer.clear();
     uint32_t n = r->U32();
     for (uint32_t i = 0; r->ok() && i < n; ++i) {
       EventPtr event = ReadEvent(r);
-      if (event == nullptr) {
+      if (event == nullptr || (watch.key.valid() &&
+                               event->num_values() <= watch.key.stored_attr)) {
         return Status::DataLoss("malformed negation buffer event");
       }
-      buffer.push_back(std::move(event));
+      const size_t tag = KeyTag(watch.key, *event, watch.key.stored_attr);
+      buffer.push_back({std::move(event), tag});
     }
   }
+  RearmTimer();
   return r->ok() ? Status::Ok()
                  : Status::DataLoss("truncated automaton state");
 }

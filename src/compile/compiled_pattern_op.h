@@ -6,24 +6,38 @@
 //    the state's awaited type arrives (type dispatch), instead of scanning
 //    every partial match for every event.
 //  - Transition predicates run in the compiler's cost order and
-//    short-circuit run creation (lazy evaluation).
-//  - Expiry keeps a per-state minimum first_time, so states with no stale
-//    runs are skipped entirely (timer wheel degenerate case: one timer per
-//    state suffices because WITHIN is a single per-pattern constant).
+//    short-circuit run creation (lazy evaluation). They run against the
+//    probed run with the event bound into its own empty slot, and the run
+//    is copied only when they pass.
+//  - Equality keys (automaton.h) filter before any predicate: every stored
+//    run carries the Value::Hash of its state's key, every buffered negated
+//    event the hash of its watch's key, and a probe hashes its own side
+//    once and skips each candidate whose tag differs. A skipped candidate
+//    counts no work unit. The tag is one word inside the existing run or
+//    buffer entry, not a per-key bucket: buckets would multiply containers
+//    across partitions x watches for a few live keys each, and memory with
+//    them. Tags are 0 where there is no key, so they always match there.
+//  - Expiry keeps one timer per operator: the oldest first_time of any
+//    stored run or time of any buffered negated event. A call before it is
+//    due touches nothing else (timer wheel degenerate case: one timer
+//    suffices because WITHIN is a single per-pattern constant).
 //
 // Determinism contract: matches of one event are emitted as if every live
 // run were scanned in creation order. Every run is tagged with a
 // monotonically increasing sequence number, candidate states are probed in
-// a seq-ordered merge, and the runs an event creates are stored (and
-// completed matches emitted) only after the probe, fresh run first, then
-// extensions in probe order. The derived stream is therefore a pure
-// function of the input, independent of how runs are bucketed, and an
-// event never extends a run it just created.
+// a seq-ordered merge, completed matches are emitted in that order (fresh
+// run first, then extensions in probe order), and the runs an event
+// creates are stored only after the probe. The derived stream is
+// therefore a pure function of the input, independent of how runs are
+// bucketed, and an event never extends a run it just created. A tag only
+// skips candidates whose key conjunct is false, so it changes no output
+// and no order.
 
 #ifndef CAESAR_COMPILE_COMPILED_PATTERN_OP_H_
 #define CAESAR_COMPILE_COMPILED_PATTERN_OP_H_
 
 #include <deque>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -66,16 +80,30 @@ class CompiledPatternOp : public Operator {
     Timestamp first_time = 0;
     Timestamp last_time = -1;
     uint64_t seq = 0;  // global creation order (the determinism contract)
+    size_t key_tag = 0;  // hash of the waiting state's key (derived)
+  };
+
+  // A buffered negated event and the hash of its watch's key (derived).
+  struct Buffered {
+    EventPtr event;
+    size_t key_tag = 0;
   };
 
   void ProcessEvent(const EventPtr& event, EventBatch* output,
                     OpExecContext* ctx);
-  bool PredicatesPass(const std::vector<EventPtr>& bound_scratch,
+  // The helpers take a binding indexed by slot: a run's `bound` or the
+  // fresh run's scratch.
+  bool PredicatesPass(const EventPtr* bound,
                       const AutomatonTransition& transition,
                       OpExecContext* ctx) const;
-  bool NegationsPass(Run* run, OpExecContext* ctx);
-  void EmitMatch(const Run& run, EventBatch* output) const;
+  // Binds each buffered candidate transiently at its watch's slot.
+  bool NegationsPass(EventPtr* bound, OpExecContext* ctx);
+  void EmitMatch(const EventPtr* bound, EventBatch* output) const;
   void StoreRun(int state, Run run);
+  // The tag of `run` waiting in `state`: its key's stored-side hash.
+  size_t RunTag(int state, const Run& run) const;
+  // Recomputes earliest_ from the stored runs and buffers.
+  void RearmTimer();
 
   std::shared_ptr<const CompiledAutomaton> automaton_;
   // runs_[s] = runs in state s, ascending seq; slots 0 and k are unused
@@ -83,11 +111,12 @@ class CompiledPatternOp : public Operator {
   // only appended, scanned by index and erased in bulk, so a vector serves
   // (an empty deque would allocate a block per state per partition).
   std::vector<std::vector<Run>> runs_;
-  // Min first_time per state (expiry skip); max() when the state is empty.
-  std::vector<Timestamp> state_min_first_;
+  // The expiry timer: min first_time over runs_ and min time over
+  // neg_buffers_; max() when both are empty.
+  Timestamp earliest_ = std::numeric_limits<Timestamp>::max();
   uint64_t seq_counter_ = 0;
   // One time-ordered buffer per NegationWatch.
-  std::vector<std::deque<EventPtr>> neg_buffers_;
+  std::vector<std::deque<Buffered>> neg_buffers_;
 };
 
 }  // namespace caesar

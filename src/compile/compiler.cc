@@ -13,6 +13,43 @@
 
 namespace caesar {
 
+namespace {
+
+// The equality key `conjunct` states on `own_slot`, or an invalid key. A
+// key is `x.attr = y.attr` with one side on own_slot and the other on a
+// different slot. own_slot is the probe side on a transition and the
+// stored side on a negation watch. The other slot is positive and, on a
+// transition, bound earlier: a position's predicates reference only slots
+// bound when it binds, and every negated reference makes a conjunct a
+// negation condition (PatternOpConfig, plan/translator.cc).
+EqualityKey KeyOn(const std::shared_ptr<const CompiledExpr>& conjunct,
+                  int own_slot, bool own_probes) {
+  EqualityKey key;
+  const auto& nodes = conjunct->nodes();
+  const CompiledExpr::Node& root = nodes.back();
+  if (root.kind != Expr::Kind::kBinary || root.op != BinaryOp::kEq) {
+    return key;
+  }
+  const CompiledExpr::Node* own = &nodes[root.left];
+  const CompiledExpr::Node* other = &nodes[root.right];
+  if (own->var_index != own_slot) std::swap(own, other);
+  if (own->kind != Expr::Kind::kAttrRef ||
+      other->kind != Expr::Kind::kAttrRef || own->var_index != own_slot ||
+      other->var_index == own_slot) {
+    return key;
+  }
+  const CompiledExpr::Node* stored = own_probes ? other : own;
+  const CompiledExpr::Node* probe = own_probes ? own : other;
+  key.stored_slot = stored->var_index;
+  key.stored_attr = stored->attr_index;
+  key.probe_slot = probe->var_index;
+  key.probe_attr = probe->attr_index;
+  key.conjunct = conjunct;
+  return key;
+}
+
+}  // namespace
+
 std::shared_ptr<const CompiledAutomaton> CompilePattern(
     std::shared_ptr<const PatternOpConfig> config, bool absint) {
   auto automaton = std::make_shared<CompiledAutomaton>();
@@ -63,6 +100,10 @@ std::shared_ptr<const CompiledAutomaton> CompilePattern(
       CAESAR_CHECK_GE(watch.next_positive_slot, 0)
           << "trailing NOT reached the compiler: " << config->description;
       watch.predicates = positions[i].predicates;
+      for (const auto& predicate : watch.predicates) {
+        watch.key = KeyOn(predicate, i, /*own_probes=*/false);
+        if (watch.key.valid()) break;
+      }
       automaton->negations.push_back(std::move(watch));
       continue;
     }
@@ -90,6 +131,12 @@ std::shared_ptr<const CompiledAutomaton> CompilePattern(
         }
       }
       transition.predicates.push_back(std::move(predicate));
+    }
+    // The key: the first evaluated guard in config order joining this slot
+    // to one bound earlier.
+    for (const AutomatonPredicate& predicate : transition.predicates) {
+      transition.key = KeyOn(predicate.expr, i, /*own_probes=*/true);
+      if (transition.key.valid()) break;
     }
     // Lazy evaluation: cheapest expected cost per rejection first. The sort
     // is stable with a config-index tie-break, so the order (and the dump)

@@ -286,7 +286,7 @@ CsvParseResult ReadEventsCsvTolerant(const std::string& text,
           break;
         }
         default:
-          values.push_back(Value(cell));
+          values.emplace_back(cell);
           break;
       }
     }

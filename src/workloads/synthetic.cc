@@ -9,6 +9,18 @@
 
 namespace caesar {
 
+namespace {
+
+// The context of window `w`: "w0", "w1", ... Appended rather than written
+// `"w" + std::to_string(w)`, which GCC 12 flags with a false -Wrestrict.
+std::string WindowName(size_t w) {
+  std::string name = "w";
+  name += std::to_string(w);
+  return name;
+}
+
+}  // namespace
+
 std::vector<SyntheticConfig::Window> LayOutWindows(int count, Timestamp length,
                                                    Timestamp overlap,
                                                    Timestamp first_start) {
@@ -92,7 +104,7 @@ Result<CaesarModel> MakeSyntheticModel(const SyntheticConfig& config,
   CaesarModel model(registry);
   CAESAR_RETURN_IF_ERROR(model.AddContext("idle"));
   for (size_t w = 0; w < config.windows.size(); ++w) {
-    CAESAR_RETURN_IF_ERROR(model.AddContext("w" + std::to_string(w)));
+    CAESAR_RETURN_IF_ERROR(model.AddContext(WindowName(w)));
   }
   model.SetPartitionBy({"seg"});
 
@@ -107,7 +119,7 @@ Result<CaesarModel> MakeSyntheticModel(const SyntheticConfig& config,
   };
 
   for (size_t w = 0; w < config.windows.size(); ++w) {
-    std::string name = "w" + std::to_string(w);
+    std::string name = WindowName(w);
     {
       Query query;
       query.name = "start_" + name;
@@ -122,7 +134,7 @@ Result<CaesarModel> MakeSyntheticModel(const SyntheticConfig& config,
       // initiator must see the signal regardless of the current context).
       query.contexts = {"idle"};
       for (size_t v = 0; v < config.windows.size(); ++v) {
-        if (v != w) query.contexts.push_back("w" + std::to_string(v));
+        if (v != w) query.contexts.push_back(WindowName(v));
       }
       CAESAR_RETURN_IF_ERROR(model.AddQuery(std::move(query)).status());
     }
@@ -170,7 +182,7 @@ Result<CaesarModel> MakeSyntheticModel(const SyntheticConfig& config,
     case SyntheticConfig::QueryAssignment::kAllWindows: {
       std::vector<std::string> all_windows;
       for (size_t w = 0; w < config.windows.size(); ++w) {
-        all_windows.push_back("w" + std::to_string(w));
+        all_windows.push_back(WindowName(w));
       }
       for (int q = 0; q < config.queries_per_window; ++q) {
         CAESAR_RETURN_IF_ERROR(
@@ -186,7 +198,7 @@ Result<CaesarModel> MakeSyntheticModel(const SyntheticConfig& config,
       bool copies = config.assignment ==
                     SyntheticConfig::QueryAssignment::kPerWindowCopies;
       for (size_t w = 0; w < config.windows.size(); ++w) {
-        std::string window = "w" + std::to_string(w);
+        std::string window = WindowName(w);
         for (int q = 0; q < config.queries_per_window; ++q) {
           std::string type_suffix =
               copies ? std::to_string(q)

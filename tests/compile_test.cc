@@ -3,12 +3,14 @@
 //
 // The compile corpus (tests/compile_corpus/*.caesar) pins the compiler's
 // deterministic dump byte-for-byte, one fixture per pattern shape: SEQ
-// depth 1 (pass-through) through 4, interior and leading negation, the
-// default WITHIN, and a consumer chain over a derived type. Goldens are
-// regenerable with `caesar_lint --dump-automaton <fixture>`. SEQ matching
-// semantics are pinned against brute force in property_test and the
-// algebra SEQ tests; the cases here cover the compiler, the operator's run
-// bookkeeping, and one emission-order golden.
+// depth 1 (pass-through) through 4, interior and leading negation,
+// equality keys, the default WITHIN, and a consumer chain over a derived
+// type. Goldens are regenerable with `caesar_lint --dump-automaton
+// <fixture>`. SEQ matching semantics are pinned against brute force in
+// property_test and the algebra SEQ tests; the cases here cover the
+// compiler, the operator's run bookkeeping, one emission-order golden, and
+// equality keys (which conjuncts key, and that keyed matching keeps Value
+// equality semantics across a checkpoint round trip).
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -23,6 +26,7 @@
 #include "compile/automaton.h"
 #include "compile/compiled_pattern_op.h"
 #include "compile/compiler.h"
+#include "durability/serde.h"
 #include "expr/compiled.h"
 #include "expr/parser.h"
 #include "plan/translator.h"
@@ -255,6 +259,223 @@ TEST_F(CompileTest, CostEstimatesMatchInterpretedOperator) {
   PatternOp match(config);
   EXPECT_EQ(match.UnitCost(), 1.0);
   EXPECT_EQ(match.Selectivity(), 1.0);
+}
+
+// ---- Equality keys -----------------------------------------------------
+
+TEST_F(CompileTest, EqualityAcrossSlotsIsATransitionKey) {
+  for (const char* text : {"b.x = a.x", "a.x = b.x"}) {
+    auto automaton = CompilePattern(SeqABConfig(10, {Predicate(text)}));
+    const EqualityKey& key = automaton->transitions[1].key;
+    ASSERT_TRUE(key.valid()) << text;
+    EXPECT_EQ(key.stored_slot, 0) << text;
+    EXPECT_EQ(key.stored_attr, 0) << text;
+    EXPECT_EQ(key.probe_slot, 1) << text;
+    EXPECT_EQ(key.probe_attr, 0) << text;
+    EXPECT_FALSE(automaton->transitions[0].key.valid());
+  }
+}
+
+TEST_F(CompileTest, OnlyAttrEqualsAttrOverTwoSlotsIsAKey) {
+  for (const char* text : {"b.x != a.x", "b.x < a.x", "b.x = a.x + 1",
+                           "b.x = 3", "b.x = b.x"}) {
+    auto automaton = CompilePattern(SeqABConfig(10, {Predicate(text)}));
+    EXPECT_FALSE(automaton->transitions[1].key.valid()) << text;
+  }
+}
+
+TEST_F(CompileTest, FirstKeyedGuardInConfigOrderWins) {
+  // The constant guard ranks first, but the key is the first key-shaped
+  // guard in config order.
+  auto automaton = CompilePattern(SeqABConfig(
+      10, {Predicate("b.x > a.x"), Predicate("b.x = a.x"),
+           Predicate("a.x = b.x")}));
+  const EqualityKey& key = automaton->transitions[1].key;
+  ASSERT_TRUE(key.valid());
+  EXPECT_EQ(key.conjunct->ToString(), "(b.x = a.x)");
+}
+
+TEST_F(CompileTest, NegationKeyIsStoredOnTheNegatedSlot) {
+  auto config = std::make_shared<PatternOpConfig>(*SeqABConfig(10));
+  config->positions[0].negated = true;
+  config->positions[0].predicates = {Predicate("a.x != b.x"),
+                                     Predicate("b.x = a.x")};
+  auto automaton = CompilePattern(config);
+  ASSERT_EQ(automaton->negations.size(), 1u);
+  const EqualityKey& key = automaton->negations[0].key;
+  ASSERT_TRUE(key.valid());
+  EXPECT_EQ(key.stored_slot, 0);
+  EXPECT_EQ(key.probe_slot, 1);
+}
+
+// Keys filter on Value::Hash, but matching keeps Value::Equals semantics
+// under the evaluator's null rule: int 1 equals double 1.0, strings compare
+// by content, and a null key never equals anything (not even null).
+class KeyedMatchTest : public ::testing::Test {
+ protected:
+  KeyedMatchTest() : contexts_(4, 0) {
+    const std::vector<Attribute> schema = {{"i", ValueType::kInt},
+                                           {"d", ValueType::kDouble},
+                                           {"s", ValueType::kString}};
+    l_type_ = registry_.RegisterOrGet("L", schema);
+    r_type_ = registry_.RegisterOrGet("R", schema);
+    out_type_ = registry_.RegisterOrGet("LR", schema);
+    ctx_.contexts = &contexts_;
+    ctx_.registry = &registry_;
+    ctx_.ops_counter = &ops_;
+  }
+
+  EventPtr L(Timestamp t, Value i, Value d, Value s) {
+    return MakeEvent(l_type_, t, {std::move(i), std::move(d), std::move(s)});
+  }
+  EventPtr R(Timestamp t, Value i, Value d, Value s) {
+    return MakeEvent(r_type_, t, {std::move(i), std::move(d), std::move(s)});
+  }
+
+  // SEQ(L a, R b) keyed by `where` on b, or SEQ(NOT L a, R b) with `where`
+  // as the negation condition.
+  std::shared_ptr<const CompiledAutomaton> Seq(bool negated,
+                                               const std::string& where) {
+    BindingSet bindings;
+    bindings.Add({"a", l_type_, &registry_.type(l_type_).schema});
+    bindings.Add({"b", r_type_, &registry_.type(r_type_).schema});
+    auto compiled = Compile(ParseExpr(where).value(), bindings);
+    EXPECT_TRUE(compiled.ok()) << compiled.status();
+    auto config = std::make_shared<PatternOpConfig>();
+    config->positions.resize(2);
+    config->positions[0].type_id = l_type_;
+    config->positions[0].negated = negated;
+    config->positions[1].type_id = r_type_;
+    config->positions[negated ? 0 : 1].predicates.push_back(
+        std::shared_ptr<const CompiledExpr>(std::move(compiled).value()));
+    config->output_type = out_type_;
+    config->within = 10;
+    auto automaton = CompilePattern(config);
+    EXPECT_TRUE(negated ? automaton->negations[0].key.valid()
+                        : automaton->transitions[1].key.valid())
+        << where;
+    return automaton;
+  }
+
+  size_t Matches(bool negated, const std::string& where,
+                 const EventBatch& input) {
+    CompiledPatternOp op(Seq(negated, where));
+    EventBatch out;
+    op.Process(input, &out, &ctx_);
+    return out.size();
+  }
+
+  TypeRegistry registry_;
+  TypeId l_type_ = kInvalidTypeId;
+  TypeId r_type_ = kInvalidTypeId;
+  TypeId out_type_ = kInvalidTypeId;
+  ContextBitVector contexts_;
+  uint64_t ops_ = 0;
+  OpExecContext ctx_;
+};
+
+TEST_F(KeyedMatchTest, IntEqualsDoubleExtendsAndBlocks) {
+  const Value one(int64_t{1});
+  const EventBatch equal = {L(1, Value(int64_t{7}), Value(1.0), Value("x")),
+                            R(2, one, Value(2.5), Value("y"))};
+  const EventBatch unequal = {L(1, Value(int64_t{7}), Value(1.5), Value("x")),
+                              R(2, one, Value(2.5), Value("y"))};
+  EXPECT_EQ(Matches(false, "b.i = a.d", equal), 1u);
+  EXPECT_EQ(Matches(false, "b.i = a.d", unequal), 0u);
+  EXPECT_EQ(Matches(true, "a.d = b.i", equal), 0u);    // blocked
+  EXPECT_EQ(Matches(true, "a.d = b.i", unequal), 1u);  // not blocked
+}
+
+TEST_F(KeyedMatchTest, NullKeyNeverExtendsOrBlocks) {
+  for (const EventBatch& input :
+       {EventBatch{L(1, Value(), Value(), Value()),
+                   R(2, Value(), Value(), Value())},
+        EventBatch{L(1, Value(), Value(), Value()),
+                   R(2, Value(int64_t{0}), Value(0.0), Value(""))}}) {
+    EXPECT_EQ(Matches(false, "b.i = a.d", input), 0u);
+    EXPECT_EQ(Matches(false, "b.s = a.s", input), 0u);
+    EXPECT_EQ(Matches(true, "a.d = b.i", input), 1u);
+    EXPECT_EQ(Matches(true, "a.s = b.s", input), 1u);
+  }
+}
+
+TEST_F(KeyedMatchTest, StringKeysCompareByContent) {
+  const Value zero(int64_t{0});
+  const EventBatch input = {L(1, zero, Value(0.0), Value("car-7")),
+                            L(2, zero, Value(0.0), Value("car-8")),
+                            R(3, zero, Value(0.0), Value(std::string("car-") +
+                                                         "8"))};
+  EXPECT_EQ(Matches(false, "b.s = a.s", input), 1u);  // only car-8
+  EXPECT_EQ(Matches(true, "a.s = b.s", input), 0u);   // car-8 blocks
+  const EventBatch other = {L(1, zero, Value(0.0), Value("car-7")),
+                            R(3, zero, Value(0.0), Value("car-9"))};
+  EXPECT_EQ(Matches(false, "b.s = a.s", other), 0u);
+  EXPECT_EQ(Matches(true, "a.s = b.s", other), 1u);
+}
+
+TEST_F(KeyedMatchTest, CheckpointRoundTripRecomputesTags) {
+  // SEQ(NOT R n, L a, R b) WITHIN 10 WHERE n.i = a.i AND b.i = a.i: a
+  // keyed leading NOT and a keyed transition. A restored operator and the
+  // uninterrupted one must derive the same stream after the checkpoint,
+  // and only recomputed tags let restored runs (keys 7, 5, 9) extend and
+  // the restored buffered R 5 block.
+  BindingSet bindings;
+  bindings.Add({"n", r_type_, &registry_.type(r_type_).schema});
+  bindings.Add({"a", l_type_, &registry_.type(l_type_).schema});
+  bindings.Add({"b", r_type_, &registry_.type(r_type_).schema});
+  auto predicate = [&](const char* text) {
+    return std::shared_ptr<const CompiledExpr>(
+        Compile(ParseExpr(text).value(), bindings).value());
+  };
+  auto config = std::make_shared<PatternOpConfig>();
+  config->positions.resize(3);
+  config->positions[0] = {r_type_, true, {predicate("n.i = a.i")}};
+  config->positions[1] = {l_type_, false, {}};
+  config->positions[2] = {r_type_, false, {predicate("b.i = a.i")}};
+  config->output_type = out_type_;
+  config->within = 10;
+  auto automaton = CompilePattern(config);
+  ASSERT_TRUE(automaton->negations[0].key.valid());
+  ASSERT_TRUE(automaton->transitions[1].key.valid());
+
+  auto key = [](int64_t i) { return Value(i); };
+  const EventBatch first = {R(1, key(5), Value(0.0), Value("")),
+                            L(2, key(7), Value(0.0), Value("")),
+                            L(3, key(5), Value(0.0), Value("")),
+                            L(4, key(9), Value(0.0), Value(""))};
+  const EventBatch second = {R(5, key(7), Value(0.0), Value("")),
+                             R(6, key(5), Value(0.0), Value("")),
+                             R(7, key(9), Value(0.0), Value("")),
+                             L(8, key(7), Value(0.0), Value("")),
+                             R(9, key(7), Value(0.0), Value(""))};
+  // (a, b) times: a 3 is blocked by R 1, a 8 by R 5.
+  const std::vector<std::pair<Timestamp, Timestamp>> expected = {
+      {2, 5}, {4, 7}, {2, 9}};
+  auto spans = [](const EventBatch& out) {
+    std::vector<std::pair<Timestamp, Timestamp>> result;
+    for (const EventPtr& event : out) {
+      result.emplace_back(event->start_time(), event->end_time());
+    }
+    return result;
+  };
+
+  CompiledPatternOp uninterrupted(automaton);
+  EventBatch out;
+  uninterrupted.Process(first, &out, &ctx_);
+  ASSERT_TRUE(out.empty());
+  StateWriter writer;
+  uninterrupted.SaveState(&writer);
+  uninterrupted.Process(second, &out, &ctx_);
+  EXPECT_EQ(spans(out), expected);
+
+  CompiledPatternOp restored(automaton);
+  StateReader reader(writer.data());
+  ASSERT_TRUE(restored.LoadState(&reader).ok());
+  EXPECT_EQ(restored.num_runs(), 3u);
+  EXPECT_EQ(restored.negation_buffer_size(), 1u);
+  EventBatch restored_out;
+  restored.Process(second, &restored_out, &ctx_);
+  EXPECT_EQ(spans(restored_out), expected);
 }
 
 }  // namespace

@@ -141,8 +141,18 @@ class FaultInjector {
         return MakeComplexEvent(event.type_id(), event.start_time(),
                                 event.end_time(), event.values());
       }
-      std::vector<Value> values = event.values();
-      values[rng_.Uniform(0, event.num_values() - 1)] = Value();
+      // Built in place: GCC 12 flags a Value move-assign from a null
+      // temporary with a false -Wmaybe-uninitialized.
+      const int64_t nulled = rng_.Uniform(0, event.num_values() - 1);
+      std::vector<Value> values;
+      values.reserve(event.num_values());
+      for (int i = 0; i < event.num_values(); ++i) {
+        if (i == nulled) {
+          values.emplace_back();
+        } else {
+          values.push_back(event.value(i));
+        }
+      }
       return MakeComplexEvent(event.type_id(), event.start_time(),
                               event.end_time(), std::move(values));
     });

@@ -2,7 +2,8 @@
 // of complex events, overlapping contexts, same-time-stamp derivation
 // chains, default-context reactivation, and partitioning of events lacking
 // the partition attributes or carrying them as int in one type and double
-// in another.
+// in another, and SEQ equality keys over mixed numeric, string and null
+// values.
 
 #include <gtest/gtest.h>
 
@@ -258,6 +259,51 @@ CONTEXT c0;
   EXPECT_EQ(outputs[0]->value(0).AsInt(), 1);
   EXPECT_EQ(outputs[0]->value(1).type(), ValueType::kDouble);
   EXPECT_EQ(outputs[0]->value(1).AsDouble(), 1.0);
+}
+
+// SEQ equality keys (a transition keyed on p.vid = c.vid, a leading NOT
+// keyed on c.name = p.name) filter on Value::Hash but keep Value equality:
+// int 1 joins double 1.0, and a null key neither joins nor blocks. The
+// unpushed plan evaluates the transition's join as a residual filter
+// instead, so both shapes must derive the same stream.
+TEST_F(SemanticsTest, EqualityKeysFollowValueEquality) {
+  CaesarModel model = Parse(R"(
+TYPE Car(vid int, name string);
+TYPE Ping(vid double, name string);
+CONTEXTS c0 DEFAULT c0;
+QUERY pair
+DERIVE Pair(c.vid AS cv, p.vid AS pv)
+PATTERN SEQ(Car c, Ping p) WITHIN 10
+WHERE p.vid = c.vid
+CONTEXT c0;
+QUERY fresh
+DERIVE Fresh(p.name AS name)
+PATTERN SEQ(NOT Car c, Ping p) WITHIN 10
+WHERE c.name = p.name
+CONTEXT c0;
+)");
+  const TypeId car = registry_.Lookup("Car");
+  const TypeId ping = registry_.Lookup("Ping");
+  const EventBatch input = {
+      MakeEvent(car, 1, {Value(int64_t{1}), Value("a")}),
+      MakeEvent(car, 2, {Value(), Value()}),
+      MakeEvent(ping, 3, {Value(1.0), Value("b")}),  // joins car 1
+      MakeEvent(ping, 4, {Value(), Value("a")}),     // blocked by car "a"
+      MakeEvent(ping, 5, {Value(2.0), Value()}),     // null never blocks
+  };
+  for (bool pushed : {true, false}) {
+    PlanOptions options;
+    options.push_predicates_into_pattern = pushed;
+    EventBatch outputs = Run(model, options, input);
+    std::vector<std::string> derived;
+    for (const EventPtr& event : outputs) {
+      derived.push_back(registry_.type(event->type_id()).name + "@" +
+                        std::to_string(event->end_time()));
+    }
+    EXPECT_EQ(derived, (std::vector<std::string>{"Pair@3", "Fresh@3",
+                                                 "Fresh@5"}))
+        << "pushed=" << pushed;
+  }
 }
 
 }  // namespace
