@@ -259,9 +259,12 @@ void CompiledPatternOp::ExpireBefore(Timestamp t) {
     std::erase_if(bucket, [t](const Run& run) { return run.first_time < t; });
   }
   for (auto& buffer : neg_buffers_) {
-    while (!buffer.empty() && buffer.front().event->time() < t) {
-      buffer.pop_front();
-    }
+    // Time-ordered: the expired events are a prefix.
+    buffer.erase(buffer.begin(),
+                 std::partition_point(buffer.begin(), buffer.end(),
+                                      [t](const Buffered& b) {
+                                        return b.event->time() < t;
+                                      }));
   }
   RearmTimer();
 }

@@ -36,7 +36,6 @@
 #ifndef CAESAR_COMPILE_COMPILED_PATTERN_OP_H_
 #define CAESAR_COMPILE_COMPILED_PATTERN_OP_H_
 
-#include <deque>
 #include <limits>
 #include <memory>
 #include <string>
@@ -115,8 +114,9 @@ class CompiledPatternOp : public Operator {
   // neg_buffers_; max() when both are empty.
   Timestamp earliest_ = std::numeric_limits<Timestamp>::max();
   uint64_t seq_counter_ = 0;
-  // One time-ordered buffer per NegationWatch.
-  std::vector<std::deque<Buffered>> neg_buffers_;
+  // One time-ordered buffer per NegationWatch; expiry erases a prefix.
+  // A vector for the same reason as runs_.
+  std::vector<std::vector<Buffered>> neg_buffers_;
 };
 
 }  // namespace caesar

@@ -15,7 +15,8 @@
 // final name, fsync the directory. Recovery picks the newest checkpoint
 // whose checksum validates; corrupt candidates are skipped with I411 and
 // the scan falls back to the next older one (recovery then replays a longer
-// WAL suffix — degraded, never wrong).
+// WAL suffix — degraded, never wrong). File names, the payload frame and
+// the file I/O are durability/artifact.h's.
 
 #ifndef CAESAR_DURABILITY_CHECKPOINT_H_
 #define CAESAR_DURABILITY_CHECKPOINT_H_
@@ -26,6 +27,7 @@
 
 #include "analysis/diagnostics.h"
 #include "common/status.h"
+#include "durability/artifact.h"
 #include "durability/durability.h"
 #include "event/event.h"
 
@@ -37,8 +39,6 @@ struct CheckpointInfo {
   Timestamp last_tick = 0;
   std::string payload;
 };
-
-std::string CheckpointFileName(uint64_t batch_seq);
 
 // Writes and atomically publishes `info` in `dir`. The crash hook is
 // consulted at "checkpoint_write" (tmp half-written, then death) and

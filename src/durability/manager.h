@@ -1,7 +1,7 @@
 // DurabilityManager: the engine-facing facade over the WAL and checkpoint
 // machinery. The engine serializes its own state (it owns the internals);
-// the manager owns sequencing, framing, group commit, rotation, retention,
-// and the recovery scan. A manager is used by one thread at a time: the
+// the manager owns sequencing, group commit, rotation, retention, and the
+// recovery scan. A manager is used by one thread at a time: the
 // engine's scheduler thread, or the WalLogThread it hands the WAL writes
 // to while it works (see WalLogThread).
 

@@ -47,8 +47,8 @@ class StateWriter {
     out_.append(le, sizeof(le));
   }
   void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  // Bit-pattern encoding: doubles (incrementally maintained aggregate sums,
-  // the virtual clock) must round-trip bit-exact, not via decimal text.
+  // Bit-pattern encoding: doubles (incrementally maintained aggregate sums)
+  // must round-trip bit-exact, not via decimal text.
   void F64(double v) {
     uint64_t bits;
     static_assert(sizeof(bits) == sizeof(v));
@@ -57,8 +57,10 @@ class StateWriter {
   }
   void Str(std::string_view s) {
     U32(static_cast<uint32_t>(s.size()));
-    out_.append(s.data(), s.size());
+    Bytes(s);
   }
+  // Raw bytes, no length prefix: the reader must know where they end.
+  void Bytes(std::string_view s) { out_.append(s.data(), s.size()); }
 
   // Capacity hint for a payload of known size.
   void Reserve(size_t bytes) { out_.reserve(bytes); }

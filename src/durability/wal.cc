@@ -4,14 +4,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <utility>
 
-#include "durability/crc32.h"
+#include "durability/artifact.h"
 #include "durability/serde.h"
 
 namespace caesar {
@@ -21,69 +17,6 @@ namespace {
 constexpr uint64_t kWalMagic = 0x314C415753454143ULL;  // "CAESWAL1"
 constexpr uint32_t kWalVersion = 1;
 constexpr size_t kSegmentHeaderBytes = 8 + 4 + 8;
-constexpr size_t kRecordHeaderBytes = 4 + 4;
-
-Status Errno(const std::string& what) {
-  return Status::Internal(what + ": " + std::strerror(errno));
-}
-
-Status WriteAll(int fd, const void* data, size_t n, const std::string& what) {
-  const char* p = static_cast<const char*>(data);
-  while (n > 0) {
-    ssize_t written = ::write(fd, p, n);
-    if (written < 0) {
-      if (errno == EINTR) continue;
-      return Errno(what);
-    }
-    p += written;
-    n -= static_cast<size_t>(written);
-  }
-  return Status::Ok();
-}
-
-// Frames `payload` into `*out` (its capacity reused).
-void FrameRecord(std::string_view payload, std::string* out) {
-  StateWriter framed(std::move(*out));
-  framed.Reserve(kRecordHeaderBytes + payload.size());
-  framed.U32(static_cast<uint32_t>(payload.size()));
-  framed.U32(Crc32(payload));
-  *out = framed.Take();
-  out->append(payload.data(), payload.size());
-}
-
-// Parses "wal-NNNNNNNNNN.log" into NNNNNNNNNN; 0 when the name does not
-// match.
-uint64_t ParseSegmentSeq(const std::string& filename) {
-  constexpr std::string_view prefix = "wal-";
-  constexpr std::string_view suffix = ".log";
-  if (filename.size() <= prefix.size() + suffix.size()) return 0;
-  if (filename.compare(0, prefix.size(), prefix) != 0) return 0;
-  if (filename.compare(filename.size() - suffix.size(), suffix.size(),
-                       suffix) != 0) {
-    return 0;
-  }
-  std::string digits = filename.substr(
-      prefix.size(), filename.size() - prefix.size() - suffix.size());
-  if (digits.empty() ||
-      digits.find_first_not_of("0123456789") != std::string::npos) {
-    return 0;
-  }
-  return std::strtoull(digits.c_str(), nullptr, 10);
-}
-
-std::vector<std::pair<uint64_t, std::string>> ListSegments(
-    const std::string& dir) {
-  std::vector<std::pair<uint64_t, std::string>> segments;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    std::string name = entry.path().filename().string();
-    uint64_t seq = ParseSegmentSeq(name);
-    if (seq > 0) segments.emplace_back(seq, name);
-  }
-  std::sort(segments.begin(), segments.end());
-  return segments;
-}
 
 Diagnostic RecoveryDiag(DiagCode code, const std::string& segment,
                         std::string message) {
@@ -93,13 +26,6 @@ Diagnostic RecoveryDiag(DiagCode code, const std::string& segment,
 }
 
 }  // namespace
-
-std::string WalSegmentFileName(uint64_t seq) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "wal-%010llu.log",
-                static_cast<unsigned long long>(seq));
-  return buf;
-}
 
 std::string EncodeTickRecord(uint64_t batch_seq, Timestamp tick,
                              const EventPtr* events, size_t n) {
@@ -126,20 +52,14 @@ std::string EncodeCommitRecord(uint64_t batch_seq, std::string_view snapshot) {
   StateWriter w;
   w.U8(kWalRecordCommit);
   w.U64(batch_seq);
-  std::string payload = w.Take();
-  payload.append(snapshot.data(), snapshot.size());
-  return payload;
+  w.Bytes(snapshot);
+  return w.Take();
 }
 
 Result<std::unique_ptr<WalWriter>> WalWriter::Open(
     const DurabilityOptions& options, uint64_t segment_seq,
     DurabilityCounters* counters) {
-  std::error_code ec;
-  std::filesystem::create_directories(options.dir, ec);
-  if (ec) {
-    return Status::Internal("wal: cannot create directory " + options.dir +
-                            ": " + ec.message());
-  }
+  CAESAR_RETURN_IF_ERROR(CreateArtifactDir(options.dir, "wal"));
   std::unique_ptr<WalWriter> writer(new WalWriter(options, counters));
   CAESAR_RETURN_IF_ERROR(writer->OpenSegment(segment_seq));
   return writer;
@@ -154,7 +74,7 @@ Status WalWriter::OpenSegment(uint64_t seq) {
   std::string path =
       (std::filesystem::path(options_.dir) / WalSegmentFileName(seq)).string();
   int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd < 0) return Errno("wal: open " + path);
+  if (fd < 0) return ErrnoStatus("wal: open " + path);
   fd_ = fd;
   seq_ = seq;
   segment_offset_ = 0;
@@ -162,48 +82,42 @@ Status WalWriter::OpenSegment(uint64_t seq) {
   header.U64(kWalMagic);
   header.U32(kWalVersion);
   header.U64(seq);
-  Status status =
-      WriteAll(fd_, header.data().data(), header.size(), "wal: header");
-  if (!status.ok()) return status;
+  CAESAR_RETURN_IF_ERROR(WriteAll(fd_, header.data(), "wal: header"));
   segment_offset_ = header.size();
   return Status::Ok();
 }
 
 Status WalWriter::CloseSegment() {
   if (fd_ < 0) return Status::Ok();
-  int fd = fd_;
-  fd_ = -1;
-  if (::close(fd) != 0) return Errno("wal: close");
+  if (::close(std::exchange(fd_, -1)) != 0) return ErrnoStatus("wal: close");
   return Status::Ok();
 }
 
 Status WalWriter::Append(std::string_view payload,
                          std::string_view crash_point) {
   if (fd_ < 0) return Status::FailedPrecondition("wal: writer closed");
-  FrameRecord(payload, &framed_);
-  const std::string& framed = framed_;
+  StateWriter framed(std::move(framed_));
+  AppendFrame(payload, &framed);
+  framed_ = framed.Take();
   if (options_.crash_hook && options_.crash_hook(crash_point)) {
     // Simulated kill mid-append: a torn prefix of the record reaches the
     // disk (header plus half the payload), then the "process" dies. The
     // recovery scan must truncate this tail (I410).
-    size_t torn = kRecordHeaderBytes + (framed.size() - kRecordHeaderBytes) / 2;
-    Status status = WriteAll(fd_, framed.data(), torn, "wal: torn append");
-    if (!status.ok()) return status;
+    size_t torn = kFrameHeaderBytes + payload.size() / 2;
+    CAESAR_RETURN_IF_ERROR(WriteAll(
+        fd_, std::string_view(framed_).substr(0, torn), "wal: torn append"));
     return Status::DataLoss("crash injected at " + std::string(crash_point));
   }
-  CAESAR_RETURN_IF_ERROR(
-      WriteAll(fd_, framed.data(), framed.size(), "wal: append"));
-  segment_offset_ += framed.size();
+  CAESAR_RETURN_IF_ERROR(WriteAll(fd_, framed_, "wal: append"));
+  segment_offset_ += framed_.size();
   ++counters_->wal_records;
-  counters_->wal_bytes += static_cast<int64_t>(framed.size());
+  counters_->wal_bytes += static_cast<int64_t>(framed_.size());
   return Status::Ok();
 }
 
 Status WalWriter::Sync() {
   if (fd_ < 0) return Status::FailedPrecondition("wal: writer closed");
-  if (::fsync(fd_) != 0) return Errno("wal: fsync");
-  ++counters_->fsyncs;
-  return Status::Ok();
+  return SyncFd(fd_, "wal: fsync", &counters_->fsyncs);
 }
 
 Status WalWriter::Rotate(uint64_t new_seq) {
@@ -221,8 +135,7 @@ Result<WalScanResult> ScanWal(const std::string& dir,
                               uint64_t min_batch_seq) {
   WalScanResult result;
   result.max_batch_seq = min_batch_seq;
-  if (!std::filesystem::exists(dir)) return result;
-  auto segments = ListSegments(dir);
+  auto segments = ListArtifacts(dir, ArtifactKind::kWalSegment);
   if (!segments.empty()) {
     result.next_segment_seq = segments.back().first + 1;
   }
@@ -237,18 +150,8 @@ Result<WalScanResult> ScanWal(const std::string& dir,
     if (stop) break;
     if (from_segment_seq > 0 && seq < from_segment_seq) continue;
     std::string path = (std::filesystem::path(dir) / name).string();
-    std::string data;
-    {
-      std::ifstream in(path, std::ios::binary);
-      if (!in) {
-        return Status::Internal("wal: cannot read " + path);
-      }
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      data = buf.str();
-    }
-    StateReader header(std::string_view(data).substr(
-        0, std::min(data.size(), kSegmentHeaderBytes)));
+    CAESAR_ASSIGN_OR_RETURN(std::string data, ReadWholeFile(path, "wal"));
+    StateReader header(data);
     uint64_t magic = header.U64();
     uint32_t version = header.U32();
     uint64_t file_seq = header.U64();
@@ -277,25 +180,21 @@ Result<WalScanResult> ScanWal(const std::string& dir,
         stop = true;
       };
 
-      if (data.size() - offset < kRecordHeaderBytes) {
-        truncate_tail(DiagCode::kI410TornWalTail, "torn record header");
+      DecodedFrame frame = DecodeFrame(data, offset);
+      if (frame.status == FrameStatus::kTorn) {
+        truncate_tail(DiagCode::kI410TornWalTail,
+                      data.size() - offset < kFrameHeaderBytes
+                          ? "torn record header"
+                          : "torn record payload");
         break;
       }
-      StateReader frame(std::string_view(data).substr(offset, 8));
-      uint32_t len = frame.U32();
-      uint32_t crc = frame.U32();
-      offset += kRecordHeaderBytes;
-      if (len > data.size() - offset) {
-        truncate_tail(DiagCode::kI410TornWalTail, "torn record payload");
-        break;
-      }
-      std::string_view payload = std::string_view(data).substr(offset, len);
-      offset += len;
-      if (Crc32(payload) != crc) {
+      if (frame.status == FrameStatus::kChecksumMismatch) {
         truncate_tail(DiagCode::kI412WalRecordCrcMismatch,
                       "record checksum mismatch");
         break;
       }
+      const std::string_view payload = frame.payload;
+      offset = frame.end;
 
       StateReader r(payload);
       uint8_t type = r.U8();

@@ -6,6 +6,8 @@
 //     [u64 magic "CAESWAL1"][u32 version][u64 segment_seq]   file header
 //     [u32 len][u32 crc32(payload)][payload]                 record, repeated
 //
+// File names, the record frame and the file I/O are durability/artifact.h's.
+//
 // Record payloads start with a one-byte type tag:
 //   kWalRecordTick   [u64 batch_seq][i64 tick][u32 n][n x event]
 //       The admitted events of one scheduler tick, in time order. They
@@ -35,6 +37,7 @@
 
 #include "analysis/diagnostics.h"
 #include "common/status.h"
+#include "durability/artifact.h"
 #include "durability/durability.h"
 #include "event/event.h"
 
@@ -43,16 +46,13 @@ namespace caesar {
 inline constexpr uint8_t kWalRecordTick = 1;
 inline constexpr uint8_t kWalRecordCommit = 2;
 
-// Record payload encoders (framing and checksums are WalWriter's job).
+// Record payload encoders (WalWriter frames them, see durability/artifact.h).
 std::string EncodeTickRecord(uint64_t batch_seq, Timestamp tick,
                              const EventPtr* events, size_t n);
 // The same bytes, encoded into `*out` (cleared first, capacity reused).
 void EncodeTickRecord(uint64_t batch_seq, Timestamp tick,
                       const EventPtr* events, size_t n, std::string* out);
 std::string EncodeCommitRecord(uint64_t batch_seq, std::string_view snapshot);
-
-// "wal-0000000001.log" — also the Diagnostic::source recovery reports use.
-std::string WalSegmentFileName(uint64_t seq);
 
 // Appends framed records to segment files, rotating at size thresholds and
 // checkpoint boundaries. Counters are bumped on the caller's

@@ -1160,9 +1160,11 @@ void Engine::HandleWindowTransitions(PartitionState* partition,
 namespace {
 
 // Per-batch commit snapshot; 3: the quarantine reason set lost
-// out_of_order, which renumbered the reasons.
-constexpr uint8_t kSnapshotVersion = 3;
-constexpr uint8_t kCheckpointVersion = 1;  // full checkpoint payload
+// out_of_order, which renumbered the reasons; 4: the virtual clock, which
+// is wall-clock telemetry, is no longer stored, so the durable bytes are a
+// function of the input alone. The checkpoint payload has no version of
+// its own: the checkpoint file header's version tracks its layout.
+constexpr uint8_t kSnapshotVersion = 4;
 
 void SaveTransition(StateWriter* w, const TransitionState& t) {
   w->Bool(t.was_active);
@@ -1210,7 +1212,6 @@ std::string Engine::SerializeIngestSnapshot() const {
   w.I64(ingest_metrics_.quarantined);
   w.I64(ingest_metrics_.max_observed_lateness);
   quarantine_.Save(&w);
-  w.F64(vclock_completion_);
   w.I64(last_gc_);
   w.Bool(any_tick_processed_);
   w.I64(last_processed_tick_);
@@ -1230,7 +1231,6 @@ Status Engine::RestoreIngestSnapshot(std::string_view snapshot) {
   ingest_metrics_.quarantined = r.I64();
   ingest_metrics_.max_observed_lateness = r.I64();
   CAESAR_RETURN_IF_ERROR(quarantine_.Load(&r));
-  vclock_completion_ = r.F64();
   last_gc_ = r.I64();
   any_tick_processed_ = r.Bool();
   last_processed_tick_ = r.I64();
@@ -1245,7 +1245,6 @@ std::string Engine::SerializeState() const {
   // is deliberately not persisted: it restarts after recovery. The operator
   // counters are the statistics gatherer's state, so they are.
   StateWriter w;
-  w.U8(kCheckpointVersion);
   w.Str(SerializeIngestSnapshot());
   w.U32(static_cast<uint32_t>(partitions_.size()));
   for (const auto& [key, partition] : partitions_) {
@@ -1289,11 +1288,6 @@ std::string Engine::SerializeState() const {
 
 Status Engine::RestoreState(std::string_view payload) {
   StateReader r(payload);
-  uint8_t version = r.U8();
-  if (r.ok() && version != kCheckpointVersion) {
-    return Status::DataLoss("unsupported checkpoint version " +
-                            std::to_string(version));
-  }
   std::string snapshot = r.Str();
   if (!r.ok()) return Status::DataLoss("checkpoint: truncated payload");
   CAESAR_RETURN_IF_ERROR(RestoreIngestSnapshot(snapshot));
@@ -1367,7 +1361,9 @@ Status Engine::FinishRecovery(RecoveryScan scan) {
   // Events re-enter in admitted (time) order, so every ingest policy admits
   // them unchanged; GC, window transitions, and the deterministic telemetry
   // replicate exactly. The commit snapshot then restores what replay cannot
-  // re-derive (quarantine contents, the virtual clock, ingest counters).
+  // re-derive (quarantine contents, ingest counters). The virtual clock is
+  // wall-clock telemetry and is not restored: like the tick metrics, it
+  // restarts with the replayed suffix.
   int64_t replayed = 0;
   replaying_ = true;
   for (const WalBatch& batch : scan.batches) {

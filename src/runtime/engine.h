@@ -445,11 +445,11 @@ class Engine {
 
   // --- Durability serialization (scheduler thread only) ---
   // The per-batch commit snapshot: the ingest counters, the quarantine
-  // sink, the virtual clock and the last processed tick (the admission
-  // floor) — what replay cannot re-derive from the admitted events of a
-  // checkpoint's suffix alone. Run takes it after planning the batch,
-  // before the distribution, so the virtual clock in it holds its
-  // batch-start value.
+  // sink, the last GC and the last processed tick (the admission floor) —
+  // what replay cannot re-derive from the admitted events of a checkpoint's
+  // suffix alone. It holds nothing measured (the virtual clock is wall-clock
+  // telemetry), so the durable bytes are a function of the input. Run takes
+  // it after planning the batch, before the distribution.
   std::string SerializeIngestSnapshot() const;
   Status RestoreIngestSnapshot(std::string_view snapshot);
   // The full checkpoint payload: the commit snapshot plus every

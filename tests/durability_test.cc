@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -380,6 +381,29 @@ TEST(CheckpointTest, UnpublishedTmpIgnoredAndRemoved) {
   EXPECT_TRUE(scan.value().diagnostics.empty());  // tmp debris is not rot
   EXPECT_FALSE(std::filesystem::exists(std::filesystem::path(dir) /
                                        (CheckpointFileName(7) + ".tmp")));
+}
+
+// Retention truncates the log with the same name codec the scan lists
+// segments with: a file that merely starts like a segment name is not a
+// segment, so no checkpoint horizon ever deletes it.
+TEST(CheckpointTest, RetentionKeepsFilesThatAreNotSegments) {
+  std::string dir = ScratchDir("ckpt_retention");
+  const std::filesystem::path base(dir);
+  for (const std::string& name : {WalSegmentFileName(1), std::string(
+                                      "wal-1x.log")}) {
+    std::ofstream(base / name) << "bytes";
+  }
+  int64_t fsyncs = 0;
+  for (const CheckpointInfo& info :
+       {CheckpointInfo{3, 2, 40, "state-3"}, CheckpointInfo{7, 4, 90, "state-7"},
+        CheckpointInfo{9, 5, 120, "state-9"}}) {
+    ASSERT_TRUE(WriteCheckpointFile(dir, info, CrashHook(), &fsyncs).ok());
+    ASSERT_TRUE(RetireOldArtifacts(dir, 2).ok());
+  }
+  EXPECT_FALSE(std::filesystem::exists(base / WalSegmentFileName(1)));
+  EXPECT_FALSE(std::filesystem::exists(base / CheckpointFileName(3)));
+  EXPECT_TRUE(std::filesystem::exists(base / CheckpointFileName(7)));
+  EXPECT_TRUE(std::filesystem::exists(base / "wal-1x.log"));
 }
 
 // ---- Engine-level crash-recovery harness ---------------------------------
@@ -824,7 +848,9 @@ bool SetCheckpointVersion(const std::string& path, uint32_t version) {
 // header must be rejected like rot: the scan falls back to the older
 // checkpoint, replays the WAL suffix, and the engine resumes byte-identical
 // to an uninterrupted run. Version 1 differs in the pattern state, version
-// 2 in where the operator statistics counters are stored.
+// 2 in where the operator statistics counters are stored, version 3 in the
+// virtual clock its commit snapshot held and the payload's own version
+// byte.
 void OldCheckpointVersionFallsBackCase(uint32_t version) {
   auto w = MakeWorkload();
   std::vector<EventBatch> batches = SplitByTicks(w->stream, 20);
@@ -884,42 +910,31 @@ TEST(EngineDurabilityTest, VersionTwoCheckpointFallsBackLikeCorruption) {
   OldCheckpointVersionFallsBackCase(2);
 }
 
-// A WAL written by an older build carries a version-1 commit snapshot,
-// whose layout also held the ingest layer's own high-water marks. Recovery
-// refuses it with a DataLoss naming the version — the older build must
-// recover its own artifacts — instead of misreading or aborting.
-TEST(EngineDurabilityTest, VersionOneCommitSnapshotIsDataLoss) {
+TEST(EngineDurabilityTest, VersionThreeCheckpointFallsBackLikeCorruption) {
+  OldCheckpointVersionFallsBackCase(3);
+}
+
+// A WAL written by an older build carries a commit snapshot of an older
+// version. Recovery refuses it with a DataLoss naming the version — the
+// older build must recover its own artifacts — instead of misreading or
+// aborting. `layout` encodes that version's snapshot of a strict engine
+// after the workload's first tick, from the tick's event count and time.
+void OldCommitSnapshotIsDataLossCase(
+    int version, const std::function<std::string(int64_t, Timestamp)>& layout) {
   auto w = MakeWorkload();
   std::vector<EventBatch> batches = SplitByTicks(w->stream, 1);
   ASSERT_FALSE(batches.empty());
   const EventBatch& tick = batches[0];
   const Timestamp time = tick.front()->time();
 
-  // The version-1 layout of a strict engine after that one tick.
-  StateWriter v1;
-  v1.U8(1);
-  v1.I64(static_cast<int64_t>(tick.size()));  // admitted
-  for (int i = 0; i < 4; ++i) v1.I64(0);      // reordered .. lateness
-  v1.Bool(false);                             // drop high-water mark
-  v1.I64(0);
-  v1.Bool(false);                             // no reorder buffer
-  v1.I64(0);                                  // quarantine total
-  v1.U32(5);                                  // reason count
-  for (int i = 0; i < 5; ++i) v1.I64(0);      // per-reason counts
-  v1.U32(0);                                  // retained entries
-  v1.U32(0);                                  // partitions
-  v1.F64(0.0);  // virtual clock
-  v1.I64(0);    // last GC
-  v1.Bool(true);
-  v1.I64(time);  // last processed tick
-
-  std::string dir = ScratchDir("snapshot_v1");
+  std::string dir = ScratchDir("snapshot_v" + std::to_string(version));
   {
     DurabilityCounters counters;
     auto writer = WalWriter::Open(WalOptions(dir), /*segment_seq=*/1,
                                   &counters);
     ASSERT_TRUE(writer.ok()) << writer.status();
-    AppendBatch(writer.value().get(), /*batch_seq=*/1, time, tick, v1.Take());
+    AppendBatch(writer.value().get(), /*batch_seq=*/1, time, tick,
+                layout(static_cast<int64_t>(tick.size()), time));
   }
 
   EngineOptions options;
@@ -928,55 +943,75 @@ TEST(EngineDurabilityTest, VersionOneCommitSnapshotIsDataLoss) {
   ASSERT_FALSE(recovered.ok());
   EXPECT_EQ(recovered.status().code(), StatusCode::kDataLoss);
   EXPECT_NE(recovered.status().message().find(
-                "unsupported commit snapshot version 1"),
+                "unsupported commit snapshot version " +
+                std::to_string(version)),
             std::string::npos)
       << recovered.status();
 }
 
+// Version 1 also held the ingest layer's own high-water marks.
+TEST(EngineDurabilityTest, VersionOneCommitSnapshotIsDataLoss) {
+  OldCommitSnapshotIsDataLossCase(1, [](int64_t admitted, Timestamp time) {
+    StateWriter v1;
+    v1.U8(1);
+    v1.I64(admitted);
+    for (int i = 0; i < 4; ++i) v1.I64(0);  // reordered .. lateness
+    v1.Bool(false);                         // drop high-water mark
+    v1.I64(0);
+    v1.Bool(false);                         // no reorder buffer
+    v1.I64(0);                              // quarantine total
+    v1.U32(5);                              // reason count
+    for (int i = 0; i < 5; ++i) v1.I64(0);  // per-reason counts
+    v1.U32(0);                              // retained entries
+    v1.U32(0);                              // partitions
+    v1.F64(0.0);  // virtual clock
+    v1.I64(0);    // last GC
+    v1.Bool(true);
+    v1.I64(time);  // last processed tick
+    return v1.Take();
+  });
+}
+
 // Version 2 numbered the quarantine reasons from out_of_order, which is
-// gone: its reason bytes would land on the wrong reasons, so recovery
-// refuses it the same way.
+// gone: its reason bytes would land on the wrong reasons.
 TEST(EngineDurabilityTest, VersionTwoCommitSnapshotIsDataLoss) {
-  auto w = MakeWorkload();
-  std::vector<EventBatch> batches = SplitByTicks(w->stream, 1);
-  ASSERT_FALSE(batches.empty());
-  const EventBatch& tick = batches[0];
-  const Timestamp time = tick.front()->time();
+  OldCommitSnapshotIsDataLossCase(2, [](int64_t admitted, Timestamp time) {
+    StateWriter v2;
+    v2.U8(2);
+    v2.I64(admitted);
+    for (int i = 0; i < 4; ++i) v2.I64(0);  // reordered .. lateness
+    v2.I64(0);                              // quarantine total
+    v2.U32(5);                              // reason count
+    for (int i = 0; i < 5; ++i) v2.I64(0);  // per-reason counts
+    v2.U32(0);                              // retained entries
+    v2.U32(0);                              // partitions
+    v2.F64(0.0);  // virtual clock
+    v2.I64(0);    // last GC
+    v2.Bool(true);
+    v2.I64(time);  // last processed tick
+    return v2.Take();
+  });
+}
 
-  // The version-2 layout of a strict engine after that one tick: its
-  // quarantine still counted five reasons, out_of_order first.
-  StateWriter v2;
-  v2.U8(2);
-  v2.I64(static_cast<int64_t>(tick.size()));  // admitted
-  for (int i = 0; i < 4; ++i) v2.I64(0);      // reordered .. lateness
-  v2.I64(0);                                  // quarantine total
-  v2.U32(5);                                  // reason count
-  for (int i = 0; i < 5; ++i) v2.I64(0);      // per-reason counts
-  v2.U32(0);                                  // retained entries
-  v2.U32(0);                                  // partitions
-  v2.F64(0.0);  // virtual clock
-  v2.I64(0);    // last GC
-  v2.Bool(true);
-  v2.I64(time);  // last processed tick
-
-  std::string dir = ScratchDir("snapshot_v2");
-  {
-    DurabilityCounters counters;
-    auto writer = WalWriter::Open(WalOptions(dir), /*segment_seq=*/1,
-                                  &counters);
-    ASSERT_TRUE(writer.ok()) << writer.status();
-    AppendBatch(writer.value().get(), /*batch_seq=*/1, time, tick, v2.Take());
-  }
-
-  EngineOptions options;
-  options.durability = WalOptions(dir);
-  auto recovered = Engine::Recover(w->plan.Clone(), options);
-  ASSERT_FALSE(recovered.ok());
-  EXPECT_EQ(recovered.status().code(), StatusCode::kDataLoss);
-  EXPECT_NE(recovered.status().message().find(
-                "unsupported commit snapshot version 2"),
-            std::string::npos)
-      << recovered.status();
+// Version 3 still held the virtual clock, wall-clock telemetry that made
+// the durable bytes differ from run to run.
+TEST(EngineDurabilityTest, VersionThreeCommitSnapshotIsDataLoss) {
+  OldCommitSnapshotIsDataLossCase(3, [](int64_t admitted, Timestamp time) {
+    StateWriter v3;
+    v3.U8(3);
+    v3.I64(admitted);
+    for (int i = 0; i < 4; ++i) v3.I64(0);  // reordered .. lateness
+    v3.I64(0);                              // quarantine total
+    v3.U32(4);                              // reason count
+    for (int i = 0; i < 4; ++i) v3.I64(0);  // per-reason counts
+    v3.U32(0);                              // retained entries
+    v3.U32(0);                              // partitions
+    v3.F64(0.0);  // virtual clock
+    v3.I64(0);    // last GC
+    v3.Bool(true);
+    v3.I64(time);  // last processed tick
+    return v3.Take();
+  });
 }
 
 TEST(EngineDurabilityTest, FreshEngineInUsedDirectoryKeepsSequencing) {
@@ -1392,6 +1427,48 @@ TEST(EngineDurabilityTest, WalWaitIsTimedPerLoggedRun) {
                                     ? 0
                                     : static_cast<int64_t>(batches.size()));
     EXPECT_DOUBLE_EQ(wal_wait.sum(), summed);
+  }
+}
+
+// Every name and byte a file holds.
+std::map<std::string, std::string> ReadDirectory(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files[entry.path().filename().string()] = ReadFile(entry.path());
+  }
+  return files;
+}
+
+// The WAL and checkpoint bytes are a function of the input alone: nothing
+// measured (the virtual clock, wall times) and nothing that depends on the
+// pool width reaches them, so two runs of one input at 1 and at 4 threads
+// leave byte-identical directories.
+TEST(EngineDurabilityTest, DurableBytesAreReproducibleAcrossRunsAndWidths) {
+  auto w = MakeWorkload();
+  std::vector<EventBatch> batches = SplitByTicks(w->stream, 10);
+  auto durable_run = [&](int threads) {
+    EngineOptions options;
+    options.num_threads = threads;
+    options.durability.mode = DurabilityMode::kWalCheckpoint;
+    options.durability.dir =
+        ScratchDir("reproducible_" + std::to_string(threads));
+    options.durability.checkpoint_interval_ticks = 16;
+    {
+      Engine engine(w->plan.Clone(), options);
+      for (const EventBatch& batch : batches) {
+        EXPECT_TRUE(engine.Run(batch, nullptr).ok());
+      }
+      EXPECT_GT(engine.durability_counters().checkpoints_written, 0);
+    }
+    return ReadDirectory(options.durability.dir);
+  };
+  std::map<std::string, std::string> serial = durable_run(1);
+  std::map<std::string, std::string> parallel = durable_run(4);
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (const auto& [name, bytes] : serial) {
+    auto it = parallel.find(name);
+    ASSERT_NE(it, parallel.end()) << name << " missing at 4 threads";
+    EXPECT_TRUE(it->second == bytes) << name << " differs at 4 threads";
   }
 }
 
