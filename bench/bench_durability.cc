@@ -77,7 +77,7 @@ Sample Replay(const ExecutablePlan& plan,
   options.durability.fsync = fsync;
   options.durability.checkpoint_interval_ticks = checkpoint_interval;
   if (report_out != nullptr) options.gather_statistics = true;
-  Engine engine(plan.Clone(), options);
+  Engine engine(plan, options);
   Stopwatch watch;
   Sample sample;
   for (const EventBatch& batch : batches) {

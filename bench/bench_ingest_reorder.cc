@@ -35,7 +35,7 @@ Sample Replay(const ExecutablePlan& plan, const EventBatch& stream,
     options.gather_statistics = true;
     options.metrics = MetricsGranularity::kOperator;
   }
-  Engine engine(plan.Clone(), options);
+  Engine engine(plan, options);
   Stopwatch watch;
   Sample sample;
   auto run = engine.Run(stream);

@@ -78,7 +78,7 @@ void BM_FilterOp(benchmark::State& state) {
   FilterOp filter(fx.Predicate("r.value > 4", fx.OneVar("r")));
   for (auto _ : state) {
     EventBatch out;
-    filter.Process(fx.batch_, &out, &fx.ctx_);
+    filter.Process(fx.batch_, &out, &fx.ctx_, nullptr);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * fx.batch_.size());
@@ -92,16 +92,16 @@ void BM_ProjectionOp(benchmark::State& state) {
   ProjectionOp projection(out_type, {fx.Predicate("r.value", fx.OneVar("r"))});
   for (auto _ : state) {
     EventBatch out;
-    projection.Process(fx.batch_, &out, &fx.ctx_);
+    projection.Process(fx.batch_, &out, &fx.ctx_, nullptr);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * fx.batch_.size());
 }
 BENCHMARK(BM_ProjectionOp);
 
-// SEQ(R a, R b) WITHIN 32, compiled once; each iteration runs a fresh
-// operator instance over it, one tick per Process call as the engine does,
-// so runs expire as the stream moves on.
+// SEQ(R a, R b) WITHIN 32, compiled once; each iteration runs the operator
+// on a fresh state, one tick per Process call as the engine does, so runs
+// expire as the stream moves on.
 std::shared_ptr<const CompiledAutomaton> MakeSeq(OperatorBench& fx,
                                                  bool pushed) {
   BindingSet bindings;
@@ -130,10 +130,13 @@ std::shared_ptr<const CompiledAutomaton> MakeSeq(OperatorBench& fx,
 void BM_SeqPatternPushedPredicates(benchmark::State& state) {
   OperatorBench& fx = Fixture();
   const auto automaton = MakeSeq(fx, /*pushed=*/true);
+  const CompiledPatternOp seq(automaton);
   for (auto _ : state) {
-    CompiledPatternOp seq(automaton);
+    CompiledPatternOp::State runs(automaton.get());
     EventBatch out;
-    for (const EventBatch& tick : fx.ticks_) seq.Process(tick, &out, &fx.ctx_);
+    for (const EventBatch& tick : fx.ticks_) {
+      seq.Process(tick, &out, &fx.ctx_, &runs);
+    }
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * fx.batch_.size());
@@ -143,10 +146,13 @@ BENCHMARK(BM_SeqPatternPushedPredicates);
 void BM_SeqPatternUnpushed(benchmark::State& state) {
   OperatorBench& fx = Fixture();
   const auto automaton = MakeSeq(fx, /*pushed=*/false);
+  const CompiledPatternOp seq(automaton);
   for (auto _ : state) {
-    CompiledPatternOp seq(automaton);
+    CompiledPatternOp::State runs(automaton.get());
     EventBatch out;
-    for (const EventBatch& tick : fx.ticks_) seq.Process(tick, &out, &fx.ctx_);
+    for (const EventBatch& tick : fx.ticks_) {
+      seq.Process(tick, &out, &fx.ctx_, &runs);
+    }
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * fx.batch_.size());
@@ -178,10 +184,13 @@ void BM_SeqPatternLeadingNegation(benchmark::State& state) {
                                 Value(rng.Uniform(0, state.range(0) - 1)),
                                 Value(t)})});
   }
+  const CompiledPatternOp seq(automaton);
   for (auto _ : state) {
-    CompiledPatternOp seq(automaton);
+    CompiledPatternOp::State runs(automaton.get());
     EventBatch out;
-    for (const EventBatch& tick : ticks) seq.Process(tick, &out, &fx.ctx_);
+    for (const EventBatch& tick : ticks) {
+      seq.Process(tick, &out, &fx.ctx_, &runs);
+    }
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * ticks.size());
@@ -200,10 +209,11 @@ void BM_AggregateOp(benchmark::State& state) {
                      {"cnt", ValueType::kInt},
                      {"avg", ValueType::kDouble}});
   config->description = "bench";
+  const AggregateOp agg(config);
   for (auto _ : state) {
-    AggregateOp agg(config);
+    AggregateOp::State groups;
     EventBatch out;
-    agg.Process(fx.batch_, &out, &fx.ctx_);
+    agg.Process(fx.batch_, &out, &fx.ctx_, &groups);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * fx.batch_.size());
@@ -216,7 +226,7 @@ void BM_ContextWindowProbe(benchmark::State& state) {
   fx.contexts_.Initiate(1, 0);
   for (auto _ : state) {
     EventBatch out;
-    window.Process(fx.batch_, &out, &fx.ctx_);
+    window.Process(fx.batch_, &out, &fx.ctx_, nullptr);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * fx.batch_.size());

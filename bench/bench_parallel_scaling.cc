@@ -1,6 +1,6 @@
 // Parallel scaling of the persistent sharded executor (Section 6 / Fig. 8:
 // the runtime is partition-parallel — each road segment owns its context
-// vector and plan instance). Runs a multi-partition Linear Road stream
+// vector and operator state). Runs a multi-partition Linear Road stream
 // through the optimized plan at growing worker counts and reports the
 // wall time of the measured Run call (distribution, dispatch and merge),
 // throughput, speedup over serial, and the pool's own metrics.
@@ -145,7 +145,7 @@ int Main(int argc, char** argv) {
     row.threads = threads;
     StatisticsReport report;
     for (int rep = 0; rep < repetitions; ++rep) {
-      Engine engine(plan.value().Clone(), options);
+      Engine engine(plan.value(), options);
       engine.Run(warmup).value();
       Stopwatch watch;
       RunStats stats = engine.Run(measured).value();

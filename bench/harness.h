@@ -115,7 +115,7 @@ inline RunStats RunExperimentWithOptions(const CaesarModel& model,
 
   RunStats best;
   for (int rep = 0; rep < repetitions; ++rep) {
-    Engine engine(plan.value().Clone(), options);
+    Engine engine(plan.value(), options);
     engine.Run(warmup).value();
     RunStats stats = engine.Run(measured).value();
     if (rep == 0 || stats.max_latency < best.max_latency) {

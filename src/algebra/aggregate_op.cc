@@ -1,6 +1,7 @@
 #include "algebra/aggregate_op.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <map>
 
@@ -27,9 +28,14 @@ AggregateOp::AggregateOp(std::shared_ptr<const AggregateOpConfig> config)
   CAESAR_CHECK(!config_->aggregates.empty());
 }
 
+std::unique_ptr<OperatorState> AggregateOp::NewState() const {
+  return std::make_unique<State>();
+}
+
 void AggregateOp::Process(const EventBatch& input, EventBatch* output,
-                          OpExecContext* ctx) {
+                          OpExecContext* ctx, OperatorState* state) const {
   const auto& cfg = *config_;
+  auto& groups = static_cast<State*>(state)->groups_;
   for (const EventPtr& event : input) {
     if (event->type_id() != cfg.input_type) continue;
     ctx->CountWork(1);
@@ -39,9 +45,9 @@ void AggregateOp::Process(const EventBatch& input, EventBatch* output,
     key.reserve(cfg.group_by.size());
     for (int attr : cfg.group_by) key.push_back(event->value(attr));
     size_t hash = HashKey(key);
-    std::vector<Group>& bucket = groups_[hash];
-    Group* group = nullptr;
-    for (Group& candidate : bucket) {
+    std::vector<State::Group>& bucket = groups[hash];
+    State::Group* group = nullptr;
+    for (State::Group& candidate : bucket) {
       if (candidate.key == key) {
         group = &candidate;
         break;
@@ -55,7 +61,7 @@ void AggregateOp::Process(const EventBatch& input, EventBatch* output,
     }
 
     // Insert the sample and evict expired ones.
-    Sample sample;
+    State::Sample sample;
     sample.time = event->time();
     sample.values.reserve(cfg.aggregates.size());
     for (const auto& agg : cfg.aggregates) {
@@ -70,7 +76,7 @@ void AggregateOp::Process(const EventBatch& input, EventBatch* output,
       group->sums[a] += sample.values[a];
     }
     group->samples.push_back(std::move(sample));
-    Evict(group, event->time() - cfg.window_length);
+    State::Evict(group, event->time() - cfg.window_length);
 
     // Emit when HAVING passes.
     std::vector<Value> outputs = ComputeOutputs(*group);
@@ -84,17 +90,18 @@ void AggregateOp::Process(const EventBatch& input, EventBatch* output,
   }
 }
 
-void AggregateOp::Evict(Group* group, Timestamp horizon) {
+void AggregateOp::State::Evict(Group* group, Timestamp horizon) {
   while (!group->samples.empty() && group->samples.front().time <= horizon) {
     const Sample& old = group->samples.front();
-    for (size_t a = 0; a < config_->aggregates.size(); ++a) {
+    for (size_t a = 0; a < group->sums.size(); ++a) {
       group->sums[a] -= old.values[a];
     }
     group->samples.pop_front();
   }
 }
 
-std::vector<Value> AggregateOp::ComputeOutputs(const Group& group) const {
+std::vector<Value> AggregateOp::ComputeOutputs(
+    const State::Group& group) const {
   const auto& cfg = *config_;
   std::vector<Value> outputs = group.key;
   outputs.reserve(group.key.size() + cfg.aggregates.size());
@@ -116,7 +123,7 @@ std::vector<Value> AggregateOp::ComputeOutputs(const Group& group) const {
         double best = cfg.aggregates[a].func == AggregateFunc::kMin
                           ? std::numeric_limits<double>::infinity()
                           : -std::numeric_limits<double>::infinity();
-        for (const Sample& sample : group.samples) {
+        for (const State::Sample& sample : group.samples) {
           best = cfg.aggregates[a].func == AggregateFunc::kMin
                      ? std::min(best, sample.values[a])
                      : std::max(best, sample.values[a]);
@@ -129,9 +136,9 @@ std::vector<Value> AggregateOp::ComputeOutputs(const Group& group) const {
   return outputs;
 }
 
-void AggregateOp::Reset() { groups_.clear(); }
+void AggregateOp::State::Reset() { groups_.clear(); }
 
-void AggregateOp::SaveState(StateWriter* w) const {
+void AggregateOp::State::Save(StateWriter* w) const {
   // Buckets are emitted in hash order (the unordered_map's own order is
   // not byte-stable); within a bucket, vector order is preserved. Sums are
   // saved bit-exact so incremental AVG/SUM keep their exact rounding
@@ -157,7 +164,7 @@ void AggregateOp::SaveState(StateWriter* w) const {
   }
 }
 
-Status AggregateOp::LoadState(StateReader* r) {
+Status AggregateOp::State::Load(StateReader* r) {
   groups_.clear();
   uint32_t n_buckets = r->U32();
   for (uint32_t b = 0; r->ok() && b < n_buckets; ++b) {
@@ -191,14 +198,14 @@ Status AggregateOp::LoadState(StateReader* r) {
                  : Status::DataLoss("truncated aggregate state");
 }
 
-void AggregateOp::ExpireBefore(Timestamp t) {
-  for (auto& [hash, bucket] : groups_) {
+void AggregateOp::State::ExpireBefore(Timestamp t) {
+  for (auto it = groups_.begin(); it != groups_.end();) {
+    std::vector<Group>& bucket = it->second;
     for (Group& group : bucket) Evict(&group, t - 1);
+    std::erase_if(bucket,
+                  [](const Group& group) { return group.samples.empty(); });
+    it = bucket.empty() ? groups_.erase(it) : std::next(it);
   }
-}
-
-std::unique_ptr<Operator> AggregateOp::Clone() const {
-  return std::make_unique<AggregateOp>(config_);
 }
 
 std::string AggregateOp::DebugString() const {

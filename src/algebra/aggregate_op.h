@@ -23,7 +23,7 @@
 
 namespace caesar {
 
-// Immutable configuration shared across per-partition clones.
+// Immutable configuration, shared by every partition that runs the query.
 struct AggregateOpConfig {
   TypeId input_type = kInvalidTypeId;
   TypeId output_type = kInvalidTypeId;
@@ -42,38 +42,53 @@ struct AggregateOpConfig {
 
 class AggregateOp : public Operator {
  public:
+  // One partition's groups.
+  class State : public OperatorState {
+   public:
+    void Reset() override;
+    // Evicts the samples older than `t` and erases each group (and hash
+    // bucket) that this leaves empty: a group is empty exactly when its
+    // newest sample is older than `t`. A later event of that key starts a
+    // new group, keyed by its own representation (int 1 vs double 1.0).
+    void ExpireBefore(Timestamp t) override;
+    void Save(StateWriter* w) const override;
+    Status Load(StateReader* r) override;
+
+    size_t num_groups() const { return groups_.size(); }
+
+   private:
+    friend class AggregateOp;
+    struct Sample {
+      Timestamp time;
+      std::vector<double> values;  // one per aggregate (0 for COUNT)
+    };
+    struct Group {
+      std::vector<Value> key;
+      std::deque<Sample> samples;
+      // Incrementally maintained sums (COUNT/SUM/AVG); MIN/MAX scan
+      // samples.
+      std::vector<double> sums;
+    };
+
+    static void Evict(Group* group, Timestamp horizon);
+
+    std::unordered_map<size_t, std::vector<Group>> groups_;  // by key hash
+  };
+
   explicit AggregateOp(std::shared_ptr<const AggregateOpConfig> config);
 
+  std::unique_ptr<OperatorState> NewState() const override;
   void Process(const EventBatch& input, EventBatch* output,
-               OpExecContext* ctx) override;
-  std::unique_ptr<Operator> Clone() const override;
-  void Reset() override;
-  void ExpireBefore(Timestamp t) override;
+               OpExecContext* ctx, OperatorState* state) const override;
   std::string DebugString() const override;
-  void SaveState(StateWriter* w) const override;
-  Status LoadState(StateReader* r) override;
   double UnitCost() const override { return 2.0; }
 
   const AggregateOpConfig& config() const { return *config_; }
-  size_t num_groups() const { return groups_.size(); }
 
  private:
-  struct Sample {
-    Timestamp time;
-    std::vector<double> values;  // one per aggregate (0 for COUNT)
-  };
-  struct Group {
-    std::vector<Value> key;
-    std::deque<Sample> samples;
-    // Incrementally maintained sums (COUNT/SUM/AVG); MIN/MAX scan samples.
-    std::vector<double> sums;
-  };
-
-  void Evict(Group* group, Timestamp horizon);
-  std::vector<Value> ComputeOutputs(const Group& group) const;
+  std::vector<Value> ComputeOutputs(const State::Group& group) const;
 
   std::shared_ptr<const AggregateOpConfig> config_;
-  std::unordered_map<size_t, std::vector<Group>> groups_;  // by key hash
 };
 
 }  // namespace caesar

@@ -11,17 +11,13 @@ FilterOp::FilterOp(std::shared_ptr<const CompiledExpr> predicate,
       selectivity_(selectivity) {}
 
 void FilterOp::Process(const EventBatch& input, EventBatch* output,
-                       OpExecContext* ctx) {
+                       OpExecContext* ctx, OperatorState*) const {
   ctx->CountWork(input.size());
   for (const EventPtr& event : input) {
     if (predicate_->EvalBool(&event)) {
       output->push_back(event);
     }
   }
-}
-
-std::unique_ptr<Operator> FilterOp::Clone() const {
-  return std::make_unique<FilterOp>(predicate_, selectivity_);
 }
 
 std::string FilterOp::DebugString() const {
@@ -37,7 +33,7 @@ ProjectionOp::ProjectionOp(
       description_(std::move(description)) {}
 
 void ProjectionOp::Process(const EventBatch& input, EventBatch* output,
-                           OpExecContext* ctx) {
+                           OpExecContext* ctx, OperatorState*) const {
   ctx->CountWork(input.size());
   for (const EventPtr& event : input) {
     std::vector<Value> values;
@@ -48,10 +44,6 @@ void ProjectionOp::Process(const EventBatch& input, EventBatch* output,
     output->push_back(MakeComplexEvent(output_type_, event->start_time(),
                                        event->end_time(), std::move(values)));
   }
-}
-
-std::unique_ptr<Operator> ProjectionOp::Clone() const {
-  return std::make_unique<ProjectionOp>(output_type_, args_, description_);
 }
 
 std::string ProjectionOp::DebugString() const {

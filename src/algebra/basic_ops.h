@@ -28,8 +28,7 @@ class FilterOp : public Operator {
            double selectivity = 0.5);
 
   void Process(const EventBatch& input, EventBatch* output,
-               OpExecContext* ctx) override;
-  std::unique_ptr<Operator> Clone() const override;
+               OpExecContext* ctx, OperatorState* state) const override;
   std::string DebugString() const override;
   double Selectivity() const override { return selectivity_; }
 
@@ -51,8 +50,7 @@ class ProjectionOp : public Operator {
                std::string description = "");
 
   void Process(const EventBatch& input, EventBatch* output,
-               OpExecContext* ctx) override;
-  std::unique_ptr<Operator> Clone() const override;
+               OpExecContext* ctx, OperatorState* state) const override;
   std::string DebugString() const override;
 
   TypeId output_type() const { return output_type_; }

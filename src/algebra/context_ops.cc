@@ -10,7 +10,7 @@ ContextInitOp::ContextInitOp(int context_id, std::string context_name)
       context_name_(std::move(context_name)) {}
 
 void ContextInitOp::Process(const EventBatch& input, EventBatch* output,
-                            OpExecContext* ctx) {
+                            OpExecContext* ctx, OperatorState*) const {
   ctx->CountWork(input.size());
   for (const EventPtr& event : input) {
     // e.time = w_c.start (the window begins when the initiating event
@@ -18,10 +18,6 @@ void ContextInitOp::Process(const EventBatch& input, EventBatch* output,
     ctx->contexts->Initiate(context_id_, event->time());
     output->push_back(event);
   }
-}
-
-std::unique_ptr<Operator> ContextInitOp::Clone() const {
-  return std::make_unique<ContextInitOp>(context_id_, context_name_);
 }
 
 std::string ContextInitOp::DebugString() const {
@@ -34,16 +30,12 @@ ContextTermOp::ContextTermOp(int context_id, std::string context_name)
       context_name_(std::move(context_name)) {}
 
 void ContextTermOp::Process(const EventBatch& input, EventBatch* output,
-                            OpExecContext* ctx) {
+                            OpExecContext* ctx, OperatorState*) const {
   ctx->CountWork(input.size());
   for (const EventPtr& event : input) {
     ctx->contexts->Terminate(context_id_, event->time());
     output->push_back(event);
   }
-}
-
-std::unique_ptr<Operator> ContextTermOp::Clone() const {
-  return std::make_unique<ContextTermOp>(context_id_, context_name_);
 }
 
 std::string ContextTermOp::DebugString() const {
@@ -69,7 +61,7 @@ ContextWindowOp::ContextWindowOp(std::vector<int> context_ids,
 }
 
 void ContextWindowOp::Process(const EventBatch& input, EventBatch* output,
-                              OpExecContext* ctx) {
+                              OpExecContext* ctx, OperatorState*) const {
   // The bit-vector probe is constant and negligible next to per-event
   // operator work (Section 5.1: "the CPU cost of these operators is
   // constant"), so it contributes no work units — the premise of Theorem 1
@@ -85,11 +77,6 @@ void ContextWindowOp::Process(const EventBatch& input, EventBatch* output,
       }
     }
   }
-}
-
-std::unique_ptr<Operator> ContextWindowOp::Clone() const {
-  return std::make_unique<ContextWindowOp>(context_ids_, description_,
-                                           anchors_);
 }
 
 std::string ContextWindowOp::DebugString() const {

@@ -27,8 +27,7 @@ class ContextInitOp : public Operator {
   ContextInitOp(int context_id, std::string context_name);
 
   void Process(const EventBatch& input, EventBatch* output,
-               OpExecContext* ctx) override;
-  std::unique_ptr<Operator> Clone() const override;
+               OpExecContext* ctx, OperatorState* state) const override;
   std::string DebugString() const override;
 
   int context_id() const { return context_id_; }
@@ -45,8 +44,7 @@ class ContextTermOp : public Operator {
   ContextTermOp(int context_id, std::string context_name);
 
   void Process(const EventBatch& input, EventBatch* output,
-               OpExecContext* ctx) override;
-  std::unique_ptr<Operator> Clone() const override;
+               OpExecContext* ctx, OperatorState* state) const override;
   std::string DebugString() const override;
 
   int context_id() const { return context_id_; }
@@ -73,8 +71,7 @@ class ContextWindowOp : public Operator {
                   std::vector<int> anchors = {});
 
   void Process(const EventBatch& input, EventBatch* output,
-               OpExecContext* ctx) override;
-  std::unique_ptr<Operator> Clone() const override;
+               OpExecContext* ctx, OperatorState* state) const override;
   std::string DebugString() const override;
 
   const std::vector<int>& context_ids() const { return context_ids_; }

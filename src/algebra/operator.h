@@ -3,8 +3,10 @@
 // The algebra's six operators — pattern, filter, projection, context window,
 // context initiation, context termination — plus the sliding-aggregate
 // extension all implement Operator. Operators process event batches
-// bottom-up in a query plan; stateful operators (pattern, aggregate) keep
-// per-partition state, so plans are instantiated per partition via Clone().
+// bottom-up in a query plan. An Operator is an immutable program shared by
+// every partition and thread, so Process is const; a stateful operator
+// (pattern, aggregate) keeps its per-partition data in an OperatorState
+// from NewState, which the runtime owns.
 //
 // Work accounting: every operator adds its processed "work units" (events
 // examined, partial matches extended, buffer entries scanned) to
@@ -41,6 +43,32 @@ struct OpExecContext {
   void CountWork(uint64_t units) const { *ops_counter += units; }
 };
 
+// The per-partition state of one stateful operator (Operator::NewState).
+class OperatorState {
+ public:
+  OperatorState() = default;
+  virtual ~OperatorState() = default;
+
+  OperatorState(const OperatorState&) = delete;
+  OperatorState& operator=(const OperatorState&) = delete;
+
+  // Drops all partial state. Called when the context window scoping the
+  // operator's query ends ("context history can be safely discarded").
+  virtual void Reset() = 0;
+
+  // Drops partial state derived from events older than `t` (garbage
+  // collection / grouped-window history expiry).
+  virtual void ExpireBefore(Timestamp t) = 0;
+
+  // Serializes the state (durability/serde.h); configuration is rebuilt
+  // from the plan on recovery. Byte-stable for identical state.
+  virtual void Save(StateWriter* w) const = 0;
+
+  // Restores state produced by Save into a fresh state of an identically
+  // configured operator. Returns DataLoss on malformed bytes.
+  virtual Status Load(StateReader* r) = 0;
+};
+
 // Base class for all algebra operators.
 class Operator {
  public:
@@ -65,39 +93,20 @@ class Operator {
 
   Kind kind() const { return kind_; }
 
-  // Consumes `input` and appends results to `output`. Stateful operators may
-  // retain partial state across calls. Events must arrive in non-decreasing
-  // time order across calls.
+  // A fresh, empty state for one partition; null for a stateless operator.
+  // The state refers to this operator's configuration, so it must not
+  // outlive the operator.
+  virtual std::unique_ptr<OperatorState> NewState() const { return nullptr; }
+
+  // Consumes `input` and appends results to `output`. `state` is a state
+  // from this operator's NewState (null for a stateless operator); it
+  // carries partial matches across calls. Events must arrive in
+  // non-decreasing time order across the calls on one state.
   virtual void Process(const EventBatch& input, EventBatch* output,
-                       OpExecContext* ctx) = 0;
-
-  // Fresh-state copy for per-partition instantiation (configuration is
-  // shared, state is not).
-  virtual std::unique_ptr<Operator> Clone() const = 0;
-
-  // Drops all partial state. Called when the context window scoping this
-  // operator's query ends ("context history can be safely discarded").
-  virtual void Reset() {}
-
-  // Drops partial state derived from events older than `t` (garbage
-  // collection / grouped-window history expiry).
-  virtual void ExpireBefore(Timestamp t) { (void)t; }
+                       OpExecContext* ctx, OperatorState* state) const = 0;
 
   // One-line description for plan printing.
   virtual std::string DebugString() const = 0;
-
-  // --- Durability hooks (durability/serde.h) ---
-  // Serializes the operator's mutable state. Configuration is rebuilt from
-  // the plan on recovery and never persisted; stateless operators write
-  // nothing. Byte-stable for identical state (checkpoint determinism).
-  virtual void SaveState(StateWriter* w) const { (void)w; }
-
-  // Restores state produced by SaveState on an identically configured
-  // fresh instance. Returns DataLoss on malformed bytes.
-  virtual Status LoadState(StateReader* r) {
-    (void)r;
-    return Status::Ok();
-  }
 
   // --- Cost model hooks (relative units; see optimizer/cost_model.h) ---
 

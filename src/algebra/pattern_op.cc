@@ -12,7 +12,7 @@ PatternOp::PatternOp(std::shared_ptr<const PatternOpConfig> config)
 }
 
 void PatternOp::Process(const EventBatch& input, EventBatch* output,
-                        OpExecContext* ctx) {
+                        OpExecContext* ctx, OperatorState*) const {
   // Forward events of the type, applying any pushed predicates.
   ctx->CountWork(input.size());
   const auto& position = config_->positions[0];
@@ -28,10 +28,6 @@ void PatternOp::Process(const EventBatch& input, EventBatch* output,
     }
     if (pass) output->push_back(event);
   }
-}
-
-std::unique_ptr<Operator> PatternOp::Clone() const {
-  return std::make_unique<PatternOp>(config_);
 }
 
 std::string PatternOp::DebugString() const {

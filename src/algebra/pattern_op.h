@@ -41,7 +41,7 @@
 
 namespace caesar {
 
-// Immutable configuration shared by all per-partition clones.
+// Immutable configuration, shared by every partition that runs the query.
 struct PatternOpConfig {
   struct Position {
     TypeId type_id = kInvalidTypeId;
@@ -68,8 +68,7 @@ class PatternOp : public Operator {
   explicit PatternOp(std::shared_ptr<const PatternOpConfig> config);
 
   void Process(const EventBatch& input, EventBatch* output,
-               OpExecContext* ctx) override;
-  std::unique_ptr<Operator> Clone() const override;
+               OpExecContext* ctx, OperatorState* state) const override;
   std::string DebugString() const override;
 
   const PatternOpConfig& config() const { return *config_; }

@@ -365,13 +365,14 @@ void DumpConfigFacts(const PatternOpConfig& config,
   PatternAbsintResult result = AnalyzePositions(positions);
 
   auto attr_name = [&](int var, int attr) {
-    std::string name = "p" + std::to_string(var) + ".";
+    std::string name =
+        std::string("p").append(std::to_string(var)).append(".");
     TypeId type = config.positions[var].type_id;
     const Schema& schema = registry.type(type).schema;
     if (attr >= 0 && attr < schema.num_attributes()) {
       name += schema.attribute(attr).name;
     } else {
-      name += "a" + std::to_string(attr);
+      name.append("a").append(std::to_string(attr));
     }
     return name;
   };

@@ -695,9 +695,9 @@ class Analyzer {
       if (name.empty() && arg->kind() == Expr::Kind::kAttrRef) {
         name = static_cast<const AttrRefExpr&>(*arg).attribute();
       }
-      if (name.empty()) name = "a" + std::to_string(i);
+      if (name.empty()) name = std::string("a").append(std::to_string(i));
       if (!used_names.insert(name).second) {
-        name += "_" + std::to_string(i);
+        name.append("_").append(std::to_string(i));
         used_names.insert(name);
       }
       attrs.push_back(Attribute{name, compiled.value()->result_type()});

@@ -27,9 +27,9 @@
 // evaluates the conjunct, so collisions, null (never equal) and int/double
 // equality keep their semantics.
 //
-// The automaton itself is immutable and shared by all per-partition operator
-// clones; runtime state (runs, negation buffers) lives in
-// compile/compiled_pattern_op.h.
+// The automaton itself is immutable and shared by every partition; runtime
+// state (runs, negation buffers) lives in CompiledPatternOp::State
+// (compile/compiled_pattern_op.h), one per partition.
 
 #ifndef CAESAR_COMPILE_AUTOMATON_H_
 #define CAESAR_COMPILE_AUTOMATON_H_
@@ -106,8 +106,8 @@ struct NegationWatch {
   EqualityKey key;
 };
 
-// The compiled form of one PatternOpConfig. Immutable; shared across
-// per-partition operator clones like the config itself.
+// The compiled form of one PatternOpConfig. Immutable; shared by every
+// partition like the config itself.
 struct CompiledAutomaton {
   std::shared_ptr<const PatternOpConfig> config;
   // One transition per positive position, in sequence order (never empty).

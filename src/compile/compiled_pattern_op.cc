@@ -27,9 +27,9 @@ struct Probe {
 
 // ProcessEvent's scratch: the fresh run's binding (its predicates and
 // completion run there before any run is allocated) and the probe cursors.
-// An operator clone runs on one thread at a time and ProcessEvent never
-// nests, so one per thread serves every operator; binding entries are
-// reset to null after use, so the scratch owns no event between calls.
+// ProcessEvent never nests, so one per thread serves every state of every
+// operator; binding entries are reset to null after use, so the scratch
+// owns no event between calls.
 struct Scratch {
   std::vector<EventPtr> binding;
   std::vector<Probe> probes;
@@ -45,12 +45,26 @@ CompiledPatternOp::CompiledPatternOp(
     std::shared_ptr<const CompiledAutomaton> automaton)
     : Operator(Kind::kCompiledPattern), automaton_(std::move(automaton)) {
   CAESAR_CHECK(automaton_ != nullptr);
-  runs_.resize(automaton_->num_states());
-  neg_buffers_.resize(automaton_->negations.size());
+}
+
+std::unique_ptr<OperatorState> CompiledPatternOp::NewState() const {
+  return std::make_unique<State>(automaton_.get());
 }
 
 void CompiledPatternOp::Process(const EventBatch& input, EventBatch* output,
-                                OpExecContext* ctx) {
+                                OpExecContext* ctx,
+                                OperatorState* state) const {
+  static_cast<State*>(state)->Process(input, output, ctx);
+}
+
+CompiledPatternOp::State::State(const CompiledAutomaton* automaton)
+    : automaton_(automaton),
+      runs_(automaton->num_states()),
+      neg_buffers_(automaton->negations.size()) {}
+
+void CompiledPatternOp::State::Process(const EventBatch& input,
+                                       EventBatch* output,
+                                       OpExecContext* ctx) {
   const PatternOpConfig& cfg = *automaton_->config;
   // A dead transition makes the accepting state unreachable: the pattern
   // can never emit, so no run is worth creating or advancing — every run
@@ -66,8 +80,9 @@ void CompiledPatternOp::Process(const EventBatch& input, EventBatch* output,
   }
 }
 
-void CompiledPatternOp::ProcessEvent(const EventPtr& event,
-                                     EventBatch* output, OpExecContext* ctx) {
+void CompiledPatternOp::State::ProcessEvent(const EventPtr& event,
+                                            EventBatch* output,
+                                            OpExecContext* ctx) {
   ctx->CountWork(1);
   const auto& transitions = automaton_->transitions;
   const int accepting = static_cast<int>(transitions.size());
@@ -75,7 +90,7 @@ void CompiledPatternOp::ProcessEvent(const EventPtr& event,
   // 1. Feed negation buffers (time-ordered by construction).
   for (const NegationWatch& watch : automaton_->negations) {
     if (watch.type_id == event->type_id()) {
-      neg_buffers_[watch.neg_index].push_back(
+      neg_buffers_[watch.neg_index].entries.push_back(
           {event, KeyTag(watch.key, *event, watch.key.stored_attr)});
       earliest_ = std::min(earliest_, event->time());
     }
@@ -167,7 +182,7 @@ void CompiledPatternOp::ProcessEvent(const EventPtr& event,
   }
 }
 
-bool CompiledPatternOp::PredicatesPass(
+bool CompiledPatternOp::State::PredicatesPass(
     const EventPtr* bound, const AutomatonTransition& transition,
     OpExecContext* ctx) const {
   for (const AutomatonPredicate& predicate : transition.predicates) {
@@ -177,7 +192,8 @@ bool CompiledPatternOp::PredicatesPass(
   return true;
 }
 
-bool CompiledPatternOp::NegationsPass(EventPtr* bound, OpExecContext* ctx) {
+bool CompiledPatternOp::State::NegationsPass(EventPtr* bound,
+                                             OpExecContext* ctx) const {
   for (const NegationWatch& watch : automaton_->negations) {
     const Timestamp next_time =
         bound[watch.next_positive_slot]->time();
@@ -217,8 +233,8 @@ bool CompiledPatternOp::NegationsPass(EventPtr* bound, OpExecContext* ctx) {
   return true;
 }
 
-void CompiledPatternOp::EmitMatch(const EventPtr* bound,
-                                  EventBatch* output) const {
+void CompiledPatternOp::State::EmitMatch(const EventPtr* bound,
+                                         EventBatch* output) const {
   const auto& transitions = automaton_->transitions;
   std::vector<Value> values;
   const Timestamp start = bound[transitions.front().slot]->start_time();
@@ -232,68 +248,73 @@ void CompiledPatternOp::EmitMatch(const EventPtr* bound,
                                      end, std::move(values)));
 }
 
-void CompiledPatternOp::StoreRun(int state, Run run) {
+void CompiledPatternOp::State::StoreRun(int state, Run run) {
   run.seq = seq_counter_++;
   run.key_tag = RunTag(state, run);
   earliest_ = std::min(earliest_, run.first_time);
   runs_[state].push_back(std::move(run));
 }
 
-size_t CompiledPatternOp::RunTag(int state, const Run& run) const {
+size_t CompiledPatternOp::State::RunTag(int state, const Run& run) const {
   const EqualityKey& key = automaton_->transitions[state].key;
   return key.valid() ? run.bound[key.stored_slot]->value(key.stored_attr).Hash()
                      : 0;
 }
 
-void CompiledPatternOp::Reset() {
+void CompiledPatternOp::State::Reset() {
   for (auto& bucket : runs_) bucket.clear();
   earliest_ = kNothing;
-  for (auto& buffer : neg_buffers_) buffer.clear();
+  for (NegationBuffer& buffer : neg_buffers_) {
+    buffer.entries.clear();
+    buffer.head = 0;
+  }
   seq_counter_ = 0;
 }
 
-void CompiledPatternOp::ExpireBefore(Timestamp t) {
+void CompiledPatternOp::State::ExpireBefore(Timestamp t) {
   // One timer: until the oldest stored time is due, nothing is touched.
   if (earliest_ >= t) return;
   for (auto& bucket : runs_) {
     std::erase_if(bucket, [t](const Run& run) { return run.first_time < t; });
   }
-  for (auto& buffer : neg_buffers_) {
-    // Time-ordered: the expired events are a prefix.
-    buffer.erase(buffer.begin(),
-                 std::partition_point(buffer.begin(), buffer.end(),
-                                      [t](const Buffered& b) {
-                                        return b.event->time() < t;
-                                      }));
+  for (NegationBuffer& buffer : neg_buffers_) {
+    // Time-ordered: the expired events are a prefix of the live ones.
+    std::vector<Buffered>& entries = buffer.entries;
+    buffer.head = std::partition_point(entries.begin() + buffer.head,
+                                       entries.end(),
+                                       [t](const Buffered& b) {
+                                         return b.event->time() < t;
+                                       }) -
+                  entries.begin();
+    if (2 * buffer.head > entries.size()) {
+      entries.erase(entries.begin(), entries.begin() + buffer.head);
+      buffer.head = 0;
+    }
   }
   RearmTimer();
 }
 
-void CompiledPatternOp::RearmTimer() {
+void CompiledPatternOp::State::RearmTimer() {
   earliest_ = kNothing;
   for (const auto& bucket : runs_) {
     for (const Run& run : bucket) {
       earliest_ = std::min(earliest_, run.first_time);
     }
   }
-  for (const auto& buffer : neg_buffers_) {
-    if (!buffer.empty()) {
-      earliest_ = std::min(earliest_, buffer.front().event->time());
+  for (const NegationBuffer& buffer : neg_buffers_) {
+    if (buffer.size() > 0) {
+      earliest_ = std::min(earliest_, buffer.begin()->event->time());
     }
   }
 }
 
-std::unique_ptr<Operator> CompiledPatternOp::Clone() const {
-  return std::make_unique<CompiledPatternOp>(automaton_);
-}
-
-size_t CompiledPatternOp::num_runs() const {
+size_t CompiledPatternOp::State::num_runs() const {
   size_t total = 0;
   for (const auto& bucket : runs_) total += bucket.size();
   return total;
 }
 
-size_t CompiledPatternOp::negation_buffer_size() const {
+size_t CompiledPatternOp::State::negation_buffer_size() const {
   size_t total = 0;
   for (const auto& buffer : neg_buffers_) total += buffer.size();
   return total;
@@ -303,7 +324,7 @@ std::string CompiledPatternOp::DebugString() const {
   return "CompiledPattern: " + automaton_->config->description;
 }
 
-void CompiledPatternOp::SaveState(StateWriter* w) const {
+void CompiledPatternOp::State::Save(StateWriter* w) const {
   // Everything the determinism contract depends on is saved verbatim —
   // in particular run seq values and the global counter, so a recovered
   // engine merges probe order exactly like the uninterrupted one.
@@ -330,7 +351,7 @@ void CompiledPatternOp::SaveState(StateWriter* w) const {
   }
 }
 
-Status CompiledPatternOp::LoadState(StateReader* r) {
+Status CompiledPatternOp::State::Load(StateReader* r) {
   seq_counter_ = r->U64();
   uint32_t n_states = r->U32();
   if (!r->ok() || n_states != runs_.size()) {
@@ -373,8 +394,9 @@ Status CompiledPatternOp::LoadState(StateReader* r) {
     return Status::DataLoss("negation buffers do not match the plan");
   }
   for (const NegationWatch& watch : automaton_->negations) {
-    auto& buffer = neg_buffers_[watch.neg_index];
-    buffer.clear();
+    NegationBuffer& buffer = neg_buffers_[watch.neg_index];
+    buffer.entries.clear();
+    buffer.head = 0;
     uint32_t n = r->U32();
     for (uint32_t i = 0; r->ok() && i < n; ++i) {
       EventPtr event = ReadEvent(r);
@@ -383,7 +405,7 @@ Status CompiledPatternOp::LoadState(StateReader* r) {
         return Status::DataLoss("malformed negation buffer event");
       }
       const size_t tag = KeyTag(watch.key, *event, watch.key.stored_attr);
-      buffer.push_back({std::move(event), tag});
+      buffer.entries.push_back({std::move(event), tag});
     }
   }
   RearmTimer();

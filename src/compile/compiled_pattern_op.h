@@ -17,10 +17,13 @@
 //    buffer entry, not a per-key bucket: buckets would multiply containers
 //    across partitions x watches for a few live keys each, and memory with
 //    them. Tags are 0 where there is no key, so they always match there.
-//  - Expiry keeps one timer per operator: the oldest first_time of any
+//  - Expiry keeps one timer per state: the oldest first_time of any
 //    stored run or time of any buffered negated event. A call before it is
 //    due touches nothing else (timer wheel degenerate case: one timer
 //    suffices because WITHIN is a single per-pattern constant).
+//  - A negation buffer expires by advancing its head past the expired
+//    prefix; the dead prefix is erased only once it passes half of the
+//    buffer, so a live entry moves O(1) times on average.
 //
 // Determinism contract: matches of one event are emitted as if every live
 // run were scanned in creation order. Every run is tagged with a
@@ -48,17 +51,89 @@ namespace caesar {
 
 class CompiledPatternOp : public Operator {
  public:
+  // One partition's runs, negation buffers and expiry timer, and the
+  // matching that advances them over the shared automaton.
+  class State : public OperatorState {
+   public:
+    explicit State(const CompiledAutomaton* automaton);
+
+    void Process(const EventBatch& input, EventBatch* output,
+                 OpExecContext* ctx);
+    void Reset() override;
+    void ExpireBefore(Timestamp t) override;
+    void Save(StateWriter* w) const override;
+    Status Load(StateReader* r) override;
+
+    // Introspection for tests and the garbage collector.
+    size_t num_runs() const;
+    size_t negation_buffer_size() const;
+
+   private:
+    // A partial match: state s holds runs with the first s positive
+    // components bound. Negated slots are bound transiently at completion.
+    struct Run {
+      std::vector<EventPtr> bound;
+      Timestamp first_time = 0;
+      Timestamp last_time = -1;
+      uint64_t seq = 0;  // global creation order (the determinism contract)
+      size_t key_tag = 0;  // hash of the waiting state's key (derived)
+    };
+
+    // A buffered negated event and the hash of its watch's key (derived).
+    struct Buffered {
+      EventPtr event;
+      size_t key_tag = 0;
+    };
+
+    // One NegationWatch's time-ordered buffer: the live entries are
+    // entries[head, end).
+    struct NegationBuffer {
+      std::vector<Buffered> entries;
+      size_t head = 0;
+
+      const Buffered* begin() const { return entries.data() + head; }
+      const Buffered* end() const { return entries.data() + entries.size(); }
+      size_t size() const { return entries.size() - head; }
+    };
+
+    void ProcessEvent(const EventPtr& event, EventBatch* output,
+                      OpExecContext* ctx);
+    // The helpers take a binding indexed by slot: a run's `bound` or the
+    // fresh run's scratch.
+    bool PredicatesPass(const EventPtr* bound,
+                        const AutomatonTransition& transition,
+                        OpExecContext* ctx) const;
+    // Binds each buffered candidate transiently at its watch's slot.
+    bool NegationsPass(EventPtr* bound, OpExecContext* ctx) const;
+    void EmitMatch(const EventPtr* bound, EventBatch* output) const;
+    void StoreRun(int state, Run run);
+    // The tag of `run` waiting in `state`: its key's stored-side hash.
+    size_t RunTag(int state, const Run& run) const;
+    // Recomputes earliest_ from the stored runs and buffers.
+    void RearmTimer();
+
+    const CompiledAutomaton* automaton_;
+    // runs_[s] = runs in state s, ascending seq; slots 0 and k are unused
+    // (fresh runs are created from the event, accepted runs emit). Runs are
+    // only appended, scanned by index and erased in bulk, so a vector
+    // serves (an empty deque would allocate a block per state per
+    // partition).
+    std::vector<std::vector<Run>> runs_;
+    // The expiry timer: min first_time over runs_ and min time over
+    // neg_buffers_; max() when both are empty.
+    Timestamp earliest_ = std::numeric_limits<Timestamp>::max();
+    uint64_t seq_counter_ = 0;
+    // One buffer per NegationWatch; a vector for the same reason as runs_.
+    std::vector<NegationBuffer> neg_buffers_;
+  };
+
   explicit CompiledPatternOp(
       std::shared_ptr<const CompiledAutomaton> automaton);
 
+  std::unique_ptr<OperatorState> NewState() const override;
   void Process(const EventBatch& input, EventBatch* output,
-               OpExecContext* ctx) override;
-  std::unique_ptr<Operator> Clone() const override;
-  void Reset() override;
-  void ExpireBefore(Timestamp t) override;
+               OpExecContext* ctx, OperatorState* state) const override;
   std::string DebugString() const override;
-  void SaveState(StateWriter* w) const override;
-  Status LoadState(StateReader* r) override;
 
   // Sequence matching scales with the number of positions.
   double UnitCost() const override;
@@ -67,56 +142,8 @@ class CompiledPatternOp : public Operator {
   const CompiledAutomaton& automaton() const { return *automaton_; }
   const PatternOpConfig& config() const { return *automaton_->config; }
 
-  // Introspection for tests and the garbage collector.
-  size_t num_runs() const;
-  size_t negation_buffer_size() const;
-
  private:
-  // A partial match: state s holds runs with the first s positive
-  // components bound. Negated slots are bound transiently at completion.
-  struct Run {
-    std::vector<EventPtr> bound;
-    Timestamp first_time = 0;
-    Timestamp last_time = -1;
-    uint64_t seq = 0;  // global creation order (the determinism contract)
-    size_t key_tag = 0;  // hash of the waiting state's key (derived)
-  };
-
-  // A buffered negated event and the hash of its watch's key (derived).
-  struct Buffered {
-    EventPtr event;
-    size_t key_tag = 0;
-  };
-
-  void ProcessEvent(const EventPtr& event, EventBatch* output,
-                    OpExecContext* ctx);
-  // The helpers take a binding indexed by slot: a run's `bound` or the
-  // fresh run's scratch.
-  bool PredicatesPass(const EventPtr* bound,
-                      const AutomatonTransition& transition,
-                      OpExecContext* ctx) const;
-  // Binds each buffered candidate transiently at its watch's slot.
-  bool NegationsPass(EventPtr* bound, OpExecContext* ctx);
-  void EmitMatch(const EventPtr* bound, EventBatch* output) const;
-  void StoreRun(int state, Run run);
-  // The tag of `run` waiting in `state`: its key's stored-side hash.
-  size_t RunTag(int state, const Run& run) const;
-  // Recomputes earliest_ from the stored runs and buffers.
-  void RearmTimer();
-
   std::shared_ptr<const CompiledAutomaton> automaton_;
-  // runs_[s] = runs in state s, ascending seq; slots 0 and k are unused
-  // (fresh runs are created from the event, accepted runs emit). Runs are
-  // only appended, scanned by index and erased in bulk, so a vector serves
-  // (an empty deque would allocate a block per state per partition).
-  std::vector<std::vector<Run>> runs_;
-  // The expiry timer: min first_time over runs_ and min time over
-  // neg_buffers_; max() when both are empty.
-  Timestamp earliest_ = std::numeric_limits<Timestamp>::max();
-  uint64_t seq_counter_ = 0;
-  // One time-ordered buffer per NegationWatch; expiry erases a prefix.
-  // A vector for the same reason as runs_.
-  std::vector<std::vector<Buffered>> neg_buffers_;
 };
 
 }  // namespace caesar

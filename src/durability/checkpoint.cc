@@ -16,7 +16,7 @@ namespace {
 
 constexpr uint64_t kCheckpointMagic = 0x31504B4353454143ULL;  // "CAESCKP1"
 // Version 2: SEQ operator state is always automaton runs
-// (CompiledPatternOp::SaveState). Version 3: the operator statistics
+// (CompiledPatternOp::State::Save). Version 3: the operator statistics
 // counters are stored once per payload instead of per partition and query.
 // Version 4: the commit snapshot inside the payload drops the virtual clock
 // and the payload its own leading version byte. Older files hold a layout

@@ -87,8 +87,13 @@ std::string AttrRefExpr::ToString() const {
 }
 
 std::string BinaryExpr::ToString() const {
-  return "(" + left_->ToString() + " " + BinaryOpName(op_) + " " +
-         right_->ToString() + ")";
+  return std::string("(")
+      .append(left_->ToString())
+      .append(" ")
+      .append(BinaryOpName(op_))
+      .append(" ")
+      .append(right_->ToString())
+      .append(")");
 }
 
 ExprPtr MakeConstant(Value value) {

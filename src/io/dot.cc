@@ -83,8 +83,10 @@ std::string PlanToDot(const ExecutablePlan& plan) {
        << EscapeLabel(query.name) << " (" << phase << ")\";\n";
     std::string previous;
     for (size_t o = 0; o < query.chain.ops.size(); ++o) {
-      std::string node =
-          "q" + std::to_string(cluster) + "_op" + std::to_string(o);
+      std::string node = std::string("q")
+                             .append(std::to_string(cluster))
+                             .append("_op")
+                             .append(std::to_string(o));
       os << "    " << node << " [label=\""
          << EscapeLabel(query.chain.ops[o]->DebugString()) << "\"];\n";
       if (!previous.empty()) os << "    " << previous << " -> " << node << ";\n";

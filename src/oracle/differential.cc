@@ -244,7 +244,7 @@ Result<DivergenceReport> CompareCase(const CaesarModel& model,
         leg.reorder ? IngestPolicy::kReorder : IngestPolicy::kStrict;
     eo.reorder_slack = leg.reorder ? reorder_slack : 0;
     CAESAR_ASSIGN_OR_RETURN(std::unique_ptr<Engine> engine,
-                            Engine::Create(plan.Clone(), eo));
+                            Engine::Create(plan, eo));
     auto run = engine->Run(leg.reorder ? disordered : clean, derived);
     if (!run.ok()) {
       report.diverged = true;
@@ -346,7 +346,7 @@ Result<DivergenceReport> CompareCrashRecovery(
 
   // Uninterrupted reference, durability off.
   std::vector<std::string> expected;
-  Engine reference(plan.Clone(), base);
+  Engine reference(plan, base);
   for (const EventBatch& batch : batches) {
     EventBatch derived;
     auto run = reference.Run(batch, &derived);
@@ -382,7 +382,7 @@ Result<DivergenceReport> CompareCrashRecovery(
       if (p == point) ++occurrences;
       return false;
     };
-    Engine probe(plan.Clone(), eo);
+    Engine probe(plan, eo);
     for (size_t b = 0; b < batches.size(); ++b) {
       EventBatch derived;
       auto run = probe.Run(batches[b], &derived);
@@ -419,7 +419,7 @@ Result<DivergenceReport> CompareCrashRecovery(
     eo.durability.crash_hook = [&seen, &point, nth](std::string_view p) {
       return p == point && seen++ == nth;
     };
-    Engine victim(plan.Clone(), eo);
+    Engine victim(plan, eo);
     for (const EventBatch& batch : batches) {
       if (!victim.Run(batch, nullptr).ok()) {
         crashed = true;
@@ -436,7 +436,7 @@ Result<DivergenceReport> CompareCrashRecovery(
   }
 
   // Recovery pass: rebuild, re-submit the non-durable suffix, compare.
-  auto recovered = Engine::Recover(plan.Clone(), durable("crash"));
+  auto recovered = Engine::Recover(plan, durable("crash"));
   if (!recovered.ok()) {
     report.diverged = true;
     report.leg = leg;

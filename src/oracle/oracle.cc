@@ -103,21 +103,19 @@ struct QueryState {
   // The single retention rule: drop everything older than `horizon`.
   // Reproduces partial-match expiry (the first component of any match
   // carries the strictly minimal time), negation-buffer expiry, aggregate
-  // eviction, and GC.
+  // eviction, and GC. A group left without samples goes too, as in
+  // AggregateOp: the next event of its key starts a new group, keyed by
+  // that event's representation.
   void ExpireBefore(Timestamp horizon) {
-    log.erase(std::remove_if(log.begin(), log.end(),
-                             [horizon](const EventPtr& e) {
-                               return e->time() < horizon;
-                             }),
-              log.end());
+    std::erase_if(log,
+                  [horizon](const EventPtr& e) { return e->time() < horizon; });
     for (AggGroup& group : groups) {
-      group.samples.erase(
-          std::remove_if(group.samples.begin(), group.samples.end(),
-                         [horizon](const AggSample& s) {
-                           return s.time < horizon;
-                         }),
-          group.samples.end());
+      std::erase_if(group.samples, [horizon](const AggSample& s) {
+        return s.time < horizon;
+      });
     }
+    std::erase_if(groups,
+                  [](const AggGroup& group) { return group.samples.empty(); });
   }
 };
 

@@ -7,10 +7,13 @@
 // skip IS the suspension of irrelevant queries the optimizer is after.
 //
 // In the context-independent baseline each query additionally carries
-// private "guard" chains: clones of the context deriving operators that
+// private "guard" chains: copies of the context deriving chains that
 // maintain a query-private context vector, re-deriving the context the query
 // would otherwise share (Section 5.3: "each context processing query has to
 // run its respective context deriving queries separately").
+//
+// Operators are immutable and held by shared pointer, so copying a plan
+// shares its operators; the runtime keeps the per-partition state.
 
 #ifndef CAESAR_PLAN_PLAN_H_
 #define CAESAR_PLAN_PLAN_H_
@@ -26,9 +29,8 @@ namespace caesar {
 
 // A bottom-up chain of operators.
 struct OpChain {
-  std::vector<std::unique_ptr<Operator>> ops;
+  std::vector<std::shared_ptr<const Operator>> ops;
 
-  OpChain Clone() const;
   std::string DebugString() const;
 };
 
@@ -58,7 +60,6 @@ struct CompiledQuery {
 
   OpChain chain;
 
-  CompiledQuery Clone() const;
   std::string DebugString() const;
 };
 
@@ -74,7 +75,6 @@ struct ExecutablePlan {
   std::vector<CompiledQuery> deriving;
   std::vector<CompiledQuery> processing;
 
-  ExecutablePlan Clone() const;
   std::string DebugString() const;
 };
 

@@ -41,8 +41,9 @@ Result<ResolvedPattern> ResolvePattern(const PatternSpec& pattern,
       return Status::NotFound(query_label + ": unknown event type " +
                               item.event_type);
     }
-    std::string var =
-        item.variable.empty() ? "_" + std::to_string(i) : item.variable;
+    std::string var = item.variable.empty()
+                          ? std::string("_").append(std::to_string(i))
+                          : item.variable;
     resolved.bindings.Add({var, type_id, &registry.type(type_id).schema});
     resolved.item_types.push_back(type_id);
     resolved.var_names.push_back(var);
@@ -112,7 +113,7 @@ std::string InferAttrName(const ExprPtr& arg, const std::string& given,
   if (arg->kind() == Expr::Kind::kAttrRef) {
     return static_cast<const AttrRefExpr&>(*arg).attribute();
   }
-  return "a" + std::to_string(index);
+  return std::string("a").append(std::to_string(index));
 }
 
 // Registers (or fetches) an event type, checking arity compatibility.
@@ -270,7 +271,7 @@ class QueryTranslator {
 
     // Assemble the chain. Non-optimized order (Fig. 6a): pattern, filter,
     // context window, projection, actions. Push-down moves CW to the bottom.
-    std::vector<std::unique_ptr<Operator>> body;
+    std::vector<std::shared_ptr<const Operator>> body;
     body.push_back(std::move(source_op));
     if (filter_op != nullptr) body.push_back(std::move(filter_op));
     int cw_position;  // index within `body` after insertion
@@ -479,7 +480,7 @@ class QueryTranslator {
     std::set<std::string> seen;
     for (size_t i = 0; i < attributes.size(); ++i) {
       while (seen.count(attributes[i].name) > 0) {
-        attributes[i].name += "_" + std::to_string(i);
+        attributes[i].name.append("_").append(std::to_string(i));
       }
       seen.insert(attributes[i].name);
     }
@@ -657,7 +658,7 @@ Result<ExecutablePlan> TranslateModel(const CaesarModel& model,
             relevant = true;
           }
         }
-        if (relevant) query->guards.push_back(candidate->chain.Clone());
+        if (relevant) query->guards.push_back(candidate->chain);
       }
     };
     for (CompiledQuery& query : plan.processing) attach_guards(&query);

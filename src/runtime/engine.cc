@@ -59,10 +59,12 @@ std::string RunStats::ToString() const {
   return os.str();
 }
 
-// Window-transition bookkeeping of one operator chain.
-struct TransitionState {
+// What a partition keeps of one operator chain: its window-transition
+// bookkeeping and one state slot per op (null for a stateless op).
+struct ChainState {
   bool was_active = false;
   uint64_t last_active_bits = 0;  // gate bits active at last execution
+  std::vector<std::unique_ptr<OperatorState>> slots;
 };
 
 namespace {
@@ -95,7 +97,20 @@ Gate GateOfChain(const OpChain& chain) {
   return Gate{};
 }
 
-// Applies window-transition side effects to `ops` before an execution at
+ChainState NewChainState(const OpChain& chain) {
+  ChainState state;
+  state.slots.reserve(chain.ops.size());
+  for (const auto& op : chain.ops) state.slots.push_back(op->NewState());
+  return state;
+}
+
+void ExpireChainState(const ChainState& state, Timestamp horizon) {
+  for (const auto& slot : state.slots) {
+    if (slot != nullptr) slot->ExpireBefore(horizon);
+  }
+}
+
+// Applies window-transition side effects to `state` before an execution at
 // the current `contexts` state:
 //  - window ended: context history discarded (Reset; Section 6.2);
 //  - window (re)started: state accumulated while inactive discarded
@@ -105,26 +120,23 @@ Gate GateOfChain(const OpChain& chain) {
 //    currently-active window's *anchor* — the start of the oldest original
 //    window covering the current grouped window ("when the third window
 //    begins, the partial results within the first window expire").
-void ApplyWindowTransitions(const std::vector<std::unique_ptr<Operator>>& ops,
-                            const Gate& gate,
-                            const ContextBitVector& contexts,
-                            TransitionState* state) {
+void ApplyWindowTransitions(const Gate& gate, const ContextBitVector& contexts,
+                            ChainState* state) {
   uint64_t active_bits = contexts.bits() & gate.mask;
   bool active_now = active_bits != 0;
 
-  if (state->was_active && !active_now) {
-    for (const auto& op : ops) op->Reset();
-  } else if (state->was_active && active_now &&
-             active_bits != state->last_active_bits) {
+  if (state->was_active != active_now) {  // the window ended or started
+    for (const auto& slot : state->slots) {
+      if (slot != nullptr) slot->Reset();
+    }
+  } else if (active_now && active_bits != state->last_active_bits) {
     Timestamp horizon = contexts.time();
     for (size_t i = 0; i < gate.contexts.size(); ++i) {
       if (contexts.IsActive(gate.contexts[i])) {
         horizon = std::min(horizon, contexts.ActiveSince(gate.anchors[i]));
       }
     }
-    for (const auto& op : ops) op->ExpireBefore(horizon);
-  } else if (!state->was_active && active_now) {
-    for (const auto& op : ops) op->Reset();
+    ExpireChainState(*state, horizon);
   }
   state->was_active = active_now;
   state->last_active_bits = active_bits;
@@ -132,34 +144,31 @@ void ApplyWindowTransitions(const std::vector<std::unique_ptr<Operator>>& ops,
 
 }  // namespace
 
-// Per-partition instance of one compiled query.
-struct Engine::QueryState {
-  // A private guard chain of the context-independent baseline, with its own
-  // transition bookkeeping against the query-private context vector.
-  struct GuardInstance {
-    OpChain chain;
-    Gate gate;
-    TransitionState transition;
-  };
-
-  const CompiledQuery* spec = nullptr;  // shape reference (not executed)
-  Gate gate;                            // precomputed from the spec
-  OpChain chain;                        // private operator instances
+// The program of one compiled query, built once per engine and shared by
+// every partition.
+struct Engine::QueryProgram {
+  const CompiledQuery* spec = nullptr;  // into plan_
+  Gate gate;                            // of spec->chain
+  std::vector<Gate> guard_gates;        // parallel to spec->guards
   // First row of this query's ops in the plan-order (query, op) row space
   // of TransactionScratch::operators and CollectStatistics.
   size_t stats_row_base = 0;
-  std::vector<GuardInstance> guards;
+};
+
+// What one partition keeps of one query: the state its program does not
+// share.
+struct Engine::QueryState {
+  ChainState chain;
+  // Parallel to spec->guards; their transitions follow private_contexts.
+  std::vector<ChainState> guards;
   // Query-private context vector (context-independent baseline only).
   std::unique_ptr<ContextBitVector> private_contexts;
-
-  TransitionState transition;
 };
 
 struct Engine::PartitionState {
   uint64_t key = 0;
   std::unique_ptr<ContextBitVector> contexts;
-  std::vector<QueryState> deriving;
-  std::vector<QueryState> processing;
+  std::vector<QueryState> queries;  // parallel to Engine::programs_
   // Cumulative counters, never reset (Run takes deltas).
   uint64_t ops_counter = 0;
   int64_t total_suspended = 0;
@@ -257,12 +266,21 @@ Engine::Engine(ExecutablePlan plan, EngineOptions options)
   if (options_.metrics >= MetricsGranularity::kEngine) {
     timeline_ = std::make_unique<Timeline>(kTimelineCapacity);
   }
+  size_t rows = 0;
+  for (const auto* queries : {&plan_.deriving, &plan_.processing}) {
+    for (const CompiledQuery& spec : *queries) {
+      QueryProgram& program = programs_.emplace_back();
+      program.spec = &spec;
+      program.gate = GateOf(spec.contexts, spec.anchors);
+      for (const OpChain& guard : spec.guards) {
+        program.guard_gates.push_back(GateOfChain(guard));
+      }
+      program.stats_row_base = rows;
+      rows += spec.chain.ops.size();
+    }
+  }
   if (options_.gather_statistics ||
       options_.metrics >= MetricsGranularity::kOperator) {
-    size_t rows = 0;
-    for (const auto* queries : {&plan_.deriving, &plan_.processing}) {
-      for (const CompiledQuery& query : *queries) rows += query.chain.ops.size();
-    }
     for (TransactionScratch& shard : transaction_scratch_) {
       shard.operators.resize(rows);
     }
@@ -298,33 +316,18 @@ Engine::PartitionState* Engine::GetOrCreatePartition(uint64_t key) {
   partition->key = key;
   partition->contexts = std::make_unique<ContextBitVector>(
       std::max(plan_.num_contexts, 1), std::max(plan_.default_context, 0));
-  size_t stats_row = 0;
-  auto instantiate = [&](const std::vector<CompiledQuery>& specs,
-                         std::vector<QueryState>* states) {
-    states->reserve(specs.size());
-    for (const CompiledQuery& spec : specs) {
-      QueryState state;
-      state.spec = &spec;
-      state.gate = GateOf(spec.contexts, spec.anchors);
-      state.chain = spec.chain.Clone();
-      state.stats_row_base = stats_row;
-      stats_row += state.chain.ops.size();
-      for (const OpChain& guard : spec.guards) {
-        QueryState::GuardInstance instance;
-        instance.chain = guard.Clone();
-        instance.gate = GateOfChain(instance.chain);
-        state.guards.push_back(std::move(instance));
-      }
-      if (!state.guards.empty()) {
-        state.private_contexts = std::make_unique<ContextBitVector>(
-            std::max(plan_.num_contexts, 1),
-            std::max(plan_.default_context, 0));
-      }
-      states->push_back(std::move(state));
+  partition->queries.reserve(programs_.size());
+  for (const QueryProgram& program : programs_) {
+    QueryState& state = partition->queries.emplace_back();
+    state.chain = NewChainState(program.spec->chain);
+    for (const OpChain& guard : program.spec->guards) {
+      state.guards.push_back(NewChainState(guard));
     }
-  };
-  instantiate(plan_.deriving, &partition->deriving);
-  instantiate(plan_.processing, &partition->processing);
+    if (!state.guards.empty()) {
+      state.private_contexts = std::make_unique<ContextBitVector>(
+          std::max(plan_.num_contexts, 1), std::max(plan_.default_context, 0));
+    }
+  }
   PartitionState* result = partition.get();
   partitions_.emplace(key, std::move(partition));
   return result;
@@ -919,12 +922,10 @@ void Engine::ProcessPartitionRun(size_t r, int worker) {
 
 void Engine::CollectGarbage(PartitionState* partition, Timestamp horizon) {
   CAESAR_TRACE_SPAN("gc");
-  for (auto* states : {&partition->deriving, &partition->processing}) {
-    for (QueryState& query : *states) {
-      for (auto& op : query.chain.ops) op->ExpireBefore(horizon);
-      for (auto& guard : query.guards) {
-        for (auto& op : guard.chain.ops) op->ExpireBefore(horizon);
-      }
+  for (const QueryState& query : partition->queries) {
+    ExpireChainState(query.chain, horizon);
+    for (const ChainState& guard : query.guards) {
+      ExpireChainState(guard, horizon);
     }
   }
 }
@@ -940,13 +941,13 @@ void Engine::ProcessTransaction(PartitionState* partition, Timestamp t,
   // Phase A: context derivation. Phase B: context processing. Queries see
   // the pool slice that exists when their turn comes (topological order
   // guarantees producers run first).
-  for (auto* states : {&partition->deriving, &partition->processing}) {
-    for (QueryState& query : *states) {
-      const EventBatch& out = RunQuery(partition, &query, pool, t, worker);
-      if (query.spec->output_type != kInvalidTypeId) {
-        pool.insert(pool.end(), out.begin(), out.end());
-        derived->insert(derived->end(), out.begin(), out.end());
-      }
+  for (size_t q = 0; q < programs_.size(); ++q) {
+    const QueryProgram& program = programs_[q];
+    const EventBatch& out = RunQuery(partition, program,
+                                     &partition->queries[q], pool, t, worker);
+    if (program.spec->output_type != kInvalidTypeId) {
+      pool.insert(pool.end(), out.begin(), out.end());
+      derived->insert(derived->end(), out.begin(), out.end());
     }
   }
 
@@ -958,6 +959,7 @@ void Engine::ProcessTransaction(PartitionState* partition, Timestamp t,
 }
 
 const EventBatch& Engine::RunQuery(PartitionState* partition,
+                                   const QueryProgram& program,
                                    QueryState* query, const EventBatch& pool,
                                    Timestamp t, int worker) {
   TransactionScratch& scratch = transaction_scratch_[worker];
@@ -969,15 +971,18 @@ const EventBatch& Engine::RunQuery(PartitionState* partition,
   // Context-independent baseline: private guards re-derive the contexts.
   if (query->private_contexts != nullptr) {
     ctx.contexts = query->private_contexts.get();
-    for (QueryState::GuardInstance& guard : query->guards) {
+    for (size_t g = 0; g < query->guards.size(); ++g) {
       // Guards mirror the shared deriving queries, including their window
       // transition bookkeeping against the private vector.
-      ApplyWindowTransitions(guard.chain.ops, guard.gate,
-                             *query->private_contexts, &guard.transition);
+      ChainState& guard = query->guards[g];
+      ApplyWindowTransitions(program.guard_gates[g], *query->private_contexts,
+                             &guard);
+      const auto& ops = program.spec->guards[g].ops;
       const EventBatch* current = &pool;
-      for (auto& op : guard.chain.ops) {
+      for (size_t o = 0; o < ops.size(); ++o) {
         scratch.guard_out.clear();
-        op->Process(*current, &scratch.guard_out, &ctx);
+        ops[o]->Process(*current, &scratch.guard_out, &ctx,
+                        guard.slots[o].get());
         std::swap(scratch.guard_in, scratch.guard_out);
         current = &scratch.guard_in;
         if (current->empty()) break;
@@ -990,7 +995,7 @@ const EventBatch& Engine::RunQuery(PartitionState* partition,
   // Window-transition bookkeeping runs after the guards so the private
   // vector (context-independent mode) is already up to date for this time
   // stamp, mirroring the shared derivation-before-processing order.
-  HandleWindowTransitions(partition, query);
+  ApplyWindowTransitions(program.gate, *ctx.contexts, &query->chain);
 
   // Main chain; an empty intermediate batch skips the rest of the chain —
   // with the context window pushed down this is the suspension of the whole
@@ -1002,16 +1007,17 @@ const EventBatch& Engine::RunQuery(PartitionState* partition,
   OperatorStats* stats_rows =
       scratch.operators.empty()
           ? nullptr
-          : scratch.operators.data() + query->stats_row_base;
+          : scratch.operators.data() + program.stats_row_base;
   const bool op_histograms = options_.metrics >= MetricsGranularity::kOperator;
   EventBatch& ping = scratch.ping;
   EventBatch& pong = scratch.pong;
   const EventBatch* current = &pool;
   bool suspended_at_bottom = false;
-  for (size_t o = 0; o < query->chain.ops.size(); ++o) {
+  const auto& ops = program.spec->chain.ops;
+  for (size_t o = 0; o < ops.size(); ++o) {
     pong.clear();
     uint64_t work_before = partition->ops_counter;
-    query->chain.ops[o]->Process(*current, &pong, &ctx);
+    ops[o]->Process(*current, &pong, &ctx, query->chain.slots[o].get());
     if (stats_rows != nullptr) {
       OperatorStats& stats = stats_rows[o];
       const uint64_t work = partition->ops_counter - work_before;
@@ -1029,8 +1035,7 @@ const EventBatch& Engine::RunQuery(PartitionState* partition,
     current = &ping;
     if (current->empty()) {
       suspended_at_bottom =
-          (o == 0 &&
-           query->chain.ops[0]->kind() == Operator::Kind::kContextWindow &&
+          (o == 0 && ops[0]->kind() == Operator::Kind::kContextWindow &&
            !pool.empty());
       break;
     }
@@ -1115,27 +1120,24 @@ StatisticsReport Engine::CollectStatistics() const {
     suspended += partition->total_suspended;
     executed += partition->total_executed;
   }
-  // One row per (query, op) in plan order, described from the first
-  // partition (the plan's query order is identical in every partition) and
+  // One row per (query, op) in plan order, once some partition exists,
   // summed over the worker shards. The merge is commutative addition, so
   // the totals do not depend on the shard count or on which worker ran
   // which partition.
   if (!transaction_scratch_.front().operators.empty() && !partitions_.empty()) {
-    const PartitionState& first = *partitions_.begin()->second;
     size_t row = 0;
-    for (const auto* states : {&first.deriving, &first.processing}) {
-      for (const QueryState& query : *states) {
-        for (size_t o = 0; o < query.chain.ops.size(); ++o, ++row) {
-          QueryOperatorStats entry;
-          entry.query = query.spec->name;
-          entry.op_index = static_cast<int>(o);
-          entry.kind = query.chain.ops[o]->kind();
-          entry.description = query.chain.ops[o]->DebugString();
-          for (const TransactionScratch& shard : transaction_scratch_) {
-            entry.stats.Merge(shard.operators[row]);
-          }
-          report.operators.push_back(std::move(entry));
+    for (const QueryProgram& program : programs_) {
+      const auto& ops = program.spec->chain.ops;
+      for (size_t o = 0; o < ops.size(); ++o, ++row) {
+        QueryOperatorStats entry;
+        entry.query = program.spec->name;
+        entry.op_index = static_cast<int>(o);
+        entry.kind = ops[o]->kind();
+        entry.description = ops[o]->DebugString();
+        for (const TransactionScratch& shard : transaction_scratch_) {
+          entry.stats.Merge(shard.operators[row]);
         }
+        report.operators.push_back(std::move(entry));
       }
     }
   }
@@ -1144,15 +1146,6 @@ StatisticsReport Engine::CollectStatistics() const {
         static_cast<double>(executed) / static_cast<double>(suspended + executed);
   }
   return report;
-}
-
-void Engine::HandleWindowTransitions(PartitionState* partition,
-                                     QueryState* query) {
-  const ContextBitVector& contexts = query->private_contexts != nullptr
-                                         ? *query->private_contexts
-                                         : *partition->contexts;
-  ApplyWindowTransitions(query->chain.ops, query->gate, contexts,
-                         &query->transition);
 }
 
 // --- Durability: state serialization and crash recovery --------------------
@@ -1166,34 +1159,35 @@ namespace {
 // its own: the checkpoint file header's version tracks its layout.
 constexpr uint8_t kSnapshotVersion = 4;
 
-void SaveTransition(StateWriter* w, const TransitionState& t) {
+void SaveTransition(StateWriter* w, const ChainState& t) {
   w->Bool(t.was_active);
   w->U64(t.last_active_bits);
 }
 
-void LoadTransition(StateReader* r, TransitionState* t) {
+void LoadTransition(StateReader* r, ChainState* t) {
   t->was_active = r->Bool();
   t->last_active_bits = r->U64();
 }
 
-// Each operator's state is length-framed so a loader can verify the
-// operator consumed exactly the bytes its saver produced — a plan/state
-// mismatch fails loudly at the offending operator instead of desyncing
-// the rest of the payload.
-void SaveChainOps(StateWriter* w, const OpChain& chain) {
-  for (const auto& op : chain.ops) {
+// One entry per chain op, length-framed so a loader can verify the state
+// consumed exactly the bytes its saver produced — a plan/state mismatch
+// fails loudly at the offending operator instead of desyncing the rest of
+// the payload. A stateless op's entry is empty.
+void SaveSlots(StateWriter* w, const ChainState& state) {
+  for (const auto& slot : state.slots) {
     StateWriter op_w;
-    op->SaveState(&op_w);
+    if (slot != nullptr) slot->Save(&op_w);
     w->Str(op_w.data());
   }
 }
 
-Status LoadChainOps(StateReader* r, OpChain* chain, const std::string& what) {
-  for (auto& op : chain->ops) {
+Status LoadSlots(StateReader* r, const ChainState& state,
+                 const std::string& what) {
+  for (const auto& slot : state.slots) {
     std::string bytes = r->Str();
     if (!r->ok()) return Status::DataLoss(what + ": truncated operator state");
     StateReader op_r(bytes);
-    CAESAR_RETURN_IF_ERROR(op->LoadState(&op_r));
+    if (slot != nullptr) CAESAR_RETURN_IF_ERROR(slot->Load(&op_r));
     CAESAR_RETURN_IF_ERROR(op_r.CheckFullyConsumed(what));
   }
   return Status::Ok();
@@ -1253,20 +1247,23 @@ std::string Engine::SerializeState() const {
     w.U64(partition->ops_counter);
     w.I64(partition->total_suspended);
     w.I64(partition->total_executed);
-    for (const auto* states : {&partition->deriving, &partition->processing}) {
-      w.U32(static_cast<uint32_t>(states->size()));
-      for (const QueryState& query : *states) {
-        SaveTransition(&w, query.transition);
+    // The deriving queries, then the processing ones, each with a count.
+    size_t q = 0;
+    for (size_t count : {plan_.deriving.size(), plan_.processing.size()}) {
+      w.U32(static_cast<uint32_t>(count));
+      for (const size_t end = q + count; q < end; ++q) {
+        const QueryState& query = partition->queries[q];
+        SaveTransition(&w, query.chain);
         w.U32(static_cast<uint32_t>(query.guards.size()));
-        for (const QueryState::GuardInstance& guard : query.guards) {
-          SaveTransition(&w, guard.transition);
-          SaveChainOps(&w, guard.chain);
+        for (const ChainState& guard : query.guards) {
+          SaveTransition(&w, guard);
+          SaveSlots(&w, guard);
         }
         w.Bool(query.private_contexts != nullptr);
         if (query.private_contexts != nullptr) {
           query.private_contexts->Save(&w);
         }
-        SaveChainOps(&w, query.chain);
+        SaveSlots(&w, query.chain);
       }
     }
   }
@@ -1300,23 +1297,25 @@ Status Engine::RestoreState(std::string_view payload) {
     partition->ops_counter = r.U64();
     partition->total_suspended = r.I64();
     partition->total_executed = r.I64();
-    for (auto* states : {&partition->deriving, &partition->processing}) {
+    size_t q = 0;
+    for (size_t count : {plan_.deriving.size(), plan_.processing.size()}) {
       uint32_t n_queries = r.U32();
-      if (r.ok() && n_queries != states->size()) {
+      if (r.ok() && n_queries != count) {
         return Status::DataLoss(
             "checkpoint query count does not match the plan");
       }
-      for (QueryState& query : *states) {
-        LoadTransition(&r, &query.transition);
+      for (const size_t end = q + count; q < end; ++q) {
+        QueryState& query = partition->queries[q];
+        LoadTransition(&r, &query.chain);
         uint32_t n_guards = r.U32();
         if (r.ok() && n_guards != query.guards.size()) {
           return Status::DataLoss(
               "checkpoint guard count does not match the plan");
         }
-        for (QueryState::GuardInstance& guard : query.guards) {
-          LoadTransition(&r, &guard.transition);
+        for (ChainState& guard : query.guards) {
+          LoadTransition(&r, &guard);
           CAESAR_RETURN_IF_ERROR(
-              LoadChainOps(&r, &guard.chain, "checkpoint guard operator"));
+              LoadSlots(&r, guard, "checkpoint guard operator"));
         }
         bool has_private = r.Bool();
         if (r.ok() && has_private != (query.private_contexts != nullptr)) {
@@ -1327,7 +1326,7 @@ Status Engine::RestoreState(std::string_view payload) {
           CAESAR_RETURN_IF_ERROR(query.private_contexts->Load(&r));
         }
         CAESAR_RETURN_IF_ERROR(
-            LoadChainOps(&r, &query.chain, "checkpoint operator"));
+            LoadSlots(&r, query.chain, "checkpoint operator"));
       }
     }
   }

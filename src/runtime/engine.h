@@ -1,8 +1,9 @@
 // The CAESAR execution infrastructure (Section 6).
 //
-// The engine instantiates the executable plan per stream partition (per
-// unidirectional road segment in Linear Road), maintains each partition's
-// context bit vector, and processes the input stream as *stream
+// The engine runs one executable plan over every stream partition (per
+// unidirectional road segment in Linear Road): the plan's operators are
+// shared, and each partition owns only its context bit vector and the
+// state of its stateful operators. It processes the input stream as *stream
 // transactions*: all events with the same application time stamp form one
 // transaction per partition. The time-driven scheduler processes time stamps
 // strictly in order; within a transaction, context derivation runs before
@@ -241,7 +242,8 @@ struct RunStats {
 using TickObserver =
     std::function<void(Timestamp, const EventBatch& derived)>;
 
-// The CAESAR engine. Owns per-partition plan instances and context state.
+// The CAESAR engine. Runs one plan over every partition; owns each
+// partition's context state and the state of its stateful operators.
 class Engine {
  public:
   // Validating construction: returns InvalidArgument (with the offending
@@ -370,6 +372,7 @@ class Engine {
   }
 
  private:
+  struct QueryProgram;
   struct PartitionState;
   struct QueryState;
 
@@ -437,11 +440,9 @@ class Engine {
 
   // Runs one query chain (with guards in CI mode) over the pool; returns
   // the chain's output, held in the worker's scratch until its next query.
-  const EventBatch& RunQuery(PartitionState* partition, QueryState* query,
+  const EventBatch& RunQuery(PartitionState* partition,
+                             const QueryProgram& program, QueryState* query,
                              const EventBatch& pool, Timestamp t, int worker);
-
-  // Window-transition bookkeeping before a query executes.
-  void HandleWindowTransitions(PartitionState* partition, QueryState* query);
 
   // --- Durability serialization (scheduler thread only) ---
   // The per-batch commit snapshot: the ingest counters, the quarantine
@@ -461,6 +462,9 @@ class Engine {
   Status FinishRecovery(RecoveryScan scan);
 
   ExecutablePlan plan_;
+  // One program per query of plan_, deriving then processing; built once,
+  // shared by every partition.
+  std::vector<QueryProgram> programs_;
   EngineOptions options_;
   TickObserver observer_;
 

@@ -65,21 +65,32 @@ TEST_F(AlgebraTest, FilterPassesSatisfyingEvents) {
   EventBatch in = {MakeR(1, 1, 30.0, 0), MakeR(2, 1, 50.0, 0),
                    MakeR(3, 1, 39.9, 0)};
   EventBatch out;
-  filter.Process(in, &out, &ctx_);
+  filter.Process(in, &out, &ctx_, nullptr);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0]->value(0).AsInt(), 1);
   EXPECT_EQ(out[1]->value(0).AsInt(), 3);
   EXPECT_GE(ops_, 3u);
 }
 
-TEST_F(AlgebraTest, FilterCloneIsIndependent) {
-  FilterOp filter(CompilePredicate("r.vid = 1", SingleBinding("r")));
-  auto clone = filter.Clone();
-  EXPECT_EQ(clone->kind(), Operator::Kind::kFilter);
-  EventBatch in = {MakeR(1, 1, 1.0, 0)};
-  EventBatch out;
-  clone->Process(in, &out, &ctx_);
-  EXPECT_EQ(out.size(), 1u);
+TEST_F(AlgebraTest, StatelessOperatorsHaveNoState) {
+  // Six of the eight kinds keep nothing per partition.
+  auto config = std::make_shared<PatternOpConfig>();
+  config->positions.push_back({type_, false, {}});
+  config->output_type = type_;
+  config->description = "R";
+  std::vector<std::unique_ptr<Operator>> stateless;
+  stateless.push_back(std::make_unique<FilterOp>(
+      CompilePredicate("r.vid = 1", SingleBinding("r"))));
+  stateless.push_back(std::make_unique<ProjectionOp>(
+      type_, std::vector<std::shared_ptr<const CompiledExpr>>{}));
+  stateless.push_back(
+      std::make_unique<ContextWindowOp>(std::vector<int>{1}, "c1"));
+  stateless.push_back(std::make_unique<ContextInitOp>(1, "c1"));
+  stateless.push_back(std::make_unique<ContextTermOp>(1, "c1"));
+  stateless.push_back(std::make_unique<PatternOp>(config));
+  for (const auto& op : stateless) {
+    EXPECT_EQ(op->NewState(), nullptr) << OperatorKindName(op->kind());
+  }
 }
 
 TEST_F(AlgebraTest, ProjectionDerivesTypedEvents) {
@@ -91,7 +102,7 @@ TEST_F(AlgebraTest, ProjectionDerivesTypedEvents) {
   ProjectionOp projection(out_type, std::move(args));
   EventBatch in = {MakeR(7, 2, 33.0, 12)};
   EventBatch out;
-  projection.Process(in, &out, &ctx_);
+  projection.Process(in, &out, &ctx_, nullptr);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0]->type_id(), out_type);
   EXPECT_EQ(out[0]->value(0).AsInt(), 7);
@@ -106,7 +117,7 @@ TEST_F(AlgebraTest, ContextInitAndTermUpdateVector) {
   ContextTermOp term(2, "busy");
   EventBatch in = {MakeR(1, 1, 1.0, 10)};
   EventBatch out;
-  init.Process(in, &out, &ctx_);
+  init.Process(in, &out, &ctx_, nullptr);
   EXPECT_TRUE(contexts_.IsActive(2));
   EXPECT_FALSE(contexts_.IsActive(0));  // default displaced
   EXPECT_EQ(contexts_.ActiveSince(2), 10);
@@ -114,7 +125,7 @@ TEST_F(AlgebraTest, ContextInitAndTermUpdateVector) {
 
   out.clear();
   EventBatch in2 = {MakeR(1, 1, 1.0, 20)};
-  term.Process(in2, &out, &ctx_);
+  term.Process(in2, &out, &ctx_, nullptr);
   EXPECT_FALSE(contexts_.IsActive(2));
   EXPECT_TRUE(contexts_.IsActive(0));  // default restored
   EXPECT_EQ(contexts_.ActiveSince(0), 20);
@@ -146,11 +157,11 @@ TEST_F(AlgebraTest, ContextWindowGates) {
   EventBatch in = {MakeR(1, 1, 1.0, 30)};
   EventBatch out;
   // Context inactive: nothing passes.
-  window.Process(in, &out, &ctx_);
+  window.Process(in, &out, &ctx_, nullptr);
   EXPECT_TRUE(out.empty());
   // Active since t=25: event at 30 passes.
   contexts_.Initiate(2, 25);
-  window.Process(in, &out, &ctx_);
+  window.Process(in, &out, &ctx_, nullptr);
   EXPECT_EQ(out.size(), 1u);
 }
 
@@ -162,7 +173,7 @@ TEST_F(AlgebraTest, ContextWindowScopesComplexEventsToWindowStart) {
                                     {Value(int64_t{1}), Value(int64_t{1}),
                                      Value(1.0), Value(int64_t{30})})};
   EventBatch out;
-  window.Process(in, &out, &ctx_);
+  window.Process(in, &out, &ctx_, nullptr);
   EXPECT_TRUE(out.empty());
 }
 
@@ -171,7 +182,7 @@ TEST_F(AlgebraTest, ContextWindowOrSemantics) {
   contexts_.Initiate(1, 0);
   EventBatch in = {MakeR(1, 1, 1.0, 5)};
   EventBatch out;
-  window.Process(in, &out, &ctx_);
+  window.Process(in, &out, &ctx_, nullptr);
   EXPECT_EQ(out.size(), 1u);
 }
 
@@ -185,7 +196,7 @@ TEST_F(AlgebraTest, EventMatchFiltersByType) {
   PatternOp pattern(config);
   EventBatch in = {MakeR(1, 1, 1.0, 0), MakeEvent(other, 0, {Value(int64_t{1})})};
   EventBatch out;
-  pattern.Process(in, &out, &ctx_);
+  pattern.Process(in, &out, &ctx_, nullptr);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0]->type_id(), type_);
 }
@@ -218,12 +229,13 @@ class SeqTest : public AlgebraTest {
 
 TEST_F(SeqTest, MatchesOrderedPairsWithPredicate) {
   auto seq = MakeSeqSameVid();
+  CompiledPatternOp::State state(&seq->automaton());
   EventBatch out;
-  seq->Process({MakeR(1, 1, 10.0, 0)}, &out, &ctx_);
+  seq->Process({MakeR(1, 1, 10.0, 0)}, &out, &ctx_, &state);
   EXPECT_TRUE(out.empty());
-  seq->Process({MakeR(2, 1, 10.0, 5)}, &out, &ctx_);
+  seq->Process({MakeR(2, 1, 10.0, 5)}, &out, &ctx_, &state);
   EXPECT_TRUE(out.empty());  // different vid
-  seq->Process({MakeR(1, 1, 20.0, 10)}, &out, &ctx_);
+  seq->Process({MakeR(1, 1, 20.0, 10)}, &out, &ctx_, &state);
   ASSERT_EQ(out.size(), 1u);
   // Composite event: a.* then b.*, interval [0, 10].
   EXPECT_EQ(out[0]->start_time(), 0);
@@ -234,40 +246,46 @@ TEST_F(SeqTest, MatchesOrderedPairsWithPredicate) {
 
 TEST_F(SeqTest, StrictTimeOrdering) {
   auto seq = MakeSeqSameVid();
+  CompiledPatternOp::State state(&seq->automaton());
   EventBatch out;
   // Two events with the same time stamp cannot form a sequence.
-  seq->Process({MakeR(1, 1, 10.0, 5), MakeR(1, 1, 20.0, 5)}, &out, &ctx_);
+  seq->Process({MakeR(1, 1, 10.0, 5), MakeR(1, 1, 20.0, 5)}, &out, &ctx_,
+               &state);
   EXPECT_TRUE(out.empty());
 }
 
 TEST_F(SeqTest, SkipTillAnyMatchProducesAllCombinations) {
   auto seq = MakeSeqSameVid();
+  CompiledPatternOp::State state(&seq->automaton());
   EventBatch out;
-  seq->Process({MakeR(1, 1, 1.0, 0)}, &out, &ctx_);
-  seq->Process({MakeR(1, 1, 2.0, 10)}, &out, &ctx_);
-  seq->Process({MakeR(1, 1, 3.0, 20)}, &out, &ctx_);
+  seq->Process({MakeR(1, 1, 1.0, 0)}, &out, &ctx_, &state);
+  seq->Process({MakeR(1, 1, 2.0, 10)}, &out, &ctx_, &state);
+  seq->Process({MakeR(1, 1, 3.0, 20)}, &out, &ctx_, &state);
   // Pairs: (0,10), (0,20), (10,20).
   EXPECT_EQ(out.size(), 3u);
 }
 
 TEST_F(SeqTest, WithinBoundExpiresPartials) {
   auto seq = MakeSeqSameVid();
+  CompiledPatternOp::State state(&seq->automaton());
   EventBatch out;
-  seq->Process({MakeR(1, 1, 1.0, 0)}, &out, &ctx_);
-  EXPECT_EQ(seq->num_runs(), 1u);
-  seq->Process({MakeR(1, 1, 2.0, 100)}, &out, &ctx_);  // beyond WITHIN=60
+  seq->Process({MakeR(1, 1, 1.0, 0)}, &out, &ctx_, &state);
+  EXPECT_EQ(state.num_runs(), 1u);
+  // Beyond WITHIN=60.
+  seq->Process({MakeR(1, 1, 2.0, 100)}, &out, &ctx_, &state);
   EXPECT_TRUE(out.empty());
   // The stale partial was expired; the new event started a fresh one.
-  EXPECT_EQ(seq->num_runs(), 1u);
+  EXPECT_EQ(state.num_runs(), 1u);
 }
 
 TEST_F(SeqTest, ResetDiscardsState) {
   auto seq = MakeSeqSameVid();
+  CompiledPatternOp::State state(&seq->automaton());
   EventBatch out;
-  seq->Process({MakeR(1, 1, 1.0, 0)}, &out, &ctx_);
-  seq->Reset();
-  EXPECT_EQ(seq->num_runs(), 0u);
-  seq->Process({MakeR(1, 1, 2.0, 10)}, &out, &ctx_);
+  seq->Process({MakeR(1, 1, 1.0, 0)}, &out, &ctx_, &state);
+  state.Reset();
+  EXPECT_EQ(state.num_runs(), 0u);
+  seq->Process({MakeR(1, 1, 2.0, 10)}, &out, &ctx_, &state);
   EXPECT_TRUE(out.empty());  // no partial to complete
 }
 
@@ -298,31 +316,34 @@ class NegationTest : public AlgebraTest {
 
 TEST_F(NegationTest, LeadingNegationBlocksMatch) {
   auto seq = MakeNewCarSeq();
+  CompiledPatternOp::State state(&seq->automaton());
   EventBatch out;
   // vid 1 reported at 0; its report at 30 is NOT new (blocked).
-  seq->Process({MakeR(1, 1, 1.0, 0)}, &out, &ctx_);
+  seq->Process({MakeR(1, 1, 1.0, 0)}, &out, &ctx_, &state);
   EXPECT_EQ(out.size(), 1u);  // the t=0 report itself is new
   out.clear();
-  seq->Process({MakeR(1, 1, 1.0, 30)}, &out, &ctx_);
+  seq->Process({MakeR(1, 1, 1.0, 30)}, &out, &ctx_, &state);
   EXPECT_TRUE(out.empty());
 }
 
 TEST_F(NegationTest, NoPriorReportMeansNewCar) {
   auto seq = MakeNewCarSeq();
+  CompiledPatternOp::State state(&seq->automaton());
   EventBatch out;
-  seq->Process({MakeR(1, 1, 1.0, 0)}, &out, &ctx_);
-  seq->Process({MakeR(2, 1, 1.0, 30)}, &out, &ctx_);  // different vid
+  seq->Process({MakeR(1, 1, 1.0, 0)}, &out, &ctx_, &state);
+  seq->Process({MakeR(2, 1, 1.0, 30)}, &out, &ctx_, &state);  // different vid
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[1]->value(0).AsInt(), 2);
 }
 
 TEST_F(NegationTest, GapLongerThanPredicateAllowsMatch) {
   auto seq = MakeNewCarSeq();
+  CompiledPatternOp::State state(&seq->automaton());
   EventBatch out;
-  seq->Process({MakeR(1, 1, 1.0, 0)}, &out, &ctx_);
+  seq->Process({MakeR(1, 1, 1.0, 0)}, &out, &ctx_, &state);
   out.clear();
   // 60 seconds later: the predicate (sec+30) does not tie them.
-  seq->Process({MakeR(1, 1, 1.0, 60)}, &out, &ctx_);
+  seq->Process({MakeR(1, 1, 1.0, 60)}, &out, &ctx_, &state);
   EXPECT_EQ(out.size(), 1u);
 }
 
@@ -351,16 +372,18 @@ TEST_F(AlgebraTest, MiddleNegationChecksInterval) {
                    {"b.sec", ValueType::kInt}});
   config->description = "SEQ(R a, NOT R n, R b)";
   CompiledPatternOp seq(CompilePattern(config));
+  CompiledPatternOp::State state(&seq.automaton());
 
   EventBatch out;
-  seq.Process({MakeR(1, 1, 1.0, 0)}, &out, &ctx_);
-  seq.Process({MakeR(2, 1, 1.0, 5)}, &out, &ctx_);   // other vid: no block
-  seq.Process({MakeR(1, 1, 1.0, 10)}, &out, &ctx_);
+  seq.Process({MakeR(1, 1, 1.0, 0)}, &out, &ctx_, &state);
+  // Another vid: no block.
+  seq.Process({MakeR(2, 1, 1.0, 5)}, &out, &ctx_, &state);
+  seq.Process({MakeR(1, 1, 1.0, 10)}, &out, &ctx_, &state);
   // Match (0 -> 10): no vid-1 event strictly inside (0, 10)? There is none
   // (the vid-2 event does not satisfy the negation predicate).
   ASSERT_EQ(out.size(), 1u);
   out.clear();
-  seq.Process({MakeR(1, 1, 1.0, 20)}, &out, &ctx_);
+  seq.Process({MakeR(1, 1, 1.0, 20)}, &out, &ctx_, &state);
   // Candidate matches ending at 20: (0,20) blocked by the event at 10;
   // (10,20) passes.
   ASSERT_EQ(out.size(), 1u);
@@ -395,12 +418,13 @@ TEST_F(AlgebraTest, AggregateCountAvgWithHaving) {
   }
   config->description = "congestion";
   AggregateOp agg(config);
+  AggregateOp::State state;
 
   EventBatch out;
-  agg.Process({MakeR(1, 7, 30.0, 0)}, &out, &ctx_);
-  agg.Process({MakeR(2, 7, 35.0, 10)}, &out, &ctx_);
+  agg.Process({MakeR(1, 7, 30.0, 0)}, &out, &ctx_, &state);
+  agg.Process({MakeR(2, 7, 35.0, 10)}, &out, &ctx_, &state);
   EXPECT_TRUE(out.empty());  // only 2 cars
-  agg.Process({MakeR(3, 7, 20.0, 20)}, &out, &ctx_);
+  agg.Process({MakeR(3, 7, 20.0, 20)}, &out, &ctx_, &state);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0]->value(0).AsInt(), 7);
   EXPECT_EQ(out[0]->value(1).AsInt(), 3);
@@ -408,7 +432,7 @@ TEST_F(AlgebraTest, AggregateCountAvgWithHaving) {
 
   // Fast traffic does not trigger.
   out.clear();
-  agg.Process({MakeR(4, 7, 80.0, 25)}, &out, &ctx_);
+  agg.Process({MakeR(4, 7, 80.0, 25)}, &out, &ctx_, &state);
   EXPECT_TRUE(out.empty());  // avg now >= 40? (30+35+20+80)/4 = 41.25
 }
 
@@ -422,15 +446,16 @@ TEST_F(AlgebraTest, AggregateSlidingEviction) {
       "$agg2", {{"seg", ValueType::kInt}, {"n", ValueType::kInt}});
   config->description = "count";
   AggregateOp agg(config);
+  AggregateOp::State state;
 
   EventBatch out;
-  agg.Process({MakeR(1, 1, 1.0, 0)}, &out, &ctx_);
-  agg.Process({MakeR(2, 1, 1.0, 30)}, &out, &ctx_);
+  agg.Process({MakeR(1, 1, 1.0, 0)}, &out, &ctx_, &state);
+  agg.Process({MakeR(2, 1, 1.0, 30)}, &out, &ctx_, &state);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[1]->value(1).AsInt(), 2);
   out.clear();
   // At t=60 the t=0 sample left the 50-tick window.
-  agg.Process({MakeR(3, 1, 1.0, 60)}, &out, &ctx_);
+  agg.Process({MakeR(3, 1, 1.0, 60)}, &out, &ctx_, &state);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0]->value(1).AsInt(), 2);  // samples at 30 and 60
 }
@@ -448,16 +473,17 @@ TEST_F(AlgebraTest, AggregateMinMax) {
                 {"sum", ValueType::kDouble}});
   config->description = "minmax";
   AggregateOp agg(config);
+  AggregateOp::State state;
   EventBatch out;
   agg.Process({MakeR(1, 1, 5.0, 0), MakeR(2, 1, 9.0, 1), MakeR(3, 1, 2.0, 2)},
-              &out, &ctx_);
+              &out, &ctx_, &state);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_DOUBLE_EQ(out[2]->value(0).AsDouble(), 2.0);
   EXPECT_DOUBLE_EQ(out[2]->value(1).AsDouble(), 9.0);
   EXPECT_DOUBLE_EQ(out[2]->value(2).AsDouble(), 16.0);
 }
 
-TEST_F(AlgebraTest, AggregateResetAndClone) {
+TEST_F(AlgebraTest, AggregateStatesAreIndependent) {
   auto config = std::make_shared<AggregateOpConfig>();
   config->input_type = type_;
   config->group_by = {1};
@@ -467,15 +493,55 @@ TEST_F(AlgebraTest, AggregateResetAndClone) {
       "$agg4", {{"seg", ValueType::kInt}, {"n", ValueType::kInt}});
   config->description = "count";
   AggregateOp agg(config);
+  std::unique_ptr<OperatorState> first = agg.NewState();
+  std::unique_ptr<OperatorState> second = agg.NewState();
+  auto groups = [](const std::unique_ptr<OperatorState>& state) {
+    return static_cast<const AggregateOp::State&>(*state).num_groups();
+  };
+  EXPECT_EQ(groups(first), 0u);  // a fresh state starts empty
   EventBatch out;
-  agg.Process({MakeR(1, 1, 1.0, 0)}, &out, &ctx_);
-  EXPECT_EQ(agg.num_groups(), 1u);
-  agg.Reset();
-  EXPECT_EQ(agg.num_groups(), 0u);
+  agg.Process({MakeR(1, 1, 1.0, 0), MakeR(2, 2, 1.0, 0)}, &out, &ctx_,
+              first.get());
+  EXPECT_EQ(groups(first), 2u);
+  EXPECT_EQ(groups(second), 0u);
 
-  auto clone = agg.Clone();
+  // The second state counts from zero: it shares no group with the first.
   out.clear();
-  clone->Process({MakeR(1, 2, 1.0, 5)}, &out, &ctx_);
+  agg.Process({MakeR(3, 1, 1.0, 5)}, &out, &ctx_, second.get());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0]->value(1).AsInt(), 1);
+  EXPECT_EQ(groups(first), 2u);
+
+  first->Reset();
+  EXPECT_EQ(groups(first), 0u);
+  EXPECT_EQ(groups(second), 1u);
+}
+
+TEST_F(AlgebraTest, AggregateExpiryFreesEmptyGroups) {
+  // One new key per tick, WINDOW 10: only the last 10 keys hold a sample
+  // in the window, and expiry must free every other group.
+  auto config = std::make_shared<AggregateOpConfig>();
+  config->input_type = type_;
+  config->group_by = {1};
+  config->aggregates = {{AggregateFunc::kCount, -1}};
+  config->window_length = 10;
+  config->output_type = registry_.RegisterOrGet(
+      "$agg5", {{"seg", ValueType::kInt}, {"n", ValueType::kInt}});
+  config->description = "count";
+  AggregateOp agg(config);
+  AggregateOp::State state;
+  EventBatch out;
+  for (int64_t t = 1; t <= 100000; ++t) {
+    out.clear();
+    agg.Process({MakeR(1, t, 1.0, t)}, &out, &ctx_, &state);
+    if (t % 100 == 0) {
+      state.ExpireBefore(t - config->window_length + 1);
+      ASSERT_LE(state.num_groups(), 10u) << "at tick " << t;
+    }
+  }
+  // A key whose group was freed starts a new group with a fresh count.
+  out.clear();
+  agg.Process({MakeR(1, 5, 1.0, 100001)}, &out, &ctx_, &state);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0]->value(1).AsInt(), 1);
 }

@@ -156,7 +156,8 @@ TEST(AnalyzerTest, TooManyContextsIsP301) {
   registry.RegisterOrGet("E", {{"x", ValueType::kInt}});
   CaesarModel model(&registry);
   for (int i = 0; i < 65; ++i) {
-    ASSERT_TRUE(model.AddContext("c" + std::to_string(i)).ok());
+    ASSERT_TRUE(
+        model.AddContext(std::string("c").append(std::to_string(i))).ok());
   }
   model.NormalizeLenient();
   EXPECT_TRUE(HasCode(AnalyzeModel(model), DiagCode::kP301TooManyContexts));

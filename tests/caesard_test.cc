@@ -254,7 +254,8 @@ TEST_P(CaesardDifferential, SocketMatchesBatchByteForByte) {
 
 INSTANTIATE_TEST_SUITE_P(Workers, CaesardDifferential,
                          ::testing::Values(1, 2, 4), [](const auto& info) {
-                           return "w" + std::to_string(info.param);
+                           return std::string("w").append(
+                               std::to_string(info.param));
                          });
 
 // A reorder tenant fed a disordered stream in chunks that split ticks:
@@ -295,7 +296,8 @@ TEST_P(CaesardReorderDifferential, DisorderedSocketMatchesBatchByteForByte) {
 
 INSTANTIATE_TEST_SUITE_P(Workers, CaesardReorderDifferential,
                          ::testing::Values(1, 4), [](const auto& info) {
-                           return "w" + std::to_string(info.param);
+                           return std::string("w").append(
+                               std::to_string(info.param));
                          });
 
 // A straggler within the slack that arrives after its successors were

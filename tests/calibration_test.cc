@@ -52,7 +52,7 @@ TEST_F(CalibrationTest, CalibratedParamsReflectObservedActivity) {
   CAESAR_CHECK_OK(model.status());
   auto plan = TranslateModel(model.value(), PlanOptions());
   CAESAR_CHECK_OK(plan.status());
-  ExecutablePlan plan_copy = plan.value().Clone();
+  ExecutablePlan plan_copy = plan.value();
 
   EngineOptions options;
   options.gather_statistics = true;
@@ -90,7 +90,7 @@ QUERY narrow DERIVE A(r.value AS value) PATTERN Reading r WHERE r.value = 1;
   CAESAR_CHECK_OK(model.status());
   auto plan = TranslateModel(model.value(), PlanOptions());
   CAESAR_CHECK_OK(plan.status());
-  ExecutablePlan plan_copy = plan.value().Clone();
+  ExecutablePlan plan_copy = plan.value();
 
   EngineOptions options;
   options.gather_statistics = true;
@@ -121,7 +121,7 @@ TEST_F(CalibrationTest, OperatorsThatNeverRanKeepStaticEstimates) {
   CAESAR_CHECK_OK(model.status());
   auto plan = TranslateModel(model.value(), PlanOptions());
   CAESAR_CHECK_OK(plan.status());
-  ExecutablePlan plan_copy = plan.value().Clone();
+  ExecutablePlan plan_copy = plan.value();
 
   EngineOptions options;
   options.gather_statistics = true;
@@ -222,6 +222,7 @@ TEST_P(AggregateOracleTest, CountAndAvgMatchBruteForce) {
                       {"max", ValueType::kDouble}});
   config->description = "oracle";
   AggregateOp agg(config);
+  AggregateOp::State state;
 
   ContextBitVector contexts(2, 0);
   uint64_t ops = 0;
@@ -239,7 +240,7 @@ TEST_P(AggregateOracleTest, CountAndAvgMatchBruteForce) {
   }
 
   EventBatch outputs;
-  agg.Process(stream, &outputs, &ctx);
+  agg.Process(stream, &outputs, &ctx, &state);
   ASSERT_EQ(outputs.size(), stream.size());
 
   for (size_t i = 0; i < stream.size(); ++i) {

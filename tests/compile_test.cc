@@ -205,10 +205,11 @@ TEST_F(CompileTest, CompiledMatchesInterpretedOnSeq) {
   // order (runs in creation order): (A 1, B 2), then (A 2, B 2).
   CompiledPatternOp op(
       CompilePattern(SeqABConfig(10, {Predicate("b.x >= a.x")})));
+  CompiledPatternOp::State state(&op.automaton());
   EventBatch input = {MakeA(1, 1), MakeA(2, 2), MakeB(0, 3),
                       MakeB(2, 4),  MakeA(5, 5), MakeB(2, 15)};
   EventBatch out;
-  op.Process(input, &out, &ctx_);
+  op.Process(input, &out, &ctx_, &state);
   ASSERT_EQ(out.size(), 2u);
   const int64_t expected[2][4] = {{1, 4, 1, 2}, {2, 4, 2, 2}};
   for (size_t i = 0; i < out.size(); ++i) {
@@ -221,28 +222,39 @@ TEST_F(CompileTest, CompiledMatchesInterpretedOnSeq) {
 
 TEST_F(CompileTest, ExpiryDropsStaleRuns) {
   CompiledPatternOp op(CompilePattern(SeqABConfig(10)));
+  CompiledPatternOp::State state(&op.automaton());
   EventBatch out;
   EventBatch first = {MakeA(1, 0), MakeA(2, 5)};
-  op.Process(first, &out, &ctx_);
-  EXPECT_EQ(op.num_runs(), 2u);
+  op.Process(first, &out, &ctx_, &state);
+  EXPECT_EQ(state.num_runs(), 2u);
   // Batch at t=100: everything older than 100 - within expires up front.
   EventBatch second = {MakeA(3, 100)};
-  op.Process(second, &out, &ctx_);
-  EXPECT_EQ(op.num_runs(), 1u);
-  op.Reset();
-  EXPECT_EQ(op.num_runs(), 0u);
+  op.Process(second, &out, &ctx_, &state);
+  EXPECT_EQ(state.num_runs(), 1u);
+  state.Reset();
+  EXPECT_EQ(state.num_runs(), 0u);
   EXPECT_TRUE(out.empty());
 }
 
-TEST_F(CompileTest, CloneStartsEmpty) {
-  CompiledPatternOp op(CompilePattern(SeqABConfig(10)));
+TEST_F(CompileTest, StatesAreIndependent) {
+  CompiledPatternOp op(
+      CompilePattern(SeqABConfig(10, {Predicate("b.x >= a.x")})));
+  std::unique_ptr<OperatorState> first = op.NewState();
+  std::unique_ptr<OperatorState> second = op.NewState();
+  auto runs = [](const std::unique_ptr<OperatorState>& state) {
+    return static_cast<const CompiledPatternOp::State&>(*state).num_runs();
+  };
+  EXPECT_EQ(runs(first), 0u);  // a fresh state starts empty
   EventBatch out;
-  EventBatch input = {MakeA(1, 0)};
-  op.Process(input, &out, &ctx_);
-  EXPECT_EQ(op.num_runs(), 1u);
-  auto clone = op.Clone();
-  EXPECT_EQ(clone->kind(), Operator::Kind::kCompiledPattern);
-  EXPECT_EQ(static_cast<CompiledPatternOp*>(clone.get())->num_runs(), 0u);
+  op.Process({MakeA(1, 0)}, &out, &ctx_, first.get());
+  EXPECT_EQ(runs(first), 1u);
+  EXPECT_EQ(runs(second), 0u);
+  // The run lives in the first state only: B completes it there and
+  // nowhere else.
+  op.Process({MakeB(2, 1)}, &out, &ctx_, second.get());
+  EXPECT_TRUE(out.empty());
+  op.Process({MakeB(2, 1)}, &out, &ctx_, first.get());
+  EXPECT_EQ(out.size(), 1u);
 }
 
 TEST_F(CompileTest, CostEstimatesMatchInterpretedOperator) {
@@ -360,8 +372,9 @@ class KeyedMatchTest : public ::testing::Test {
   size_t Matches(bool negated, const std::string& where,
                  const EventBatch& input) {
     CompiledPatternOp op(Seq(negated, where));
+    CompiledPatternOp::State state(&op.automaton());
     EventBatch out;
-    op.Process(input, &out, &ctx_);
+    op.Process(input, &out, &ctx_, &state);
     return out.size();
   }
 
@@ -459,22 +472,23 @@ TEST_F(KeyedMatchTest, CheckpointRoundTripRecomputesTags) {
     return result;
   };
 
-  CompiledPatternOp uninterrupted(automaton);
+  CompiledPatternOp op(automaton);
+  CompiledPatternOp::State uninterrupted(automaton.get());
   EventBatch out;
-  uninterrupted.Process(first, &out, &ctx_);
+  op.Process(first, &out, &ctx_, &uninterrupted);
   ASSERT_TRUE(out.empty());
   StateWriter writer;
-  uninterrupted.SaveState(&writer);
-  uninterrupted.Process(second, &out, &ctx_);
+  uninterrupted.Save(&writer);
+  op.Process(second, &out, &ctx_, &uninterrupted);
   EXPECT_EQ(spans(out), expected);
 
-  CompiledPatternOp restored(automaton);
+  CompiledPatternOp::State restored(automaton.get());
   StateReader reader(writer.data());
-  ASSERT_TRUE(restored.LoadState(&reader).ok());
+  ASSERT_TRUE(restored.Load(&reader).ok());
   EXPECT_EQ(restored.num_runs(), 3u);
   EXPECT_EQ(restored.negation_buffer_size(), 1u);
   EventBatch restored_out;
-  restored.Process(second, &restored_out, &ctx_);
+  op.Process(second, &restored_out, &ctx_, &restored);
   EXPECT_EQ(spans(restored_out), expected);
 }
 

@@ -532,7 +532,7 @@ void CrashRecoveryCase(const Workload& w, uint64_t seed,
   std::vector<EventBatch> batches = SplitByTicks(stream, /*ticks_per_batch=*/20);
   ASSERT_GT(batches.size(), 2u);
 
-  Engine reference(w.plan.Clone(), base);
+  Engine reference(w.plan, base);
   BatchRun uninterrupted = RunBatches(&reference, batches, 0, w.registry);
 
   auto durable = [&](const std::string& dir) {
@@ -550,7 +550,7 @@ void CrashRecoveryCase(const Workload& w, uint64_t seed,
   {
     EngineOptions options = durable(ScratchDir("probe"));
     options.durability.crash_hook = probe.Hook();
-    Engine engine(w.plan.Clone(), options);
+    Engine engine(w.plan, options);
     BatchRun logged = RunBatches(&engine, batches, 0, w.registry);
     // Logging must not perturb the output (the durability=off contract in
     // reverse): same bytes with the WAL on.
@@ -566,7 +566,7 @@ void CrashRecoveryCase(const Workload& w, uint64_t seed,
   {
     EngineOptions options = durable(dir);
     options.durability.crash_hook = injector.Hook();
-    Engine victim(w.plan.Clone(), options);
+    Engine victim(w.plan, options);
     for (size_t b = 0; b < batches.size(); ++b) {
       auto stats = victim.Run(batches[b], nullptr);
       if (!stats.ok()) {
@@ -580,7 +580,7 @@ void CrashRecoveryCase(const Workload& w, uint64_t seed,
   ASSERT_LT(failed_batch, batches.size());
 
   // Pass 3: recover and re-submit everything not yet durable.
-  auto recovered = Engine::Recover(w.plan.Clone(), durable(dir));
+  auto recovered = Engine::Recover(w.plan, durable(dir));
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   Engine& engine = *recovered.value();
   EXPECT_TRUE(engine.recovered());
@@ -646,7 +646,7 @@ TEST(EngineDurabilityTest, OffModeTouchesNothingAndMatchesOnMode) {
   auto w = MakeWorkload();
   std::string dir = ScratchDir("off_mode");
   EngineOptions off;  // durability defaults to kOff
-  Engine plain(w->plan.Clone(), off);
+  Engine plain(w->plan, off);
   EventBatch plain_out;
   auto plain_stats = plain.Run(w->stream, &plain_out);
   ASSERT_TRUE(plain_stats.ok());
@@ -657,7 +657,7 @@ TEST(EngineDurabilityTest, OffModeTouchesNothingAndMatchesOnMode) {
   on.durability.mode = DurabilityMode::kWalCheckpoint;
   on.durability.dir = dir;
   on.durability.checkpoint_interval_ticks = 32;
-  Engine durable(w->plan.Clone(), on);
+  Engine durable(w->plan, on);
   EventBatch durable_out;
   auto durable_stats = durable.Run(w->stream, &durable_out);
   ASSERT_TRUE(durable_stats.ok());
@@ -692,7 +692,7 @@ void CheckpointRestoresOperatorStatisticsCase(const EngineOptions& base,
   auto w = MakeWorkload();
   std::vector<EventBatch> batches = SplitByTicks(w->stream, 20);
 
-  Engine reference(w->plan.Clone(), base);
+  Engine reference(w->plan, base);
   RunBatches(&reference, batches, 0, w->registry);
   std::string expected;
   for (const QueryOperatorStats& row :
@@ -712,7 +712,7 @@ void CheckpointRestoresOperatorStatisticsCase(const EngineOptions& base,
   crash.durability.checkpoint_interval_ticks = 16;
   crash.durability.crash_hook = injector.Hook();
   {
-    Engine victim(w->plan.Clone(), crash);
+    Engine victim(w->plan, crash);
     for (const EventBatch& batch : batches) {
       if (!victim.Run(batch, nullptr).ok()) break;
     }
@@ -723,7 +723,7 @@ void CheckpointRestoresOperatorStatisticsCase(const EngineOptions& base,
   recover.durability.mode = DurabilityMode::kWalCheckpoint;
   recover.durability.dir = dir;
   recover.durability.checkpoint_interval_ticks = 16;
-  auto recovered = Engine::Recover(w->plan.Clone(), recover);
+  auto recovered = Engine::Recover(w->plan, recover);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   RunBatches(recovered.value().get(), batches,
              recovered.value()->durable_batch_seq(), w->registry);
@@ -776,7 +776,7 @@ TEST(EngineDurabilityTest, RecoveryReportsDiagnosticsForRottenArtifacts) {
     EngineOptions probed = options;
     probed.durability.dir = ScratchDir("rotten_probe");
     probed.durability.crash_hook = probe.Hook();
-    Engine engine(w->plan.Clone(), probed);
+    Engine engine(w->plan, probed);
     for (const EventBatch& batch : batches) {
       ASSERT_TRUE(engine.Run(batch, nullptr).ok());
     }
@@ -786,7 +786,7 @@ TEST(EngineDurabilityTest, RecoveryReportsDiagnosticsForRottenArtifacts) {
   {
     EngineOptions crash = options;
     crash.durability.crash_hook = injector.Hook();
-    Engine victim(w->plan.Clone(), crash);
+    Engine victim(w->plan, crash);
     for (const EventBatch& batch : batches) {
       if (!victim.Run(batch, nullptr).ok()) break;
     }
@@ -807,7 +807,7 @@ TEST(EngineDurabilityTest, RecoveryReportsDiagnosticsForRottenArtifacts) {
       (std::filesystem::path(dir) / CheckpointFileName(newest_ckpt)).string(),
       -1));
 
-  auto recovered = Engine::Recover(w->plan.Clone(), options);
+  auto recovered = Engine::Recover(w->plan, options);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   Engine& engine = *recovered.value();
   EXPECT_TRUE(engine.recovered());
@@ -857,7 +857,7 @@ void OldCheckpointVersionFallsBackCase(uint32_t version) {
   ASSERT_GE(batches.size(), 5u);
   const size_t crashed_after = batches.size() - 2;
 
-  Engine reference(w->plan.Clone(), EngineOptions{});
+  Engine reference(w->plan, EngineOptions{});
   BatchRun uninterrupted = RunBatches(&reference, batches, 0, w->registry);
 
   std::string dir = ScratchDir("version_" + std::to_string(version));
@@ -866,7 +866,7 @@ void OldCheckpointVersionFallsBackCase(uint32_t version) {
   options.durability.dir = dir;
   options.durability.checkpoint_interval_ticks = 16;
   {
-    Engine engine(w->plan.Clone(), options);
+    Engine engine(w->plan, options);
     for (size_t b = 0; b < crashed_after; ++b) {
       ASSERT_TRUE(engine.Run(batches[b], nullptr).ok());
     }
@@ -889,7 +889,7 @@ void OldCheckpointVersionFallsBackCase(uint32_t version) {
             std::string::npos)
       << scan.value().diagnostics[0].message;
 
-  auto recovered = Engine::Recover(w->plan.Clone(), options);
+  auto recovered = Engine::Recover(w->plan, options);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   Engine& engine = *recovered.value();
   EXPECT_EQ(engine.durable_batch_seq(), crashed_after);
@@ -939,7 +939,7 @@ void OldCommitSnapshotIsDataLossCase(
 
   EngineOptions options;
   options.durability = WalOptions(dir);
-  auto recovered = Engine::Recover(w->plan.Clone(), options);
+  auto recovered = Engine::Recover(w->plan, options);
   ASSERT_FALSE(recovered.ok());
   EXPECT_EQ(recovered.status().code(), StatusCode::kDataLoss);
   EXPECT_NE(recovered.status().message().find(
@@ -1026,13 +1026,13 @@ TEST(EngineDurabilityTest, FreshEngineInUsedDirectoryKeepsSequencing) {
   options.durability.mode = DurabilityMode::kWal;
   options.durability.dir = dir;
   {
-    Engine first(w->plan.Clone(), options);
+    Engine first(w->plan, options);
     ASSERT_TRUE(first.Run(batches[0], nullptr).ok());
     ASSERT_TRUE(first.Run(batches[1], nullptr).ok());
     EXPECT_EQ(first.durable_batch_seq(), 2u);
   }
   {
-    Engine second(w->plan.Clone(), options);
+    Engine second(w->plan, options);
     ASSERT_TRUE(second.Run(batches[2], nullptr).ok());
     EXPECT_EQ(second.durable_batch_seq(), 3u);
   }
@@ -1063,7 +1063,7 @@ void FailedAppendCase(int num_threads) {
   }
   std::vector<EventBatch> batches = SplitByTicks(stream, 10);
   ASSERT_GT(batches.size(), 4u);
-  Engine reference(w->plan.Clone(), EngineOptions());
+  Engine reference(w->plan, EngineOptions());
   BatchRun uninterrupted = RunBatches(&reference, batches, 0, w->registry);
 
   for (int k : {0, 5, 9}) {
@@ -1076,7 +1076,7 @@ void FailedAppendCase(int num_threads) {
     options.durability.fsync = FsyncPolicy::kNone;
     options.durability.crash_hook = injector.Hook();
     {
-      Engine victim(w->plan.Clone(), options);
+      Engine victim(w->plan, options);
       for (size_t b = 0; b < 3; ++b) {
         ASSERT_TRUE(victim.Run(batches[b], nullptr).ok()) << b;
       }
@@ -1094,7 +1094,7 @@ void FailedAppendCase(int num_threads) {
       EXPECT_EQ(victim.durable_batch_seq(), 3u);
     }
     options.durability.crash_hook = nullptr;
-    auto recovered = Engine::Recover(w->plan.Clone(), options);
+    auto recovered = Engine::Recover(w->plan, options);
     ASSERT_TRUE(recovered.ok()) << recovered.status();
     ASSERT_EQ(recovered.value()->durable_batch_seq(), 3u);
     BatchRun resumed =
@@ -1153,7 +1153,7 @@ TEST(EngineDurabilityTest, TickRecordsAreAppendedWhileTheBatchIsProcessed) {
       if (observed_batch == batch + 1) ++appends_after_observer;
       return false;
     };
-    Engine engine(w->plan.Clone(), options);
+    Engine engine(w->plan, options);
     engine.SetTickObserver([&](Timestamp, const EventBatch&) {
       {
         std::lock_guard<std::mutex> lock(mu);
@@ -1185,7 +1185,7 @@ void FailedWriteCase(int num_threads) {
   auto w = MakeWorkload();
   std::vector<EventBatch> batches = SplitByTicks(w->stream, 10);
   ASSERT_GT(batches.size(), 6u);
-  Engine reference(w->plan.Clone(), EngineOptions());
+  Engine reference(w->plan, EngineOptions());
   BatchRun uninterrupted = RunBatches(&reference, batches, 0, w->registry);
 
   // The 2nd append of batch 4, or batch 4's commit.
@@ -1202,7 +1202,7 @@ void FailedWriteCase(int num_threads) {
     options.durability.crash_hook = injector.Hook();
     uint64_t live_durable = 0;
     {
-      Engine victim(w->plan.Clone(), options);
+      Engine victim(w->plan, options);
       for (size_t b = 0; b < 4; ++b) {
         ASSERT_TRUE(victim.Run(batches[b], nullptr).ok()) << b;
       }
@@ -1224,7 +1224,7 @@ void FailedWriteCase(int num_threads) {
       EXPECT_EQ(victim.durable_batch_seq(), live_durable);
     }
     options.durability.crash_hook = nullptr;
-    auto recovered = Engine::Recover(w->plan.Clone(), options);
+    auto recovered = Engine::Recover(w->plan, options);
     ASSERT_TRUE(recovered.ok()) << recovered.status();
     EXPECT_EQ(recovered.value()->durable_batch_seq(), live_durable);
     BatchRun resumed = RunBatches(recovered.value().get(), batches,
@@ -1254,7 +1254,7 @@ TEST(EngineDurabilityTest, CommitCrashOnTheLogThreadMidDispatch) {
   auto w = MakeWorkload();
   std::vector<EventBatch> batches = SplitByTicks(w->stream, 10);
   ASSERT_GT(batches.size(), 6u);
-  Engine reference(w->plan.Clone(), EngineOptions());
+  Engine reference(w->plan, EngineOptions());
   BatchRun uninterrupted = RunBatches(&reference, batches, 0, w->registry);
 
   std::vector<std::string> recovered_outputs;
@@ -1276,7 +1276,7 @@ TEST(EngineDurabilityTest, CommitCrashOnTheLogThreadMidDispatch) {
       return fire;
     };
     {
-      Engine victim(w->plan.Clone(), options);
+      Engine victim(w->plan, options);
       for (size_t b = 0; b < 5; ++b) {
         ASSERT_TRUE(victim.Run(batches[b], nullptr).ok()) << b;
       }
@@ -1293,7 +1293,7 @@ TEST(EngineDurabilityTest, CommitCrashOnTheLogThreadMidDispatch) {
       EXPECT_EQ(victim.durable_batch_seq(), 5u);
     }
     options.durability.crash_hook = nullptr;
-    auto recovered = Engine::Recover(w->plan.Clone(), options);
+    auto recovered = Engine::Recover(w->plan, options);
     ASSERT_TRUE(recovered.ok()) << recovered.status();
     ASSERT_EQ(recovered.value()->durable_batch_seq(), 5u);
     BatchRun resumed =
@@ -1326,7 +1326,7 @@ TEST(EngineDurabilityTest, LoggedTicksMatchTheAdmittedBatchesAtAnyWidth) {
     options.durability.dir = ScratchDir("logged_ticks");
     options.durability.fsync = FsyncPolicy::kNone;
     {
-      Engine engine(w->plan.Clone(), options);
+      Engine engine(w->plan, options);
       for (const EventBatch& batch : batches) {
         ASSERT_TRUE(engine.Run(batch, nullptr).ok());
       }
@@ -1379,7 +1379,7 @@ TEST(EngineDurabilityTest, EngineDestroyedRightAfterALoggedRunJoinsItsLog) {
     options.durability.dir = ScratchDir("teardown");
     options.durability.fsync = FsyncPolicy::kNone;
     {
-      Engine engine(w->plan.Clone(), options);
+      Engine engine(w->plan, options);
       ASSERT_TRUE(engine.Run(batches[0], nullptr).ok());
     }
     auto scan = ScanWal(options.durability.dir, 0, 0);
@@ -1393,7 +1393,7 @@ TEST(EngineDurabilityTest, EngineDestroyedRightAfterALoggedRunJoinsItsLog) {
     EngineOptions options;
     options.durability.mode = DurabilityMode::kWal;
     options.durability.dir = dir;
-    Engine engine(w->plan.Clone(), options);
+    Engine engine(w->plan, options);
   }
   EXPECT_TRUE(std::filesystem::is_empty(dir));
 }
@@ -1410,7 +1410,7 @@ TEST(EngineDurabilityTest, WalWaitIsTimedPerLoggedRun) {
     options.metrics = MetricsGranularity::kEngine;
     options.durability.mode = mode;
     options.durability.dir = ScratchDir("wal_wait");
-    Engine engine(w->plan.Clone(), options);
+    Engine engine(w->plan, options);
     double summed = 0.0;
     for (const EventBatch& batch : batches) {
       auto stats = engine.Run(batch, nullptr);
@@ -1454,7 +1454,7 @@ TEST(EngineDurabilityTest, DurableBytesAreReproducibleAcrossRunsAndWidths) {
         ScratchDir("reproducible_" + std::to_string(threads));
     options.durability.checkpoint_interval_ticks = 16;
     {
-      Engine engine(w->plan.Clone(), options);
+      Engine engine(w->plan, options);
       for (const EventBatch& batch : batches) {
         EXPECT_TRUE(engine.Run(batch, nullptr).ok());
       }
@@ -1470,12 +1470,23 @@ TEST(EngineDurabilityTest, DurableBytesAreReproducibleAcrossRunsAndWidths) {
     ASSERT_NE(it, parallel.end()) << name << " missing at 4 threads";
     EXPECT_TRUE(it->second == bytes) << name << " differs at 4 threads";
   }
+  // The checkpoint bytes are pinned: a change to how operator state is
+  // held must not change how it is saved.
+  const std::map<std::string, uint32_t> pinned = {
+      {"ckpt-0000000014.ckpt", 0x74c4eb58u},
+      {"ckpt-0000000016.ckpt", 0xeea4acbfu},
+  };
+  std::map<std::string, uint32_t> checkpoints;
+  for (const auto& [name, bytes] : serial) {
+    if (name.rfind("ckpt-", 0) == 0) checkpoints[name] = Crc32(bytes);
+  }
+  EXPECT_EQ(checkpoints, pinned);
 }
 
 TEST(EngineDurabilityTest, RecoverRequiresDurabilityOn) {
   auto w = MakeWorkload();
   EngineOptions options;  // kOff
-  auto recovered = Engine::Recover(w->plan.Clone(), options);
+  auto recovered = Engine::Recover(w->plan, options);
   ASSERT_FALSE(recovered.ok());
   EXPECT_EQ(recovered.status().code(), StatusCode::kInvalidArgument);
 }
@@ -1488,7 +1499,7 @@ TEST(EngineDurabilityTest, FsyncPolicyCountsSyncs) {
     options.durability.mode = DurabilityMode::kWal;
     options.durability.dir = ScratchDir("fsync");
     options.durability.fsync = policy;
-    Engine engine(w->plan.Clone(), options);
+    Engine engine(w->plan, options);
     int64_t total = 0;
     for (const EventBatch& batch : batches) {
       auto stats = engine.Run(batch, nullptr);

@@ -422,7 +422,9 @@ TEST_F(EngineTest, WideSeqWithInteriorNegationMatchesOracle) {
       };
       add("P0", base - 1, round);
       add("P0", base, round + 10);
-      for (int p = 1; p < 19; ++p) add("P" + std::to_string(p), base + 2 * p, p);
+      for (int p = 1; p < 19; ++p) {
+        add(std::string("P").append(std::to_string(p)), base + 2 * p, p);
+      }
       if (round == 1) add("Gap", base + 17, round + 10);
       if (round == 2) add("Gap", base + 17, 99);
     }

@@ -49,7 +49,7 @@ std::string Render(const EventBatch& events, const TypeRegistry& registry) {
 RunResult RunWith(const ExecutablePlan& plan, const EventBatch& stream,
                   const TypeRegistry& registry, const EngineOptions& options,
                   std::unique_ptr<Engine>* keep = nullptr) {
-  auto engine = std::make_unique<Engine>(plan.Clone(), options);
+  auto engine = std::make_unique<Engine>(plan, options);
   EventBatch outputs;
   RunResult result;
   result.stats = engine->Run(stream, &outputs).value();
@@ -257,7 +257,7 @@ void ExpectStrictRejectsButStaysUsable(const ExecutablePlan& plan,
   EventBatch shuffled = injector.ShuffleEvents(pristine, /*window=*/32);
   ASSERT_FALSE(IsTimeOrdered(shuffled));
 
-  Engine engine(plan.Clone(), EngineOptions());
+  Engine engine(plan, EngineOptions());
   auto rejected = engine.Run(shuffled);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kFailedPrecondition);
@@ -272,7 +272,7 @@ void ExpectStrictRejectsButStaysUsable(const ExecutablePlan& plan,
   // stream exactly like a fresh one.
   EventBatch out_after, out_fresh;
   RunStats after = engine.Run(pristine, &out_after).value();
-  Engine fresh(plan.Clone(), EngineOptions());
+  Engine fresh(plan, EngineOptions());
   RunStats fresh_stats = fresh.Run(pristine, &out_fresh).value();
   EXPECT_EQ(Render(out_after, registry), Render(out_fresh, registry));
   ExpectEqualCounters(fresh_stats, after);

@@ -214,8 +214,9 @@ TEST(WindowGroupingTest, PropertiesOnRandomWindows) {
     for (int w = 0; w < n; ++w) {
       double start = static_cast<double>(rng.Uniform(0, 50));
       double end = start + static_cast<double>(rng.Uniform(1, 30));
-      windows.push_back({"w" + std::to_string(w), start, end,
-                         {"Q" + std::to_string(w % 3)}});
+      windows.push_back({std::string("w").append(std::to_string(w)), start,
+                         end,
+                         {std::string("Q").append(std::to_string(w % 3))}});
     }
     auto grouped = GroupContextWindows(windows);
     ASSERT_TRUE(grouped.ok());

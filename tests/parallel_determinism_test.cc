@@ -62,7 +62,7 @@ RunResult RunWith(const ExecutablePlan& plan, const EventBatch& stream,
   options.num_threads = num_threads;
   options.gather_statistics = gather_statistics;
   if (gather_statistics) options.metrics = MetricsGranularity::kOperator;
-  Engine engine(plan.Clone(), options);
+  Engine engine(plan, options);
   EventBatch outputs;
   RunResult result;
   result.stats = engine.Run(stream, &outputs).value();
@@ -139,7 +139,7 @@ void ExpectCompiledMatchesOracle(const CaesarModel& model,
     SCOPED_TRACE("threads=" + std::to_string(num_threads));
     EngineOptions options;
     options.num_threads = num_threads;
-    Engine engine(plan.Clone(), options);
+    Engine engine(plan, options);
     EventBatch outputs;
     ASSERT_TRUE(engine.Run(stream, &outputs).ok());
     EXPECT_TRUE(CanonicalByTick(outputs, registry) == want);
@@ -214,7 +214,7 @@ BatchedRun RunInBatches(const ExecutablePlan& plan, const EventBatch& stream,
   options.metrics = MetricsGranularity::kOperator;
   options.gc_interval = kGcInterval;
   options.gc_horizon = 30;
-  Engine engine(plan.Clone(), options);
+  Engine engine(plan, options);
   std::ostringstream observed;
   engine.SetTickObserver([&](Timestamp t, const EventBatch& derived) {
     observed << t << ":";
@@ -454,7 +454,7 @@ TEST(ParallelDeterminismTest, SkewedPartitionClaimedFirst) {
   for (const EventPtr& event : stream) {
     std::vector<uint64_t> partition = PartitionOf(plan, *event, registry);
     if (key_of.count(partition) != 0) continue;
-    Engine probe(plan.Clone(), EngineOptions());
+    Engine probe(plan, EngineOptions());
     ASSERT_TRUE(probe.Run({event}, nullptr).ok());
     ASSERT_EQ(probe.partition_keys().size(), 1u);
     key_of[partition] = probe.partition_keys()[0];
@@ -520,7 +520,7 @@ TEST(ParallelDeterminismTest, SplitRunsMatchSingleRun) {
 
   EngineOptions options;
   options.num_threads = 4;
-  Engine whole(plan.Clone(), options);
+  Engine whole(plan, options);
   EventBatch whole_out;
   whole.Run(stream, &whole_out).value();
 
@@ -528,7 +528,7 @@ TEST(ParallelDeterminismTest, SplitRunsMatchSingleRun) {
   size_t split = stream.size() / 2;
   Timestamp boundary = stream[split]->time();
   while (split > 0 && stream[split - 1]->time() == boundary) --split;
-  Engine halves(plan.Clone(), options);
+  Engine halves(plan, options);
   EventBatch halves_out;
   halves.Run(EventBatch(stream.begin(), stream.begin() + split), &halves_out).value();
   halves.Run(EventBatch(stream.begin() + split, stream.end()), &halves_out).value();
@@ -570,7 +570,7 @@ TEST(ParallelDeterminismTest, DurabilityKeepsExportsByteIdentical) {
     options.durability.mode = DurabilityMode::kWalCheckpoint;
     options.durability.dir = dir.string();
     options.durability.checkpoint_interval_ticks = 64;
-    Engine engine(plan.Clone(), options);
+    Engine engine(plan, options);
     EventBatch outputs;
     RunStats stats = engine.Run(stream, &outputs).value();
     EXPECT_GT(stats.wal_records, 0) << num_threads;

@@ -223,15 +223,18 @@ TEST_F(PlanTest, ContextIndependentBaselineAttachesGuards) {
   EXPECT_EQ(plan.value().processing[0].guards.size(), 2u);
 }
 
-TEST_F(PlanTest, PlanCloneIsDeep) {
+TEST_F(PlanTest, PlanCopySharesOperators) {
   CaesarModel model = Parse(kMiniModel);
   auto plan = TranslateModel(model, PlanOptions());
   ASSERT_TRUE(plan.ok());
-  ExecutablePlan clone = plan.value().Clone();
-  EXPECT_EQ(clone.processing.size(), plan.value().processing.size());
-  EXPECT_NE(clone.processing[0].chain.ops[0].get(),
-            plan.value().processing[0].chain.ops[0].get());
-  EXPECT_FALSE(clone.DebugString().empty());
+  ExecutablePlan copy = plan.value();
+  ASSERT_EQ(copy.processing.size(), plan.value().processing.size());
+  const auto& ops = plan.value().processing[0].chain.ops;
+  ASSERT_EQ(copy.processing[0].chain.ops.size(), ops.size());
+  for (size_t o = 0; o < ops.size(); ++o) {
+    EXPECT_EQ(copy.processing[0].chain.ops[o].get(), ops[o].get()) << o;
+  }
+  EXPECT_EQ(copy.DebugString(), plan.value().DebugString());
 }
 
 }  // namespace

@@ -111,11 +111,12 @@ TEST_P(SeqOracleTest, PositivePairMatchesBruteForce) {
                        {"b.sec", ValueType::kInt}});
   config->description = "oracle";
   CompiledPatternOp seq(CompilePattern(config));
+  CompiledPatternOp::State state(&seq.automaton());
 
   EventBatch stream = RandomStream(&rng, 60);
   EventBatch matched;
   for (const EventPtr& event : stream) {
-    seq.Process({event}, &matched, &ctx_);
+    seq.Process({event}, &matched, &ctx_, &state);
   }
 
   // Brute force: all ordered pairs within the bound satisfying the
@@ -162,11 +163,12 @@ TEST_P(SeqOracleTest, MiddleNegationMatchesBruteForce) {
                       {"b.sec", ValueType::kInt}});
   config->description = "oracle-neg";
   CompiledPatternOp seq(CompilePattern(config));
+  CompiledPatternOp::State state(&seq.automaton());
 
   EventBatch stream = RandomStream(&rng, 50);
   EventBatch matched;
   for (const EventPtr& event : stream) {
-    seq.Process({event}, &matched, &ctx_);
+    seq.Process({event}, &matched, &ctx_, &state);
   }
 
   EventBatch expected;

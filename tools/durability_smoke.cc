@@ -120,7 +120,7 @@ EngineOptions DurableOptions(const std::string& dir, int threads) {
 
 int RunMode(const Workload& w, const std::string& dir,
             int64_t tick_sleep_ms, int threads) {
-  Engine engine(w.plan.Clone(), DurableOptions(dir, threads));
+  Engine engine(w.plan, DurableOptions(dir, threads));
   if (tick_sleep_ms > 0) {
     engine.SetTickObserver([tick_sleep_ms](Timestamp, const EventBatch&) {
       std::this_thread::sleep_for(std::chrono::milliseconds(tick_sleep_ms));
@@ -145,7 +145,7 @@ int RecoverMode(const Workload& w, const std::string& dir, int threads) {
   // Uninterrupted reference, durability off.
   std::vector<std::string> expected;
   {
-    Engine reference(w.plan.Clone(), EngineOptions());
+    Engine reference(w.plan, EngineOptions());
     for (const EventBatch& batch : w.batches) {
       EventBatch derived;
       auto stats = reference.Run(batch, &derived);
@@ -155,7 +155,7 @@ int RecoverMode(const Workload& w, const std::string& dir, int threads) {
   }
 
   auto recovered =
-      Engine::Recover(w.plan.Clone(), DurableOptions(dir, threads));
+      Engine::Recover(w.plan, DurableOptions(dir, threads));
   if (!recovered.ok()) {
     std::fprintf(stderr, "Engine::Recover failed: %s\n",
                  recovered.status().ToString().c_str());
