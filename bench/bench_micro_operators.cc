@@ -35,7 +35,6 @@ class OperatorBench {
                                           {"value", ValueType::kInt},
                                           {"sec", ValueType::kInt}});
     ctx_.contexts = &contexts_;
-    ctx_.registry = &registry_;
     ctx_.ops_counter = &ops_;
     Rng rng(7);
     for (Timestamp t = 0; t < 4096; ++t) {
@@ -197,13 +196,15 @@ void BM_SeqPatternLeadingNegation(benchmark::State& state) {
 }
 BENCHMARK(BM_SeqPatternLeadingNegation)->Arg(1)->Arg(16)->Arg(256);
 
+// One group over the fixture stream (one event per tick), so the live
+// window holds `window` samples and each output folds over all of them.
 void BM_AggregateOp(benchmark::State& state) {
   OperatorBench& fx = Fixture();
   auto config = std::make_shared<AggregateOpConfig>();
   config->input_type = fx.type_;
   config->group_by = {0};
   config->aggregates = {{AggregateFunc::kCount, -1}, {AggregateFunc::kAvg, 1}};
-  config->window_length = 64;
+  config->window_length = state.range(0);
   config->output_type = fx.registry_.RegisterOrGet(
       "$bench_agg", {{"seg", ValueType::kInt},
                      {"cnt", ValueType::kInt},
@@ -218,7 +219,7 @@ void BM_AggregateOp(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * fx.batch_.size());
 }
-BENCHMARK(BM_AggregateOp);
+BENCHMARK(BM_AggregateOp)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_ContextWindowProbe(benchmark::State& state) {
   OperatorBench& fx = Fixture();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iterator>
-#include <limits>
 #include <map>
 
 #include "common/logging.h"
@@ -57,25 +56,18 @@ void AggregateOp::Process(const EventBatch& input, EventBatch* output,
       bucket.emplace_back();
       group = &bucket.back();
       group->key = std::move(key);
-      group->sums.assign(cfg.aggregates.size(), 0.0);
     }
 
     // Insert the sample and evict expired ones.
-    State::Sample sample;
-    sample.time = event->time();
-    sample.values.reserve(cfg.aggregates.size());
+    group->times.push_back(event->time());
     for (const auto& agg : cfg.aggregates) {
       double v = 0.0;
       if (agg.attr_index >= 0) {
         const Value& value = event->value(agg.attr_index);
         v = value.is_numeric() ? value.ToDouble() : 0.0;
       }
-      sample.values.push_back(v);
+      group->values.push_back(v);
     }
-    for (size_t a = 0; a < cfg.aggregates.size(); ++a) {
-      group->sums[a] += sample.values[a];
-    }
-    group->samples.push_back(std::move(sample));
     State::Evict(group, event->time() - cfg.window_length);
 
     // Emit when HAVING passes.
@@ -91,44 +83,55 @@ void AggregateOp::Process(const EventBatch& input, EventBatch* output,
 }
 
 void AggregateOp::State::Evict(Group* group, Timestamp horizon) {
-  while (!group->samples.empty() && group->samples.front().time <= horizon) {
-    const Sample& old = group->samples.front();
-    for (size_t a = 0; a < group->sums.size(); ++a) {
-      group->sums[a] -= old.values[a];
-    }
-    group->samples.pop_front();
-  }
+  std::vector<Timestamp>& times = group->times;
+  size_t expired = 0;
+  while (expired < times.size() && times[expired] <= horizon) ++expired;
+  if (expired == 0) return;
+  const size_t width = group->values.size() / times.size();
+  times.erase(times.begin(), times.begin() + expired);
+  group->values.erase(group->values.begin(),
+                      group->values.begin() + expired * width);
 }
 
+size_t AggregateOp::State::num_groups() const {
+  size_t n = 0;
+  for (const auto& [hash, bucket] : groups_) n += bucket.size();
+  return n;
+}
+
+// One fold per aggregate over the live window, oldest sample first. The
+// window is never empty here: it holds at least the sample just inserted.
 std::vector<Value> AggregateOp::ComputeOutputs(
     const State::Group& group) const {
   const auto& cfg = *config_;
+  const size_t width = cfg.aggregates.size();
+  const size_t count = group.times.size();
+  const std::vector<double>& values = group.values;
   std::vector<Value> outputs = group.key;
-  outputs.reserve(group.key.size() + cfg.aggregates.size());
-  int64_t count = static_cast<int64_t>(group.samples.size());
-  for (size_t a = 0; a < cfg.aggregates.size(); ++a) {
-    switch (cfg.aggregates[a].func) {
+  outputs.reserve(group.key.size() + width);
+  for (size_t a = 0; a < width; ++a) {
+    const AggregateFunc func = cfg.aggregates[a].func;
+    switch (func) {
       case AggregateFunc::kCount:
-        outputs.push_back(Value(count));
+        outputs.push_back(Value(static_cast<int64_t>(count)));
         break;
       case AggregateFunc::kSum:
-        outputs.push_back(Value(group.sums[a]));
+      case AggregateFunc::kAvg: {
+        double sum = 0.0;
+        for (size_t i = a; i < values.size(); i += width) sum += values[i];
+        outputs.push_back(Value(func == AggregateFunc::kSum
+                                    ? sum
+                                    : sum / static_cast<double>(count)));
         break;
-      case AggregateFunc::kAvg:
-        outputs.push_back(
-            Value(count == 0 ? 0.0 : group.sums[a] / count));
-        break;
+      }
       case AggregateFunc::kMin:
       case AggregateFunc::kMax: {
-        double best = cfg.aggregates[a].func == AggregateFunc::kMin
-                          ? std::numeric_limits<double>::infinity()
-                          : -std::numeric_limits<double>::infinity();
-        for (const State::Sample& sample : group.samples) {
-          best = cfg.aggregates[a].func == AggregateFunc::kMin
-                     ? std::min(best, sample.values[a])
-                     : std::max(best, sample.values[a]);
+        double best = values[a];
+        for (size_t i = a + width; i < values.size(); i += width) {
+          best = func == AggregateFunc::kMin ? std::min(best, values[i])
+                                             : std::max(best, values[i]);
         }
-        outputs.push_back(Value(count == 0 ? 0.0 : best));
+        outputs.push_back(Value(best));
         break;
       }
     }
@@ -140,9 +143,7 @@ void AggregateOp::State::Reset() { groups_.clear(); }
 
 void AggregateOp::State::Save(StateWriter* w) const {
   // Buckets are emitted in hash order (the unordered_map's own order is
-  // not byte-stable); within a bucket, vector order is preserved. Sums are
-  // saved bit-exact so incremental AVG/SUM keep their exact rounding
-  // history across a recovery.
+  // not byte-stable); within a bucket, vector order is preserved.
   std::map<size_t, const std::vector<Group>*> ordered;
   for (const auto& [hash, bucket] : groups_) ordered[hash] = &bucket;
   w->U32(static_cast<uint32_t>(ordered.size()));
@@ -152,14 +153,10 @@ void AggregateOp::State::Save(StateWriter* w) const {
     for (const Group& group : *bucket) {
       w->U32(static_cast<uint32_t>(group.key.size()));
       for (const Value& v : group.key) WriteValue(w, v);
-      w->U32(static_cast<uint32_t>(group.samples.size()));
-      for (const Sample& sample : group.samples) {
-        w->I64(sample.time);
-        w->U32(static_cast<uint32_t>(sample.values.size()));
-        for (double v : sample.values) w->F64(v);
-      }
-      w->U32(static_cast<uint32_t>(group.sums.size()));
-      for (double v : group.sums) w->F64(v);
+      w->U32(static_cast<uint32_t>(group.times.size()));
+      w->U32(static_cast<uint32_t>(group.values.size()));
+      for (Timestamp time : group.times) w->I64(time);
+      for (double v : group.values) w->F64(v);
     }
   }
 }
@@ -178,18 +175,15 @@ Status AggregateOp::State::Load(StateReader* r) {
         group.key.push_back(ReadValue(r));
       }
       uint32_t n_samples = r->U32();
-      for (uint32_t i = 0; r->ok() && i < n_samples; ++i) {
-        Sample sample;
-        sample.time = r->I64();
-        uint32_t n_values = r->U32();
-        for (uint32_t v = 0; r->ok() && v < n_values; ++v) {
-          sample.values.push_back(r->F64());
-        }
-        group.samples.push_back(std::move(sample));
+      uint32_t n_values = r->U32();
+      if (n_samples == 0 ? n_values != 0 : n_values % n_samples != 0) {
+        return Status::DataLoss("malformed aggregate group");
       }
-      uint32_t n_sums = r->U32();
-      for (uint32_t i = 0; r->ok() && i < n_sums; ++i) {
-        group.sums.push_back(r->F64());
+      for (uint32_t i = 0; r->ok() && i < n_samples; ++i) {
+        group.times.push_back(r->I64());
+      }
+      for (uint32_t i = 0; r->ok() && i < n_values; ++i) {
+        group.values.push_back(r->F64());
       }
       bucket.push_back(std::move(group));
     }
@@ -203,7 +197,7 @@ void AggregateOp::State::ExpireBefore(Timestamp t) {
     std::vector<Group>& bucket = it->second;
     for (Group& group : bucket) Evict(&group, t - 1);
     std::erase_if(bucket,
-                  [](const Group& group) { return group.samples.empty(); });
+                  [](const Group& group) { return group.times.empty(); });
     it = bucket.empty() ? groups_.erase(it) : std::next(it);
   }
 }

@@ -3,15 +3,16 @@
 // queries need it — e.g. "over 50 cars per minute with an average speed
 // below 40 mph" in Section 1).
 //
-// For each input event, the group identified by the group-by attributes is
-// updated, events older than `window_length` are evicted, and — if the
-// HAVING predicate passes (or is absent) — one output event is emitted with
-// the group key and the aggregate values.
+// For each input event, the sample joins the group identified by the
+// group-by attributes, samples older than `window_length` are evicted, and —
+// if the HAVING predicate passes (or is absent) — one output event is
+// emitted with the group key and the aggregate values. Each aggregate is
+// one left-to-right fold over the group's live samples, the rule of the
+// reference interpreter (oracle/oracle.cc), so the two agree bit for bit.
 
 #ifndef CAESAR_ALGEBRA_AGGREGATE_OP_H_
 #define CAESAR_ALGEBRA_AGGREGATE_OP_H_
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -54,20 +55,16 @@ class AggregateOp : public Operator {
     void Save(StateWriter* w) const override;
     Status Load(StateReader* r) override;
 
-    size_t num_groups() const { return groups_.size(); }
+    size_t num_groups() const;
 
    private:
     friend class AggregateOp;
-    struct Sample {
-      Timestamp time;
-      std::vector<double> values;  // one per aggregate (0 for COUNT)
-    };
+    // The live window, oldest first: sample i has time times[i] and one
+    // value per aggregate (0 for COUNT) from values[i * width].
     struct Group {
       std::vector<Value> key;
-      std::deque<Sample> samples;
-      // Incrementally maintained sums (COUNT/SUM/AVG); MIN/MAX scan
-      // samples.
-      std::vector<double> sums;
+      std::vector<Timestamp> times;
+      std::vector<double> values;
     };
 
     static void Evict(Group* group, Timestamp horizon);

@@ -34,9 +34,6 @@ class StateReader;
 struct OpExecContext {
   // Context windows of the current partition; mutated by CI/CT operators.
   ContextBitVector* contexts = nullptr;
-  const TypeRegistry* registry = nullptr;
-  // Application time of the batch being processed.
-  Timestamp now = 0;
   // Work-unit counter (see header comment); never null during execution.
   uint64_t* ops_counter = nullptr;
 

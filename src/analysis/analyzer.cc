@@ -35,22 +35,6 @@ DiagCode ClassifyCompileError(const std::string& message) {
   return DiagCode::kE103TypeMismatch;
 }
 
-// Single threshold comparison "var.attr op const" (mirrors the static
-// helper in optimizer/overlap_analysis.cc; kept in sync so W203/W204
-// explain exactly why ExtractWindowBounds skipped a context).
-bool SingleThreshold(const ExprPtr& where, std::string* attr, double* key,
-                     BinaryOp* op) {
-  if (where == nullptr) return false;
-  std::vector<ExprPtr> conjuncts = SplitConjuncts(where);
-  if (conjuncts.size() != 1) return false;
-  std::optional<AttrConstraint> constraint = ExtractConstraint(conjuncts[0]);
-  if (!constraint.has_value()) return false;
-  *attr = constraint->variable + "." + constraint->attribute;
-  *key = constraint->value;
-  *op = constraint->op;
-  return true;
-}
-
 // Thresholds that mark a single upward crossing of a monotone-rising
 // signal: `attr == K` (one-shot bound) and `attr >= K` / `attr > K` both
 // first hold at attr = K. `<=` / `<` thresholds hold from the start
@@ -771,24 +755,23 @@ class Analyzer {
       // accepts every initiating event is empty whether or not its bounds
       // form an orderable window (open at pos = 5 / close at pos <= 10 is
       // groupable — 5 < 10 — yet each window closes the moment it opens).
-      std::string start_attr, end_attr;
-      double start_key = 0, end_key = 0;
-      BinaryOp start_op = BinaryOp::kGe, end_op = BinaryOp::kGe;
-      bool init_ok = false, term_ok = false;
+      //
+      // The same single-threshold reading as ExtractWindowBounds, so
+      // W203/W204 explain exactly why it skipped a context.
+      std::optional<AttrConstraint> start, end;
       if (initiators.size() == 1 && terminators.size() == 1) {
         const Query& init = model_.query(initiators[0]);
         const Query& term = model_.query(terminators[0]);
-        init_ok =
-            SingleThreshold(init.where, &start_attr, &start_key, &start_op);
-        term_ok =
-            SingleThreshold(term.where, &end_attr, &end_key, &end_op);
+        start = SingleThresholdConstraint(init.where);
+        end = SingleThresholdConstraint(term.where);
         // C006 yields to W204 on the same-attribute rising-threshold
         // shape: there the inverted-bounds warning explains the empty
         // window more precisely (and fires on exactly the models it
         // always did).
-        bool w204_shape = init_ok && term_ok && start_attr == end_attr &&
-                          IsRisingCrossing(start_op) &&
-                          IsRisingCrossing(end_op);
+        bool w204_shape = start.has_value() && end.has_value() &&
+                          start->QualifiedName() == end->QualifiedName() &&
+                          IsRisingCrossing(start->op) &&
+                          IsRisingCrossing(end->op);
         if (!w204_shape && ProvablyEmptyContext(init, term)) {
           Emit(DiagCode::kC006ProvablyEmptyContext,
                prefix + "is provably empty: every event satisfying the "
@@ -819,7 +802,8 @@ class Analyzer {
       }
       const Query& init = model_.query(initiators[0]);
       const Query& term = model_.query(terminators[0]);
-      if (!init_ok || !term_ok) {
+      if (!start.has_value() || !end.has_value()) {
+        const bool init_ok = start.has_value();
         const Query& bad = init_ok ? term : init;
         Note(prefix + "bounds are not compile-time orderable: the " +
                  (init_ok ? "terminating" : "initiating") +
@@ -829,6 +813,8 @@ class Analyzer {
              context);
         continue;
       }
+      const std::string start_attr = start->QualifiedName();
+      const std::string end_attr = end->QualifiedName();
       if (start_attr != end_attr) {
         Note(prefix + "bounds constrain different attributes (" + start_attr +
                  " vs " + end_attr + ") and are not compile-time orderable",
@@ -840,7 +826,7 @@ class Analyzer {
       // targets). Opposite-direction pairs are hysteresis windows (e.g.
       // open on intensity >= 7, close on intensity <= 3) — valid, just
       // not groupable.
-      if (!IsRisingCrossing(start_op) || !IsRisingCrossing(end_op)) {
+      if (!IsRisingCrossing(start->op) || !IsRisingCrossing(end->op)) {
         Note(prefix + "bounds are opposite-direction thresholds on " +
                  start_attr + " (a hysteresis window) and are not "
                  "compile-time orderable",
@@ -851,8 +837,8 @@ class Analyzer {
       // only skips this shape when the bounds are inverted (zero-width).
       std::ostringstream message;
       message << prefix << "window bounds are inverted: it opens at "
-              << start_attr << " ~ " << start_key << " but closes at "
-              << end_attr << " ~ " << end_key
+              << start_attr << " ~ " << start->value << " but closes at "
+              << end_attr << " ~ " << end->value
               << " (the terminating threshold must exceed the initiating "
                  "one)";
       Emit(DiagCode::kW204InvertedWindowBounds, message.str(), context.loc,

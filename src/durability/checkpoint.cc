@@ -19,10 +19,12 @@ constexpr uint64_t kCheckpointMagic = 0x31504B4353454143ULL;  // "CAESCKP1"
 // (CompiledPatternOp::State::Save). Version 3: the operator statistics
 // counters are stored once per payload instead of per partition and query.
 // Version 4: the commit snapshot inside the payload drops the virtual clock
-// and the payload its own leading version byte. Older files hold a layout
-// that the payload CRC cannot tell apart, so their header is rejected and
-// recovery falls back exactly as for a corrupt checkpoint.
-constexpr uint32_t kCheckpointVersion = 4;
+// and the payload its own leading version byte. Version 5: aggregate state
+// holds samples only (AggregateOp::State::Save), no running sums. Older
+// files hold a layout that the payload CRC cannot tell apart, so their
+// header is rejected and recovery falls back exactly as for a corrupt
+// checkpoint.
+constexpr uint32_t kCheckpointVersion = 5;
 
 // Header bytes before the payload frame: magic, version, batch_seq,
 // wal_seq, last_tick.

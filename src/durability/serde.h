@@ -47,8 +47,8 @@ class StateWriter {
     out_.append(le, sizeof(le));
   }
   void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  // Bit-pattern encoding: doubles (incrementally maintained aggregate sums)
-  // must round-trip bit-exact, not via decimal text.
+  // Bit-pattern encoding: doubles (aggregate samples) must round-trip
+  // bit-exact, not via decimal text.
   void F64(double v) {
     uint64_t bits;
     static_assert(sizeof(bits) == sizeof(v));

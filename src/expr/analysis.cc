@@ -128,6 +128,13 @@ std::optional<AttrConstraint> ExtractConstraint(const ExprPtr& conjunct) {
   return constraint;
 }
 
+std::optional<AttrConstraint> SingleThresholdConstraint(const ExprPtr& where) {
+  if (where == nullptr) return std::nullopt;
+  std::vector<ExprPtr> conjuncts = SplitConjuncts(where);
+  if (conjuncts.size() != 1) return std::nullopt;
+  return ExtractConstraint(conjuncts[0]);
+}
+
 PredicateSummary PredicateSummary::FromExpr(const ExprPtr& expr) {
   PredicateSummary summary;
   if (expr == nullptr) return summary;  // empty == always true

@@ -50,12 +50,20 @@ struct AttrConstraint {
   double value;
 
   Interval ToInterval() const;
+  // "variable.attribute".
+  std::string QualifiedName() const { return variable + "." + attribute; }
 };
 
 // Extracts a threshold constraint from a conjunct of the form
 // `attr op const` or `const op attr` (numeric constants only);
 // std::nullopt otherwise.
 std::optional<AttrConstraint> ExtractConstraint(const ExprPtr& conjunct);
+
+// The threshold constraint of a WHERE clause that is exactly one such
+// conjunct — the shape window bounds are read from
+// (optimizer/overlap_analysis.h, and the W203/W204 lints that explain why
+// a context has none); std::nullopt otherwise, a null clause included.
+std::optional<AttrConstraint> SingleThresholdConstraint(const ExprPtr& where);
 
 // Per-attribute interval summary of a conjunction of threshold constraints.
 class PredicateSummary {

@@ -7,22 +7,6 @@
 
 namespace caesar {
 
-namespace {
-
-// Extracts the single threshold of a WHERE clause ("var.attr" + constant).
-bool SingleThreshold(const ExprPtr& where, std::string* attr, double* key) {
-  if (where == nullptr) return false;
-  std::vector<ExprPtr> conjuncts = SplitConjuncts(where);
-  if (conjuncts.size() != 1) return false;
-  std::optional<AttrConstraint> constraint = ExtractConstraint(conjuncts[0]);
-  if (!constraint.has_value()) return false;
-  *attr = constraint->variable + "." + constraint->attribute;
-  *key = constraint->value;
-  return true;
-}
-
-}  // namespace
-
 std::vector<WindowBounds> ExtractWindowBounds(const CaesarModel& model) {
   std::vector<WindowBounds> result;
   for (int ci = 0; ci < model.num_contexts(); ++ci) {
@@ -56,17 +40,18 @@ std::vector<WindowBounds> ExtractWindowBounds(const CaesarModel& model) {
     if (!ok || bounds.initiator_query < 0 || bounds.terminator_query < 0) {
       continue;
     }
-    std::string start_attr, end_attr;
-    if (!SingleThreshold(model.query(bounds.initiator_query).where,
-                         &start_attr, &bounds.start_key) ||
-        !SingleThreshold(model.query(bounds.terminator_query).where,
-                         &end_attr, &bounds.end_key)) {
+    std::optional<AttrConstraint> start =
+        SingleThresholdConstraint(model.query(bounds.initiator_query).where);
+    std::optional<AttrConstraint> end =
+        SingleThresholdConstraint(model.query(bounds.terminator_query).where);
+    if (!start.has_value() || !end.has_value()) continue;
+    if (start->QualifiedName() != end->QualifiedName() ||
+        !(start->value < end->value)) {
       continue;
     }
-    if (start_attr != end_attr || !(bounds.start_key < bounds.end_key)) {
-      continue;
-    }
-    bounds.bound_attr = start_attr;
+    bounds.bound_attr = start->QualifiedName();
+    bounds.start_key = start->value;
+    bounds.end_key = end->value;
     result.push_back(std::move(bounds));
   }
   return result;

@@ -31,6 +31,14 @@ ExprPtr Attr(std::string var, std::string attr) {
 
 ExprPtr IntConst(int64_t v) { return MakeConstant(v); }
 
+// Sig.amt, the attribute aggregates read: tenths in [0, 9.9] with an
+// occasional +-1e16, so a window mixes magnitudes and any sum that is not
+// the plain left-to-right fold over the window shows at 6 digits.
+double Amount(Rng* rng) {
+  if (rng->Bernoulli(0.1)) return rng->Bernoulli(0.5) ? 1e16 : -1e16;
+  return static_cast<double>(rng->Uniform(0, 99)) / 10.0;
+}
+
 std::vector<Value> SmallIntValues(int arity, Rng* rng) {
   std::vector<Value> values;
   values.reserve(arity);
@@ -51,7 +59,8 @@ Result<GeneratedCase> GenerateCase(uint64_t seed, TypeRegistry* registry,
       "Sig", {{"seg", ValueType::kInt},
               {"pos", ValueType::kInt},
               {"load", ValueType::kInt},
-              {"val", ValueType::kInt}});
+              {"val", ValueType::kInt},
+              {"amt", ValueType::kDouble}});
   registry->RegisterOrGet("Probe",
                           {{"seg", ValueType::kInt}, {"mark", ValueType::kInt}});
 
@@ -454,7 +463,7 @@ Result<GeneratedCase> GenerateCase(uint64_t seed, TypeRegistry* registry,
                                          AggregateFunc::kAvg,
                                          AggregateFunc::kMin,
                                          AggregateFunc::kMax};
-          p.aggregates.push_back({funcs[rng.Uniform(0, 3)], "val", "v"});
+          p.aggregates.push_back({funcs[rng.Uniform(0, 3)], "amt", "v"});
         }
         if (rng.Bernoulli(0.6)) {
           p.having = MakeBinary(BinaryOp::kGe, MakeAttrRef("cnt"),
@@ -512,12 +521,17 @@ Result<GeneratedCase> GenerateCase(uint64_t seed, TypeRegistry* registry,
 
   // ---- Canonical clean stream ----------------------------------------
 
+  // Amounts come from their own generator: the structural draws (model,
+  // times, keys, duplicates) do not depend on them, so a corpus seed keeps
+  // its case.
   const TypeId probe_id = registry->Lookup("Probe");
+  Rng amounts(seed ^ 0xA66E5A7E5EEDULL);
   for (Timestamp t = 0; t < duration; ++t) {
     for (int64_t seg = 0; seg < num_segments; ++seg) {
       std::vector<Value> sig = {Value(seg), Value(t),
                                 Value(rng.Uniform(0, 3)),
-                                Value(rng.Uniform(0, 9))};
+                                Value(rng.Uniform(0, 9)),
+                                Value(Amount(&amounts))};
       out.clean.push_back(MakeEvent(sig_id, t, sig));
       if (rng.Bernoulli(options.duplicate_rate)) {
         out.clean.push_back(MakeEvent(sig_id, t, sig));

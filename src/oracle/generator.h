@@ -8,7 +8,8 @@
 // INITIATE/TERMINATE bounds on the signal, optionally a SWITCH pair and a
 // helper-derived window — plus a workload of context processing queries:
 // SEQ patterns (with join predicates and negation), sliding-window
-// aggregates with HAVING, projections, and consumers of derived types.
+// aggregates with HAVING over a double attribute of mixed magnitudes,
+// projections, and consumers of derived types.
 //
 // The generator deliberately stays inside the fragment where every engine
 // plan shape is provably equivalent to the reference semantics:
@@ -27,8 +28,9 @@
 //    clause: grouping keeps one deriving query per bound value, so a
 //    DERIVE on a deduplicated bound would be dropped. Derive-with-action
 //    coverage rides on the non-groupable `hot` window instead.
-//  - Attribute values are small integers, so incremental and naive
-//    aggregation agree bit-for-bit.
+//  - A partition sees one Sig event per tick (plus identical duplicates),
+//    so every leg folds an aggregate window in time order whatever the
+//    arrival order of equal-time events; double sums are not associative.
 //
 // Streams: `clean` is the canonical time-ordered stream (it may contain
 // duplicates — those are part of the semantics). DisorderStream applies a

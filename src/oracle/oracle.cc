@@ -724,8 +724,8 @@ void Oracle::RunAggregate(const PartitionState& partition,
     }
     group->samples.push_back(AggSample{event->time(), event});
 
-    // Naive recomputation over the live window (> t - W], equivalent to
-    // AggregateOp's incremental sums + per-event eviction on integer data.
+    // Naive recomputation over the live window (> t - W], folded oldest to
+    // newest: the rule AggregateOp computes too, bit for bit on any data.
     Timestamp horizon = event->time() - oq.window_length;
     std::vector<Value> outputs = group->key;
     for (const OracleAgg& agg : oq.aggs) {

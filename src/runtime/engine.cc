@@ -900,8 +900,8 @@ void Engine::ProcessPartitionRun(size_t r, int worker) {
     const size_t derived_before = run->derived.size();
     {
       CAESAR_TRACE_SPAN("transaction");
-      ProcessTransaction(partition, batch_ticks_[txn.tick].time, events,
-                         txn.num_events, &run->derived, worker);
+      ProcessTransaction(partition, events, txn.num_events, &run->derived,
+                         worker);
     }
     events += txn.num_events;
     txn.first_derived = static_cast<uint32_t>(derived_before);
@@ -930,7 +930,7 @@ void Engine::CollectGarbage(PartitionState* partition, Timestamp horizon) {
   }
 }
 
-void Engine::ProcessTransaction(PartitionState* partition, Timestamp t,
+void Engine::ProcessTransaction(PartitionState* partition,
                                 const EventPtr* events, size_t count,
                                 EventBatch* derived, int worker) {
   TransactionScratch& shard = transaction_scratch_[worker];
@@ -943,8 +943,8 @@ void Engine::ProcessTransaction(PartitionState* partition, Timestamp t,
   // guarantees producers run first).
   for (size_t q = 0; q < programs_.size(); ++q) {
     const QueryProgram& program = programs_[q];
-    const EventBatch& out = RunQuery(partition, program,
-                                     &partition->queries[q], pool, t, worker);
+    const EventBatch& out =
+        RunQuery(partition, program, &partition->queries[q], pool, worker);
     if (program.spec->output_type != kInvalidTypeId) {
       pool.insert(pool.end(), out.begin(), out.end());
       derived->insert(derived->end(), out.begin(), out.end());
@@ -961,11 +961,9 @@ void Engine::ProcessTransaction(PartitionState* partition, Timestamp t,
 const EventBatch& Engine::RunQuery(PartitionState* partition,
                                    const QueryProgram& program,
                                    QueryState* query, const EventBatch& pool,
-                                   Timestamp t, int worker) {
+                                   int worker) {
   TransactionScratch& scratch = transaction_scratch_[worker];
   OpExecContext ctx;
-  ctx.registry = plan_.registry;
-  ctx.now = t;
   ctx.ops_counter = &partition->ops_counter;
 
   // Context-independent baseline: private guards re-derive the contexts.

@@ -434,15 +434,14 @@ class Engine {
   // `worker` is the metrics and scratch shard to use — the id of the
   // executing worker, which keeps the non-atomic histogram shards and the
   // transaction scratch single-writer.
-  void ProcessTransaction(PartitionState* partition, Timestamp t,
-                          const EventPtr* events, size_t count,
-                          EventBatch* derived, int worker);
+  void ProcessTransaction(PartitionState* partition, const EventPtr* events,
+                          size_t count, EventBatch* derived, int worker);
 
   // Runs one query chain (with guards in CI mode) over the pool; returns
   // the chain's output, held in the worker's scratch until its next query.
   const EventBatch& RunQuery(PartitionState* partition,
                              const QueryProgram& program, QueryState* query,
-                             const EventBatch& pool, Timestamp t, int worker);
+                             const EventBatch& pool, int worker);
 
   // --- Durability serialization (scheduler thread only) ---
   // The per-batch commit snapshot: the ingest counters, the quarantine

@@ -10,6 +10,7 @@
 #include "algebra/basic_ops.h"
 #include "algebra/context_ops.h"
 #include "algebra/pattern_op.h"
+#include "common/rng.h"
 #include "compile/compiled_pattern_op.h"
 #include "compile/compiler.h"
 #include "expr/compiled.h"
@@ -27,7 +28,6 @@ class AlgebraTest : public ::testing::Test {
                                           {"speed", ValueType::kDouble},
                                           {"sec", ValueType::kInt}});
     ctx_.contexts = &contexts_;
-    ctx_.registry = &registry_;
     ctx_.ops_counter = &ops_;
   }
 
@@ -545,6 +545,100 @@ TEST_F(AlgebraTest, AggregateExpiryFreesEmptyGroups) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0]->value(1).AsInt(), 1);
 }
+
+
+TEST_F(AlgebraTest, AggregateSumHasNoDrift) {
+  // WINDOW 1 holds one sample at a time, so each SUM is that sample's value
+  // exactly. A running sum that subtracts evicted samples would round 1.0
+  // away next to 1e16 and carry the error to every later output.
+  auto config = std::make_shared<AggregateOpConfig>();
+  config->input_type = type_;
+  config->group_by = {};
+  config->aggregates = {{AggregateFunc::kSum, 2}};
+  config->window_length = 1;
+  config->output_type =
+      registry_.RegisterOrGet("$agg6", {{"sum", ValueType::kDouble}});
+  config->description = "sum";
+  AggregateOp agg(config);
+  AggregateOp::State state;
+  EventBatch out;
+  agg.Process({MakeR(1, 1, 1e16, 0), MakeR(2, 1, 1.0, 1), MakeR(3, 1, 0.1, 2),
+               MakeR(4, 1, 0.2, 3)},
+              &out, &ctx_, &state);
+  ASSERT_EQ(out.size(), 4u);
+  EXPECT_EQ(out[0]->value(0).AsDouble(), 1e16);
+  EXPECT_EQ(out[1]->value(0).AsDouble(), 1.0);
+  EXPECT_EQ(out[2]->value(0).AsDouble(), 0.1);
+  EXPECT_EQ(out[3]->value(0).AsDouble(), 0.2);
+}
+
+// Aggregate operator vs a brute-force sliding-window oracle.
+class AggregateOracleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(AggregateOracleTest, CountAndAvgMatchBruteForce) {
+  Rng rng(GetParam() + 77);
+  TypeRegistry registry;
+  TypeId type = registry.RegisterOrGet("R", {{"key", ValueType::kInt},
+                                             {"v", ValueType::kDouble}});
+  const Timestamp window = 15;
+
+  auto config = std::make_shared<AggregateOpConfig>();
+  config->input_type = type;
+  config->group_by = {0};
+  config->aggregates = {{AggregateFunc::kCount, -1},
+                        {AggregateFunc::kAvg, 1},
+                        {AggregateFunc::kMax, 1}};
+  config->window_length = window;
+  config->output_type = registry.RegisterOrGet(
+      "$agg_oracle", {{"key", ValueType::kInt},
+                      {"cnt", ValueType::kInt},
+                      {"avg", ValueType::kDouble},
+                      {"max", ValueType::kDouble}});
+  config->description = "oracle";
+  AggregateOp agg(config);
+  AggregateOp::State state;
+
+  ContextBitVector contexts(2, 0);
+  uint64_t ops = 0;
+  OpExecContext ctx;
+  ctx.contexts = &contexts;
+  ctx.ops_counter = &ops;
+
+  EventBatch stream;
+  Timestamp t = 0;
+  for (int i = 0; i < 120; ++i) {
+    t += rng.Uniform(0, 2);
+    stream.push_back(MakeEvent(
+        type, t, {Value(rng.Uniform(0, 2)), Value(rng.UniformReal(0, 10))}));
+  }
+
+  EventBatch outputs;
+  agg.Process(stream, &outputs, &ctx, &state);
+  ASSERT_EQ(outputs.size(), stream.size());
+
+  for (size_t i = 0; i < stream.size(); ++i) {
+    const EventPtr& trigger = stream[i];
+    int64_t key = trigger->value(0).AsInt();
+    // Brute force: same-key events with time in (t - window, t], folded
+    // oldest to newest, so the outputs must match bit for bit.
+    int64_t count = 0;
+    double sum = 0.0;
+    double max_value = -1e300;
+    for (size_t j = 0; j <= i; ++j) {
+      if (stream[j]->value(0).AsInt() != key) continue;
+      if (stream[j]->time() <= trigger->time() - window) continue;
+      ++count;
+      double v = stream[j]->value(1).AsDouble();
+      sum += v;
+      max_value = std::max(max_value, v);
+    }
+    EXPECT_EQ(outputs[i]->value(1).AsInt(), count) << "event " << i;
+    EXPECT_EQ(outputs[i]->value(2).AsDouble(), sum / count) << "event " << i;
+    EXPECT_EQ(outputs[i]->value(3).AsDouble(), max_value) << "event " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AggregateOracleTest, ::testing::Range(0, 8));
 
 }  // namespace
 }  // namespace caesar

@@ -1,19 +1,16 @@
 // Tests for the statistics-to-cost-model calibration loop (the Fig. 8
-// feedback edge) plus an aggregate-operator brute-force oracle sweep.
+// feedback edge).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <deque>
 #include <memory>
 
-#include "algebra/aggregate_op.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "optimizer/calibration.h"
 #include "plan/translator.h"
 #include "query/parser.h"
-#include "runtime/context_vector.h"
 #include "runtime/engine.h"
 
 namespace caesar {
@@ -197,76 +194,6 @@ CONTEXT high;
   }
   EXPECT_GT(dormant_rows, 0);
 }
-
-// Aggregate operator vs a brute-force sliding-window oracle.
-class AggregateOracleTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(AggregateOracleTest, CountAndAvgMatchBruteForce) {
-  Rng rng(GetParam() + 77);
-  TypeRegistry registry;
-  TypeId type = registry.RegisterOrGet("R", {{"key", ValueType::kInt},
-                                             {"v", ValueType::kDouble}});
-  const Timestamp window = 15;
-
-  auto config = std::make_shared<AggregateOpConfig>();
-  config->input_type = type;
-  config->group_by = {0};
-  config->aggregates = {{AggregateFunc::kCount, -1},
-                        {AggregateFunc::kAvg, 1},
-                        {AggregateFunc::kMax, 1}};
-  config->window_length = window;
-  config->output_type = registry.RegisterOrGet(
-      "$agg_oracle", {{"key", ValueType::kInt},
-                      {"cnt", ValueType::kInt},
-                      {"avg", ValueType::kDouble},
-                      {"max", ValueType::kDouble}});
-  config->description = "oracle";
-  AggregateOp agg(config);
-  AggregateOp::State state;
-
-  ContextBitVector contexts(2, 0);
-  uint64_t ops = 0;
-  OpExecContext ctx;
-  ctx.contexts = &contexts;
-  ctx.registry = &registry;
-  ctx.ops_counter = &ops;
-
-  EventBatch stream;
-  Timestamp t = 0;
-  for (int i = 0; i < 120; ++i) {
-    t += rng.Uniform(0, 2);
-    stream.push_back(MakeEvent(
-        type, t, {Value(rng.Uniform(0, 2)), Value(rng.UniformReal(0, 10))}));
-  }
-
-  EventBatch outputs;
-  agg.Process(stream, &outputs, &ctx, &state);
-  ASSERT_EQ(outputs.size(), stream.size());
-
-  for (size_t i = 0; i < stream.size(); ++i) {
-    const EventPtr& trigger = stream[i];
-    int64_t key = trigger->value(0).AsInt();
-    // Brute force: same-key events with time in (t - window, t].
-    int64_t count = 0;
-    double sum = 0.0;
-    double max_value = -1e300;
-    for (size_t j = 0; j <= i; ++j) {
-      if (stream[j]->value(0).AsInt() != key) continue;
-      if (stream[j]->time() <= trigger->time() - window) continue;
-      ++count;
-      double v = stream[j]->value(1).AsDouble();
-      sum += v;
-      max_value = std::max(max_value, v);
-    }
-    EXPECT_EQ(outputs[i]->value(1).AsInt(), count) << "event " << i;
-    EXPECT_NEAR(outputs[i]->value(2).AsDouble(), sum / count, 1e-9)
-        << "event " << i;
-    EXPECT_NEAR(outputs[i]->value(3).AsDouble(), max_value, 1e-12)
-        << "event " << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, AggregateOracleTest, ::testing::Range(0, 8));
 
 }  // namespace
 }  // namespace caesar

@@ -125,7 +125,6 @@ class CompileTest : public ::testing::Test {
     out_type_ = registry_.RegisterOrGet(
         "AB", {{"a.x", ValueType::kInt}, {"b.x", ValueType::kInt}});
     ctx_.contexts = &contexts_;
-    ctx_.registry = &registry_;
     ctx_.ops_counter = &ops_;
   }
 
@@ -333,7 +332,6 @@ class KeyedMatchTest : public ::testing::Test {
     r_type_ = registry_.RegisterOrGet("R", schema);
     out_type_ = registry_.RegisterOrGet("LR", schema);
     ctx_.contexts = &contexts_;
-    ctx_.registry = &registry_;
     ctx_.ops_counter = &ops_;
   }
 

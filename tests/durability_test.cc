@@ -850,7 +850,7 @@ bool SetCheckpointVersion(const std::string& path, uint32_t version) {
 // to an uninterrupted run. Version 1 differs in the pattern state, version
 // 2 in where the operator statistics counters are stored, version 3 in the
 // virtual clock its commit snapshot held and the payload's own version
-// byte.
+// byte, version 4 in the running sums its aggregate state held.
 void OldCheckpointVersionFallsBackCase(uint32_t version) {
   auto w = MakeWorkload();
   std::vector<EventBatch> batches = SplitByTicks(w->stream, 20);
@@ -912,6 +912,10 @@ TEST(EngineDurabilityTest, VersionTwoCheckpointFallsBackLikeCorruption) {
 
 TEST(EngineDurabilityTest, VersionThreeCheckpointFallsBackLikeCorruption) {
   OldCheckpointVersionFallsBackCase(3);
+}
+
+TEST(EngineDurabilityTest, VersionFourCheckpointFallsBackLikeCorruption) {
+  OldCheckpointVersionFallsBackCase(4);
 }
 
 // A WAL written by an older build carries a commit snapshot of an older
@@ -1471,10 +1475,11 @@ TEST(EngineDurabilityTest, DurableBytesAreReproducibleAcrossRunsAndWidths) {
     EXPECT_TRUE(it->second == bytes) << name << " differs at 4 threads";
   }
   // The checkpoint bytes are pinned: a change to how operator state is
-  // held must not change how it is saved.
+  // held must not change how it is saved. Recorded at checkpoint format
+  // version 5.
   const std::map<std::string, uint32_t> pinned = {
-      {"ckpt-0000000014.ckpt", 0x74c4eb58u},
-      {"ckpt-0000000016.ckpt", 0xeea4acbfu},
+      {"ckpt-0000000014.ckpt", 0xaf360266u},
+      {"ckpt-0000000016.ckpt", 0x35564581u},
   };
   std::map<std::string, uint32_t> checkpoints;
   for (const auto& [name, bytes] : serial) {

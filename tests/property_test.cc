@@ -43,7 +43,6 @@ class SeqOracleTest : public ::testing::TestWithParam<int> {
                                           {"value", ValueType::kInt},
                                           {"sec", ValueType::kInt}});
     ctx_.contexts = &contexts_;
-    ctx_.registry = &registry_;
     ctx_.ops_counter = &ops_;
   }
 
