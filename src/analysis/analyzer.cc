@@ -21,10 +21,6 @@ namespace caesar {
 
 namespace {
 
-std::string QueryLabel(const Query& query, int qi) {
-  return query.name.empty() ? "query #" + std::to_string(qi) : query.name;
-}
-
 // Compile() reports both name-resolution and operand-type failures as
 // InvalidArgument; the wording tells them apart (see expr/compiled.cc).
 DiagCode ClassifyCompileError(const std::string& message) {
@@ -142,93 +138,33 @@ class Analyzer {
                               std::move(context)));
   }
 
-  // ----- Pass 1: structure (lenient mirror of CaesarModel::Validate). -----
+  // ----- Pass 1: structure (CaesarModel::StructuralDiagnostics). -----
 
   void CheckStructure() {
-    if (model_.num_contexts() == 0) {
-      Emit(DiagCode::kC005UnknownContext, "model declares no contexts");
-    } else if (model_.ContextIndex(model_.default_context()) < 0) {
-      Emit(DiagCode::kC005UnknownContext,
-           "default context not declared: " + model_.default_context());
+    for (Diagnostic& diag : model_.StructuralDiagnostics()) {
+      diags_.push_back(std::move(diag));
     }
     for (int qi = 0; qi < model_.num_queries(); ++qi) {
       const Query& query = model_.query(qi);
-      std::string label = QueryLabel(query, qi);
+      // Type checking needs a pattern, and an aggregate needs its one
+      // positive input (E107 / E105 above).
       if (!query.pattern.has_value() || query.pattern->items.empty()) {
-        Emit(DiagCode::kE107MissingPattern,
-             "query '" + label + "': missing PATTERN clause", query.loc,
-             label);
+        infos_[qi].state = ResolveState::kSkipped;
+        continue;
+      }
+      const PatternSpec& pattern = *query.pattern;
+      if (pattern.kind == PatternSpec::Kind::kAggregate &&
+          (pattern.items.size() != 1 || pattern.items[0].negated)) {
         infos_[qi].state = ResolveState::kSkipped;
       }
-      if (query.action == ContextAction::kNone && !query.derive.has_value() &&
-          !query.derivation_helper) {
-        Emit(DiagCode::kE108MissingDeriveOrAction,
-             "query '" + label + "': needs a DERIVE clause or a context action",
-             query.loc, label);
-      }
-      if (query.action != ContextAction::kNone &&
-          model_.ContextIndex(query.target_context) < 0) {
-        Emit(DiagCode::kC005UnknownContext,
-             "query '" + label + "': unknown target context " +
-                 query.target_context,
-             query.loc, label, query.target_context);
-      }
-      for (const std::string& context_name : query.contexts) {
-        if (model_.ContextIndex(context_name) < 0) {
-          Emit(DiagCode::kC005UnknownContext,
-               "query '" + label + "': unknown context " + context_name,
-               query.loc, label, context_name);
-        }
-      }
-      if (!query.context_anchors.empty()) {
-        if (query.context_anchors.size() != query.contexts.size()) {
-          Emit(DiagCode::kC005UnknownContext,
-               "query '" + label +
-                   "': context_anchors must parallel the CONTEXT clause",
-               query.loc, label);
-        }
-        for (const std::string& anchor : query.context_anchors) {
-          if (model_.ContextIndex(anchor) < 0) {
-            Emit(DiagCode::kC005UnknownContext,
-                 "query '" + label + "': unknown anchor " + anchor, query.loc,
-                 label, anchor);
-          }
-        }
-      }
-      if (!query.pattern.has_value()) continue;
-      const PatternSpec& pattern = *query.pattern;
-      if (pattern.kind == PatternSpec::Kind::kSeq && !pattern.items.empty()) {
-        bool has_positive = false;
-        for (const PatternItem& item : pattern.items) {
-          if (!item.negated) has_positive = true;
-        }
-        if (!has_positive) {
-          Emit(DiagCode::kE109NoPositiveItem,
-               "query '" + label + "': pattern has no positive event",
-               query.pattern_loc, label);
-        }
-        if (pattern.items.back().negated) {
-          Emit(DiagCode::kP302TrailingNegation,
-               "query '" + label +
-                   "': SEQ pattern ends with a negated position (trailing "
-                   "NOT has no bounded semantics)",
-               query.pattern_loc, label);
-        }
-      }
-      if (pattern.kind == PatternSpec::Kind::kAggregate) {
-        if (pattern.items.size() != 1 || pattern.items[0].negated) {
-          Emit(DiagCode::kE105BadAggregate,
-               "query '" + label + "': aggregate pattern needs one positive "
-                                   "input",
-               query.pattern_loc, label);
-          infos_[qi].state = ResolveState::kSkipped;
-        }
-        if (pattern.window_length <= 0) {
-          Emit(DiagCode::kE105BadAggregate,
-               "query '" + label + "': aggregate pattern needs a positive "
-                                   "window length",
-               query.pattern_loc, label);
-        }
+      if (pattern.kind == PatternSpec::Kind::kSeq &&
+          pattern.items.back().negated) {
+        std::string label = QueryLabel(query, qi);
+        Emit(DiagCode::kP302TrailingNegation,
+             "query '" + label +
+                 "': SEQ pattern ends with a negated position (trailing "
+                 "NOT has no bounded semantics)",
+             query.pattern_loc, label);
       }
     }
   }
@@ -730,25 +666,11 @@ class Analyzer {
     for (int ci = 0; ci < model_.num_contexts(); ++ci) {
       const ContextType& context = model_.context(ci);
       if (context.name == model_.default_context()) continue;
-      // Mirror ExtractWindowBounds' initiator/terminator extraction.
       std::vector<int> initiators, terminators;
-      bool self_loop = false;
       for (int qi = 0; qi < model_.num_queries(); ++qi) {
-        const Query& query = model_.query(qi);
-        bool starts = (query.action == ContextAction::kInitiate ||
-                       query.action == ContextAction::kSwitch) &&
-                      query.target_context == context.name;
-        bool ends = (query.action == ContextAction::kTerminate &&
-                     query.target_context == context.name) ||
-                    (query.action == ContextAction::kSwitch &&
-                     query.target_context != context.name &&
-                     std::find(query.contexts.begin(), query.contexts.end(),
-                               context.name) != query.contexts.end());
-        if (starts && ends) self_loop = true;
-        if (starts) initiators.push_back(qi);
-        if (ends) terminators.push_back(qi);
+        if (model_.query(qi).Opens(context.name)) initiators.push_back(qi);
+        if (model_.query(qi).Closes(context.name)) terminators.push_back(qi);
       }
-      if (self_loop) continue;       // C002 already reported
       if (initiators.empty()) continue;  // C001 territory
       std::string prefix = "context '" + context.name + "' ";
       // C006 runs before the groupable skip: a context whose terminator
@@ -889,16 +811,8 @@ std::vector<Diagnostic> AnalyzeContextGraph(const CaesarModel& model) {
   // C001: no query ever INITIATEs or SWITCHes to the context.
   for (const ContextType& context : model.contexts()) {
     if (context.name == model.default_context()) continue;
-    bool reachable = false;
-    for (const Query& query : model.queries()) {
-      if ((query.action == ContextAction::kInitiate ||
-           query.action == ContextAction::kSwitch) &&
-          query.target_context == context.name) {
-        reachable = true;
-        break;
-      }
-    }
-    if (!reachable) {
+    if (std::none_of(model.queries().begin(), model.queries().end(),
+                     [&](const Query& q) { return q.Opens(context.name); })) {
       diags.push_back(MakeDiag(DiagCode::kC001UnreachableContext,
                                "context '" + context.name +
                                    "' is unreachable: no query INITIATEs or "
@@ -907,8 +821,8 @@ std::vector<Diagnostic> AnalyzeContextGraph(const CaesarModel& model) {
     }
   }
 
-  // Activation fixpoint: the default context is active; a deriving query
-  // whose gate set intersects the active set activates its target.
+  // Activation fixpoint: the default context is active; a query whose gate
+  // set intersects the active set activates the context it opens.
   std::vector<char> active(model.num_contexts(), 0);
   int default_index = model.ContextIndex(model.default_context());
   if (default_index >= 0) active[default_index] = 1;
@@ -916,10 +830,7 @@ std::vector<Diagnostic> AnalyzeContextGraph(const CaesarModel& model) {
   while (changed) {
     changed = false;
     for (const Query& query : model.queries()) {
-      if (query.action != ContextAction::kInitiate &&
-          query.action != ContextAction::kSwitch) {
-        continue;
-      }
+      if (!query.Opens(query.target_context)) continue;
       int target = model.ContextIndex(query.target_context);
       if (target < 0 || active[target]) continue;
       for (const std::string& gate : query.contexts) {

@@ -3,15 +3,21 @@
 // The analyzer inspects a model *before* plan translation and reports coded
 // diagnostics (analysis/diagnostics.h) instead of opaque Status failures:
 //
+//   - structural checks, exactly CaesarModel::StructuralDiagnostics (the
+//     one home of the model's well-formedness rules, which Normalize and a
+//     strict ParseModel enforce): unknown context names (C005), malformed
+//     aggregates (E105), missing PATTERN (E107), neither DERIVE nor an
+//     action (E108), SEQ without a positive position (E109).
 //   - context-graph checks: unreachable contexts (C001), self-loop SWITCH
-//     edges (C002), shadowed SWITCH edges (C003), dead queries (C004),
-//     unknown context names (C005). Reachability is an activation fixpoint:
-//     the default context is active, and a query whose gate set intersects
-//     the active set activates its INITIATE/SWITCH target.
+//     edges (C002), shadowed SWITCH edges (C003), dead queries (C004).
+//     Reachability is an activation fixpoint: the default context is
+//     active, and a query whose gate set intersects the active set
+//     activates its INITIATE/SWITCH target. Which queries open and close a
+//     context's windows is the model's Query::Opens / Query::Closes.
 //   - expression/type checks against the event schemas: unknown event types
 //     (E101), unknown attributes (E102), operand type errors (E103),
-//     string-typed predicates (E104), malformed aggregates (E105), DERIVE
-//     schema conflicts (E106), structural query defects (E107-E109).
+//     string-typed predicates (E104), aggregate group-by and argument
+//     attributes (E105), DERIVE schema conflicts (E106).
 //     Derived event types are resolved to a fixpoint, mirroring the plan
 //     translator, so queries may consume each other's outputs in any order.
 //   - satisfiability checks: contradictory predicate conjunctions via
@@ -57,14 +63,15 @@ struct AnalyzerOptions {
   bool check_plan = false;
 };
 
-// Analyzes `model` (which should be Normalize()d or NormalizeLenient()ed)
-// and returns all diagnostics, deterministically sorted.
+// Analyzes `model` (which should be Normalize()d; analysis tooling ignores
+// Normalize's status) and returns all diagnostics, deterministically
+// sorted.
 std::vector<Diagnostic> AnalyzeModel(const CaesarModel& model,
                                      const AnalyzerOptions& options = {});
 
 // Context-graph subset only (C001-C004): the checks strict ParseModel
-// enforces. Unknown context names are skipped here (AnalyzeModel reports
-// them as C005). Diagnostics carry no `source`; callers stamp it.
+// enforces. Unknown context names are skipped here
+// (CaesarModel::StructuralDiagnostics reports them as C005). Diagnostics carry no `source`; callers stamp it.
 std::vector<Diagnostic> AnalyzeContextGraph(const CaesarModel& model);
 
 }  // namespace caesar

@@ -1,6 +1,5 @@
 #include "optimizer/overlap_analysis.h"
 
-#include <algorithm>
 #include <optional>
 
 #include "expr/analysis.h"
@@ -14,25 +13,14 @@ std::vector<WindowBounds> ExtractWindowBounds(const CaesarModel& model) {
     if (name == model.default_context()) continue;
     WindowBounds bounds;
     bounds.context = name;
-    bool ok = true;
+    bool ok = true;  // at most one initiator and one terminator
     for (int qi = 0; qi < model.num_queries() && ok; ++qi) {
       const Query& query = model.query(qi);
-      bool starts = (query.action == ContextAction::kInitiate ||
-                     query.action == ContextAction::kSwitch) &&
-                    query.target_context == name;
-      bool ends =
-          (query.action == ContextAction::kTerminate &&
-           query.target_context == name) ||
-          (query.action == ContextAction::kSwitch &&
-           query.target_context != name &&
-           std::find(query.contexts.begin(), query.contexts.end(), name) !=
-               query.contexts.end());
-      if (starts && ends) ok = false;  // self-loop
-      if (starts) {
+      if (query.Opens(name)) {
         if (bounds.initiator_query >= 0) ok = false;
         bounds.initiator_query = qi;
       }
-      if (ends) {
+      if (query.Closes(name)) {
         if (bounds.terminator_query >= 0) ok = false;
         bounds.terminator_query = qi;
       }

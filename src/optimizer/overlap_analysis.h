@@ -6,7 +6,9 @@
 // determined, a window of type c1 is *contained* in a window of type c2."
 //
 // The analysis extracts, per context, its single initiating and terminating
-// deriving query and their threshold predicates (the setting of Fig. 7);
+// deriving query (the model's Query::Opens / Query::Closes rule, shared
+// with the analyzer and the plan translator) and their threshold
+// predicates (the setting of Fig. 7);
 // under the monotone-signal reading the thresholds order the window bounds,
 // giving each context an interval in bound space. Contexts whose bounds are
 // not analyzable are omitted (callers treat them as unrelated).
@@ -27,8 +29,8 @@ namespace caesar {
 // Analyzable bounds of one context's windows.
 struct WindowBounds {
   std::string context;
-  int initiator_query = -1;   // INITIATE/SWITCH targeting the context
-  int terminator_query = -1;  // TERMINATE, or SWITCH away from it
+  int initiator_query = -1;   // the query that Opens the context
+  int terminator_query = -1;  // the query that Closes it
   double start_key = 0.0;     // threshold of the initiating predicate
   double end_key = 0.0;       // threshold of the terminating predicate
   std::string bound_attr;     // "var.attr" the thresholds share

@@ -144,8 +144,7 @@ class QueryTranslator {
   // Translates query `qi` into a CompiledQuery (without guards).
   Result<CompiledQuery> Translate(int qi) {
     const Query& query = model_.query(qi);
-    std::string label =
-        query.name.empty() ? "query #" + std::to_string(qi) : query.name;
+    std::string label = QueryLabel(query, qi);
 
     CompiledQuery compiled;
     compiled.query_index = qi;
@@ -637,27 +636,20 @@ Result<ExecutablePlan> TranslateModel(const CaesarModel& model,
     // events feeding other queries), so deriving chains stay, but their
     // actions now only affect per-query private state as well.
     //
-    // Guard set for query Q: the chains of every deriving query whose action
-    // targets one of Q's contexts (initiate/switch/terminate), i.e. the
-    // queries that define Q's window bounds.
+    // Guard set for query Q: the chains of every deriving query that opens
+    // or closes one of Q's contexts, i.e. the queries that define Q's
+    // window bounds.
     std::vector<const CompiledQuery*> all;
     for (const CompiledQuery& query : plan.deriving) all.push_back(&query);
     auto attach_guards = [&](CompiledQuery* query) {
       for (const CompiledQuery* candidate : all) {
         if (candidate->query_index == query->query_index) continue;
         const Query& model_query = model.query(candidate->query_index);
-        int target = model.ContextIndex(model_query.target_context);
-        bool relevant = false;
-        for (int c : query->contexts) {
-          if (target == c) relevant = true;
-          // A SWITCH out of c also bounds c's window.
-          if (model_query.action == ContextAction::kSwitch &&
-              std::find(candidate->contexts.begin(),
-                        candidate->contexts.end(),
-                        c) != candidate->contexts.end()) {
-            relevant = true;
-          }
-        }
+        bool relevant = std::any_of(
+            query->contexts.begin(), query->contexts.end(), [&](int c) {
+              const std::string& name = model.context(c).name;
+              return model_query.Opens(name) || model_query.Closes(name);
+            });
         if (relevant) query->guards.push_back(candidate->chain);
       }
     };

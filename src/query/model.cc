@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "common/logging.h"
-
 namespace caesar {
 
 const char* ContextActionName(ContextAction action) {
@@ -90,6 +88,23 @@ std::string DeriveSpec::ToString() const {
   return os.str();
 }
 
+bool Query::Opens(const std::string& context) const {
+  return (action == ContextAction::kInitiate ||
+          action == ContextAction::kSwitch) &&
+         target_context == context;
+}
+
+bool Query::Closes(const std::string& context) const {
+  if (action == ContextAction::kTerminate) return target_context == context;
+  return action == ContextAction::kSwitch && target_context != context &&
+         std::find(contexts.begin(), contexts.end(), context) !=
+             contexts.end();
+}
+
+std::string QueryLabel(const Query& query, int index) {
+  return query.name.empty() ? "query #" + std::to_string(index) : query.name;
+}
+
 std::string Query::ToString() const {
   std::ostringstream os;
   if (!name.empty()) os << "QUERY " << name << "\n";
@@ -143,38 +158,8 @@ int CaesarModel::ContextIndex(const std::string& name) const {
 }
 
 Status CaesarModel::Normalize() {
-  if (contexts_.empty()) {
-    return Status::FailedPrecondition("model declares no contexts");
-  }
-  // Phase 1: implied CONTEXT clauses become mandatory.
-  for (Query& query : queries_) {
-    if (query.contexts.empty()) {
-      query.contexts.push_back(default_context_);
-    }
-  }
-  CAESAR_RETURN_IF_ERROR(Validate());
-  // Populate per-context workloads.
-  for (ContextType& context : contexts_) {
-    context.deriving_queries.clear();
-    context.processing_queries.clear();
-  }
-  for (int qi = 0; qi < num_queries(); ++qi) {
-    const Query& query = queries_[qi];
-    for (const std::string& context_name : query.contexts) {
-      ContextType& context = contexts_[ContextIndex(context_name)];
-      if (query.IsContextDeriving()) {
-        context.deriving_queries.push_back(qi);
-      } else {
-        context.processing_queries.push_back(qi);
-      }
-    }
-  }
-  return Status::Ok();
-}
-
-void CaesarModel::NormalizeLenient() {
-  // Implied CONTEXT clauses (skipped when no context is declared at all;
-  // the analyzer reports that as its own diagnostic).
+  // Phase 1: implied CONTEXT clauses become mandatory (skipped when no
+  // context is declared at all, itself a structural defect).
   if (!contexts_.empty()) {
     for (Query& query : queries_) {
       if (query.contexts.empty()) {
@@ -182,8 +167,7 @@ void CaesarModel::NormalizeLenient() {
       }
     }
   }
-  // Workloads for contexts that resolve; unknown names are left for the
-  // analyzer (C005) rather than failing.
+  // Workloads of the contexts that resolve; unknown names are C005 defects.
   for (ContextType& context : contexts_) {
     context.deriving_queries.clear();
     context.processing_queries.clear();
@@ -200,73 +184,83 @@ void CaesarModel::NormalizeLenient() {
       }
     }
   }
+  std::vector<Diagnostic> defects = StructuralDiagnostics();
+  if (!defects.empty()) {
+    return Status::FailedPrecondition(FormatDiagnostic(defects.front()));
+  }
+  return Status::Ok();
 }
 
-Status CaesarModel::Validate() const {
-  if (ContextIndex(default_context_) < 0) {
-    return Status::FailedPrecondition("default context not declared: " +
-                                      default_context_);
+std::vector<Diagnostic> CaesarModel::StructuralDiagnostics() const {
+  std::vector<Diagnostic> diags;
+  if (contexts_.empty()) {
+    diags.push_back(
+        MakeDiag(DiagCode::kC005UnknownContext, "model declares no contexts"));
+  } else if (ContextIndex(default_context_) < 0) {
+    diags.push_back(MakeDiag(DiagCode::kC005UnknownContext,
+                             "default context not declared: " +
+                                 default_context_));
   }
   for (int qi = 0; qi < num_queries(); ++qi) {
     const Query& query = queries_[qi];
-    std::string label =
-        query.name.empty() ? "query #" + std::to_string(qi) : query.name;
-    if (!query.pattern.has_value()) {
-      return Status::FailedPrecondition(label + ": missing PATTERN clause");
-    }
-    if (query.pattern->items.empty()) {
-      return Status::FailedPrecondition(label + ": empty pattern");
+    const std::string label = QueryLabel(query, qi);
+    const std::string prefix = "query '" + label + "': ";
+    auto emit = [&](DiagCode code, const std::string& message, SourceLoc loc,
+                    const std::string& context = {}) {
+      diags.push_back(MakeDiag(code, prefix + message, loc, label, context));
+    };
+    if (!query.pattern.has_value() || query.pattern->items.empty()) {
+      emit(DiagCode::kE107MissingPattern, "missing PATTERN clause", query.loc);
     }
     if (query.action == ContextAction::kNone && !query.derive.has_value()) {
-      return Status::FailedPrecondition(
-          label + ": needs a DERIVE clause or a context action");
+      emit(DiagCode::kE108MissingDeriveOrAction,
+           "needs a DERIVE clause or a context action", query.loc);
     }
-    if (query.action != ContextAction::kNone) {
-      if (ContextIndex(query.target_context) < 0) {
-        return Status::FailedPrecondition(label + ": unknown target context " +
-                                          query.target_context);
-      }
+    if (query.action != ContextAction::kNone &&
+        ContextIndex(query.target_context) < 0) {
+      emit(DiagCode::kC005UnknownContext,
+           "unknown target context " + query.target_context, query.loc,
+           query.target_context);
     }
     for (const std::string& context_name : query.contexts) {
       if (ContextIndex(context_name) < 0) {
-        return Status::FailedPrecondition(label + ": unknown context " +
-                                          context_name);
+        emit(DiagCode::kC005UnknownContext, "unknown context " + context_name,
+             query.loc, context_name);
       }
     }
     if (!query.context_anchors.empty()) {
       if (query.context_anchors.size() != query.contexts.size()) {
-        return Status::FailedPrecondition(
-            label + ": context_anchors must parallel the CONTEXT clause");
+        emit(DiagCode::kC005UnknownContext,
+             "context_anchors must parallel the CONTEXT clause", query.loc);
       }
       for (const std::string& anchor : query.context_anchors) {
         if (ContextIndex(anchor) < 0) {
-          return Status::FailedPrecondition(label + ": unknown anchor " +
-                                            anchor);
+          emit(DiagCode::kC005UnknownContext, "unknown anchor " + anchor,
+               query.loc, anchor);
         }
       }
     }
-    if (query.pattern->kind == PatternSpec::Kind::kSeq) {
-      bool has_positive = false;
-      for (const PatternItem& item : query.pattern->items) {
-        if (!item.negated) has_positive = true;
-      }
-      if (!has_positive) {
-        return Status::FailedPrecondition(label +
-                                          ": pattern has no positive event");
-      }
+    if (!query.pattern.has_value()) continue;
+    const PatternSpec& pattern = *query.pattern;
+    if (pattern.kind == PatternSpec::Kind::kSeq && !pattern.items.empty() &&
+        std::all_of(pattern.items.begin(), pattern.items.end(),
+                    [](const PatternItem& item) { return item.negated; })) {
+      emit(DiagCode::kE109NoPositiveItem, "pattern has no positive event",
+           query.pattern_loc);
     }
-    if (query.pattern->kind == PatternSpec::Kind::kAggregate) {
-      if (query.pattern->items.size() != 1 || query.pattern->items[0].negated) {
-        return Status::FailedPrecondition(
-            label + ": aggregate pattern needs one positive input");
+    if (pattern.kind == PatternSpec::Kind::kAggregate) {
+      if (pattern.items.size() != 1 || pattern.items[0].negated) {
+        emit(DiagCode::kE105BadAggregate,
+             "aggregate pattern needs one positive input", query.pattern_loc);
       }
-      if (query.pattern->window_length <= 0) {
-        return Status::FailedPrecondition(
-            label + ": aggregate pattern needs a positive window length");
+      if (pattern.window_length <= 0) {
+        emit(DiagCode::kE105BadAggregate,
+             "aggregate pattern needs a positive window length",
+             query.pattern_loc);
       }
     }
   }
-  return Status::Ok();
+  return diags;
 }
 
 std::string CaesarModel::ToString() const {

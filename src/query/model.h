@@ -12,6 +12,13 @@
 // As an extension beyond the paper's grammar (needed by the Linear Road
 // benchmark queries the evaluation uses but does not spell out), patterns
 // may also be sliding-window aggregates (kAggregate) with a HAVING filter.
+//
+// The model's rules live here once, and every other layer reads them:
+// CaesarModel::StructuralDiagnostics decides what a well-formed model is
+// (Normalize rejects with its first error, the analyzer reports them all),
+// and Query::Opens / Query::Closes decide which queries bound a context's
+// windows (window-bound extraction, the analyzer's window and reachability
+// checks, and the baseline plan's guard selection).
 
 #ifndef CAESAR_QUERY_MODEL_H_
 #define CAESAR_QUERY_MODEL_H_
@@ -20,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/diagnostics.h"
 #include "common/source_loc.h"
 #include "common/status.h"
 #include "event/event.h"
@@ -130,8 +138,20 @@ struct Query {
     return action != ContextAction::kNone || derivation_helper;
   }
 
+  // True when this query opens a window of `context`: it INITIATEs or
+  // SWITCHes to it.
+  bool Opens(const std::string& context) const;
+  // True when this query closes a window of `context`: it TERMINATEs it,
+  // or SWITCHes elsewhere while gated on it. A SWITCH gated on its own
+  // target (a self-loop) opens that context and does not close it.
+  bool Closes(const std::string& context) const;
+
   std::string ToString() const;
 };
+
+// The query's name, or "query #<index>" for an unnamed one: how
+// diagnostics and errors refer to it.
+std::string QueryLabel(const Query& query, int index);
 
 // A context type (Definition 1): name plus its workload, stored as indices
 // into CaesarModel::queries().
@@ -172,7 +192,7 @@ class CaesarModel {
   const std::vector<Query>& queries() const { return queries_; }
   // In-place query access for model-rewriting tools (the lint-oracle
   // mutations of oracle/generator.h). Invalidates nothing; callers that
-  // change CONTEXT clauses should re-run Normalize[Lenient].
+  // change CONTEXT clauses should re-run Normalize.
   Query* mutable_query(int i) { return &queries_[i]; }
 
   // Partitioning: contexts hold per stream partition (per unidirectional
@@ -188,18 +208,22 @@ class CaesarModel {
 
   // Phase 1 of translation (Section 4.2): makes the implied CONTEXT clauses
   // mandatory. Queries without a CONTEXT clause are associated with the
-  // default context. Also populates each context's workload lists.
+  // default context (unless no context is declared at all). Also populates
+  // the workload lists of every context that resolves. Then checks the
+  // model's structure and returns FailedPrecondition carrying the rendered
+  // first error of StructuralDiagnostics. The normalization happens either
+  // way, so analysis tooling may ignore the status and report every defect
+  // through the analyzer instead.
   Status Normalize();
 
-  // Checks structural validity: known contexts, patterns present, derive or
-  // action present, context-action consistency. Called by Normalize.
-  Status Validate() const;
-
-  // Best-effort Normalize for analysis tooling: applies implied CONTEXT
-  // clauses and populates workloads for contexts that resolve, but never
-  // fails — the analyzer reports validity violations as coded diagnostics
-  // instead (see analysis/analyzer.h).
-  void NormalizeLenient();
+  // The model's structural defects, in model order, each a coded error
+  // carrying the offending query's label and source location: no contexts
+  // or an undeclared default, target, gate or anchor context (C005), a
+  // missing or empty PATTERN (E107), neither DERIVE nor a context action
+  // (E108), a SEQ without a positive position (E109), and an aggregate
+  // without exactly one positive input or a positive window length (E105).
+  // Diagnostics carry no `source`; callers stamp it.
+  std::vector<Diagnostic> StructuralDiagnostics() const;
 
   std::string ToString() const;
 

@@ -467,16 +467,15 @@ Result<CaesarModel> ParseModel(std::string_view text, TypeRegistry* registry,
   CaesarModel model(registry);
   ModelParser parser(tokens.value(), 0, options.source_name);
   CAESAR_RETURN_IF_ERROR(parser.ParseModelBody(&model));
-  if (!options.strict) {
-    model.NormalizeLenient();
-    return model;
-  }
-  CAESAR_RETURN_IF_ERROR(model.Normalize());
-  // Context-graph sanity (PR 4's hard-coded rejections, now coded
-  // diagnostics C001/C002 from the analyzer): strict parses keep rejecting
-  // these shapes, with the span-prefixed, coded rendering.
-  std::vector<Diagnostic> graph = AnalyzeContextGraph(model);
-  for (Diagnostic& diag : graph) {
+  Status structure = model.Normalize();
+  if (!options.strict) return model;  // the analyzer reports every defect
+  // A strict parse rejects the first structural defect, or else the first
+  // context-graph error (C001/C002), as a coded diagnostic with the source
+  // name stamped in.
+  std::vector<Diagnostic> defects = structure.ok()
+                                        ? AnalyzeContextGraph(model)
+                                        : model.StructuralDiagnostics();
+  for (Diagnostic& diag : defects) {
     if (diag.severity != DiagSeverity::kError) continue;
     diag.source = options.source_name;
     return Status::ParseError(FormatDiagnostic(diag));

@@ -44,10 +44,12 @@ struct ParseModelOptions {
   // Names the source in error prefixes and diagnostic spans.
   std::string source_name = "<model>";
 
-  // Strict (the default): Normalize/Validate failures and context-graph
-  // errors (unreachable contexts C001, self-loop switches C002) reject the
-  // parse. Lenient: the model is returned after a best-effort normalize so
-  // the analyzer can report those as coded diagnostics (analysis/).
+  // Strict (the default): structural defects (CaesarModel::
+  // StructuralDiagnostics) and context-graph errors (unreachable contexts
+  // C001, self-loop switches C002) reject the parse with a coded,
+  // source-prefixed diagnostic. Lenient: the model is returned normalized
+  // as far as it resolves, so the analyzer can report every defect
+  // (analysis/).
   bool strict = true;
 };
 

@@ -161,13 +161,18 @@ struct Engine::QueryState {
   ChainState chain;
   // Parallel to spec->guards; their transitions follow private_contexts.
   std::vector<ChainState> guards;
-  // Query-private context vector (context-independent baseline only).
+  // Query-private context vector (context-independent baseline only). A
+  // pointer, not an inline optional: every query of every partition holds
+  // this field, and only baseline plans fill it.
   std::unique_ptr<ContextBitVector> private_contexts;
 };
 
 struct Engine::PartitionState {
-  uint64_t key = 0;
-  std::unique_ptr<ContextBitVector> contexts;
+  PartitionState(uint64_t key, const ContextBitVector& contexts)
+      : key(key), contexts(contexts) {}
+
+  uint64_t key;
+  ContextBitVector contexts;
   std::vector<QueryState> queries;  // parallel to Engine::programs_
   // Cumulative counters, never reset (Run takes deltas).
   uint64_t ops_counter = 0;
@@ -305,17 +310,16 @@ std::vector<uint64_t> Engine::partition_keys() const {
 
 const ContextBitVector* Engine::partition_contexts(uint64_t key) const {
   auto it = partitions_.find(key);
-  return it == partitions_.end() ? nullptr : it->second->contexts.get();
+  return it == partitions_.end() ? nullptr : &it->second->contexts;
 }
 
 Engine::PartitionState* Engine::GetOrCreatePartition(uint64_t key) {
   auto it = partitions_.find(key);
   if (it != partitions_.end()) return it->second.get();
 
-  auto partition = std::make_unique<PartitionState>();
-  partition->key = key;
-  partition->contexts = std::make_unique<ContextBitVector>(
-      std::max(plan_.num_contexts, 1), std::max(plan_.default_context, 0));
+  const ContextBitVector initial(std::max(plan_.num_contexts, 1),
+                                 std::max(plan_.default_context, 0));
+  auto partition = std::make_unique<PartitionState>(key, initial);
   partition->queries.reserve(programs_.size());
   for (const QueryProgram& program : programs_) {
     QueryState& state = partition->queries.emplace_back();
@@ -324,8 +328,7 @@ Engine::PartitionState* Engine::GetOrCreatePartition(uint64_t key) {
       state.guards.push_back(NewChainState(guard));
     }
     if (!state.guards.empty()) {
-      state.private_contexts = std::make_unique<ContextBitVector>(
-          std::max(plan_.num_contexts, 1), std::max(plan_.default_context, 0));
+      state.private_contexts = std::make_unique<ContextBitVector>(initial);
     }
   }
   PartitionState* result = partition.get();
@@ -398,9 +401,12 @@ void Engine::QuarantineEvent(EventPtr event, QuarantineReason reason) {
 Status Engine::IngestBatch(const EventBatch& input, EventBatch* admitted,
                            const EventBatch** effective, RunStats* stats) {
   *effective = &input;
+  AdmissionWatermark mark = Watermark();
   if (options_.ingest_policy == IngestPolicy::kStrict) {
-    // Validate without mutating anything; the batch is either processed in
-    // full or rejected in full.
+    // The slack-0 walk (Validate pins the slack to 0) rejecting instead of
+    // quarantining: nothing is mutated, and the batch is processed in full
+    // or rejected in full. A malformed event is reported before disorder.
+    ptrdiff_t refused = -1;
     for (size_t i = 0; i < input.size(); ++i) {
       QuarantineReason reason;
       if (ClassifyMalformed(*input[i], &reason)) {
@@ -410,20 +416,23 @@ Status Engine::IngestBatch(const EventBatch& input, EventBatch* admitted,
             DiagCodeName(QuarantineDiagCode(reason)) +
             "); use IngestPolicy::kReorder to quarantine instead");
       }
+      if (refused < 0 && !mark.Admit(input[i]->time())) {
+        refused = static_cast<ptrdiff_t>(i);
+      }
     }
-    ptrdiff_t unordered = FirstOutOfOrderIndex(input);
-    if (unordered >= 0) {
+    // Past the first event the walk refuses only a time stamp below its
+    // predecessor; the first event only below the last processed tick.
+    // Equal time is admitted: a caller may continue a tick it already ran.
+    if (refused > 0) {
       return Status::FailedPrecondition(
           "strict ingest: input not time-ordered at index " +
-          std::to_string(unordered) + ": time " +
-          std::to_string(input[unordered]->time()) + " after " +
-          std::to_string(input[unordered - 1]->time()) +
+          std::to_string(refused) + ": time " +
+          std::to_string(input[refused]->time()) + " after " +
+          std::to_string(input[refused - 1]->time()) +
           "; use IngestPolicy::kReorder with a lateness slack to "
           "re-sequence bounded disorder");
     }
-    // Equal time is admitted: a caller may continue a tick it already ran.
-    if (any_tick_processed_ && !input.empty() &&
-        input.front()->time() < last_processed_tick_) {
+    if (refused == 0) {
       return Status::FailedPrecondition(
           "strict ingest: batch starts at time " +
           std::to_string(input.front()->time()) +
@@ -437,7 +446,6 @@ Status Engine::IngestBatch(const EventBatch& input, EventBatch* admitted,
   }
 
   admitted->reserve(input.size());
-  AdmissionWatermark mark = Watermark();
   Timestamp run_max_lateness = 0;
   for (const EventPtr& event : input) {
     QuarantineReason reason;
@@ -894,7 +902,7 @@ void Engine::ProcessPartitionRun(size_t r, int worker) {
   for (Transaction& txn : run->transactions) {
     // GC points of earlier ticks come first: each followed its tick.
     collect_through(txn.tick);
-    const uint64_t version = partition->contexts->version();
+    const uint64_t version = partition->contexts.version();
     const int64_t executed = partition->total_executed;
     const int64_t suspended = partition->total_suspended;
     const size_t derived_before = run->derived.size();
@@ -910,7 +918,7 @@ void Engine::ProcessPartitionRun(size_t r, int worker) {
     txn.cost_seconds = watch.Lap();
     if (telemetry) {
       txn.context_switches =
-          static_cast<uint32_t>(partition->contexts->version() - version);
+          static_cast<uint32_t>(partition->contexts.version() - version);
       txn.executed_chains =
           static_cast<uint32_t>(partition->total_executed - executed);
       txn.suspended_chains =
@@ -987,7 +995,7 @@ const EventBatch& Engine::RunQuery(PartitionState* partition,
       }
     }
   } else {
-    ctx.contexts = partition->contexts.get();
+    ctx.contexts = &partition->contexts;
   }
 
   // Window-transition bookkeeping runs after the guards so the private
@@ -1241,7 +1249,7 @@ std::string Engine::SerializeState() const {
   w.U32(static_cast<uint32_t>(partitions_.size()));
   for (const auto& [key, partition] : partitions_) {
     w.U64(key);
-    partition->contexts->Save(&w);
+    partition->contexts.Save(&w);
     w.U64(partition->ops_counter);
     w.I64(partition->total_suspended);
     w.I64(partition->total_executed);
@@ -1291,7 +1299,7 @@ Status Engine::RestoreState(std::string_view payload) {
     uint64_t key = r.U64();
     if (!r.ok()) break;
     PartitionState* partition = GetOrCreatePartition(key);
-    CAESAR_RETURN_IF_ERROR(partition->contexts->Load(&r));
+    CAESAR_RETURN_IF_ERROR(partition->contexts.Load(&r));
     partition->ops_counter = r.U64();
     partition->total_suspended = r.I64();
     partition->total_executed = r.I64();

@@ -5,10 +5,13 @@
 // events); production traffic is late, duplicated, and malformed. The
 // engine therefore admits input through an *ingest policy*:
 //
-//  - kStrict  — the paper's contract: any disorder or malformed event makes
-//    Run return a descriptive error Status before any state is mutated.
-//    Disorder includes a batch that starts before the last tick an earlier
-//    Run processed; a batch may start at that tick, continuing it.
+//  - kStrict  — the paper's contract: the slack-0 admission walk, rejecting
+//    instead of quarantining. Any malformed event, or any event the walk
+//    refuses, makes Run return a descriptive error Status before any state
+//    is mutated (malformed is reported first). The walk refuses an event
+//    older than its predecessor, and a batch that starts before the last
+//    tick an earlier Run processed; a batch may start at that tick,
+//    continuing it.
 //  - kReorder — events late by at most `reorder_slack` ticks are admitted
 //    and re-sequenced; events later than that are dropped and quarantined
 //    (reason kLateBeyondSlack). Slack 0 admits no late event at all: it
@@ -134,8 +137,8 @@ class QuarantineSink {
   std::map<uint64_t, int64_t> by_partition_;
 };
 
-// The admission rule of kReorder (see the file comment), walked
-// over one batch. A value type, built per batch from the engine's state:
+// The admission rule of both policies (see the file comment), walked over
+// one batch. A value type, built per batch from the engine's state:
 // Engine::RunnablePrefix judges a pending buffer with one and leaves the
 // engine untouched.
 class AdmissionWatermark {

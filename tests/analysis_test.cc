@@ -116,7 +116,7 @@ CaesarModel ModelWithQuery(TypeRegistry* registry, Query query) {
   CaesarModel model(registry);
   EXPECT_TRUE(model.AddContext("idle").ok());
   EXPECT_TRUE(model.AddQuery(std::move(query)).ok());
-  model.NormalizeLenient();
+  model.Normalize();  // the analyzer reports the defects under test
   return model;
 }
 
@@ -151,6 +151,26 @@ TEST(AnalyzerTest, MissingDeriveAndActionIsE108) {
       HasCode(AnalyzeModel(model), DiagCode::kE108MissingDeriveOrAction));
 }
 
+// A derivation helper runs in the context-derivation phase, but it still
+// needs a DERIVE clause to feed anything: the analyzer and Normalize apply
+// the one structural rule.
+TEST(AnalyzerTest, HelperWithoutDeriveIsE108) {
+  TypeRegistry registry;
+  Query query;
+  query.name = "helper";
+  query.derivation_helper = true;
+  PatternSpec pattern;
+  pattern.items.push_back({"E", "p", false});
+  query.pattern = pattern;
+  CaesarModel model = ModelWithQuery(&registry, std::move(query));
+  EXPECT_TRUE(
+      HasCode(AnalyzeModel(model), DiagCode::kE108MissingDeriveOrAction));
+  Status normalized = model.Normalize();
+  EXPECT_EQ(normalized.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(normalized.message().find("[E108]"), std::string::npos)
+      << normalized;
+}
+
 TEST(AnalyzerTest, TooManyContextsIsP301) {
   TypeRegistry registry;
   registry.RegisterOrGet("E", {{"x", ValueType::kInt}});
@@ -159,7 +179,7 @@ TEST(AnalyzerTest, TooManyContextsIsP301) {
     ASSERT_TRUE(
         model.AddContext(std::string("c").append(std::to_string(i))).ok());
   }
-  model.NormalizeLenient();
+  model.Normalize();
   EXPECT_TRUE(HasCode(AnalyzeModel(model), DiagCode::kP301TooManyContexts));
 }
 

@@ -111,6 +111,48 @@ TEST(ModelTest, ValidationErrors) {
   }
 }
 
+// Which queries bound a context's windows: one table for the rule the
+// window-bound extraction, the analyzer and the baseline plan all read.
+TEST(ModelTest, OpensAndClosesBoundWindows) {
+  auto make = [](ContextAction action, const std::string& target,
+                 std::vector<std::string> gates, bool helper = false) {
+    Query query = SimpleQuery("q", "E");
+    query.action = action;
+    query.target_context = target;
+    query.contexts = std::move(gates);
+    query.derivation_helper = helper;
+    return query;
+  };
+  struct Row {
+    const char* what;
+    Query query;
+    bool opens_busy, closes_busy, opens_idle, closes_idle;
+  };
+  const Row rows[] = {
+      {"INITIATE busy", make(ContextAction::kInitiate, "busy", {"idle"}),
+       true, false, false, false},
+      {"TERMINATE busy", make(ContextAction::kTerminate, "busy", {"busy"}),
+       false, true, false, false},
+      {"SWITCH to busy from idle",
+       make(ContextAction::kSwitch, "busy", {"idle"}), true, false, false,
+       true},
+      {"SWITCH to idle while gated on busy",
+       make(ContextAction::kSwitch, "idle", {"busy"}), false, true, true,
+       false},
+      {"self-loop SWITCH to busy gated on busy",
+       make(ContextAction::kSwitch, "busy", {"busy"}), true, false, false,
+       false},
+      {"helper gated on busy", make(ContextAction::kNone, "", {"busy"}, true),
+       false, false, false, false},
+  };
+  for (const Row& row : rows) {
+    EXPECT_EQ(row.query.Opens("busy"), row.opens_busy) << row.what;
+    EXPECT_EQ(row.query.Closes("busy"), row.closes_busy) << row.what;
+    EXPECT_EQ(row.query.Opens("idle"), row.opens_idle) << row.what;
+    EXPECT_EQ(row.query.Closes("idle"), row.closes_idle) << row.what;
+  }
+}
+
 TEST(ParserTest, ParseSingleProcessingQuery) {
   auto query = ParseQuery(
       "QUERY toll\n"
@@ -287,6 +329,25 @@ TEST(ParserTest, ErrorsFollowTheSourceLineColPrefixConvention) {
   EXPECT_NE(junk.status().message().find("models/bad.caesar"),
             std::string::npos)
       << junk.status();
+}
+
+TEST(ParserTest, StructuralDefectsAreCodedLikeGraphDefects) {
+  // A strict parse renders a structural defect the way it renders a
+  // context-graph one: code, source name and the query's span.
+  TypeRegistry registry;
+  ParseModelOptions options;
+  options.source_name = "m.caesar";
+  auto model = ParseModel(
+      "CONTEXTS idle;\n"
+      "QUERY q INITIATE CONTEXT zz PATTERN E p CONTEXT idle;\n",
+      &registry, options);
+  ASSERT_FALSE(model.ok());
+  EXPECT_EQ(model.status().code(), StatusCode::kParseError);
+  EXPECT_NE(model.status().message().find(
+                "m.caesar:2:1: error[C005]: query 'q': unknown target "
+                "context zz"),
+            std::string::npos)
+      << model.status();
 }
 
 TEST(ParserTest, SelfLoopSwitchIsRejectedByName) {

@@ -20,7 +20,8 @@ Checks:
   * every EXEMPT entry names a code in the enum (a deleted code's
     exemption fails too).
 
-Run from the repository root (CI runs it in the lint-smoke job):
+Run from the repository root (CI runs it in the lint-smoke job, and
+`ctest -L lint` runs it as the check_diag_codes test):
     python3 tools/check_diag_codes.py
 """
 
