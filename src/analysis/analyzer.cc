@@ -15,7 +15,6 @@
 #include "expr/compiled.h"
 #include "optimizer/overlap_analysis.h"
 #include "plan/translator.h"
-#include "runtime/context_vector.h"
 
 namespace caesar {
 
@@ -92,9 +91,7 @@ enum class ResolveState : int8_t { kPending, kResolved, kPoisoned, kSkipped };
 struct QueryInfo {
   ResolveState state = ResolveState::kPending;
   BindingSet bindings;          // kEvent/kSeq: one var per pattern item
-  std::vector<int> negated;     // binding indices of negated items
   Schema agg_schema;            // kAggregate: post-aggregation schema
-  bool agg_schema_ok = false;
 };
 
 class Analyzer {
@@ -107,7 +104,6 @@ class Analyzer {
     for (Diagnostic& diag : AnalyzeContextGraph(model_)) {
       diags_.push_back(std::move(diag));
     }
-    CheckPlanLimits();
     ResolveTypesAndCheckExpressions();
     CheckWindows();
     if (options_.check_plan && !HasErrors(diags_)) {
@@ -157,30 +153,10 @@ class Analyzer {
           (pattern.items.size() != 1 || pattern.items[0].negated)) {
         infos_[qi].state = ResolveState::kSkipped;
       }
-      if (pattern.kind == PatternSpec::Kind::kSeq &&
-          pattern.items.back().negated) {
-        std::string label = QueryLabel(query, qi);
-        Emit(DiagCode::kP302TrailingNegation,
-             "query '" + label +
-                 "': SEQ pattern ends with a negated position (trailing "
-                 "NOT has no bounded semantics)",
-             query.pattern_loc, label);
-      }
     }
   }
 
-  // ----- Pass 2: plan-capacity limits. -----
-
-  void CheckPlanLimits() {
-    if (model_.num_contexts() > kMaxContexts) {
-      Emit(DiagCode::kP301TooManyContexts,
-           "model declares " + std::to_string(model_.num_contexts()) +
-               " contexts; the runtime context vector holds at most " +
-               std::to_string(kMaxContexts));
-    }
-  }
-
-  // ----- Pass 3: derived-type fixpoint + expression checks. -----
+  // ----- Pass 2: derived-type fixpoint + expression checks. -----
 
   const Schema* LookupSchema(const std::string& type_name) const {
     TypeId id = model_.registry()->Lookup(type_name);
@@ -327,36 +303,12 @@ class Analyzer {
       var.type_id = model_.registry()->Lookup(item.event_type);
       var.schema = LookupSchema(item.event_type);
       info.bindings.Add(std::move(var));
-      if (item.negated) info.negated.push_back(static_cast<int>(i));
     }
 
-    if (query.where != nullptr) {
-      auto where = CheckPredicate(query.where, info.bindings, query.where_loc,
-                                  "WHERE", label);
-      // P303: one conjunct constraining several negated positions has no
-      // single matcher to attach to (the translator rejects it).
-      if (where != nullptr && pattern.kind == PatternSpec::Kind::kSeq &&
-          info.negated.size() > 1) {
-        for (const ExprPtr& conjunct : SplitConjuncts(query.where)) {
-          auto compiled = Compile(conjunct, info.bindings);
-          if (!compiled.ok()) continue;
-          int negated_refs = 0;
-          for (int var : compiled.value()->referenced_vars()) {
-            if (std::find(info.negated.begin(), info.negated.end(), var) !=
-                info.negated.end()) {
-              ++negated_refs;
-            }
-          }
-          if (negated_refs > 1) {
-            Emit(DiagCode::kP303MultiNegatedPredicate,
-                 "query '" + label + "': WHERE conjunct '" +
-                     conjunct->ToString() +
-                     "' references multiple negated pattern variables",
-                 query.where_loc, label);
-          }
-        }
-      }
-    }
+    bool where_compiles =
+        query.where != nullptr &&
+        CheckPredicate(query.where, info.bindings, query.where_loc, "WHERE",
+                       label) != nullptr;
 
     // W202: SEQ positions carry strictly increasing timestamps, so a match
     // of n positive positions spans at least n-1 time units.
@@ -376,7 +328,7 @@ class Analyzer {
       }
     }
 
-    CheckCrossPositionFacts(qi);
+    CheckConjunctPlacement(qi, where_compiles);
 
     if (query.derive.has_value()) {
       CheckDeriveClause(qi, info.bindings, /*post_aggregate=*/false);
@@ -397,15 +349,15 @@ class Analyzer {
     return name;
   }
 
-  // ----- absint: cross-position interval facts (W206 / W207). -----
+  // ----- Conjunct placement: P303 and absint (W206 / W207). -----
   //
-  // Compiles each WHERE conjunct separately, assigns it to the latest
-  // pattern position it references (where the matcher first evaluates it),
-  // and runs the interval analysis across positions (analysis/absint.h): a
-  // conjunct provably true under the facts accumulated before it is
-  // subsumed (W207); one provably false — or facts that become jointly
-  // empty — means no match can ever complete (W206).
-  void CheckCrossPositionFacts(int qi) {
+  // Places each WHERE conjunct as the translator does (PlaceConjunct): one
+  // spanning several negated positions is P303 (once the whole WHERE
+  // compiles), and the interval analysis runs over the guards across
+  // positions (analysis/absint.h): a guard provably true under the facts
+  // accumulated before it is subsumed (W207); one provably false — or facts
+  // that become jointly empty — means no match can ever complete (W206).
+  void CheckConjunctPlacement(int qi, bool where_compiles) {
     const Query& query = model_.query(qi);
     const QueryInfo& info = infos_[qi];
     if (query.where == nullptr) return;
@@ -420,23 +372,21 @@ class Analyzer {
     for (const ExprPtr& conjunct : SplitConjuncts(query.where)) {
       auto compiled = Compile(conjunct, info.bindings);
       if (!compiled.ok()) return;  // compile errors already reported
-      const std::vector<int>& vars = compiled.value()->referenced_vars();
-      if (vars.empty()) continue;  // constant: W205 territory
-      bool negated_ref = false;
-      int position = 0;
-      for (int var : vars) {
-        if (std::find(info.negated.begin(), info.negated.end(), var) !=
-            info.negated.end()) {
-          negated_ref = true;
-        }
-        position = std::max(position, var);
+      ConjunctPlacement placement = PlaceConjunct(*compiled.value(), pattern);
+      if (placement.kind == ConjunctPlacement::Kind::kMultiNegated &&
+          where_compiles) {
+        Emit(DiagCode::kP303MultiNegatedPredicate,
+             "query '" + label + "': WHERE conjunct '" +
+                 conjunct->ToString() +
+                 "' references multiple negated pattern variables",
+             query.where_loc, label);
       }
-      // Conjuncts over negated variables define the negation condition;
-      // they are not guards a run must pass.
-      if (negated_ref) continue;
-      positions[position].guards.push_back(
+      // Negation conditions are not guards a run must pass, and a
+      // constant conjunct is W205 territory.
+      if (placement.kind != ConjunctPlacement::Kind::kGuard) continue;
+      positions[placement.position].guards.push_back(
           AbstractPredicate(*compiled.value()));
-      sources[position].push_back(conjunct);
+      sources[placement.position].push_back(conjunct);
     }
 
     PatternAbsintResult result = AnalyzePositions(positions);
@@ -503,49 +453,16 @@ class Analyzer {
     in_var.schema = input_schema;
     info.bindings.Add(in_var);
 
-    // Post-aggregation schema: group-by attributes keep their input type;
-    // COUNT yields int, every other aggregate a double (translator
-    // BuildAggregate).
-    std::vector<Attribute> out_attrs;
-    bool agg_ok = true;
-    for (const std::string& group_attr : pattern.group_by) {
-      int index = input_schema->IndexOf(group_attr);
-      if (index < 0) {
-        Emit(DiagCode::kE105BadAggregate,
-             "query '" + label + "': unknown group-by attribute " + group_attr,
-             query.pattern_loc, label);
-        agg_ok = false;
-        continue;
-      }
-      out_attrs.push_back(input_schema->attribute(index));
+    AggregateTyping typing = TypeAggregate(pattern, *input_schema, label);
+    for (std::string& problem : typing.problems) {
+      Emit(DiagCode::kE105BadAggregate, std::move(problem), query.pattern_loc,
+           label);
     }
-    for (const AggregateSpec& agg : pattern.aggregates) {
-      if (agg.attribute.empty()) {
-        if (agg.func != AggregateFunc::kCount) {
-          Emit(DiagCode::kE105BadAggregate,
-               "query '" + label + "': only COUNT may omit its attribute (" +
-                   AggregateFuncName(agg.func) + " AS " + agg.name + ")",
-               query.pattern_loc, label);
-          agg_ok = false;
-        }
-      } else if (input_schema->IndexOf(agg.attribute) < 0) {
-        Emit(DiagCode::kE105BadAggregate,
-             "query '" + label + "': unknown aggregate attribute " +
-                 agg.attribute,
-             query.pattern_loc, label);
-        agg_ok = false;
-        continue;
-      }
-      out_attrs.push_back(Attribute{
-          agg.name, agg.func == AggregateFunc::kCount ? ValueType::kInt
-                                                      : ValueType::kDouble});
-    }
-    if (!agg_ok) {
+    if (!typing.problems.empty()) {
       PoisonOutput(query);
       return;
     }
-    info.agg_schema = Schema(std::move(out_attrs));
-    info.agg_schema_ok = true;
+    info.agg_schema = Schema(std::move(typing.output));
 
     BindingSet post_bindings;
     BindingVar post_var;
@@ -576,12 +493,11 @@ class Analyzer {
   void CheckDeriveClause(int qi, const BindingSet& bindings,
                          bool post_aggregate) {
     const Query& query = model_.query(qi);
-    const QueryInfo& info = infos_[qi];
     std::string label = QueryLabel(query, qi);
     const DeriveSpec& derive = *query.derive;
 
+    std::vector<std::string> names = DerivedAttributeNames(derive);
     std::vector<Attribute> attrs;
-    std::set<std::string> used_names;
     bool ok = true;
     for (size_t i = 0; i < derive.args.size(); ++i) {
       const ExprPtr& arg = derive.args[i];
@@ -596,8 +512,7 @@ class Analyzer {
       }
       if (!post_aggregate) {
         for (int var : compiled.value()->referenced_vars()) {
-          if (std::find(info.negated.begin(), info.negated.end(), var) !=
-              info.negated.end()) {
+          if (query.pattern->items[var].negated) {
             Emit(DiagCode::kE102UnknownAttribute,
                  "query '" + label +
                      "': attribute of negated variable used outside the "
@@ -608,19 +523,8 @@ class Analyzer {
           }
         }
       }
-      // Output attribute name: explicit AS name, the referenced attribute's
-      // name, or a positional fallback (translator InferAttrName).
-      std::string name;
-      if (i < derive.attr_names.size()) name = derive.attr_names[i];
-      if (name.empty() && arg->kind() == Expr::Kind::kAttrRef) {
-        name = static_cast<const AttrRefExpr&>(*arg).attribute();
-      }
-      if (name.empty()) name = std::string("a").append(std::to_string(i));
-      if (!used_names.insert(name).second) {
-        name.append("_").append(std::to_string(i));
-        used_names.insert(name);
-      }
-      attrs.push_back(Attribute{name, compiled.value()->result_type()});
+      attrs.push_back(
+          Attribute{std::move(names[i]), compiled.value()->result_type()});
     }
     if (!ok) {
       PoisonOutput(query);
@@ -656,7 +560,7 @@ class Analyzer {
     derived_.emplace(type_name, Schema(std::move(attrs)));
   }
 
-  // ----- Pass 4: optimizer preconditions (W203 note / W204 warning). -----
+  // ----- Pass 3: optimizer preconditions (W203 note / W204 warning). -----
 
   void CheckWindows() {
     std::set<std::string> groupable;
@@ -869,22 +773,24 @@ std::vector<Diagnostic> AnalyzeContextGraph(const CaesarModel& model) {
   }
 
   // C003: a later SWITCH whose pattern and predicate are subsumed by an
-  // earlier SWITCH to the same target never changes the outcome.
+  // earlier SWITCH to the same target never changes the outcome. A pattern
+  // without items is E107 (StructuralDiagnostics), not a shadowing edge.
+  auto event_pattern = [](const Query& q) {
+    return q.pattern.has_value() &&
+           q.pattern->kind == PatternSpec::Kind::kEvent &&
+           !q.pattern->items.empty();
+  };
   for (int qj = 0; qj < model.num_queries(); ++qj) {
     const Query& later = model.query(qj);
     if (later.action != ContextAction::kSwitch) continue;
-    if (!later.pattern.has_value() ||
-        later.pattern->kind != PatternSpec::Kind::kEvent) {
-      continue;
-    }
+    if (!event_pattern(later)) continue;
     for (int qi = 0; qi < qj; ++qi) {
       const Query& earlier = model.query(qi);
       if (earlier.action != ContextAction::kSwitch ||
           earlier.target_context != later.target_context) {
         continue;
       }
-      if (!earlier.pattern.has_value() ||
-          earlier.pattern->kind != PatternSpec::Kind::kEvent ||
+      if (!event_pattern(earlier) ||
           earlier.pattern->items[0].event_type !=
               later.pattern->items[0].event_type) {
         continue;

@@ -4,10 +4,11 @@
 // diagnostics (analysis/diagnostics.h) instead of opaque Status failures:
 //
 //   - structural checks, exactly CaesarModel::StructuralDiagnostics (the
-//     one home of the model's well-formedness rules, which Normalize and a
-//     strict ParseModel enforce): unknown context names (C005), malformed
-//     aggregates (E105), missing PATTERN (E107), neither DERIVE nor an
-//     action (E108), SEQ without a positive position (E109).
+//     one home of the model's well-formedness rules, which Normalize, a
+//     strict ParseModel and TranslateModel enforce): unknown context names
+//     (C005), malformed aggregates (E105), missing PATTERN (E107), neither
+//     DERIVE nor an action (E108), SEQ without a positive position (E109),
+//     too many contexts (P301), SEQ ending in a negated position (P302).
 //   - context-graph checks: unreachable contexts (C001), self-loop SWITCH
 //     edges (C002), shadowed SWITCH edges (C003), dead queries (C004).
 //     Reachability is an activation fixpoint: the default context is
@@ -17,9 +18,10 @@
 //   - expression/type checks against the event schemas: unknown event types
 //     (E101), unknown attributes (E102), operand type errors (E103),
 //     string-typed predicates (E104), aggregate group-by and argument
-//     attributes (E105), DERIVE schema conflicts (E106).
-//     Derived event types are resolved to a fixpoint, mirroring the plan
-//     translator, so queries may consume each other's outputs in any order.
+//     attributes (E105), DERIVE schema conflicts (E106), and WHERE
+//     conjuncts spanning several negated positions (P303), by the plan's
+//     typing rules (plan/translator.h). Derived event types are resolved to
+//     a fixpoint, so queries may consume each other's outputs in any order.
 //   - satisfiability checks: contradictory predicate conjunctions via
 //     interval analysis (W201), SEQ patterns whose WITHIN bound is shorter
 //     than the strictly-increasing-timestamp minimum (W202), constant
@@ -27,8 +29,7 @@
 //   - optimizer-precondition checks (the analyzer <-> optimizer contract):
 //     contexts whose window bounds are not compile-time orderable and thus
 //     ineligible for window grouping (W203, a note), inverted window bounds
-//     (W204), more contexts than the runtime context vector holds (P301),
-//     plan-translator limitations surfaced as coded errors (P302, P303).
+//     (W204).
 //
 // The analyzer never mutates the model or its TypeRegistry; the only
 // exception is AnalyzerOptions::check_plan, which runs the real plan

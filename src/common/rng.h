@@ -32,8 +32,10 @@ class Rng {
     return std::bernoulli_distribution(p)(engine_);
   }
 
-  // Poisson draw with the given mean.
+  // Poisson draw with the given mean; a mean <= 0 draws 0 (the standard
+  // distribution requires a positive mean).
   int64_t Poisson(double mean) {
+    if (mean <= 0.0) return 0;
     return std::poisson_distribution<int64_t>(mean)(engine_);
   }
 

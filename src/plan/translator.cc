@@ -12,7 +12,6 @@
 #include "algebra/basic_ops.h"
 #include "algebra/context_ops.h"
 #include "algebra/pattern_op.h"
-#include "common/logging.h"
 #include "compile/compiled_pattern_op.h"
 #include "compile/compiler.h"
 #include "expr/analysis.h"
@@ -27,7 +26,7 @@ struct ResolvedPattern {
   BindingSet bindings;                    // one var per item (incl. negated)
   std::vector<TypeId> item_types;
   std::vector<std::string> var_names;     // synthesized when anonymous
-  std::vector<int> positive_items;        // indices of non-negated items
+  std::vector<bool> negated;              // per item
 };
 
 Result<ResolvedPattern> ResolvePattern(const PatternSpec& pattern,
@@ -47,7 +46,7 @@ Result<ResolvedPattern> ResolvePattern(const PatternSpec& pattern,
     resolved.bindings.Add({var, type_id, &registry.type(type_id).schema});
     resolved.item_types.push_back(type_id);
     resolved.var_names.push_back(var);
-    if (!item.negated) resolved.positive_items.push_back(static_cast<int>(i));
+    resolved.negated.push_back(item.negated);
   }
   return resolved;
 }
@@ -56,8 +55,7 @@ Result<ResolvedPattern> ResolvePattern(const PatternSpec& pattern,
 // composite match schema ("<var>.<attr>" attribute names). Bare references
 // are resolved to the unique positive variable exposing the attribute.
 Result<ExprPtr> RewriteForComposite(const ExprPtr& expr,
-                                    const ResolvedPattern& resolved,
-                                    const std::vector<bool>& item_negated) {
+                                    const ResolvedPattern& resolved) {
   switch (expr->kind()) {
     case Expr::Kind::kConstant:
       return expr;
@@ -75,7 +73,7 @@ Result<ExprPtr> RewriteForComposite(const ExprPtr& expr,
                                          attr.attribute());
         }
         var = resolved.var_names[index];
-        if (item_negated[index]) {
+        if (resolved.negated[index]) {
           return Status::InvalidArgument(
               "attribute of negated variable used outside the pattern: " +
               attr.attribute());
@@ -85,7 +83,7 @@ Result<ExprPtr> RewriteForComposite(const ExprPtr& expr,
         if (index < 0) {
           return Status::InvalidArgument("unknown pattern variable: " + var);
         }
-        if (item_negated[index]) {
+        if (resolved.negated[index]) {
           return Status::InvalidArgument(
               "negated variable used outside the pattern: " + var);
         }
@@ -94,26 +92,14 @@ Result<ExprPtr> RewriteForComposite(const ExprPtr& expr,
     }
     case Expr::Kind::kBinary: {
       const auto& binary = static_cast<const BinaryExpr&>(*expr);
-      CAESAR_ASSIGN_OR_RETURN(
-          ExprPtr left,
-          RewriteForComposite(binary.left(), resolved, item_negated));
-      CAESAR_ASSIGN_OR_RETURN(
-          ExprPtr right,
-          RewriteForComposite(binary.right(), resolved, item_negated));
+      CAESAR_ASSIGN_OR_RETURN(ExprPtr left,
+                              RewriteForComposite(binary.left(), resolved));
+      CAESAR_ASSIGN_OR_RETURN(ExprPtr right,
+                              RewriteForComposite(binary.right(), resolved));
       return MakeBinary(binary.op(), std::move(left), std::move(right));
     }
   }
   return Status::Internal("unreachable");
-}
-
-// Infers the output attribute name for a DERIVE argument.
-std::string InferAttrName(const ExprPtr& arg, const std::string& given,
-                          int index) {
-  if (!given.empty()) return given;
-  if (arg->kind() == Expr::Kind::kAttrRef) {
-    return static_cast<const AttrRefExpr&>(*arg).attribute();
-  }
-  return std::string("a").append(std::to_string(index));
 }
 
 // Registers (or fetches) an event type, checking arity compatibility.
@@ -150,18 +136,15 @@ class QueryTranslator {
     compiled.query_index = qi;
     compiled.name = label;
     compiled.deriving = query.IsContextDeriving();
+    // Every context name resolves: TranslateModel checked the structure.
     for (const std::string& context : query.contexts) {
-      int id = model_.ContextIndex(context);
-      CAESAR_CHECK_GE(id, 0);
-      compiled.contexts.push_back(id);
+      compiled.contexts.push_back(model_.ContextIndex(context));
     }
     if (query.context_anchors.empty()) {
       compiled.anchors = compiled.contexts;  // identity
     } else {
       for (const std::string& anchor : query.context_anchors) {
-        int id = model_.ContextIndex(anchor);
-        CAESAR_CHECK_GE(id, 0);
-        compiled.anchors.push_back(id);
+        compiled.anchors.push_back(model_.ContextIndex(anchor));
       }
     }
 
@@ -169,10 +152,6 @@ class QueryTranslator {
     CAESAR_ASSIGN_OR_RETURN(ResolvedPattern resolved,
                             ResolvePattern(pattern, *registry_, label));
     compiled.input_types = resolved.item_types;
-    std::vector<bool> item_negated;
-    for (const PatternItem& item : pattern.items) {
-      item_negated.push_back(item.negated);
-    }
 
     // Build the pattern/aggregate operator plus the post-pattern binding
     // (the schema downstream expressions are evaluated against).
@@ -215,8 +194,7 @@ class QueryTranslator {
       DeriveSpec derive = *query.derive;
       if (pattern.kind == PatternSpec::Kind::kSeq) {
         for (ExprPtr& arg : derive.args) {
-          CAESAR_ASSIGN_OR_RETURN(
-              arg, RewriteForComposite(arg, resolved, item_negated));
+          CAESAR_ASSIGN_OR_RETURN(arg, RewriteForComposite(arg, resolved));
         }
       }
       CAESAR_ASSIGN_OR_RETURN(
@@ -242,7 +220,6 @@ class QueryTranslator {
     std::vector<std::unique_ptr<Operator>> action_ops;
     if (query.action != ContextAction::kNone) {
       int target = model_.ContextIndex(query.target_context);
-      CAESAR_CHECK_GE(target, 0);
       switch (query.action) {
         case ContextAction::kInitiate:
           action_ops.push_back(std::make_unique<ContextInitOp>(
@@ -317,14 +294,6 @@ class QueryTranslator {
                   std::unique_ptr<Operator>* source_op,
                   BindingSet* post_bindings, ExprPtr* post_where) {
     const PatternSpec& pattern = *query.pattern;
-    std::vector<bool> item_negated;
-    for (const PatternItem& item : pattern.items) {
-      item_negated.push_back(item.negated);
-    }
-    if (pattern.items.back().negated) {
-      return Status::Unimplemented(label + ": trailing NOT is not supported");
-    }
-
     auto config = std::make_shared<PatternOpConfig>();
     config->within =
         pattern.within > 0 ? pattern.within : options_.default_within;
@@ -338,7 +307,8 @@ class QueryTranslator {
 
     // Composite output type: attributes "<var>.<attr>" of positive items.
     std::vector<Attribute> attributes;
-    for (int item : resolved.positive_items) {
+    for (int item = 0; item < resolved.bindings.size(); ++item) {
+      if (resolved.negated[item]) continue;
       const Schema& schema = *resolved.bindings.var(item).schema;
       for (const Attribute& attr : schema.attributes()) {
         attributes.push_back(
@@ -353,46 +323,31 @@ class QueryTranslator {
         {"", config->output_type,
          &registry_->type(config->output_type).schema});
 
-    // Classify WHERE conjuncts.
+    // Place WHERE conjuncts: negation conditions always live in the
+    // matcher, guards only when predicates are pushed into the pattern.
     ExprPtr residual;
     for (const ExprPtr& conjunct : SplitConjuncts(query.where)) {
       CAESAR_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledExpr> compiled,
                               CompileShared(conjunct, resolved.bindings));
-      // Which variables does it reference? Negated ones?
-      int negated_ref = -1;
-      int max_positive = -1;
-      bool multiple_negated = false;
-      for (int var : compiled->referenced_vars()) {
-        if (item_negated[var]) {
-          if (negated_ref >= 0 && negated_ref != var) {
-            multiple_negated = true;
-          }
-          negated_ref = var;
-        } else {
-          max_positive = std::max(max_positive, var);
-        }
-      }
-      if (multiple_negated) {
+      ConjunctPlacement placement = PlaceConjunct(*compiled, pattern);
+      using Kind = ConjunctPlacement::Kind;
+      if (placement.kind == Kind::kMultiNegated) {
         return Status::Unimplemented(
             label + ": predicate spans multiple negated variables: " +
             conjunct->ToString());
       }
-      if (negated_ref >= 0) {
-        // Negation condition: always lives in the matcher.
-        config->positions[negated_ref].predicates.push_back(
-            std::move(compiled));
-        continue;
-      }
-      if (options_.push_predicates_into_pattern && max_positive >= 0) {
-        config->positions[max_positive].predicates.push_back(
+      if (placement.kind == Kind::kNegation ||
+          (placement.kind == Kind::kGuard &&
+           options_.push_predicates_into_pattern)) {
+        config->positions[placement.position].predicates.push_back(
             std::move(compiled));
         continue;
       }
       residual = MakeConjunction(residual, conjunct);
     }
     if (residual != nullptr) {
-      CAESAR_ASSIGN_OR_RETURN(
-          *post_where, RewriteForComposite(residual, resolved, item_negated));
+      CAESAR_ASSIGN_OR_RETURN(*post_where,
+                              RewriteForComposite(residual, resolved));
     }
     *source_op = std::make_unique<CompiledPatternOp>(
         CompilePattern(std::move(config), options_.absint));
@@ -409,42 +364,22 @@ class QueryTranslator {
 
     auto config = std::make_shared<AggregateOpConfig>();
     config->input_type = resolved.item_types[0];
-    config->window_length =
-        pattern.window_length > 0 ? pattern.window_length : 1;
+    config->window_length = pattern.window_length;
     config->description = pattern.ToString();
 
-    std::vector<Attribute> out_attrs;
-    for (const std::string& attr_name : pattern.group_by) {
-      int index = input_schema.IndexOf(attr_name);
-      if (index < 0) {
-        return Status::InvalidArgument(label + ": unknown group-by attribute " +
-                                       attr_name);
-      }
-      config->group_by.push_back(index);
-      out_attrs.push_back({attr_name, input_schema.attribute(index).type});
+    AggregateTyping typing = TypeAggregate(pattern, input_schema, label);
+    if (!typing.problems.empty()) {
+      return Status::InvalidArgument(typing.problems.front());
     }
-    for (const AggregateSpec& agg : pattern.aggregates) {
-      AggregateOpConfig::Agg compiled_agg;
-      compiled_agg.func = agg.func;
-      if (!agg.attribute.empty()) {
-        compiled_agg.attr_index = input_schema.IndexOf(agg.attribute);
-        if (compiled_agg.attr_index < 0) {
-          return Status::InvalidArgument(
-              label + ": unknown aggregate attribute " + agg.attribute);
-        }
-      } else if (agg.func != AggregateFunc::kCount) {
-        return Status::InvalidArgument(label +
-                                       ": only COUNT may omit its attribute");
-      }
-      config->aggregates.push_back(compiled_agg);
-      out_attrs.push_back({agg.name, agg.func == AggregateFunc::kCount
-                                         ? ValueType::kInt
-                                         : ValueType::kDouble});
+    config->group_by = std::move(typing.group_by);
+    for (size_t i = 0; i < pattern.aggregates.size(); ++i) {
+      config->aggregates.push_back(
+          {pattern.aggregates[i].func, typing.arguments[i]});
     }
     CAESAR_ASSIGN_OR_RETURN(
         config->output_type,
-        RegisterDerivedType(registry_, "$agg_" + label, std::move(out_attrs),
-                            label));
+        RegisterDerivedType(registry_, "$agg_" + label,
+                            std::move(typing.output), label));
     const Schema* out_schema = &registry_->type(config->output_type).schema;
     post_bindings->Add(
         {resolved.var_names[0], config->output_type, out_schema});
@@ -458,30 +393,19 @@ class QueryTranslator {
   }
 
   // `derive` carries the (possibly composite-rewritten) argument
-  // expressions; `original` is used for attribute-name inference so derived
-  // attributes keep their user-visible names.
+  // expressions; `original` names the derived attributes, so they keep
+  // their user-visible names.
   Result<std::unique_ptr<Operator>> BuildProjection(
       const DeriveSpec& derive, const DeriveSpec& original,
       const BindingSet& bindings, const std::string& label) {
+    std::vector<std::string> names = DerivedAttributeNames(original);
     std::vector<std::shared_ptr<const CompiledExpr>> args;
     std::vector<Attribute> attributes;
     for (size_t i = 0; i < derive.args.size(); ++i) {
       CAESAR_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledExpr> compiled,
                               CompileShared(derive.args[i], bindings));
-      std::string name = InferAttrName(
-          original.args[i],
-          i < original.attr_names.size() ? original.attr_names[i] : "",
-          static_cast<int>(i));
-      attributes.push_back({name, compiled->result_type()});
+      attributes.push_back({std::move(names[i]), compiled->result_type()});
       args.push_back(std::move(compiled));
-    }
-    // Duplicate output names get positional suffixes.
-    std::set<std::string> seen;
-    for (size_t i = 0; i < attributes.size(); ++i) {
-      while (seen.count(attributes[i].name) > 0) {
-        attributes[i].name.append("_").append(std::to_string(i));
-      }
-      seen.insert(attributes[i].name);
     }
     CAESAR_ASSIGN_OR_RETURN(
         TypeId output_type,
@@ -556,15 +480,100 @@ Result<std::vector<CompiledQuery>> TopoSort(
 
 }  // namespace
 
+std::vector<std::string> DerivedAttributeNames(const DeriveSpec& derive) {
+  std::vector<std::string> names;
+  std::set<std::string> seen;
+  for (size_t i = 0; i < derive.args.size(); ++i) {
+    std::string name;
+    if (i < derive.attr_names.size()) name = derive.attr_names[i];
+    if (name.empty() && derive.args[i]->kind() == Expr::Kind::kAttrRef) {
+      name = static_cast<const AttrRefExpr&>(*derive.args[i]).attribute();
+    }
+    if (name.empty()) name = std::string("a").append(std::to_string(i));
+    while (!seen.insert(name).second) {
+      name.append("_").append(std::to_string(i));
+    }
+    names.push_back(std::move(name));
+  }
+  return names;
+}
+
+AggregateTyping TypeAggregate(const PatternSpec& pattern, const Schema& input,
+                              const std::string& label) {
+  AggregateTyping typing;
+  const std::string prefix = "query '" + label + "': ";
+  for (const std::string& name : pattern.group_by) {
+    int index = input.IndexOf(name);
+    if (index < 0) {
+      typing.problems.push_back(prefix + "unknown group-by attribute " + name);
+      continue;
+    }
+    typing.group_by.push_back(index);
+    typing.output.push_back(input.attribute(index));
+  }
+  for (const AggregateSpec& agg : pattern.aggregates) {
+    int index = -1;
+    if (agg.attribute.empty()) {
+      if (agg.func != AggregateFunc::kCount) {
+        typing.problems.push_back(
+            prefix + "only COUNT may omit its attribute (" +
+            AggregateFuncName(agg.func) + " AS " + agg.name + ")");
+      }
+    } else {
+      index = input.IndexOf(agg.attribute);
+      if (index < 0) {
+        typing.problems.push_back(prefix + "unknown aggregate attribute " +
+                                  agg.attribute);
+        continue;
+      }
+    }
+    typing.arguments.push_back(index);
+    typing.output.push_back({agg.name, agg.func == AggregateFunc::kCount
+                                           ? ValueType::kInt
+                                           : ValueType::kDouble});
+  }
+  std::set<std::string> names;
+  for (const Attribute& attribute : typing.output) {
+    if (!names.insert(attribute.name).second) {
+      typing.problems.push_back(prefix + "aggregate output attribute " +
+                                attribute.name + " is defined twice");
+    }
+  }
+  return typing;
+}
+
+ConjunctPlacement PlaceConjunct(const CompiledExpr& conjunct,
+                                const PatternSpec& pattern) {
+  ConjunctPlacement placement;
+  int negated = -1;
+  int latest_positive = -1;
+  for (int var : conjunct.referenced_vars()) {
+    if (!pattern.items[var].negated) {
+      latest_positive = std::max(latest_positive, var);
+    } else if (negated >= 0) {
+      placement.kind = ConjunctPlacement::Kind::kMultiNegated;
+      return placement;
+    } else {
+      negated = var;
+    }
+  }
+  if (negated >= 0) {
+    placement.kind = ConjunctPlacement::Kind::kNegation;
+    placement.position = negated;
+  } else if (latest_positive >= 0) {
+    placement.kind = ConjunctPlacement::Kind::kGuard;
+    placement.position = latest_positive;
+  }
+  return placement;
+}
+
 Result<ExecutablePlan> TranslateModel(const CaesarModel& model,
                                       const PlanOptions& options) {
+  CAESAR_RETURN_IF_ERROR(model.CheckStructure());
   ExecutablePlan plan;
   plan.registry = model.registry();
   plan.num_contexts = model.num_contexts();
   plan.default_context = model.ContextIndex(model.default_context());
-  if (plan.default_context < 0) {
-    return Status::FailedPrecondition("model not normalized");
-  }
   for (const ContextType& context : model.contexts()) {
     plan.context_names.push_back(context.name);
   }

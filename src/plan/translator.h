@@ -5,6 +5,11 @@
 // becomes a chain of algebra operators, and chains are ordered by their
 // produce/consume type dependencies into a combined plan.
 //
+// A model failing CaesarModel::StructuralDiagnostics (plan limits
+// included) is rejected with its first defect before anything is built.
+// The typing rules below are the one copy the translator builds from (it
+// fails with the first problem) and the analyzer reports from (every one).
+//
 // Every SEQ pattern is compiled here, once per plan, into the automaton
 // that executes it (compile/compiler.h); event matching stays a stateless
 // PatternOp.
@@ -24,7 +29,13 @@
 #ifndef CAESAR_PLAN_TRANSLATOR_H_
 #define CAESAR_PLAN_TRANSLATOR_H_
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "common/status.h"
+#include "event/schema.h"
+#include "expr/compiled.h"
 #include "plan/plan.h"
 #include "query/model.h"
 
@@ -64,6 +75,45 @@ struct PlanOptions {
 // and composite event types in the model's TypeRegistry.
 Result<ExecutablePlan> TranslateModel(const CaesarModel& model,
                                       const PlanOptions& options);
+
+// ---- Typing rules (shared with the analyzer) ----
+
+// The attribute names of `derive`'s event type (the projection PR_{A,E} of
+// Section 4.1): the AS name, else a reference's attribute, else "a<i>"; a
+// taken name gets "_<i>" appended until unique, so D(r.x AS v, r.y AS v_2,
+// r.z AS v) is D(v, v_2, v_2_2).
+std::vector<std::string> DerivedAttributeNames(const DeriveSpec& derive);
+
+// An aggregate pattern typed against its input schema.
+struct AggregateTyping {
+  std::vector<int> group_by;   // input attribute index per GROUP BY name
+  std::vector<int> arguments;  // input attribute per aggregate; -1 = COUNT()
+  // Group-by attributes with their input types, then one per aggregate
+  // (COUNT int, the others double).
+  std::vector<Attribute> output;
+  // E105 defects ("query '<label>': ..."), among them an output name
+  // defined twice; the fields above are buildable only when empty.
+  std::vector<std::string> problems;
+};
+
+AggregateTyping TypeAggregate(const PatternSpec& pattern, const Schema& input,
+                              const std::string& label);
+
+// Where a WHERE conjunct, compiled against one binding per pattern item,
+// is evaluated.
+struct ConjunctPlacement {
+  enum class Kind : int8_t {
+    kNegation,      // condition of the negated item `position`
+    kGuard,         // guard at its latest positive item `position`
+    kResidual,      // references no pattern variable
+    kMultiNegated,  // spans several negated items: no matcher holds it (P303)
+  };
+  Kind kind = Kind::kResidual;
+  int position = -1;
+};
+
+ConjunctPlacement PlaceConjunct(const CompiledExpr& conjunct,
+                                const PatternSpec& pattern);
 
 }  // namespace caesar
 

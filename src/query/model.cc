@@ -184,6 +184,10 @@ Status CaesarModel::Normalize() {
       }
     }
   }
+  return CheckStructure();
+}
+
+Status CaesarModel::CheckStructure() const {
   std::vector<Diagnostic> defects = StructuralDiagnostics();
   if (!defects.empty()) {
     return Status::FailedPrecondition(FormatDiagnostic(defects.front()));
@@ -201,13 +205,23 @@ std::vector<Diagnostic> CaesarModel::StructuralDiagnostics() const {
                              "default context not declared: " +
                                  default_context_));
   }
+  if (num_contexts() > kMaxContexts) {
+    diags.push_back(MakeDiag(
+        DiagCode::kP301TooManyContexts,
+        "model declares " + std::to_string(num_contexts()) +
+            " contexts; the runtime context vector holds at most " +
+            std::to_string(kMaxContexts)));
+  }
   for (int qi = 0; qi < num_queries(); ++qi) {
     const Query& query = queries_[qi];
-    const std::string label = QueryLabel(query, qi);
-    const std::string prefix = "query '" + label + "': ";
+    // The label is built only for a defect, so a clean model allocates
+    // nothing here.
     auto emit = [&](DiagCode code, const std::string& message, SourceLoc loc,
                     const std::string& context = {}) {
-      diags.push_back(MakeDiag(code, prefix + message, loc, label, context));
+      std::string label = QueryLabel(query, qi);
+      std::string text = "query '" + label + "': " + message;
+      diags.push_back(
+          MakeDiag(code, std::move(text), loc, std::move(label), context));
     };
     if (!query.pattern.has_value() || query.pattern->items.empty()) {
       emit(DiagCode::kE107MissingPattern, "missing PATTERN clause", query.loc);
@@ -242,11 +256,18 @@ std::vector<Diagnostic> CaesarModel::StructuralDiagnostics() const {
     }
     if (!query.pattern.has_value()) continue;
     const PatternSpec& pattern = *query.pattern;
-    if (pattern.kind == PatternSpec::Kind::kSeq && !pattern.items.empty() &&
-        std::all_of(pattern.items.begin(), pattern.items.end(),
-                    [](const PatternItem& item) { return item.negated; })) {
-      emit(DiagCode::kE109NoPositiveItem, "pattern has no positive event",
-           query.pattern_loc);
+    if (pattern.kind == PatternSpec::Kind::kSeq && !pattern.items.empty()) {
+      if (std::all_of(pattern.items.begin(), pattern.items.end(),
+                      [](const PatternItem& item) { return item.negated; })) {
+        emit(DiagCode::kE109NoPositiveItem, "pattern has no positive event",
+             query.pattern_loc);
+      }
+      if (pattern.items.back().negated) {
+        emit(DiagCode::kP302TrailingNegation,
+             "SEQ pattern ends with a negated position (trailing NOT has no "
+             "bounded semantics)",
+             query.pattern_loc);
+      }
     }
     if (pattern.kind == PatternSpec::Kind::kAggregate) {
       if (pattern.items.size() != 1 || pattern.items[0].negated) {

@@ -14,11 +14,12 @@
 // may also be sliding-window aggregates (kAggregate) with a HAVING filter.
 //
 // The model's rules live here once, and every other layer reads them:
-// CaesarModel::StructuralDiagnostics decides what a well-formed model is
-// (Normalize rejects with its first error, the analyzer reports them all),
-// and Query::Opens / Query::Closes decide which queries bound a context's
-// windows (window-bound extraction, the analyzer's window and reachability
-// checks, and the baseline plan's guard selection).
+// CaesarModel::StructuralDiagnostics decides what a well-formed model is,
+// plan limits included (Normalize and TranslateModel reject with its first
+// error, the analyzer reports them all), and Query::Opens / Query::Closes
+// decide which queries bound a context's windows (window-bound extraction,
+// the analyzer's window and reachability checks, and the baseline plan's
+// guard selection).
 
 #ifndef CAESAR_QUERY_MODEL_H_
 #define CAESAR_QUERY_MODEL_H_
@@ -35,6 +36,10 @@
 #include "expr/expr.h"
 
 namespace caesar {
+
+// Maximum number of context types per model: the runtime context vector
+// keeps one bit per context in a single word (P301).
+inline constexpr int kMaxContexts = 64;
 
 // What a context deriving clause does to its target context.
 enum class ContextAction : int8_t { kNone = 0, kInitiate, kSwitch, kTerminate };
@@ -210,19 +215,24 @@ class CaesarModel {
   // mandatory. Queries without a CONTEXT clause are associated with the
   // default context (unless no context is declared at all). Also populates
   // the workload lists of every context that resolves. Then checks the
-  // model's structure and returns FailedPrecondition carrying the rendered
-  // first error of StructuralDiagnostics. The normalization happens either
+  // model's structure (CheckStructure). The normalization happens either
   // way, so analysis tooling may ignore the status and report every defect
   // through the analyzer instead.
   Status Normalize();
 
+  // FailedPrecondition carrying the rendered first error of
+  // StructuralDiagnostics, or Ok for a well-formed model.
+  Status CheckStructure() const;
+
   // The model's structural defects, in model order, each a coded error
   // carrying the offending query's label and source location: no contexts
-  // or an undeclared default, target, gate or anchor context (C005), a
-  // missing or empty PATTERN (E107), neither DERIVE nor a context action
-  // (E108), a SEQ without a positive position (E109), and an aggregate
+  // or an undeclared default, target, gate or anchor context (C005), more
+  // than kMaxContexts contexts (P301), a missing or empty PATTERN (E107),
+  // neither DERIVE nor a context action (E108), a SEQ without a positive
+  // position (E109) or ending in a negated one (P302), and an aggregate
   // without exactly one positive input or a positive window length (E105).
-  // Diagnostics carry no `source`; callers stamp it.
+  // Diagnostics carry no `source`; callers stamp it. Allocates nothing for
+  // a well-formed model.
   std::vector<Diagnostic> StructuralDiagnostics() const;
 
   std::string ToString() const;

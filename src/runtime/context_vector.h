@@ -18,14 +18,12 @@
 #include "common/logging.h"
 #include "common/status.h"
 #include "event/event.h"
+#include "query/model.h"  // kMaxContexts
 
 namespace caesar {
 
 class StateWriter;
 class StateReader;
-
-// Maximum number of context types per model: one bit each in a single word.
-inline constexpr int kMaxContexts = 64;
 
 // Current context windows of one stream partition.
 class ContextBitVector {

@@ -183,6 +183,55 @@ TEST(AnalyzerTest, TooManyContextsIsP301) {
   EXPECT_TRUE(HasCode(AnalyzeModel(model), DiagCode::kP301TooManyContexts));
 }
 
+// C003 compares the first event of two SWITCH patterns; a pattern with no
+// items is E107 and must not be read past its end.
+TEST(AnalyzerTest, SwitchWithEmptyPatternIsE107NotC003) {
+  TypeRegistry registry;
+  registry.RegisterOrGet("E", {{"x", ValueType::kInt}});
+  CaesarModel model(&registry);
+  ASSERT_TRUE(model.AddContext("idle").ok());
+  ASSERT_TRUE(model.AddContext("busy").ok());
+  auto add_switch = [&](const char* name, bool with_item) {
+    Query query;
+    query.name = name;
+    query.action = ContextAction::kSwitch;
+    query.target_context = "busy";
+    PatternSpec pattern;
+    if (with_item) pattern.items.push_back({"E", "p", false});
+    query.pattern = pattern;
+    ASSERT_TRUE(model.AddQuery(std::move(query)).ok());
+  };
+  add_switch("empty_first", false);
+  add_switch("full", true);
+  add_switch("empty_last", false);
+  model.Normalize();
+  std::vector<Diagnostic> diags = AnalyzeModel(model);
+  EXPECT_TRUE(HasCode(diags, DiagCode::kE107MissingPattern));
+  EXPECT_FALSE(HasCode(diags, DiagCode::kC003ShadowedSwitchEdge));
+}
+
+TEST(AnalyzerTest, AggregateOutputNameDefinedTwiceIsE105) {
+  TypeRegistry registry;
+  ParseModelOptions lenient;
+  lenient.strict = false;
+  auto model = ParseModel(R"(
+TYPE E(x int, y int);
+CONTEXTS c;
+QUERY q
+DERIVE O(p.n AS n)
+PATTERN AGGREGATE E p WINDOW 10
+COMPUTE count() AS n, sum(y) AS n
+CONTEXT c;
+)",
+                          &registry, lenient);
+  ASSERT_TRUE(model.ok()) << model.status();
+  std::vector<Diagnostic> diags = AnalyzeModel(model.value());
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].code, DiagCode::kE105BadAggregate);
+  EXPECT_EQ(diags[0].message,
+            "query 'q': aggregate output attribute n is defined twice");
+}
+
 TEST(AnalyzerTest, RenderersAreDeterministic) {
   TypeRegistry registry;
   auto generated = GenerateCase(7, &registry);
@@ -301,6 +350,75 @@ TEST(EngineAnalysisTest, StrictModeRejectsErrors) {
   ASSERT_FALSE(unchecked.ok());
   EXPECT_EQ(unchecked.status().message().find("E102"), std::string::npos)
       << unchecked.status();
+}
+
+// Without analysis, Engine::Create still rejects a structurally broken
+// model with a coded Status: the translator checks the model's structure
+// before it resolves a single context name.
+Status CreateUnanalyzed(const CaesarModel& model) {
+  return Engine::Create(model, PlanOptions{}, EngineOptions{}).status();
+}
+
+Query DeriveOnE(const std::string& name) {
+  Query query;
+  query.name = name;
+  PatternSpec pattern;
+  pattern.items.push_back({"E", "p", false});
+  query.pattern = pattern;
+  DeriveSpec derive;
+  derive.event_type = "Out";
+  derive.args.push_back(MakeAttrRef("p", "x"));
+  query.derive = derive;
+  return query;
+}
+
+TEST(EngineAnalysisTest, OffModeRejectsUndeclaredGateAsC005) {
+  TypeRegistry registry;
+  registry.RegisterOrGet("E", {{"x", ValueType::kInt}});
+  CaesarModel model(&registry);
+  ASSERT_TRUE(model.AddContext("idle").ok());
+  Query query = DeriveOnE("lost");
+  query.contexts = {"nowhere"};
+  ASSERT_TRUE(model.AddQuery(std::move(query)).ok());
+  EXPECT_FALSE(model.Normalize().ok());
+
+  Status status = CreateUnanalyzed(model);
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(status.message().find("[C005]"), std::string::npos) << status;
+}
+
+TEST(EngineAnalysisTest, OffModeRejectsTooManyContextsAsP301) {
+  TypeRegistry registry;
+  registry.RegisterOrGet("E", {{"x", ValueType::kInt}});
+  CaesarModel model(&registry);
+  for (int i = 0; i <= kMaxContexts; ++i) {
+    ASSERT_TRUE(
+        model.AddContext(std::string("c").append(std::to_string(i))).ok());
+  }
+  ASSERT_TRUE(model.AddQuery(DeriveOnE("q")).ok());
+  Status normalized = model.Normalize();
+  EXPECT_NE(normalized.message().find("[P301]"), std::string::npos)
+      << normalized;
+
+  Status status = CreateUnanalyzed(model);
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(status.message().find("[P301]"), std::string::npos) << status;
+}
+
+TEST(EngineAnalysisTest, OffModeRejectsTrailingNegationAsP302) {
+  TypeRegistry registry;
+  registry.RegisterOrGet("E", {{"x", ValueType::kInt}});
+  CaesarModel model(&registry);
+  ASSERT_TRUE(model.AddContext("idle").ok());
+  Query query = DeriveOnE("dangling");
+  query.pattern->kind = PatternSpec::Kind::kSeq;
+  query.pattern->items.push_back({"E", "q", true});
+  ASSERT_TRUE(model.AddQuery(std::move(query)).ok());
+  model.Normalize();
+
+  Status status = CreateUnanalyzed(model);
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(status.message().find("[P302]"), std::string::npos) << status;
 }
 
 TEST(EngineAnalysisTest, CleanModelHasNoRetainedDiagnostics) {

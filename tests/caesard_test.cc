@@ -607,10 +607,34 @@ TEST(CaesardProtocol, LifecycleAndCodedErrors) {
   EXPECT_TRUE(daemon.ShutdownCleanly());
 }
 
+// Admission lints the model in-process, so a model the linter cannot type
+// must come back as a reply, not take the daemon and its tenants down.
+// Here the DERIVE names collide twice over: D is (v, v_2, v_2_2).
+TEST(CaesardProtocol, RegisterOfCollidingDeriveNamesKeepsTheDaemonUp) {
+  Daemon daemon({"--workers=1"});
+  ASSERT_TRUE(daemon.valid());
+  Client client(daemon.port());
+  ASSERT_TRUE(client.connected());
+  JsonValue request = Req("register", "collide");
+  request.Set("model",
+              JsonValue::String(
+                  "TYPE R(x int, y int, z int);\n"
+                  "CONTEXTS c;\n"
+                  "QUERY q1 DERIVE D(r.x AS v, r.y AS v_2, r.z AS v) "
+                  "PATTERN R r CONTEXT c;\n"
+                  "QUERY q2 DERIVE E(d.v_2_2 AS w) PATTERN D d CONTEXT c;\n"));
+  const JsonValue registered = CallOrFail(client, request);
+  EXPECT_TRUE(IsOk(registered)) << registered.Dump();
+  const JsonValue ping = CallOrFail(client, Req("ping"));
+  EXPECT_TRUE(IsOk(ping)) << ping.Dump();
+  EXPECT_TRUE(IsOk(CallOrFail(client, Req("shutdown"))));
+  EXPECT_TRUE(daemon.ShutdownCleanly());
+}
+
 // With no flag at all, the ingest that completes a tick carries that
 // tick's derived rows on its own reply, and the flush the open tick's.
 TEST(CaesardProtocol, IngestReplyCarriesTheTicksItCompleted) {
-  Daemon daemon({});
+  Daemon daemon({"--workers=1"});
   ASSERT_TRUE(daemon.valid());
   Client client(daemon.port());
   ASSERT_TRUE(client.connected());

@@ -149,17 +149,70 @@ QUERY q DERIVE X(e.foo) PATTERN Nope e;
   EXPECT_EQ(plan.status().code(), StatusCode::kNotFound);
 }
 
-TEST_F(PlanTest, TrailingNegationIsUnimplemented) {
-  CaesarModel model = Parse(R"(
+TEST_F(PlanTest, TrailingNegationIsP302) {
+  // A strict parse already rejects the model; parse leniently so the
+  // translator's own structure check is what rejects it.
+  ParseModelOptions lenient;
+  lenient.strict = false;
+  auto model = ParseModel(R"(
 CONTEXTS only;
 QUERY q
 DERIVE X(a.seg)
 PATTERN SEQ(Reading a, NOT Reading b) WITHIN 10
 WHERE b.seg = a.seg;
+)",
+                          &registry_, lenient);
+  ASSERT_TRUE(model.ok()) << model.status();
+  auto plan = TranslateModel(model.value(), PlanOptions());
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(plan.status().message().find("[P302]"), std::string::npos)
+      << plan.status();
+}
+
+TEST_F(PlanTest, DuplicateDeriveNamesGetSuffixesUntilUnique) {
+  CaesarModel model = Parse(R"(
+CONTEXTS only;
+QUERY q1
+DERIVE D(r.seg AS v, r.value AS v_2, r.sec AS v)
+PATTERN Reading r;
 )");
   auto plan = TranslateModel(model, PlanOptions());
-  EXPECT_FALSE(plan.ok());
-  EXPECT_EQ(plan.status().code(), StatusCode::kUnimplemented);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  const Schema& schema = registry_.type(registry_.Lookup("D")).schema;
+  ASSERT_EQ(schema.num_attributes(), 3);
+  EXPECT_EQ(schema.attribute(0).name, "v");
+  EXPECT_EQ(schema.attribute(1).name, "v_2");
+  EXPECT_EQ(schema.attribute(2).name, "v_2_2");
+}
+
+TEST_F(PlanTest, AggregateDefectsUseTheAnalyzerWording) {
+  CaesarModel unknown = Parse(R"(
+CONTEXTS only;
+QUERY tally
+DERIVE Out(p.cnt AS cnt)
+PATTERN AGGREGATE Reading p WINDOW 10 GROUP BY nope
+COMPUTE count() AS cnt;
+)");
+  auto plan = TranslateModel(unknown, PlanOptions());
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(plan.status().message(),
+            "query 'tally': unknown group-by attribute nope");
+
+  // An output name defined twice would make the aggregate's schema
+  // ambiguous: rejected, not registered.
+  CaesarModel twice = Parse(R"(
+CONTEXTS only;
+QUERY twice
+DERIVE Out2(p.seg AS seg)
+PATTERN AGGREGATE Reading p WINDOW 10 GROUP BY seg
+COMPUTE count() AS seg;
+)");
+  plan = TranslateModel(twice, PlanOptions());
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().message(),
+            "query 'twice': aggregate output attribute seg is defined twice");
 }
 
 TEST_F(PlanTest, SeqRegistersCompositeTypeAndDerivedType) {
