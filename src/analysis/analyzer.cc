@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -14,30 +13,11 @@
 #include "expr/analysis.h"
 #include "expr/compiled.h"
 #include "optimizer/overlap_analysis.h"
-#include "plan/translator.h"
+#include "plan/typing.h"
 
 namespace caesar {
 
 namespace {
-
-// Compile() reports both name-resolution and operand-type failures as
-// InvalidArgument; the wording tells them apart (see expr/compiled.cc).
-DiagCode ClassifyCompileError(const std::string& message) {
-  if (message.find("attribute") != std::string::npos ||
-      message.find("variable") != std::string::npos) {
-    return DiagCode::kE102UnknownAttribute;
-  }
-  return DiagCode::kE103TypeMismatch;
-}
-
-// Thresholds that mark a single upward crossing of a monotone-rising
-// signal: `attr == K` (one-shot bound) and `attr >= K` / `attr > K` both
-// first hold at attr = K. `<=` / `<` thresholds hold from the start
-// instead (the closing half of a hysteresis window) and carry no crossing
-// order.
-bool IsRisingCrossing(BinaryOp op) {
-  return op == BinaryOp::kEq || op == BinaryOp::kGt || op == BinaryOp::kGe;
-}
 
 // C006: every event that can initiate the context also terminates it, so
 // each window closes the moment it opens. Both queries must match a single
@@ -85,34 +65,20 @@ bool ProvablyEmptyContext(const Query& init, const Query& term) {
   return true;
 }
 
-// Derived-type resolution state of one query.
-enum class ResolveState : int8_t { kPending, kResolved, kPoisoned, kSkipped };
-
-struct QueryInfo {
-  ResolveState state = ResolveState::kPending;
-  BindingSet bindings;          // kEvent/kSeq: one var per pattern item
-  Schema agg_schema;            // kAggregate: post-aggregation schema
-};
-
 class Analyzer {
  public:
   Analyzer(const CaesarModel& model, const AnalyzerOptions& options)
-      : model_(model), options_(options), infos_(model.num_queries()) {}
+      : model_(model), options_(options) {}
 
   std::vector<Diagnostic> Run() {
-    CheckStructure();
-    for (Diagnostic& diag : AnalyzeContextGraph(model_)) {
-      diags_.push_back(std::move(diag));
+    diags_ = model_.StructuralDiagnostics();
+    Append(AnalyzeContextGraph(model_));
+    ModelTyping typing = TypeModel(model_);
+    Append(std::move(typing.diagnostics));
+    for (int qi : typing.resolution_order) {
+      CheckTypedQuery(qi, typing.queries[qi]);
     }
-    ResolveTypesAndCheckExpressions();
     CheckWindows();
-    if (options_.check_plan && !HasErrors(diags_)) {
-      auto plan = TranslateModel(model_, PlanOptions{});
-      if (!plan.ok()) {
-        Emit(DiagCode::kP304PlanTranslation,
-             "plan translation failed: " + plan.status().message());
-      }
-    }
     for (Diagnostic& diag : diags_) {
       if (diag.source.empty()) diag.source = options_.source_name;
     }
@@ -128,265 +94,120 @@ class Analyzer {
   }
 
  private:
+  void Append(std::vector<Diagnostic> found) {
+    for (Diagnostic& diag : found) diags_.push_back(std::move(diag));
+  }
+
   void Emit(DiagCode code, std::string message, SourceLoc loc = {},
             std::string query = {}, std::string context = {}) {
     diags_.push_back(MakeDiag(code, std::move(message), loc, std::move(query),
                               std::move(context)));
   }
 
-  // ----- Pass 1: structure (CaesarModel::StructuralDiagnostics). -----
+  // ----- Satisfiability of the typed clauses. -----
 
-  void CheckStructure() {
-    for (Diagnostic& diag : model_.StructuralDiagnostics()) {
-      diags_.push_back(std::move(diag));
-    }
-    for (int qi = 0; qi < model_.num_queries(); ++qi) {
-      const Query& query = model_.query(qi);
-      // Type checking needs a pattern, and an aggregate needs its one
-      // positive input (E107 / E105 above).
-      if (!query.pattern.has_value() || query.pattern->items.empty()) {
-        infos_[qi].state = ResolveState::kSkipped;
-        continue;
-      }
-      const PatternSpec& pattern = *query.pattern;
-      if (pattern.kind == PatternSpec::Kind::kAggregate &&
-          (pattern.items.size() != 1 || pattern.items[0].negated)) {
-        infos_[qi].state = ResolveState::kSkipped;
-      }
-    }
-  }
-
-  // ----- Pass 2: derived-type fixpoint + expression checks. -----
-
-  const Schema* LookupSchema(const std::string& type_name) const {
-    TypeId id = model_.registry()->Lookup(type_name);
-    if (id != kInvalidTypeId) return &model_.registry()->type(id).schema;
-    auto it = derived_.find(type_name);
-    if (it != derived_.end()) return &it->second;
-    return nullptr;
-  }
-
-  void PoisonOutput(const Query& query) {
-    if (!query.derive.has_value()) return;
-    const std::string& name = query.derive->event_type;
-    if (LookupSchema(name) == nullptr) poisoned_.insert(name);
-  }
-
-  void ResolveTypesAndCheckExpressions() {
-    // Who derives what (first deriver wins, as in the translator).
-    std::map<std::string, std::string> deriver;
-    for (int qi = 0; qi < model_.num_queries(); ++qi) {
-      const Query& query = model_.query(qi);
-      if (!query.derive.has_value()) continue;
-      deriver.emplace(query.derive->event_type, QueryLabel(query, qi));
-    }
-    // Fixpoint: a query resolves once every pattern item type is known
-    // (registered or derived by an already-resolved query).
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (int qi = 0; qi < model_.num_queries(); ++qi) {
-        if (infos_[qi].state != ResolveState::kPending) continue;
-        const Query& query = model_.query(qi);
-        bool available = true;
-        bool poisoned = false;
-        for (const PatternItem& item : query.pattern->items) {
-          if (LookupSchema(item.event_type) != nullptr) continue;
-          if (poisoned_.count(item.event_type) > 0) {
-            poisoned = true;
-            continue;
-          }
-          available = false;
-        }
-        if (!available) continue;
-        progress = true;
-        if (poisoned) {
-          // The defect is in the producing query; stay quiet here.
-          infos_[qi].state = ResolveState::kPoisoned;
-          PoisonOutput(query);
-          continue;
-        }
-        infos_[qi].state = ResolveState::kResolved;
-        CheckResolvedQuery(qi);
-      }
-    }
-    // Whatever is still pending references a type nobody defines (or a
-    // derivation cycle).
-    for (int qi = 0; qi < model_.num_queries(); ++qi) {
-      if (infos_[qi].state != ResolveState::kPending) continue;
-      const Query& query = model_.query(qi);
-      std::string label = QueryLabel(query, qi);
-      std::set<std::string> reported;
-      for (const PatternItem& item : query.pattern->items) {
-        if (LookupSchema(item.event_type) != nullptr) continue;
-        if (poisoned_.count(item.event_type) > 0) continue;
-        if (!reported.insert(item.event_type).second) continue;
-        auto it = deriver.find(item.event_type);
-        std::string message =
-            "query '" + label + "': unknown event type " + item.event_type;
-        if (it != deriver.end()) {
-          message += " (derived by query '" + it->second +
-                     "', which did not resolve — derivation cycle?)";
-        }
-        Emit(DiagCode::kE101UnknownEventType, message, query.pattern_loc,
-             label);
-      }
-      PoisonOutput(query);
-    }
-  }
-
-  // Compiles `expr` and reports E102/E103/E104, W205 (constant folding) and
-  // W201 (interval contradiction). Returns the compiled expr when usable.
-  std::unique_ptr<CompiledExpr> CheckPredicate(const ExprPtr& expr,
-                                               const BindingSet& bindings,
-                                               SourceLoc loc,
-                                               const std::string& clause,
-                                               const std::string& label) {
-    auto compiled = Compile(expr, bindings);
-    if (!compiled.ok()) {
-      Emit(ClassifyCompileError(compiled.status().message()),
-           "query '" + label + "': " + clause + ": " +
-               compiled.status().message(),
-           loc, label);
-      return nullptr;
-    }
-    std::unique_ptr<CompiledExpr> result = std::move(compiled).value();
-    if (result->result_type() == ValueType::kString) {
-      Emit(DiagCode::kE104NonBooleanPredicate,
-           "query '" + label + "': " + clause +
-               " predicate has type string; expected a boolean condition",
-           loc, label);
-      return result;
-    }
-    if (result->referenced_vars().empty()) {
-      bool value = result->EvalBool(nullptr);
-      Emit(DiagCode::kW205ConstantPredicate,
-           "query '" + label + "': " + clause + " predicate is constantly " +
-               (value ? "true" : "false (the clause can never be satisfied)"),
-           loc, label);
-      return result;
-    }
-    PredicateSummary summary = PredicateSummary::FromExpr(expr);
-    if (summary.exact()) {
-      for (const auto& [key, interval] : summary.intervals()) {
-        if (!interval.IsEmpty()) continue;
-        std::string attr =
-            key.first.empty() ? key.second : key.first + "." + key.second;
-        Emit(DiagCode::kW201ContradictoryPredicate,
-             "query '" + label + "': " + clause +
-                 " predicate is contradictory: " + attr +
-                 " is constrained to the empty set " + interval.ToString(),
-             loc, label);
-        break;
-      }
-    }
-    return result;
-  }
-
-  void CheckResolvedQuery(int qi) {
+  void CheckTypedQuery(int qi, const TypedQuery& typed) {
     const Query& query = model_.query(qi);
-    QueryInfo& info = infos_[qi];
-    std::string label = QueryLabel(query, qi);
     const PatternSpec& pattern = *query.pattern;
-
-    if (pattern.kind == PatternSpec::Kind::kAggregate) {
-      CheckAggregateQuery(qi);
-      return;
+    if (typed.where != nullptr) {
+      CheckPredicate(*typed.where, query.where, query.where_loc, "WHERE",
+                     typed.label);
     }
-
-    // Bindings: one variable per pattern position, negated included (the
-    // matcher evaluates negation conditions against them).
-    for (size_t i = 0; i < pattern.items.size(); ++i) {
-      const PatternItem& item = pattern.items[i];
-      BindingVar var;
-      var.name = item.variable;
-      var.type_id = model_.registry()->Lookup(item.event_type);
-      var.schema = LookupSchema(item.event_type);
-      info.bindings.Add(std::move(var));
+    if (typed.having != nullptr) {
+      CheckPredicate(*typed.having, pattern.having, query.pattern_loc,
+                     "HAVING", typed.label);
     }
-
-    bool where_compiles =
-        query.where != nullptr &&
-        CheckPredicate(query.where, info.bindings, query.where_loc, "WHERE",
-                       label) != nullptr;
 
     // W202: SEQ positions carry strictly increasing timestamps, so a match
     // of n positive positions spans at least n-1 time units.
     if (pattern.kind == PatternSpec::Kind::kSeq && pattern.within > 0) {
-      int positive = 0;
-      for (const PatternItem& item : pattern.items) {
-        if (!item.negated) ++positive;
-      }
+      const int positive = static_cast<int>(
+          std::count_if(pattern.items.begin(), pattern.items.end(),
+                        [](const PatternItem& item) { return !item.negated; }));
       if (positive >= 2 && pattern.within < positive - 1) {
         Emit(DiagCode::kW202UnsatisfiableSeq,
-             "query '" + label + "': SEQ of " + std::to_string(positive) +
+             "query '" + typed.label + "': SEQ of " +
+                 std::to_string(positive) +
                  " positive positions spans at least " +
                  std::to_string(positive - 1) +
                  " time units (timestamps strictly increase) but WITHIN is " +
                  std::to_string(pattern.within),
-             query.pattern_loc, label);
+             query.pattern_loc, typed.label);
       }
     }
 
-    CheckConjunctPlacement(qi, where_compiles);
+    CheckGuards(qi, typed);
+  }
 
-    if (query.derive.has_value()) {
-      CheckDeriveClause(qi, info.bindings, /*post_aggregate=*/false);
+  // E104 (string-typed), W205 (constant folding) and W201 (interval
+  // contradiction) on one typed clause.
+  void CheckPredicate(const CompiledExpr& compiled, const ExprPtr& expr,
+                      SourceLoc loc, const std::string& clause,
+                      const std::string& label) {
+    if (compiled.result_type() == ValueType::kString) {
+      Emit(DiagCode::kE104NonBooleanPredicate,
+           "query '" + label + "': " + clause +
+               " predicate has type string; expected a boolean condition",
+           loc, label);
+      return;
+    }
+    if (compiled.referenced_vars().empty()) {
+      bool value = compiled.EvalBool(nullptr);
+      Emit(DiagCode::kW205ConstantPredicate,
+           "query '" + label + "': " + clause + " predicate is constantly " +
+               (value ? "true" : "false (the clause can never be satisfied)"),
+           loc, label);
+      return;
+    }
+    PredicateSummary summary = PredicateSummary::FromExpr(expr);
+    if (!summary.exact()) return;
+    for (const auto& [key, interval] : summary.intervals()) {
+      if (!interval.IsEmpty()) continue;
+      std::string attr =
+          key.first.empty() ? key.second : key.first + "." + key.second;
+      Emit(DiagCode::kW201ContradictoryPredicate,
+           "query '" + label + "': " + clause +
+               " predicate is contradictory: " + attr +
+               " is constrained to the empty set " + interval.ToString(),
+           loc, label);
+      return;
     }
   }
 
-  // "var.attr" rendering for interval-fact messages.
-  std::string FactName(const BindingSet& bindings, int var, int attr) {
-    std::string name = bindings.var(var).name;
+  // "var.attr" rendering for interval-fact messages ("#<i>" names an
+  // anonymous item).
+  std::string FactName(const TypedQuery& typed, const PatternSpec& pattern,
+                       int var, int attr) {
+    std::string name = pattern.items[var].variable;
     if (name.empty()) name = "#" + std::to_string(var);
-    name += ".";
-    const Schema* schema = bindings.var(var).schema;
-    if (schema != nullptr && attr >= 0 && attr < schema->num_attributes()) {
-      name += schema->attribute(attr).name;
-    } else {
-      name += "a" + std::to_string(attr);
-    }
-    return name;
+    return name + "." + typed.bindings.var(var).schema->attribute(attr).name;
   }
 
-  // ----- Conjunct placement: P303 and absint (W206 / W207). -----
+  // ----- Guards across positions: absint (W206 / W207). -----
   //
-  // Places each WHERE conjunct as the translator does (PlaceConjunct): one
-  // spanning several negated positions is P303 (once the whole WHERE
-  // compiles), and the interval analysis runs over the guards across
-  // positions (analysis/absint.h): a guard provably true under the facts
-  // accumulated before it is subsumed (W207); one provably false — or facts
-  // that become jointly empty — means no match can ever complete (W206).
-  void CheckConjunctPlacement(int qi, bool where_compiles) {
+  // The interval analysis runs over the typed WHERE conjuncts the matcher
+  // holds as guards (analysis/absint.h): a guard provably true under the
+  // facts accumulated before it is subsumed (W207); one provably false — or
+  // facts that become jointly empty — means no match can ever complete
+  // (W206).
+  void CheckGuards(int qi, const TypedQuery& typed) {
+    if (typed.conjuncts.empty()) return;
     const Query& query = model_.query(qi);
-    const QueryInfo& info = infos_[qi];
-    if (query.where == nullptr) return;
     const PatternSpec& pattern = *query.pattern;
-    std::string label = QueryLabel(query, qi);
+    const std::string& label = typed.label;
 
     std::vector<AbsPosition> positions(pattern.items.size());
     std::vector<std::vector<ExprPtr>> sources(pattern.items.size());
     for (size_t i = 0; i < pattern.items.size(); ++i) {
       positions[i].negated = pattern.items[i].negated;
     }
-    for (const ExprPtr& conjunct : SplitConjuncts(query.where)) {
-      auto compiled = Compile(conjunct, info.bindings);
-      if (!compiled.ok()) return;  // compile errors already reported
-      ConjunctPlacement placement = PlaceConjunct(*compiled.value(), pattern);
-      if (placement.kind == ConjunctPlacement::Kind::kMultiNegated &&
-          where_compiles) {
-        Emit(DiagCode::kP303MultiNegatedPredicate,
-             "query '" + label + "': WHERE conjunct '" +
-                 conjunct->ToString() +
-                 "' references multiple negated pattern variables",
-             query.where_loc, label);
-      }
+    for (const TypedConjunct& conjunct : typed.conjuncts) {
       // Negation conditions are not guards a run must pass, and a
       // constant conjunct is W205 territory.
-      if (placement.kind != ConjunctPlacement::Kind::kGuard) continue;
-      positions[placement.position].guards.push_back(
-          AbstractPredicate(*compiled.value()));
-      sources[placement.position].push_back(conjunct);
+      if (conjunct.placement.kind != ConjunctPlacement::Kind::kGuard) continue;
+      positions[conjunct.placement.position].guards.push_back(
+          AbstractPredicate(*conjunct.compiled));
+      sources[conjunct.placement.position].push_back(conjunct.compiled->source());
     }
 
     PatternAbsintResult result = AnalyzePositions(positions);
@@ -428,7 +249,7 @@ class Analyzer {
       message << "the constraints accumulated at position "
               << result.dead_position << " leave ";
       if (key.first >= 0) {
-        message << FactName(info.bindings, key.first, key.second)
+        message << FactName(typed, pattern, key.first, key.second)
                 << " constrained to the empty set "
                 << after.Get(key.first, key.second).ToString();
       } else {
@@ -439,166 +260,28 @@ class Analyzer {
          query.where_loc, label);
   }
 
-  void CheckAggregateQuery(int qi) {
-    const Query& query = model_.query(qi);
-    QueryInfo& info = infos_[qi];
-    std::string label = QueryLabel(query, qi);
-    const PatternSpec& pattern = *query.pattern;
-    const PatternItem& input = pattern.items[0];
-    const Schema* input_schema = LookupSchema(input.event_type);
-
-    BindingVar in_var;
-    in_var.name = input.variable;
-    in_var.type_id = model_.registry()->Lookup(input.event_type);
-    in_var.schema = input_schema;
-    info.bindings.Add(in_var);
-
-    AggregateTyping typing = TypeAggregate(pattern, *input_schema, label);
-    for (std::string& problem : typing.problems) {
-      Emit(DiagCode::kE105BadAggregate, std::move(problem), query.pattern_loc,
-           label);
-    }
-    if (!typing.problems.empty()) {
-      PoisonOutput(query);
-      return;
-    }
-    info.agg_schema = Schema(std::move(typing.output));
-
-    BindingSet post_bindings;
-    BindingVar post_var;
-    post_var.name = input.variable;
-    post_var.schema = &info.agg_schema;
-    post_bindings.Add(post_var);
-
-    // WHERE on an aggregate pattern filters the aggregate's output rows
-    // (translator: post_where compiled against post_bindings), not the
-    // input events — so it is checked against the post-aggregation schema.
-    if (query.where != nullptr) {
-      CheckPredicate(query.where, post_bindings, query.where_loc, "WHERE",
-                     label);
-    }
-
-    if (pattern.having != nullptr) {
-      CheckPredicate(pattern.having, post_bindings, query.pattern_loc,
-                     "HAVING", label);
-    }
-    if (query.derive.has_value()) {
-      CheckDeriveClause(qi, post_bindings, /*post_aggregate=*/true);
-    }
-  }
-
-  // Compiles the DERIVE arguments, reports E102/E103 (and references to
-  // negated pattern variables), computes the derived schema, and registers
-  // it for downstream queries — reporting E106 on conflicts.
-  void CheckDeriveClause(int qi, const BindingSet& bindings,
-                         bool post_aggregate) {
-    const Query& query = model_.query(qi);
-    std::string label = QueryLabel(query, qi);
-    const DeriveSpec& derive = *query.derive;
-
-    std::vector<std::string> names = DerivedAttributeNames(derive);
-    std::vector<Attribute> attrs;
-    bool ok = true;
-    for (size_t i = 0; i < derive.args.size(); ++i) {
-      const ExprPtr& arg = derive.args[i];
-      auto compiled = Compile(arg, bindings);
-      if (!compiled.ok()) {
-        Emit(ClassifyCompileError(compiled.status().message()),
-             "query '" + label + "': DERIVE argument '" + arg->ToString() +
-                 "': " + compiled.status().message(),
-             query.loc, label);
-        ok = false;
-        continue;
-      }
-      if (!post_aggregate) {
-        for (int var : compiled.value()->referenced_vars()) {
-          if (query.pattern->items[var].negated) {
-            Emit(DiagCode::kE102UnknownAttribute,
-                 "query '" + label +
-                     "': attribute of negated variable used outside the "
-                     "pattern: " +
-                     arg->ToString(),
-                 query.loc, label);
-            ok = false;
-          }
-        }
-      }
-      attrs.push_back(
-          Attribute{std::move(names[i]), compiled.value()->result_type()});
-    }
-    if (!ok) {
-      PoisonOutput(query);
-      return;
-    }
-
-    const std::string& type_name = derive.event_type;
-    TypeId registered = model_.registry()->Lookup(type_name);
-    if (registered != kInvalidTypeId) {
-      const Schema& existing = model_.registry()->type(registered).schema;
-      if (existing.num_attributes() != static_cast<int>(attrs.size())) {
-        Emit(DiagCode::kE106DeriveSchemaConflict,
-             "query '" + label + "': derived event type " + type_name +
-                 " is already registered with a different schema (" +
-                 std::to_string(existing.num_attributes()) + " vs " +
-                 std::to_string(attrs.size()) + " attributes)",
-             query.loc, label);
-      }
-      return;  // the registered schema wins, as in the translator
-    }
-    auto it = derived_.find(type_name);
-    if (it != derived_.end()) {
-      if (it->second.num_attributes() != static_cast<int>(attrs.size())) {
-        Emit(DiagCode::kE106DeriveSchemaConflict,
-             "query '" + label + "': derived event type " + type_name +
-                 " is derived with a different schema elsewhere (" +
-                 std::to_string(it->second.num_attributes()) + " vs " +
-                 std::to_string(attrs.size()) + " attributes)",
-             query.loc, label);
-      }
-      return;  // first deriver wins
-    }
-    derived_.emplace(type_name, Schema(std::move(attrs)));
-  }
-
-  // ----- Pass 3: optimizer preconditions (W203 note / W204 warning). -----
+  // ----- Optimizer preconditions (W203 note / W204 warning). -----
 
   void CheckWindows() {
     std::set<std::string> groupable;
     for (const WindowBounds& bounds : ExtractWindowBounds(model_)) {
       groupable.insert(bounds.context);
     }
-    for (int ci = 0; ci < model_.num_contexts(); ++ci) {
-      const ContextType& context = model_.context(ci);
+    for (const ContextType& context : model_.contexts()) {
       if (context.name == model_.default_context()) continue;
-      std::vector<int> initiators, terminators;
-      for (int qi = 0; qi < model_.num_queries(); ++qi) {
-        if (model_.query(qi).Opens(context.name)) initiators.push_back(qi);
-        if (model_.query(qi).Closes(context.name)) terminators.push_back(qi);
-      }
+      const WindowShape shape = ShapeOfWindows(model_, context.name);
+      const auto& [initiators, terminators, start, end] = shape;
       if (initiators.empty()) continue;  // C001 territory
       std::string prefix = "context '" + context.name + "' ";
       // C006 runs before the groupable skip: a context whose terminator
       // accepts every initiating event is empty whether or not its bounds
-      // form an orderable window (open at pos = 5 / close at pos <= 10 is
-      // groupable — 5 < 10 — yet each window closes the moment it opens).
-      //
-      // The same single-threshold reading as ExtractWindowBounds, so
-      // W203/W204 explain exactly why it skipped a context.
-      std::optional<AttrConstraint> start, end;
-      if (initiators.size() == 1 && terminators.size() == 1) {
+      // are orderable. It yields to W204 on the Rising shape, which
+      // explains the empty window more precisely.
+      if (initiators.size() == 1 && terminators.size() == 1 &&
+          !shape.Rising()) {
         const Query& init = model_.query(initiators[0]);
         const Query& term = model_.query(terminators[0]);
-        start = SingleThresholdConstraint(init.where);
-        end = SingleThresholdConstraint(term.where);
-        // C006 yields to W204 on the same-attribute rising-threshold
-        // shape: there the inverted-bounds warning explains the empty
-        // window more precisely (and fires on exactly the models it
-        // always did).
-        bool w204_shape = start.has_value() && end.has_value() &&
-                          start->QualifiedName() == end->QualifiedName() &&
-                          IsRisingCrossing(start->op) &&
-                          IsRisingCrossing(end->op);
-        if (!w204_shape && ProvablyEmptyContext(init, term)) {
+        if (ProvablyEmptyContext(init, term)) {
           Emit(DiagCode::kC006ProvablyEmptyContext,
                prefix + "is provably empty: every event satisfying the "
                         "initiating predicate of query '" +
@@ -610,6 +293,7 @@ class Analyzer {
           continue;
         }
       }
+      // The rest explains why ExtractWindowBounds skipped the context.
       if (groupable.count(context.name) > 0) continue;
       if (terminators.empty()) {
         Note(prefix +
@@ -626,15 +310,12 @@ class Analyzer {
              context);
         continue;
       }
-      const Query& init = model_.query(initiators[0]);
-      const Query& term = model_.query(terminators[0]);
       if (!start.has_value() || !end.has_value()) {
         const bool init_ok = start.has_value();
-        const Query& bad = init_ok ? term : init;
+        const int bad = init_ok ? terminators[0] : initiators[0];
         Note(prefix + "bounds are not compile-time orderable: the " +
                  (init_ok ? "terminating" : "initiating") +
-                 " predicate of query '" +
-                 QueryLabel(bad, init_ok ? terminators[0] : initiators[0]) +
+                 " predicate of query '" + QueryLabel(model_.query(bad), bad) +
                  "' is not a single threshold comparison",
              context);
         continue;
@@ -647,20 +328,17 @@ class Analyzer {
              context);
         continue;
       }
-      // Orderability is only defined when both thresholds mark a rising
-      // crossing (the monotone-rising-signal shape window grouping
-      // targets). Opposite-direction pairs are hysteresis windows (e.g.
-      // open on intensity >= 7, close on intensity <= 3) — valid, just
-      // not groupable.
-      if (!IsRisingCrossing(start->op) || !IsRisingCrossing(end->op)) {
+      // Opposite-direction pairs are hysteresis windows (e.g. open on
+      // intensity >= 7, close on intensity <= 3) — valid, just not
+      // groupable.
+      if (!shape.Rising()) {
         Note(prefix + "bounds are opposite-direction thresholds on " +
                  start_attr + " (a hysteresis window) and are not "
                  "compile-time orderable",
              context);
         continue;
       }
-      // Same attribute, rising-crossing thresholds — ExtractWindowBounds
-      // only skips this shape when the bounds are inverted (zero-width).
+      // A Rising shape is skipped only when its bounds are inverted.
       std::ostringstream message;
       message << prefix << "window bounds are inverted: it opens at "
               << start_attr << " ~ " << start->value << " but closes at "
@@ -680,9 +358,6 @@ class Analyzer {
   const CaesarModel& model_;
   const AnalyzerOptions& options_;
   std::vector<Diagnostic> diags_;
-  std::vector<QueryInfo> infos_;
-  std::map<std::string, Schema> derived_;  // virtual schemas, name-keyed
-  std::set<std::string> poisoned_;         // derived types that failed
 };
 
 }  // namespace

@@ -15,25 +15,21 @@
 //     active, and a query whose gate set intersects the active set
 //     activates its INITIATE/SWITCH target. Which queries open and close a
 //     context's windows is the model's Query::Opens / Query::Closes.
-//   - expression/type checks against the event schemas: unknown event types
-//     (E101), unknown attributes (E102), operand type errors (E103),
-//     string-typed predicates (E104), aggregate group-by and argument
-//     attributes (E105), DERIVE schema conflicts (E106), and WHERE
-//     conjuncts spanning several negated positions (P303), by the plan's
-//     typing rules (plan/translator.h). Derived event types are resolved to
-//     a fixpoint, so queries may consume each other's outputs in any order.
-//   - satisfiability checks: contradictory predicate conjunctions via
-//     interval analysis (W201), SEQ patterns whose WITHIN bound is shorter
-//     than the strictly-increasing-timestamp minimum (W202), constant
-//     predicates via compile-time folding (W205).
+//   - typing, exactly TypeModel's diagnostics (plan/typing.h, the pass the
+//     translator builds from): E101-E103, E105, E106, P303, P305, P306.
+//   - checks over the typed clauses: string-typed predicates (E104),
+//     contradictory conjunctions via interval analysis (W201), SEQ patterns
+//     whose WITHIN is shorter than the strictly-increasing-timestamp
+//     minimum (W202), constant predicates (W205), and guards across SEQ
+//     positions that can never hold or never filter (W206 / W207).
 //   - optimizer-precondition checks (the analyzer <-> optimizer contract):
 //     contexts whose window bounds are not compile-time orderable and thus
-//     ineligible for window grouping (W203, a note), inverted window bounds
-//     (W204).
+//     ineligible for window grouping (W203, a note; ExtractWindowBounds
+//     skips exactly these), inverted window bounds (W204).
 //
-// The analyzer never mutates the model or its TypeRegistry; the only
-// exception is AnalyzerOptions::check_plan, which runs the real plan
-// translator (registering derived types) as a final end-to-end check.
+// The analyzer never mutates the model or its TypeRegistry. TranslateModel
+// rejects a model with its first structural or typing diagnostic, so every
+// translation failure carries a code the analyzer reports.
 
 #ifndef CAESAR_ANALYSIS_ANALYZER_H_
 #define CAESAR_ANALYSIS_ANALYZER_H_
@@ -55,13 +51,6 @@ struct AnalyzerOptions {
   // never affect "lint clean" verdicts; turning them off just shrinks the
   // report.
   bool include_notes = true;
-
-  // Run the plan translator as a final end-to-end check and report any
-  // failure as P304. Registers derived event types into the model's
-  // TypeRegistry (the translator's normal side effect); leave off when the
-  // registry must stay untouched. Skipped when the analysis already found
-  // errors.
-  bool check_plan = false;
 };
 
 // Analyzes `model` (which should be Normalize()d; analysis tooling ignores

@@ -48,7 +48,8 @@ const char* DiagCodeName(DiagCode code) {
     case DiagCode::kP301TooManyContexts: return "P301";
     case DiagCode::kP302TrailingNegation: return "P302";
     case DiagCode::kP303MultiNegatedPredicate: return "P303";
-    case DiagCode::kP304PlanTranslation: return "P304";
+    case DiagCode::kP305DerivingConsumesProcessing: return "P305";
+    case DiagCode::kP306CyclicTypeDependency: return "P306";
     case DiagCode::kI402LateBeyondSlack: return "I402";
     case DiagCode::kI403UnknownType: return "I403";
     case DiagCode::kI404NegativeTime: return "I404";
@@ -99,7 +100,9 @@ const char* DiagCodeTitle(DiagCode code) {
     case DiagCode::kP302TrailingNegation: return "trailing negation";
     case DiagCode::kP303MultiNegatedPredicate:
       return "predicate spans negated variables";
-    case DiagCode::kP304PlanTranslation: return "plan translation failed";
+    case DiagCode::kP305DerivingConsumesProcessing:
+      return "context deriving query consumes a processing query's output";
+    case DiagCode::kP306CyclicTypeDependency: return "cyclic type dependency";
     case DiagCode::kI402LateBeyondSlack: return "late beyond slack";
     case DiagCode::kI403UnknownType: return "unknown type id";
     case DiagCode::kI404NegativeTime: return "negative time";

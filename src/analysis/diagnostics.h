@@ -61,7 +61,8 @@ enum class DiagCode : int16_t {
   kP301TooManyContexts,        // exceeds the context bit-vector width
   kP302TrailingNegation,       // SEQ(..., NOT X) has no planner support
   kP303MultiNegatedPredicate,  // predicate spans several negated variables
-  kP304PlanTranslation,        // TranslateModel failed for another reason
+  kP305DerivingConsumesProcessing, // deriving query reads a processing output
+  kP306CyclicTypeDependency,   // queries of one phase derive in a cycle
 
   // I4xx — ingest and IO (shared vocabulary with QuarantineReason and the
   // tolerant CSV reader).

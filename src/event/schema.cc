@@ -47,10 +47,10 @@ Result<TypeId> TypeRegistry::Register(const std::string& name,
 }
 
 TypeId TypeRegistry::RegisterOrGet(const std::string& name,
-                                   std::vector<Attribute> attributes) {
+                                   const std::vector<Attribute>& attributes) {
   TypeId existing = Lookup(name);
   if (existing != kInvalidTypeId) return existing;
-  Result<TypeId> result = Register(name, std::move(attributes));
+  Result<TypeId> result = Register(name, attributes);
   CAESAR_CHECK(result.ok());
   return result.value();
 }

@@ -64,9 +64,9 @@ class TypeRegistry {
                           std::vector<Attribute> attributes);
 
   // Registers if absent; returns the existing id when the name is known
-  // (the existing schema wins).
+  // (the existing schema wins, and `attributes` are not copied).
   TypeId RegisterOrGet(const std::string& name,
-                       std::vector<Attribute> attributes);
+                       const std::vector<Attribute>& attributes);
 
   // Id lookup by name; kInvalidTypeId if unknown.
   TypeId Lookup(const std::string& name) const;

@@ -135,6 +135,10 @@ std::optional<AttrConstraint> SingleThresholdConstraint(const ExprPtr& where) {
   return ExtractConstraint(conjuncts[0]);
 }
 
+bool IsRisingCrossing(BinaryOp op) {
+  return op == BinaryOp::kEq || op == BinaryOp::kGt || op == BinaryOp::kGe;
+}
+
 PredicateSummary PredicateSummary::FromExpr(const ExprPtr& expr) {
   PredicateSummary summary;
   if (expr == nullptr) return summary;  // empty == always true

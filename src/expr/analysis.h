@@ -65,6 +65,10 @@ std::optional<AttrConstraint> ExtractConstraint(const ExprPtr& conjunct);
 // a context has none); std::nullopt otherwise, a null clause included.
 std::optional<AttrConstraint> SingleThresholdConstraint(const ExprPtr& where);
 
+// `attr == K`, `attr >= K` and `attr > K` first hold where a rising signal
+// crosses K; `<=` / `<` hold from the start and order no window bound.
+bool IsRisingCrossing(BinaryOp op);
+
 // Per-attribute interval summary of a conjunction of threshold constraints.
 class PredicateSummary {
  public:

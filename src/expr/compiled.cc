@@ -147,6 +147,47 @@ Result<std::unique_ptr<CompiledExpr>> Compile(const ExprPtr& expr,
   return compiled;
 }
 
+std::vector<std::shared_ptr<const CompiledExpr>> SplitCompiled(
+    const std::shared_ptr<const CompiledExpr>& expr) {
+  const std::vector<CompiledExpr::Node>& nodes = expr->nodes_;
+  auto is_and = [&](int i) {
+    return nodes[i].kind == Expr::Kind::kBinary && nodes[i].op == BinaryOp::kAnd;
+  };
+  const int top = static_cast<int>(nodes.size()) - 1;
+  if (!is_and(top)) return {expr};
+  std::vector<std::shared_ptr<const CompiledExpr>> conjuncts;
+  auto split = [&](auto& self, const ExprPtr& source, int root) -> void {
+    if (is_and(root)) {
+      const auto& binary = static_cast<const BinaryExpr&>(*source);
+      self(self, binary.left(), nodes[root].left);
+      self(self, binary.right(), nodes[root].right);
+      return;
+    }
+    // Postorder: the subtree runs from its leftmost leaf to its root.
+    int first = root;
+    while (nodes[first].kind == Expr::Kind::kBinary) first = nodes[first].left;
+    auto conjunct = std::make_shared<CompiledExpr>();
+    std::vector<int>& vars = conjunct->referenced_vars_;
+    for (int i = first; i <= root; ++i) {
+      CompiledExpr::Node node = nodes[i];
+      if (node.kind == Expr::Kind::kBinary) {
+        node.left -= first;
+        node.right -= first;
+      } else if (node.kind == Expr::Kind::kAttrRef &&
+                 std::find(vars.begin(), vars.end(), node.var_index) ==
+                     vars.end()) {
+        vars.push_back(node.var_index);
+      }
+      conjunct->nodes_.push_back(std::move(node));
+    }
+    conjunct->result_type_ = conjunct->nodes_.back().type;
+    conjunct->source_ = source;
+    conjuncts.push_back(std::move(conjunct));
+  };
+  split(split, expr->source_, top);
+  return conjuncts;
+}
+
 Value CompiledExpr::EvalNode(int index, const EventPtr* events) const {
   const Node& node = nodes_[index];
   switch (node.kind) {

@@ -90,11 +90,14 @@ class CompiledExpr {
   // per-predicate estimates.
   const std::vector<Node>& nodes() const { return nodes_; }
 
+  const ExprPtr& source() const { return source_; }
   std::string ToString() const { return source_ ? source_->ToString() : "?"; }
 
  private:
   friend Result<std::unique_ptr<CompiledExpr>> Compile(
       const ExprPtr& expr, const BindingSet& bindings);
+  friend std::vector<std::shared_ptr<const CompiledExpr>> SplitCompiled(
+      const std::shared_ptr<const CompiledExpr>& expr);
 
   Value EvalNode(int index, const EventPtr* events) const;
 
@@ -108,6 +111,13 @@ class CompiledExpr {
 // variables/attributes or type errors.
 Result<std::unique_ptr<CompiledExpr>> Compile(const ExprPtr& expr,
                                               const BindingSet& bindings);
+
+// The conjuncts of `expr`, split as SplitConjuncts (expr/analysis.h) splits
+// its source, each equal to its own Compile: the nodes are copied out of
+// `expr`, so nothing is resolved again. `expr` itself when it is no
+// conjunction.
+std::vector<std::shared_ptr<const CompiledExpr>> SplitCompiled(
+    const std::shared_ptr<const CompiledExpr>& expr);
 
 }  // namespace caesar
 

@@ -1,46 +1,38 @@
 #include "optimizer/overlap_analysis.h"
 
-#include <optional>
-
-#include "expr/analysis.h"
-
 namespace caesar {
+
+bool WindowShape::Rising() const {
+  return start.has_value() && end.has_value() &&
+         start->QualifiedName() == end->QualifiedName() &&
+         IsRisingCrossing(start->op) && IsRisingCrossing(end->op);
+}
+
+WindowShape ShapeOfWindows(const CaesarModel& model,
+                           const std::string& context) {
+  WindowShape shape;
+  for (int qi = 0; qi < model.num_queries(); ++qi) {
+    if (model.query(qi).Opens(context)) shape.initiators.push_back(qi);
+    if (model.query(qi).Closes(context)) shape.terminators.push_back(qi);
+  }
+  if (shape.initiators.size() == 1 && shape.terminators.size() == 1) {
+    shape.start =
+        SingleThresholdConstraint(model.query(shape.initiators[0]).where);
+    shape.end =
+        SingleThresholdConstraint(model.query(shape.terminators[0]).where);
+  }
+  return shape;
+}
 
 std::vector<WindowBounds> ExtractWindowBounds(const CaesarModel& model) {
   std::vector<WindowBounds> result;
-  for (int ci = 0; ci < model.num_contexts(); ++ci) {
-    const std::string& name = model.context(ci).name;
-    if (name == model.default_context()) continue;
-    WindowBounds bounds;
-    bounds.context = name;
-    bool ok = true;  // at most one initiator and one terminator
-    for (int qi = 0; qi < model.num_queries() && ok; ++qi) {
-      const Query& query = model.query(qi);
-      if (query.Opens(name)) {
-        if (bounds.initiator_query >= 0) ok = false;
-        bounds.initiator_query = qi;
-      }
-      if (query.Closes(name)) {
-        if (bounds.terminator_query >= 0) ok = false;
-        bounds.terminator_query = qi;
-      }
-    }
-    if (!ok || bounds.initiator_query < 0 || bounds.terminator_query < 0) {
-      continue;
-    }
-    std::optional<AttrConstraint> start =
-        SingleThresholdConstraint(model.query(bounds.initiator_query).where);
-    std::optional<AttrConstraint> end =
-        SingleThresholdConstraint(model.query(bounds.terminator_query).where);
-    if (!start.has_value() || !end.has_value()) continue;
-    if (start->QualifiedName() != end->QualifiedName() ||
-        !(start->value < end->value)) {
-      continue;
-    }
-    bounds.bound_attr = start->QualifiedName();
-    bounds.start_key = start->value;
-    bounds.end_key = end->value;
-    result.push_back(std::move(bounds));
+  for (const ContextType& context : model.contexts()) {
+    if (context.name == model.default_context()) continue;
+    WindowShape shape = ShapeOfWindows(model, context.name);
+    if (!shape.Rising() || !(shape.start->value < shape.end->value)) continue;
+    result.push_back({context.name, shape.initiators[0],
+                      shape.terminators[0], shape.start->value,
+                      shape.end->value, shape.start->QualifiedName()});
   }
   return result;
 }

@@ -5,13 +5,13 @@
 // with w_c1.start within w_c2; if in addition w_c1.end within w_c2 can be
 // determined, a window of type c1 is *contained* in a window of type c2."
 //
-// The analysis extracts, per context, its single initiating and terminating
-// deriving query (the model's Query::Opens / Query::Closes rule, shared
-// with the analyzer and the plan translator) and their threshold
-// predicates (the setting of Fig. 7);
-// under the monotone-signal reading the thresholds order the window bounds,
-// giving each context an interval in bound space. Contexts whose bounds are
-// not analyzable are omitted (callers treat them as unrelated).
+// Per context, the analysis reads the single query that opens and the one
+// that closes it (Query::Opens / Query::Closes) and their threshold
+// predicates (Fig. 7). Under the monotone-rising-signal reading, rising
+// crossings (`=`, `>`, `>=`) of one attribute order the bounds, giving
+// each context an interval in bound space. Other contexts are omitted
+// (callers treat them as unrelated); the analyzer explains each omission
+// from the same WindowShape (W203 / W204).
 //
 // The window grouping transform (window_grouping.h) builds on the same
 // extraction and clusters windows by Relate.
@@ -19,9 +19,11 @@
 #ifndef CAESAR_OPTIMIZER_OVERLAP_ANALYSIS_H_
 #define CAESAR_OPTIMIZER_OVERLAP_ANALYSIS_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "expr/analysis.h"
 #include "query/model.h"
 
 namespace caesar {
@@ -36,9 +38,24 @@ struct WindowBounds {
   std::string bound_attr;     // "var.attr" the thresholds share
 };
 
-// Extracts analyzable bounds for every non-default context that has exactly
-// one initiator and one terminator with single-threshold predicates on a
-// shared attribute and start < end. Non-analyzable contexts are skipped.
+// How one context's windows are bounded.
+struct WindowShape {
+  std::vector<int> initiators;   // queries that Open the context
+  std::vector<int> terminators;  // queries that Close it
+  // With one of each: their SingleThresholdConstraint, if any.
+  std::optional<AttrConstraint> start;
+  std::optional<AttrConstraint> end;
+
+  // Both are rising crossings (IsRisingCrossing) of one attribute:
+  // analyzable when start < end, inverted otherwise.
+  bool Rising() const;
+};
+
+WindowShape ShapeOfWindows(const CaesarModel& model,
+                           const std::string& context);
+
+// Extracts the bounds of every non-default context whose shape is Rising
+// with start < end. Other contexts are skipped.
 std::vector<WindowBounds> ExtractWindowBounds(const CaesarModel& model);
 
 // Relationship between two analyzable windows (Definition 2).

@@ -609,9 +609,11 @@ Query EventMatchQuery(std::string name, const std::string& input_type) {
 }  // namespace
 
 std::vector<std::string> ModelMutationNames() {
-  return {"unreachable_context", "self_loop_switch", "dead_query",
-          "unknown_attribute",   "type_error",       "contradiction",
-          "trailing_negation",   "inverted_window"};
+  return {"unreachable_context", "self_loop_switch",
+          "dead_query",          "unknown_attribute",
+          "type_error",          "contradiction",
+          "trailing_negation",   "inverted_window",
+          "deriving_consumes_processing", "type_cycle"};
 }
 
 Result<CaesarModel> MutateModel(const CaesarModel& model,
@@ -754,6 +756,41 @@ Result<CaesarModel> MutateModel(const CaesarModel& model,
     Query* term = mutated.mutable_query(bounds[0].terminator_query);
     std::swap(init->where, term->where);
     *expected_code = "W204";
+    return mutated;
+  }
+
+  if (mutation == "deriving_consumes_processing" || mutation == "type_cycle") {
+    // Two queries copy a registered input type into MutCopy and on. P305:
+    // the first is a processing query, so it runs after the derivation
+    // helper reading its output. P306: both derive, the second back into
+    // the input type, so neither can run before the other.
+    const bool cycle = mutation == "type_cycle";
+    const TypeRegistry& registry = *model.registry();
+    const TypeId input = registry.Lookup(input_type);
+    if (input == kInvalidTypeId) {
+      return Status::FailedPrecondition("first pattern input is derived");
+    }
+    auto copy = [&](std::string name, const std::string& from,
+                    const std::string& to) {
+      Query query = EventMatchQuery(std::move(name), from);
+      query.derive = DeriveSpec{to, {}, {}};
+      for (const Attribute& attr : registry.type(input).schema.attributes()) {
+        query.derive->args.push_back(MakeAttrRef("m", attr.name));
+        query.derive->attr_names.push_back(attr.name);
+      }
+      query.derivation_helper = true;
+      query.contexts = {model.default_context()};
+      return query;
+    };
+    Query first = copy("mut_copy", input_type, "MutCopy");
+    first.derivation_helper = cycle;
+    CAESAR_RETURN_IF_ERROR(mutated.AddQuery(std::move(first)).status());
+    CAESAR_RETURN_IF_ERROR(
+        mutated
+            .AddQuery(copy("mut_copy_on", "MutCopy",
+                           cycle ? input_type : "MutCopyOn"))
+            .status());
+    *expected_code = cycle ? "P306" : "P305";
     return mutated;
   }
 

@@ -49,8 +49,7 @@ struct CompiledQuery {
   // time (identity when the query's windows are not grouped).
   std::vector<int> anchors;
 
-  // Event types this query consumes / produces (for topological ordering).
-  std::vector<TypeId> input_types;
+  // The event type this query derives, if any.
   TypeId output_type = kInvalidTypeId;
 
   // Context-independent baseline only: private derivation guards, executed

@@ -5,10 +5,13 @@
 // becomes a chain of algebra operators, and chains are ordered by their
 // produce/consume type dependencies into a combined plan.
 //
-// A model failing CaesarModel::StructuralDiagnostics (plan limits
-// included) is rejected with its first defect before anything is built.
-// The typing rules below are the one copy the translator builds from (it
-// fails with the first problem) and the analyzer reports from (every one).
+// Translation has three steps. A model failing
+// CaesarModel::StructuralDiagnostics (plan limits included) is rejected
+// with its first defect; so is a model whose typing (plan/typing.h)
+// reports a diagnostic. The plan is then built from the typing, which
+// cannot fail: derived and composite event types are registered in the
+// model's TypeRegistry in the order their types resolved, and the
+// operators reuse the typing's compiled expressions.
 //
 // Every SEQ pattern is compiled here, once per plan, into the automaton
 // that executes it (compile/compiler.h); event matching stays a stateless
@@ -29,13 +32,8 @@
 #ifndef CAESAR_PLAN_TRANSLATOR_H_
 #define CAESAR_PLAN_TRANSLATOR_H_
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
 #include "common/status.h"
-#include "event/schema.h"
-#include "expr/compiled.h"
+#include "event/event.h"
 #include "plan/plan.h"
 #include "query/model.h"
 
@@ -72,48 +70,11 @@ struct PlanOptions {
 };
 
 // Translates a normalized model into an executable plan. Registers derived
-// and composite event types in the model's TypeRegistry.
+// and composite event types in the model's TypeRegistry. Fails with
+// FailedPrecondition carrying the first structural or typing diagnostic,
+// rendered.
 Result<ExecutablePlan> TranslateModel(const CaesarModel& model,
                                       const PlanOptions& options);
-
-// ---- Typing rules (shared with the analyzer) ----
-
-// The attribute names of `derive`'s event type (the projection PR_{A,E} of
-// Section 4.1): the AS name, else a reference's attribute, else "a<i>"; a
-// taken name gets "_<i>" appended until unique, so D(r.x AS v, r.y AS v_2,
-// r.z AS v) is D(v, v_2, v_2_2).
-std::vector<std::string> DerivedAttributeNames(const DeriveSpec& derive);
-
-// An aggregate pattern typed against its input schema.
-struct AggregateTyping {
-  std::vector<int> group_by;   // input attribute index per GROUP BY name
-  std::vector<int> arguments;  // input attribute per aggregate; -1 = COUNT()
-  // Group-by attributes with their input types, then one per aggregate
-  // (COUNT int, the others double).
-  std::vector<Attribute> output;
-  // E105 defects ("query '<label>': ..."), among them an output name
-  // defined twice; the fields above are buildable only when empty.
-  std::vector<std::string> problems;
-};
-
-AggregateTyping TypeAggregate(const PatternSpec& pattern, const Schema& input,
-                              const std::string& label);
-
-// Where a WHERE conjunct, compiled against one binding per pattern item,
-// is evaluated.
-struct ConjunctPlacement {
-  enum class Kind : int8_t {
-    kNegation,      // condition of the negated item `position`
-    kGuard,         // guard at its latest positive item `position`
-    kResidual,      // references no pattern variable
-    kMultiNegated,  // spans several negated items: no matcher holds it (P303)
-  };
-  Kind kind = Kind::kResidual;
-  int position = -1;
-};
-
-ConjunctPlacement PlaceConjunct(const CompiledExpr& conjunct,
-                                const PatternSpec& pattern);
 
 }  // namespace caesar
 

@@ -39,9 +39,9 @@ std::string ReadFile(const std::filesystem::path& path) {
   return text.str();
 }
 
-// Mirrors the caesar_lint file mode: lenient parse, full analysis with
-// plan checking, human rendering. `source_name` matches the relative path
-// the goldens were generated with.
+// Mirrors the caesar_lint file mode: lenient parse, full analysis, human
+// rendering. `source_name` matches the relative path the goldens were
+// generated with.
 std::string LintFixture(const std::filesystem::path& path,
                         const std::string& source_name) {
   TypeRegistry registry;
@@ -53,7 +53,6 @@ std::string LintFixture(const std::filesystem::path& path,
   if (!model.ok()) return "<parse error>";
   AnalyzerOptions options;
   options.source_name = source_name;
-  options.check_plan = true;
   std::string out;
   for (const Diagnostic& diag : AnalyzeModel(model.value(), options)) {
     out += FormatDiagnostic(diag) + "\n";
@@ -103,13 +102,74 @@ TEST(LintCorpusTest, EveryFixtureCodeIsDistinctAndCovered) {
   for (const char* code : {"C001", "C002", "C003", "C004", "C005", "C006",
                            "E101", "E102", "E103", "E104", "E105", "E106",
                            "E109", "W201", "W202", "W203", "W204", "W205",
-                           "W206", "W207", "P302", "P303", "I410",
-                           "I411", "I412", "I413"}) {
+                           "W206", "W207", "P302", "P303", "P305",
+                           "P306", "I410", "I411", "I412", "I413"}) {
     EXPECT_TRUE(codes.count(code)) << "no fixture exercises " << code;
   }
 }
 
+// TranslateModel rejects a model with its first structural or typing
+// diagnostic, so its failure carries a code the analyzer reports — on
+// every corpus fixture and example model.
+TEST(LintCorpusTest, TranslationFailuresCarryAnAnalyzerCode) {
+  const std::filesystem::path root(CAESAR_TEST_SRCDIR);
+  int failures = 0;
+  for (const auto& dir :
+       {root / "lint_corpus", root / ".." / "examples" / "models"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (entry.path().extension() != ".caesar") continue;
+      TypeRegistry registry;
+      ParseModelOptions parse_options;
+      parse_options.strict = false;
+      auto model =
+          ParseModel(ReadFile(entry.path()), &registry, parse_options);
+      ASSERT_TRUE(model.ok()) << entry.path() << ": " << model.status();
+      std::set<std::string> reported;
+      for (const Diagnostic& diag : AnalyzeModel(model.value())) {
+        reported.insert(DiagCodeName(diag.code));
+      }
+      auto plan = TranslateModel(model.value(), PlanOptions{});
+      if (plan.ok()) continue;
+      ++failures;
+      const std::string message = plan.status().message();
+      const size_t open = message.find('[');
+      const size_t close = message.find(']', open);
+      ASSERT_NE(close, std::string::npos) << entry.path() << ": " << message;
+      EXPECT_EQ(reported.count(message.substr(open + 1, close - open - 1)), 1u)
+          << entry.path() << ": " << message;
+    }
+  }
+  EXPECT_GE(failures, 10) << "the corpus lost its rejected models";
+}
+
 // ---- Programmatic-only checks ----------------------------------------
+
+// The typing pass keeps the schemas of types no query has registered yet
+// to itself: analysis registers nothing, whatever the model derives.
+TEST(AnalyzerTest, AnalysisLeavesTheRegistryUntouched) {
+  TypeRegistry registry;
+  ParseModelOptions parse_options;
+  parse_options.strict = false;
+  auto model = ParseModel(R"(
+TYPE R(seg int, x int);
+CONTEXTS idle DEFAULT idle;
+QUERY pairs DERIVE Pair(a.x AS first, b.x AS second)
+PATTERN SEQ(R a, R b) WITHIN 10 WHERE a.seg = b.seg;
+QUERY tally DERIVE Tally(t.n AS n)
+PATTERN AGGREGATE Pair t WINDOW 10 GROUP BY first COMPUTE count() AS n;
+QUERY echo DERIVE Echo(p.n AS n) PATTERN Tally p;
+)",
+                          &registry, parse_options);
+  ASSERT_TRUE(model.ok()) << model.status();
+  const int types = registry.num_types();
+  EXPECT_FALSE(HasErrors(AnalyzeModel(model.value())));
+  EXPECT_EQ(registry.num_types(), types);
+  EXPECT_EQ(registry.Lookup("Pair"), kInvalidTypeId);
+
+  // Translation registers the composite, aggregate and derived types.
+  ASSERT_TRUE(TranslateModel(model.value(), PlanOptions{}).ok());
+  EXPECT_EQ(registry.num_types(), types + 5);
+}
 
 CaesarModel ModelWithQuery(TypeRegistry* registry, Query query) {
   registry->RegisterOrGet("E", {{"x", ValueType::kInt}});
@@ -344,11 +404,12 @@ TEST(EngineAnalysisTest, StrictModeRejectsErrors) {
       << engine.status();
 
   // kOff skips the analyzer entirely; the translator still rejects the
-  // unknown attribute, but without the diagnostic code.
+  // unknown attribute, with the typing pass's diagnostic.
   EngineOptions off;
   auto unchecked = Engine::Create(model, PlanOptions{}, off);
   ASSERT_FALSE(unchecked.ok());
-  EXPECT_EQ(unchecked.status().message().find("E102"), std::string::npos)
+  EXPECT_EQ(unchecked.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(unchecked.status().message().find("E102"), std::string::npos)
       << unchecked.status();
 }
 

@@ -1,6 +1,8 @@
 // Unit tests for src/expr: lexer, parser, compilation/evaluation, and
 // predicate analysis.
 
+#include <tuple>
+
 #include <gtest/gtest.h>
 
 #include "expr/analysis.h"
@@ -214,6 +216,44 @@ TEST_F(CompiledExprTest, CanEvaluateTracksReferencedVars) {
   EXPECT_FALSE(compiled.value()->CanEvaluate({true, false}));
   EXPECT_TRUE(compiled.value()->CanEvaluate({false, true}));
   EXPECT_EQ(compiled.value()->referenced_vars(), std::vector<int>{1});
+}
+
+TEST_F(CompiledExprTest, SplitCompiledMatchesCompilingEachConjunct) {
+  auto expr = ParseExpr(
+      "p2.vid = p1.vid AND (p1.sec + 30 = p2.sec AND p1.lane != 'x') AND "
+      "(p2.speed > 1 OR p1.speed < 2.5)");
+  ASSERT_TRUE(expr.ok());
+  auto whole = Compile(expr.value(), bindings_);
+  ASSERT_TRUE(whole.ok()) << whole.status();
+  const std::vector<std::shared_ptr<const CompiledExpr>> split =
+      SplitCompiled(std::move(whole).value());
+  const std::vector<ExprPtr> sources = SplitConjuncts(expr.value());
+  ASSERT_EQ(split.size(), sources.size());
+  for (size_t i = 0; i < split.size(); ++i) {
+    auto own = Compile(sources[i], bindings_);
+    ASSERT_TRUE(own.ok());
+    EXPECT_EQ(split[i]->source(), sources[i]);
+    EXPECT_EQ(split[i]->referenced_vars(), own.value()->referenced_vars());
+    EXPECT_EQ(split[i]->result_type(), own.value()->result_type());
+    ASSERT_EQ(split[i]->nodes().size(), own.value()->nodes().size());
+    for (size_t n = 0; n < split[i]->nodes().size(); ++n) {
+      const CompiledExpr::Node& a = split[i]->nodes()[n];
+      const CompiledExpr::Node& b = own.value()->nodes()[n];
+      EXPECT_EQ(std::tie(a.kind, a.op, a.left, a.right, a.var_index,
+                         a.attr_index, a.type),
+                std::tie(b.kind, b.op, b.left, b.right, b.var_index,
+                         b.attr_index, b.type));
+      EXPECT_EQ(a.constant.ToString(), b.constant.ToString());
+    }
+  }
+  EXPECT_EQ(split[0]->referenced_vars(), (std::vector<int>{1, 0}));
+
+  // No conjunction: the expression itself.
+  auto single = Compile(ParseExpr("p1.vid = 7").value(), bindings_);
+  ASSERT_TRUE(single.ok());
+  std::shared_ptr<const CompiledExpr> shared = std::move(single).value();
+  EXPECT_EQ(SplitCompiled(shared),
+            std::vector<std::shared_ptr<const CompiledExpr>>{shared});
 }
 
 // --- Predicate analysis ---------------------------------------------------

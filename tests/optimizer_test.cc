@@ -11,6 +11,7 @@
 #include "optimizer/cost_model.h"
 #include "optimizer/mqo.h"
 #include "optimizer/optimizer.h"
+#include "optimizer/overlap_analysis.h"
 #include "optimizer/window_grouping.h"
 #include "plan/translator.h"
 #include "query/parser.h"
@@ -382,6 +383,45 @@ QUERY q1 DERIVE A(s.x AS x) PATTERN S s CONTEXT c1;
   EXPECT_GE(grouped.value().ContextIndex("c1"), 0);
   EXPECT_GE(grouped.value().ContextIndex("c2"), 0);
   EXPECT_EQ(grouped.value().num_queries(), model.num_queries());
+}
+
+// A context opening on a falling threshold (x <= 2) and closing on a
+// rising one (x >= 9) has start below end, yet its bounds carry no
+// crossing order: window grouping must skip it, or the optimized plan
+// loses the InMid events of the overlapping `mid` window.
+TEST_F(OptimizerTest, FallingOpeningBoundIsNotGrouped) {
+  CaesarModel model = Parse(R"(
+CONTEXTS calm, low, mid DEFAULT calm;
+QUERY open_low
+INITIATE CONTEXT low PATTERN S s WHERE s.x <= 2 CONTEXT calm, mid;
+QUERY close_low
+TERMINATE CONTEXT low PATTERN S s WHERE s.x >= 9 CONTEXT low;
+QUERY open_mid
+INITIATE CONTEXT mid PATTERN S s WHERE s.x >= 5 CONTEXT calm, low;
+QUERY close_mid
+TERMINATE CONTEXT mid PATTERN S s WHERE s.x >= 12 CONTEXT mid;
+QUERY in_low DERIVE InLow(s.x AS x) PATTERN S s CONTEXT low;
+QUERY in_mid DERIVE InMid(s.x AS x) PATTERN S s CONTEXT mid;
+)");
+  std::set<std::string> groupable;
+  for (const WindowBounds& bounds : ExtractWindowBounds(model)) {
+    groupable.insert(bounds.context);
+  }
+  EXPECT_EQ(groupable, std::set<std::string>{"mid"});
+
+  EventBatch input;
+  for (Timestamp t = 0; t <= 8; ++t) input.push_back(Signal(1, 6 + t, t));
+  auto plain = TranslateModel(model, PlanOptions());
+  auto optimized = OptimizeModel(model, OptimizerOptions());
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  ASSERT_TRUE(optimized.ok()) << optimized.status();
+  Engine plain_engine(std::move(plain).value(), EngineOptions());
+  Engine optimized_engine(std::move(optimized).value(), EngineOptions());
+  EventBatch plain_out, optimized_out;
+  ASSERT_TRUE(plain_engine.Run(input, &plain_out).ok());
+  ASSERT_TRUE(optimized_engine.Run(input, &optimized_out).ok());
+  EXPECT_EQ(plain_out.size(), 6u);
+  EXPECT_EQ(Canonical(optimized_out), Canonical(plain_out));
 }
 
 TEST_F(OptimizerTest, OptimizeModelFacade) {

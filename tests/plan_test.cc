@@ -135,8 +135,31 @@ INITIATE CONTEXT b
 PATTERN Marker m;
 )");
   auto plan = TranslateModel(model, PlanOptions());
-  EXPECT_FALSE(plan.ok());
+  ASSERT_FALSE(plan.ok());
   EXPECT_EQ(plan.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(plan.status().message().find("[P305]"), std::string::npos)
+      << plan.status();
+}
+
+TEST_F(PlanTest, ProcessingTypeCycleIsP306) {
+  // Both types are registered, so both queries type; no chain order runs
+  // each producer before its consumer.
+  registry_.RegisterOrGet("Echo", {{"seg", ValueType::kInt}});
+  CaesarModel model = Parse(R"(
+CONTEXTS only;
+QUERY there DERIVE Echo(r.seg AS seg) PATTERN Reading r;
+QUERY back DERIVE Reading(e.seg AS seg, e.seg AS value, e.seg AS sec)
+PATTERN Echo e;
+)");
+  auto plan = TranslateModel(model, PlanOptions());
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(plan.status().message().find(
+                "error[P306]: query 'there': cyclic type dependency: no order "
+                "runs the context processing queries 'there', 'back' each "
+                "after the producers of what it consumes"),
+            std::string::npos)
+      << plan.status();
 }
 
 TEST_F(PlanTest, UnknownEventTypeFails) {
@@ -145,8 +168,28 @@ CONTEXTS only;
 QUERY q DERIVE X(e.foo) PATTERN Nope e;
 )");
   auto plan = TranslateModel(model, PlanOptions());
-  EXPECT_FALSE(plan.ok());
-  EXPECT_EQ(plan.status().code(), StatusCode::kNotFound);
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(plan.status().message().find(
+                "error[E101]: query 'q': unknown event type Nope"),
+            std::string::npos)
+      << plan.status();
+}
+
+TEST_F(PlanTest, PatternVariableBoundTwiceIsE102) {
+  // The composite match would name two attributes "a.seg".
+  CaesarModel model = Parse(R"(
+CONTEXTS only;
+QUERY q DERIVE X(a.seg AS seg) PATTERN SEQ(Reading a, Reading a) WITHIN 10;
+)");
+  auto plan = TranslateModel(model, PlanOptions());
+  ASSERT_FALSE(plan.ok());
+  EXPECT_NE(plan.status().message().find(
+                "error[E102]: query 'q': pattern variable a is bound to more "
+                "than one position"),
+            std::string::npos)
+      << plan.status();
+  EXPECT_EQ(registry_.Lookup("$match_q"), kInvalidTypeId);
 }
 
 TEST_F(PlanTest, TrailingNegationIsP302) {
@@ -196,9 +239,9 @@ COMPUTE count() AS cnt;
 )");
   auto plan = TranslateModel(unknown, PlanOptions());
   ASSERT_FALSE(plan.ok());
-  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(plan.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(plan.status().message(),
-            "query 'tally': unknown group-by attribute nope");
+            "5:1: error[E105]: query 'tally': unknown group-by attribute nope");
 
   // An output name defined twice would make the aggregate's schema
   // ambiguous: rejected, not registered.
@@ -212,7 +255,8 @@ COMPUTE count() AS seg;
   plan = TranslateModel(twice, PlanOptions());
   ASSERT_FALSE(plan.ok());
   EXPECT_EQ(plan.status().message(),
-            "query 'twice': aggregate output attribute seg is defined twice");
+            "5:1: error[E105]: query 'twice': aggregate output attribute seg "
+            "is defined twice");
 }
 
 TEST_F(PlanTest, SeqRegistersCompositeTypeAndDerivedType) {

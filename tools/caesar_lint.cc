@@ -16,7 +16,9 @@
 //     the mutation's paired diagnostic code.
 //   caesar_lint --selfcheck [--seed N] [--iters M]
 //     Sweeps every mutation over the seeds and verifies (a) base models
-//     lint clean and (b) each mutation is flagged with its paired code.
+//     lint clean, (b) each mutation is flagged with its paired code, and
+//     (c) whenever TranslateModel rejects a base or mutated model, its
+//     Status carries a code the analyzer reported.
 //   caesar_lint --dump-automaton FILE...
 //     Prints the compiled pattern automaton (compile/compiler.h) for every
 //     pattern query in each model, in the deterministic text form the
@@ -116,6 +118,23 @@ bool HasCode(const std::vector<Diagnostic>& diags, const std::string& code) {
   return false;
 }
 
+// The translator rejects a model with its first structural or typing
+// diagnostic, rendered; the analysis of the same model must have reported
+// that code. Returns the failure's message when it did not, else "".
+std::string UnreportedTranslationFailure(const CaesarModel& model,
+                                         const std::vector<Diagnostic>& diags) {
+  auto plan = caesar::TranslateModel(model, caesar::PlanOptions{});
+  if (plan.ok()) return "";
+  const std::string message = plan.status().message();
+  const size_t open = message.find('[');
+  const size_t close = message.find(']', open);
+  if (open != std::string::npos && close != std::string::npos &&
+      HasCode(diags, message.substr(open + 1, close - open - 1))) {
+    return "";
+  }
+  return message;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -205,6 +224,20 @@ int main(int argc, char** argv) {
       AnalyzerOptions options;
       options.source_name = "<seed " + std::to_string(s) + ">";
       options.include_notes = false;
+      // Each model is analyzed before it is translated: translation
+      // registers the derived types the analysis must not see yet.
+      auto check_translation = [&](const CaesarModel& model,
+                                   const std::vector<Diagnostic>& diags,
+                                   const std::string& what) {
+        std::string failure = UnreportedTranslationFailure(model, diags);
+        if (failure.empty()) return;
+        std::fprintf(stderr,
+                     "FAIL seed %llu: %s: translation failure not reported "
+                     "by the analyzer: %s\n",
+                     static_cast<unsigned long long>(s), what.c_str(),
+                     failure.c_str());
+        ++failures;
+      };
       auto base = AnalyzeModel(generated.value().model, options);
       if (caesar::HasErrorsOrWarnings(base)) {
         std::fprintf(stderr, "FAIL seed %llu: base model not clean: %s\n",
@@ -212,6 +245,7 @@ int main(int argc, char** argv) {
                      caesar::FormatDiagnostic(base.front()).c_str());
         ++failures;
       }
+      check_translation(generated.value().model, base, "base model");
       for (const std::string& mutation : caesar::ModelMutationNames()) {
         std::string expected;
         auto mutated =
@@ -226,6 +260,7 @@ int main(int argc, char** argv) {
                        expected.c_str());
           ++failures;
         }
+        check_translation(mutated.value(), diags, "mutation " + mutation);
       }
     }
     std::fprintf(stderr, "selfcheck: %d mutation checks, %d failure(s)\n",
@@ -357,7 +392,6 @@ int main(int argc, char** argv) {
     }
     AnalyzerOptions options = run.analyzer;
     options.source_name = path;
-    options.check_plan = true;  // end-to-end: P304 on translator limits
     for (Diagnostic& diag : AnalyzeModel(model.value(), options)) {
       run.diagnostics.push_back(std::move(diag));
     }

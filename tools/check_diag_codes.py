@@ -38,7 +38,6 @@ EXEMPT = {
     "E108": "parser rejects a processing query without DERIVE first",
     "P301": "needs > context-bitvector-width contexts; corpus keeps "
             "fixtures human-readable (covered by analysis_test)",
-    "P304": "catch-all for translator failures with no stable message",
     "I402": "runtime ingest quarantine code (fault-injection suite)",
     "I403": "runtime ingest quarantine code (fault-injection suite)",
     "I404": "runtime ingest quarantine code (fault-injection suite)",
