@@ -205,7 +205,7 @@ AbsVerdict IntervalFacts::Check(const AbsConstraint& constraint) const {
 }
 
 AbsVerdict IntervalFacts::Check(const AbsPredicate& pred) const {
-  bool all_true = !pred.constraints.empty();
+  bool all_true = true;
   for (const AbsConstraint& constraint : pred.constraints) {
     AbsVerdict verdict = Check(constraint);
     if (verdict == AbsVerdict::kFalse) return AbsVerdict::kFalse;

@@ -22,12 +22,14 @@
 //    can never pass (the automaton is dead from that transition on).
 //  - Verdict kTrue additionally requires the checked predicate's
 //    abstraction to be exact; kFalse does not (one false conjunct falsifies
-//    the conjunction).
+//    the conjunction). An exact predicate without constraints is the
+//    always-true one (a missing WHERE): kTrue on any facts.
 //
-// Consumers: the analyzer (W206 cross-position contradiction, W207 subsumed
-// guard, C006 provably-empty context), the pattern compiler (guard pruning
-// and satisfiable-fraction selectivities, compile/compiler.h), and
-// `caesar_lint --dump-facts`.
+// This is the one interval domain of the analysis. Consumers: the analyzer
+// (W201 contradictory clause, C003 shadowed SWITCH edge, C006
+// provably-empty context, W206 cross-position contradiction, W207 subsumed
+// guard), the pattern compiler (guard pruning and satisfiable-fraction
+// selectivities, compile/compiler.h), and `caesar_lint --dump-facts`.
 
 #ifndef CAESAR_ANALYSIS_ABSINT_H_
 #define CAESAR_ANALYSIS_ABSINT_H_

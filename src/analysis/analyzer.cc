@@ -1,7 +1,6 @@
 #include "analysis/analyzer.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -10,7 +9,6 @@
 
 #include "analysis/absint.h"
 #include "event/schema.h"
-#include "expr/analysis.h"
 #include "expr/compiled.h"
 #include "optimizer/overlap_analysis.h"
 #include "plan/typing.h"
@@ -19,65 +17,32 @@ namespace caesar {
 
 namespace {
 
-// C006: every event that can initiate the context also terminates it, so
-// each window closes the moment it opens. Both queries must match a single
-// positive event of the same type; the implication compares attribute-keyed
-// interval summaries (each query binds the event under its own variable
-// name, so variable-qualified keys cannot be compared directly) and needs
-// both summaries exact. A contradictory initiating predicate is excluded —
-// that context never opens at all, which W201 already explains.
-bool ProvablyEmptyContext(const Query& init, const Query& term) {
-  auto single_positive = [](const Query& q) -> const PatternItem* {
-    if (!q.pattern.has_value()) return nullptr;
-    if (q.pattern->kind == PatternSpec::Kind::kAggregate) return nullptr;
-    if (q.pattern->items.size() != 1 || q.pattern->items[0].negated) {
-      return nullptr;
-    }
-    return &q.pattern->items[0];
-  };
-  const PatternItem* init_item = single_positive(init);
-  const PatternItem* term_item = single_positive(term);
-  if (init_item == nullptr || term_item == nullptr) return false;
-  if (init_item->event_type != term_item->event_type) return false;
-
-  auto normalize = [](const Query& q, const PatternItem& item,
-                      std::map<std::string, Interval>* out) {
-    PredicateSummary summary = PredicateSummary::FromExpr(q.where);
-    if (!summary.exact()) return false;
-    for (const auto& [key, interval] : summary.intervals()) {
-      if (!key.first.empty() && key.first != item.variable) return false;
-      auto [it, inserted] = out->emplace(key.second, interval);
-      if (!inserted) it->second.IntersectWith(interval);
-    }
-    return true;
-  };
-  std::map<std::string, Interval> init_map, term_map;
-  if (!normalize(init, *init_item, &init_map)) return false;
-  if (!normalize(term, *term_item, &term_map)) return false;
-  for (const auto& [attr, interval] : init_map) {
-    if (interval.IsEmpty()) return false;  // never initiates (W201)
-  }
-  for (const auto& [attr, term_interval] : term_map) {
-    auto it = init_map.find(attr);
-    Interval init_interval = it == init_map.end() ? Interval() : it->second;
-    if (!init_interval.ContainedIn(term_interval)) return false;
-  }
-  return true;
+// The facts of `pred`'s threshold constraints alone: W201's domain. Its
+// variable-variable edges are left out, so a contradiction that needs one
+// stays W206's cross-position finding.
+IntervalFacts ThresholdFacts(AbsPredicate pred) {
+  std::erase_if(pred.constraints, [](const AbsConstraint& constraint) {
+    return constraint.kind != AbsConstraint::Kind::kThreshold;
+  });
+  IntervalFacts facts;
+  facts.Apply(pred);
+  return facts;
 }
 
 class Analyzer {
  public:
-  Analyzer(const CaesarModel& model, const AnalyzerOptions& options)
-      : model_(model), options_(options) {}
+  Analyzer(const CaesarModel& model, const ModelTyping& typing,
+           const AnalyzerOptions& options)
+      : model_(model), typing_(typing), options_(options) {}
 
   std::vector<Diagnostic> Run() {
     diags_ = model_.StructuralDiagnostics();
     Append(AnalyzeContextGraph(model_));
-    ModelTyping typing = TypeModel(model_);
-    Append(std::move(typing.diagnostics));
-    for (int qi : typing.resolution_order) {
-      CheckTypedQuery(qi, typing.queries[qi]);
+    Append(typing_.diagnostics);
+    for (int qi : typing_.resolution_order) {
+      CheckTypedQuery(qi, typing_.queries[qi]);
     }
+    CheckShadowedSwitches();
     CheckWindows();
     for (Diagnostic& diag : diags_) {
       if (diag.source.empty()) diag.source = options_.source_name;
@@ -94,8 +59,8 @@ class Analyzer {
   }
 
  private:
-  void Append(std::vector<Diagnostic> found) {
-    for (Diagnostic& diag : found) diags_.push_back(std::move(diag));
+  void Append(const std::vector<Diagnostic>& found) {
+    diags_.insert(diags_.end(), found.begin(), found.end());
   }
 
   void Emit(DiagCode code, std::string message, SourceLoc loc = {},
@@ -109,13 +74,16 @@ class Analyzer {
   void CheckTypedQuery(int qi, const TypedQuery& typed) {
     const Query& query = model_.query(qi);
     const PatternSpec& pattern = *query.pattern;
-    if (typed.where != nullptr) {
-      CheckPredicate(*typed.where, query.where, query.where_loc, "WHERE",
-                     typed.label);
-    }
+    const BindingSet& scope = pattern.kind == PatternSpec::Kind::kAggregate
+                                  ? typed.post_bindings
+                                  : typed.bindings;
+    const bool contradictory =
+        typed.where != nullptr &&
+        CheckPredicate(*typed.where, pattern, scope, query.where_loc, "WHERE",
+                       typed.label);
     if (typed.having != nullptr) {
-      CheckPredicate(*typed.having, pattern.having, query.pattern_loc,
-                     "HAVING", typed.label);
+      CheckPredicate(*typed.having, pattern, typed.post_bindings,
+                     query.pattern_loc, "HAVING", typed.label);
     }
 
     // W202: SEQ positions carry strictly increasing timestamps, so a match
@@ -136,20 +104,21 @@ class Analyzer {
       }
     }
 
-    CheckGuards(qi, typed);
+    CheckGuards(qi, typed, contradictory);
   }
 
   // E104 (string-typed), W205 (constant folding) and W201 (interval
-  // contradiction) on one typed clause.
-  void CheckPredicate(const CompiledExpr& compiled, const ExprPtr& expr,
-                      SourceLoc loc, const std::string& clause,
-                      const std::string& label) {
+  // contradiction) on one typed clause, compiled against `scope`. True when
+  // W201 fired.
+  bool CheckPredicate(const CompiledExpr& compiled, const PatternSpec& pattern,
+                      const BindingSet& scope, SourceLoc loc,
+                      const std::string& clause, const std::string& label) {
     if (compiled.result_type() == ValueType::kString) {
       Emit(DiagCode::kE104NonBooleanPredicate,
            "query '" + label + "': " + clause +
                " predicate has type string; expected a boolean condition",
            loc, label);
-      return;
+      return false;
     }
     if (compiled.referenced_vars().empty()) {
       bool value = compiled.EvalBool(nullptr);
@@ -157,30 +126,29 @@ class Analyzer {
            "query '" + label + "': " + clause + " predicate is constantly " +
                (value ? "true" : "false (the clause can never be satisfied)"),
            loc, label);
-      return;
+      return false;
     }
-    PredicateSummary summary = PredicateSummary::FromExpr(expr);
-    if (!summary.exact()) return;
-    for (const auto& [key, interval] : summary.intervals()) {
-      if (!interval.IsEmpty()) continue;
-      std::string attr =
-          key.first.empty() ? key.second : key.first + "." + key.second;
-      Emit(DiagCode::kW201ContradictoryPredicate,
-           "query '" + label + "': " + clause +
-               " predicate is contradictory: " + attr +
-               " is constrained to the empty set " + interval.ToString(),
-           loc, label);
-      return;
-    }
+    // A kFalse verdict needs no exact abstraction: one empty conjunction
+    // of thresholds falsifies the clause whatever else it says.
+    const IntervalFacts facts = ThresholdFacts(AbstractPredicate(compiled));
+    if (!facts.contradiction()) return false;
+    const auto [var, attr] = facts.EmptyKey();
+    Emit(DiagCode::kW201ContradictoryPredicate,
+         "query '" + label + "': " + clause + " predicate is contradictory: " +
+             FactName(pattern, scope, var, attr) +
+             " is constrained to the empty set " +
+             facts.Get(var, attr).ToString(),
+         loc, label);
+    return true;
   }
 
-  // "var.attr" rendering for interval-fact messages ("#<i>" names an
-  // anonymous item).
-  std::string FactName(const TypedQuery& typed, const PatternSpec& pattern,
-                       int var, int attr) {
+  // "var.attr" rendering for interval-fact messages over `scope` ("#<i>"
+  // names an anonymous item; an aggregate's rows carry its input's name).
+  static std::string FactName(const PatternSpec& pattern,
+                              const BindingSet& scope, int var, int attr) {
     std::string name = pattern.items[var].variable;
-    if (name.empty()) name = "#" + std::to_string(var);
-    return name + "." + typed.bindings.var(var).schema->attribute(attr).name;
+    if (name.empty()) name = std::string("#").append(std::to_string(var));
+    return name + "." + scope.var(var).schema->attribute(attr).name;
   }
 
   // ----- Guards across positions: absint (W206 / W207). -----
@@ -190,7 +158,7 @@ class Analyzer {
   // facts accumulated before it is subsumed (W207); one provably false — or
   // facts that become jointly empty — means no match can ever complete
   // (W206).
-  void CheckGuards(int qi, const TypedQuery& typed) {
+  void CheckGuards(int qi, const TypedQuery& typed, bool contradictory) {
     if (typed.conjuncts.empty()) return;
     const Query& query = model_.query(qi);
     const PatternSpec& pattern = *query.pattern;
@@ -228,14 +196,9 @@ class Analyzer {
     if (pattern.kind != PatternSpec::Kind::kSeq || pattern.items.size() < 2) {
       return;
     }
-    // W201 already explains a flat per-attribute contradiction; W206 adds
-    // the cross-position cases its summary cannot see.
-    for (const Diagnostic& diag : diags_) {
-      if (diag.code == DiagCode::kW201ContradictoryPredicate &&
-          diag.query == label) {
-        return;
-      }
-    }
+    // W201 already explains this WHERE's empty threshold facts; W206 adds
+    // the cross-position cases they cannot see.
+    if (contradictory) return;
     std::ostringstream message;
     message << "query '" << label << "': SEQ can never complete: ";
     if (result.dead_guard >= 0) {
@@ -244,20 +207,87 @@ class Analyzer {
               << "' can never hold under the constraints accumulated from "
                  "earlier positions";
     } else {
+      // The facts after the dead position are contradictory.
       const IntervalFacts& after = result.states[result.dead_position + 1];
-      auto key = after.EmptyKey();
+      const auto [var, attr] = after.EmptyKey();
       message << "the constraints accumulated at position "
-              << result.dead_position << " leave ";
-      if (key.first >= 0) {
-        message << FactName(typed, pattern, key.first, key.second)
-                << " constrained to the empty set "
-                << after.Get(key.first, key.second).ToString();
-      } else {
-        message << "an attribute constrained to the empty set";
-      }
+              << result.dead_position << " leave "
+              << FactName(pattern, typed.bindings, var, attr)
+              << " constrained to the empty set "
+              << after.Get(var, attr).ToString();
     }
     Emit(DiagCode::kW206CrossPositionContradiction, message.str(),
          query.where_loc, label);
+  }
+
+  // ----- Implication between single-event queries (C003 / C006). -----
+
+  // True when queries `premise` and `conclusion` each match one positive
+  // event of the same type and the premise's facts make the conclusion's
+  // WHERE kTrue: every event the premise accepts satisfies the conclusion.
+  // Each WHERE binds its event at index 0, so the facts compare whatever
+  // the queries name the event; a missing WHERE is the always-true
+  // predicate. A contradictory premise proves nothing (W201 explains it),
+  // and a conclusion kTrue on facts that are not empty is satisfiable.
+  bool SameEventImplies(int premise, int conclusion) const {
+    auto single_event = [&](int qi) -> const PatternItem* {
+      if (!typing_.queries[qi].typed) return nullptr;
+      const PatternSpec& pattern = *model_.query(qi).pattern;
+      if (pattern.kind == PatternSpec::Kind::kAggregate ||
+          pattern.items.size() != 1 || pattern.items[0].negated) {
+        return nullptr;
+      }
+      return &pattern.items[0];
+    };
+    auto abstract = [&](int qi) {
+      const SharedExpr& where = typing_.queries[qi].where;
+      return where == nullptr ? AbsPredicate{{}, /*exact=*/true}
+                              : AbstractPredicate(*where);
+    };
+    const PatternItem* a = single_event(premise);
+    const PatternItem* b = single_event(conclusion);
+    if (a == nullptr || b == nullptr || a->event_type != b->event_type) {
+      return false;
+    }
+    IntervalFacts facts;
+    facts.Apply(abstract(premise));
+    return !facts.contradiction() &&
+           facts.Check(abstract(conclusion)) == AbsVerdict::kTrue;
+  }
+
+  // C003: a later SWITCH never changes the outcome when an earlier SWITCH
+  // to the same target, gated wherever the later one is, fires on every
+  // event the later one fires on.
+  void CheckShadowedSwitches() {
+    for (int qj = 0; qj < model_.num_queries(); ++qj) {
+      const Query& later = model_.query(qj);
+      if (later.action != ContextAction::kSwitch) continue;
+      for (int qi = 0; qi < qj; ++qi) {
+        const Query& earlier = model_.query(qi);
+        if (earlier.action != ContextAction::kSwitch ||
+            earlier.target_context != later.target_context) {
+          continue;
+        }
+        if (!std::all_of(later.contexts.begin(), later.contexts.end(),
+                         [&](const std::string& gate) {
+                           return std::find(earlier.contexts.begin(),
+                                            earlier.contexts.end(),
+                                            gate) != earlier.contexts.end();
+                         })) {
+          continue;
+        }
+        if (!SameEventImplies(qj, qi)) continue;
+        const std::string later_label = QueryLabel(later, qj);
+        Emit(DiagCode::kC003ShadowedSwitchEdge,
+             "query '" + later_label + "': SWITCH CONTEXT " +
+                 later.target_context + " is shadowed by query '" +
+                 QueryLabel(earlier, qi) +
+                 "', which switches there on a weaker predicate over the "
+                 "same pattern",
+             later.loc, later_label, later.target_context);
+        break;
+      }
+    }
   }
 
   // ----- Optimizer preconditions (W203 note / W204 warning). -----
@@ -278,20 +308,17 @@ class Analyzer {
       // are orderable. It yields to W204 on the Rising shape, which
       // explains the empty window more precisely.
       if (initiators.size() == 1 && terminators.size() == 1 &&
-          !shape.Rising()) {
-        const Query& init = model_.query(initiators[0]);
-        const Query& term = model_.query(terminators[0]);
-        if (ProvablyEmptyContext(init, term)) {
-          Emit(DiagCode::kC006ProvablyEmptyContext,
-               prefix + "is provably empty: every event satisfying the "
-                        "initiating predicate of query '" +
-                   QueryLabel(init, initiators[0]) +
-                   "' also satisfies the terminating predicate of query '" +
-                   QueryLabel(term, terminators[0]) +
-                   "', so each window closes the moment it opens",
-               context.loc, /*query=*/{}, context.name);
-          continue;
-        }
+          !shape.Rising() &&
+          SameEventImplies(initiators[0], terminators[0])) {
+        Emit(DiagCode::kC006ProvablyEmptyContext,
+             prefix + "is provably empty: every event satisfying the "
+                      "initiating predicate of query '" +
+                 QueryLabel(model_.query(initiators[0]), initiators[0]) +
+                 "' also satisfies the terminating predicate of query '" +
+                 QueryLabel(model_.query(terminators[0]), terminators[0]) +
+                 "', so each window closes the moment it opens",
+             context.loc, /*query=*/{}, context.name);
+        continue;
       }
       // The rest explains why ExtractWindowBounds skipped the context.
       if (groupable.count(context.name) > 0) continue;
@@ -356,6 +383,7 @@ class Analyzer {
   }
 
   const CaesarModel& model_;
+  const ModelTyping& typing_;
   const AnalyzerOptions& options_;
   std::vector<Diagnostic> diags_;
 };
@@ -364,7 +392,13 @@ class Analyzer {
 
 std::vector<Diagnostic> AnalyzeModel(const CaesarModel& model,
                                      const AnalyzerOptions& options) {
-  return Analyzer(model, options).Run();
+  return AnalyzeModel(model, TypeModel(model), options);
+}
+
+std::vector<Diagnostic> AnalyzeModel(const CaesarModel& model,
+                                     const ModelTyping& typing,
+                                     const AnalyzerOptions& options) {
+  return Analyzer(model, typing, options).Run();
 }
 
 std::vector<Diagnostic> AnalyzeContextGraph(const CaesarModel& model) {
@@ -445,57 +479,6 @@ std::vector<Diagnostic> AnalyzeContextGraph(const CaesarModel& model) {
         "query '" + label + "' can never fire: none of its contexts (" +
             gates + ") is ever activated",
         query.loc, label));
-  }
-
-  // C003: a later SWITCH whose pattern and predicate are subsumed by an
-  // earlier SWITCH to the same target never changes the outcome. A pattern
-  // without items is E107 (StructuralDiagnostics), not a shadowing edge.
-  auto event_pattern = [](const Query& q) {
-    return q.pattern.has_value() &&
-           q.pattern->kind == PatternSpec::Kind::kEvent &&
-           !q.pattern->items.empty();
-  };
-  for (int qj = 0; qj < model.num_queries(); ++qj) {
-    const Query& later = model.query(qj);
-    if (later.action != ContextAction::kSwitch) continue;
-    if (!event_pattern(later)) continue;
-    for (int qi = 0; qi < qj; ++qi) {
-      const Query& earlier = model.query(qi);
-      if (earlier.action != ContextAction::kSwitch ||
-          earlier.target_context != later.target_context) {
-        continue;
-      }
-      if (!event_pattern(earlier) ||
-          earlier.pattern->items[0].event_type !=
-              later.pattern->items[0].event_type) {
-        continue;
-      }
-      // The earlier query must be gated wherever the later one is...
-      bool gates_covered = true;
-      for (const std::string& gate : later.contexts) {
-        if (std::find(earlier.contexts.begin(), earlier.contexts.end(),
-                      gate) == earlier.contexts.end()) {
-          gates_covered = false;
-          break;
-        }
-      }
-      if (!gates_covered) continue;
-      // ...and fire whenever the later one fires (predicate subsumption).
-      if (!Implies(PredicateSummary::FromExpr(later.where),
-                   PredicateSummary::FromExpr(earlier.where))) {
-        continue;
-      }
-      std::string later_label = QueryLabel(later, qj);
-      diags.push_back(MakeDiag(
-          DiagCode::kC003ShadowedSwitchEdge,
-          "query '" + later_label + "': SWITCH CONTEXT " +
-              later.target_context + " is shadowed by query '" +
-              QueryLabel(earlier, qi) +
-              "', which switches there on a weaker predicate over the same "
-              "pattern",
-          later.loc, later_label, later.target_context));
-      break;
-    }
   }
 
   return diags;

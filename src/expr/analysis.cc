@@ -139,41 +139,4 @@ bool IsRisingCrossing(BinaryOp op) {
   return op == BinaryOp::kEq || op == BinaryOp::kGt || op == BinaryOp::kGe;
 }
 
-PredicateSummary PredicateSummary::FromExpr(const ExprPtr& expr) {
-  PredicateSummary summary;
-  if (expr == nullptr) return summary;  // empty == always true
-  for (const ExprPtr& conjunct : SplitConjuncts(expr)) {
-    std::optional<AttrConstraint> constraint = ExtractConstraint(conjunct);
-    if (!constraint.has_value()) {
-      summary.exact_ = false;
-      continue;
-    }
-    auto key = std::make_pair(constraint->variable, constraint->attribute);
-    auto [it, inserted] =
-        summary.intervals_.emplace(key, constraint->ToInterval());
-    if (!inserted) it->second.IntersectWith(constraint->ToInterval());
-  }
-  return summary;
-}
-
-Interval PredicateSummary::GetInterval(const std::string& variable,
-                                       const std::string& attribute) const {
-  auto it = intervals_.find(std::make_pair(variable, attribute));
-  if (it == intervals_.end()) return Interval();
-  return it->second;
-}
-
-bool Implies(const PredicateSummary& p, const PredicateSummary& q) {
-  // p => q iff the satisfying set of p is contained in that of q. We can
-  // only prove this when p's summary captures p exactly; q's summary being
-  // inexact only makes q's true satisfying set *smaller* than its summary,
-  // so q must also be exact.
-  if (!p.exact() || !q.exact()) return false;
-  for (const auto& [key, q_interval] : q.intervals()) {
-    Interval p_interval = p.GetInterval(key.first, key.second);
-    if (!p_interval.ContainedIn(q_interval)) return false;
-  }
-  return true;
-}
-
 }  // namespace caesar

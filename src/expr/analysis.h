@@ -3,21 +3,16 @@
 // Compile-time facts about context deriving predicates (Section 3.3 /
 // Definition 2 and the grouping algorithm of Listing 1): single-attribute
 // threshold constraints, from which optimizer/overlap_analysis.h reads
-// window bounds, and subsumption/implication between predicates ("CAESAR
-// employs established approaches for predicate subsumption").
-//
-// The analysis handles conjunctions of single-attribute threshold
-// comparisons (attr op numeric-constant); anything else degrades safely to
-// "unknown".
+// window bounds, and the Interval they bound. Subsumption and implication
+// between predicates ("CAESAR employs established approaches for predicate
+// subsumption") are decided over typed clauses by analysis/absint.h.
 
 #ifndef CAESAR_EXPR_ANALYSIS_H_
 #define CAESAR_EXPR_ANALYSIS_H_
 
 #include <limits>
-#include <map>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "expr/expr.h"
@@ -68,35 +63,6 @@ std::optional<AttrConstraint> SingleThresholdConstraint(const ExprPtr& where);
 // `attr == K`, `attr >= K` and `attr > K` first hold where a rising signal
 // crosses K; `<=` / `<` hold from the start and order no window bound.
 bool IsRisingCrossing(BinaryOp op);
-
-// Per-attribute interval summary of a conjunction of threshold constraints.
-class PredicateSummary {
- public:
-  // Builds the summary. `exact` is set to false when some conjunct could not
-  // be converted (the summary is then an over-approximation of the
-  // predicate's satisfying set).
-  static PredicateSummary FromExpr(const ExprPtr& expr);
-
-  bool exact() const { return exact_; }
-  bool empty() const { return intervals_.empty(); }
-
-  // Interval for (variable, attribute), or the unbounded interval.
-  Interval GetInterval(const std::string& variable,
-                       const std::string& attribute) const;
-
-  const std::map<std::pair<std::string, std::string>, Interval>& intervals()
-      const {
-    return intervals_;
-  }
-
- private:
-  std::map<std::pair<std::string, std::string>, Interval> intervals_;
-  bool exact_ = true;
-};
-
-// True if predicate `p` provably implies predicate `q` (every tuple
-// satisfying p satisfies q). Requires p exact; conservative otherwise.
-bool Implies(const PredicateSummary& p, const PredicateSummary& q);
 
 }  // namespace caesar
 

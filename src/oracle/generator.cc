@@ -613,7 +613,8 @@ std::vector<std::string> ModelMutationNames() {
           "dead_query",          "unknown_attribute",
           "type_error",          "contradiction",
           "trailing_negation",   "inverted_window",
-          "deriving_consumes_processing", "type_cycle"};
+          "deriving_consumes_processing", "type_cycle",
+          "shadowed_switch",     "empty_context"};
 }
 
 Result<CaesarModel> MutateModel(const CaesarModel& model,
@@ -678,23 +679,16 @@ Result<CaesarModel> MutateModel(const CaesarModel& model,
   }
 
   if (mutation == "type_error" || mutation == "contradiction") {
-    // Both need a threshold conjunct to anchor on; `contradiction`
-    // additionally needs the whole conjunction to be interval-exact so the
-    // empty intersection is provable.
+    // Both need a threshold conjunct to anchor on. The rest of the
+    // conjunction may be anything: an empty threshold interval falsifies
+    // it whatever else it says.
     for (int qi = 0; qi < mutated.num_queries(); ++qi) {
       Query* query = mutated.mutable_query(qi);
       if (!query->pattern.has_value() || query->where == nullptr) continue;
-      std::vector<ExprPtr> conjuncts = SplitConjuncts(query->where);
       std::optional<AttrConstraint> anchor;
-      bool all_exact = true;
-      for (const ExprPtr& conjunct : conjuncts) {
-        std::optional<AttrConstraint> constraint =
-            ExtractConstraint(conjunct);
-        if (!constraint.has_value()) {
-          all_exact = false;
-          continue;
-        }
-        if (!anchor.has_value()) anchor = constraint;
+      for (const ExprPtr& conjunct : SplitConjuncts(query->where)) {
+        anchor = ExtractConstraint(conjunct);
+        if (anchor.has_value()) break;
       }
       if (!anchor.has_value()) continue;
       if (mutation == "type_error") {
@@ -707,7 +701,6 @@ Result<CaesarModel> MutateModel(const CaesarModel& model,
         *expected_code = "E103";
         return mutated;
       }
-      if (!all_exact) continue;
       // Contradiction: force the anchored attribute into an empty interval.
       query->where = MakeConjunction(
           query->where,
@@ -756,6 +749,54 @@ Result<CaesarModel> MutateModel(const CaesarModel& model,
     Query* term = mutated.mutable_query(bounds[0].terminator_query);
     std::swap(init->where, term->where);
     *expected_code = "W204";
+    return mutated;
+  }
+
+  if (mutation == "shadowed_switch" || mutation == "empty_context") {
+    // Two single-event queries on the input's first attribute `a`, binding
+    // the event as m and n. C003: a SWITCH on a >= 0 and a copy on a >= 1
+    // from the same gate. C006: a context opening on a = 0 and closing on
+    // a <= 0, so each window closes the moment it opens.
+    const TypeId input = model.registry()->Lookup(input_type);
+    if (input == kInvalidTypeId) {
+      return Status::FailedPrecondition("first pattern input is derived");
+    }
+    const Schema& schema = model.registry()->type(input).schema;
+    if (schema.num_attributes() == 0 ||
+        schema.attribute(0).type == ValueType::kString) {
+      return Status::FailedPrecondition("first input attribute not numeric");
+    }
+    const std::string attr = schema.attribute(0).name;
+    const bool shadow = mutation == "shadowed_switch";
+    const std::string target = shadow ? "mut_shadow" : "mut_empty";
+    CAESAR_RETURN_IF_ERROR(mutated.AddContext(target));
+    auto add = [&](const char* name, const char* variable,
+                   ContextAction action, BinaryOp op, int64_t value,
+                   const std::string& gate) {
+      Query query = EventMatchQuery(name, input_type);
+      query.pattern->items[0].variable = variable;
+      query.where =
+          MakeBinary(op, MakeAttrRef(variable, attr), MakeConstant(value));
+      query.action = action;
+      query.target_context = target;
+      query.contexts = {gate};
+      return mutated.AddQuery(std::move(query)).status();
+    };
+    const std::string& gate = model.default_context();
+    if (shadow) {
+      CAESAR_RETURN_IF_ERROR(add("mut_switch", "m", ContextAction::kSwitch,
+                                 BinaryOp::kGe, 0, gate));
+      CAESAR_RETURN_IF_ERROR(add("mut_switch_copy", "n",
+                                 ContextAction::kSwitch, BinaryOp::kGe, 1,
+                                 gate));
+      *expected_code = "C003";
+    } else {
+      CAESAR_RETURN_IF_ERROR(add("mut_open", "m", ContextAction::kInitiate,
+                                 BinaryOp::kEq, 0, gate));
+      CAESAR_RETURN_IF_ERROR(add("mut_close", "n", ContextAction::kTerminate,
+                                 BinaryOp::kLe, 0, target));
+      *expected_code = "C006";
+    }
     return mutated;
   }
 

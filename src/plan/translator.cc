@@ -193,8 +193,13 @@ class QueryBuilder {
 
 Result<ExecutablePlan> TranslateModel(const CaesarModel& model,
                                       const PlanOptions& options) {
+  return TranslateModel(model, TypeModel(model), options);
+}
+
+Result<ExecutablePlan> TranslateModel(const CaesarModel& model,
+                                      const ModelTyping& typing,
+                                      const PlanOptions& options) {
   CAESAR_RETURN_IF_ERROR(model.CheckStructure());
-  ModelTyping typing = TypeModel(model);
   if (!typing.diagnostics.empty()) {
     return Status::FailedPrecondition(
         FormatDiagnostic(typing.diagnostics.front()));

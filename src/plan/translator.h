@@ -39,6 +39,8 @@
 
 namespace caesar {
 
+struct ModelTyping;
+
 // Plan-shape options chosen by the optimizer (or forced by benchmarks).
 struct PlanOptions {
   // Context window push-down (Section 5.2). Off = Fig. 6(a), on = Fig. 6(b).
@@ -74,6 +76,12 @@ struct PlanOptions {
 // FailedPrecondition carrying the first structural or typing diagnostic,
 // rendered.
 Result<ExecutablePlan> TranslateModel(const CaesarModel& model,
+                                      const PlanOptions& options);
+
+// As above, building from `typing`, which is TypeModel(model) taken before
+// this call registers any type (the analyzer may read it first).
+Result<ExecutablePlan> TranslateModel(const CaesarModel& model,
+                                      const ModelTyping& typing,
                                       const PlanOptions& options);
 
 }  // namespace caesar

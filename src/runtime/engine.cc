@@ -10,6 +10,7 @@
 #include "durability/manager.h"
 #include "durability/serde.h"
 #include "plan/translator.h"
+#include "plan/typing.h"
 
 namespace caesar {
 
@@ -229,20 +230,24 @@ Result<std::unique_ptr<Engine>> Engine::Create(const CaesarModel& model,
                                                const PlanOptions& plan_options,
                                                EngineOptions options) {
   CAESAR_RETURN_IF_ERROR(options.Validate());
+  // One typing for the analyzer and the plan build; a defect is
+  // FailedPrecondition whether the analyzer or the translator finds it.
+  const ModelTyping typing = TypeModel(model);
   std::vector<std::string> retained;
   if (options.analysis == AnalysisMode::kStrict) {
     AnalyzerOptions analyzer_options;
     analyzer_options.source_name = "<model>";
     analyzer_options.include_notes = false;
-    for (const Diagnostic& diag : AnalyzeModel(model, analyzer_options)) {
+    for (const Diagnostic& diag :
+         AnalyzeModel(model, typing, analyzer_options)) {
       if (diag.severity == DiagSeverity::kError) {
-        return Status::InvalidArgument(FormatDiagnostic(diag));
+        return Status::FailedPrecondition(FormatDiagnostic(diag));
       }
       retained.push_back(FormatDiagnostic(diag));
     }
   }
   CAESAR_ASSIGN_OR_RETURN(ExecutablePlan plan,
-                          TranslateModel(model, plan_options));
+                          TranslateModel(model, typing, plan_options));
   auto engine = std::make_unique<Engine>(std::move(plan), std::move(options));
   engine->analysis_diagnostics_ = std::move(retained);
   return engine;

@@ -251,11 +251,12 @@ class Engine {
   static Result<std::unique_ptr<Engine>> Create(ExecutablePlan plan,
                                                 EngineOptions options);
 
-  // Model-based construction: optionally lints the model first
+  // Model-based construction: types the model once, optionally lints it
   // (options.analysis), then translates and builds the engine. Under
   // kStrict, analysis errors reject creation with the first formatted
-  // diagnostic; otherwise the formatted warnings are retained and surfaced
-  // through CollectStatistics().
+  // diagnostic as FailedPrecondition, the translator's own status;
+  // otherwise the formatted warnings are retained and surfaced through
+  // CollectStatistics().
   static Result<std::unique_ptr<Engine>> Create(
       const CaesarModel& model, const PlanOptions& plan_options,
       EngineOptions options);

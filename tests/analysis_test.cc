@@ -270,6 +270,60 @@ TEST(AnalyzerTest, SwitchWithEmptyPatternIsE107NotC003) {
   EXPECT_FALSE(HasCode(diags, DiagCode::kC003ShadowedSwitchEdge));
 }
 
+// C003 is an implication between two typed WHERE clauses, decided by
+// absint's interval facts: the later SWITCH is shadowed when every event it
+// accepts also satisfies the earlier one's predicate.
+std::vector<Diagnostic> LintSwitchPair(const std::string& earlier_where,
+                                       const std::string& later_where) {
+  auto query = [](const char* name, const std::string& where) {
+    return std::string("QUERY ") + name +
+           " SWITCH CONTEXT busy PATTERN E p " +
+           (where.empty() ? "" : "WHERE " + where + " ") + "CONTEXT idle;\n";
+  };
+  TypeRegistry registry;
+  ParseModelOptions lenient;
+  lenient.strict = false;
+  auto model = ParseModel("TYPE E(x int, y int);\n"
+                          "CONTEXTS idle, busy DEFAULT idle;\n" +
+                              query("earlier", earlier_where) +
+                              query("later", later_where),
+                          &registry, lenient);
+  EXPECT_TRUE(model.ok()) << model.status();
+  if (!model.ok()) return {};
+  return AnalyzeModel(model.value());
+}
+
+TEST(AnalyzerTest, ShadowingNeedsTheLaterPredicateToImplyTheEarlier) {
+  EXPECT_TRUE(HasCode(LintSwitchPair("p.x > 10", "p.x > 20 AND p.x < 25"),
+                      DiagCode::kC003ShadowedSwitchEdge));
+  EXPECT_FALSE(HasCode(LintSwitchPair("p.x > 20 AND p.x < 25", "p.x > 10"),
+                       DiagCode::kC003ShadowedSwitchEdge));
+  // A conjunct without interval form only narrows the later query.
+  EXPECT_TRUE(HasCode(LintSwitchPair("p.x > 10", "p.x > 20 AND p.y != 5"),
+                      DiagCode::kC003ShadowedSwitchEdge));
+  // A missing WHERE is the always-true predicate.
+  EXPECT_TRUE(HasCode(LintSwitchPair("", "p.x > 20"),
+                      DiagCode::kC003ShadowedSwitchEdge));
+  EXPECT_FALSE(HasCode(LintSwitchPair("p.x > 20", ""),
+                       DiagCode::kC003ShadowedSwitchEdge));
+}
+
+TEST(AnalyzerTest, ShadowingIsSilentOnAnOrPredicate) {
+  // Neither OR has an interval form: the facts prove no implication.
+  EXPECT_FALSE(HasCode(LintSwitchPair("p.x > 10", "p.x > 20 OR p.y > 5"),
+                       DiagCode::kC003ShadowedSwitchEdge));
+  EXPECT_FALSE(HasCode(LintSwitchPair("p.x > 10 OR p.y > 5", "p.x > 20"),
+                       DiagCode::kC003ShadowedSwitchEdge));
+}
+
+TEST(AnalyzerTest, ShadowingSkipsAContradictoryPredicate) {
+  // The later query never fires: W201 explains it, not C003.
+  std::vector<Diagnostic> diags =
+      LintSwitchPair("p.x > 0", "p.x > 20 AND p.x < 10");
+  EXPECT_TRUE(HasCode(diags, DiagCode::kW201ContradictoryPredicate));
+  EXPECT_FALSE(HasCode(diags, DiagCode::kC003ShadowedSwitchEdge));
+}
+
 TEST(AnalyzerTest, AggregateOutputNameDefinedTwiceIsE105) {
   TypeRegistry registry;
   ParseModelOptions lenient;
@@ -411,6 +465,39 @@ TEST(EngineAnalysisTest, StrictModeRejectsErrors) {
   EXPECT_EQ(unchecked.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(unchecked.status().message().find("E102"), std::string::npos)
       << unchecked.status();
+}
+
+// A typing defect is FailedPrecondition whether the strict analyzer or
+// the translator finds it: both read the one typing Create computes.
+TEST(EngineAnalysisTest, StrictAndOffRejectWithOneStatusCode) {
+  TypeRegistry registry;
+  registry.RegisterOrGet("E", {{"x", ValueType::kInt}});
+  CaesarModel model(&registry);
+  ASSERT_TRUE(model.AddContext("idle").ok());
+  Query query;
+  query.name = "bad";
+  PatternSpec pattern;
+  pattern.items.push_back({"E", "p", false});
+  query.pattern = pattern;
+  query.where = MakeBinary(BinaryOp::kEq, MakeAttrRef("p", "x"),
+                           MakeConstant("not a number"));
+  DeriveSpec derive;
+  derive.event_type = "Out";
+  derive.args.push_back(MakeAttrRef("p", "x"));
+  query.derive = derive;
+  ASSERT_TRUE(model.AddQuery(std::move(query)).ok());
+  ASSERT_TRUE(model.Normalize().ok());
+
+  for (AnalysisMode mode : {AnalysisMode::kStrict, AnalysisMode::kOff}) {
+    EngineOptions options;
+    options.analysis = mode;
+    auto engine = Engine::Create(model, PlanOptions{}, options);
+    ASSERT_FALSE(engine.ok());
+    EXPECT_EQ(engine.status().code(), StatusCode::kFailedPrecondition)
+        << engine.status();
+    EXPECT_NE(engine.status().message().find("[E103]"), std::string::npos)
+        << engine.status();
+  }
 }
 
 // Without analysis, Engine::Create still rejects a structurally broken

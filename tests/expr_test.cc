@@ -301,19 +301,5 @@ TEST(AnalysisTest, IntervalEmptiness) {
   EXPECT_FALSE(point.IsEmpty());
 }
 
-TEST(AnalysisTest, Implication) {
-  auto p = PredicateSummary::FromExpr(ParseExpr("x > 20 AND x < 25").value());
-  auto q = PredicateSummary::FromExpr(ParseExpr("x > 10").value());
-  EXPECT_TRUE(Implies(p, q));
-  EXPECT_FALSE(Implies(q, p));
-}
-
-TEST(AnalysisTest, ImplicationConservativeOnInexact) {
-  auto p = PredicateSummary::FromExpr(ParseExpr("x > 20 OR y > 5").value());
-  auto q = PredicateSummary::FromExpr(ParseExpr("x > 10").value());
-  EXPECT_FALSE(p.exact());
-  EXPECT_FALSE(Implies(p, q));
-}
-
 }  // namespace
 }  // namespace caesar
